@@ -11,14 +11,13 @@ operator, the blow-up rates of D^2 and of L applied to the extension.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
+from ._quad import (bisect_edges, gl8_panels, graded_edges, node_chunks,
+                    octaves, periodic_edges)
 from .errors import DivergenceError, DomainError, UnsupportedVariantError
 from .fields import CompositeField
 from .geometry import Ball, HalfPlane, Polygon
 from .nonlocal_op import QuadratureSpec, apply_L
-
-_GL8 = roots_legendre(8)
 
 
 @dataclass(frozen=True)
@@ -40,42 +39,13 @@ class ExtensionValue:
         return self.value
 
 
-def _graded_edges(center, inner, outer):
-    """Octave-graded offsets around ``center`` from scale inner up to outer,
-    on both sides."""
-    if inner >= outer:
-        return [center - outer, center + outer]
-    k = int(np.ceil(np.log2(outer / inner)))
-    offs = inner * 2.0 ** np.arange(k + 1)
-    offs = offs[offs < outer]
-    offs = np.concatenate([offs, [outer]])
-    left = center - offs[::-1]
-    right = center + offs
-    return list(left) + [center] + list(right)
-
-
-def _periodic_panels(anchors, period):
-    """Sorted panel edges on one period, graded around each (angle, scale)."""
-    edges = set()
-    base = anchors[0][0]
-    lo, hi = base - period / 2.0, base + period / 2.0
-    for center, scale in anchors:
-        for e in _graded_edges(center, max(scale, 1e-14), period / 2.0):
-            w = (e - lo) % period + lo
-            edges.add(float(np.clip(w, lo, hi)))
-    edges.add(lo)
-    edges.add(hi)
-    out = sorted(edges)
-    merged = [out[0]]
-    for e in out[1:]:
-        if e - merged[-1] > 1e-13:
-            merged.append(e)
-    return merged
-
-
 class DiskExtension:
     """Poisson integral on a disk with panels graded toward the evaluation
-    angle and toward declared singular angles of the datum."""
+    angle and toward declared singular angles of the datum.
+
+    Called with one point it returns a float; with an (n, 2) array it
+    returns the n values, evaluating the datum once per chunk of points.
+    """
 
     def __init__(self, dom, g):
         self.dom = dom
@@ -87,39 +57,45 @@ class DiskExtension:
             if abs(np.linalg.norm(v) - dom.radius) < 1e-9 * dom.radius:
                 self.singular_angles.append(float(np.arctan2(v[1], v[0])))
 
-    def boundary_value(self, phi):
-        z = self.dom.center + self.dom.radius * np.stack(
-            [np.cos(phi), np.sin(phi)], axis=-1)
-        return self.g(z)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        v = x - self.dom.center
-        r = float(np.linalg.norm(v))
+        pts = np.atleast_2d(x)
+        v = pts - self.dom.center
+        r = np.sqrt(np.sum(v * v, axis=1))
         R = self.dom.radius
-        if r >= R:
+        if np.any(r >= R):
             raise DomainError("extension evaluation requires an interior point")
-        delta = max(R - r, 1e-13 * R)
-        phi_x = float(np.arctan2(v[1], v[0])) if r > 0 else 0.0
-        anchors = [(phi_x, 0.25 * delta / R)]
-        for a in self.singular_angles:
-            anchors.append((a, 1e-12))
-        edges = _periodic_panels(anchors, 2.0 * np.pi)
-        a = np.array(edges[:-1]); b = np.array(edges[1:])
-        mid = 0.5 * (a + b); half = 0.5 * (b - a)
-        phis = (mid[:, None] + half[:, None] * _GL8[0][None, :]).ravel()
-        h = self.boundary_value(phis).reshape(len(mid), 8)
-        z = np.stack([R * np.cos(phis), R * np.sin(phis)], axis=-1) + self.dom.center
-        d2 = np.sum((z - x) ** 2, axis=-1).reshape(len(mid), 8)
-        kern = (R ** 2 - r ** 2) / (2.0 * np.pi * d2)
-        integ = float(np.sum((kern * h) @ _GL8[1] * half))
-        norm = float(np.sum(kern @ _GL8[1] * half))
-        # normalizing by the computed kernel mass removes the leading
-        # quadrature error and enforces the mean-value property exactly
-        return integ / norm
+        delta = np.maximum(R - r, 1e-13 * R)
+        phi_x = np.where(r > 0, np.arctan2(v[:, 1], v[:, 0]), 0.0)
+        n_sing = len(self.singular_angles)
+        centers = np.column_stack(
+            [phi_x, np.broadcast_to(self.singular_angles, (len(r), n_sing))])
+        scales = np.column_stack(
+            [0.25 * delta / R, np.full((len(r), n_sing), 1e-12)])
+        # an upper bound on each row's panel count orders and sizes the chunks
+        n_edges = np.sum(2 * octaves(np.maximum(scales, 1e-14), np.pi) + 5,
+                         axis=1) + 2
+        out = np.empty(len(r))
+        for rows in node_chunks(8 * n_edges):
+            edges = periodic_edges(centers[rows], scales[rows], 2.0 * np.pi)
+            phis, w = gl8_panels(edges)
+            z = np.empty(phis.shape + (2,))
+            z[..., 0] = self.dom.center[0] + R * np.cos(phis)
+            z[..., 1] = self.dom.center[1] + R * np.sin(phis)
+            h = self.g(z.reshape(-1, 2)).reshape(phis.shape)
+            d2 = ((z[..., 0] - pts[rows, 0, None]) ** 2
+                  + (z[..., 1] - pts[rows, 1, None]) ** 2)
+            kern = w * ((R ** 2 - r[rows] ** 2)[:, None] / (2.0 * np.pi * d2))
+            # normalizing by the computed kernel mass removes the leading
+            # quadrature error and enforces the mean-value property exactly
+            out[rows] = np.sum(kern * h, axis=1) / np.sum(kern, axis=1)
+        return float(out[0]) if x.ndim == 1 else out
 
 
 class HalfPlaneExtension:
+    """Poisson integral on a half plane; one point or an (n, 2) array, as
+    for ``DiskExtension``."""
+
     def __init__(self, dom, g):
         if getattr(g, "payload_growth", 1.0) >= 1.0:
             raise DivergenceError(
@@ -128,32 +104,37 @@ class HalfPlaneExtension:
         self.g = g
         self.tangent = np.array([-dom.normal[1], dom.normal[0]])
 
+    def _trace(self, t):
+        t = np.asarray(t, dtype=float)
+        z = t.reshape(-1, 1) * self.tangent[None, :]
+        return self.g(z).reshape(t.shape)
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        h = float(x @ self.dom.normal)
-        if h <= 0:
+        pts = np.atleast_2d(x)
+        h = pts @ self.dom.normal
+        if np.any(h <= 0):
             raise DomainError("extension evaluation requires an interior point")
-        t0 = float(x @ self.tangent)
-        T = max(1e4 * max(h, 1.0), 1e4 * abs(t0))
-        edges = np.array(_graded_edges(t0, h / 4.0, T))
-        # quarter-octave spacing: two rounds of midpoint insertion
-        for _ in range(2):
-            edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        a, b = edges[:-1], edges[1:]
-        mid = 0.5 * (a + b); half = 0.5 * (b - a)
-        ts = (mid[:, None] + half[:, None] * _GL8[0][None, :]).ravel()
-        z = ts[:, None] * self.tangent[None, :]
-        vals = self.g(z).reshape(len(mid), 8)
-        kern = (h / np.pi) / ((ts - t0) ** 2 + h ** 2)
-        kern = kern.reshape(len(mid), 8)
-        integ = float(np.sum((kern * vals) @ _GL8[1] * half))
-        norm = float(np.sum(kern @ _GL8[1] * half))
-        # analytic kernel mass beyond the cutoffs, with the edge datum value
-        for sign, edge in ((1.0, edges[-1]), (-1.0, edges[0])):
-            mass = (0.5 - np.arctan(abs(edge - t0) / h) / np.pi)
-            integ += mass * float(self.g((edge * self.tangent)[None, :])[0])
-            norm += mass
-        return integ / norm
+        t0 = pts @ self.tangent
+        T = np.maximum(1e4 * np.maximum(h, 1.0), 1e4 * np.abs(t0))
+        # graded edges, refined to quarter-octave spacing by two bisections
+        n_edges = 4 * (2 * octaves(h / 4.0, T) + 5)
+        out = np.empty(len(h))
+        for rows in node_chunks(8 * n_edges):
+            hr, tr = h[rows], t0[rows]
+            edges = bisect_edges(bisect_edges(graded_edges(tr, hr / 4.0, T[rows])))
+            ts, w = gl8_panels(edges)
+            kern = w * ((hr[:, None] / np.pi)
+                        / ((ts - tr[:, None]) ** 2 + hr[:, None] ** 2))
+            integ = np.sum(kern * self._trace(ts), axis=1)
+            norm = np.sum(kern, axis=1)
+            # analytic kernel mass beyond the cutoffs, with the edge datum value
+            for edge in (edges[:, -1], edges[:, 0]):
+                mass = 0.5 - np.arctan(np.abs(edge - tr) / hr) / np.pi
+                integ += mass * self._trace(edge)
+                norm += mass
+            out[rows] = integ / norm
+        return float(out[0]) if x.ndim == 1 else out
 
 
 class PolygonExtension:
@@ -217,27 +198,29 @@ def extended_field(dom, g, cfg=None):
     """The composite field: harmonic extension inside, the datum outside."""
     if isinstance(dom, Ball):
         inside = DiskExtension(dom, g)
-        evaluator = lambda pts: np.array([inside(p) for p in np.atleast_2d(pts)])
     elif isinstance(dom, Polygon):
         ext = PolygonExtension(dom, g, cfg)
-        evaluator = lambda pts: np.array([ext(p) for p in np.atleast_2d(pts)])
+        inside = lambda pts: np.array([ext(p) for p in np.atleast_2d(pts)])
     elif isinstance(dom, HalfPlane):
         inside = HalfPlaneExtension(dom, g)
-        evaluator = lambda pts: np.array([inside(p) for p in np.atleast_2d(pts)])
     else:
         raise UnsupportedVariantError("no extension for this domain variant")
-    return CompositeField(dom, evaluator, g, growth=g.payload_growth)
+    return CompositeField(dom, inside, g, growth=g.payload_growth)
 
 
 def hessian_fd(f, x, h):
-    """Central finite-difference Hessian of a scalar function on the plane."""
+    """Central finite-difference Hessian of a scalar function on the plane.
+
+    ``f`` maps an (n, 2) array of points to n values; the 9-point stencil is
+    evaluated in one call."""
     x = np.asarray(x, dtype=float)
     e1 = np.array([1.0, 0.0]); e2 = np.array([0.0, 1.0])
-    f0 = f(x)
-    fxx = (f(x + h * e1) - 2.0 * f0 + f(x - h * e1)) / h ** 2
-    fyy = (f(x + h * e2) - 2.0 * f0 + f(x - h * e2)) / h ** 2
-    fxy = (f(x + h * (e1 + e2)) - f(x + h * (e1 - e2))
-           - f(x - h * (e1 - e2)) + f(x - h * (e1 + e2))) / (4.0 * h ** 2)
+    f0, fpx, fmx, fpy, fmy, fpp, fpm, fmp, fmm = f(np.array([
+        x, x + h * e1, x - h * e1, x + h * e2, x - h * e2, x + h * (e1 + e2),
+        x + h * (e1 - e2), x - h * (e1 - e2), x - h * (e1 + e2)]))
+    fxx = (fpx - 2.0 * f0 + fmx) / h ** 2
+    fyy = (fpy - 2.0 * f0 + fmy) / h ** 2
+    fxy = (fpp - fpm - fmp + fmm) / (4.0 * h ** 2)
     return np.array([[fxx, fxy], [fxy, fyy]])
 
 

@@ -15,13 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import roots_legendre
 
-from ._quad import gauss_jacobi_01
+from ._quad import (_GL8, bisect_edges, gauss_jacobi_01, gl8_panels,
+                    node_chunks, periodic_edges)
 from .errors import DomainError, ParameterError, ReliabilityError
 from .geometry import Ball
-
-_GL8 = roots_legendre(8)
 
 
 # ---------------------------------------------------------------------------
@@ -302,40 +300,45 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
 # ---------------------------------------------------------------------------
 # deterministic Poisson-kernel quadratures
 
-def _ray_circle_roots(x, theta, center, radius, r_max):
-    """Radii r > 0 with |x + r theta - center| = radius."""
-    v = np.asarray(x, dtype=float) - np.asarray(center, dtype=float)
-    b = float(v @ theta)
-    c = float(v @ v) - radius ** 2
-    disc = b * b - c
-    if disc <= 0.0:
-        return ()
-    roots = (-b - np.sqrt(disc), -b + np.sqrt(disc))
-    return tuple(r for r in roots if 0.0 < r <= r_max)
+def _ray_circle_roots(origin, dirs, center, radius, lo, hi):
+    """Radii r in (lo, hi) with |origin + r theta - center| = radius, for
+    each unit direction theta (a row of ``dirs``): two columns per direction,
+    ``hi`` where there is no such root, so the roots can pad panel edges."""
+    v = np.asarray(origin, dtype=float) - np.asarray(center, dtype=float)
+    b = dirs @ v
+    disc = b * b - (float(v @ v) - radius ** 2)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    roots = np.stack([-b - sq, -b + sq], axis=-1)
+    ok = (disc > 0.0)[:, None] & (roots > lo) & (roots < hi)
+    return np.where(ok, roots, hi)
 
 
-def _panel_integral(f, edges):
-    a = np.asarray(edges[:-1]); b = np.asarray(edges[1:])
-    mid = 0.5 * (a + b); half = 0.5 * (b - a)
-    nodes = (mid[:, None] + half[:, None] * _GL8[0][None, :]).ravel()
-    vals = f(nodes).reshape(len(mid), 8)
-    return float(np.sum((vals @ _GL8[1]) * half))
-
-
-def _refined(edges):
-    out = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        out.extend([a, 0.5 * (a + b)])
-    out.append(edges[-1])
+def _ray_points(origin, dirs, rho):
+    """The points origin + rho theta, shape rho.shape + (2,), for one
+    direction theta (a row of ``dirs``) per row of rho."""
+    out = np.empty(rho.shape + (2,))
+    out[..., 0] = origin[0] + rho * dirs[:, 0, None]
+    out[..., 1] = origin[1] + rho * dirs[:, 1, None]
     return out
+
+
+def _radial_edges(base, origin, dirs, circles, lo, hi):
+    """Panel edges along each ray: the shared ``base`` edges split at the
+    rays' crossings of the datum's kink circles, one padded row per ray."""
+    cols = [np.broadcast_to(base, (len(dirs), len(base)))]
+    cols += [_ray_circle_roots(origin, dirs, cc, rr, lo, hi)
+             for cc, rr in circles]
+    return np.sort(np.concatenate(cols, axis=1), axis=1)
 
 
 def _ball_poisson_level(dom, g, x, s, n_jac, mid_panels, split):
     """One resolution level of the ball Poisson quadrature; ``split`` halves
-    every angular panel once more."""
+    every angular panel once more.  All rays of the level are evaluated
+    together, in chunks of at most NODE_CAP radial nodes."""
     R = dom.radius
     c = dom.center
-    v = np.asarray(x, dtype=float) - c
+    x = np.asarray(x, dtype=float)
+    v = x - c
     rx = float(np.linalg.norm(v))
     phi_x = float(np.arctan2(v[1], v[0])) if rx > 0 else 0.0
     d = R - rx
@@ -345,27 +348,21 @@ def _ball_poisson_level(dom, g, x, s, n_jac, mid_panels, split):
     if growth >= 2.0 * s:
         raise DomainError("datum growth must stay below 2s")
 
-    from .extension import _periodic_panels
-    anchors = [(phi_x, 0.25 * max(d, 1e-12) / R)]
+    centers = [phi_x]
+    scales = [0.25 * max(d, 1e-12) / R]
     for p in getattr(g, "singular_points", ()):
         p = np.asarray(p, dtype=float)
-        anchors.append((float(np.arctan2(p[1] - c[1], p[0] - c[0])), 1e-9))
-    edges = _periodic_panels(anchors, 2.0 * np.pi)
+        centers.append(float(np.arctan2(p[1] - c[1], p[0] - c[0])))
+        scales.append(1e-9)
+    edges = periodic_edges([centers], [scales], 2.0 * np.pi)[0]
     if split:
-        edges = _refined(edges)
-    a = np.array(edges[:-1]); b = np.array(edges[1:])
-    mid = 0.5 * (a + b); half = 0.5 * (b - a)
-    phis = (mid[:, None] + half[:, None] * _GL8[0][None, :]).ravel()
+        edges = bisect_edges(edges)
+    phis, w_phi = gl8_panels(edges)
+    dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
 
-    t_j, w_j = gauss_jacobi_01(n_jac, -s)
-    beta = 2.0 * s - 1.0 - growth
-    t_t, w_t = gauss_jacobi_01(n_jac, beta)
     r_far = max(16.0 * R, 8.0 * (rx + R))
     for cc, rr in circles:
         r_far = max(r_far, 4.0 * (np.linalg.norm(cc - c) + rr))
-
-    num = np.empty(len(phis))
-    den = np.empty(len(phis))
     # keep the Jacobi edge layer clear of the datum's kink circles
     width = R
     for cc, rr in circles:
@@ -373,53 +370,36 @@ def _ball_poisson_level(dom, g, x, s, n_jac, mid_panels, split):
         if closest > R:
             width = min(width, 0.9 * (closest - R))
     width = max(width, 0.05 * R)
-    for i, phi in enumerate(phis):
-        theta = np.array([np.cos(phi), np.sin(phi)])
 
-        def kern(rho):
-            y = c[None, :] + rho[:, None] * theta[None, :]
-            dist2 = np.sum((y - x) ** 2, axis=-1)
-            return ((R ** 2 - rx ** 2) / (rho ** 2 - R ** 2)) ** s \
-                * rho / dist2, y
+    # edge layer: the Jacobi rule absorbs the (rho - R)^{-s} singularity
+    t_j, w_j = gauss_jacobi_01(n_jac, -s)
+    rho_j = R + t_j * width
+    wrho_j = width ** (1.0 - s) * w_j * (rho_j - R) ** s
+    # tail via t = r_far / rho: weight t^{2s-1-growth} of the Jacobi rule
+    beta = 2.0 * s - 1.0 - growth
+    t_t, w_t = gauss_jacobi_01(n_jac, beta)
+    rho_t = r_far / t_t
+    wrho_t = w_t * (r_far / t_t ** 2) / t_t ** beta
+    # mid range with panels split at the datum's kink circles
+    base = np.geomspace(R + width, r_far, mid_panels)
 
-        # edge layer: Jacobi rule absorbs the (rho - R)^{-s} singularity
-        rho_j = R + t_j * width
-        kv, y = kern(rho_j)
-        kv = kv * (rho_j - R) ** s
-        scale = width ** (1.0 - s)
-        num_i = scale * float(w_j @ (kv * g(y)))
-        den_i = scale * float(w_j @ kv)
-        # mid range with panels split at the datum's kink circles
-        medges = np.geomspace(R + width, r_far, mid_panels)
-        bps = []
-        for cc, rr in circles:
-            bps.extend(r for r in _ray_circle_roots(c, theta, cc, rr, r_far)
-                       if R + width < r < r_far)
-        if bps:
-            medges = np.unique(np.concatenate([medges, np.asarray(bps)]))
-
-        def f_num(rho):
-            kv, y = kern(rho)
-            return kv * g(y)
-
-        def f_den(rho):
-            kv, _ = kern(rho)
-            return kv
-
-        num_i += _panel_integral(f_num, medges)
-        den_i += _panel_integral(f_den, medges)
-        # tail via t = r_far / rho: weight t^{2s-1-growth} of the Jacobi rule
-        rho_t = r_far / t_t
-        kv, y = kern(rho_t)
-        jac = r_far / t_t ** 2
-        num_i += float(w_t @ (kv * g(y) * jac / t_t ** beta))
-        den_i += float(w_t @ (kv * jac / t_t ** beta))
-        num[i] = num_i
-        den[i] = den_i
-
-    numw = float(np.sum((num.reshape(len(a), 8) @ _GL8[1]) * half))
-    denw = float(np.sum((den.reshape(len(a), 8) @ _GL8[1]) * half))
-    return numw / denw
+    num = np.empty(len(phis))
+    den = np.empty(len(phis))
+    n_rad = 2 * n_jac + 8 * (mid_panels - 1 + 2 * len(circles))
+    for rows in node_chunks(np.full(len(phis), n_rad)):
+        m = len(rows)
+        rho_m, w_m = gl8_panels(_radial_edges(base, c, dirs[rows], circles,
+                                              R + width, r_far))
+        rho = np.concatenate([np.broadcast_to(rho_j, (m, n_jac)), rho_m,
+                              np.broadcast_to(rho_t, (m, n_jac))], axis=1)
+        wrho = np.concatenate([np.broadcast_to(wrho_j, (m, n_jac)), w_m,
+                               np.broadcast_to(wrho_t, (m, n_jac))], axis=1)
+        y = _ray_points(c, dirs[rows], rho)
+        dist2 = (y[..., 0] - x[0]) ** 2 + (y[..., 1] - x[1]) ** 2
+        kv = wrho * ((R ** 2 - rx ** 2) / (rho ** 2 - R ** 2)) ** s * rho / dist2
+        num[rows] = np.sum(kv * g(y.reshape(-1, 2)).reshape(rho.shape), axis=1)
+        den[rows] = np.sum(kv, axis=1)
+    return float(w_phi @ num) / float(w_phi @ den)
 
 
 def ball_poisson(dom, g, x, s):
@@ -456,7 +436,8 @@ def _halfplane_raw(g, x1, x2, s, n_jac, mid_panels, n_seg):
         Rad(th) = int_0^inf g(z) rho^{1-s} / (rho^2 + 2 rho x2 |sin th| + x2^2) drho.
 
     The radial rho^{1-s} head and rho^{-1-s} tail are handled by Jacobi
-    rules; the angular |sin|^{-s} endpoint singularities likewise.
+    rules; the angular |sin|^{-s} endpoint singularities likewise.  All
+    angles are evaluated together, in chunks of at most NODE_CAP nodes.
     """
     circles = [(np.asarray(cc, dtype=float), float(rr))
                for cc, rr in getattr(g, "kink_circles", ())]
@@ -470,49 +451,39 @@ def _halfplane_raw(g, x1, x2, s, n_jac, mid_panels, n_seg):
     # integrand ~ rho^{1-s} g / x2^2 near 0: mass below r_lo is negligible
     r_lo = 1e-9 * x2
 
-    def rad(th):
-        st = abs(np.sin(th))
-        direction = np.array([np.cos(th), np.sin(th)])
-
-        def f_mid(rho):
-            z = corner[None, :] + rho[:, None] * direction[None, :]
-            denom = rho ** 2 + 2.0 * rho * x2 * st + x2 ** 2
-            return g(z) * rho ** (1.0 - s) / denom
-
-        edges = np.geomspace(r_lo, r_far, mid_panels)
-        extra = [0.25 * x2, x2, 4.0 * x2]
-        for cc, rr in circles:
-            extra.extend(_ray_circle_roots(corner, direction, cc, rr, r_far))
-        extra = [e for e in extra if r_lo < e < r_far]
-        if extra:
-            edges = np.unique(np.concatenate([edges, np.asarray(extra)]))
-        val = _panel_integral(f_mid, edges)
-        rho_t = r_far / t_tail
-        h = f_mid(rho_t) * (r_far / t_tail ** 2) / t_tail ** (s - 1.0)
-        val += float(w_tail @ h)
-        return val
-
-    # angular panels over (pi, 2pi); first and last use the edge Jacobi rule
+    # angular panels over (pi, 2pi); the first and last use the edge Jacobi
+    # rule for |sin th|^{-s}, written as tau^{-s} (sin(tau) / tau)^{-s}
     seg = np.linspace(np.pi, 2.0 * np.pi, n_seg + 1)
-    total = 0.0
-    for k, (a, b) in enumerate(zip(seg[:-1], seg[1:])):
-        if k == 0:
-            tau = t_edge * (b - a)
-            vals = np.array([rad(a + t) * (np.sin(t) / t) ** (-s)
-                             for t in tau])
-            total += (b - a) ** (1.0 - s) * float(w_edge @ vals)
-        elif k == n_seg - 1:
-            tau = t_edge * (b - a)
-            vals = np.array([rad(b - t) * (np.sin(t) / t) ** (-s)
-                             for t in tau])
-            total += (b - a) ** (1.0 - s) * float(w_edge @ vals)
-        else:
-            halfw = 0.5 * (b - a)
-            nodes = 0.5 * (a + b) + halfw * _GL8[0]
-            vals = np.array([rad(th) * abs(np.sin(th)) ** (-s)
-                             for th in nodes])
-            total += halfw * float(_GL8[1] @ vals)
-    return total
+    th_mid, w_mid = gl8_panels(seg[1:-1])
+    tau0 = t_edge * (seg[1] - seg[0])
+    tau1 = t_edge * (seg[-1] - seg[-2])
+    ths = np.concatenate([seg[0] + tau0, th_mid, seg[-1] - tau1])
+    w_th = np.concatenate([
+        (seg[1] - seg[0]) ** (1.0 - s) * w_edge * (np.sin(tau0) / tau0) ** (-s),
+        w_mid * np.abs(np.sin(th_mid)) ** (-s),
+        (seg[-1] - seg[-2]) ** (1.0 - s) * w_edge * (np.sin(tau1) / tau1) ** (-s)])
+    dirs = np.stack([np.cos(ths), np.sin(ths)], axis=1)
+    st = np.abs(dirs[:, 1])
+
+    base = np.geomspace(r_lo, r_far, mid_panels)
+    extra = [e for e in (0.25 * x2, x2, 4.0 * x2) if r_lo < e < r_far]
+    base = np.sort(np.concatenate([base, extra]))
+    rho_t = r_far / t_tail
+    wrho_t = w_tail * (r_far / t_tail ** 2) / t_tail ** (s - 1.0)
+
+    rad = np.empty(len(ths))
+    n_rad = n_jac + 8 * (len(base) - 1 + 2 * len(circles))
+    for rows in node_chunks(np.full(len(ths), n_rad)):
+        m = len(rows)
+        rho_m, w_m = gl8_panels(_radial_edges(base, corner, dirs[rows], circles,
+                                              r_lo, r_far))
+        rho = np.concatenate([rho_m, np.broadcast_to(rho_t, (m, n_jac))], axis=1)
+        wrho = np.concatenate([w_m, np.broadcast_to(wrho_t, (m, n_jac))], axis=1)
+        z = _ray_points(corner, dirs[rows], rho)
+        denom = rho ** 2 + 2.0 * rho * x2 * st[rows, None] + x2 ** 2
+        f = g(z.reshape(-1, 2)).reshape(rho.shape) * rho ** (1.0 - s) / denom
+        rad[rows] = np.sum(wrho * f, axis=1)
+    return float(w_th @ rad)
 
 
 _HALFPLANE_NORM = {}
@@ -558,9 +529,5 @@ def kappa_constant(s):
     """The angular constant int_{5pi/4}^{7pi/4} |sin th|^{-s} dth appearing
     in the lower bound of the log-correction example; |sin| stays away from
     zero on this sector, so two Gauss panels suffice."""
-    half = 0.25 * np.pi
-    out = 0.0
-    for mid in (1.25 * np.pi + half / 1.0 * 0.5, 1.75 * np.pi - half * 0.5):
-        nodes = mid + 0.5 * half * _GL8[0]
-        out += 0.5 * half * float(_GL8[1] @ np.abs(np.sin(nodes)) ** (-s))
-    return out
+    nodes, w = gl8_panels(np.array([1.25, 1.5, 1.75]) * np.pi)
+    return float(w @ np.abs(np.sin(nodes)) ** (-s))

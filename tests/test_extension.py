@@ -5,8 +5,8 @@ from fraclab.barriers import (ExteriorData, capped_distance_data,
                               constant_data, holder_point_singularity)
 from fraclab.errors import DivergenceError, DomainError, UnsupportedVariantError
 from fraclab.extension import (DiskExtension, ExtensionConfig,
-                               check_extension_bounds, extended_field,
-                               harmonic_extension, hessian_fd)
+                               HalfPlaneExtension, check_extension_bounds,
+                               extended_field, harmonic_extension, hessian_fd)
 from fraclab.geometry import Ball, Cone, HalfPlane, unit_square
 from fraclab.kernels import make_fractional_laplacian
 from fraclab.nonlocal_op import QuadratureSpec, apply_L
@@ -70,6 +70,86 @@ def test_hessian_blowup_rate():
         norm.append(np.linalg.norm(H, 2) * d ** (2.0 - alpha))
     norm = np.array(norm)
     assert np.max(norm) / np.min(norm) < 1.5
+
+
+def _disk_probe_points():
+    """Centre, depths 1e-12 to 0.99 toward the singular point (1, 0) and
+    just off its angle, and points in general position."""
+    pts = [[0.0, 0.0]]
+    for d in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.99):
+        for ang in (0.0, 1e-12, 1e-7, -1e-6, 0.3, 2.5):
+            pts.append([(1.0 - d) * np.cos(ang), (1.0 - d) * np.sin(ang)])
+    rng = np.random.Generator(np.random.Philox(key=5))
+    pts.extend(rng.uniform(-0.7, 0.7, size=(20, 2)))
+    return np.array(pts)
+
+
+def test_disk_extension_batch_matches_rows():
+    de = DiskExtension(Ball([0.0, 0.0], 1.0),
+                       holder_point_singularity(0.3, [1.0, 0.0]))
+    pts = _disk_probe_points()
+    batch = de(pts)
+    assert batch.shape == (len(pts),)
+    rows = np.array([de(p) for p in pts])
+    assert all(isinstance(de(p), float) for p in pts[:3])
+    np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=0.0)
+
+
+def test_halfplane_extension_batch_matches_rows():
+    hp = HalfPlane([0.0, 1.0])
+    g = ExteriorData(fn=lambda p: np.abs(p[..., 0] - 0.5) ** 0.3
+                     / (1.0 + p[..., 0] ** 2),
+                     alpha=0.3, C0=2.0, growth=0.0)
+    he = HalfPlaneExtension(hp, g)
+    rng = np.random.Generator(np.random.Philox(key=6))
+    pts = np.column_stack([rng.uniform(-3.0, 3.0, 30),
+                           10.0 ** rng.uniform(-12.0, 1.0, 30)])
+    pts[0] = [0.5, 1e-12]
+    rows = np.array([he(p) for p in pts])
+    np.testing.assert_allclose(he(pts), rows, rtol=1e-13, atol=0.0)
+
+
+def test_extension_pinned_values():
+    # values of the per-point evaluation that batching replaced; the rule is
+    # unchanged, so they agree to rounding
+    de = DiskExtension(Ball([0.0, 0.0], 1.0),
+                       holder_point_singularity(0.3, [1.0, 0.0]))
+    r = 1.0 - 1e-6
+    disk_pts = np.array([[1.0 - 1e-12, 0.0],
+                         [r * np.cos(1e-7), r * np.sin(1e-7)], [-0.2, 0.45]])
+    np.testing.assert_allclose(
+        de(disk_pts), [0.00028192413350796013, 0.017806059908959938,
+                       1.0956650746843293], rtol=1e-12, atol=0.0)
+    g = ExteriorData(fn=lambda p: np.abs(p[..., 0] - 0.5) ** 0.3
+                     / (1.0 + p[..., 0] ** 2),
+                     alpha=0.3, C0=2.0, growth=0.0)
+    he = HalfPlaneExtension(HalfPlane([0.0, 1.0]), g)
+    np.testing.assert_allclose(
+        he(np.array([[0.5, 1e-12], [0.3, 0.01], [-2.0, 3.0]])),
+        [0.00022553442460983465, 0.5625203793241909, 0.20329274000363526],
+        rtol=1e-12, atol=0.0)
+
+
+def test_extension_batch_larger_than_chunk():
+    # a few hundred disk points hold several chunks of quadrature nodes
+    de = DiskExtension(Ball([0.0, 0.0], 1.0),
+                       holder_point_singularity(0.3, [1.0, 0.0]))
+    rng = np.random.Generator(np.random.Philox(key=7))
+    r = 1.0 - 10.0 ** rng.uniform(-9.0, 0.0, 300)
+    phi = rng.uniform(-np.pi, np.pi, 300)
+    pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+    small = np.concatenate([de(pts[i:i + 4]) for i in range(0, len(pts), 4)])
+    np.testing.assert_allclose(de(pts), small, rtol=1e-14, atol=0.0)
+
+
+def test_extension_batch_rejects_exterior_point():
+    g = constant_data(1.0)
+    de = DiskExtension(Ball([0.0, 0.0], 1.0), g)
+    with pytest.raises(DomainError):
+        de(np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]))
+    he = HalfPlaneExtension(HalfPlane([0.0, 1.0]), g)
+    with pytest.raises(DomainError):
+        he(np.array([[0.0, 1.0], [2.0, -1e-3]]))
 
 
 def test_composite_field_constant_data():

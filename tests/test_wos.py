@@ -239,7 +239,33 @@ def test_counterexample_ratio_flat():
 
 
 def test_kappa_constant_value():
-    # int_{5pi/4}^{7pi/4} |sin|^{-s}: sanity bounds pi/2 <= k <= sqrt(2)^s pi/2
+    from scipy.integrate import quad
     for s in (0.3, 0.5, 0.7):
-        k = kappa_constant(s)
-        assert np.pi / 2 <= k <= 2 ** (s / 2) * np.pi / 2 + 1e-9
+        ref, _ = quad(lambda t: abs(np.sin(t)) ** (-s), 1.25 * np.pi,
+                      1.75 * np.pi, epsabs=1e-15, epsrel=1e-13)
+        assert kappa_constant(s) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+# values of the per-angle quadratures that the batched evaluation replaced;
+# the rule is unchanged, so they agree to rounding
+@pytest.mark.parametrize("g, x, s, value", [
+    (capped_distance_data([2.0, 0.0], 3.0), [0.0, 0.0], 0.5,
+     2.3434755711573363),
+    (capped_distance_data([2.0, 0.0], 3.0), [0.3, -0.5], 0.5,
+     2.121894653230531),
+    (holder_point_singularity(0.3, [1.0, 0.0]), [0.99, 0.0], 0.5,
+     0.5000613005196507),
+])
+def test_ball_poisson_pinned(g, x, s, value):
+    v, _ = ball_poisson(BALL, g, x, s)
+    assert v == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("x, s, value", [
+    ([0.0, 1e-3], 0.5, 0.14110339974378966),
+    ([0.7, 0.05], 0.5, 0.8657308164161771),
+    ([-1.5, 0.3], 0.3, 0.9906028121656738),
+])
+def test_halfplane_poisson_pinned(x, s, value):
+    v, _ = halfplane_poisson(counterexample_min_rs_1(s), x, s)
+    assert v == pytest.approx(value, rel=1e-12, abs=0.0)
