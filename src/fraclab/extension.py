@@ -154,21 +154,23 @@ class PolygonExtension:
         payload = np.zeros(cfg.paths)
         alive = np.ones(cfg.paths, dtype=bool)
         for _ in range(cfg.max_steps):
-            if not np.any(alive):
-                break
-            d = np.asarray(self.dom.dist(pos[alive]))
-            done = d < eps
-            if np.any(done):
-                idx = np.nonzero(alive)[0][done]
-                for i in idx:
-                    z0, _ = self.dom.project(pos[i]) if self.dom.contains(pos[i]) \
-                        else (pos[i], None)
-                    payload[i] = self.g(z0)
-                alive[idx] = False
             idx = np.nonzero(alive)[0]
             if len(idx) == 0:
                 break
             d = np.asarray(self.dom.dist(pos[idx]))
+            done = d < eps
+            if np.any(done):
+                # d == 0: on or outside the boundary, g is paid where it stands
+                hit = idx[done]
+                z0 = pos[hit]
+                inner = d[done] > 0.0
+                if np.any(inner):
+                    z0[inner] = self.dom.project(z0[inner])[0]
+                payload[hit] = self.g(z0)
+                alive[hit] = False
+                idx, d = idx[~done], d[~done]
+                if len(idx) == 0:
+                    break
             phi = rng.random(len(idx)) * 2.0 * np.pi
             pos[idx] += d[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
         est = float(np.mean(payload))

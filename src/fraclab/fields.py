@@ -235,7 +235,7 @@ class PsiPower(Field):
         d = float(self.domain.dist(x))
         if d > 0.0:
             return d
-        th = self.domain._project_param(x)
+        th = self.domain._nearest_param(x[None, :])[0]
         return float(np.linalg.norm(self.domain.boundary_point(th) - x))
 
     def radial_breakpoints(self, x, theta, r_max):
@@ -381,18 +381,4 @@ class CompositeField(Field):
         dom = self.domain
         if isinstance(dom, Ball):
             return PsiPower(dom, 1.0).radial_breakpoints(x, theta, r_max)
-        return _scan_breakpoints(lambda p: _signed_boundary_gap(dom, p),
-                                 x, theta, r_max)
-
-
-def _signed_boundary_gap(dom, pts):
-    """Positive inside, negative outside, vanishing on the boundary."""
-    pts = np.asarray(pts, dtype=float)
-    inside = np.asarray(dom.contains(pts))
-    if hasattr(dom, "_dist_to_edges"):
-        gap = dom._dist_to_edges(pts)
-    elif hasattr(dom, "psi_value"):
-        return np.asarray(dom.psi_value(pts))
-    else:
-        gap = np.asarray(dom.dist(pts))
-    return np.where(inside, gap, -gap)
+        return _scan_breakpoints(dom.signed_dist, x, theta, r_max)

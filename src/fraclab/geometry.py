@@ -1,11 +1,14 @@
 """Geometric domains with distance, projection and regularized distance.
 
 All variants expose vectorized ``contains``/``dist`` over point batches of
-shape (n, dim) (single points of shape (dim,) also accepted) and a pointwise
-``project`` returning the nearest boundary point together with the inward
-unit normal.  Ball, HalfPlane and StarShaped additionally provide a C^1
-regularized distance psi comparable to d with a Hessian controlled by
-omega(d)/d.
+shape (n, dim) (single points of shape (dim,) also accepted).  On every
+variant ``contains(x) == (dist(x) > 0)``: the walk-on-spheres loop makes one
+``dist`` call per step and reads the exit test off its sign.  ``project``
+returns the nearest boundary point together with the inward unit normal; on
+Ball, Polygon and StarShaped it takes a batch of interior points (and returns
+two (n, dim) arrays), on HalfPlane and Cone one point.  Ball, HalfPlane and
+StarShaped additionally provide a C^1 regularized distance psi comparable to
+d with a Hessian controlled by omega(d)/d.
 """
 
 from dataclasses import dataclass
@@ -30,6 +33,13 @@ def _maybe_scalar(v, single):
     return (v[0] if single else v)
 
 
+def _row_norms(v):
+    """Euclidean norms of the rows of v, rounded as ``np.linalg.norm`` of
+    each row alone (a dot product), so batched projections are bit for bit
+    the one-point ones."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 @dataclass(frozen=True)
 class RegularizedDistance:
     """Value, gradient and Hessian of psi at one point, plus the modulus
@@ -41,7 +51,11 @@ class RegularizedDistance:
 
 
 class Domain:
-    """Base class; concrete variants implement the geometry services."""
+    """Base class; concrete variants implement the geometry services.
+
+    Contract: ``contains(x) == (dist(x) > 0)`` for every point, so callers
+    that need both make one ``dist`` call.
+    """
 
     dim = 2
     bounded = True
@@ -54,6 +68,11 @@ class Domain:
 
     def project(self, x):
         raise NotImplementedError
+
+    def signed_dist(self, x):
+        """Distance to the boundary, positive inside and negative outside."""
+        raise UnsupportedVariantError(
+            f"{type(self).__name__} has no signed distance")
 
     def regularized_distance(self, x):
         raise UnsupportedVariantError(
@@ -90,18 +109,17 @@ class Ball(Domain):
         return _maybe_scalar(np.maximum(self.radius - r, 0.0), single)
 
     def project(self, x):
-        x = np.asarray(x, dtype=float)
-        v = x - self.center
-        r = np.linalg.norm(v)
-        if r >= self.radius:
+        pts, single = _as_points(x, self.dim)
+        v = pts - self.center
+        r = _row_norms(v)
+        if np.any(r >= self.radius):
             raise DomainError("project requires an interior point")
-        if r == 0.0:
-            direction = np.zeros(self.dim)
-            direction[0] = 1.0
-        else:
-            direction = v / r
+        # the centre projects along the first axis
+        direction = np.where((r > 0.0)[:, None],
+                             v / np.where(r > 0.0, r, 1.0)[:, None],
+                             np.eye(self.dim)[0])
         z0 = self.center + self.radius * direction
-        return z0, -direction
+        return _maybe_scalar(z0, single), _maybe_scalar(-direction, single)
 
     def psi_value(self, x):
         """Regularized distance value, vectorized; negative outside Omega."""
@@ -145,6 +163,10 @@ class HalfPlane(Domain):
     def dist(self, x):
         pts, single = _as_points(x, self.dim)
         return _maybe_scalar(np.maximum(pts @ self.normal, 0.0), single)
+
+    def signed_dist(self, x):
+        pts, single = _as_points(x, self.dim)
+        return _maybe_scalar(pts @ self.normal, single)
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -267,6 +289,8 @@ class Polygon(Domain):
         self._len2 = np.sum(self._edge ** 2, axis=1)
         if np.any(self._len2 == 0.0):
             raise ParameterError("polygon has a zero-length edge")
+        unit = self._edge / np.sqrt(self._len2)[:, None]
+        self._inward = np.stack([-unit[:, 1], unit[:, 0]], axis=1)  # ccw
 
     @property
     def diameter(self):
@@ -286,51 +310,56 @@ class Polygon(Domain):
             worst = max(worst, 1.0 / np.tan(ang / 2.0))
         return float(worst)
 
+    def _edge_pass(self, pts):
+        """One pass over the edges for a batch of points: the clamped
+        parameter ``t`` of the nearest point on every edge and the squared
+        distance ``d2`` to it, both (n, m), the distance ``d`` to the nearest
+        edge and whether each point lies strictly inside (odd crossing number
+        and off the edges)."""
+        px = pts[:, 0:1]; py = pts[:, 1:2]
+        ax, ay = self._a[:, 0], self._a[:, 1]
+        ex, ey = self._edge[:, 0], self._edge[:, 1]
+        wx = px - ax; wy = py - ay
+        t = np.clip((wx * ex + wy * ey) / self._len2, 0.0, 1.0)
+        dx = px - (ax + t * ex)
+        dy = py - (ay + t * ey)
+        d2 = dx * dx + dy * dy
+        cond = (ay > py) != (self._b[:, 1] > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xin = ax + wy * ex / ey
+        odd = np.count_nonzero(cond & (px < xin), axis=1) % 2 == 1
+        d = np.sqrt(np.min(d2, axis=1))
+        return t, d2, d, odd & ~(d < 1e-14)
+
+    def signed_dist(self, x):
+        pts, single = _as_points(x, 2)
+        _, _, d, inside = self._edge_pass(pts)
+        return _maybe_scalar(np.where(inside, d, -d), single)
+
     def contains(self, x):
         pts, single = _as_points(x, 2)
-        # crossing-number test, vectorized over points x edges
-        ax = self._a[None, :, 0]; ay = self._a[None, :, 1]
-        bx = self._b[None, :, 0]; by = self._b[None, :, 1]
-        px = pts[:, 0:1]; py = pts[:, 1:2]
-        cond = (ay > py) != (by > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xin = ax + (py - ay) * (bx - ax) / (by - ay)
-        crossing = cond & (px < xin)
-        inside = np.sum(crossing, axis=1) % 2 == 1
-        on_edge = self._dist_to_edges(pts) < 1e-14
-        return _maybe_scalar(inside & ~on_edge, single)
-
-    def _dist_to_edges(self, pts):
-        w = pts[:, None, :] - self._a[None, :, :]
-        t = np.clip(np.einsum("pek,ek->pe", w, self._edge) / self._len2, 0.0, 1.0)
-        foot = self._a[None, :, :] + t[:, :, None] * self._edge[None, :, :]
-        return np.min(np.linalg.norm(pts[:, None, :] - foot, axis=-1), axis=1)
+        return _maybe_scalar(self._edge_pass(pts)[3], single)
 
     def dist(self, x):
         pts, single = _as_points(x, 2)
-        d = self._dist_to_edges(pts)
-        inside = np.asarray(self.contains(pts))
+        _, _, d, inside = self._edge_pass(pts)
         return _maybe_scalar(np.where(inside, d, 0.0), single)
 
     def project(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
+        pts, single = _as_points(x, 2)
+        t, d2, d, inside = self._edge_pass(pts)
+        if not np.all(inside):
             raise DomainError("project requires an interior point")
-        w = x[None, :] - self._a
-        t = np.clip(np.sum(w * self._edge, axis=1) / self._len2, 0.0, 1.0)
-        foot = self._a + t[:, None] * self._edge
-        dd = np.linalg.norm(x - foot, axis=1)
-        k = int(np.argmin(dd))
-        z0 = foot[k]
-        d = dd[k]
-        ties = np.nonzero(dd <= d * (1.0 + 1e-9) + 1e-15)[0]
-        at_vertex = t[k] in (0.0, 1.0) or len(ties) > 1
-        if at_vertex:
-            normal = (x - z0) / d  # corner: direction to x is the bisector ray
-        else:
-            e = self._edge[k] / np.sqrt(self._len2[k])
-            normal = np.array([-e[1], e[0]])  # inward for ccw orientation
-        return z0, normal
+        dd = np.sqrt(d2)
+        k = np.argmin(dd, axis=1)
+        tk = t[np.arange(len(pts)), k]
+        z0 = self._a[k] + tk[:, None] * self._edge[k]
+        ties = np.count_nonzero(dd <= (d * (1.0 + 1e-9) + 1e-15)[:, None], axis=1)
+        # corner: the direction to x is the bisector ray
+        at_vertex = (tk == 0.0) | (tk == 1.0) | (ties > 1)
+        normal = np.where(at_vertex[:, None], (pts - z0) / d[:, None],
+                          self._inward[k])
+        return _maybe_scalar(z0, single), _maybe_scalar(normal, single)
 
 
 class StarShaped(Domain):
@@ -353,6 +382,12 @@ class StarShaped(Domain):
         if self.r_min <= 0:
             raise ParameterError("radial profile must stay positive")
         self._omega_const = None
+        # boundary grids seeding dist (256 nodes) and project (512 nodes)
+        self._dist_grid = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+        self._dist_nodes = self.boundary_point(self._dist_grid)
+        self._dist_nodes_sq = np.sum(self._dist_nodes ** 2, axis=1)
+        self._proj_grid = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+        self._proj_nodes = self.boundary_point(self._proj_grid)
 
     @property
     def diameter(self):
@@ -379,6 +414,25 @@ class StarShaped(Domain):
                 out += -c * kk ** 2 * np.sin(kk * theta)
         return out
 
+    def _radial_derivs(self, theta):
+        """r, r', r'' and cos, sin at theta from one cos/sin evaluation per
+        harmonic, with the arithmetic of ``radial(theta, order)``."""
+        n_harm = max(len(self.coeff_cos), len(self.coeff_sin) + 1, 2)
+        cos_k = [np.cos(float(k) * theta) for k in range(n_harm)]
+        sin_k = [np.sin(float(k) * theta) for k in range(n_harm)]
+        r, r1, r2 = (np.zeros_like(theta) for _ in range(3))
+        for k, c in enumerate(self.coeff_cos):
+            kk = float(k)
+            r += c * cos_k[k]
+            r1 += -c * kk * sin_k[k]
+            r2 += -c * kk ** 2 * cos_k[k]
+        for k, c in enumerate(self.coeff_sin, start=1):
+            kk = float(k)
+            r += c * sin_k[k]
+            r1 += c * kk * cos_k[k]
+            r2 += -c * kk ** 2 * sin_k[k]
+        return r, r1, r2, cos_k[1], sin_k[1]
+
     def contains(self, x):
         pts, single = _as_points(x, 2)
         th = np.arctan2(pts[:, 1], pts[:, 0])
@@ -389,92 +443,101 @@ class StarShaped(Domain):
         r = self.radial(theta)
         return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
-    def _project_param(self, x):
-        """Boundary parameter minimizing |x - B(theta)| by damped Newton on a
-        coarse-scan bracket, with golden-section fallback."""
-        x = np.asarray(x, dtype=float)
-        grid = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-        bp = self.boundary_point(grid)
-        d2 = np.sum((bp - x) ** 2, axis=1)
-        k = int(np.argmin(d2))
+    def _nearest_param(self, pts):
+        """Boundary parameter minimizing |x - B(theta)| for each row of pts:
+        damped Newton from the nearest node of the 512-point grid, each
+        point stopping at its first step that does not descend, with
+        golden-section search on the grid cell where Newton stalls."""
         tol = 1e-12 * self.diameter
+        cell = 2.0 * np.pi / 256      # damping: stay within the grid cells
+        out = np.empty(len(pts))
+        for lo in range(0, len(pts), 128):
+            px, py = pts[lo:lo + 128, 0], pts[lo:lo + 128, 1]
+            nodes = self._proj_nodes
+            k = np.argmin((nodes[:, 0] - px[:, None]) ** 2
+                          + (nodes[:, 1] - py[:, None]) ** 2, axis=1)
+            th = self._proj_grid[k]
+            f = self._param_dist2(th, px, py)
+            stalled = np.zeros(len(th), dtype=bool)
+            act = np.arange(len(th))
+            for _ in range(60):
+                t, x0, x1 = th[act], px[act], py[act]
+                r, rp, rpp, c, s = self._radial_derivs(t)
+                bx, by = r * c, r * s
+                dbx = rp * c - r * s
+                dby = rp * s + r * c
+                d2bx = rpp * c - 2 * rp * s - r * c
+                d2by = rpp * s + 2 * rp * c - r * s
+                g = 2.0 * ((bx - x0) * dbx + (by - x1) * dby)
+                # pow() squares, for the reason given in _param_dist2
+                h = 2.0 * (np.float_power(dbx, 2) + np.float_power(dby, 2)
+                           + (bx - x0) * d2bx + (by - x1) * d2by)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    step = np.clip(g / h, -cell, cell)
+                t_new = t - step
+                f_new = self._param_dist2(t_new, x0, x1)
+                ok = (h > 0) & (f_new <= f[act])
+                th[act[ok]] = t_new[ok]
+                f[act[ok]] = f_new[ok]
+                stalled[act[~ok]] = True
+                act = act[ok & ~(np.abs(step) * self.r_max < tol)]
+                if len(act) == 0:
+                    break
+            stalled[act] = True
+            idx = np.nonzero(stalled)[0]
+            if len(idx):
+                th[idx] = self._golden_param(self._proj_grid[k[idx]],
+                                             px[idx], py[idx], tol)
+            out[lo:lo + 128] = th
+        return out
 
-        def dist2(th):
-            b = self.boundary_point(np.atleast_1d(th))[0]
-            return float((b[0] - x[0]) ** 2 + (b[1] - x[1]) ** 2)
+    def _param_dist2(self, th, px, py):
+        """|(px, py) - B(th)|^2, with the squares taken by pow(): the last
+        bits decide the descent tests of the projection, and seeded walks
+        depend on them (x * x rounds differently)."""
+        r = self.radial(th)
+        return (np.float_power(r * np.cos(th) - px, 2)
+                + np.float_power(r * np.sin(th) - py, 2))
 
-        def ddist2(th):
-            r = self.radial(th); rp = self.radial(th, 1)
-            c, s = np.cos(th), np.sin(th)
-            bx, by = r * c, r * s
-            dbx = rp * c - r * s
-            dby = rp * s + r * c
-            return 2.0 * ((bx - x[0]) * dbx + (by - x[1]) * dby)
-
-        def d2dist2(th):
-            r = self.radial(th); rp = self.radial(th, 1); rpp = self.radial(th, 2)
-            c, s = np.cos(th), np.sin(th)
-            bx, by = r * c, r * s
-            dbx = rp * c - r * s
-            dby = rp * s + r * c
-            d2bx = rpp * c - 2 * rp * s - r * c
-            d2by = rpp * s + 2 * rp * c - r * s
-            return 2.0 * (dbx ** 2 + dby ** 2
-                          + (bx - x[0]) * d2bx + (by - x[1]) * d2by)
-
-        th = grid[k]
-        for _ in range(60):
-            g = ddist2(th)
-            h = d2dist2(th)
-            if h <= 0:
-                break
-            step = g / h
-            # damping: never jump past the neighbouring grid cells
-            step = np.clip(step, -2 * np.pi / 256, 2 * np.pi / 256)
-            th_new = th - step
-            if dist2(th_new) <= dist2(th):
-                th = th_new
-            else:
-                break
-            if abs(step) * self.r_max < tol:
-                return th
-        # golden-section fallback on the bracketing cell
-        lo = grid[k] - 2.0 * np.pi / 512
-        hi = grid[k] + 2.0 * np.pi / 512
+    def _golden_param(self, node, px, py, tol):
+        """Golden-section minimum of the squared distance on the 512-grid
+        cells around ``node``, vectorized over points."""
         invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
+        a = node - 2.0 * np.pi / 512
+        b = node + 2.0 * np.pi / 512
         c1 = b - invphi * (b - a)
         c2 = a + invphi * (b - a)
-        f1, f2 = dist2(c1), dist2(c2)
-        while (b - a) * self.r_max > tol:
-            if f1 < f2:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - invphi * (b - a)
-                f1 = dist2(c1)
-            else:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + invphi * (b - a)
-                f2 = dist2(c2)
+        f1, f2 = self._param_dist2(c1, px, py), self._param_dist2(c2, px, py)
+        run = (b - a) * self.r_max > tol
+        while np.any(run):
+            left = run & (f1 < f2)
+            right = run & ~(f1 < f2)
+            b = np.where(left, c2, b)
+            a = np.where(right, c1, a)
+            c2, f2, c1, f1 = (np.where(left, c1, c2), np.where(left, f1, f2),
+                              np.where(right, c2, c1), np.where(right, f2, f1))
+            c1 = np.where(left, b - invphi * (b - a), c1)
+            c2 = np.where(right, a + invphi * (b - a), c2)
+            f_new = self._param_dist2(np.where(left, c1, c2), px, py)
+            f1 = np.where(left, f_new, f1)
+            f2 = np.where(right, f_new, f2)
+            run = (b - a) * self.r_max > tol
         return 0.5 * (a + b)
 
     def _dist_batch(self, pts):
         """Distance to the boundary for a batch: coarse grid argmin, then a
         fixed number of damped vectorized Newton steps on the squared
         distance along the boundary parameter."""
-        n_grid = 256
-        grid = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-        B = self.boundary_point(grid)
-        cell = 2.0 * np.pi / n_grid
+        B = self._dist_nodes
+        cell = 2.0 * np.pi / len(B)
         out = np.empty(pts.shape[0])
         for lo in range(0, pts.shape[0], 8192):
             p = pts[lo:lo + 8192]
             d2 = (np.sum(p ** 2, axis=1)[:, None]
-                  + np.sum(B ** 2, axis=1)[None, :] - 2.0 * (p @ B.T))
-            th = grid[np.argmin(d2, axis=1)]
+                  + self._dist_nodes_sq[None, :] - 2.0 * (p @ B.T))
+            th = self._dist_grid[np.argmin(d2, axis=1)]
             for _ in range(30):
-                r = self.radial(th); rp = self.radial(th, 1)
-                rpp = self.radial(th, 2)
-                c, s = np.cos(th), np.sin(th)
+                r, rp, rpp, c, s = self._radial_derivs(th)
                 bx, by = r * c, r * s
                 dbx = rp * c - r * s
                 dby = rp * s + r * c
@@ -501,23 +564,25 @@ class StarShaped(Domain):
         return _maybe_scalar(out, single)
 
     def project(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
+        pts, single = _as_points(x, 2)
+        if not np.all(self.contains(pts)):
             raise DomainError("project requires an interior point")
-        th = self._project_param(x)
+        th = self._nearest_param(pts)
         z0 = self.boundary_point(th)
-        v = x - z0
-        n = np.linalg.norm(v)
-        if n == 0:
-            r = self.radial(th); rp = self.radial(th, 1)
-            tangent = np.array([rp * np.cos(th) - r * np.sin(th),
-                                rp * np.sin(th) + r * np.cos(th)])
-            tangent /= np.linalg.norm(tangent)
-            normal = np.array([-tangent[1], tangent[0]])
-            if normal @ z0 > 0:
-                normal = -normal
-            return z0, normal
-        return z0, v / n
+        v = pts - z0
+        n = _row_norms(v)
+        normal = v / np.where(n > 0.0, n, 1.0)[:, None]
+        on_curve = n == 0.0
+        if np.any(on_curve):
+            # x is its own nearest boundary point: the curve's inward normal
+            r, rp, _, c, s = self._radial_derivs(th[on_curve])
+            tangent = np.stack([rp * c - r * s, rp * s + r * c], axis=1)
+            tangent /= _row_norms(tangent)[:, None]
+            inward = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
+            outward = np.sum(inward * z0[on_curve], axis=1) > 0
+            inward[outward] *= -1.0
+            normal[on_curve] = inward
+        return _maybe_scalar(z0, single), _maybe_scalar(normal, single)
 
     # --- regularized distance: flattened radial gap ----------------------
     # psi = h(rho) with rho(x) = r(theta_x) - |x|; h is the identity near the

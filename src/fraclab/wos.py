@@ -156,6 +156,11 @@ class WoSConfig:
             raise ParameterError("sphere_fraction must lie in (0,1)")
         if self.paths < 1:
             raise ParameterError("paths must be >= 1")
+        if self.batch_size < 1:
+            raise ParameterError("batch_size must be >= 1")
+        if self.antithetic and self.batch_size % 2:
+            raise ParameterError(
+                "batch_size must be even with antithetic pairs")
         if self.snap_eps is not None and self.snap_eps <= 0:
             raise ParameterError("snap_eps must be positive")
 
@@ -172,14 +177,6 @@ class SolutionSample:
     seed: int
 
 
-def _project_batch(dom, pts):
-    out = np.empty_like(pts)
-    for i, p in enumerate(pts):
-        z0, _ = dom.project(p)
-        out[i] = z0
-    return out
-
-
 def solve(dom, g, x, kernel, cfg=None, point_index=0):
     """Estimate the solution of the fractional Dirichlet problem at x by
     alpha-stable walk-on-spheres.
@@ -187,7 +184,8 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     The estimator is unbiased up to the snap bias, which the Hoelder
     certificate of g bounds by C0 * snap_eps^alpha (reported as bias_bound).
     Path batches draw from counter-based streams keyed by (seed, point,
-    batch), so results do not depend on scheduling.
+    batch), so results do not depend on scheduling.  The stderr is NaN when
+    the run has one estimator unit (one path, or one antithetic pair).
     """
     if cfg is None:
         cfg = WoSConfig()
@@ -197,6 +195,9 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
         raise ParameterError(
             "the stable exit law is exact only for the fractional Laplacian; "
             "general kernels are exercised through the operator checks")
+    if kernel.dim != dom.dim:
+        raise ParameterError(
+            f"kernel dim {kernel.dim} does not match the domain's dim {dom.dim}")
     x = np.asarray(x, dtype=float)
     if not dom.contains(x):
         raise DomainError("solve requires an interior starting point")
@@ -221,12 +222,11 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
 
     for b in range(n_batches):
         size = min(cfg.batch_size, paths - b * cfg.batch_size)
-        if cfg.antithetic and size % 2:
-            size += 1
         n_walked += size
         rng = np.random.Generator(np.random.Philox(
             key=[cfg.seed, (point_index << 32) + b]))
         pos = np.tile(x, (size, 1))
+        d = np.asarray(dom.dist(pos))    # carried along: one dist per step
         payload = np.zeros(size)
         alive = np.ones(size, dtype=bool)
         steps = np.zeros(size, dtype=np.int64)
@@ -244,12 +244,10 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
             else:
                 u_r = rng.random(size)
                 phi = 2.0 * np.pi * rng.random(size)
-            d = np.zeros(size)
-            d[alive] = np.asarray(dom.dist(pos[alive]))
             snap = alive & (d < snap_eps)
             if np.any(snap):
                 idx = np.nonzero(snap)[0]
-                payload[idx] = g(_project_batch(dom, pos[idx]))
+                payload[idx] = g(dom.project(pos[idx])[0])
                 alive[idx] = False
                 n_snapped += len(idx)
             act = np.nonzero(alive)[0]
@@ -260,16 +258,18 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
                 [np.cos(phi[act]), np.sin(phi[act])], axis=1)
             newpos = pos[act] + step_vec
             steps[act] += 1
-            inside = np.asarray(dom.contains(newpos))
+            d_new = np.asarray(dom.dist(newpos))
+            inside = d_new > 0.0
             out_idx = act[~inside]
             if len(out_idx):
                 payload[out_idx] = g(newpos[~inside])
                 alive[out_idx] = False
             pos[act[inside]] = newpos[inside]
+            d[act[inside]] = d_new[inside]
         if np.any(alive):
             idx = np.nonzero(alive)[0]
             n_maxed += len(idx)
-            payload[idx] = g(_project_batch(dom, pos[idx]))
+            payload[idx] = g(dom.project(pos[idx])[0])
             n_snapped += len(idx)
         total_steps += int(np.sum(steps))
         if cfg.antithetic:
@@ -286,9 +286,12 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
 
     mean = sum_pay / n_walked
     unit_mean = mean  # pair means average to the same value
-    var = max(sum_sq / n_units - unit_mean ** 2, 0.0)
-    var *= n_units / max(n_units - 1, 1)
-    stderr = float(np.sqrt(var / n_units))
+    if n_units > 1:
+        var = max(sum_sq / n_units - unit_mean ** 2, 0.0)
+        var *= n_units / (n_units - 1)
+        stderr = float(np.sqrt(var / n_units))
+    else:
+        stderr = float("nan")   # one estimator unit has no sample variance
     bias = g.C0 * snap_eps ** g.alpha if hasattr(g, "C0") else np.nan
     return SolutionSample(
         x=tuple(x.tolist()), estimate=float(mean), stderr=stderr,

@@ -188,6 +188,8 @@ def test_polygon_wos_deterministic():
     a = harmonic_extension(sq, g, [0.4, 0.7], cfg)
     b = harmonic_extension(sq, g, [0.4, 0.7], cfg)
     assert a.value == b.value and a.stderr == b.stderr
+    # pinned: batching the projections must not change the walk
+    assert (a.value, a.stderr) == (0.9274120301457155, 0.0026874280585113407)
 
 
 def test_halfplane_extension():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fraclab.errors import DomainError, ParameterError, UnsupportedVariantError
 from fraclab.geometry import (Ball, Cone, HalfPlane, Polygon, StarShaped,
@@ -209,3 +211,90 @@ def test_degenerate_domains_rejected():
         Polygon([[0, 0], [1, 0], [2, 0]])
     with pytest.raises(ParameterError):
         StarShaped([0.1, 0.5])  # r(theta) dips negative
+
+
+# ---------------------------------------------------------------------------
+# properties of the distance, containment and projection queries
+
+DOMAINS = {
+    "ball": Ball([0.2, -0.1], 1.3),
+    "square": unit_square(),
+    "L": Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]),
+    "star": StarShaped([1.0, 0.0, 0.1]),
+    "star2": StarShaped([1.0, 0.0, 0.12], [0.0, 0.07], gamma=0.8),
+}
+UNBOUNDED = {"halfplane": HalfPlane([0.3, 1.0]), "cone": Cone([0.0, 1.0], 0.7)}
+
+
+def _boundary_samples(dom, n=4096):
+    th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    if isinstance(dom, Ball):
+        return dom.center + dom.radius * np.stack([np.cos(th), np.sin(th)],
+                                                  axis=1)
+    if isinstance(dom, Polygon):
+        v = dom.vertices
+        t = np.linspace(0.0, 1.0, n // len(v), endpoint=False)
+        edge = np.roll(v, -1, axis=0) - v
+        return (v[:, None, :] + t[None, :, None] * edge[:, None, :]).reshape(-1, 2)
+    return dom.boundary_point(th)
+
+
+def _boundary_residual(dom, z):
+    """Zero exactly on the boundary, of the order of the distance to it."""
+    if isinstance(dom, Ball):
+        return np.linalg.norm(z - dom.center, axis=1) - dom.radius
+    if isinstance(dom, Polygon):
+        return dom.signed_dist(z)
+    return np.linalg.norm(z, axis=1) - dom.radial(np.arctan2(z[:, 1], z[:, 0]))
+
+
+@st.composite
+def _points(draw, dom):
+    """Up to 24 points: anywhere around the domain, or within 1e-12 to 1 of
+    a boundary sample on either side."""
+    samples = _boundary_samples(dom) if dom.bounded else np.zeros((1, 2))
+    anywhere = st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5))
+    near = st.tuples(st.integers(0, len(samples) - 1), st.floats(-12.0, 0.0),
+                     st.floats(0.0, 2.0 * np.pi)).map(
+        lambda a: samples[a[0]] + 10.0 ** a[1] * np.array([np.cos(a[2]),
+                                                           np.sin(a[2])]))
+    pts = draw(st.lists(st.one_of(anywhere, near), min_size=1, max_size=24))
+    return np.array([np.asarray(p, dtype=float) for p in pts])
+
+
+@pytest.mark.parametrize("name", [*DOMAINS, *UNBOUNDED])
+@given(data=st.data())
+def test_contains_is_positive_dist(name, data):
+    dom = {**DOMAINS, **UNBOUNDED}[name]
+    pts = data.draw(_points(dom))
+    np.testing.assert_array_equal(np.asarray(dom.contains(pts)),
+                                  np.asarray(dom.dist(pts)) > 0.0)
+
+
+@pytest.mark.parametrize("name", DOMAINS)
+@given(data=st.data())
+def test_dist_at_most_distance_to_boundary_samples(name, data):
+    dom = DOMAINS[name]
+    pts = data.draw(_points(dom))
+    samples = _boundary_samples(dom)
+    nearest = np.min(np.linalg.norm(pts[:, None, :] - samples[None, :, :],
+                                    axis=-1), axis=1)
+    assert np.all(np.asarray(dom.dist(pts)) <= nearest + 1e-12)
+
+
+@pytest.mark.parametrize("name", DOMAINS)
+@given(data=st.data())
+def test_project_lands_on_boundary_at_dist(name, data):
+    dom = DOMAINS[name]
+    pts = data.draw(_points(dom))
+    pts = pts[np.asarray(dom.contains(pts))]
+    assume(len(pts) > 0)
+    z0, normal = dom.project(pts)
+    assert np.all(np.abs(_boundary_residual(dom, z0)) <= 1e-12)
+    np.testing.assert_allclose(np.linalg.norm(pts - z0, axis=1),
+                               dom.dist(pts), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(normal, axis=1), 1.0, atol=1e-12)
+    # a batch projects each point exactly as a call with that point alone
+    for p, z, n in zip(pts, z0, normal):
+        z1, n1 = dom.project(p)
+        assert np.array_equal(z1, z) and np.array_equal(n1, n)

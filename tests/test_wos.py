@@ -163,6 +163,43 @@ def test_solver_rejects_bad_inputs():
         solve(BALL, g, [0.0, 0.0], aniso, WoSConfig(paths=10))
 
 
+def test_solver_rejects_kernel_of_other_dimension():
+    with pytest.raises(ParameterError, match="dim"):
+        solve(BALL, constant_data(1.0), [0.0, 0.0],
+              make_fractional_laplacian(0.5, 1), WoSConfig(paths=10))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"batch_size": 0},
+    {"batch_size": -4},
+    {"paths": 10, "batch_size": 3},   # odd batches would break up pairs
+])
+def test_config_rejects_bad_batch_size(kwargs):
+    with pytest.raises(ParameterError, match="batch_size"):
+        WoSConfig(**kwargs)
+
+
+def test_odd_batch_size_without_antithetic_pairs():
+    out = solve(BALL, constant_data(1.0), [0.0, 0.0], K05,
+                WoSConfig(paths=10, batch_size=3, antithetic=False, seed=1))
+    assert out.paths_used == 10
+
+
+def test_even_batches_walk_the_rounded_paths():
+    out = solve(BALL, constant_data(1.0), [0.0, 0.0], K05,
+                WoSConfig(paths=11, batch_size=4, seed=1))
+    assert out.paths_used == 12
+
+
+@pytest.mark.parametrize("paths, antithetic", [(1, False), (1, True),
+                                               (2, True)])
+def test_stderr_of_one_estimator_unit_is_nan(paths, antithetic):
+    out = solve(BALL, capped_distance_data([2.0, 0.0], 3.0), [0.3, 0.0], K05,
+                WoSConfig(paths=paths, antithetic=antithetic, seed=1))
+    assert np.isnan(out.stderr)
+    assert np.isfinite(out.estimate)
+
+
 def test_reliability_error_on_tiny_step_budget():
     g = constant_data(1.0)
     with pytest.raises(ReliabilityError):
@@ -186,6 +223,43 @@ def test_star_domain_walks():
     # datum values lie in [0, 3]; the estimate must respect the bounds
     assert 0.0 < out.estimate < 3.0
     assert out.snapped_fraction < 0.05
+
+
+# seeded estimates and stderrs of the benchmark's square-corner and star
+# problems at 2000 paths: how a step queries the geometry may change, the
+# walks (hence these values) may not
+SQUARE_PINNED = [
+    (1e-4, 0.4350525861139503, 0.0015656268881668552),
+    (1e-2, 0.6915072495337344, 0.0025402161226172463),
+]
+STAR_PINNED = [
+    (0.3, 0.5, 1.9122384667701249, 0.016695513443374773),
+    (1.2, 0.05, 1.9890396832851602, 0.010872455384544904),
+    (2.0, 1e-3, 2.5480203846153318, 0.0031230080079117503),
+]
+
+
+def test_square_corner_walks_pinned():
+    sq = unit_square()
+    g = holder_point_singularity(0.1, [0.0, 0.0])
+    bisector = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
+    for k, (t, est, se) in enumerate(SQUARE_PINNED):
+        out = solve(sq, g, t * bisector, K05, WoSConfig(paths=2000, seed=1),
+                    point_index=k)
+        assert (out.estimate, out.stderr) == (est, se)
+        assert out.snapped_fraction > 0.0
+
+
+def test_star_walks_pinned():
+    from fraclab.geometry import StarShaped
+    star = StarShaped([1.0, 0.0, 0.1])
+    g = capped_distance_data([2.0, 0.0], 3.0)
+    for k, (th, gap, est, se) in enumerate(STAR_PINNED):
+        x = (float(star.radial(th)) - gap) * np.array([np.cos(th), np.sin(th)])
+        out = solve(star, g, x, K05, WoSConfig(paths=2000, seed=1),
+                    point_index=k)
+        assert (out.estimate, out.stderr) == (est, se)
+        assert out.snapped_fraction > 0.0
 
 
 # ---------------------------------------------------------------------------
