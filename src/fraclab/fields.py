@@ -354,7 +354,10 @@ def _scan_breakpoints(side_fn, x, theta, r_max, n_probe=256):
 class CompositeField(Field):
     """Value from ``inside`` on Omega and from ``outside`` elsewhere, with the
     domain boundary as the kink surface.  Used for the extended datum
-    (harmonic extension inside, raw datum outside)."""
+    (harmonic extension inside, raw datum outside).  Radial breakpoints are
+    the zeros of ``domain.signed_dist`` (closed form on a Ball), so the
+    domain must define it: Ball, HalfPlane, Polygon and StarShaped do, Cone
+    does not."""
 
     def __init__(self, domain, inside, outside, growth):
         self.domain = domain

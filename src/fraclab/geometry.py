@@ -164,10 +164,6 @@ class HalfPlane(Domain):
         pts, single = _as_points(x, self.dim)
         return _maybe_scalar(np.maximum(pts @ self.normal, 0.0), single)
 
-    def signed_dist(self, x):
-        pts, single = _as_points(x, self.dim)
-        return _maybe_scalar(pts @ self.normal, single)
-
     def project(self, x):
         x = np.asarray(x, dtype=float)
         h = x @ self.normal
@@ -178,6 +174,8 @@ class HalfPlane(Domain):
     def psi_value(self, x):
         pts, single = _as_points(x, self.dim)
         return _maybe_scalar(pts @ self.normal, single)
+
+    signed_dist = psi_value
 
     def regularized_distance(self, x):
         x = np.asarray(x, dtype=float)
@@ -393,30 +391,18 @@ class StarShaped(Domain):
     def diameter(self):
         return 2.0 * self.r_max
 
-    def radial(self, theta, order=0):
+    def radial(self, theta):
         theta = np.asarray(theta, dtype=float)
         out = np.zeros_like(theta)
         for k, c in enumerate(self.coeff_cos):
-            kk = float(k)
-            if order == 0:
-                out += c * np.cos(kk * theta)
-            elif order == 1:
-                out += -c * kk * np.sin(kk * theta)
-            else:
-                out += -c * kk ** 2 * np.cos(kk * theta)
+            out += c * np.cos(float(k) * theta)
         for k, c in enumerate(self.coeff_sin, start=1):
-            kk = float(k)
-            if order == 0:
-                out += c * np.sin(kk * theta)
-            elif order == 1:
-                out += c * kk * np.cos(kk * theta)
-            else:
-                out += -c * kk ** 2 * np.sin(kk * theta)
+            out += c * np.sin(float(k) * theta)
         return out
 
     def _radial_derivs(self, theta):
         """r, r', r'' and cos, sin at theta from one cos/sin evaluation per
-        harmonic, with the arithmetic of ``radial(theta, order)``."""
+        harmonic; r is computed as in ``radial``."""
         n_harm = max(len(self.coeff_cos), len(self.coeff_sin) + 1, 2)
         cos_k = [np.cos(float(k) * theta) for k in range(n_harm)]
         sin_k = [np.sin(float(k) * theta) for k in range(n_harm)]
@@ -555,6 +541,12 @@ class StarShaped(Domain):
             out[lo:lo + 8192] = np.linalg.norm(bp - p, axis=1)
         return out
 
+    def signed_dist(self, x):
+        pts, single = _as_points(x, 2)
+        d = self._dist_batch(pts)
+        inside = np.asarray(self.contains(pts))
+        return _maybe_scalar(np.where(inside, d, -d), single)
+
     def dist(self, x):
         pts, single = _as_points(x, 2)
         out = np.zeros(pts.shape[0])
@@ -611,7 +603,7 @@ class StarShaped(Domain):
     def _gap(self, x):
         th = np.arctan2(x[1], x[0])
         rr = np.linalg.norm(x)
-        r = self.radial(th); rp = self.radial(th, 1); rpp = self.radial(th, 2)
+        r, rp, rpp, _, _ = self._radial_derivs(th)
         if rr == 0.0:
             return r, None, None
         # gradients of theta and |x|

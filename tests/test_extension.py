@@ -7,7 +7,8 @@ from fraclab.errors import DivergenceError, DomainError, UnsupportedVariantError
 from fraclab.extension import (DiskExtension, ExtensionConfig,
                                HalfPlaneExtension, check_extension_bounds,
                                extended_field, harmonic_extension, hessian_fd)
-from fraclab.geometry import Ball, Cone, HalfPlane, unit_square
+from fraclab.fields import CompositeField
+from fraclab.geometry import Ball, Cone, HalfPlane, StarShaped, unit_square
 from fraclab.kernels import make_fractional_laplacian
 from fraclab.nonlocal_op import QuadratureSpec, apply_L
 
@@ -164,6 +165,19 @@ def test_composite_field_constant_data():
                        radial_panels=6, n_jacobi=12)
     ov = apply_L(K, comp, np.array([0.6, 0.0]), q=q)
     assert abs(ov.value) <= max(1e-8, 10 * ov.err_estimate)
+
+
+def test_composite_field_breakpoints_on_star_and_cone():
+    star = StarShaped([1.0, 0.0, 0.1])
+    comp = CompositeField(star, constant_data(1.0), constant_data(0.0), 0.0)
+    # the ray through the origin along e1 meets the boundary at r(0) = r(pi)
+    br = comp.radial_breakpoints(np.zeros(2), np.array([1.0, 0.0]), 3.0)
+    assert len(br) >= 1
+    np.testing.assert_allclose(br, 1.1, rtol=0.0, atol=1e-12)
+    cone = CompositeField(Cone([0.0, 1.0], 0.5), constant_data(1.0),
+                          constant_data(0.0), 0.0)
+    with pytest.raises(UnsupportedVariantError):
+        cone.radial_breakpoints(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 3.0)
 
 
 def test_polygon_wos_extension():

@@ -298,3 +298,24 @@ def test_project_lands_on_boundary_at_dist(name, data):
     for p, z, n in zip(pts, z0, normal):
         z1, n1 = dom.project(p)
         assert np.array_equal(z1, z) and np.array_equal(n1, n)
+
+
+SIGNED = {name: dom for name, dom in {**DOMAINS, **UNBOUNDED}.items()
+          if name not in ("ball", "cone")}
+
+
+@pytest.mark.parametrize("name", SIGNED)
+@given(data=st.data())
+def test_signed_dist_matches_dist_inside_and_flips_outside(name, data):
+    dom = SIGNED[name]
+    pts = data.draw(_points(dom))
+    sd = np.asarray(dom.signed_dist(pts))
+    inside = np.asarray(dom.contains(pts))
+    assert np.all((sd > 0.0) == inside)
+    np.testing.assert_allclose(sd[inside], np.asarray(dom.dist(pts))[inside],
+                               rtol=0.0, atol=1e-12)
+    if dom.bounded:
+        samples = _boundary_samples(dom)
+        nearest = np.min(np.linalg.norm(pts[:, None, :] - samples[None, :, :],
+                                        axis=-1), axis=1)
+        assert np.all(np.abs(sd) <= nearest + 1e-12)
