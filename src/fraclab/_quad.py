@@ -5,8 +5,12 @@ a Gauss-Jacobi rule on the near ball that absorbs the r^{1-2s} behaviour of
 the symmetrized integrand exactly, adaptive Gauss-Legendre panels on the mid
 range with pre-splits at declared kink radii, and a Gauss-Jacobi rule in the
 reciprocal variable for the tail, which absorbs the declared power growth.
-Angular integration (dim 2) uses adaptive Clenshaw-Curtis panels whose
-embedded coarse rule shares nodes with the fine one.
+``radial_integrals`` runs this rule on a batch of directions at once: every
+direction keeps its own panels and refinement decisions, while each stage
+(the first pass, then each bisection sweep) evaluates the nodes of all
+directions in one call of the integrand.  Angular integration (dim 2) uses
+adaptive Clenshaw-Curtis panels whose embedded coarse rule shares nodes
+with the fine one.
 
 The deterministic Poisson integrals (harmonic extension, ball and half-plane
 Poisson quadratures) share the fixed 8-point Gauss-Legendre panel rule below:
@@ -17,6 +21,7 @@ end edge, so the padding panels have zero width and contribute nothing.
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -59,181 +64,236 @@ def gauss_jacobi_01(n, beta):
     return (x + 1.0) / 2.0, w * 0.5 ** (beta + 1.0)
 
 
-def jacobi_pair(f, upper, n, beta):
-    """Weighted integral int_0^upper t^beta f(t) dt with an embedded error
-    estimate from the half-order rule.  f is vectorized."""
+def mid_panels(lo, hi, kinks, n_min):
+    """Initial mid-range panels of D directions, grouped by direction.
+
+    Direction k gets max(n_min, 2 per decade) log-spaced panels on
+    [lo, hi[k]], split at the radii of ``kinks`` (a (D, m) array, padded
+    with NaN) strictly inside.  After such a split, an edge within 1e-13
+    (relative, absolute below 1) of the previous kept edge is dropped,
+    except the end edge hi[k].  Returns the panel ends a, b and the
+    direction index of each panel.
+    """
+    n_dir = len(hi)
+    n = np.maximum(np.ceil(2.0 * np.log10(hi / lo)).astype(np.int64),
+                   max(n_min, 1))
+    inside = (kinks > lo) & (kinks < hi[:, None])
+    # rows are padded with their end edge, which sorts last
+    width = int(n.max()) + 1 + kinks.shape[1]
+    edges = np.repeat(hi[:, None], width, axis=1)
+    for m in np.unique(n):
+        rows = np.nonzero(n == m)[0]
+        edges[rows, :m + 1] = np.geomspace(lo, hi[rows], m + 1, axis=1)
+    edges[:, width - kinks.shape[1]:] = np.where(inside, kinks, hi[:, None])
+    edges.sort(axis=1)
+    ends = n + inside.sum(axis=1)
+    cols = np.arange(width)
+    valid = cols <= ends[:, None]
+    # drop near-duplicates that would create degenerate panels; comparing
+    # with the previous edge equals comparing with the previous kept edge
+    # unless dropped edges chain beyond the tolerance, and such rows are
+    # merged one edge at a time
+    tol = 1e-13 * np.maximum(np.abs(edges[:, 1:]), 1.0)
+    keep = np.concatenate([np.ones((n_dir, 1), dtype=bool),
+                           np.diff(edges, axis=1) > tol], axis=1)
+    keep |= ~inside.any(axis=1)[:, None]
+    keep[np.arange(n_dir), ends] = True
+    keep &= valid
+    last = np.maximum.accumulate(np.where(keep, cols, 0), axis=1)
+    chained = ~keep[:, 1:] & (
+        edges[:, 1:] - np.take_along_axis(edges, last, axis=1)[:, :-1] > tol)
+    for i in np.nonzero(np.any(chained, axis=1))[0]:
+        prev = edges[i, 0]
+        for j in range(1, ends[i]):
+            keep[i, j] = edges[i, j] - prev > tol[i, j - 1]
+            if keep[i, j]:
+                prev = edges[i, j]
+    rows = np.nonzero(keep)[0]
+    kept = edges[keep]
+    same = rows[:-1] == rows[1:]
+    return kept[:-1][same], kept[1:][same], rows[:-1][same]
+
+
+class RadialIntegrals(NamedTuple):
+    """Per-direction pieces of the radial integral, with the totals of the
+    work done: quadrature nodes (``n_evals``) and mid-panel bisections."""
+
+    near: np.ndarray
+    far: np.ndarray
+    err: np.ndarray
+    mass: np.ndarray
+    n_evals: int
+    bisections: int
+
+
+# bisection sweeps of the mid panels per direction
+_MAX_SWEEPS = 40
+
+
+def _pymax(first, *rest):
+    """Elementwise ``max(first, *rest)`` with Python's rule: a later value
+    replaces the running maximum only if it compares greater, so a NaN
+    never wins over a number."""
+    out = first
+    for v in rest:
+        out = np.where(v > out, v, out)
+    return out
+
+
+def _ordered_sums(vals, k, counts):
+    """Per-direction sums of ``vals``, grouped by direction ``k`` in
+    non-decreasing order, added left to right as Python's ``sum`` does."""
+    starts = np.cumsum(counts) - counts
+    table = np.zeros((len(counts), max(int(counts.max(initial=0)), 1)))
+    table[k, np.arange(len(k)) - starts[k]] = vals
+    return np.cumsum(table, axis=1)[:, -1]
+
+
+def _jacobi_rule(n, beta):
+    """Nodes of the n-point Gauss-Jacobi rule on [0, 1] followed by those of
+    its embedded half-order rule, and the two weight vectors."""
     t1, w1 = gauss_jacobi_01(n, beta)
     t0, w0 = gauss_jacobi_01(max(n // 2, 4), beta)
-    scale = upper ** (beta + 1.0)
-    nodes = np.concatenate([t1, t0]) * upper
-    vals = f(nodes)
-    v1 = scale * float(w1 @ vals[: len(t1)])
-    v0 = scale * float(w0 @ vals[len(t1):])
-    mass = scale * float(w1 @ np.abs(vals[: len(t1)]))
-    return v1, abs(v1 - v0), mass, len(nodes)
+    return np.concatenate([t1, t0]), w1, w0
 
 
-class PanelSet:
-    """Adaptive Gauss-Legendre panels with bisection refinement.
-
-    Panels are evaluated in batches: each sweep gathers the nodes of all new
-    panels into one call of the integrand.
-    """
-
-    def __init__(self, f, edges):
-        self.f = f
-        self.n_evals = 0
-        self.panels = []  # (a, b, I16, err)
-        self._add(list(zip(edges[:-1], edges[1:])))
-
-    def _add(self, intervals):
-        if not intervals:
-            return
-        a = np.array([p[0] for p in intervals])
-        b = np.array([p[1] for p in intervals])
-        mid = (a + b) / 2.0
-        half = (b - a) / 2.0
-        x16 = mid[:, None] + half[:, None] * _GL16[0][None, :]
-        x8 = mid[:, None] + half[:, None] * _GL8[0][None, :]
-        nodes = np.concatenate([x16.ravel(), x8.ravel()])
-        vals = self.f(nodes)
-        self.n_evals += len(nodes)
-        m = len(intervals)
-        v16 = vals[: 16 * m].reshape(m, 16)
-        v8 = vals[16 * m:].reshape(m, 8)
-        i16 = half * (v16 @ _GL16[1])
-        i8 = half * (v8 @ _GL8[1])
-        mass = half * (np.abs(v16) @ _GL16[1])
-        for k in range(m):
-            self.panels.append((a[k], b[k], float(i16[k]),
-                                abs(float(i16[k] - i8[k])), float(mass[k])))
-
-    @property
-    def value(self):
-        return float(sum(p[2] for p in self.panels))
-
-    @property
-    def err(self):
-        return float(sum(p[3] for p in self.panels))
-
-    @property
-    def mass(self):
-        return float(sum(p[4] for p in self.panels))
-
-    def refine(self, tol_abs, max_panels, max_sweeps=40):
-        for _ in range(max_sweeps):
-            if self.err <= tol_abs or len(self.panels) >= max_panels:
-                break
-            errs = np.array([p[3] for p in self.panels])
-            # split every panel holding more than its share of the budget
-            cut = max(tol_abs / max(len(self.panels), 1), np.max(errs) * 0.25)
-            idx = [i for i, p in enumerate(self.panels) if p[3] >= cut]
-            if not idx:
-                break
-            room = max_panels - len(self.panels)
-            idx = idx[:room]
-            if not idx:
-                break
-            new = []
-            for i in sorted(idx, reverse=True):
-                a, b, _, _, _ = self.panels.pop(i)
-                m = (a + b) / 2.0
-                new.extend([(a, m), (m, b)])
-            self._add(new)
-        return self.value, self.err
+def _jacobi_sums(vals, w1, w0, scale):
+    """Value, embedded error and |f| mass of each row of ``vals``, whose
+    columns are the nodes of ``_jacobi_rule``."""
+    n1 = len(w1)
+    v1 = scale * np.sum(vals[:, :n1] * w1, axis=1)
+    v0 = scale * np.sum(vals[:, n1:] * w0, axis=1)
+    mass = scale * np.sum(np.abs(vals[:, :n1]) * w1, axis=1)
+    return v1, np.abs(v1 - v0), mass
 
 
-def geometric_edges(a, b, n_min):
-    """Log-spaced panel edges on [a, b] (a > 0), at least n_min panels and at
-    least two panels per decade."""
-    decades = np.log10(b / a)
-    n = max(n_min, int(np.ceil(2.0 * decades)), 1)
-    return np.geomspace(a, b, n + 1)
+def _panel_nodes(a, b):
+    """GL16 then GL8 nodes of each panel [a, b], one row per panel."""
+    mid = (a + b) / 2.0
+    half = (b - a) / 2.0
+    x16 = mid[:, None] + half[:, None] * _GL16[0]
+    x8 = mid[:, None] + half[:, None] * _GL8[0]
+    return np.concatenate([x16, x8], axis=1), half
 
 
-def merge_edges(edges, extra, lo, hi):
-    pts = [e for e in extra if lo < e < hi]
-    if not pts:
-        return np.asarray(edges)
-    merged = np.unique(np.concatenate([np.asarray(edges), np.asarray(pts)]))
-    # drop near-duplicates that would create degenerate panels
-    keep = [merged[0]]
-    for e in merged[1:]:
-        if e - keep[-1] > 1e-13 * max(abs(e), 1.0):
-            keep.append(e)
-    if keep[-1] < hi:
-        keep.append(hi)
-    return np.asarray(keep)
+def _panel_sums(vals, half):
+    """GL16 value, |GL16 - GL8| error and |f| mass of each panel row."""
+    i16 = half * np.sum(vals[:, :16] * _GL16[1], axis=1)
+    i8 = half * np.sum(vals[:, 16:] * _GL8[1], axis=1)
+    mass = half * np.sum(np.abs(vals[:, :16]) * _GL16[1], axis=1)
+    return i16, np.abs(i16 - i8), mass
 
 
-class RadialPiece:
-    __slots__ = ("near", "far", "err", "mass", "n_evals")
+def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
+                     rel_tol, n_jacobi, init_panels, max_panels):
+    """The operator integral int_0^inf (u_x - pair_avg(r)) r^{-1-2s} dr
+    along D directions at once, split as near ([0, rho]) and far (the rest).
 
-    def __init__(self, near, far, err, mass, n_evals):
-        self.near = near
-        self.far = far
-        self.err = err
-        self.mass = mass
-        self.n_evals = n_evals
-
-    @property
-    def total(self):
-        return self.near + self.far
-
-
-def radial_integral(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
-                    rel_tol, n_jacobi, init_panels, max_panels):
-    """One direction of the operator integral.
-
-    pair_avg(r) = (u(x + r theta) + u(x - r theta)) / 2, vectorized.
-    Returns the three-piece value of int_0^inf (u_x - pair_avg(r)) r^{-1-2s} dr
-    split as near ([0, rho]) and far (the rest).
+    ``pair_avg(r, k)`` returns (u(x + r theta_k) + u(x - r theta_k)) / 2 for
+    node radii r on direction indices k (equal-length arrays) in one field
+    call; ``breakpoints`` holds D sequences of kink radii.  Each direction
+    keeps its own rule: near Gauss-Jacobi nodes, mid panels pre-split at its
+    kinks and bisected adaptively, a tail in the reciprocal variable.  Panel
+    state lives in flat arrays tagged with the direction index, in each
+    direction's panel order, and every stage (the first pass, then each
+    bisection sweep) gathers the nodes of all directions into one call of
+    ``pair_avg``.  Per-direction sums run in panel order, so a direction's
+    refinement decisions do not depend on the batch around it.
     """
     two_s = 2.0 * s
-
-    # near ball: integrand = (delta u / r^2) * r^{1-2s}
-    def g2(r):
-        return (u_x - pair_avg(r)) / (r * r)
-
-    near, err_near, mass_near, ev_near = jacobi_pair(g2, rho, n_jacobi, 1.0 - two_s)
-
+    n_dir = len(breakpoints)
+    dirs = np.arange(n_dir)
+    kinks = np.full((n_dir, max(map(len, breakpoints), default=0)), np.nan)
+    for i, bp in enumerate(breakpoints):
+        kinks[i, :len(bp)] = bp
+    kinks[~(kinks > 0.0)] = np.nan
     # far cutoff beyond every kink so the tail transform sees a smooth field
-    bps = [b for b in breakpoints if b > 0.0]
-    r_far = max(far_cutoff, 4.0 * rho)
-    if bps:
-        r_far = max(r_far, 2.0 * max(bps))
+    r_far = np.maximum(max(far_cutoff, 4.0 * rho),
+                       2.0 * np.max(np.nan_to_num(kinks), axis=1, initial=0.0))
+    a, b, k = mid_panels(rho, r_far, kinks, init_panels)
+    counts = np.bincount(k, minlength=n_dir)
 
-    def f_mid(r):
-        return (u_x - pair_avg(r)) * r ** (-1.0 - two_s)
+    # near ball: integrand = (delta u / r^2) * r^{1-2s}; the tail is mapped
+    # by t = R/r, so that t^{growth} * pair_avg(R/t) is smooth and the
+    # Jacobi weight t^{2s-1-growth} carries the power law
+    beta_near = 1.0 - two_s
+    t_near, w1_near, w0_near = _jacobi_rule(n_jacobi, beta_near)
+    t_tail, w1_tail, w0_tail = _jacobi_rule(n_jacobi, two_s - 1.0 - growth)
+    r_near = t_near * rho
+    r_tail = r_far[:, None] / t_tail
+    x_mid, half = _panel_nodes(a, b)
+    n_near, n_tail = len(t_near), len(t_tail)
+    pa = pair_avg(np.concatenate([np.tile(r_near, n_dir), r_tail.ravel(),
+                                  x_mid.ravel()]),
+                  np.concatenate([np.repeat(dirs, n_near),
+                                  np.repeat(dirs, n_tail),
+                                  np.repeat(k, x_mid.shape[1])]))
+    split_at = np.cumsum([n_dir * n_near, n_dir * n_tail])
+    pa_near, pa_tail, pa_mid = np.split(pa, split_at)
+    near, err_near, mass_near = _jacobi_sums(
+        (u_x - pa_near.reshape(n_dir, n_near)) / (r_near * r_near),
+        w1_near, w0_near, rho ** (beta_near + 1.0))
+    tail_pair, err_tail, mass_tail = _jacobi_sums(
+        pa_tail.reshape(n_dir, n_tail) * t_tail ** growth,
+        w1_tail, w0_tail, 1.0)
+    val, err, mass = _panel_sums(
+        (u_x - pa_mid.reshape(x_mid.shape)) * x_mid ** (-1.0 - two_s), half)
+    n_evals = len(pa)
 
-    edges = geometric_edges(rho, r_far, init_panels)
-    edges = merge_edges(edges, bps, rho, r_far)
-    ps = PanelSet(f_mid, edges)
     # the near and mid pieces largely cancel for nearly harmonic fields, so
     # the integrand mass, not the value, sets the relative-error scale
-    scale0 = max(abs(near + ps.value), 0.25 * (mass_near + ps.mass), 1e-300)
-    ps.refine(tol_abs=rel_tol * scale0, max_panels=max_panels)
-    mid, err_mid = ps.value, ps.err
+    scale0 = _pymax(np.abs(near + _ordered_sums(val, k, counts)),
+                    0.25 * (mass_near + _ordered_sums(mass, k, counts)),
+                    1e-300)
+    tol = rel_tol * scale0
+    bisections = 0
+    for _ in range(_MAX_SWEEPS):
+        counts = np.bincount(k, minlength=n_dir)
+        starts = np.cumsum(counts) - counts
+        refine = ~(_ordered_sums(err, k, counts) <= tol) & (counts < max_panels)
+        if not np.any(refine):
+            break
+        # split every panel holding more than its share of the budget, at
+        # most as many as the direction has room for, first in panel order
+        cut = _pymax(tol / np.maximum(counts, 1),
+                     np.maximum.reduceat(err, starts) * 0.25)
+        split = refine[k] & (err >= cut[k])
+        taken = np.cumsum(split)
+        rank = taken - 1 - (taken - split)[starts][k]
+        split &= rank < (max_panels - counts)[k]
+        idx = np.nonzero(split)[0]
+        if len(idx) == 0:
+            break
+        # halves are appended after the kept panels, the last split first
+        idx = idx[np.lexsort((-idx, k[idx]))]
+        m = (a[idx] + b[idx]) / 2.0
+        new_a = np.column_stack([a[idx], m]).ravel()
+        new_b = np.column_stack([m, b[idx]]).ravel()
+        new_k = np.repeat(k[idx], 2)
+        x_new, half = _panel_nodes(new_a, new_b)
+        pa = pair_avg(x_new.ravel(), np.repeat(new_k, x_new.shape[1]))
+        new_val, new_err, new_mass = _panel_sums(
+            (u_x - pa.reshape(x_new.shape)) * x_new ** (-1.0 - two_s), half)
+        n_evals += len(pa)
+        bisections += len(idx)
+        keep = ~split
+        k = np.concatenate([k[keep], new_k])
+        order = np.argsort(k, kind="stable")
+        k = k[order]
+        a, b, val, err, mass = (
+            np.concatenate([old[keep], new])[order]
+            for old, new in ((a, new_a), (b, new_b), (val, new_val),
+                             (err, new_err), (mass, new_mass)))
 
-    # tail: u_x term is exact; the pair average is transformed by t = R/r so
-    # that t^{growth} * pair_avg(R/t) is smooth and the Jacobi weight
-    # t^{2s-1-growth} carries the power law.
-    beta_tail = two_s - 1.0 - growth
-
-    def h_tail(t):
-        return pair_avg(r_far / t) * t ** growth
-
-    tail_pair, err_tail, mass_tail, ev_tail = jacobi_pair(
-        h_tail, 1.0, n_jacobi, beta_tail)
-    tail = u_x * r_far ** (-two_s) / two_s - r_far ** (-two_s) * tail_pair
-    err_tail *= r_far ** (-two_s)
-    mass_tail *= r_far ** (-two_s)
-
-    err = err_near + err_mid + err_tail
-    mass = mass_near + ps.mass + mass_tail + abs(u_x) * r_far ** (-two_s) / two_s
-    return RadialPiece(near=near, far=mid + tail, err=err, mass=mass,
-                       n_evals=ev_near + ps.n_evals + ev_tail)
-
+    counts = np.bincount(k, minlength=n_dir)
+    mid = _ordered_sums(val, k, counts)
+    far_pow = r_far ** (-two_s)
+    tail = u_x * far_pow / two_s - far_pow * tail_pair
+    err = err_near + _ordered_sums(err, k, counts) + err_tail * far_pow
+    mass = (mass_near + _ordered_sums(mass, k, counts) + mass_tail * far_pow
+            + abs(u_x) * far_pow / two_s)
+    return RadialIntegrals(near=near, far=mid + tail, err=err, mass=mass,
+                           n_evals=n_evals, bisections=bisections)
 
 # ---------------------------------------------------------------------------
 # fixed GL8 panels, batched over rows

@@ -257,12 +257,11 @@ def verify_halfspace_supersolution(kernel, alpha, points, nu=None, q=None):
     # homogeneity diagnostic on the first point
     extra = {}
     if len(pts) >= 1:
-        ov1 = apply_L(kernel, u, pts[0], q=q)
-        ov2 = apply_L(kernel, u, 2.0 * pts[0], q=q)
+        ratio = apply_L(kernel, u, 2.0 * pts[0], q=q).value / float(vals[0])
         expected = 2.0 ** (alpha - 2.0 * kernel.s)
-        extra["homogeneity_ratio"] = ov2.value / ov1.value
+        extra["homogeneity_ratio"] = ratio
         extra["homogeneity_expected"] = expected
-        extra["homogeneity_rel_dev"] = abs(ov2.value / ov1.value / expected - 1.0)
+        extra["homogeneity_rel_dev"] = abs(ratio / expected - 1.0)
     return BarrierReport(
         kind="halfspace", points=tuple(tuple(p) for p in pts),
         values=tuple(vals), errors=tuple(errs), passed=passed,
@@ -352,12 +351,11 @@ def verify_cone_barrier(kernel, e, eta, beta, points=None, q=None,
     extra = {"beta": beta, "eta": eta}
     if check_scaling and len(pts) >= 1:
         lam = 2.0
-        ov1 = apply_L(kernel, u, pts[0], q=q)
-        ov2 = apply_L(kernel, u, lam * pts[0], q=q)
+        ratio = apply_L(kernel, u, lam * pts[0], q=q).value / float(vals[0])
         expected = lam ** (beta - 2.0 * kernel.s)
-        extra["scaling_ratio"] = ov2.value / ov1.value
+        extra["scaling_ratio"] = ratio
         extra["scaling_expected"] = expected
-        extra["scaling_rel_dev"] = abs(ov2.value / ov1.value / expected - 1.0)
+        extra["scaling_rel_dev"] = abs(ratio / expected - 1.0)
     return BarrierReport(
         kind="cone", points=tuple(tuple(p) for p in pts),
         values=tuple(vals), errors=tuple(errs), passed=passed,
@@ -370,8 +368,13 @@ def bracket_cone_beta0(kernel, e, eta, points=None, beta_lo=0.02,
                        beta_hi=0.98, iters=6, q=None):
     """Empirical bracket [lo, hi] for the largest beta keeping the cone
     barrier a supersolution, by bisection on the PASS verdict."""
-    lo_pass = verify_cone_barrier(kernel, e, eta, beta_lo, points, q=q).passed
-    hi_pass = verify_cone_barrier(kernel, e, eta, beta_hi, points, q=q).passed
+
+    def passes(beta):
+        return verify_cone_barrier(kernel, e, eta, beta, points, q=q,
+                                   check_scaling=False).passed
+
+    lo_pass = passes(beta_lo)
+    hi_pass = passes(beta_hi)
     if not lo_pass:
         return {"beta_lo": 0.0, "beta_hi": beta_lo, "note": "fails already at beta_lo"}
     if hi_pass:
@@ -379,7 +382,7 @@ def bracket_cone_beta0(kernel, e, eta, points=None, beta_lo=0.02,
     lo, hi = beta_lo, beta_hi
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if verify_cone_barrier(kernel, e, eta, mid, points, q=q).passed:
+        if passes(mid):
             lo = mid
         else:
             hi = mid

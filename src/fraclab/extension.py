@@ -14,7 +14,8 @@ import numpy as np
 
 from ._quad import (bisect_edges, gl8_panels, graded_edges, node_chunks,
                     octaves, periodic_edges)
-from .errors import DivergenceError, DomainError, UnsupportedVariantError
+from .errors import (DivergenceError, DomainError, ReliabilityError,
+                     UnsupportedVariantError)
 from .fields import CompositeField
 from .geometry import Ball, HalfPlane, Polygon
 from .nonlocal_op import QuadratureSpec, apply_L
@@ -139,7 +140,10 @@ class HalfPlaneExtension:
 
 class PolygonExtension:
     """Brownian walk-on-spheres: exit from the inscribed disk is uniform on
-    its circle; the walker stops within snap distance of the boundary."""
+    its circle; the walker stops within snap distance of the boundary.  As
+    in ``wos.solve``, walkers alive after ``max_steps`` are paid at their
+    projection onto the boundary, and more than 1% of them raise a
+    ``ReliabilityError``."""
 
     def __init__(self, dom, g, cfg=None):
         self.dom = dom
@@ -173,6 +177,15 @@ class PolygonExtension:
                     break
             phi = rng.random(len(idx)) * 2.0 * np.pi
             pos[idx] += d[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        # walkers still alive after max_steps are paid at their projection,
+        # and more than 1% of them make the estimate unreliable
+        n_maxed = int(np.count_nonzero(alive))
+        if n_maxed > 0.01 * cfg.paths:
+            raise ReliabilityError(
+                f"{n_maxed} of {cfg.paths} paths hit max_steps = {cfg.max_steps}")
+        if n_maxed:
+            idx = np.nonzero(alive)[0]
+            payload[idx] = self.g(self.dom.project(pos[idx])[0])
         est = float(np.mean(payload))
         se = float(np.std(payload, ddof=1) / np.sqrt(cfg.paths))
         return ExtensionValue(value=est, stderr=se, method="wos")

@@ -5,18 +5,23 @@
     int ( u(x) - (u(x+y) + u(x-y))/2 ) K(y) dy,
 
 i.e. the value of -Lu(x); it is positive on the barrier functions.  The
-integral is computed in polar form: per direction, the radial machinery of
-``_quad`` handles the kernel singularity, declared kinks and the growth of
-the tail; in dimension two an adaptive Clenshaw-Curtis layer integrates the
-directions over a half circle (the symmetrized integrand is even), doubled.
+integral is computed in polar form: along each direction, the radial
+quadrature of ``_quad`` handles the kernel singularity, declared kinks and
+the growth of the tail; in dimension two an adaptive Clenshaw-Curtis layer
+integrates the directions over a half circle (the symmetrized integrand is
+even), doubled.  The radial quadrature runs on batches of directions: all
+directions of the initial angular panels at once, then the 2 x 17 of each
+split panel, so u is called once per stage of a batch rather than once per
+direction.  Dimension one is the same call with the single direction +1.
 """
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import clenshaw_curtis, radial_integral
+from ._quad import clenshaw_curtis, radial_integrals
 from .errors import DivergenceError, DomainError, ParameterError, ToleranceWarning
 from .kernels import make_fractional_laplacian
 
@@ -55,7 +60,10 @@ class QuadratureSpec:
 @dataclass(frozen=True)
 class OperatorValue:
     """Quadrature estimate of -Lu(x) with its near/far split and an empirical
-    absolute error estimate."""
+    absolute error estimate.  ``n_evals`` counts the radial quadrature nodes
+    (each node evaluates u at x + r theta and x - r theta) and
+    ``refinements`` the radial panel bisections plus the angular panel
+    splits."""
 
     value: float
     err_estimate: float
@@ -63,6 +71,7 @@ class OperatorValue:
     far_part: float
     tol_ok: bool = True
     n_evals: int = 0
+    refinements: int = 0
 
     def __float__(self):
         return self.value
@@ -82,28 +91,19 @@ def _near_radius(u, x, q):
     return max(base, 1e-14 * scale)
 
 
-def _pair_avg_factory(u, x, theta):
-    x = np.asarray(x, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+def _radial(kernel, u, u_x, x, thetas, rho, q, rel_tol):
+    """The radial integrals of u at x along every row of ``thetas``, each
+    stage of the quadrature making one call of u."""
+    bps = [sorted(set(u.radial_breakpoints(x, th, 1e12))) for th in thetas]
 
-    def pair_avg(r):
-        r = np.asarray(r, dtype=float)
-        plus = x[None, :] + r[:, None] * theta[None, :]
-        minus = x[None, :] - r[:, None] * theta[None, :]
-        vals = u(np.concatenate([plus, minus], axis=0))
-        n = len(r)
-        return 0.5 * (vals[:n] + vals[n:])
+    def pair_avg(r, k):
+        step = r[:, None] * thetas[k]
+        vals = u(np.concatenate([x + step, x - step], axis=0))
+        return 0.5 * (vals[:len(r)] + vals[len(r):])
 
-    return pair_avg
-
-
-def _direction(s, u, u_x, x, theta, rho, q, rel_tol):
-    theta = np.asarray(theta, dtype=float)
-    bps = sorted(set(u.radial_breakpoints(x, theta, 1e12)))
-    return radial_integral(
-        _pair_avg_factory(u, x, theta), u_x, s, rho, bps,
-        u.growth, q.far_cutoff, rel_tol, q.n_jacobi,
-        q.radial_panels, q.max_radial_panels)
+    return radial_integrals(
+        pair_avg, u_x, kernel.s, rho, bps, u.growth, q.far_cutoff, rel_tol,
+        q.n_jacobi, q.radial_panels, q.max_radial_panels)
 
 
 def apply_L(kernel, u, x, q=None, half_circle=True):
@@ -130,18 +130,17 @@ def apply_L(kernel, u, x, q=None, half_circle=True):
 
     if kernel.dim == 1:
         a_val = float(kernel.angular_density(np.array([[1.0]]))[0])
-        piece = _direction(s, u, u_x, x, np.array([1.0]), rho, q,
-                           q.target_rel_tol / 2.0)
-        near = 2.0 * a_val * piece.near
-        far = 2.0 * a_val * piece.far
-        err = 2.0 * a_val * piece.err
-        mass = 2.0 * a_val * piece.mass
-        n_evals = piece.n_evals
-        value = near + far
+        rad = _radial(kernel, u, u_x, x, np.array([[1.0]]), rho, q,
+                      q.target_rel_tol / 2.0)
+        near = 2.0 * a_val * float(rad.near[0])
+        far = 2.0 * a_val * float(rad.far[0])
+        err = 2.0 * a_val * float(rad.err[0])
+        mass = 2.0 * a_val * float(rad.mass[0])
+        n_evals, refinements = rad.n_evals, rad.bisections
     else:
-        near, far, err, mass, n_evals = _angular_integral(
+        near, far, err, mass, n_evals, refinements = _angular_integral(
             kernel, u, u_x, x, rho, q, half_circle)
-        value = near + far
+    value = near + far
 
     scale = max(abs(value), 0.25 * mass, _TINY)
     tol_ok = err <= q.target_rel_tol * scale
@@ -151,46 +150,44 @@ def apply_L(kernel, u, x, q=None, half_circle=True):
             f"(target {q.target_rel_tol:.1e} relative)", ToleranceWarning,
             stacklevel=2)
     return OperatorValue(value=value, err_estimate=err, near_part=near,
-                         far_part=far, tol_ok=tol_ok, n_evals=n_evals)
+                         far_part=far, tol_ok=tol_ok, n_evals=n_evals,
+                         refinements=refinements)
 
 
-class _AngularPanel:
-    __slots__ = ("a", "b", "near", "far", "rule_err", "rad_err", "mass")
+class _AngularPanel(NamedTuple):
+    a: float
+    b: float
+    near: float
+    far: float
+    rule_err: float
+    rad_err: float
+    mass: float
 
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
 
-
-def _eval_angular_panel(panel, kernel, u, u_x, x, rho, q, rad_tol):
+def _angular_panels(kernel, u, u_x, x, rho, q, rad_tol, edges):
+    """Evaluate the 17-node Clenshaw-Curtis panels [a, b] of ``edges`` with
+    one batched radial quadrature over all their directions."""
     xs, ws = clenshaw_curtis(16)
-    half = (panel.b - panel.a) / 2.0
-    mid = (panel.a + panel.b) / 2.0
-    phis = mid + half * xs
-    theta = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    a_vals = np.asarray(kernel.angular_density(theta), dtype=float)
-    nears = np.empty(len(phis))
-    fars = np.empty(len(phis))
-    errs = np.empty(len(phis))
-    masses = np.empty(len(phis))
-    n_evals = 0
-    for i, phi in enumerate(phis):
-        piece = _direction(kernel.s, u, u_x, x, theta[i], rho, q, rad_tol)
-        nears[i] = piece.near
-        fars[i] = piece.far
-        errs[i] = piece.err
-        masses[i] = piece.mass
-        n_evals += piece.n_evals
-    tot = a_vals * (nears + fars)
     _, w9 = clenshaw_curtis(8)
-    fine = half * float(ws @ tot)
-    coarse = half * float(w9 @ tot[::2])
-    panel.near = half * float(ws @ (a_vals * nears))
-    panel.far = half * float(ws @ (a_vals * fars))
-    panel.rule_err = abs(fine - coarse)
-    panel.rad_err = half * float(ws @ (a_vals * errs))
-    panel.mass = half * float(ws @ (a_vals * masses))
-    return n_evals
+    a, b = np.array(edges).T
+    half = (b - a) / 2.0
+    mid = (a + b) / 2.0
+    phis = mid[:, None] + half[:, None] * xs
+    theta = np.stack([np.cos(phis), np.sin(phis)], axis=-1).reshape(-1, 2)
+    a_vals = np.asarray(kernel.angular_density(theta), dtype=float)
+    rad = _radial(kernel, u, u_x, x, theta, rho, q, rad_tol)
+    a_vals, nears, fars, errs, masses = (
+        v.reshape(phis.shape)
+        for v in (a_vals, rad.near, rad.far, rad.err, rad.mass))
+    tot = a_vals * (nears + fars)
+    fine = half * np.sum(tot * ws, axis=1)
+    coarse = half * np.sum(tot[:, ::2] * w9, axis=1)
+    cols = zip(a, b, half * np.sum(a_vals * nears * ws, axis=1),
+               half * np.sum(a_vals * fars * ws, axis=1), np.abs(fine - coarse),
+               half * np.sum(a_vals * errs * ws, axis=1),
+               half * np.sum(a_vals * masses * ws, axis=1))
+    panels = [_AngularPanel(*map(float, c)) for c in cols]
+    return panels, rad.n_evals, rad.bisections
 
 
 def _angular_integral(kernel, u, u_x, x, rho, q, half_circle):
@@ -213,12 +210,8 @@ def _angular_integral(kernel, u, u_x, x, rho, q, half_circle):
         segments.extend(zip(sub[:-1], sub[1:]))
 
     rad_tol = q.target_rel_tol / 3.0
-    panels = []
-    n_evals = 0
-    for a, b in segments:
-        p = _AngularPanel(a, b)
-        n_evals += _eval_angular_panel(p, kernel, u, u_x, x, rho, q, rad_tol)
-        panels.append(p)
+    panels, n_evals, refinements = _angular_panels(
+        kernel, u, u_x, x, rho, q, rad_tol, segments)
 
     for _ in range(24):
         value = factor * sum(p.near + p.far for p in panels)
@@ -231,16 +224,18 @@ def _angular_integral(kernel, u, u_x, x, rho, q, half_circle):
         if panels[worst].rule_err <= 0.1 * target / max(len(panels), 1):
             break
         old = panels.pop(worst)
-        for a, b in ((old.a, 0.5 * (old.a + old.b)), (0.5 * (old.a + old.b), old.b)):
-            p = _AngularPanel(a, b)
-            n_evals += _eval_angular_panel(p, kernel, u, u_x, x, rho, q, rad_tol)
-            panels.append(p)
+        m = 0.5 * (old.a + old.b)
+        halves, ev, bis = _angular_panels(kernel, u, u_x, x, rho, q, rad_tol,
+                                          [(old.a, m), (m, old.b)])
+        panels.extend(halves)
+        n_evals += ev
+        refinements += bis + 1
 
     near = factor * sum(p.near for p in panels)
     far = factor * sum(p.far for p in panels)
     err = factor * sum(p.rule_err + p.rad_err for p in panels)
     mass = factor * sum(p.mass for p in panels)
-    return near, far, err, mass, n_evals
+    return near, far, err, mass, n_evals, refinements
 
 
 def apply_L_1d(s, u, t, q=None):

@@ -13,7 +13,8 @@ from fraclab.errors import ParameterError, UnsupportedVariantError
 from fraclab.fields import ConeBarrier, HalfSpacePower
 from fraclab.geometry import Ball, StarShaped, unit_square
 from fraclab.kernels import make_fractional_laplacian
-from fraclab.nonlocal_op import QuadratureSpec
+import fraclab.barriers as barriers_mod
+from fraclab.nonlocal_op import QuadratureSpec, apply_L
 
 Q_FAST = QuadratureSpec(target_rel_tol=1e-5, max_angular_panels=24,
                         max_radial_panels=200)
@@ -192,6 +193,55 @@ def test_cone_beta0_bracket():
                              q=QuadratureSpec(target_rel_tol=1e-4,
                                               max_angular_panels=16))
     assert 0.0 <= out["beta_lo"] <= out["beta_hi"] <= 1.0
+
+
+def test_reports_reuse_operator_values(monkeypatch):
+    """The scaling diagnostics reuse the first point's value, and the
+    bisection skips them; reports and brackets stay bit for bit."""
+    K = make_fractional_laplacian(0.5, 2)
+    q = QuadratureSpec(target_rel_tol=1e-4, max_angular_panels=16)
+    calls = []
+
+    def counting(kernel, u, x, q=None):
+        calls.append(u)
+        return apply_L(kernel, u, x, q=q)
+
+    monkeypatch.setattr(barriers_mod, "apply_L", counting)
+
+    pts = [np.array([0.1, 0.5]), np.array([-0.3, 1.2])]
+    rep = verify_halfspace_supersolution(K, 0.25, pts, q=q)
+    assert len(calls) == 3
+    u = HalfSpacePower([0.0, 1.0], 0.25)
+    v0 = apply_L(K, u, pts[0], q=q).value
+    assert rep.values[0] == v0
+    assert rep.extra["homogeneity_ratio"] == (
+        apply_L(K, u, 2.0 * pts[0], q=q).value / v0)
+
+    calls.clear()
+    cone_pts = cone_boundary_points((0.0, 1.0), 1.0, 2)
+    rep = verify_cone_barrier(K, (0.0, 1.0), 1.0, 0.3, points=cone_pts, q=q)
+    assert len(calls) == 3
+    u = ConeBarrier((0.0, 1.0), 1.0, 0.3)
+    v0 = apply_L(K, u, cone_pts[0], q=q).value
+    assert rep.values[0] == v0
+    assert rep.extra["scaling_ratio"] == (
+        apply_L(K, u, 2.0 * cone_pts[0], q=q).value / v0)
+
+    calls.clear()
+    out = bracket_cone_beta0(K, (0.0, 1.0), 1.0, points=cone_pts, iters=2,
+                             q=q)
+    assert len(calls) == 4 * len(cone_pts)     # 4 verdicts, no diagnostics
+    lo, hi = 0.02, 0.98
+    assert verify_cone_barrier(K, (0.0, 1.0), 1.0, lo, cone_pts, q=q).passed
+    assert not verify_cone_barrier(K, (0.0, 1.0), 1.0, hi, cone_pts,
+                                   q=q).passed
+    for _ in range(2):
+        mid = 0.5 * (lo + hi)
+        if verify_cone_barrier(K, (0.0, 1.0), 1.0, mid, cone_pts, q=q).passed:
+            lo = mid
+        else:
+            hi = mid
+    assert out == {"beta_lo": lo, "beta_hi": hi, "note": "bisection bracket"}
 
 
 # ---------------------------------------------------------------------------

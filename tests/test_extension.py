@@ -3,7 +3,8 @@ import pytest
 
 from fraclab.barriers import (ExteriorData, capped_distance_data,
                               constant_data, holder_point_singularity)
-from fraclab.errors import DivergenceError, DomainError, UnsupportedVariantError
+from fraclab.errors import (DivergenceError, DomainError, ReliabilityError,
+                            UnsupportedVariantError)
 from fraclab.extension import (DiskExtension, ExtensionConfig,
                                HalfPlaneExtension, check_extension_bounds,
                                extended_field, harmonic_extension, hessian_fd)
@@ -204,6 +205,20 @@ def test_polygon_wos_deterministic():
     assert a.value == b.value and a.stderr == b.stderr
     # pinned: batching the projections must not change the walk
     assert (a.value, a.stderr) == (0.9274120301457155, 0.0026874280585113407)
+
+
+def test_polygon_wos_max_steps_accounted():
+    sq = unit_square()
+    g = constant_data(1.0)
+    # walkers alive after max_steps were scored 0: this gave 0.001 for 1
+    with pytest.raises(ReliabilityError, match="1998 of 2000"):
+        harmonic_extension(sq, g, [0.4, 0.7],
+                           ExtensionConfig(paths=2000, max_steps=2))
+    # 18 of 2000 survivors, under the 1% threshold, are paid at their
+    # projection (0.991 when they scored 0)
+    out = harmonic_extension(sq, g, [0.4, 0.7],
+                             ExtensionConfig(paths=2000, max_steps=52))
+    assert out.value == 1.0
 
 
 def test_halfplane_extension():

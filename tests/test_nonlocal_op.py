@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from fraclab._quad import mid_panels
+from fraclab.barriers import cone_boundary_points, holder_point_singularity
 from fraclab.errors import DivergenceError, ParameterError, ToleranceWarning
-from fraclab.fields import (AffineField, CallableField, ConstantField,
-                            HalfSpacePower, LinearCombinationField,
-                            PowerPlus1D, TranslatedField)
+from fraclab.extension import extended_field
+from fraclab.fields import (AffineField, CallableField, ConeBarrier,
+                            ConstantField, HalfSpacePower,
+                            LinearCombinationField, PowerPlus1D, PsiPower,
+                            TranslatedField)
+from fraclab.geometry import Ball, StarShaped
 from fraclab.kernels import KernelSpec, make_fractional_laplacian
 from fraclab.nonlocal_op import (QuadratureSpec, apply_L, apply_L_1d,
                                  homogeneity_check)
@@ -224,3 +229,75 @@ def test_value_invariant_under_near_far_split():
         assert ov.value == pytest.approx(base.value, abs=tol)
         assert ov.near_part != pytest.approx(base.near_part, abs=1e-12) \
             or q.far_cutoff != 16.0  # the split itself did move
+
+
+# Values and n_evals of the one-direction-at-a-time quadrature that the
+# batched radial layer replaced; the batch makes the same refinement
+# decisions, and its sums differ from the old BLAS dot products in the
+# last bits only.
+PINNED = {
+    "power_1d": (0.78539808796032, 576),
+    "halfspace": (1.8569581032285243, 15792),
+    "psi_ball": (56.10286386707946, 22560),
+    "psi_star": (21.02906429216258, 14688),
+    "cone_beta005": (2.348289015798185, 49224),
+    "cone_beta05_coarse": (-0.3884938305007341, 30024),
+    "translated": (1.8569581032286226, 15792),
+    "extended_datum": (-61.90773339015156, 9744),
+}
+
+
+def _pinned_case(name):
+    K1 = make_fractional_laplacian(0.5, 1)
+    K = make_fractional_laplacian(0.5, 2)
+    q5 = QuadratureSpec(target_rel_tol=1e-5)
+    q4 = QuadratureSpec(target_rel_tol=1e-4)
+    cone_x = cone_boundary_points((0.0, 1.0), 1.0, 6)[2]
+    ball = Ball([0.0, 0.0], 1.0)
+    return {
+        "power_1d": lambda: apply_L(K1, PowerPlus1D(0.25), [1.0]),
+        "halfspace": lambda: apply_L(K, HalfSpacePower([0.0, 1.0], 0.25),
+                                     [0.3, 0.8], q=q5),
+        "psi_ball": lambda: apply_L(K, PsiPower(ball, 0.25), [0.0, 0.99],
+                                    q=q5),
+        "psi_star": lambda: apply_L(
+            K, PsiPower(StarShaped([1.0, 0.0, 0.1]), 0.25), [1.05, 0.0], q=q4),
+        "cone_beta005": lambda: apply_L(
+            K, ConeBarrier([0.0, 1.0], 1.0, 0.05), cone_x, q=q5),
+        "cone_beta05_coarse": lambda: apply_L(
+            K, ConeBarrier([0.0, 1.0], 1.0, 0.5), cone_x,
+            q=QuadratureSpec(target_rel_tol=1e-4, max_angular_panels=16)),
+        "translated": lambda: apply_L(
+            K, TranslatedField(HalfSpacePower([0.0, 1.0], 0.25), [0.2, -0.3]),
+            [0.5, 0.5], q=q5),
+        # criterion 10's extended datum and quadrature spec
+        "extended_datum": lambda: apply_L(
+            K, extended_field(ball, holder_point_singularity(0.3, [1.0, 0.0])),
+            [0.99, 0.0], q=QuadratureSpec(
+                target_rel_tol=2e-3, angular_nodes=34, max_angular_panels=24,
+                max_radial_panels=160, n_jacobi=16)),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_operator_values(name):
+    value, n_evals = PINNED[name]
+    ov = _pinned_case(name)
+    assert ov.value == pytest.approx(value, rel=1e-13, abs=0.0)
+    assert ov.n_evals == n_evals
+
+
+def test_refinements_count_bisections():
+    # one direction: the nodes are 36 near + 36 tail + 24 per panel, and
+    # each bisection of a mid panel adds two
+    ov = apply_L_1d(0.5, PowerPlus1D(alpha=0.25), 1.0)
+    n_init = len(mid_panels(0.5, np.array([16.0]), np.array([[1.0]]), 8)[0])
+    assert ov.refinements > 0
+    assert ov.n_evals == 72 + 24 * (n_init + 2 * ov.refinements)
+    K = make_fractional_laplacian(0.5, 2)
+    assert apply_L(K, ConstantField(1.0), [0.7, 0.7]).refinements == 0
+    # a tighter tolerance refines more, radially and over the angles
+    u = HalfSpacePower([0.0, 1.0], 0.25)
+    coarse = apply_L(K, u, [0.3, 0.8], q=QuadratureSpec(target_rel_tol=1e-3))
+    fine = apply_L(K, u, [0.3, 0.8], q=QuadratureSpec(target_rel_tol=1e-6))
+    assert fine.refinements > coarse.refinements

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
-from fraclab._quad import (NODE_CAP, bisect_edges, gl8_panels, graded_edges,
-                           node_chunks, periodic_edges)
+from fraclab._quad import (NODE_CAP, bisect_edges, gauss_jacobi_01,
+                           gl8_panels, graded_edges, mid_panels, node_chunks,
+                           periodic_edges, radial_integrals)
+from fraclab.fields import ConeBarrier, HalfSpacePower, PsiPower
+from fraclab.geometry import Ball
+from fraclab.kernels import make_fractional_laplacian
+from fraclab.nonlocal_op import QuadratureSpec, _near_radius, _radial
 
 
 def test_gl8_panels_padding_contributes_nothing():
@@ -65,3 +71,176 @@ def test_node_chunks_cover_rows_within_cap(sizes):
         assert len(rows) == 1 or np.sum(sizes[rows]) <= NODE_CAP
         seen.extend(rows.tolist())
     assert sorted(seen) == list(range(len(sizes)))
+
+
+# ---------------------------------------------------------------------------
+# the batched radial quadrature against a one-direction reference
+
+_GL16 = roots_legendre(16)
+_GL8 = roots_legendre(8)
+
+
+def _reference_edges(lo, hi, kinks, n_min):
+    """Log-spaced edges merged with the kinks, one edge at a time."""
+    n = max(n_min, int(np.ceil(2.0 * np.log10(hi / lo))), 1)
+    edges = np.geomspace(lo, hi, n + 1)
+    pts = [e for e in kinks if lo < e < hi]
+    if not pts:
+        return edges
+    keep = [lo]
+    for e in np.unique(np.concatenate([edges, pts]))[1:]:
+        if e - keep[-1] > 1e-13 * max(abs(e), 1.0):
+            keep.append(e)
+    if keep[-1] < hi:
+        keep.append(hi)
+    return np.array(keep)
+
+
+def _reference_radial(f, u_x, s, rho, kinks, growth, far_cutoff, rel_tol,
+                      n_jacobi, init_panels, max_panels):
+    """One direction of the radial integral with a list of panels, split
+    in place; f(r) is the pair average.  Returns (near, far, err, mass,
+    n_evals, bisections)."""
+    two_s = 2.0 * s
+
+    def jacobi(g, upper, beta):
+        t1, w1 = gauss_jacobi_01(n_jacobi, beta)
+        t0, w0 = gauss_jacobi_01(max(n_jacobi // 2, 4), beta)
+        scale = upper ** (beta + 1.0)
+        vals = g(np.concatenate([t1, t0]) * upper)
+        v1 = scale * float(w1 @ vals[:len(t1)])
+        v0 = scale * float(w0 @ vals[len(t1):])
+        return v1, abs(v1 - v0), scale * float(w1 @ np.abs(vals[:len(t1)]))
+
+    def integrand(r):
+        return (u_x - f(r)) * r ** (-1.0 - two_s)
+
+    def panel(a, b):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        v16 = integrand(mid + half * _GL16[0])
+        v8 = integrand(mid + half * _GL8[0])
+        i16 = half * float(v16 @ _GL16[1])
+        return [a, b, i16, abs(i16 - half * float(v8 @ _GL8[1])),
+                half * float(np.abs(v16) @ _GL16[1])]
+
+    near, err_near, mass_near = jacobi(
+        lambda r: (u_x - f(r)) / (r * r), rho, 1.0 - two_s)
+    kinks = [b for b in kinks if b > 0.0]
+    r_far = max(far_cutoff, 4.0 * rho, *(2.0 * b for b in kinks))
+    edges = _reference_edges(rho, r_far, kinks, init_panels)
+    panels = [panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    n_evals, bisections = 72 + 24 * len(panels), 0
+    tol = rel_tol * max(abs(near + sum(p[2] for p in panels)),
+                        0.25 * (mass_near + sum(p[4] for p in panels)), 1e-300)
+    for _ in range(40):
+        if sum(p[3] for p in panels) <= tol or len(panels) >= max_panels:
+            break
+        cut = max(tol / len(panels), max(p[3] for p in panels) * 0.25)
+        idx = [i for i, p in enumerate(panels) if p[3] >= cut]
+        idx = idx[:max_panels - len(panels)]
+        if not idx:
+            break
+        for i in sorted(idx, reverse=True):
+            a, b = panels.pop(i)[:2]
+            panels.append(panel(a, (a + b) / 2.0))
+            panels.append(panel((a + b) / 2.0, b))
+        n_evals += 48 * len(idx)
+        bisections += len(idx)
+    tail_pair, err_tail, mass_tail = jacobi(
+        lambda t: f(r_far / t) * t ** growth, 1.0, two_s - 1.0 - growth)
+    w = r_far ** (-two_s)
+    far = sum(p[2] for p in panels) + u_x * w / two_s - w * tail_pair
+    err = err_near + sum(p[3] for p in panels) + err_tail * w
+    mass = (mass_near + sum(p[4] for p in panels) + mass_tail * w
+            + abs(u_x) * w / two_s)
+    return near, far, err, mass, n_evals, bisections
+
+
+def test_mid_panels_match_one_row_merge():
+    rng = np.random.Generator(np.random.Philox(key=5))
+    n_dir = 300
+    lo = 0.05
+    hi = np.maximum(16.0, 10.0 ** rng.uniform(0.0, 4.0, n_dir))
+    kinks = np.full((n_dir, 4), np.nan)
+    for i in range(n_dir):
+        k = rng.integers(0, 5)
+        kinks[i, :k] = np.sort(lo * (hi[i] / lo) ** rng.uniform(-0.1, 1.1, k))
+    edges = np.array([_reference_edges(lo, h, [], 8) for h in hi[:60]],
+                     dtype=object)
+    # kinks on or within 1e-13 of an edge, and chains of near-duplicates
+    for i in range(60):
+        kinks[i, :3] = edges[i][3] * (1.0 + np.array([0.0, 6e-14, 1.2e-13]))
+    kinks[60:90, :2] = hi[60:90, None] * (1.0 - np.array([3e-14, 0.0]))
+    a, b, k = mid_panels(lo, hi, kinks, 8)
+    for i in range(n_dir):
+        ref = _reference_edges(lo, hi[i], kinks[i][~np.isnan(kinks[i])], 8)
+        np.testing.assert_array_equal(a[k == i], ref[:-1])
+        np.testing.assert_array_equal(b[k == i], ref[1:])
+
+
+CASES = [
+    (HalfSpacePower([0.0, 1.0], 0.25), [0.3, 0.8]),
+    (PsiPower(Ball([0.0, 0.0], 1.0), 0.25), [0.0, 0.99]),
+    (ConeBarrier([0.0, 1.0], 1.0, 0.3), [-0.5, 0.6]),
+]
+
+
+@pytest.mark.parametrize("u, x", CASES)
+def test_radial_batch_matches_reference(u, x):
+    K = make_fractional_laplacian(0.5, 2)
+    q = QuadratureSpec(target_rel_tol=1e-5)
+    x = np.asarray(x)
+    u_x = float(u(x[None, :])[0])
+    rho = _near_radius(u, x, q)
+    phis = np.linspace(0.0, np.pi, 17)
+    thetas = np.column_stack([np.cos(phis), np.sin(phis)])
+    rad = _radial(K, u, u_x, x, thetas, rho, q, 1e-6)
+    n_evals = bisections = 0
+    for i, th in enumerate(thetas):
+        def f(r, th=th):
+            v = u(np.concatenate([x + r[:, None] * th, x - r[:, None] * th]))
+            return 0.5 * (v[:len(r)] + v[len(r):])
+
+        near, far, err, mass, ev, bis = _reference_radial(
+            f, u_x, 0.5, rho, u.radial_breakpoints(x, th, 1e12), u.growth,
+            q.far_cutoff, 1e-6, q.n_jacobi, q.radial_panels,
+            q.max_radial_panels)
+        # the pieces cancel in places; |f| mass is the scale of the sums
+        assert abs(rad.near[i] - near) <= 1e-13 * mass
+        assert abs(rad.far[i] - far) <= 1e-13 * mass
+        assert abs(rad.err[i] - err) <= 1e-13 * mass
+        assert rad.mass[i] == pytest.approx(mass, rel=1e-13)
+        n_evals += ev
+        bisections += bis
+    assert (rad.n_evals, rad.bisections) == (n_evals, bisections)
+    assert bisections > 0
+
+
+def test_direction_alone_matches_batch():
+    """A direction's rule and sums do not depend on the batch around it."""
+    K = make_fractional_laplacian(0.5, 2)
+    q = QuadratureSpec(target_rel_tol=1e-5)
+    u = PsiPower(Ball([0.0, 0.0], 1.0), 0.25)
+    x = np.array([0.3, 0.5])
+    u_x = float(u(x[None, :])[0])
+    rho = _near_radius(u, x, q)
+    phis = np.linspace(0.1, 3.0, 34)
+    thetas = np.column_stack([np.cos(phis), np.sin(phis)])
+    batch = _radial(K, u, u_x, x, thetas, rho, q, 1e-6)
+    for i in (0, 7, 33):
+        alone = _radial(K, u, u_x, x, thetas[i:i + 1], rho, q, 1e-6)
+        for got, ref in zip(alone[:4], batch[:4]):
+            assert got[0] == pytest.approx(ref[i], rel=1e-15, abs=0.0)
+
+
+def test_radial_integrals_of_a_constant():
+    def pair_avg(r, k):
+        return np.full(len(r), 2.0)
+
+    out = radial_integrals(pair_avg, 2.0, 0.5, 0.1, [[], [3.0]], 0.0, 16.0,
+                           1e-6, 24, 8, 400)
+    assert np.all(out.near == 0.0) and np.all(out.err == 0.0)
+    assert out.bisections == 0
+    # r_far = 16 on both directions; the kink at 3 adds one panel
+    n_mid = len(mid_panels(0.1, np.array([16.0]), np.full((1, 0), np.nan), 8)[0])
+    assert out.n_evals == 2 * 72 + 24 * (2 * n_mid + 1)
