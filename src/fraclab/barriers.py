@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedVariantError
 from .fields import ConeBarrier, HalfSpacePower, PsiPower
-from .geometry import Ball, Cone, StarShaped
+from .geometry import Ball, Cone, HalfPlane, Polygon, StarShaped
 from .nonlocal_op import apply_L
 
 BarrierFn = (HalfSpacePower, PsiPower, ConeBarrier)
@@ -90,19 +90,19 @@ class ExteriorData:
 
 
 def _boundary_sample(dom, rng):
-    if hasattr(dom, "boundary_point"):
+    if isinstance(dom, StarShaped):
         return dom.boundary_point(rng.random() * 2.0 * np.pi)
     if isinstance(dom, Ball):
         phi = rng.random() * 2.0 * np.pi
         if dom.dim == 1:
             return dom.center + np.array([dom.radius * np.sign(np.cos(phi))])
         return dom.center + dom.radius * np.array([np.cos(phi), np.sin(phi)])
-    if hasattr(dom, "vertices"):
+    if isinstance(dom, Polygon):
         verts = dom.vertices
         k = rng.integers(len(verts))
         t = rng.random()
         return verts[k] + t * (verts[(k + 1) % len(verts)] - verts[k])
-    if hasattr(dom, "normal"):
+    if isinstance(dom, HalfPlane):
         tangent = np.array([-dom.normal[1], dom.normal[0]])
         return (rng.random() * 2.0 - 1.0) * 4.0 * tangent
     raise UnsupportedVariantError("no boundary sampler for this domain")

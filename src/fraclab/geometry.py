@@ -1,9 +1,14 @@
 """Geometric domains with distance, projection and regularized distance.
 
-All variants expose vectorized ``contains``/``dist`` over point batches of
-shape (n, dim) (single points of shape (dim,) also accepted).  On every
-variant ``contains(x) == (dist(x) > 0)``: the walk-on-spheres loop makes one
-``dist`` call per step and reads the exit test off its sign.  ``project``
+All variants expose vectorized ``contains``/``dist``/``dist_bound`` over
+point batches of shape (n, dim) (single points of shape (dim,) also
+accepted).  On every variant ``contains(x) == (dist(x) > 0) ==
+(dist_bound(x) > 0)``.  ``dist_bound(x, exact_below)`` is a certified lower
+bound on ``dist``, equal to it wherever it falls below ``exact_below``; the
+walk-on-spheres loop makes one ``dist_bound`` call per step, steps on a ball
+of that radius, reads the exit test off its sign and snaps on the exact
+distance.  On Ball and Polygon the bound is ``dist`` itself; on StarShaped it
+is a closed form in the radial gap, O(1) per point.  ``project``
 returns the nearest boundary point together with the inward unit normal; on
 Ball, Polygon and StarShaped it takes a batch of interior points (and returns
 two (n, dim) arrays), on HalfPlane and Cone one point.  Ball, HalfPlane and
@@ -54,7 +59,7 @@ class Domain:
     """Base class; concrete variants implement the geometry services.
 
     Contract: ``contains(x) == (dist(x) > 0)`` for every point, so callers
-    that need both make one ``dist`` call.
+    that need both make one ``dist`` call, and ``dist_bound`` keeps it.
     """
 
     dim = 2
@@ -68,6 +73,14 @@ class Domain:
 
     def project(self, x):
         raise NotImplementedError
+
+    def dist_bound(self, x, exact_below=0.0):
+        """A lower bound on ``dist``: 0 outside, positive inside (so
+        ``contains(x) == (dist_bound(x) > 0)``), and equal to ``dist``
+        wherever it falls below ``exact_below``.  A ball of this radius about
+        x lies in the domain, which is all a walk-on-spheres step needs.
+        Here it is ``dist`` itself."""
+        return self.dist(x)
 
     def signed_dist(self, x):
         """Distance to the boundary, positive inside and negative outside."""
@@ -380,10 +393,21 @@ class StarShaped(Domain):
         if self.r_min <= 0:
             raise ParameterError("radial profile must stay positive")
         self._omega_const = None
+        # dist_bound: M = sum_k k (|a_k| + |b_k|) >= max |r'|, the sampled
+        # minimum lowered by M times half a sample spacing (a certified
+        # lower bound on min r), and the rounding error of the radial gap
+        # r(theta_x) - |x|, a few ulps of the series' terms
+        k_cos = np.arange(len(self.coeff_cos))
+        k_sin = np.arange(1, len(self.coeff_sin) + 1)
+        self._slope_bound = float(np.sum(k_cos * np.abs(self.coeff_cos))
+                                  + np.sum(k_sin * np.abs(self.coeff_sin)))
+        self._r_lo = self.r_min - self._slope_bound * np.pi / len(th)
+        self._gap_slack = 4.0 * np.finfo(float).eps * (
+            np.sum(np.abs(self.coeff_cos)) + np.sum(np.abs(self.coeff_sin))
+            + 2.0 * np.pi * self._slope_bound)
         # boundary grids seeding dist (256 nodes) and project (512 nodes)
         self._dist_grid = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
         self._dist_nodes = self.boundary_point(self._dist_grid)
-        self._dist_nodes_sq = np.sum(self._dist_nodes ** 2, axis=1)
         self._proj_grid = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
         self._proj_nodes = self.boundary_point(self._proj_grid)
 
@@ -419,11 +443,47 @@ class StarShaped(Domain):
             r2 += -c * kk ** 2 * sin_k[k]
         return r, r1, r2, cos_k[1], sin_k[1]
 
+    def _radial_gap(self, pts):
+        """|x| and the radial gap r(theta_x) - |x|, positive exactly inside."""
+        rho = np.linalg.norm(pts, axis=-1)
+        return rho, self.radial(np.arctan2(pts[:, 1], pts[:, 0])) - rho
+
     def contains(self, x):
         pts, single = _as_points(x, 2)
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        r = np.linalg.norm(pts, axis=-1)
-        return _maybe_scalar(r < self.radial(th), single)
+        return _maybe_scalar(self._radial_gap(pts)[1] > 0.0, single)
+
+    # fixed splits of the cone bound below, and its relative rounding margin
+    _BOUND_LAMBDAS = np.array([1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2])[:, None]
+    _BOUND_MARGIN = 1e-12
+
+    def dist_bound(self, x, exact_below=0.0):
+        """Certified lower bound on ``dist`` in O(1) per point.
+
+        With rho = |x|, G = r(theta_x) - rho and F(y) = |y| - r(arg y):
+        F(x) = -G, F vanishes at the nearest boundary point z, and |grad F|
+        <= sqrt(1 + M^2/|y|^2) with M >= max |r'|.  If |x - z| < lam rho, the
+        segment to z keeps |y| > (1 - lam) rho, so G <= |x - z| sqrt(1 +
+        M^2/((1 - lam) rho)^2).  Hence dist >= min(lam rho, G / sqrt(...))
+        for every lam in (0, 1), and dist >= r_lo - rho since the disc of
+        radius r_lo <= min r lies in the domain.  The best of these, lowered
+        by a relative margin and the gap's rounding error, is the bound;
+        points where it falls below ``exact_below`` (or to 0 inside) get the
+        exact distance.
+        """
+        pts, single = _as_points(x, 2)
+        rho, gap = self._radial_gap(pts)
+        q = (1.0 - self._BOUND_LAMBDAS) * rho
+        with np.errstate(invalid="ignore"):   # 0/0 at the origin of a disc
+            cone = np.fmin(self._BOUND_LAMBDAS * rho,
+                           gap * q / np.hypot(q, self._slope_bound))
+        bound = np.maximum(self._r_lo - rho, np.max(cone, axis=0))
+        bound = bound * (1.0 - self._BOUND_MARGIN) - self._gap_slack
+        inside = gap > 0.0
+        bound = np.where(inside, bound, 0.0)
+        exact = inside & ((bound < exact_below) | (bound <= 0.0))
+        if np.any(exact):
+            bound[exact] = self._dist_batch(pts[exact])
+        return _maybe_scalar(bound, single)
 
     def boundary_point(self, theta):
         r = self.radial(theta)
@@ -432,8 +492,9 @@ class StarShaped(Domain):
     def _nearest_param(self, pts):
         """Boundary parameter minimizing |x - B(theta)| for each row of pts:
         damped Newton from the nearest node of the 512-point grid, each
-        point stopping at its first step that does not descend, with
-        golden-section search on the grid cell where Newton stalls."""
+        point stopping at its first step below tolerance, with golden-section
+        search on the grid cell where Newton stalls (a non-positive
+        curvature, or a step above tolerance that does not descend)."""
         tol = 1e-12 * self.diameter
         cell = 2.0 * np.pi / 256      # damping: stay within the grid cells
         out = np.empty(len(pts))
@@ -465,8 +526,11 @@ class StarShaped(Domain):
                 ok = (h > 0) & (f_new <= f[act])
                 th[act[ok]] = t_new[ok]
                 f[act[ok]] = f_new[ok]
-                stalled[act[~ok]] = True
-                act = act[ok & ~(np.abs(step) * self.r_max < tol)]
+                # a step below tol that does not descend is rounding at the
+                # minimum: converged; only real stalls fall back
+                small = np.abs(step) * self.r_max < tol
+                stalled[act[~ok & ~((h > 0) & small)]] = True
+                act = act[ok & ~small]
                 if len(act) == 0:
                     break
             stalled[act] = True
@@ -511,31 +575,35 @@ class StarShaped(Domain):
         return 0.5 * (a + b)
 
     def _dist_batch(self, pts):
-        """Distance to the boundary for a batch: coarse grid argmin, then a
-        fixed number of damped vectorized Newton steps on the squared
-        distance along the boundary parameter."""
+        """Distance to the boundary for a batch: nearest node of the
+        256-point grid, then at most 30 damped vectorized Newton steps on the
+        squared distance along the boundary parameter.  Every row is on its
+        own (each point stops at its first step below tolerance), so a
+        point's distance does not depend on the rest of the batch."""
         B = self._dist_nodes
         cell = 2.0 * np.pi / len(B)
+        tol = 1e-13 * self.diameter
         out = np.empty(pts.shape[0])
         for lo in range(0, pts.shape[0], 8192):
             p = pts[lo:lo + 8192]
-            d2 = (np.sum(p ** 2, axis=1)[:, None]
-                  + self._dist_nodes_sq[None, :] - 2.0 * (p @ B.T))
-            th = self._dist_grid[np.argmin(d2, axis=1)]
+            th = self._dist_grid[np.argmin(
+                (B[:, 0] - p[:, 0:1]) ** 2 + (B[:, 1] - p[:, 1:2]) ** 2, axis=1)]
+            act = np.arange(len(p))
             for _ in range(30):
-                r, rp, rpp, c, s = self._radial_derivs(th)
+                r, rp, rpp, c, s = self._radial_derivs(th[act])
                 bx, by = r * c, r * s
                 dbx = rp * c - r * s
                 dby = rp * s + r * c
                 d2bx = rpp * c - 2 * rp * s - r * c
                 d2by = rpp * s + 2 * rp * c - r * s
-                ex, ey = bx - p[:, 0], by - p[:, 1]
+                ex, ey = bx - p[act, 0], by - p[act, 1]
                 g1 = 2.0 * (ex * dbx + ey * dby)
                 h1 = 2.0 * (dbx ** 2 + dby ** 2 + ex * d2bx + ey * d2by)
                 step = np.where(h1 > 0.0, g1 / np.maximum(h1, 1e-300), 0.0)
                 step = np.clip(step, -cell, cell)
-                th = th - step
-                if np.max(np.abs(step)) * self.r_max < 1e-13 * self.diameter:
+                th[act] -= step
+                act = act[np.abs(step) * self.r_max >= tol]
+                if len(act) == 0:
                     break
             bp = self.boundary_point(th)
             out[lo:lo + 8192] = np.linalg.norm(bp - p, axis=1)

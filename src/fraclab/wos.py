@@ -175,14 +175,23 @@ class SolutionSample:
     snapped_fraction: float
     bias_bound: float
     seed: int
+    n_maxed: int = 0      # walkers stopped by max_steps, paid at projection
+    steps_max: int = 0    # the most steps any walker took
 
 
 def solve(dom, g, x, kernel, cfg=None, point_index=0):
     """Estimate the solution of the fractional Dirichlet problem at x by
     alpha-stable walk-on-spheres.
 
+    Each step makes one ``dom.dist_bound(newpos, snap_eps)`` call: a walker
+    jumps from a ball of radius sphere_fraction times that lower bound on
+    the distance, exits where the bound is 0, and snaps to its projection
+    where the distance is below snap_eps (the bound is exact there, so the
+    snap decisions are those of the exact distance).
     The estimator is unbiased up to the snap bias, which the Hoelder
-    certificate of g bounds by C0 * snap_eps^alpha (reported as bias_bound).
+    certificate of g bounds by C0 * snap_eps^alpha, plus, for the walkers
+    stopped by max_steps and paid at their projection, C0 * dist^alpha of
+    each over the paths walked (reported together as bias_bound).
     Path batches draw from counter-based streams keyed by (seed, point,
     batch), so results do not depend on scheduling.  The stderr is NaN when
     the run has one estimator unit (one path, or one antithetic pair).
@@ -219,6 +228,8 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     total_steps = 0
     n_snapped = 0
     n_maxed = 0
+    steps_max = 0
+    maxed_dist = []    # distances of the walkers stopped by max_steps
 
     for b in range(n_batches):
         size = min(cfg.batch_size, paths - b * cfg.batch_size)
@@ -226,7 +237,8 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
         rng = np.random.Generator(np.random.Philox(
             key=[cfg.seed, (point_index << 32) + b]))
         pos = np.tile(x, (size, 1))
-        d = np.asarray(dom.dist(pos))    # carried along: one dist per step
+        # carried along: one dist_bound per step
+        d = np.asarray(dom.dist_bound(pos, snap_eps))
         payload = np.zeros(size)
         alive = np.ones(size, dtype=bool)
         steps = np.zeros(size, dtype=np.int64)
@@ -258,7 +270,7 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
                 [np.cos(phi[act]), np.sin(phi[act])], axis=1)
             newpos = pos[act] + step_vec
             steps[act] += 1
-            d_new = np.asarray(dom.dist(newpos))
+            d_new = np.asarray(dom.dist_bound(newpos, snap_eps))
             inside = d_new > 0.0
             out_idx = act[~inside]
             if len(out_idx):
@@ -269,9 +281,12 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
         if np.any(alive):
             idx = np.nonzero(alive)[0]
             n_maxed += len(idx)
-            payload[idx] = g(dom.project(pos[idx])[0])
+            z0 = dom.project(pos[idx])[0]
+            payload[idx] = g(z0)
+            maxed_dist.append(np.linalg.norm(pos[idx] - z0, axis=1))
             n_snapped += len(idx)
         total_steps += int(np.sum(steps))
+        steps_max = max(steps_max, int(np.max(steps)))
         if cfg.antithetic:
             units = 0.5 * (payload[0::2] + payload[1::2])
         else:
@@ -292,12 +307,16 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
         stderr = float(np.sqrt(var / n_units))
     else:
         stderr = float("nan")   # one estimator unit has no sample variance
-    bias = g.C0 * snap_eps ** g.alpha if hasattr(g, "C0") else np.nan
+    if hasattr(g, "C0"):
+        maxed_mass = sum(float(np.sum(dm ** g.alpha)) for dm in maxed_dist)
+        bias = g.C0 * (snap_eps ** g.alpha + maxed_mass / n_walked)
+    else:
+        bias = np.nan
     return SolutionSample(
         x=tuple(x.tolist()), estimate=float(mean), stderr=stderr,
         paths_used=n_walked, mean_steps=total_steps / n_walked,
         snapped_fraction=n_snapped / n_walked, bias_bound=float(bias),
-        seed=cfg.seed)
+        seed=cfg.seed, n_maxed=n_maxed, steps_max=steps_max)
 
 
 # ---------------------------------------------------------------------------

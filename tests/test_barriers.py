@@ -11,7 +11,7 @@ from fraclab.barriers import (bracket_cone_beta0,
                               verify_psi_barrier)
 from fraclab.errors import ParameterError, UnsupportedVariantError
 from fraclab.fields import ConeBarrier, HalfSpacePower
-from fraclab.geometry import Ball, StarShaped, unit_square
+from fraclab.geometry import Ball, HalfPlane, StarShaped, unit_square
 from fraclab.kernels import make_fractional_laplacian
 import fraclab.barriers as barriers_mod
 from fraclab.nonlocal_op import QuadratureSpec, apply_L
@@ -260,6 +260,33 @@ def test_data_certificates():
     g3 = capped_distance_data([2.0, 0.0], 3.0)
     rep3 = g3.validate(ball, n_samples=500)
     assert rep3["holder_ok"] and rep3["growth_ok"]
+
+
+# sampled (holder_ratio, growth_ratio) of the certificate check, seed 3,
+# 500 samples, recorded when boundary samples were dispatched on attributes;
+# dispatching on the domain type draws the same numbers
+VALIDATE_PINNED = {
+    ("ball", "point"): (0.8453903952451518, 0.7229095404309195),
+    ("ball", "capped"): (1.0896280718696865, 1.3309270479738593),
+    ("square", "point"): (0.9047852804472915, 0.7035544285275134),
+    ("square", "capped"): (1.0610724558315012, 1.5072538391909867),
+    ("star", "point"): (0.8022420229538304, 0.7280875842133419),
+    ("star", "capped"): (1.0923319334852395, 1.2677541565841957),
+    ("halfplane", "point"): (0.7721121274879137, 0.6865284995462778),
+    ("halfplane", "capped"): (1.1154701994415261, 1.511964251859706),
+}
+
+
+@pytest.mark.parametrize("dom_name, data_name", sorted(VALIDATE_PINNED))
+def test_validate_reports_pinned(dom_name, data_name):
+    dom = {"ball": Ball([0.0, 0.0], 1.0), "square": unit_square(),
+           "star": StarShaped([1.0, 0.0, 0.1]),
+           "halfplane": HalfPlane([0.0, 1.0])}[dom_name]
+    g = {"point": holder_point_singularity(0.3, [1.0, 0.0]),
+         "capped": capped_distance_data([2.0, 0.0], 3.0)}[data_name]
+    rep = g.validate(dom, n_samples=500, seed=3)
+    assert (rep["holder_ratio"], rep["growth_ratio"]) \
+        == VALIDATE_PINNED[dom_name, data_name]
 
 
 def test_data_builtin_configs():

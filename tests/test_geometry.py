@@ -319,3 +319,72 @@ def test_signed_dist_matches_dist_inside_and_flips_outside(name, data):
         nearest = np.min(np.linalg.norm(pts[:, None, :] - samples[None, :, :],
                                         axis=-1), axis=1)
         assert np.all(np.abs(sd) <= nearest + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the certified distance bound walk-on-spheres steps on
+
+BOUNDED_BY = {"star": DOMAINS["star"], "star2": DOMAINS["star2"],
+              "disc": StarShaped([1.0])}
+
+
+@pytest.mark.parametrize("name", BOUNDED_BY)
+@given(data=st.data(), exact_below=st.floats(1e-12, 1.0))
+def test_dist_bound_is_a_certified_lower_bound(name, data, exact_below):
+    dom = BOUNDED_BY[name]
+    pts = data.draw(_points(dom))
+    d = np.asarray(dom.dist(pts))
+    b = np.asarray(dom.dist_bound(pts))
+    assert np.all(b >= 0.0) and np.all(b <= d * (1.0 + 1e-10))
+    samples = _boundary_samples(dom)
+    nearest = np.min(np.linalg.norm(pts[:, None, :] - samples[None, :, :],
+                                    axis=-1), axis=1)
+    assert np.all(b <= nearest)
+    np.testing.assert_array_equal(b > 0.0, np.asarray(dom.contains(pts)))
+    # exact (bit for bit) wherever the bound falls below exact_below
+    be = np.asarray(dom.dist_bound(pts, exact_below))
+    low = b < exact_below
+    np.testing.assert_array_equal(be[low], d[low])
+    np.testing.assert_array_equal(be[~low], b[~low])
+
+
+@given(data=st.data())
+def test_dist_bound_is_tight_near_the_boundary(data):
+    dom = DOMAINS["star"]
+    pts = data.draw(_points(dom))
+    d = np.asarray(dom.dist(pts))
+    b = np.asarray(dom.dist_bound(pts))
+    near = d < 0.05
+    # less the bound's absolute rounding slack, a few 1e-15 here
+    assert np.all(b[near] >= 0.9 * d[near] - 1e-14)
+
+
+@pytest.mark.parametrize("name", ["ball", "square", "L"])
+def test_dist_bound_is_dist_on_balls_and_polygons(name):
+    dom = DOMAINS[name]
+    pts = np.random.Generator(np.random.Philox(key=12)).random((500, 2)) * 3 - 1
+    np.testing.assert_array_equal(dom.dist_bound(pts, 1e-3), dom.dist(pts))
+    assert dom.dist_bound(pts[0]) == dom.dist(pts[0])
+
+
+def test_star_projection_rarely_falls_back_to_golden_section(monkeypatch):
+    dom = StarShaped([1.0, 0.0, 0.1])
+    rows = []
+    golden = StarShaped._golden_param
+
+    def counted(self, node, px, py, tol):
+        rows.append(len(px))
+        return golden(self, node, px, py, tol)
+
+    monkeypatch.setattr(StarShaped, "_golden_param", counted)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    th = rng.random(2000) * 2.0 * np.pi
+    gap = 10.0 ** rng.uniform(-9.0, np.log10(0.3), 2000)
+    pts = (dom.radial(th) - gap)[:, None] * np.stack([np.cos(th), np.sin(th)],
+                                                     axis=1)
+    z0, _ = dom.project(pts)
+    np.testing.assert_allclose(np.linalg.norm(pts - z0, axis=1), dom.dist(pts),
+                               rtol=0.0, atol=1e-12)
+    # Newton steps below tolerance that fail the descent test on rounding
+    # are converged; sent to golden section they were 818 of these rows
+    assert sum(rows) < 300

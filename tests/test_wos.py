@@ -225,14 +225,48 @@ def test_star_domain_walks():
     assert out.snapped_fraction < 0.05
 
 
+def test_star_disc_matches_exit_law_oracle():
+    # r = 1 is the unit disc, with no closed-form shortcut in its distance
+    # bound; from the centre, P(exit radius > 2) is the exit law's tail
+    from fraclab.geometry import StarShaped
+    far = ExteriorData(
+        fn=lambda p: (np.linalg.norm(p, axis=1) > 2.0).astype(float),
+        alpha=0.5, C0=1.0)
+    out = solve(StarShaped([1.0]), far, [0.0, 0.0], K05,
+                WoSConfig(paths=40000, seed=31))
+    assert out.mean_steps > 1.0
+    assert abs(out.estimate - exit_law_tail_prob(0.5, 2.0)) <= 4.0 * out.stderr
+
+
+def test_bias_bound_counts_max_steps_walkers():
+    g = holder_point_singularity(0.3, [1.0, 0.0])
+    out = solve(BALL, g, [0.9, 0.0], K05,
+                WoSConfig(paths=4000, seed=3, max_steps=40))
+    assert 0 < out.n_maxed <= 0.01 * out.paths_used
+    assert out.steps_max == 40
+    snap_only = g.C0 * (1e-6 * BALL.diameter) ** g.alpha
+    assert out.bias_bound > snap_only
+    done = solve(BALL, g, [0.9, 0.0], K05, WoSConfig(paths=4000, seed=3))
+    assert done.n_maxed == 0 and 0 < done.steps_max < 1000
+    assert done.bias_bound == pytest.approx(snap_only, rel=1e-15)
+
+
 # seeded estimates and stderrs of the benchmark's square-corner and star
-# problems at 2000 paths: how a step queries the geometry may change, the
-# walks (hence these values) may not
+# problems at 2000 paths.  Square walks step on the exact distance, so how a
+# step queries the geometry may change, these values may not.  Star walks
+# step on StarShaped.dist_bound, a lower bound on the distance (smaller
+# steps, new streams); they are pinned at the values of that walk.
 SQUARE_PINNED = [
     (1e-4, 0.4350525861139503, 0.0015656268881668552),
     (1e-2, 0.6915072495337344, 0.0025402161226172463),
 ]
 STAR_PINNED = [
+    (0.3, 0.5, 1.9079100961063276, 0.017024449406507606),
+    (1.2, 0.05, 1.9905671582232907, 0.010801379724466105),
+    (2.0, 1e-3, 2.548743004174643, 0.00317297862652147),
+]
+# the same problems walked on the exact star distance
+STAR_EXACT_STEPS = [
     (0.3, 0.5, 1.9122384667701249, 0.016695513443374773),
     (1.2, 0.05, 1.9890396832851602, 0.010872455384544904),
     (2.0, 1e-3, 2.5480203846153318, 0.0031230080079117503),
@@ -260,6 +294,12 @@ def test_star_walks_pinned():
                     point_index=k)
         assert (out.estimate, out.stderr) == (est, se)
         assert out.snapped_fraction > 0.0
+
+
+def test_star_pins_agree_with_exact_distance_walks():
+    for new, old in zip(STAR_PINNED, STAR_EXACT_STEPS):
+        assert new[:2] == old[:2]
+        assert abs(new[2] - old[2]) <= 4.0 * np.hypot(new[3], old[3])
 
 
 # ---------------------------------------------------------------------------
