@@ -191,7 +191,9 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
 
     ``pair_avg(r, k)`` returns (u(x + r theta_k) + u(x - r theta_k)) / 2 for
     node radii r on direction indices k (equal-length arrays) in one field
-    call; ``breakpoints`` holds D sequences of kink radii.  Each direction
+    call; ``breakpoints`` is the (D, m) kink table of
+    ``Field.radial_breakpoints``: row i holds the kink radii of direction i,
+    padded with +inf (every non-finite entry is padding).  Each direction
     keeps its own rule: near Gauss-Jacobi nodes, mid panels pre-split at its
     kinks and bisected adaptively, a tail in the reciprocal variable.  Panel
     state lives in flat arrays tagged with the direction index, in each
@@ -201,12 +203,10 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     refinement decisions do not depend on the batch around it.
     """
     two_s = 2.0 * s
-    n_dir = len(breakpoints)
+    kinks = np.asarray(breakpoints, dtype=float)
+    kinks = np.where(np.isfinite(kinks), kinks, np.nan)
+    n_dir = len(kinks)
     dirs = np.arange(n_dir)
-    kinks = np.full((n_dir, max(map(len, breakpoints), default=0)), np.nan)
-    for i, bp in enumerate(breakpoints):
-        kinks[i, :len(bp)] = bp
-    kinks[~(kinks > 0.0)] = np.nan
     # far cutoff beyond every kink so the tail transform sees a smooth field
     r_far = np.maximum(max(far_cutoff, 4.0 * rho),
                        2.0 * np.max(np.nan_to_num(kinks), axis=1, initial=0.0))

@@ -24,9 +24,10 @@ from . import __version__
 from .barriers import (counterexample_min_rs_1, data_from_config,
                        verify_cone_barrier, verify_halfspace_supersolution,
                        verify_psi_barrier)
-from .errors import FracLabError
+from .errors import FracLabError, ParameterError
 from .fields import ConeBarrier, HalfSpacePower, PsiPower
-from .geometry import Ball, domain_from_config, unit_square
+from .geometry import (Ball, Polygon, StarShaped, domain_from_config,
+                       unit_square)
 from .kernels import kernel_from_config, make_fractional_laplacian, validate_kernel
 from .nonlocal_op import QuadratureSpec, apply_L
 from .regularity import (boundary_profile, exponent_experiment, fit_holder,
@@ -78,12 +79,13 @@ def _write_sidecar(path, cfg, seed, wall_time, report=None):
 
 
 def _threads(args):
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("FRACLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    n = getattr(args, "threads", None)
+    if n is None:
+        env = os.environ.get("FRACLAB_THREADS")
+        n = int(env) if env else (os.cpu_count() or 1)
+    if n < 1:
+        raise ParameterError(f"threads must be >= 1 (got {n})")
+    return n
 
 
 def _parse_points(spec):
@@ -368,11 +370,17 @@ def cmd_experiment(args):
     dom = _domain_arg(cfg["domain"]) if isinstance(cfg["domain"], str) \
         else domain_from_config(cfg["domain"])
     from .barriers import holder_point_singularity
+    # the datum's singularity sits on the boundary
     if isinstance(dom, Ball):
         anchor = (dom.center + np.array([dom.radius, 0.0])).tolist()
+    elif isinstance(dom, Polygon):
+        anchor = dom.vertices[0].tolist()
+    elif isinstance(dom, StarShaped):
+        anchor = dom.boundary_point(0.0).tolist()
     else:
-        anchor = dom.vertices[0].tolist() if hasattr(dom, "vertices") \
-            else [0.0, 0.0]
+        raise ParameterError(
+            "experiment needs a ball, polygon or star domain, "
+            f"not {type(dom).__name__}")
     g = holder_point_singularity(cfg["alpha"], anchor)
     cfg["data"] = {"name": "holder_point_singularity", "alpha": cfg["alpha"],
                    "z0": anchor}

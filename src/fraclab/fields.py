@@ -11,8 +11,12 @@ quadrature needs:
 * ``smooth_radius(x)``: distance from x to the nearest point where the field
   is not smooth (positivity kinks, domain boundaries); the near-field ball
   must stay inside it.
-* ``radial_breakpoints(x, theta, r_max)``: radii r where u(x + r theta) or
-  u(x - r theta) has a kink, so radial panels can be split there.
+* ``radial_breakpoints(x, thetas, r_max)``: for the rows of the (D, dim)
+  array ``thetas``, a (D, k) table padded with +inf whose finite entries in
+  row i are the radii in (0, r_max] where u(x + r theta_i) or
+  u(x - r theta_i) has a kink (unordered, maybe repeated), so radial panels
+  can be split there.  Rows are computed elementwise, never by a matrix
+  product, so a row does not depend on the batch around it.
 * ``angular_breakpoints(x)``: directions (angles mod pi) where the radial
   kink structure changes, so angular panels can be split there.
 """
@@ -32,11 +36,32 @@ class Field:
     def smooth_radius(self, x):
         return np.inf
 
-    def radial_breakpoints(self, x, theta, r_max):
-        return ()
+    def radial_breakpoints(self, x, thetas, r_max):
+        return np.empty((len(thetas), 0))
 
     def angular_breakpoints(self, x):
         return ()
+
+
+def _plane_kinks(b, w, r_max):
+    """One kink column for a hyperplane crossed where b + r w = 0 along
+    x + r theta, with b the signed offset of x and w = theta . normal per
+    direction: both rays x +- r theta meet it at most once, at |b / w|."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.abs(b / w)
+    return np.where((w != 0.0) & (r > 0.0) & (r <= r_max), r, np.inf)[:, None]
+
+
+def _ball_kinks(ball, x, thetas, r_max):
+    """Two kink columns for the sphere of ``ball``: |x + r theta - c| = R is
+    a quadratic in r whose root moduli are the crossings of x +- r theta."""
+    v = np.asarray(x, dtype=float) - ball.center
+    b = np.sum(thetas * v, axis=1)
+    disc = b * b - (float(v @ v) - ball.radius ** 2)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    roots = np.abs(np.column_stack([-b - sq, -b + sq]))
+    ok = (disc > 0.0)[:, None] & (roots > 0.0) & (roots <= r_max)
+    return np.where(ok, roots, np.inf)
 
 
 class ConstantField(Field):
@@ -99,11 +124,9 @@ class LinearCombinationField(Field):
     def smooth_radius(self, x):
         return min(f.smooth_radius(x) for f in self.fields)
 
-    def radial_breakpoints(self, x, theta, r_max):
-        bps = []
-        for f in self.fields:
-            bps.extend(f.radial_breakpoints(x, theta, r_max))
-        return tuple(sorted(bps))
+    def radial_breakpoints(self, x, thetas, r_max):
+        return np.hstack([f.radial_breakpoints(x, thetas, r_max)
+                          for f in self.fields])
 
     def angular_breakpoints(self, x):
         bps = []
@@ -126,9 +149,9 @@ class TranslatedField(Field):
     def smooth_radius(self, x):
         return self.base.smooth_radius(np.asarray(x, dtype=float) - self.shift)
 
-    def radial_breakpoints(self, x, theta, r_max):
+    def radial_breakpoints(self, x, thetas, r_max):
         return self.base.radial_breakpoints(
-            np.asarray(x, dtype=float) - self.shift, theta, r_max)
+            np.asarray(x, dtype=float) - self.shift, thetas, r_max)
 
     def angular_breakpoints(self, x):
         return self.base.angular_breakpoints(
@@ -158,15 +181,9 @@ class PowerPlus1D(Field):
         x = np.asarray(x, dtype=float).reshape(-1)
         return abs(float(x[0]) + self.shift)
 
-    def radial_breakpoints(self, x, theta, r_max):
+    def radial_breakpoints(self, x, thetas, r_max):
         x = np.asarray(x, dtype=float).reshape(-1)
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        b = float(x[0]) + self.shift
-        w = float(theta[0])
-        if w == 0.0:
-            return ()
-        r = abs(b / w)
-        return (r,) if 0.0 < r <= r_max else ()
+        return _plane_kinks(float(x[0]) + self.shift, thetas[:, 0], r_max)
 
 
 class HalfSpacePower(Field):
@@ -193,13 +210,9 @@ class HalfSpacePower(Field):
     def smooth_radius(self, x):
         return abs(float(np.asarray(x, dtype=float) @ self.nu))
 
-    def radial_breakpoints(self, x, theta, r_max):
-        b = float(np.asarray(x, dtype=float) @ self.nu)
-        w = float(np.asarray(theta, dtype=float) @ self.nu)
-        if w == 0.0:
-            return ()
-        r = abs(b / w)
-        return (r,) if 0.0 < r <= r_max else ()
+    def radial_breakpoints(self, x, thetas, r_max):
+        return _plane_kinks(float(np.asarray(x, dtype=float) @ self.nu),
+                            np.sum(thetas * self.nu, axis=1), r_max)
 
     def angular_breakpoints(self, x):
         # directions tangent to the kink plane
@@ -238,32 +251,17 @@ class PsiPower(Field):
         th = self.domain._nearest_param(x[None, :])[0]
         return float(np.linalg.norm(self.domain.boundary_point(th) - x))
 
-    def radial_breakpoints(self, x, theta, r_max):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        if isinstance(self.domain, HalfPlane):
-            b = float(x @ self.domain.normal)
-            w = float(theta @ self.domain.normal)
-            if w == 0.0:
-                return ()
-            r = abs(b / w)
-            return (r,) if 0.0 < r <= r_max else ()
-        if isinstance(self.domain, Ball):
-            # |x + r theta - c| = R along both +-theta: quadratic in r
-            v = x - self.domain.center
-            b = float(v @ theta)
-            c = float(v @ v) - self.domain.radius ** 2
-            disc = b * b - c
-            if disc <= 0.0:
-                return ()
-            roots = np.array([-b - np.sqrt(disc), -b + np.sqrt(disc)])
-            roots = np.abs(roots)  # kinks of u(x + r theta) and u(x - r theta)
-            roots = sorted({float(r) for r in roots if 0.0 < r <= r_max})
-            return tuple(roots)
+    def radial_breakpoints(self, x, thetas, r_max):
+        dom = self.domain
+        if isinstance(dom, HalfPlane):
+            return _plane_kinks(float(np.asarray(x, dtype=float) @ dom.normal),
+                                np.sum(thetas * dom.normal, axis=1), r_max)
+        if isinstance(dom, Ball):
+            return _ball_kinks(dom, x, thetas, r_max)
         return _scan_breakpoints(
-            lambda p: np.asarray(self.domain.radial(np.arctan2(p[..., 1], p[..., 0]))
+            lambda p: np.asarray(dom.radial(np.arctan2(p[..., 1], p[..., 0]))
                                  - np.linalg.norm(p, axis=-1)),
-            x, theta, r_max)
+            x, thetas, r_max)
 
 
 class ConeBarrier(Field):
@@ -293,28 +291,25 @@ class ConeBarrier(Field):
             dists.append(float(np.linalg.norm(x - t * w)))
         return min(dists)
 
-    def radial_breakpoints(self, x, theta, r_max):
+    def radial_breakpoints(self, x, thetas, r_max):
         x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        roots = set()
-        for sign in (1.0, -1.0):
-            th = sign * theta
-            for w in self.cone.edge_dirs:
-                den = th[0] * w[1] - th[1] * w[0]
-                if abs(den) < 1e-14:
-                    continue
+        th0, th1 = np.concatenate([thetas, -thetas]).T   # +theta rows first
+        cols = []
+        for w in self.cone.edge_dirs:
+            # the ray meets the line of the edge at r; keep the half line
+            den = th0 * w[1] - th1 * w[0]
+            with np.errstate(divide="ignore", invalid="ignore"):
                 r = (x[1] * w[0] - x[0] * w[1]) / den
-                if 0.0 < r <= r_max:
-                    t = float((x + r * th) @ w)
-                    if t >= 0.0:
-                        roots.add(float(r))
-            # ray through the vertex
-            cross = x[0] * th[1] - x[1] * th[0]
-            along = -(x @ th)
-            if abs(cross) < 1e-14 * max(1.0, np.linalg.norm(x)) and along > 0.0:
-                if along <= r_max:
-                    roots.add(float(along))
-        return tuple(sorted(roots))
+            t = (x[0] + r * th0) * w[0] + (x[1] + r * th1) * w[1]
+            ok = (np.abs(den) >= 1e-14) & (r > 0.0) & (r <= r_max) & (t >= 0.0)
+            cols.append(np.where(ok, r, np.inf))
+        # ray through the vertex
+        cross = x[0] * th1 - x[1] * th0
+        along = -(x[0] * th0 + x[1] * th1)
+        ok = ((np.abs(cross) < 1e-14 * max(1.0, np.linalg.norm(x)))
+              & (along > 0.0) & (along <= r_max))
+        cols.append(np.where(ok, along, np.inf))
+        return np.hstack(np.split(np.column_stack(cols), 2))
 
     def angular_breakpoints(self, x):
         x = np.asarray(x, dtype=float)
@@ -327,28 +322,29 @@ class ConeBarrier(Field):
         return tuple(out)
 
 
-def _scan_breakpoints(side_fn, x, theta, r_max, n_probe=256):
+def _scan_breakpoints(side_fn, x, thetas, r_max, n_probe=256):
     """Sign changes of a continuous side function along r -> x + r theta for
-    both signs of theta, located by log-spaced probes plus bisection."""
+    every direction and both its signs: one call of ``side_fn`` on
+    log-spaced probes of all rays, then ``brentq`` on each bracket."""
     from scipy.optimize import brentq
 
     x = np.asarray(x, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    th = np.concatenate([thetas, -thetas])
     r_lo = 1e-9 * max(1.0, float(np.linalg.norm(x)))
     rr = np.geomspace(r_lo, r_max, n_probe)
-    roots = set()
-    for sign in (1.0, -1.0):
-        pts = x[None, :] + sign * rr[:, None] * theta[None, :]
-        vals = np.asarray(side_fn(pts))
-        sgn = np.sign(vals)
-        idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        for i in idx:
-            f = lambda r: float(side_fn((x + sign * r * theta)[None, :])[0])
-            try:
-                roots.add(float(brentq(f, rr[i], rr[i + 1], xtol=1e-13)))
-            except ValueError:
-                pass
-    return tuple(sorted(roots))
+    pts = x + rr[None, :, None] * th[:, None, :]
+    sgn = np.sign(np.asarray(side_fn(pts.reshape(-1, len(x))))).reshape(
+        len(th), n_probe)
+    rows, cols = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)  # within a row
+    table = np.full((len(th), int(slot.max(initial=-1)) + 1), np.inf)
+    for i, j, k in zip(rows, cols, slot):
+        f = lambda r: float(side_fn((x + r * th[i])[None, :])[0])
+        try:
+            table[i, k] = brentq(f, rr[j], rr[j + 1], xtol=1e-13)
+        except ValueError:
+            pass
+    return np.hstack(np.split(table, 2))
 
 
 class CompositeField(Field):
@@ -380,8 +376,8 @@ class CompositeField(Field):
     def smooth_radius(self, x):
         return float(self.domain.dist(np.asarray(x, dtype=float)))
 
-    def radial_breakpoints(self, x, theta, r_max):
+    def radial_breakpoints(self, x, thetas, r_max):
         dom = self.domain
         if isinstance(dom, Ball):
-            return PsiPower(dom, 1.0).radial_breakpoints(x, theta, r_max)
-        return _scan_breakpoints(dom.signed_dist, x, theta, r_max)
+            return _ball_kinks(dom, x, thetas, r_max)
+        return _scan_breakpoints(dom.signed_dist, x, thetas, r_max)

@@ -94,7 +94,6 @@ def _near_radius(u, x, q):
 def _radial(kernel, u, u_x, x, thetas, rho, q, rel_tol):
     """The radial integrals of u at x along every row of ``thetas``, each
     stage of the quadrature making one call of u."""
-    bps = [sorted(set(u.radial_breakpoints(x, th, 1e12))) for th in thetas]
 
     def pair_avg(r, k):
         step = r[:, None] * thetas[k]
@@ -102,8 +101,9 @@ def _radial(kernel, u, u_x, x, thetas, rho, q, rel_tol):
         return 0.5 * (vals[:len(r)] + vals[len(r):])
 
     return radial_integrals(
-        pair_avg, u_x, kernel.s, rho, bps, u.growth, q.far_cutoff, rel_tol,
-        q.n_jacobi, q.radial_panels, q.max_radial_panels)
+        pair_avg, u_x, kernel.s, rho, u.radial_breakpoints(x, thetas, 1e12),
+        u.growth, q.far_cutoff, rel_tol, q.n_jacobi, q.radial_panels,
+        q.max_radial_panels)
 
 
 def apply_L(kernel, u, x, q=None, half_circle=True):

@@ -187,7 +187,9 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     jumps from a ball of radius sphere_fraction times that lower bound on
     the distance, exits where the bound is 0, and snaps to its projection
     where the distance is below snap_eps (the bound is exact there, so the
-    snap decisions are those of the exact distance).
+    snap decisions are those of the exact distance).  The step direction is
+    (cos phi, sin phi) in dimension two and sign(cos phi) in dimension one,
+    from the same draws.
     The estimator is unbiased up to the snap bias, which the Hoelder
     certificate of g bounds by C0 * snap_eps^alpha, plus, for the walkers
     stopped by max_steps and paid at their projection, C0 * dist^alpha of
@@ -266,8 +268,12 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
             if len(act) == 0:
                 break
             radius = kappa * d[act] * smp.radius(u_r[act])
-            step_vec = radius[:, None] * np.stack(
-                [np.cos(phi[act]), np.sin(phi[act])], axis=1)
+            if dom.dim == 1:
+                # the sign of cos(phi): opposite within an antithetic pair
+                step_vec = (radius * np.sign(np.cos(phi[act])))[:, None]
+            else:
+                step_vec = radius[:, None] * np.stack(
+                    [np.cos(phi[act]), np.sin(phi[act])], axis=1)
             newpos = pos[act] + step_vec
             steps[act] += 1
             d_new = np.asarray(dom.dist_bound(newpos, snap_eps))

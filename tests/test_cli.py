@@ -141,6 +141,39 @@ def test_threads_env(tmp_path, monkeypatch):
     assert len(read_lines(str(out))) == 6
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_rejected(tmp_path, monkeypatch, capsys, threads):
+    argv = ["apply-op", "--s", "0.5",
+            "--field", '{"name": "halfspace_power", "alpha": 0.25}',
+            "--points", "0.0,1.0", "--out", str(tmp_path / "op.csv")]
+    assert run(["--threads", threads, *argv]) == 1
+    assert "threads" in capsys.readouterr().err
+    monkeypatch.setenv("FRACLAB_THREADS", threads)
+    assert run(argv) == 1
+    assert "threads" in capsys.readouterr().err
+    assert not (tmp_path / "op.csv").exists()
+
+
+def test_experiment_anchors_on_the_star_boundary(tmp_path):
+    from fraclab.geometry import StarShaped
+    out = tmp_path / "exp.csv"
+    run(["experiment", "--domain", '{"star": {"coeff_cos": [1, 0, 0.1]}}',
+         "--alpha", "0.3", "--paths", "2000", "--out", str(out)])
+    rows = [l.split(",") for l in read_lines(str(out))[3:]]
+    assert rows
+    star = StarShaped([1.0, 0.0, 0.1])
+    for z0 in {(float(r[0]), float(r[1])) for r in rows}:
+        assert abs(star.signed_dist(list(z0))) <= 1e-12
+
+
+def test_experiment_rejects_unbounded_domain(tmp_path, capsys):
+    code = run(["experiment", "--domain", '{"halfplane": {"normal": [0, 1]}}',
+                "--alpha", "0.3", "--paths", "200",
+                "--out", str(tmp_path / "exp.csv")])
+    assert code == 1
+    assert "domain" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({

@@ -172,13 +172,14 @@ def test_composite_field_breakpoints_on_star_and_cone():
     star = StarShaped([1.0, 0.0, 0.1])
     comp = CompositeField(star, constant_data(1.0), constant_data(0.0), 0.0)
     # the ray through the origin along e1 meets the boundary at r(0) = r(pi)
-    br = comp.radial_breakpoints(np.zeros(2), np.array([1.0, 0.0]), 3.0)
-    assert len(br) >= 1
-    np.testing.assert_allclose(br, 1.1, rtol=0.0, atol=1e-12)
+    br = comp.radial_breakpoints(np.zeros(2), np.array([[1.0, 0.0]]), 3.0)
+    assert br.shape[0] == 1 and np.sum(np.isfinite(br)) >= 1
+    np.testing.assert_allclose(br[np.isfinite(br)], 1.1, rtol=0.0, atol=1e-12)
     cone = CompositeField(Cone([0.0, 1.0], 0.5), constant_data(1.0),
                           constant_data(0.0), 0.0)
     with pytest.raises(UnsupportedVariantError):
-        cone.radial_breakpoints(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 3.0)
+        cone.radial_breakpoints(np.array([0.0, 1.0]),
+                                np.array([[1.0, 0.0]]), 3.0)
 
 
 def test_polygon_wos_extension():

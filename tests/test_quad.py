@@ -195,6 +195,7 @@ def test_radial_batch_matches_reference(u, x):
     phis = np.linspace(0.0, np.pi, 17)
     thetas = np.column_stack([np.cos(phis), np.sin(phis)])
     rad = _radial(K, u, u_x, x, thetas, rho, q, 1e-6)
+    kinks = u.radial_breakpoints(x, thetas, 1e12)
     n_evals = bisections = 0
     for i, th in enumerate(thetas):
         def f(r, th=th):
@@ -202,7 +203,7 @@ def test_radial_batch_matches_reference(u, x):
             return 0.5 * (v[:len(r)] + v[len(r):])
 
         near, far, err, mass, ev, bis = _reference_radial(
-            f, u_x, 0.5, rho, u.radial_breakpoints(x, th, 1e12), u.growth,
+            f, u_x, 0.5, rho, kinks[i][np.isfinite(kinks[i])], u.growth,
             q.far_cutoff, 1e-6, q.n_jacobi, q.radial_panels,
             q.max_radial_panels)
         # the pieces cancel in places; |f| mass is the scale of the sums
@@ -237,8 +238,8 @@ def test_radial_integrals_of_a_constant():
     def pair_avg(r, k):
         return np.full(len(r), 2.0)
 
-    out = radial_integrals(pair_avg, 2.0, 0.5, 0.1, [[], [3.0]], 0.0, 16.0,
-                           1e-6, 24, 8, 400)
+    out = radial_integrals(pair_avg, 2.0, 0.5, 0.1, [[np.inf], [3.0]], 0.0,
+                           16.0, 1e-6, 24, 8, 400)
     assert np.all(out.near == 0.0) and np.all(out.err == 0.0)
     assert out.bisections == 0
     # r_far = 16 on both directions; the kink at 3 adds one panel

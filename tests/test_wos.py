@@ -238,6 +238,17 @@ def test_star_disc_matches_exit_law_oracle():
     assert abs(out.estimate - exit_law_tail_prob(0.5, 2.0)) <= 4.0 * out.stderr
 
 
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_wos_1d_matches_exit_law_oracle(s):
+    # the exit law's radial density does not depend on the dimension, so
+    # from the centre of (-1, 1), P(|exit point| > 1.5) is its tail
+    far = lambda p: (np.abs(p[..., 0]) > 1.5).astype(float)
+    out = solve(Ball([0.0], 1.0), far, [0.0], make_fractional_laplacian(s, 1),
+                WoSConfig(paths=40000, seed=3))
+    assert out.mean_steps > 1.0
+    assert abs(out.estimate - exit_law_tail_prob(s, 1.5)) <= 4.0 * out.stderr
+
+
 def test_bias_bound_counts_max_steps_walkers():
     g = holder_point_singularity(0.3, [1.0, 0.0])
     out = solve(BALL, g, [0.9, 0.0], K05,
