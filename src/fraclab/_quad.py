@@ -35,6 +35,9 @@ _GL8 = roots_legendre(8)
 # 1 << 17 on a 2-vCPU Xeon, with peaks under 1 MB)
 NODE_CAP = 1 << 13
 
+# panel edges closer than this merge into one
+MERGE_TOL = 1e-13
+
 
 @lru_cache(maxsize=64)
 def clenshaw_curtis(n):
@@ -351,13 +354,33 @@ def graded_edges(center, inner, outer):
                            center[..., None] + offs], axis=-1)
 
 
+def merge_keep(srt, tol):
+    """Mask of the edges kept when each row of ``srt`` (sorted ascending) is
+    merged: the first edge is kept, and every later edge is kept if it lies
+    more than ``tol`` above the previous kept edge."""
+    keep = np.concatenate([np.ones((len(srt), 1), dtype=bool),
+                           np.diff(srt, axis=1) > tol], axis=1)
+    # comparing with the previous edge equals comparing with the previous
+    # kept edge unless dropped edges chain beyond tol; such rows are merged
+    # one edge at a time
+    cols = np.arange(srt.shape[1])
+    last = np.maximum.accumulate(np.where(keep, cols, 0), axis=1)
+    chained = ~keep & (srt - np.take_along_axis(srt, last, axis=1) > tol)
+    for i in np.nonzero(np.any(chained, axis=1))[0]:
+        prev = srt[i, 0]
+        for j in range(1, srt.shape[1]):
+            keep[i, j] = srt[i, j] - prev > tol
+            if keep[i, j]:
+                prev = srt[i, j]
+    return keep
+
+
 def periodic_edges(centers, scales, period):
     """Sorted panel edges on one period per row, graded around each anchor
     (centers[i, j], scales[i, j]) down to scale max(scales, 1e-14).  The
     period of row i is centred on its first anchor; edges are wrapped into
     it, and an edge within 1e-13 of the previous kept edge is dropped.  Rows
     are padded with their last edge."""
-    merge_tol = 1e-13
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     scales = np.atleast_2d(np.asarray(scales, dtype=float))
     n = centers.shape[0]
@@ -367,20 +390,7 @@ def periodic_edges(centers, scales, period):
     e = e.reshape(n, -1)
     e = np.clip((e - lo) % period + lo, lo, hi)
     srt = np.sort(np.concatenate([lo, e, hi], axis=1), axis=1)
-    keep = np.concatenate([np.ones((n, 1), dtype=bool),
-                           np.diff(srt, axis=1) > merge_tol], axis=1)
-    # comparing with the previous edge equals comparing with the previous
-    # kept edge unless dropped edges chain beyond merge_tol; such rows are
-    # merged one edge at a time
-    cols = np.arange(srt.shape[1])
-    last = np.maximum.accumulate(np.where(keep, cols, 0), axis=1)
-    chained = ~keep & (srt - np.take_along_axis(srt, last, axis=1) > merge_tol)
-    for i in np.nonzero(np.any(chained, axis=1))[0]:
-        prev = srt[i, 0]
-        for j in range(1, srt.shape[1]):
-            keep[i, j] = srt[i, j] - prev > merge_tol
-            if keep[i, j]:
-                prev = srt[i, j]
+    keep = merge_keep(srt, MERGE_TOL)
     kept = srt[keep]                    # row by row, ascending
     count = keep.sum(axis=1)
     out = np.repeat(kept[np.cumsum(count) - 1][:, None], count.max(), axis=1)

@@ -82,7 +82,11 @@ def _threads(args):
     n = getattr(args, "threads", None)
     if n is None:
         env = os.environ.get("FRACLAB_THREADS")
-        n = int(env) if env else (os.cpu_count() or 1)
+        try:
+            n = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ParameterError(
+                f"threads must be an integer (FRACLAB_THREADS={env!r})") from None
     if n < 1:
         raise ParameterError(f"threads must be >= 1 (got {n})")
     return n
@@ -367,20 +371,23 @@ def cmd_experiment(args):
     cfg.setdefault("paths", 100000)
     cfg.setdefault("seed", 0)
     cfg["command"] = "experiment"
+    if "alpha" not in cfg:
+        raise ParameterError("experiment needs the datum's exponent alpha "
+                             "(--alpha or the config file)")
     dom = _domain_arg(cfg["domain"]) if isinstance(cfg["domain"], str) \
         else domain_from_config(cfg["domain"])
     from .barriers import holder_point_singularity
     # the datum's singularity sits on the boundary
-    if isinstance(dom, Ball):
-        anchor = (dom.center + np.array([dom.radius, 0.0])).tolist()
+    if isinstance(dom, Ball) and dom.dim <= 2:
+        anchor = (dom.center + dom.radius * np.eye(dom.dim)[0]).tolist()
     elif isinstance(dom, Polygon):
         anchor = dom.vertices[0].tolist()
     elif isinstance(dom, StarShaped):
         anchor = dom.boundary_point(0.0).tolist()
     else:
         raise ParameterError(
-            "experiment needs a ball, polygon or star domain, "
-            f"not {type(dom).__name__}")
+            "experiment needs a 1-D or 2-D ball, a polygon or a star domain, "
+            f"not a {dom.dim}-D {type(dom).__name__}")
     g = holder_point_singularity(cfg["alpha"], anchor)
     cfg["data"] = {"name": "holder_point_singularity", "alpha": cfg["alpha"],
                    "z0": anchor}
@@ -390,10 +397,10 @@ def cmd_experiment(args):
     rows = []
     for (z0, fit), prof in zip(rep.fits, rep.profiles):
         for t, v, e in zip(prof.t, prof.values, prof.stderr):
-            rows.append((z0[0], z0[1], t, v, e, fit.alpha_hat, fit.model))
+            rows.append((*z0, t, v, e, fit.alpha_hat, fit.model))
     out = cfg.get("out", "experiment.csv")
-    _write_csv(out, ["z0_x", "z0_y", "t", "value", "stderr", "alpha_hat",
-                     "model"], rows, cfg)
+    _write_csv(out, ["z0_x", "z0_y"][:dom.dim]
+               + ["t", "value", "stderr", "alpha_hat", "model"], rows, cfg)
     _write_sidecar(out, cfg, seed=cfg["seed"], wall_time=time.time() - t0,
                    report=rep.to_jsonable())
     print(f"alpha_hat={rep.alpha_hat:.4f} expected={rep.expected_exponent} "

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (bisect_edges, gl8_panels, graded_edges, node_chunks,
-                    octaves, periodic_edges)
+from ._quad import (MERGE_TOL, bisect_edges, gl8_panels, graded_edges,
+                    merge_keep, node_chunks, octaves, periodic_edges)
 from .errors import (DivergenceError, DomainError, ReliabilityError,
                      UnsupportedVariantError)
 from .fields import CompositeField
@@ -44,8 +44,20 @@ class DiskExtension:
     """Poisson integral on a disk with panels graded toward the evaluation
     angle and toward declared singular angles of the datum.
 
+    The grading toward the singular angles (down to 1e-12) is the same for
+    every point, so it is built once: a shared periodic grid of GL8 panels
+    with the datum cached on its nodes, or one full-period panel when the
+    datum declares no singular angle on the circle.  A point's own edges,
+    graded toward its angle down to a quarter of its depth, split some of
+    the shared panels; the point sums the kernel over the shared nodes,
+    drops the panels its edges split, and adds GL8 sums over the pieces,
+    evaluating the datum only there.  The rule is GL8 on the union of both
+    edge sets, normalized by the computed kernel mass.  Where two edges lie
+    within 1e-13 the shared one is kept, so a singular angle always stays
+    an edge.
+
     Called with one point it returns a float; with an (n, 2) array it
-    returns the n values, evaluating the datum once per chunk of points.
+    returns the n values, a chunk of points at a time.
     """
 
     def __init__(self, dom, g):
@@ -57,6 +69,19 @@ class DiskExtension:
             v = p - dom.center
             if abs(np.linalg.norm(v) - dom.radius) < 1e-9 * dom.radius:
                 self.singular_angles.append(float(np.arctan2(v[1], v[0])))
+        if self.singular_angles:
+            n = len(self.singular_angles)
+            edges = periodic_edges([self.singular_angles], [[1e-12] * n],
+                                   2.0 * np.pi)[0]
+        else:
+            edges = np.array([-np.pi, np.pi])
+        # edges as offsets from the start of the shared period
+        self._lo = edges[0]
+        self._offsets = edges - edges[0]
+        phis, self._w = gl8_panels(edges)
+        self._zx = dom.center[0] + dom.radius * np.cos(phis)
+        self._zy = dom.center[1] + dom.radius * np.sin(phis)
+        self._gv = g(np.column_stack([self._zx, self._zy]))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -68,29 +93,86 @@ class DiskExtension:
             raise DomainError("extension evaluation requires an interior point")
         delta = np.maximum(R - r, 1e-13 * R)
         phi_x = np.where(r > 0, np.arctan2(v[:, 1], v[:, 0]), 0.0)
-        n_sing = len(self.singular_angles)
-        centers = np.column_stack(
-            [phi_x, np.broadcast_to(self.singular_angles, (len(r), n_sing))])
-        scales = np.column_stack(
-            [0.25 * delta / R, np.full((len(r), n_sing), 1e-12)])
-        # an upper bound on each row's panel count orders and sizes the chunks
-        n_edges = np.sum(2 * octaves(np.maximum(scales, 1e-14), np.pi) + 5,
-                         axis=1) + 2
+        inner = 0.25 * delta / R
+        # chunks are sized by a bound on each point's own nodes plus its row
+        # of the shared-node table, whose entries cost about a quarter of a
+        # node (no datum, no cos/sin)
+        n_edges = 2 * octaves(inner, np.pi) + 5
         out = np.empty(len(r))
-        for rows in node_chunks(8 * n_edges):
-            edges = periodic_edges(centers[rows], scales[rows], 2.0 * np.pi)
-            phis, w = gl8_panels(edges)
-            z = np.empty(phis.shape + (2,))
-            z[..., 0] = self.dom.center[0] + R * np.cos(phis)
-            z[..., 1] = self.dom.center[1] + R * np.sin(phis)
-            h = self.g(z.reshape(-1, 2)).reshape(phis.shape)
-            d2 = ((z[..., 0] - pts[rows, 0, None]) ** 2
-                  + (z[..., 1] - pts[rows, 1, None]) ** 2)
-            kern = w * ((R ** 2 - r[rows] ** 2)[:, None] / (2.0 * np.pi * d2))
-            # normalizing by the computed kernel mass removes the leading
-            # quadrature error and enforces the mean-value property exactly
-            out[rows] = np.sum(kern * h, axis=1) / np.sum(kern, axis=1)
+        for rows in node_chunks(8 * n_edges + len(self._w) // 4):
+            out[rows] = self._values(pts[rows], phi_x[rows], inner[rows])
         return float(out[0]) if x.ndim == 1 else out
+
+    def _values(self, pts, phi_x, inner):
+        """Extension values at a chunk of points."""
+        n = len(pts)
+        period = 2.0 * np.pi
+        offsets = self._offsets
+        # the point's edges as offsets into the shared period
+        u = np.clip((graded_edges(phi_x, inner, np.pi) - self._lo) % period,
+                    0.0, period)
+        u.sort(axis=1)
+        # drop near-duplicates, and every edge within MERGE_TOL of a shared one
+        keep = merge_keep(u, MERGE_TOL)
+        j = np.searchsorted(offsets, u)
+        gap = np.minimum(u - offsets[np.maximum(j - 1, 0)],
+                         offsets[np.minimum(j, len(offsets) - 1)] - u)
+        keep &= gap > MERGE_TOL
+        row = np.nonzero(keep)[0]
+        u, j = u[keep], j[keep] - 1        # offsets[j] < u < offsets[j + 1]
+        # sub-panels of each split shared panel: one ending at each point
+        # edge, and one closing the panel
+        first = np.ones(len(u), dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (j[1:] != j[:-1])
+        last = np.ones_like(first)
+        last[:-1] = first[1:]
+        prev = np.empty_like(u)
+        prev[1:] = u[:-1]
+        sub_row = np.concatenate([row, row[last]])
+        sub = np.column_stack([
+            np.concatenate([np.where(first, offsets[j], prev), u[last]]),
+            np.concatenate([u, offsets[j[last] + 1]])]) + self._lo
+        phis, w = gl8_panels(sub)
+        z = np.empty(phis.shape + (2,))
+        z[..., 0] = self.dom.center[0] + self.dom.radius * np.cos(phis)
+        z[..., 1] = self.dom.center[1] + self.dom.radius * np.sin(phis)
+        h = self.g(z.reshape(-1, 2)).reshape(phis.shape)
+        mass, integ = _kernel_panels(w, z[..., 0], z[..., 1],
+                                     pts[sub_row, None], h)
+        # the shared panels, without those the point's edges split: their
+        # sums are zeroed, not subtracted, since a shared node near the point
+        # carries a kernel weight up to 1/depth^2 that a difference would
+        # cancel catastrophically
+        shared_mass, shared_integ = _kernel_panels(
+            self._w, self._zx, self._zy, pts[:, None], self._gv)
+        shared_mass = shared_mass.reshape(n, -1)
+        shared_integ = shared_integ.reshape(n, -1)
+        shared_mass[row[last], j[last]] = 0.0
+        shared_integ[row[last], j[last]] = 0.0
+        mass = shared_mass.sum(axis=1) + np.bincount(sub_row, mass, n)
+        integ = shared_integ.sum(axis=1) + np.bincount(sub_row, integ, n)
+        # normalizing by the computed kernel mass removes the leading
+        # quadrature error and enforces the mean-value property exactly
+        return integ / mass
+
+
+_ONES8 = np.ones(8)
+
+
+def _kernel_panels(w, zx, zy, x, h):
+    """Per-panel sums of the GL8 weights ``w`` times 1/|z - x|^2, and times
+    h/|z - x|^2 as well, for boundary nodes z = (zx, zy) whose last axis
+    runs over panels of 8 nodes; x (shape (..., 1, 2)) broadcasts against
+    the panel rows.  The Poisson kernel's other factor, (R^2 - r^2) / 2 pi,
+    is constant per point and cancels in the normalized integral."""
+    d2 = zx - x[..., 0]
+    d2 *= d2
+    dy = zy - x[..., 1]
+    dy *= dy
+    d2 += dy
+    kern = np.divide(w, d2, out=d2)
+    return (kern.reshape(-1, 8) @ _ONES8,
+            (kern * h).reshape(-1, 8) @ _ONES8)
 
 
 class HalfPlaneExtension:
@@ -280,8 +362,8 @@ def check_extension_bounds(dom, g, band=(1e-3, 1e-1), alpha=None, n_points=10,
             towards = np.array([1.0, 0.0])
     towards = np.asarray(towards, dtype=float)
     ds = np.geomspace(band[0], band[1], n_points)
-    disk = DiskExtension(dom, g)
     comp = extended_field(dom, g, cfg)
+    disk = comp.inside          # one shared grid for the Hessian and L
     if q is None:
         q = QuadratureSpec(target_rel_tol=2e-3, angular_nodes=34,
                            max_angular_panels=24, max_radial_panels=160,

@@ -742,18 +742,6 @@ class StarShaped(Domain):
 # ---------------------------------------------------------------------------
 # spec-shaped module-level operations
 
-def contains(dom, x):
-    return dom.contains(x)
-
-
-def dist(dom, x):
-    return dom.dist(x)
-
-
-def project(dom, x):
-    return dom.project(x)
-
-
 def regularized_distance(dom, x):
     return dom.regularized_distance(x)
 

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from fraclab.cli import run
+from fraclab.cli import build_parser, run
+from fraclab.errors import ParameterError
 
 
 def read_lines(path):
@@ -152,6 +153,46 @@ def test_threads_below_one_rejected(tmp_path, monkeypatch, capsys, threads):
     assert run(argv) == 1
     assert "threads" in capsys.readouterr().err
     assert not (tmp_path / "op.csv").exists()
+
+
+def test_threads_env_not_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FRACLAB_THREADS", "two")
+    argv = ["counterexample", "--n", "2", "--out", str(tmp_path / "ce.csv")]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ParameterError, match="threads"):
+        args.fn(args)
+    assert run(argv) == 1
+    assert "threads" in capsys.readouterr().err
+    assert not (tmp_path / "ce.csv").exists()
+
+
+def test_experiment_requires_alpha(tmp_path):
+    args = build_parser().parse_args(
+        ["experiment", "--paths", "200", "--out", str(tmp_path / "exp.csv")])
+    with pytest.raises(ParameterError, match="alpha"):
+        args.fn(args)
+    assert not (tmp_path / "exp.csv").exists()
+
+
+def test_experiment_on_a_1d_ball(tmp_path):
+    out = tmp_path / "exp.csv"
+    code = run(["experiment", "--domain", '{"ball": {"center": [0], "radius": 1}}',
+                "--alpha", "0.3", "--paths", "2000", "--out", str(out)])
+    assert code in (0, 2)
+    lines = read_lines(str(out))
+    assert lines[2] == "z0_x,t,value,stderr,alpha_hat,model"
+    assert {float(l.split(",")[0]) for l in lines[3:]} == {1.0}
+    side = json.loads(open(str(out) + ".meta.json").read())
+    assert side["config"]["data"]["z0"] == [1.0]
+
+
+def test_experiment_rejects_3d_ball(tmp_path, capsys):
+    code = run(["experiment", "--domain",
+                '{"ball": {"center": [0, 0, 0], "radius": 1}}',
+                "--alpha", "0.3", "--paths", "200",
+                "--out", str(tmp_path / "exp.csv")])
+    assert code == 1
+    assert "domain" in capsys.readouterr().err
 
 
 def test_experiment_anchors_on_the_star_boundary(tmp_path):

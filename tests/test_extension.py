@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fraclab._quad import bisect_edges, gl8_panels, graded_edges, periodic_edges
 from fraclab.barriers import (ExteriorData, capped_distance_data,
                               constant_data, holder_point_singularity)
 from fraclab.errors import (DivergenceError, DomainError, ReliabilityError,
@@ -95,6 +96,142 @@ def test_disk_extension_batch_matches_rows():
     rows = np.array([de(p) for p in pts])
     assert all(isinstance(de(p), float) for p in pts[:3])
     np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=0.0)
+
+
+def _polar(de, x):
+    """Depth-capped radius data of x: (r, delta, angle)."""
+    R = de.dom.radius
+    v = np.asarray(x, dtype=float) - de.dom.center
+    r = np.sqrt(np.sum(v * v))
+    return r, max(R - r, 1e-13 * R), np.arctan2(v[1], v[0]) if r > 0 else 0.0
+
+
+def _gl8_poisson(de, edges, x):
+    """The kernel-mass normalized GL8 Poisson integral on the given edges."""
+    phis, w = gl8_panels(edges)
+    z = de.dom.center + de.dom.radius * np.column_stack([np.cos(phis),
+                                                         np.sin(phis)])
+    kern = w / np.sum((z - x) ** 2, axis=1)
+    return np.sum(kern * de.g(z)) / np.sum(kern)
+
+
+def _shared_edges(de):
+    n = len(de.singular_angles)
+    if n == 0:
+        return np.array([-np.pi, np.pi])
+    return periodic_edges([de.singular_angles], [[1e-12] * n], 2.0 * np.pi)[0]
+
+
+def _per_point_rule(de, x):
+    """The disk extension's earlier rule, one point at a time: GL8 panels
+    on one period centred on the point's angle, graded toward it down to a
+    quarter of its depth and toward each singular angle down to 1e-12, with
+    every edge merged into the previous kept one within 1e-13."""
+    r, delta, phi = _polar(de, x)
+    n = len(de.singular_angles)
+    edges = periodic_edges([[phi, *de.singular_angles]],
+                           [[0.25 * delta / de.dom.radius] + [1e-12] * n],
+                           2.0 * np.pi)[0]
+    return _gl8_poisson(de, edges, x)
+
+
+def _own_edges(de, x):
+    r, delta, phi = _polar(de, x)
+    return periodic_edges([[phi]], [[0.25 * delta / de.dom.radius]],
+                          2.0 * np.pi)[0]
+
+
+def _shared_first_rule(de, x):
+    """The documented rule, one point at a time: GL8 panels on the shared
+    singular-angle edges together with the point's own edges, less those
+    within 1e-13 of a shared edge."""
+    shared = _shared_edges(de)
+    own = (_own_edges(de, x) - shared[0]) % (2.0 * np.pi) + shared[0]
+    gap = np.min(np.abs(own[:, None] - shared[None, :]), axis=1)
+    return _gl8_poisson(de, np.sort(np.concatenate([shared, own[gap > 1e-13]])),
+                        x)
+
+
+def _near_tie(de, x):
+    """Whether one of the point's own edges lies less than 1e-13 below a
+    shared edge: the earlier rule then kept the point's edge and dropped the
+    shared one, which may be the singular angle itself."""
+    if not de.singular_angles:
+        return False
+    shared = _shared_edges(de)
+    own = (_own_edges(de, x) - shared[0]) % (2.0 * np.pi) + shared[0]
+    gap = shared[None, :] - own[:, None]
+    return bool(np.any((gap > 0.0) & (gap < 1e-13)))
+
+
+def _refined_rule(de, x):
+    """A much finer rule: edges graded to 1/64 of the depth around the
+    point's angle and to 1e-16 around each singular angle, all kept (no
+    merging), and every panel bisected four times."""
+    r, delta, phi = _polar(de, x)
+    e = [graded_edges(phi, delta / (64.0 * de.dom.radius), np.pi)]
+    e += [(graded_edges(a, 1e-16, np.pi) - phi + np.pi) % (2.0 * np.pi)
+          + phi - np.pi for a in de.singular_angles]
+    e = np.unique(np.concatenate(e))
+    for _ in range(4):
+        e = bisect_edges(e)
+    return _gl8_poisson(de, e, x)
+
+
+def _two_singular_angles():
+    p, q = np.array([1.0, 0.0]), np.array([np.cos(2.5), np.sin(2.5)])
+    return ExteriorData(
+        fn=lambda y: (np.linalg.norm(y - p, axis=-1) ** 0.3
+                      + 0.5 * np.linalg.norm(y - q, axis=-1) ** 0.6),
+        alpha=0.3, C0=4.0, singular_points=(tuple(p), tuple(q)))
+
+
+_DISK_DATA = {
+    "point_singularity": lambda: holder_point_singularity(0.3, [1.0, 0.0]),
+    "two_singular_angles": _two_singular_angles,
+    "constant": lambda: constant_data(2.0),
+    "capped_distance": lambda: capped_distance_data([2.0, 0.0], 1.5),
+    "singularity_off_circle": lambda: holder_point_singularity(0.3, [1.5, 0.5]),
+}
+
+
+def _disk_random_points():
+    """The probe points and 330 random ones at depths 1e-12 to 0.99: a
+    third within 1e-12 of the angle 0, a third within 1e-12 of pi."""
+    rng = np.random.Generator(np.random.Philox(key=8))
+    n = 330
+    depth = 10.0 ** rng.uniform(-12.0, np.log10(0.99), n)
+    angle = rng.uniform(-np.pi, np.pi, n)
+    angle[:110] = rng.uniform(-1e-12, 1e-12, 110)
+    angle[110:220] = np.pi + rng.uniform(-1e-12, 1e-12, 110)
+    return np.concatenate([
+        _disk_probe_points(),
+        (1.0 - depth)[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])])
+
+
+@pytest.mark.parametrize("name", sorted(_DISK_DATA))
+def test_disk_extension_matches_one_row_rule(name):
+    de = DiskExtension(Ball([0.0, 0.0], 1.0), _DISK_DATA[name]())
+    pts = _disk_random_points()
+    np.testing.assert_allclose(de(pts), [_shared_first_rule(de, p) for p in pts],
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(_DISK_DATA))
+def test_disk_extension_matches_earlier_rule(name):
+    de = DiskExtension(Ball([0.0, 0.0], 1.0), _DISK_DATA[name]())
+    pts = _disk_random_points()
+    new = de(pts)
+    old = np.array([_per_point_rule(de, p) for p in pts])
+    tie = np.array([_near_tie(de, p) for p in pts])
+    np.testing.assert_allclose(new[~tie], old[~tie], rtol=1e-13, atol=0.0)
+    # at a near tie the two rules differ by one edge moved by < 1e-13; near
+    # a singular angle either may be the more accurate, and the worst error
+    # of the new rule against a much finer one stays within twice the old
+    if tie.any():
+        ref = np.array([_refined_rule(de, p) for p in pts[tie]])
+        assert (np.max(np.abs(new[tie] - ref) / np.abs(ref))
+                <= 2.0 * np.max(np.abs(old[tie] - ref) / np.abs(ref)))
 
 
 def test_halfplane_extension_batch_matches_rows():

@@ -5,34 +5,33 @@ from hypothesis import strategies as st
 
 from fraclab.errors import DomainError, ParameterError, UnsupportedVariantError
 from fraclab.geometry import (Ball, Cone, HalfPlane, Polygon, StarShaped,
-                              contains, dist, domain_from_config,
-                              domain_to_config, project, regularized_distance,
-                              unit_square)
+                              domain_from_config, domain_to_config,
+                              regularized_distance, unit_square)
 
 
 def test_ball_basics():
     b = Ball([0.0, 0.0], 1.0)
-    assert contains(b, [0.5, 0.0])
-    assert not contains(b, [1.5, 0.0])
-    assert dist(b, [0.25, 0.0]) == pytest.approx(0.75)
-    assert dist(b, [2.0, 0.0]) == 0.0
-    z0, n = project(b, [0.25, 0.0])
+    assert b.contains([0.5, 0.0])
+    assert not b.contains([1.5, 0.0])
+    assert b.dist([0.25, 0.0]) == pytest.approx(0.75)
+    assert b.dist([2.0, 0.0]) == 0.0
+    z0, n = b.project([0.25, 0.0])
     np.testing.assert_allclose(z0, [1.0, 0.0])
     np.testing.assert_allclose(n, [-1.0, 0.0])
 
 
 def test_halfplane_basics():
     h = HalfPlane([0.0, 1.0])
-    assert not contains(h, [3.0, -0.1])
-    assert dist(h, [7.0, 0.3]) == pytest.approx(0.3)
-    z0, n = project(h, [7.0, 0.3])
+    assert not h.contains([3.0, -0.1])
+    assert h.dist([7.0, 0.3]) == pytest.approx(0.3)
+    z0, n = h.project([7.0, 0.3])
     np.testing.assert_allclose(z0, [7.0, 0.0])
     np.testing.assert_allclose(n, [0.0, 1.0])
 
 
 def test_cone_membership_algebra():
     c = Cone([0.0, 1.0], 1.0)
-    assert contains(c, [1.0, 0.0])  # e.x/|x| = 0 > -eta
+    assert c.contains([1.0, 0.0])  # e.x/|x| = 0 > -eta
     rng = np.random.Generator(np.random.Philox(key=3))
     pts = rng.standard_normal((400, 2)) * 3.0
     r = np.linalg.norm(pts, axis=1)
@@ -46,8 +45,8 @@ def test_cone_membership_algebra():
 def test_cone_dist_and_project():
     c = Cone([0.0, 1.0], 1.0)
     x = np.array([0.0, 2.0])
-    d = dist(c, x)
-    z0, n = project(c, x)
+    d = c.dist(x)
+    z0, n = c.project(x)
     assert d > 0
     assert np.linalg.norm(x - z0) == pytest.approx(d, rel=1e-12)
     assert c.side_function(z0) == pytest.approx(0.0, abs=1e-12)
@@ -55,10 +54,10 @@ def test_cone_dist_and_project():
 
 def test_polygon_square():
     sq = unit_square()
-    assert dist(sq, [0.5, 0.5]) == pytest.approx(0.5)
-    assert contains(sq, [0.5, 0.5])
-    assert not contains(sq, [1.5, 0.5])
-    z0, n = project(sq, [0.5, 0.2])
+    assert sq.dist([0.5, 0.5]) == pytest.approx(0.5)
+    assert sq.contains([0.5, 0.5])
+    assert not sq.contains([1.5, 0.5])
+    z0, n = sq.project([0.5, 0.2])
     np.testing.assert_allclose(z0, [0.5, 0.0])
     np.testing.assert_allclose(n, [0.0, 1.0])
     assert sq.lipschitz_constant() == pytest.approx(1.0)
@@ -70,7 +69,7 @@ def test_polygon_corner_bisector():
     # vertex and the normal is the bisector pointing back at the point
     L = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
     x = np.array([0.8, 0.8])
-    z0, n = project(L, x)
+    z0, n = L.project(x)
     np.testing.assert_allclose(z0, [1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(n, [-1.0, -1.0] / np.sqrt(2.0), rtol=1e-9)
 
@@ -78,9 +77,9 @@ def test_polygon_corner_bisector():
 def test_project_rejects_exterior():
     for dom in (Ball([0, 0], 1.0), unit_square()):
         with pytest.raises(DomainError):
-            project(dom, [5.0, 5.0])
+            dom.project([5.0, 5.0])
     with pytest.raises(DomainError):
-        project(HalfPlane([0, 1]), [5.0, -5.0])
+        HalfPlane([0, 1]).project([5.0, -5.0])
 
 
 def test_projection_consistency_random():
@@ -94,15 +93,15 @@ def test_projection_consistency_random():
             if not dom.contains(p):
                 continue
             n_done += 1
-            d = float(dist(dom, p))
-            z0, _ = project(dom, p)
+            d = float(dom.dist(p))
+            z0, _ = dom.project(p)
             assert abs(np.linalg.norm(p - z0) - d) <= 1e-10 * dom.diameter
 
 
 def test_star_reduces_to_ball():
     star = StarShaped([1.0], gamma=1.0)
-    assert dist(star, [0.9, 0.0]) == pytest.approx(0.1, abs=1e-10)
-    assert dist(star, [0.3, 0.4]) == pytest.approx(0.5, abs=1e-10)
+    assert star.dist([0.9, 0.0]) == pytest.approx(0.1, abs=1e-10)
+    assert star.dist([0.3, 0.4]) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_regularized_distance_ball_closed_form():
@@ -145,7 +144,7 @@ def test_psi_comparable_to_distance(dom):
         if not dom.contains(p):
             continue
         n += 1
-        d = float(dist(dom, p))
+        d = float(dom.dist(p))
         if d <= 1e-12:
             continue
         psi = float(dom.psi_value(p))
@@ -166,7 +165,7 @@ def test_psi_hessian_bound_star():
             continue
         n += 1
         rd = regularized_distance(dom, p)
-        d = float(dist(dom, p))
+        d = float(dom.dist(p))
         if d <= 1e-9:
             continue
         assert np.linalg.norm(rd.hess, 2) <= rd.omega_bound / d * (1 + 1e-9)
