@@ -90,27 +90,12 @@ def mid_panels(lo, hi, kinks, n_min):
     edges[:, width - kinks.shape[1]:] = np.where(inside, kinks, hi[:, None])
     edges.sort(axis=1)
     ends = n + inside.sum(axis=1)
-    cols = np.arange(width)
-    valid = cols <= ends[:, None]
-    # drop near-duplicates that would create degenerate panels; comparing
-    # with the previous edge equals comparing with the previous kept edge
-    # unless dropped edges chain beyond the tolerance, and such rows are
-    # merged one edge at a time
-    tol = 1e-13 * np.maximum(np.abs(edges[:, 1:]), 1.0)
-    keep = np.concatenate([np.ones((n_dir, 1), dtype=bool),
-                           np.diff(edges, axis=1) > tol], axis=1)
+    # drop near-duplicates that would create degenerate panels, but never
+    # the end edge
+    keep = merge_keep(edges, 1e-13 * np.maximum(np.abs(edges[:, 1:]), 1.0))
     keep |= ~inside.any(axis=1)[:, None]
     keep[np.arange(n_dir), ends] = True
-    keep &= valid
-    last = np.maximum.accumulate(np.where(keep, cols, 0), axis=1)
-    chained = ~keep[:, 1:] & (
-        edges[:, 1:] - np.take_along_axis(edges, last, axis=1)[:, :-1] > tol)
-    for i in np.nonzero(np.any(chained, axis=1))[0]:
-        prev = edges[i, 0]
-        for j in range(1, ends[i]):
-            keep[i, j] = edges[i, j] - prev > tol[i, j - 1]
-            if keep[i, j]:
-                prev = edges[i, j]
+    keep &= np.arange(width) <= ends[:, None]
     rows = np.nonzero(keep)[0]
     kept = edges[keep]
     same = rows[:-1] == rows[1:]
@@ -143,15 +128,6 @@ def _pymax(first, *rest):
     return out
 
 
-def _ordered_sums(vals, k, counts):
-    """Per-direction sums of ``vals``, grouped by direction ``k`` in
-    non-decreasing order, added left to right as Python's ``sum`` does."""
-    starts = np.cumsum(counts) - counts
-    table = np.zeros((len(counts), max(int(counts.max(initial=0)), 1)))
-    table[k, np.arange(len(k)) - starts[k]] = vals
-    return np.cumsum(table, axis=1)[:, -1]
-
-
 def _jacobi_rule(n, beta):
     """Nodes of the n-point Gauss-Jacobi rule on [0, 1] followed by those of
     its embedded half-order rule, and the two weight vectors."""
@@ -162,7 +138,9 @@ def _jacobi_rule(n, beta):
 
 def _jacobi_sums(vals, w1, w0, scale):
     """Value, embedded error and |f| mass of each row of ``vals``, whose
-    columns are the nodes of ``_jacobi_rule``."""
+    columns are the nodes of a rule with weights w1 followed by those of its
+    embedded rule with weights w0: ``_jacobi_rule``, or the GL16 then GL8
+    nodes of ``_panel_nodes``."""
     n1 = len(w1)
     v1 = scale * np.sum(vals[:, :n1] * w1, axis=1)
     v0 = scale * np.sum(vals[:, n1:] * w0, axis=1)
@@ -177,14 +155,6 @@ def _panel_nodes(a, b):
     x16 = mid[:, None] + half[:, None] * _GL16[0]
     x8 = mid[:, None] + half[:, None] * _GL8[0]
     return np.concatenate([x16, x8], axis=1), half
-
-
-def _panel_sums(vals, half):
-    """GL16 value, |GL16 - GL8| error and |f| mass of each panel row."""
-    i16 = half * np.sum(vals[:, :16] * _GL16[1], axis=1)
-    i8 = half * np.sum(vals[:, 16:] * _GL8[1], axis=1)
-    mass = half * np.sum(np.abs(vals[:, :16]) * _GL16[1], axis=1)
-    return i16, np.abs(i16 - i8), mass
 
 
 def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
@@ -202,8 +172,9 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     state lives in flat arrays tagged with the direction index, in each
     direction's panel order, and every stage (the first pass, then each
     bisection sweep) gathers the nodes of all directions into one call of
-    ``pair_avg``.  Per-direction sums run in panel order, so a direction's
-    refinement decisions do not depend on the batch around it.
+    ``pair_avg``.  Per-direction sums run in panel order (``np.bincount``
+    adds in array order), so a direction's refinement decisions do not
+    depend on the batch around it.
     """
     two_s = 2.0 * s
     kinks = np.asarray(breakpoints, dtype=float)
@@ -214,7 +185,6 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     r_far = np.maximum(max(far_cutoff, 4.0 * rho),
                        2.0 * np.max(np.nan_to_num(kinks), axis=1, initial=0.0))
     a, b, k = mid_panels(rho, r_far, kinks, init_panels)
-    counts = np.bincount(k, minlength=n_dir)
 
     # near ball: integrand = (delta u / r^2) * r^{1-2s}; the tail is mapped
     # by t = R/r, so that t^{growth} * pair_avg(R/t) is smooth and the
@@ -239,21 +209,22 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     tail_pair, err_tail, mass_tail = _jacobi_sums(
         pa_tail.reshape(n_dir, n_tail) * t_tail ** growth,
         w1_tail, w0_tail, 1.0)
-    val, err, mass = _panel_sums(
-        (u_x - pa_mid.reshape(x_mid.shape)) * x_mid ** (-1.0 - two_s), half)
+    val, err, mass = _jacobi_sums(
+        (u_x - pa_mid.reshape(x_mid.shape)) * x_mid ** (-1.0 - two_s),
+        _GL16[1], _GL8[1], half)
     n_evals = len(pa)
 
     # the near and mid pieces largely cancel for nearly harmonic fields, so
     # the integrand mass, not the value, sets the relative-error scale
-    scale0 = _pymax(np.abs(near + _ordered_sums(val, k, counts)),
-                    0.25 * (mass_near + _ordered_sums(mass, k, counts)),
+    scale0 = _pymax(np.abs(near + np.bincount(k, val, n_dir)),
+                    0.25 * (mass_near + np.bincount(k, mass, n_dir)),
                     1e-300)
     tol = rel_tol * scale0
     bisections = 0
     for _ in range(_MAX_SWEEPS):
         counts = np.bincount(k, minlength=n_dir)
         starts = np.cumsum(counts) - counts
-        refine = ~(_ordered_sums(err, k, counts) <= tol) & (counts < max_panels)
+        refine = ~(np.bincount(k, err, n_dir) <= tol) & (counts < max_panels)
         if not np.any(refine):
             break
         # split every panel holding more than its share of the budget, at
@@ -275,8 +246,9 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
         new_k = np.repeat(k[idx], 2)
         x_new, half = _panel_nodes(new_a, new_b)
         pa = pair_avg(x_new.ravel(), np.repeat(new_k, x_new.shape[1]))
-        new_val, new_err, new_mass = _panel_sums(
-            (u_x - pa.reshape(x_new.shape)) * x_new ** (-1.0 - two_s), half)
+        new_val, new_err, new_mass = _jacobi_sums(
+            (u_x - pa.reshape(x_new.shape)) * x_new ** (-1.0 - two_s),
+            _GL16[1], _GL8[1], half)
         n_evals += len(pa)
         bisections += len(idx)
         keep = ~split
@@ -288,12 +260,11 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
             for old, new in ((a, new_a), (b, new_b), (val, new_val),
                              (err, new_err), (mass, new_mass)))
 
-    counts = np.bincount(k, minlength=n_dir)
-    mid = _ordered_sums(val, k, counts)
+    mid = np.bincount(k, val, n_dir)
     far_pow = r_far ** (-two_s)
     tail = u_x * far_pow / two_s - far_pow * tail_pair
-    err = err_near + _ordered_sums(err, k, counts) + err_tail * far_pow
-    mass = (mass_near + _ordered_sums(mass, k, counts) + mass_tail * far_pow
+    err = err_near + np.bincount(k, err, n_dir) + err_tail * far_pow
+    mass = (mass_near + np.bincount(k, mass, n_dir) + mass_tail * far_pow
             + abs(u_x) * far_pow / two_s)
     return RadialIntegrals(near=near, far=mid + tail, err=err, mass=mass,
                            n_evals=n_evals, bisections=bisections)
@@ -357,7 +328,9 @@ def graded_edges(center, inner, outer):
 def merge_keep(srt, tol):
     """Mask of the edges kept when each row of ``srt`` (sorted ascending) is
     merged: the first edge is kept, and every later edge is kept if it lies
-    more than ``tol`` above the previous kept edge."""
+    more than ``tol`` above the previous kept edge.  ``tol`` broadcasts over
+    the gaps ``srt[:, 1:]``."""
+    tol = np.broadcast_to(tol, srt[:, 1:].shape)
     keep = np.concatenate([np.ones((len(srt), 1), dtype=bool),
                            np.diff(srt, axis=1) > tol], axis=1)
     # comparing with the previous edge equals comparing with the previous
@@ -365,11 +338,12 @@ def merge_keep(srt, tol):
     # one edge at a time
     cols = np.arange(srt.shape[1])
     last = np.maximum.accumulate(np.where(keep, cols, 0), axis=1)
-    chained = ~keep & (srt - np.take_along_axis(srt, last, axis=1) > tol)
+    chained = ~keep[:, 1:] & (
+        srt[:, 1:] - np.take_along_axis(srt, last, axis=1)[:, :-1] > tol)
     for i in np.nonzero(np.any(chained, axis=1))[0]:
         prev = srt[i, 0]
         for j in range(1, srt.shape[1]):
-            keep[i, j] = srt[i, j] - prev > tol
+            keep[i, j] = srt[i, j] - prev > tol[i, j - 1]
             if keep[i, j]:
                 prev = srt[i, j]
     return keep

@@ -16,8 +16,6 @@ from .fields import ConeBarrier, HalfSpacePower, PsiPower
 from .geometry import Ball, Cone, HalfPlane, Polygon, StarShaped
 from .nonlocal_op import apply_L
 
-BarrierFn = (HalfSpacePower, PsiPower, ConeBarrier)
-
 
 def eval_barrier(b, x):
     """Closed-form barrier value at one point or a batch; identically zero

@@ -1,11 +1,16 @@
 """Command-line entry point.
 
-One binary with subcommands; every run resolves its configuration (config
-file plus flag overrides, flags win), embeds the resolved config hash in the
-CSV header comment and writes a JSON sidecar with the full config, package
+One binary with subcommands, run through one path: ``build_parser``
+declares each subcommand's flags and defaults, and ``_resolve`` builds the
+run's config from them (config file, then present flags, which win, then
+the defaults), parsing the string forms of ``data``, ``field``, ``points``
+and ``z0`` once.  A parameter that is missing or does not parse raises a
+ParameterError naming it.  ``_write_csv`` and ``_write_report`` write every
+output: the CSV embeds the resolved config and its hash in comment lines,
+and a JSON sidecar ``<out>.meta.json`` carries the config, package
 versions, seed and wall time.  Outputs are byte-identical for identical
-(config, seed): floats are formatted with a fixed precision and all
-parallelism preserves input order.
+(config, seed): floats have a fixed precision and ``_map`` keeps input
+order.
 
 Exit codes: 0 success / verification PASS, 2 verification FAIL, 1 error.
 """
@@ -22,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .barriers import (counterexample_min_rs_1, data_from_config,
-                       verify_cone_barrier, verify_halfspace_supersolution,
-                       verify_psi_barrier)
+                       holder_point_singularity, verify_cone_barrier,
+                       verify_halfspace_supersolution, verify_psi_barrier)
 from .errors import FracLabError, ParameterError
 from .fields import ConeBarrier, HalfSpacePower, PsiPower
 from .geometry import (Ball, Polygon, StarShaped, domain_from_config,
@@ -37,45 +42,86 @@ from .wos import WoSConfig, halfplane_poisson, kappa_constant, solve
 _FLOAT_FMT = ".12g"
 
 
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), _FLOAT_FMT)
-    return str(v)
+class Config(dict):
+    """A subcommand's resolved config.
+
+    A key that is absent reads as its declared fallback, which stays out of
+    the recorded config, or raises a ParameterError naming it.
+    """
+
+    def __init__(self, command, flags, fallbacks):
+        super().__init__()
+        self.command = command
+        self.flags = flags
+        self.fallbacks = fallbacks
+        self.started = time.time()
+
+    def __missing__(self, key):
+        if key in self.fallbacks:
+            return self.fallbacks[key]
+        raise ParameterError(
+            f"{self.command} needs {key} (--{key} or the config file)")
 
 
-def _config_blob(cfg):
-    body = {k: v for k, v in cfg.items() if k != "out"}
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+def _build(cfg, key, make):
+    """make(cfg[key]), a value it rejects raised as a ParameterError naming
+    key."""
+    spec = cfg[key]
+    try:
+        return make(spec)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ParameterError(f"bad {key} {spec!r}: {e}") from None
 
 
-def _config_hash(cfg):
-    return hashlib.sha256(_config_blob(cfg).encode()).hexdigest()[:16]
+def _floats(text):
+    return [float(v) for v in text.split(",")]
 
 
-def _write_csv(path, header, rows, cfg):
-    lines = [f"# fraclab config_hash={_config_hash(cfg)}",
-             f"# config={_config_blob(cfg)}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    data = "\n".join(lines) + "\n"
-    with open(path, "w", newline="") as f:
-        f.write(data)
+# parsers of the string forms a flag carries
+_PARSERS = {
+    "data": json.loads,
+    "field": json.loads,
+    "points": lambda text: [_floats(p) for p in text.split(";")],
+    "z0": _floats,
+}
 
 
-def _write_sidecar(path, cfg, seed, wall_time, report=None):
-    side = {
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-        "versions": {"fraclab": __version__, "numpy": np.__version__},
-        "seed": seed,
-        "wall_time": wall_time,
-    }
-    if report is not None:
-        side["report"] = report
-    with open(path + ".meta.json", "w") as f:
-        json.dump(side, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _resolve(args):
+    """The run's config: file values overridden by present flags, then the
+    declared defaults, with string forms parsed."""
+    cfg = Config(args.command, args.flags, args.fallbacks)
+    if args.config:
+        with open(args.config) as f:
+            cfg.update(_build(vars(args), "config",
+                              lambda _: dict(json.load(f))))
+    for k in args.flags:
+        v = getattr(args, k.replace("-", "_"))
+        if v is not None:
+            cfg[k] = v
+    for k, v in args.defaults.items():
+        cfg.setdefault(k, v)
+    cfg["command"] = args.command
+    if "points-file" in args.flags and cfg.get("points-file"):
+        cfg["points"] = _build(cfg, "points-file", lambda path: np.loadtxt(
+            path, delimiter=",", comments="#", ndmin=2).tolist())
+    for k, parse in _PARSERS.items():
+        if k in args.flags and isinstance(cfg.get(k), str):
+            cfg[k] = _build(cfg, k, parse)
+    return cfg
+
+
+def _domain_from_spec(spec):
+    if spec == "ball":
+        return Ball([0.0, 0.0], 1.0)
+    if spec == "square":
+        return unit_square()
+    return domain_from_config(json.loads(spec) if isinstance(spec, str)
+                              else spec)
+
+
+def _domain(cfg):
+    """The config's domain; ``cfg["domain"]`` keeps its text."""
+    return _build(cfg, "domain", _domain_from_spec)
 
 
 def _threads(args):
@@ -92,52 +138,83 @@ def _threads(args):
     return n
 
 
-def _parse_points(spec):
-    pts = []
-    for chunk in spec.split(";"):
-        pts.append([float(v) for v in chunk.split(",")])
-    return pts
+def _map(args, fn, items):
+    """[fn(item) for item in items] on the worker threads, in input order."""
+    with ThreadPoolExecutor(max_workers=_threads(args)) as ex:
+        return list(ex.map(fn, items))
 
 
-def _load_json_arg(text):
-    return json.loads(text)
+# ---------------------------------------------------------------------------
+# writers
+
+def _fmt(v):
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), _FLOAT_FMT)
+    return str(v)
 
 
-def _domain_arg(text):
-    if text == "ball":
-        return Ball([0.0, 0.0], 1.0)
-    if text == "square":
-        return unit_square()
-    return domain_from_config(_load_json_arg(text))
+def _config_blob(cfg):
+    body = {k: v for k, v in cfg.items() if k != "out"}
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
-def _resolve(args, keys):
-    """Resolved config: file values overridden by present flags."""
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as f:
-            cfg.update(json.load(f))
-    for k in keys:
-        v = getattr(args, k.replace("-", "_"), None)
-        if v is not None:
-            cfg[k] = v
-    return cfg
+def _config_hash(cfg):
+    return hashlib.sha256(_config_blob(cfg).encode()).hexdigest()[:16]
+
+
+def _write_sidecar(out, cfg, report):
+    side = {
+        "config": cfg,
+        "config_hash": _config_hash(cfg),
+        "versions": {"fraclab": __version__, "numpy": np.__version__},
+        "seed": cfg["seed"] if "seed" in cfg.flags else None,
+        "wall_time": time.time() - cfg.started,
+    }
+    if report is not None:
+        side["report"] = report
+    with open(out + ".meta.json", "w") as f:
+        json.dump(side, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _write_csv(cfg, header, rows, report=None):
+    """Write rows (default ``<command>.csv``) and the sidecar; returns the
+    path."""
+    out = cfg.get("out", cfg.command.replace("-", "_") + ".csv")
+    lines = [f"# fraclab config_hash={_config_hash(cfg)}",
+             f"# config={_config_blob(cfg)}", ",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    with open(out, "w", newline="") as f:
+        f.write("\n".join(lines) + "\n")
+    _write_sidecar(out, cfg, report)
+    return out
+
+
+def _write_report(cfg, report, summary=None, name=None):
+    """Write the JSON report (default ``<command>.json``) and the sidecar,
+    which carries ``summary`` or else the report."""
+    out = cfg.get("out", name or cfg.command.replace("-", "_") + ".json")
+    with open(out, "w") as f:
+        json.dump({"config": cfg, "config_hash": _config_hash(cfg),
+                   "report": report}, f, indent=2, sort_keys=True)
+        f.write("\n")
+    _write_sidecar(out, cfg, report if summary is None else summary)
+
+
+def _coords(dim):
+    return [f"x{i + 1}" for i in range(dim)]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_validate_kernel(args):
-    cfg = _resolve(args, ["s", "dim", "samples", "out"])
-    cfg.setdefault("dim", 2)
-    cfg.setdefault("samples", 1000)
-    cfg["command"] = "validate-kernel"
+    cfg = _resolve(args)
     if "kernel" in cfg:
         kernel = kernel_from_config(cfg["kernel"])
     else:
         kernel = make_fractional_laplacian(cfg["s"], cfg["dim"])
         cfg["kernel"] = {"type": "frac_lap", "s": cfg["s"], "dim": cfg["dim"]}
-    t0 = time.time()
     rep = validate_kernel(kernel, samples=cfg["samples"])
     report = {
         "samples": rep.samples,
@@ -146,13 +223,7 @@ def cmd_validate_kernel(args):
         "worst_upper_margin": rep.worst_upper_margin,
         "ok": rep.ok,
     }
-    out = cfg.get("out", "validate_kernel.json")
-    with open(out, "w") as f:
-        json.dump({"config": cfg, "config_hash": _config_hash(cfg),
-                   "report": report}, f, indent=2, sort_keys=True)
-        f.write("\n")
-    _write_sidecar(out, cfg, seed=None, wall_time=time.time() - t0,
-                   report=report)
+    _write_report(cfg, report)
     print(("PASS" if rep.ok else "FAIL"), "kernel validation:", report)
     return 0 if rep.ok else 2
 
@@ -168,103 +239,68 @@ _FIELDS = {
 }
 
 
-def cmd_apply_op(args):
-    cfg = _resolve(args, ["s", "dim", "field", "points", "rel-tol", "out"])
-    cfg.setdefault("dim", 2)
-    cfg["command"] = "apply-op"
-    field_cfg = cfg["field"]
-    if isinstance(field_cfg, str):
-        field_cfg = _load_json_arg(field_cfg)
-        cfg["field"] = field_cfg
-    name = field_cfg["name"]
+def _field_from_spec(spec):
+    name = spec["name"]
     if name not in _FIELDS:
-        raise FracLabError(f"unknown field {name!r}; known: {sorted(_FIELDS)}")
-    u = _FIELDS[name](field_cfg)
+        raise ParameterError(
+            f"unknown field {name!r}; known: {sorted(_FIELDS)}")
+    return _FIELDS[name](spec)
+
+
+def cmd_apply_op(args):
+    cfg = _resolve(args)
+    u = _build(cfg, "field", _field_from_spec)
     kernel = make_fractional_laplacian(cfg["s"], cfg["dim"])
     pts = cfg["points"]
-    if isinstance(pts, str):
-        pts = _parse_points(pts)
-        cfg["points"] = pts
-    q = QuadratureSpec(target_rel_tol=cfg.get("rel-tol", 1e-6))
-    t0 = time.time()
+    q = QuadratureSpec(target_rel_tol=cfg["rel-tol"])
 
     def work(p):
         ov = apply_L(kernel, u, np.asarray(p, dtype=float), q=q)
         return (*p, ov.value, ov.err_estimate, ov.near_part, ov.far_part)
 
-    with ThreadPoolExecutor(max_workers=_threads(args)) as ex:
-        rows = list(ex.map(work, pts))
-    out = cfg.get("out", "apply_op.csv")
-    coords = [f"x{i+1}" for i in range(len(pts[0]))]
-    _write_csv(out, coords + ["value", "err_estimate", "near_part", "far_part"],
-               rows, cfg)
-    _write_sidecar(out, cfg, seed=None, wall_time=time.time() - t0)
+    rows = _map(args, work, pts)
+    out = _write_csv(cfg, _coords(len(pts[0])) + [
+        "value", "err_estimate", "near_part", "far_part"], rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
 
 def cmd_verify_barrier(args):
-    cfg = _resolve(args, ["kind", "s", "alpha", "beta", "eta", "out"])
-    cfg["command"] = "verify-barrier"
+    cfg = _resolve(args)
     kind = cfg["kind"]
-    s = cfg["s"]
-    t0 = time.time()
-    q = QuadratureSpec(target_rel_tol=cfg.get("rel-tol", 1e-5))
+    kernel = make_fractional_laplacian(cfg["s"], 2)
+    q = QuadratureSpec(target_rel_tol=cfg["rel-tol"])
     if kind == "halfspace":
-        kernel = make_fractional_laplacian(s, 2)
         heights = np.geomspace(0.25, 4.0, 10)
         pts = [np.array([0.3 * h, h]) for h in heights]
         rep = verify_halfspace_supersolution(kernel, cfg["alpha"], pts, q=q)
     elif kind == "psi":
-        kernel = make_fractional_laplacian(s, 2)
         rep = verify_psi_barrier(kernel, Ball([0.0, 0.0], 1.0), cfg["alpha"],
                                  q=q)
     elif kind == "cone":
-        kernel = make_fractional_laplacian(s, 2)
-        eta = cfg.get("eta", 1.0)
-        rep = verify_cone_barrier(kernel, (0.0, 1.0), eta, cfg["beta"], q=q)
+        rep = verify_cone_barrier(kernel, (0.0, 1.0), cfg["eta"], cfg["beta"],
+                                  q=q)
     else:
-        raise FracLabError(f"unknown barrier kind {kind!r}")
-    out = cfg.get("out", f"verify_{kind}.json")
-    body = rep.to_jsonable()
-    with open(out, "w") as f:
-        json.dump({"config": cfg, "config_hash": _config_hash(cfg),
-                   "report": body}, f, indent=2, sort_keys=True)
-        f.write("\n")
-    _write_sidecar(out, cfg, seed=None, wall_time=time.time() - t0,
-                   report={"pass": rep.passed})
+        raise ParameterError(f"unknown barrier kind {kind!r}")
+    _write_report(cfg, rep.to_jsonable(), {"pass": rep.passed},
+                  name=f"verify_{kind}.json")
     print(("PASS" if rep.passed else "FAIL"),
           f"{kind} barrier: min value {rep.min_value:.6g}, "
           f"min margin {rep.min_margin:.3g}x err")
     return 0 if rep.passed else 2
 
 
-def cmd_solve(args):
-    cfg = _resolve(args, ["domain", "data", "s", "points", "points-file",
-                          "paths", "seed", "out"])
-    cfg.setdefault("s", 0.5)
-    cfg.setdefault("paths", 100000)
-    cfg.setdefault("seed", 0)
-    cfg["command"] = "solve"
-    dom = _domain_arg(cfg["domain"]) if isinstance(cfg["domain"], str) \
-        else domain_from_config(cfg["domain"])
-    data_cfg = cfg["data"]
-    if isinstance(data_cfg, str):
-        data_cfg = _load_json_arg(data_cfg)
-        cfg["data"] = data_cfg
-    g = data_from_config(data_cfg)
-    if cfg.get("points-file"):
-        pts = np.loadtxt(cfg["points-file"], delimiter=",", comments="#",
-                         ndmin=2).tolist()
-        cfg["points"] = pts
-    else:
-        pts = cfg["points"]
-        if isinstance(pts, str):
-            pts = _parse_points(pts)
-            cfg["points"] = pts
+def _walk_setup(cfg):
+    """Domain, datum, kernel and WoS config of a walk-on-spheres command."""
+    dom = _domain(cfg)
+    g = _build(cfg, "data", data_from_config)
     kernel = make_fractional_laplacian(cfg["s"], dom.dim)
-    wcfg = WoSConfig(paths=cfg["paths"], seed=cfg["seed"])
-    t0 = time.time()
+    return dom, g, kernel, WoSConfig(paths=cfg["paths"], seed=cfg["seed"])
+
+
+def cmd_solve(args):
+    cfg = _resolve(args)
+    dom, g, kernel, wcfg = _walk_setup(cfg)
 
     def work(item):
         i, p = item
@@ -272,52 +308,26 @@ def cmd_solve(args):
         return (*p, out.estimate, out.stderr, out.mean_steps,
                 out.snapped_fraction)
 
-    with ThreadPoolExecutor(max_workers=_threads(args)) as ex:
-        rows = list(ex.map(work, enumerate(pts)))
-    out = cfg.get("out", "solve.csv")
-    _write_csv(out, ["x1", "x2", "estimate", "stderr", "mean_steps",
-                     "snapped_fraction"], rows, cfg)
-    _write_sidecar(out, cfg, seed=cfg["seed"], wall_time=time.time() - t0)
+    rows = _map(args, work, enumerate(cfg["points"]))
+    out = _write_csv(cfg, _coords(dom.dim) + [
+        "estimate", "stderr", "mean_steps", "snapped_fraction"], rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
 
 def cmd_profile(args):
-    cfg = _resolve(args, ["domain", "data", "s", "z0", "tmin", "tmax", "n",
-                          "paths", "seed", "out"])
-    cfg.setdefault("s", 0.5)
-    cfg.setdefault("tmin", 1e-4)
-    cfg.setdefault("tmax", 1e-2)
-    cfg.setdefault("n", 12)
-    cfg.setdefault("paths", 100000)
-    cfg.setdefault("seed", 0)
-    cfg["command"] = "profile"
-    dom = _domain_arg(cfg["domain"]) if isinstance(cfg["domain"], str) \
-        else domain_from_config(cfg["domain"])
-    data_cfg = cfg["data"]
-    if isinstance(data_cfg, str):
-        data_cfg = _load_json_arg(data_cfg)
-        cfg["data"] = data_cfg
-    g = data_from_config(data_cfg)
-    z0 = cfg.get("z0")
-    if isinstance(z0, str):
-        z0 = [float(v) for v in z0.split(",")]
-        cfg["z0"] = z0
-    if z0 is None:
-        z0 = list(g.singular_points[0])
-        cfg["z0"] = z0
-    kernel = make_fractional_laplacian(cfg["s"], dom.dim)
-    wcfg = WoSConfig(paths=cfg["paths"], seed=cfg["seed"])
+    cfg = _resolve(args)
+    dom, g, kernel, wcfg = _walk_setup(cfg)
+    if cfg.get("z0") is None and g.singular_points:
+        cfg["z0"] = list(g.singular_points[0])
+    z0 = np.asarray(cfg["z0"], dtype=float)
     t_grid = np.geomspace(cfg["tmin"], cfg["tmax"], cfg["n"]) * dom.diameter
-    t0 = time.time()
-    prof = boundary_profile(wos_solver(dom, g, kernel, wcfg), dom, g,
-                            np.asarray(z0, dtype=float), t_grid)
+    prof = boundary_profile(wos_solver(dom, g, kernel, wcfg), dom, g, z0,
+                            t_grid)
     rows = list(zip(prof.t, prof.values, prof.stderr))
-    out = cfg.get("out", "profile.csv")
-    _write_csv(out, ["t", "value", "stderr"], rows, cfg)
-    _write_sidecar(out, cfg, seed=cfg["seed"], wall_time=time.time() - t0,
-                   report={"z0": list(prof.z0), "normal": list(prof.normal),
-                           "g0": prof.g0})
+    out = _write_csv(cfg, ["t", "value", "stderr"], rows,
+                     report={"z0": list(prof.z0), "normal": list(prof.normal),
+                             "g0": prof.g0})
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -337,9 +347,7 @@ def _read_numeric_csv(path):
 
 
 def cmd_fit(args):
-    cfg = _resolve(args, ["input", "s", "out"])
-    cfg["command"] = "fit"
-    t0 = time.time()
+    cfg = _resolve(args)
     arr = _read_numeric_csv(cfg["input"])
     prof = BoundaryProfile(z0=(np.nan,), normal=(np.nan,),
                            t=tuple(arr[:, 0]), values=tuple(arr[:, 1]),
@@ -353,30 +361,14 @@ def cmd_fit(args):
         "half_window_slopes": list(fit.half_window_slopes),
         "n_used": fit.n_used,
     }
-    out = cfg.get("out", "fit.json")
-    with open(out, "w") as f:
-        json.dump({"config": cfg, "config_hash": _config_hash(cfg),
-                   "report": report}, f, indent=2, sort_keys=True)
-        f.write("\n")
-    _write_sidecar(out, cfg, seed=None, wall_time=time.time() - t0,
-                   report=report)
+    _write_report(cfg, report)
     print(f"alpha_hat={fit.alpha_hat:.4f} model={fit.model}")
     return 0
 
 
 def cmd_experiment(args):
-    cfg = _resolve(args, ["domain", "alpha", "s", "paths", "seed", "out"])
-    cfg.setdefault("domain", "ball")
-    cfg.setdefault("s", 0.5)
-    cfg.setdefault("paths", 100000)
-    cfg.setdefault("seed", 0)
-    cfg["command"] = "experiment"
-    if "alpha" not in cfg:
-        raise ParameterError("experiment needs the datum's exponent alpha "
-                             "(--alpha or the config file)")
-    dom = _domain_arg(cfg["domain"]) if isinstance(cfg["domain"], str) \
-        else domain_from_config(cfg["domain"])
-    from .barriers import holder_point_singularity
+    cfg = _resolve(args)
+    dom = _domain(cfg)
     # the datum's singularity sits on the boundary
     if isinstance(dom, Ball) and dom.dim <= 2:
         anchor = (dom.center + dom.radius * np.eye(dom.dim)[0]).tolist()
@@ -391,18 +383,15 @@ def cmd_experiment(args):
     g = holder_point_singularity(cfg["alpha"], anchor)
     cfg["data"] = {"name": "holder_point_singularity", "alpha": cfg["alpha"],
                    "z0": anchor}
-    wcfg = WoSConfig(paths=cfg["paths"], seed=cfg["seed"])
-    t0 = time.time()
-    rep = exponent_experiment(dom, g, cfg["s"], cfg=wcfg)
+    rep = exponent_experiment(dom, g, cfg["s"], cfg=WoSConfig(
+        paths=cfg["paths"], seed=cfg["seed"]))
     rows = []
     for (z0, fit), prof in zip(rep.fits, rep.profiles):
         for t, v, e in zip(prof.t, prof.values, prof.stderr):
             rows.append((*z0, t, v, e, fit.alpha_hat, fit.model))
-    out = cfg.get("out", "experiment.csv")
-    _write_csv(out, ["z0_x", "z0_y"][:dom.dim]
-               + ["t", "value", "stderr", "alpha_hat", "model"], rows, cfg)
-    _write_sidecar(out, cfg, seed=cfg["seed"], wall_time=time.time() - t0,
-                   report=rep.to_jsonable())
+    _write_csv(cfg, ["z0_x", "z0_y"][:dom.dim]
+               + ["t", "value", "stderr", "alpha_hat", "model"], rows,
+               report=rep.to_jsonable())
     print(f"alpha_hat={rep.alpha_hat:.4f} expected={rep.expected_exponent} "
           f"verdict: {rep.verdict}")
     ok = "deviates" not in rep.verdict and "no log" not in rep.verdict
@@ -410,28 +399,18 @@ def cmd_experiment(args):
 
 
 def cmd_counterexample(args):
-    cfg = _resolve(args, ["s", "tmin", "tmax", "n", "out"])
-    cfg.setdefault("s", 0.5)
-    cfg.setdefault("tmin", 1e-4)
-    cfg.setdefault("tmax", 1e-1)
-    cfg.setdefault("n", 25)
-    cfg["command"] = "counterexample"
+    cfg = _resolve(args)
     s = cfg["s"]
     g = counterexample_min_rs_1(s)
-    ts = np.geomspace(cfg["tmin"], cfg["tmax"], cfg["n"])
-    t0 = time.time()
 
     def work(t):
-        v, e = halfplane_poisson(g, [0.0, t], s)
+        v, _ = halfplane_poisson(g, [0.0, t], s)
         base = t ** s * np.log(1.0 / t)
         return (t, v, t ** s, base, v / base)
 
-    with ThreadPoolExecutor(max_workers=_threads(args)) as ex:
-        rows = list(ex.map(work, ts))
-    out = cfg.get("out", "counterexample.csv")
-    _write_csv(out, ["t", "u", "t_pow_s", "t_pow_s_log", "ratio"], rows, cfg)
-    _write_sidecar(out, cfg, seed=None, wall_time=time.time() - t0,
-                   report={"kappa_s": kappa_constant(s)})
+    rows = _map(args, work, np.geomspace(cfg["tmin"], cfg["tmax"], cfg["n"]))
+    out = _write_csv(cfg, ["t", "u", "t_pow_s", "t_pow_s_log", "ratio"], rows,
+                     report={"kappa_s": kappa_constant(s)})
     ratios = [r[4] for r in rows]
     print(f"wrote {out}; ratio range [{min(ratios):.4f}, {max(ratios):.4f}]")
     return 0
@@ -445,35 +424,46 @@ def build_parser():
                    help="worker threads (default: all cores, or FRACLAB_THREADS)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, flags):
+    def add(name, fn, flags, defaults=None, fallbacks=None):
+        """A subcommand with its flags; ``defaults`` enter the resolved
+        config, ``fallbacks`` are read in place of an absent key but stay
+        out of it."""
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--out", default=None)
-        for flag, typ in flags:
+        for flag, typ in flags.items():
             sp.add_argument(f"--{flag}", type=typ, default=None)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, flags=("out", *flags), defaults=defaults or {},
+                        fallbacks=fallbacks or {})
 
+    walk = {"paths": 100000, "seed": 0}
     add("validate-kernel", cmd_validate_kernel,
-        [("s", float), ("dim", int), ("samples", int)])
+        {"s": float, "dim": int, "samples": int},
+        defaults={"dim": 2, "samples": 1000})
     add("apply-op", cmd_apply_op,
-        [("s", float), ("dim", int), ("field", str), ("points", str),
-         ("rel-tol", float)])
+        {"s": float, "dim": int, "field": str, "points": str,
+         "rel-tol": float},
+        defaults={"dim": 2}, fallbacks={"rel-tol": 1e-6})
     add("verify-barrier", cmd_verify_barrier,
-        [("kind", str), ("s", float), ("alpha", float), ("beta", float),
-         ("eta", float)])
+        {"kind": str, "s": float, "alpha": float, "beta": float,
+         "eta": float},
+        fallbacks={"eta": 1.0, "rel-tol": 1e-5})
     add("solve", cmd_solve,
-        [("domain", str), ("data", str), ("s", float), ("points", str),
-         ("points-file", str), ("paths", int), ("seed", int)])
+        {"domain": str, "data": str, "s": float, "points": str,
+         "points-file": str, "paths": int, "seed": int},
+        defaults={"s": 0.5, **walk})
     add("profile", cmd_profile,
-        [("domain", str), ("data", str), ("s", float), ("z0", str),
-         ("tmin", float), ("tmax", float), ("n", int), ("paths", int),
-         ("seed", int)])
-    add("fit", cmd_fit, [("input", str), ("s", float)])
+        {"domain": str, "data": str, "s": float, "z0": str, "tmin": float,
+         "tmax": float, "n": int, "paths": int, "seed": int},
+        defaults={"s": 0.5, "tmin": 1e-4, "tmax": 1e-2, "n": 12, **walk})
+    add("fit", cmd_fit, {"input": str, "s": float})
     add("experiment", cmd_experiment,
-        [("domain", str), ("alpha", float), ("s", float), ("paths", int),
-         ("seed", int)])
+        {"domain": str, "alpha": float, "s": float, "paths": int,
+         "seed": int},
+        defaults={"domain": "ball", "s": 0.5, **walk})
     add("counterexample", cmd_counterexample,
-        [("s", float), ("tmin", float), ("tmax", float), ("n", int)])
+        {"s": float, "tmin": float, "tmax": float, "n": int},
+        defaults={"s": 0.5, "tmin": 1e-4, "tmax": 1e-1, "n": 25})
     return p
 
 
@@ -485,7 +475,7 @@ def run(argv=None):
     except FracLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

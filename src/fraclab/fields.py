@@ -200,13 +200,6 @@ class HalfSpacePower(Field):
         pts = np.asarray(pts, dtype=float)
         return np.maximum(pts @ self.nu, 0.0) ** self.alpha
 
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        h = float(x @ self.nu)
-        if h <= 0.0:
-            return np.zeros_like(self.nu)
-        return self.alpha * h ** (self.alpha - 1.0) * self.nu
-
     def smooth_radius(self, x):
         return abs(float(np.asarray(x, dtype=float) @ self.nu))
 

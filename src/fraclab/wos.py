@@ -209,6 +209,9 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     if kernel.dim != dom.dim:
         raise ParameterError(
             f"kernel dim {kernel.dim} does not match the domain's dim {dom.dim}")
+    if dom.dim > 2:
+        raise ParameterError(
+            f"walk-on-spheres steps in dim 1 or 2, not dim {dom.dim}")
     x = np.asarray(x, dtype=float)
     if not dom.contains(x):
         raise DomainError("solve requires an interior starting point")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -260,3 +261,84 @@ def test_csv_embeds_full_config(tmp_path):
     embedded = json.loads(lines[1].split("# config=", 1)[1])
     assert embedded["s"] == 0.5 and embedded["n"] == 3
     assert embedded["command"] == "counterexample"
+
+
+def test_solve_1d_has_one_coordinate_column(tmp_path):
+    out = tmp_path / "s1.csv"
+    code = run(["solve", "--domain", '{"ball": {"center": [0], "radius": 1}}',
+                "--data", '{"name": "constant", "value": 1.0}',
+                "--points", "0.1;-0.4", "--paths", "200", "--seed", "1",
+                "--out", str(out)])
+    assert code == 0
+    lines = read_lines(str(out))
+    assert lines[2] == "x1,estimate,stderr,mean_steps,snapped_fraction"
+    assert [len(l.split(",")) for l in lines[3:]] == [5, 5]
+
+
+CONSTANT = '{"name": "constant", "value": 1.0}'
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["solve", "--domain", "ball", "--data", CONSTANT], "points"),
+    (["solve", "--data", CONSTANT, "--points", "0.1,0.0"], "domain"),
+    (["verify-barrier", "--s", "0.5", "--alpha", "0.25"], "kind"),
+    (["solve", "--domain", "ball", "--data", CONSTANT,
+      "--points", "0.1,abc"], "points"),
+    (["solve", "--domain", "nonsense{", "--data", CONSTANT,
+      "--points", "0.1,0.0"], "domain"),
+    # a datum with no singular point leaves no default for z0
+    (["profile", "--domain", "ball", "--data", '{"name": "constant"}'], "z0"),
+])
+def test_missing_or_unparsable_parameter_is_named(tmp_path, capsys, argv,
+                                                  name):
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ParameterError, match=name):
+        args.fn(args)
+    assert run(argv) == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# SHA-256 of the outputs of small seeded runs with their default or relative
+# output names: any change to the bytes the CLI writes fails here (the solve
+# and profile digests also depend on numpy's rounding, like the seeded pins
+# in test_wos.py)
+GOLDEN = {
+    "solve.csv": (
+        ["solve", "--domain", "ball", "--data",
+         '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
+         "--points", "0.3,0.0;0.0,0.5", "--paths", "2000", "--seed", "7"],
+        "c601a9cd4e4d25c91a0bb008b786563f0c2b9afdc88289f4c70fde4f8f7e2a49"),
+    "star.csv": (
+        ["solve", "--domain", '{"star": {"coeff_cos": [1, 0, 0.1]}}', "--data",
+         '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
+         "--points", "0.1,0.2;-0.3,0.1", "--paths", "2000", "--seed", "3",
+         "--out", "star.csv"],
+        "6bb877104f3ab5db4c2a525c2e90b123b8101631eabc1a56df0e507cc4aa3b59"),
+    "profile.csv": (
+        ["profile", "--domain", "square", "--data",
+         '{"name": "holder_point_singularity", "alpha": 0.1, "z0": [0, 0]}',
+         "--n", "4", "--paths", "2000", "--seed", "2"],
+        "ab7ddb4bfe01b3693436d5eba0dc57e3ca8828140afe5f4691ac73d01863482c"),
+    "apply_op.csv": (
+        ["apply-op", "--s", "0.5",
+         "--field", '{"name": "halfspace_power", "alpha": 0.25}',
+         "--points", "0.0,1.0;0.3,2.0", "--rel-tol", "1e-5"],
+        "0ff09307125a97b57b9e04048ce8d4787768cb2986db26936303d636823b59b0"),
+    "counterexample.csv": (
+        ["counterexample", "--n", "3"],
+        "31f9ef8fc6ba9ebf9c1cf62895cac38b271f25e7479bfa0fac88215c9a1bdd10"),
+    "verify_halfspace.json": (
+        ["verify-barrier", "--kind", "halfspace", "--s", "0.5",
+         "--alpha", "0.25"],
+        "db80486b4df5075431c7e601acf907361c77017afb9ffaa13275e65a8324da87"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
+    argv, digest = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    assert run(["--threads", "1", *argv]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

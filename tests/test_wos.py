@@ -169,6 +169,14 @@ def test_solver_rejects_kernel_of_other_dimension():
               make_fractional_laplacian(0.5, 1), WoSConfig(paths=10))
 
 
+def test_solver_rejects_a_3d_ball_before_walking():
+    ball3 = Ball([0.0, 0.0, 0.0], 1.0)
+    ball3.dist_bound = lambda *a: pytest.fail("a walker started")
+    with pytest.raises(ParameterError, match="dim"):
+        solve(ball3, constant_data(1.0), [0.1, 0.0, 0.0],
+              make_fractional_laplacian(0.5, 3), WoSConfig(paths=10))
+
+
 @pytest.mark.parametrize("kwargs", [
     {"batch_size": 0},
     {"batch_size": -4},
