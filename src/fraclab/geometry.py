@@ -38,13 +38,6 @@ def _maybe_scalar(v, single):
     return (v[0] if single else v)
 
 
-def _row_norms(v):
-    """Euclidean norms of the rows of v, rounded as ``np.linalg.norm`` of
-    each row alone (a dot product), so batched projections are bit for bit
-    the one-point ones."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
 @dataclass(frozen=True)
 class RegularizedDistance:
     """Value, gradient and Hessian of psi at one point, plus the modulus
@@ -124,7 +117,7 @@ class Ball(Domain):
     def project(self, x):
         pts, single = _as_points(x, self.dim)
         v = pts - self.center
-        r = _row_norms(v)
+        r = np.linalg.norm(v, axis=1)
         if np.any(r >= self.radius):
             raise DomainError("project requires an interior point")
         # the centre projects along the first axis
@@ -494,8 +487,9 @@ class StarShaped(Domain):
         damped Newton from the nearest node of the 512-point grid, each
         point stopping at its first step below tolerance, with golden-section
         search on the grid cell where Newton stalls (a non-positive
-        curvature, or a step above tolerance that does not descend)."""
+        curvature, or a step above 1e-10 diameter that does not descend)."""
         tol = 1e-12 * self.diameter
+        flat = 1e-10 * self.diameter
         cell = 2.0 * np.pi / 256      # damping: stay within the grid cells
         out = np.empty(len(pts))
         for lo in range(0, len(pts), 128):
@@ -516,8 +510,7 @@ class StarShaped(Domain):
                 d2bx = rpp * c - 2 * rp * s - r * c
                 d2by = rpp * s + 2 * rp * c - r * s
                 g = 2.0 * ((bx - x0) * dbx + (by - x1) * dby)
-                # pow() squares, for the reason given in _param_dist2
-                h = 2.0 * (np.float_power(dbx, 2) + np.float_power(dby, 2)
+                h = 2.0 * (dbx * dbx + dby * dby
                            + (bx - x0) * d2bx + (by - x1) * d2by)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     step = np.clip(g / h, -cell, cell)
@@ -526,10 +519,12 @@ class StarShaped(Domain):
                 ok = (h > 0) & (f_new <= f[act])
                 th[act[ok]] = t_new[ok]
                 f[act[ok]] = f_new[ok]
-                # a step below tol that does not descend is rounding at the
-                # minimum: converged; only real stalls fall back
+                # a step below flat changes the squared distance by less
+                # than its rounding, so failing the descent test there is
+                # convergence; only real stalls fall back
                 small = np.abs(step) * self.r_max < tol
-                stalled[act[~ok & ~((h > 0) & small)]] = True
+                converged = (h > 0) & (np.abs(step) * self.r_max < flat)
+                stalled[act[~ok & ~converged]] = True
                 act = act[ok & ~small]
                 if len(act) == 0:
                     break
@@ -542,12 +537,10 @@ class StarShaped(Domain):
         return out
 
     def _param_dist2(self, th, px, py):
-        """|(px, py) - B(th)|^2, with the squares taken by pow(): the last
-        bits decide the descent tests of the projection, and seeded walks
-        depend on them (x * x rounds differently)."""
+        """|(px, py) - B(th)|^2."""
         r = self.radial(th)
-        return (np.float_power(r * np.cos(th) - px, 2)
-                + np.float_power(r * np.sin(th) - py, 2))
+        ex, ey = r * np.cos(th) - px, r * np.sin(th) - py
+        return ex * ex + ey * ey
 
     def _golden_param(self, node, px, py, tol):
         """Golden-section minimum of the squared distance on the 512-grid
@@ -630,14 +623,14 @@ class StarShaped(Domain):
         th = self._nearest_param(pts)
         z0 = self.boundary_point(th)
         v = pts - z0
-        n = _row_norms(v)
+        n = np.linalg.norm(v, axis=1)
         normal = v / np.where(n > 0.0, n, 1.0)[:, None]
         on_curve = n == 0.0
         if np.any(on_curve):
             # x is its own nearest boundary point: the curve's inward normal
             r, rp, _, c, s = self._radial_derivs(th[on_curve])
             tangent = np.stack([rp * c - r * s, rp * s + r * c], axis=1)
-            tangent /= _row_norms(tangent)[:, None]
+            tangent /= np.linalg.norm(tangent, axis=1)[:, None]
             inward = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
             outward = np.sum(inward * z0[on_curve], axis=1) > 0
             inward[outward] *= -1.0

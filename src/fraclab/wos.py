@@ -4,20 +4,18 @@ quadratures used as its deterministic counterparts.
 The isotropic 2s-stable process exits a ball in one jump with a known law:
 started at the center of the unit ball, the exit point has density
 proportional to (|y|^2 - 1)^{-s} |y|^{-N} on |y| > 1, isotropic in angle.
-The radial law is sampled by inverse transform through a monotone spline of
-the radial CDF built once per order s (the radial density does not depend on
-the dimension).  Scale invariance of the process makes the unit-ball sampler
-exact for every ball radius.
+In every dimension W = |y|^{-2} follows Beta(s, 1 - s) (Blumenthal, Getoor
+and Ray, Trans. AMS 99, 1961), so the exit radius is drawn exactly as
+W^{-1/2}.  Scale invariance of the process makes the unit-ball law exact for
+every ball radius.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from ._quad import (_GL8, bisect_edges, gauss_jacobi_01, gl8_panels,
-                    node_chunks, periodic_edges)
+from ._quad import (bisect_edges, gauss_jacobi_01, gl8_panels, node_chunks,
+                    periodic_edges)
 from .errors import DomainError, ParameterError, ReliabilityError
 from .geometry import Ball
 
@@ -25,112 +23,28 @@ from .geometry import Ball
 # ---------------------------------------------------------------------------
 # exit law
 
-def exit_radial_density(r, s):
-    """Unnormalized radial density (r^2 - 1)^{-s} / r of the exit radius."""
-    r = np.asarray(r, dtype=float)
-    return (r * r - 1.0) ** (-s) / r
-
-
 class StableExitSampler:
-    """Inverse-CDF sampler of the exit radius, one instance per order s.
-
-    Knots are log-spaced in r - 1; the CDF is accumulated with per-interval
-    Gauss-Legendre quadrature of the density, the analytic asymptotics close
-    the two tails, and a monotone (PCHIP) spline of log(r - 1) against the
-    CDF performs the inversion.  Draws outside the knot range use the local
-    power-law asymptotics of the CDF, whose relative error at the cut points
-    is of the order of the cut itself.
-    """
-
-    N_KNOTS = 4096
-    U_LO = 1e-8
-    U_HI = 1e8
+    """The exact exit-radius law of order s: r = W^{-1/2}, W ~ Beta(s, 1-s)."""
 
     def __init__(self, s):
         if not 0.0 < s < 1.0:
             raise ParameterError("order s must lie in (0,1)")
         self.s = float(s)
-        # keep the first knot's CDF above ~3e-8 so its float64 representation
-        # against a normalized CDF stays below 1e-8 relative error
-        mass_est = np.pi / (2.0 * np.sin(np.pi * s))
-        u_lo = max(self.U_LO,
-                   (3e-8 * (1.0 - s) * mass_est * 2.0 ** s) ** (1.0 / (1.0 - s)))
-        u = np.geomspace(u_lo, self.U_HI, self.N_KNOTS)
-        r = 1.0 + u
-        a, b = r[:-1], r[1:]
-        mid = 0.5 * (a + b); half = 0.5 * (b - a)
-        nodes = mid[:, None] + half[:, None] * _GL8[0][None, :]
-        vals = exit_radial_density(nodes, s)
-        pieces = half * (vals @ _GL8[1])
-        # mass on (1, r_0]: density = 2^{-s} u^{-s} (1 - (1 + s/2) u + O(u^2))
-        head = 2.0 ** (-s) * (u[0] ** (1.0 - s) / (1.0 - s)
-                              - (1.0 + s / 2.0) * u[0] ** (2.0 - s) / (2.0 - s))
-        tail = r[-1] ** (-2.0 * s) / (2.0 * s)               # mass on [r_end, inf)
-        cdf = head + np.concatenate([[0.0], np.cumsum(pieces)])
-        total = cdf[-1] + tail
-        self.total_mass = float(total)
-        cdf = cdf / total
-        # float64 can saturate the light tail; keep a strictly increasing set
-        keep = np.concatenate([[True], np.diff(cdf) > 0.0])
-        keep &= cdf < 1.0
-        self.cdf_knots = cdf[keep]
-        self.r_knots = r[keep]
-        self._inv = PchipInterpolator(self.cdf_knots,
-                                      np.log(self.r_knots - 1.0),
-                                      extrapolate=False)
-        self._u_head = float(self.cdf_knots[0])
-        self._u_tail = float(self.cdf_knots[-1])
-        # tail/head coefficients matched at the boundary knots
-        self._head_c = (self.r_knots[0] - 1.0) \
-            / self._u_head ** (1.0 / (1.0 - s))
-        self._tail_c = self.r_knots[-1] \
-            * (1.0 - self._u_tail) ** (1.0 / (2.0 * s))
 
-    def radius(self, unif):
-        """Map uniforms in (0,1) to exit radii > 1."""
-        unif = np.asarray(unif, dtype=float)
-        out = np.empty_like(unif)
-        head = unif < self._u_head
-        tail = unif > self._u_tail
-        core = ~(head | tail)
-        if np.any(core):
-            out[core] = 1.0 + np.exp(self._inv(unif[core]))
-        if np.any(head):
-            # F ~ c (r-1)^{1-s} near r = 1
-            out[head] = 1.0 + self._head_c * unif[head] ** (1.0 / (1.0 - self.s))
-        if np.any(tail):
-            # 1 - F ~ c r^{-2s} at infinity
-            out[tail] = self._tail_c * (1.0 - unif[tail]) ** (-1.0 / (2.0 * self.s))
-        return out
-
-    def cdf_oracle_error(self):
-        """Max relative deviation of the knot CDF from the closed form
-        1 - I_{1/r^2}(s, 1-s) = I_{1-1/r^2}(1-s, s) (regularized incomplete
-        beta; the complement form avoids cancellation near r = 1)."""
-        from scipy.special import betainc
-        u = self.r_knots - 1.0
-        z = u * (2.0 + u) / (1.0 + u) ** 2   # 1 - 1/r^2 without cancellation
-        # each form is cancellation-free on its own side of the law
-        exact = np.where(z <= 0.5,
-                         betainc(1.0 - self.s, self.s, np.minimum(z, 0.5)),
-                         1.0 - betainc(self.s, 1.0 - self.s,
-                                       1.0 / self.r_knots ** 2))
-        err = np.abs(self.cdf_knots - exact) / np.maximum(exact, 1e-300)
-        return float(np.max(err))
-
-
-@lru_cache(maxsize=32)
-def _sampler(s):
-    return StableExitSampler(s)
+    def radius(self, slot, rng):
+        """Exit radii >= 1, one per entry of the index array ``slot``:
+        max(slot) + 1 radii are drawn and entry i takes radius slot[i], so
+        equal slots share one radius."""
+        n = np.max(slot, initial=-1) + 1
+        return rng.beta(self.s, 1.0 - self.s, n)[slot] ** -0.5
 
 
 def sample_ball_exit(s, dim, rng, n=1):
     """Exit points of the 2s-stable process from the unit ball started at its
-    center: n points with |y| > 1, isotropic in angle."""
+    center: n points with |y| >= 1, isotropic in angle."""
     if dim not in (1, 2):
         raise ParameterError("exit sampling supports dim 1 and 2")
-    smp = _sampler(float(s))
-    r = smp.radius(rng.random(n))
+    r = StableExitSampler(s).radius(np.arange(n), rng)
     if dim == 1:
         sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         return (r * sign)[:, None]
@@ -187,9 +101,12 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     jumps from a ball of radius sphere_fraction times that lower bound on
     the distance, exits where the bound is 0, and snaps to its projection
     where the distance is below snap_eps (the bound is exact there, so the
-    snap decisions are those of the exact distance).  The step direction is
-    (cos phi, sin phi) in dimension two and sign(cos phi) in dimension one,
-    from the same draws.
+    snap decisions are those of the exact distance).  Only the live walkers
+    are carried from step to step.  Each step draws one exit radius and one
+    angle phi per live unit, an antithetic pair or a single walker; the two
+    walkers of a pair share the radius and step at opposite angles.  The
+    step direction is (cos phi, sin phi) in dimension two and sign(cos phi)
+    in dimension one, from the same draws.
     The estimator is unbiased up to the snap bias, which the Hoelder
     certificate of g bounds by C0 * snap_eps^alpha, plus, for the walkers
     stopped by max_steps and paid at their projection, C0 * dist^alpha of
@@ -222,9 +139,11 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     if cfg.antithetic and paths % 2:
         paths += 1
 
-    smp = _sampler(float(s))
+    smp = StableExitSampler(s)
     kappa = cfg.sphere_fraction
     n_batches = (paths + cfg.batch_size - 1) // cfg.batch_size
+    # a draw unit is an antithetic pair (walkers 2k, 2k + 1) or one walker
+    shift = 1 if cfg.antithetic else 0
 
     sum_pay = 0.0
     sum_sq = 0.0       # over estimator units (pairs when antithetic)
@@ -241,61 +160,45 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
         n_walked += size
         rng = np.random.Generator(np.random.Philox(
             key=[cfg.seed, (point_index << 32) + b]))
+        payload = np.empty(size)
+        # the live walkers, their positions and their dist_bound, compacted
+        # as walkers snap, exit or run out of steps
+        live = np.arange(size)
         pos = np.tile(x, (size, 1))
-        # carried along: one dist_bound per step
         d = np.asarray(dom.dist_bound(pos, snap_eps))
-        payload = np.zeros(size)
-        alive = np.ones(size, dtype=bool)
-        steps = np.zeros(size, dtype=np.int64)
-        half = size // 2
-        for _ in range(cfg.max_steps):
-            if not np.any(alive):
-                break
-            # one draw per pair per step keeps the stream layout fixed
-            if cfg.antithetic:
-                u_r = np.repeat(rng.random(half), 2)
-                u_phi = rng.random(half)
-                phi = np.empty(size)
-                phi[0::2] = 2.0 * np.pi * u_phi
-                phi[1::2] = 2.0 * np.pi * u_phi + np.pi
-            else:
-                u_r = rng.random(size)
-                phi = 2.0 * np.pi * rng.random(size)
-            snap = alive & (d < snap_eps)
+        for step in range(cfg.max_steps):
+            snap = d < snap_eps
             if np.any(snap):
-                idx = np.nonzero(snap)[0]
-                payload[idx] = g(dom.project(pos[idx])[0])
-                alive[idx] = False
-                n_snapped += len(idx)
-            act = np.nonzero(alive)[0]
-            if len(act) == 0:
+                payload[live[snap]] = g(dom.project(pos[snap])[0])
+                n_snapped += int(np.count_nonzero(snap))
+                live, pos, d = live[~snap], pos[~snap], d[~snap]
+            if len(live) == 0:
                 break
-            radius = kappa * d[act] * smp.radius(u_r[act])
+            # rank of each walker's unit among the live units: one radius
+            # and one angle per unit; the second walker of a pair steps the
+            # opposite way (a negative radius)
+            slot = np.cumsum(np.diff(live >> shift, prepend=-1) > 0) - 1
+            radius = kappa * d * smp.radius(slot, rng) \
+                * (1 - 2 * (live & shift))
+            phi = 2.0 * np.pi * rng.random(slot[-1] + 1)
             if dom.dim == 1:
-                # the sign of cos(phi): opposite within an antithetic pair
-                step_vec = (radius * np.sign(np.cos(phi[act])))[:, None]
+                step_dir = np.sign(np.cos(phi))[:, None]
             else:
-                step_vec = radius[:, None] * np.stack(
-                    [np.cos(phi[act]), np.sin(phi[act])], axis=1)
-            newpos = pos[act] + step_vec
-            steps[act] += 1
-            d_new = np.asarray(dom.dist_bound(newpos, snap_eps))
-            inside = d_new > 0.0
-            out_idx = act[~inside]
-            if len(out_idx):
-                payload[out_idx] = g(newpos[~inside])
-                alive[out_idx] = False
-            pos[act[inside]] = newpos[inside]
-            d[act[inside]] = d_new[inside]
-        if np.any(alive):
-            idx = np.nonzero(alive)[0]
-            n_maxed += len(idx)
-            z0 = dom.project(pos[idx])[0]
-            payload[idx] = g(z0)
-            maxed_dist.append(np.linalg.norm(pos[idx] - z0, axis=1))
-            n_snapped += len(idx)
-        total_steps += int(np.sum(steps))
-        steps_max = max(steps_max, int(np.max(steps)))
+                step_dir = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+            pos = pos + radius[:, None] * step_dir[slot]
+            total_steps += len(live)
+            steps_max = max(steps_max, step + 1)
+            d = np.asarray(dom.dist_bound(pos, snap_eps))
+            inside = d > 0.0
+            if not np.all(inside):
+                payload[live[~inside]] = g(pos[~inside])
+                live, pos, d = live[inside], pos[inside], d[inside]
+        if len(live):
+            n_maxed += len(live)
+            z0 = dom.project(pos)[0]
+            payload[live] = g(z0)
+            maxed_dist.append(np.linalg.norm(pos - z0, axis=1))
+            n_snapped += len(live)
         if cfg.antithetic:
             units = 0.5 * (payload[0::2] + payload[1::2])
         else:

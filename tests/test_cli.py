@@ -34,6 +34,8 @@ def test_validate_kernel_violations_exit_2(tmp_path):
     assert code == 2
 
 
+# the README's apply-op example: it must reach its tolerance without warning
+@pytest.mark.filterwarnings("error::fraclab.errors.ToleranceWarning")
 def test_apply_op_csv(tmp_path):
     out = tmp_path / "op.csv"
     code = run(["apply-op", "--s", "0.5",
@@ -309,18 +311,18 @@ GOLDEN = {
         ["solve", "--domain", "ball", "--data",
          '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
          "--points", "0.3,0.0;0.0,0.5", "--paths", "2000", "--seed", "7"],
-        "c601a9cd4e4d25c91a0bb008b786563f0c2b9afdc88289f4c70fde4f8f7e2a49"),
+        "f19bf0aaf6bf5294826138b20aa8bc2d2688162d454015f0a3e82c48ca04fa65"),
     "star.csv": (
         ["solve", "--domain", '{"star": {"coeff_cos": [1, 0, 0.1]}}', "--data",
          '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
          "--points", "0.1,0.2;-0.3,0.1", "--paths", "2000", "--seed", "3",
          "--out", "star.csv"],
-        "6bb877104f3ab5db4c2a525c2e90b123b8101631eabc1a56df0e507cc4aa3b59"),
+        "b5189f179a4c3611e21084a4c9e181067c97d3dc43ab6f4dbc87bf71f063b306"),
     "profile.csv": (
         ["profile", "--domain", "square", "--data",
          '{"name": "holder_point_singularity", "alpha": 0.1, "z0": [0, 0]}',
          "--n", "4", "--paths", "2000", "--seed", "2"],
-        "ab7ddb4bfe01b3693436d5eba0dc57e3ca8828140afe5f4691ac73d01863482c"),
+        "15f96d7b9dea96b8c1a9fd9b4a6bff70e1e67220d3ff3fc574c9533cfae5a163"),
     "apply_op.csv": (
         ["apply-op", "--s", "0.5",
          "--field", '{"name": "halfspace_power", "alpha": 0.25}',
@@ -342,3 +344,32 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     assert run(["--threads", "1", *argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# (estimate, stderr) of each row the seeded walk-on-spheres runs of GOLDEN
+# wrote with the spline-fitted exit law and its stream layout
+SPLINE_LAW = {
+    "solve.csv": [(2.11925411122, 0.014727517703),
+                  (2.33032752662, 0.0130666551097)],
+    "star.csv": [(2.26600080261, 0.0139399160933),
+                 (2.51048113008, 0.0121977600703)],
+    "profile.csv": [(0.449713611912, 0.00163055661745),
+                    (0.528225141222, 0.0018715851319),
+                    (0.610897662811, 0.0021514265142),
+                    (0.718981741188, 0.00265692394819)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLINE_LAW))
+def test_wos_outputs_agree_with_spline_law_runs(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(["--threads", "1", *GOLDEN[name][0]]) == 0
+    lines = [ln for ln in read_lines(name) if not ln.startswith("#")]
+    cols = lines[0].split(",")
+    i_est = cols.index("value" if "value" in cols else "estimate")
+    i_se = cols.index("stderr")
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert len(rows) == len(SPLINE_LAW[name])
+    for row, (est, se) in zip(rows, SPLINE_LAW[name]):
+        new_est, new_se = float(row[i_est]), float(row[i_se])
+        assert abs(new_est - est) <= 4.0 * (new_se ** 2 + se ** 2) ** 0.5

@@ -384,6 +384,7 @@ def test_star_projection_rarely_falls_back_to_golden_section(monkeypatch):
     z0, _ = dom.project(pts)
     np.testing.assert_allclose(np.linalg.norm(pts - z0, axis=1), dom.dist(pts),
                                rtol=0.0, atol=1e-12)
-    # Newton steps below tolerance that fail the descent test on rounding
-    # are converged; sent to golden section they were 818 of these rows
-    assert sum(rows) < 300
+    # Newton steps below 1e-10 diameter that fail the descent test on
+    # rounding are converged; sent to golden section they were 818 of these
+    # rows, and 191 with only the steps below tolerance counted converged
+    assert sum(rows) <= 10

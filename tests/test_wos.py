@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.special import betainc
+from scipy.stats import kstest
 
+import fraclab
 from fraclab.barriers import (ExteriorData, capped_distance_data,
                               constant_data, coordinate_data,
                               counterexample_min_rs_1,
@@ -21,9 +28,64 @@ BALL = Ball([0.0, 0.0], 1.0)
 # ---------------------------------------------------------------------------
 # exit law
 
-@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
-def test_cdf_knots_match_beta_closed_form(s):
-    assert StableExitSampler(s).cdf_oracle_error() < 1e-8
+def exit_gap_cdf(u, s):
+    """P(r - 1 <= u) for the exit radius r, in closed form: r <= 1 + u iff
+    W = r^-2 >= (1 + u)^-2, where W ~ Beta(s, 1-s).  Near r = 1 it is
+    I_z(1-s, s) with z = 1 - r^-2 = u (2 + u) / r^2 formed without
+    cancellation, beyond z = 1/2 it is 1 - I_{1/r^2}(s, 1-s)."""
+    u = np.asarray(u, dtype=float)
+    r = 1.0 + u
+    z = (u / r) * ((2.0 + u) / r)
+    return np.where(z <= 0.5, betainc(1.0 - s, s, np.minimum(z, 0.5)),
+                    1.0 - betainc(s, 1.0 - s, 1.0 / r ** 2))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_exit_radii_match_beta_closed_form(s):
+    # the closed form against the quadrature oracles of the radial density
+    assert 1.0 - exit_gap_cdf(1.0, s) == pytest.approx(
+        exit_law_tail_prob(s, 2.0), rel=1e-9)
+    assert exit_gap_cdf(exit_law_median(s) - 1.0, s) == pytest.approx(
+        0.5, abs=1e-9)
+    # the drawn radii against the closed form.  float64 rounds every
+    # r - 1 < 1.1e-16 to r == 1.0, an atom of 2.7% at s = 0.9 that the KS
+    # test cannot take: it tests the law above r = 1 + 1e-12, and the head
+    # test below counts the radii under it
+    rng = np.random.Generator(np.random.Philox(key=41))
+    r = StableExitSampler(s).radius(np.arange(200000), rng)
+    cut = 1e-12
+    head = exit_gap_cdf(cut, s)
+    above = lambda v: (exit_gap_cdf(v - 1.0, s) - head) / (1.0 - head)
+    assert kstest(r[r - 1.0 > cut], above).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("s", [0.5, 0.9])
+def test_exit_radius_head_matches_beta_closed_form(s):
+    rng = np.random.Generator(np.random.Philox(key=46))
+    n = 10 ** 6
+    gap = StableExitSampler(s).radius(np.arange(n), rng) - 1.0
+    for t in (1e-8, 1e-6, 1e-4):
+        p = exit_gap_cdf(t, s)
+        sigma = np.sqrt(n * p * (1.0 - p))
+        assert abs(np.count_nonzero(gap < t) - n * p) <= 4.0 * sigma
+
+
+def test_exit_radius_shares_draws_between_equal_slots():
+    rng = np.random.Generator(np.random.Philox(key=47))
+    r = StableExitSampler(0.5).radius(np.array([0, 0, 1, 2, 2]), rng)
+    assert r[0] == r[1] and r[3] == r[4]
+    assert len(np.unique(r)) == 3
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # the exit law is drawn in closed form; scipy.interpolate, once loaded
+    # for a fitted one, cost about a quarter of the import time
+    code = "import sys, fraclab; print('scipy.interpolate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(fraclab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_exit_tail_probability_matches_oracle():
@@ -31,7 +93,9 @@ def test_exit_tail_probability_matches_oracle():
     n = 10 ** 6
     y = sample_ball_exit(0.5, 2, rng, n=n)
     r = np.linalg.norm(y, axis=1)
-    assert np.all(r > 1.0)
+    # r == 1.0 is the float64 rounding of r - 1 < 1.1e-16 (probability
+    # about 8e-9 at s = 0.5), and this stream draws one such radius
+    assert np.all(r >= 1.0)
     p = exit_law_tail_prob(0.5, 2.0)
     se = np.sqrt(p * (1 - p) / n)
     assert abs(np.mean(r > 2.0) - p) <= 3.0 * se
@@ -274,17 +338,30 @@ def test_bias_bound_counts_max_steps_walkers():
 # problems at 2000 paths.  Square walks step on the exact distance, so how a
 # step queries the geometry may change, these values may not.  Star walks
 # step on StarShaped.dist_bound, a lower bound on the distance (smaller
-# steps, new streams); they are pinned at the values of that walk.
+# steps, new streams); they are pinned at the values of that walk.  Both are
+# drawn from the exact Beta exit law, one radius and one angle per live
+# antithetic pair and step.
 SQUARE_PINNED = [
+    (1e-4, 0.4375694588405487, 0.0017179392156027326),
+    (1e-2, 0.6854919129181836, 0.0023985151558037453),
+]
+STAR_PINNED = [
+    (0.3, 0.5, 1.920945890575877, 0.017525193879284678),
+    (1.2, 0.05, 1.9987881071416207, 0.010508945615636353),
+    (2.0, 1e-3, 2.5426181275363113, 0.003321536681187481),
+]
+# the same problems walked with the spline-fitted exit law, which drew two
+# uniforms (radius and angle) per pair of a batch at every step, live or not
+SQUARE_SPLINE_LAW = [
     (1e-4, 0.4350525861139503, 0.0015656268881668552),
     (1e-2, 0.6915072495337344, 0.0025402161226172463),
 ]
-STAR_PINNED = [
+STAR_SPLINE_LAW = [
     (0.3, 0.5, 1.9079100961063276, 0.017024449406507606),
     (1.2, 0.05, 1.9905671582232907, 0.010801379724466105),
     (2.0, 1e-3, 2.548743004174643, 0.00317297862652147),
 ]
-# the same problems walked on the exact star distance
+# the star problems walked with the spline law on the exact star distance
 STAR_EXACT_STEPS = [
     (0.3, 0.5, 1.9122384667701249, 0.016695513443374773),
     (1.2, 0.05, 1.9890396832851602, 0.010872455384544904),
@@ -319,6 +396,14 @@ def test_star_pins_agree_with_exact_distance_walks():
     for new, old in zip(STAR_PINNED, STAR_EXACT_STEPS):
         assert new[:2] == old[:2]
         assert abs(new[2] - old[2]) <= 4.0 * np.hypot(new[3], old[3])
+
+
+@pytest.mark.parametrize("pinned, spline", [
+    (SQUARE_PINNED, SQUARE_SPLINE_LAW), (STAR_PINNED, STAR_SPLINE_LAW)])
+def test_pins_agree_with_spline_law_walks(pinned, spline):
+    for new, old in zip(pinned, spline):
+        assert new[:-2] == old[:-2]
+        assert abs(new[-2] - old[-2]) <= 4.0 * np.hypot(new[-1], old[-1])
 
 
 # ---------------------------------------------------------------------------
