@@ -7,10 +7,11 @@ the defaults), parsing the string forms of ``data``, ``field``, ``points``
 and ``z0`` once.  A parameter that is missing or does not parse raises a
 ParameterError naming it.  ``_write_csv`` and ``_write_report`` write every
 output: the CSV embeds the resolved config and its hash in comment lines,
-and a JSON sidecar ``<out>.meta.json`` carries the config, package
-versions, seed and wall time.  Outputs are byte-identical for identical
-(config, seed): floats have a fixed precision and ``_map`` keeps input
-order.
+and a JSON sidecar ``<out>.meta.json`` carries the config, package and
+Python versions, platform, worker threads, seed and wall time, and the
+run's report (for ``solve``, each point's walk diagnostics).  Outputs are
+byte-identical for identical (config, seed): floats have a fixed precision
+and ``_map`` keeps input order.
 
 Exit codes: 0 success / verification PASS, 2 verification FAIL, 1 error.
 """
@@ -19,11 +20,13 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .barriers import (counterexample_min_rs_1, data_from_config,
@@ -46,14 +49,17 @@ class Config(dict):
     """A subcommand's resolved config.
 
     A key that is absent reads as its declared fallback, which stays out of
-    the recorded config, or raises a ParameterError naming it.
+    the recorded config, or raises a ParameterError naming it.  ``threads``
+    is the run's worker-thread count, kept out of the config because it
+    does not change the output.
     """
 
-    def __init__(self, command, flags, fallbacks):
+    def __init__(self, command, flags, fallbacks, threads):
         super().__init__()
         self.command = command
         self.flags = flags
         self.fallbacks = fallbacks
+        self.threads = threads
         self.started = time.time()
 
     def __missing__(self, key):
@@ -89,7 +95,7 @@ _PARSERS = {
 def _resolve(args):
     """The run's config: file values overridden by present flags, then the
     declared defaults, with string forms parsed."""
-    cfg = Config(args.command, args.flags, args.fallbacks)
+    cfg = Config(args.command, args.flags, args.fallbacks, _threads(args))
     if args.config:
         with open(args.config) as f:
             cfg.update(_build(vars(args), "config",
@@ -138,9 +144,9 @@ def _threads(args):
     return n
 
 
-def _map(args, fn, items):
+def _map(cfg, fn, items):
     """[fn(item) for item in items] on the worker threads, in input order."""
-    with ThreadPoolExecutor(max_workers=_threads(args)) as ex:
+    with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
         return list(ex.map(fn, items))
 
 
@@ -166,7 +172,13 @@ def _write_sidecar(out, cfg, report):
     side = {
         "config": cfg,
         "config_hash": _config_hash(cfg),
-        "versions": {"fraclab": __version__, "numpy": np.__version__},
+        "versions": {"fraclab": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__,
+                     "python": platform.python_version(),
+                     "platform": "-".join((platform.system(),
+                                           platform.release(),
+                                           platform.machine())),
+                     "threads": cfg.threads},
         "seed": cfg["seed"] if "seed" in cfg.flags else None,
         "wall_time": time.time() - cfg.started,
     }
@@ -258,7 +270,7 @@ def cmd_apply_op(args):
         ov = apply_L(kernel, u, np.asarray(p, dtype=float), q=q)
         return (*p, ov.value, ov.err_estimate, ov.near_part, ov.far_part)
 
-    rows = _map(args, work, pts)
+    rows = _map(cfg, work, pts)
     out = _write_csv(cfg, _coords(len(pts[0])) + [
         "value", "err_estimate", "near_part", "far_part"], rows)
     print(f"wrote {out} ({len(rows)} rows)")
@@ -298,19 +310,35 @@ def _walk_setup(cfg):
     return dom, g, kernel, WoSConfig(paths=cfg["paths"], seed=cfg["seed"])
 
 
+_WALK_DIAGNOSTICS = ("paths_used", "n_maxed", "steps_max", "bias_bound")
+
+
+def _walk_diagnostics(samples):
+    """Each point's walk diagnostics, and over all points the paths and
+    max_steps hits summed, the most steps and the largest bias bound."""
+    points = [{"x": list(o.x), **{k: getattr(o, k) for k in _WALK_DIAGNOSTICS}}
+              for o in samples]
+    totals = {"paths_used": sum(o.paths_used for o in samples),
+              "n_maxed": sum(o.n_maxed for o in samples),
+              "steps_max": max(o.steps_max for o in samples),
+              "bias_bound": max(o.bias_bound for o in samples)}
+    return {"points": points, "totals": totals}
+
+
 def cmd_solve(args):
     cfg = _resolve(args)
     dom, g, kernel, wcfg = _walk_setup(cfg)
 
     def work(item):
         i, p = item
-        out = solve(dom, g, p, kernel, wcfg, point_index=i)
-        return (*p, out.estimate, out.stderr, out.mean_steps,
-                out.snapped_fraction)
+        return solve(dom, g, p, kernel, wcfg, point_index=i)
 
-    rows = _map(args, work, enumerate(cfg["points"]))
+    samples = _map(cfg, work, enumerate(cfg["points"]))
+    rows = [(*p, o.estimate, o.stderr, o.mean_steps, o.snapped_fraction)
+            for p, o in zip(cfg["points"], samples)]
     out = _write_csv(cfg, _coords(dom.dim) + [
-        "estimate", "stderr", "mean_steps", "snapped_fraction"], rows)
+        "estimate", "stderr", "mean_steps", "snapped_fraction"], rows,
+        report={"diagnostics": _walk_diagnostics(samples)})
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -408,7 +436,7 @@ def cmd_counterexample(args):
         base = t ** s * np.log(1.0 / t)
         return (t, v, t ** s, base, v / base)
 
-    rows = _map(args, work, np.geomspace(cfg["tmin"], cfg["tmax"], cfg["n"]))
+    rows = _map(cfg, work, np.geomspace(cfg["tmin"], cfg["tmax"], cfg["n"]))
     out = _write_csv(cfg, ["t", "u", "t_pow_s", "t_pow_s_log", "ratio"], rows,
                      report={"kappa_s": kappa_constant(s)})
     ratios = [r[4] for r in rows]

@@ -7,13 +7,15 @@ accepted).  On every variant ``contains(x) == (dist(x) > 0) ==
 bound on ``dist``, equal to it wherever it falls below ``exact_below``; the
 walk-on-spheres loop makes one ``dist_bound`` call per step, steps on a ball
 of that radius, reads the exit test off its sign and snaps on the exact
-distance.  On Ball and Polygon the bound is ``dist`` itself; on StarShaped it
-is a closed form in the radial gap, O(1) per point.  ``project``
-returns the nearest boundary point together with the inward unit normal; on
-Ball, Polygon and StarShaped it takes a batch of interior points (and returns
-two (n, dim) arrays), on HalfPlane and Cone one point.  Ball, HalfPlane and
-StarShaped additionally provide a C^1 regularized distance psi comparable to
-d with a Hessian controlled by omega(d)/d.
+distance.  On Ball and non-convex Polygons the bound is ``dist`` itself; on
+convex Polygons it is the distance to the nearest edge line, which is
+``dist`` up to a few ulps of the coordinates (bit for bit on the unit
+square), and on StarShaped a closed form in the radial gap, O(1) per point.
+``project`` returns the nearest boundary point together with the inward unit
+normal; on Ball, Polygon and StarShaped it takes a batch of interior points
+(and returns two (n, dim) arrays), on HalfPlane and Cone one point.  Ball,
+HalfPlane and StarShaped additionally provide a C^1 regularized distance psi
+comparable to d with a Hessian controlled by omega(d)/d.
 """
 
 from dataclasses import dataclass
@@ -72,7 +74,8 @@ class Domain:
         ``contains(x) == (dist_bound(x) > 0)``), and equal to ``dist``
         wherever it falls below ``exact_below``.  A ball of this radius about
         x lies in the domain, which is all a walk-on-spheres step needs.
-        Here it is ``dist`` itself."""
+        Here it is ``dist`` itself; convex polygons and star domains
+        override it with closed forms."""
         return self.dist(x)
 
     def signed_dist(self, x):
@@ -295,6 +298,18 @@ class Polygon(Domain):
             raise ParameterError("polygon has a zero-length edge")
         unit = self._edge / np.sqrt(self._len2)[:, None]
         self._inward = np.stack([-unit[:, 1], unit[:, 0]], axis=1)  # ccw
+        # dist_bound's closed form: the polygon is convex when every turn
+        # from one edge to the next is to the left; each edge line is
+        # (nu_x, nu_y, a . nu); below _exact_floor, twice the edge pass's
+        # on-edge band scaled to the coordinates, the bound defers to the
+        # edge pass, so the two roundings agree on the sign
+        nxt = np.roll(self._edge, -1, axis=0)
+        turn = self._edge[:, 0] * nxt[:, 1] - self._edge[:, 1] * nxt[:, 0]
+        self.convex = bool(np.all(turn > 0.0))
+        offset = np.sum(self._a * self._inward, axis=1)
+        self._lines = [(float(nx), float(ny), float(c))
+                       for (nx, ny), c in zip(self._inward, offset)]
+        self._exact_floor = 2e-14 * max(1.0, float(np.max(np.abs(verts))))
 
     @property
     def diameter(self):
@@ -349,6 +364,28 @@ class Polygon(Domain):
         _, _, d, inside = self._edge_pass(pts)
         return _maybe_scalar(np.where(inside, d, 0.0), single)
 
+    def dist_bound(self, x, exact_below=0.0):
+        """On a convex polygon, min_i (x - a_i) . nu_i, the distance to the
+        nearest edge line, which inside is the distance itself; rows where
+        it falls below ``exact_below`` (or near or below 0, or is NaN) get
+        the edge pass's exact ``dist``.  On the unit square it is ``dist``
+        bit for bit.  Elsewhere the two formulas round differently, a few
+        ulps of the coordinates apart.  Non-convex polygons return
+        ``dist``: their edge lines cut through the interior."""
+        if not self.convex:
+            return self.dist(x)
+        pts, single = _as_points(x, 2)
+        px, py = pts[:, 0], pts[:, 1]
+        bound = np.full(len(pts), np.inf)
+        # one edge at a time: a min over a short trailing axis is slow
+        for nx, ny, off in self._lines:
+            bound = np.minimum(bound, px * nx + py * ny - off)
+        exact = ~(bound >= max(exact_below, self._exact_floor))
+        if np.any(exact):
+            _, _, d, inside = self._edge_pass(pts[exact])
+            bound[exact] = np.where(inside, d, 0.0)
+        return _maybe_scalar(bound, single)
+
     def project(self, x):
         pts, single = _as_points(x, 2)
         t, d2, d, inside = self._edge_pass(pts)
@@ -379,6 +416,12 @@ class StarShaped(Domain):
         if gamma <= 0 or gamma > 1:
             raise ParameterError("gamma must lie in (0, 1]")
         self.gamma = float(gamma)
+        self._r0 = float(self.coeff_cos[0]) if len(self.coeff_cos) else 0.0
+        self._cos_terms = [(float(k), c) for k, c in enumerate(self.coeff_cos)
+                           if k > 0 and c != 0.0]
+        self._sin_terms = [(float(k), c)
+                           for k, c in enumerate(self.coeff_sin, start=1)
+                           if c != 0.0]
         th = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         rr = self.radial(th)
         self.r_min = float(np.min(rr))
@@ -409,12 +452,14 @@ class StarShaped(Domain):
         return 2.0 * self.r_max
 
     def radial(self, theta):
+        """r(theta), from the constant term and the nonzero harmonics only
+        (a zero term adds +-0, so the sum is that of the full series)."""
         theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        for k, c in enumerate(self.coeff_cos):
-            out += c * np.cos(float(k) * theta)
-        for k, c in enumerate(self.coeff_sin, start=1):
-            out += c * np.sin(float(k) * theta)
+        out = np.full(theta.shape, self._r0)
+        for k, c in self._cos_terms:
+            out += c * np.cos(k * theta)
+        for k, c in self._sin_terms:
+            out += c * np.sin(k * theta)
         return out
 
     def _radial_derivs(self, theta):

@@ -107,6 +107,13 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     walkers of a pair share the radius and step at opposite angles.  The
     step direction is (cos phi, sin phi) in dimension two and sign(cos phi)
     in dimension one, from the same draws.
+    A walker that exits, snaps or runs out of steps records where it
+    stopped.  At the end of its batch one ``dom.project`` call takes every
+    walker paid at its projection (snapped or stopped by max_steps), and one
+    ``g`` call pays every walker; both act row by row, so a walker's payload
+    does not depend on the rest of the batch.  A non-finite payload (an exit
+    radius that overflowed at small s, met by a datum that grows) raises a
+    ReliabilityError naming s and the count.
     The estimator is unbiased up to the snap bias, which the Hoelder
     certificate of g bounds by C0 * snap_eps^alpha, plus, for the walkers
     stopped by max_steps and paid at their projection, C0 * dist^alpha of
@@ -160,7 +167,10 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
         n_walked += size
         rng = np.random.Generator(np.random.Philox(
             key=[cfg.seed, (point_index << 32) + b]))
-        payload = np.empty(size)
+        # where each walker stopped, and whether it is paid at its
+        # projection (snapped or stopped by max_steps) rather than there
+        stop = np.empty((size, dom.dim))
+        projected = np.zeros(size, dtype=bool)
         # the live walkers, their positions and their dist_bound, compacted
         # as walkers snap, exit or run out of steps
         live = np.arange(size)
@@ -169,8 +179,8 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
         for step in range(cfg.max_steps):
             snap = d < snap_eps
             if np.any(snap):
-                payload[live[snap]] = g(dom.project(pos[snap])[0])
-                n_snapped += int(np.count_nonzero(snap))
+                stop[live[snap]] = pos[snap]
+                projected[live[snap]] = True
                 live, pos, d = live[~snap], pos[~snap], d[~snap]
             if len(live) == 0:
                 break
@@ -191,14 +201,27 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
             d = np.asarray(dom.dist_bound(pos, snap_eps))
             inside = d > 0.0
             if not np.all(inside):
-                payload[live[~inside]] = g(pos[~inside])
+                stop[live[~inside]] = pos[~inside]
                 live, pos, d = live[inside], pos[inside], d[inside]
-        if len(live):
-            n_maxed += len(live)
-            z0 = dom.project(pos)[0]
-            payload[live] = g(z0)
-            maxed_dist.append(np.linalg.norm(pos - z0, axis=1))
-            n_snapped += len(live)
+        # the walkers still live ran out of steps
+        n_maxed += len(live)
+        stop[live] = pos
+        projected[live] = True
+        paid = np.flatnonzero(projected)
+        n_snapped += len(paid)
+        if len(paid):
+            z0 = dom.project(stop[paid])[0]
+            if len(live):
+                maxed_dist.append(np.linalg.norm(
+                    pos - z0[np.searchsorted(paid, live)], axis=1))
+            stop[paid] = z0
+        payload = np.asarray(g(stop), dtype=float)
+        n_bad = np.count_nonzero(~np.isfinite(payload))
+        if n_bad:
+            raise ReliabilityError(
+                f"{n_bad} of {size} walkers of batch {b} have a non-finite "
+                f"payload at order s = {s}: an exit radius overflowed, or "
+                f"the datum is not finite where they stopped")
         if cfg.antithetic:
             units = 0.5 * (payload[0::2] + payload[1::2])
         else:

@@ -4,8 +4,12 @@ import os
 
 import pytest
 
+from fraclab.barriers import capped_distance_data
 from fraclab.cli import build_parser, run
 from fraclab.errors import ParameterError
+from fraclab.geometry import Ball
+from fraclab.kernels import make_fractional_laplacian
+from fraclab.wos import WoSConfig, solve
 
 
 def read_lines(path):
@@ -79,6 +83,32 @@ def test_solve_and_determinism(tmp_path):
     side = json.loads((str(a) + ".meta.json",)[0] and open(str(a) + ".meta.json").read())
     assert side["seed"] == 7
     assert "wall_time" in side
+
+
+def test_solve_sidecar_describes_the_run(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["--threads", "1", "solve", "--domain", "ball", "--data",
+                '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
+                "--points", "0.3,0.0;0.0,0.5", "--paths", "2000",
+                "--seed", "7", "--out", str(out)]) == 0
+    side = json.loads(open(str(out) + ".meta.json").read())
+    assert set(side["versions"]) == {"fraclab", "numpy", "scipy", "python",
+                                     "platform", "threads"}
+    assert side["versions"]["threads"] == 1
+    g = capped_distance_data([2.0, 0.0], 3.0)
+    kernel = make_fractional_laplacian(0.5, 2)
+    walks = [solve(Ball([0.0, 0.0], 1.0), g, x, kernel,
+                   WoSConfig(paths=2000, seed=7), point_index=i)
+             for i, x in enumerate(([0.3, 0.0], [0.0, 0.5]))]
+    diag = side["report"]["diagnostics"]
+    assert diag["points"] == [
+        {"x": list(w.x), "paths_used": w.paths_used, "n_maxed": w.n_maxed,
+         "steps_max": w.steps_max, "bias_bound": w.bias_bound}
+        for w in walks]
+    assert diag["totals"] == {
+        "paths_used": 4000, "n_maxed": 0,
+        "steps_max": max(w.steps_max for w in walks),
+        "bias_bound": max(w.bias_bound for w in walks)}
 
 
 def test_solve_points_file(tmp_path):

@@ -323,22 +323,33 @@ def test_signed_dist_matches_dist_inside_and_flips_outside(name, data):
 # ---------------------------------------------------------------------------
 # the certified distance bound walk-on-spheres steps on
 
+def _regular_polygon(m, turn):
+    th = turn + 2.0 * np.pi * np.arange(m) / m
+    return Polygon(np.stack([np.cos(th), np.sin(th)], axis=1))
+
+
 BOUNDED_BY = {"star": DOMAINS["star"], "star2": DOMAINS["star2"],
-              "disc": StarShaped([1.0])}
+              "disc": StarShaped([1.0]), "square": DOMAINS["square"],
+              "pentagon": _regular_polygon(5, 0.3)}
+# the edge-line closed form and the edge pass round differently: on the
+# unit square they agree bit for bit, elsewhere to a few ulps of the
+# coordinates (at most 2.7e-16 on 400k points of the unit pentagon)
+ROUNDING = {"pentagon": 4.0 * np.finfo(float).eps}
 
 
 @pytest.mark.parametrize("name", BOUNDED_BY)
 @given(data=st.data(), exact_below=st.floats(1e-12, 1.0))
 def test_dist_bound_is_a_certified_lower_bound(name, data, exact_below):
     dom = BOUNDED_BY[name]
+    slack = ROUNDING.get(name, 0.0)
     pts = data.draw(_points(dom))
     d = np.asarray(dom.dist(pts))
     b = np.asarray(dom.dist_bound(pts))
-    assert np.all(b >= 0.0) and np.all(b <= d * (1.0 + 1e-10))
+    assert np.all(b >= 0.0) and np.all(b <= d * (1.0 + 1e-10) + slack)
     samples = _boundary_samples(dom)
     nearest = np.min(np.linalg.norm(pts[:, None, :] - samples[None, :, :],
                                     axis=-1), axis=1)
-    assert np.all(b <= nearest)
+    assert np.all(b <= nearest + slack)
     np.testing.assert_array_equal(b > 0.0, np.asarray(dom.contains(pts)))
     # exact (bit for bit) wherever the bound falls below exact_below
     be = np.asarray(dom.dist_bound(pts, exact_below))
@@ -364,6 +375,15 @@ def test_dist_bound_is_dist_on_balls_and_polygons(name):
     pts = np.random.Generator(np.random.Philox(key=12)).random((500, 2)) * 3 - 1
     np.testing.assert_array_equal(dom.dist_bound(pts, 1e-3), dom.dist(pts))
     assert dom.dist_bound(pts[0]) == dom.dist(pts[0])
+
+
+def test_polygon_convexity_flag():
+    assert DOMAINS["square"].convex and BOUNDED_BY["pentagon"].convex
+    # clockwise input is reordered before the turns are taken
+    assert Polygon(DOMAINS["square"].vertices[::-1]).convex
+    assert not DOMAINS["L"].convex
+    # a collinear midpoint vertex is a zero turn: not strictly convex
+    assert not Polygon([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]]).convex
 
 
 def test_star_projection_rarely_falls_back_to_golden_section(monkeypatch):

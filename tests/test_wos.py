@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from fraclab.barriers import (ExteriorData, capped_distance_data,
                               counterexample_min_rs_1,
                               holder_point_singularity)
 from fraclab.errors import DomainError, ParameterError, ReliabilityError
-from fraclab.geometry import Ball, HalfPlane, unit_square
+from fraclab.geometry import Ball, HalfPlane, Polygon, StarShaped, unit_square
 from fraclab.kernels import KernelSpec, make_fractional_laplacian
 from fraclab.wos import (StableExitSampler, WoSConfig, ball_poisson,
                          halfplane_poisson, kappa_constant, sample_ball_exit,
@@ -277,6 +278,68 @@ def test_reliability_error_on_tiny_step_budget():
     with pytest.raises(ReliabilityError):
         solve(BALL, g, [0.0, 0.0], K05, WoSConfig(paths=1000, max_steps=1,
                                                   seed=1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_payloads_raise():
+    # at s = 0.01 numpy's Beta(s, 1 - s) underflows W = r^-2 to 0 for
+    # about 5e-4 of the draws: the exit radius is inf, and so is a growing
+    # datum there (the walk returned inf +- nan)
+    k = make_fractional_laplacian(0.01, 2)
+    grows = ExteriorData(fn=lambda p: np.linalg.norm(p, axis=-1) ** 0.005,
+                         growth=0.005)
+    cfg = WoSConfig(paths=20000, seed=1)
+    with pytest.raises(ReliabilityError, match=r"of 20000 .* s = 0\.01"):
+        solve(BALL, grows, [0.0, 0.0], k, cfg)
+    # a bounded datum takes those walkers at its cap
+    out = solve(BALL, capped_distance_data([2.0, 0.0], 3.0), [0.0, 0.0], k,
+                cfg)
+    assert np.isfinite(out.estimate) and np.isfinite(out.stderr)
+
+
+@pytest.mark.parametrize("dom, x, max_steps", [
+    (Ball([0.0, 0.0], 1.0), [0.9, 0.0], 40),   # some walkers hit max_steps
+    (unit_square(), [0.02, 0.5], 1000),
+    (StarShaped([1.0, 0.0, 0.1]), [0.95, 0.05], 1000),
+], ids=["ball", "square", "star"])
+def test_one_projection_and_one_datum_call_per_batch(dom, x, max_steps):
+    calls = {"project": 0, "datum": 0}
+    project = dom.project
+
+    def counted_project(pts):
+        calls["project"] += 1
+        return project(pts)
+
+    base = holder_point_singularity(0.3, [1.0, 0.0])
+
+    def counted_datum(pts):
+        calls["datum"] += 1
+        return base.fn(pts)
+
+    dom.project = counted_project
+    g = dataclasses.replace(base, fn=counted_datum)
+    out = solve(dom, g, x, K05, WoSConfig(paths=4000, seed=3,
+                                          max_steps=max_steps))
+    assert out.snapped_fraction > 0.0
+    assert (out.n_maxed > 0) == (max_steps < 1000)
+    assert calls == {"project": 1, "datum": 1}
+
+
+def test_rotated_square_walks_agree_with_the_unit_square():
+    # a rotated square steps on the edge-line closed form, which rounds
+    # unlike the axis-aligned one; its walk must solve the same problem
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    sq = unit_square()
+    turned = Polygon(sq.vertices @ rot.T)
+    g = capped_distance_data([2.0, 0.5], 3.0)
+    g_turned = dataclasses.replace(g, fn=lambda p: g.fn(p @ rot))
+    x = np.array([0.3, 0.6])
+    cfg = WoSConfig(paths=20000, seed=11)
+    a = solve(sq, g, x, K05, cfg)
+    b = solve(turned, g_turned, rot @ x, K05, cfg)
+    assert a.estimate != b.estimate
+    assert abs(a.estimate - b.estimate) <= 4.0 * np.hypot(a.stderr, b.stderr)
 
 
 def test_polygon_domain_walks():
