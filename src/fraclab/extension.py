@@ -3,9 +3,12 @@
 The extended datum equals the classical harmonic extension of g's boundary
 trace inside the domain and g itself outside.  On the disk and the half
 plane the extension is a Poisson integral evaluated by graded-panel
-quadrature; on polygons it falls back to Brownian walk-on-spheres.  The
-extension module also checks, by finite differences and by the nonlocal
-operator, the blow-up rates of D^2 and of L applied to the extension.
+quadrature, and ``extended_field`` builds the composite field from it on
+those two domains only.  On polygons ``harmonic_extension`` samples the
+extension at one point by Brownian walk-on-spheres, run on the engine of
+``wos.solve`` with exit radius 1.  The extension module also checks, by
+finite differences and by the nonlocal operator, the blow-up rates of D^2
+and of L applied to the extension.
 """
 
 from dataclasses import dataclass
@@ -14,20 +17,29 @@ import numpy as np
 
 from ._quad import (MERGE_TOL, bisect_edges, gl8_panels, graded_edges,
                     merge_keep, node_chunks, octaves, periodic_edges)
-from .errors import (DivergenceError, DomainError, ReliabilityError,
+from .errors import (DivergenceError, DomainError, ParameterError,
                      UnsupportedVariantError)
 from .fields import CompositeField
 from .geometry import Ball, HalfPlane, Polygon
 from .nonlocal_op import QuadratureSpec, apply_L
+from .wos import BrownianExitSampler, WoSConfig, _walk_on_spheres
 
 
 @dataclass(frozen=True)
 class ExtensionConfig:
-    rel_tol: float = 1e-10
+    """Walk-on-spheres settings of the polygon extension."""
     paths: int = 20000
     seed: int = 0
     max_steps: int = 10000
     snap_factor: float = 1e-6  # snap distance as a fraction of the diameter
+
+    def __post_init__(self):
+        if self.paths < 1:
+            raise ParameterError("paths must be >= 1")
+        if self.max_steps < 1:
+            raise ParameterError("max_steps must be >= 1")
+        if not 0.0 < self.snap_factor < 1.0:
+            raise ParameterError("snap_factor must lie in (0,1)")
 
 
 @dataclass(frozen=True)
@@ -35,6 +47,8 @@ class ExtensionValue:
     value: float
     stderr: float = 0.0
     method: str = "quadrature"
+    bias_bound: float = 0.0   # walk-on-spheres only: snap and max_steps bias
+    n_maxed: int = 0          # walk-on-spheres only: walkers out of steps
 
     def __float__(self):
         return self.value
@@ -220,65 +234,14 @@ class HalfPlaneExtension:
         return float(out[0]) if x.ndim == 1 else out
 
 
-class PolygonExtension:
-    """Brownian walk-on-spheres: exit from the inscribed disk is uniform on
-    its circle; the walker stops within snap distance of the boundary.  As
-    in ``wos.solve``, walkers alive after ``max_steps`` are paid at their
-    projection onto the boundary, and more than 1% of them raise a
-    ``ReliabilityError``."""
-
-    def __init__(self, dom, g, cfg=None):
-        self.dom = dom
-        self.g = g
-        self.cfg = cfg or ExtensionConfig()
-
-    def sample(self, x):
-        cfg = self.cfg
-        eps = cfg.snap_factor * self.dom.diameter
-        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 0]))
-        pos = np.tile(np.asarray(x, dtype=float), (cfg.paths, 1))
-        payload = np.zeros(cfg.paths)
-        alive = np.ones(cfg.paths, dtype=bool)
-        for _ in range(cfg.max_steps):
-            idx = np.nonzero(alive)[0]
-            if len(idx) == 0:
-                break
-            d = np.asarray(self.dom.dist(pos[idx]))
-            done = d < eps
-            if np.any(done):
-                # d == 0: on or outside the boundary, g is paid where it stands
-                hit = idx[done]
-                z0 = pos[hit]
-                inner = d[done] > 0.0
-                if np.any(inner):
-                    z0[inner] = self.dom.project(z0[inner])[0]
-                payload[hit] = self.g(z0)
-                alive[hit] = False
-                idx, d = idx[~done], d[~done]
-                if len(idx) == 0:
-                    break
-            phi = rng.random(len(idx)) * 2.0 * np.pi
-            pos[idx] += d[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        # walkers still alive after max_steps are paid at their projection,
-        # and more than 1% of them make the estimate unreliable
-        n_maxed = int(np.count_nonzero(alive))
-        if n_maxed > 0.01 * cfg.paths:
-            raise ReliabilityError(
-                f"{n_maxed} of {cfg.paths} paths hit max_steps = {cfg.max_steps}")
-        if n_maxed:
-            idx = np.nonzero(alive)[0]
-            payload[idx] = self.g(self.dom.project(pos[idx])[0])
-        est = float(np.mean(payload))
-        se = float(np.std(payload, ddof=1) / np.sqrt(cfg.paths))
-        return ExtensionValue(value=est, stderr=se, method="wos")
-
-    def __call__(self, x):
-        return self.sample(x).value
-
-
 def harmonic_extension(dom, g, x, cfg=None):
     """Value of the extended datum at an interior point: the solution of the
-    Laplace problem with boundary trace g, evaluated at x."""
+    Laplace problem with boundary trace g, evaluated at x.
+
+    Disks and half planes use their Poisson-integral quadrature.  Polygons
+    run the walk-on-spheres engine of ``wos.solve`` (streams of point 0)
+    with exit radius 1 and sphere fraction 1: Brownian walk-on-spheres,
+    with its stderr, ``bias_bound`` and ``n_maxed``."""
     if isinstance(dom, Ball):
         if dom.dim != 2:
             raise UnsupportedVariantError("disk extension is dim-2 only")
@@ -286,22 +249,29 @@ def harmonic_extension(dom, g, x, cfg=None):
     if isinstance(dom, HalfPlane):
         return ExtensionValue(value=HalfPlaneExtension(dom, g)(x))
     if isinstance(dom, Polygon):
-        return PolygonExtension(dom, g, cfg).sample(x)
+        cfg = cfg or ExtensionConfig()
+        out = _walk_on_spheres(dom, g, x, BrownianExitSampler(), 1.0,
+                               cfg.snap_factor * dom.diameter, cfg.max_steps,
+                               cfg.paths, WoSConfig.batch_size, cfg.seed)
+        return ExtensionValue(value=out.estimate, stderr=out.stderr,
+                              method="wos", bias_bound=out.bias_bound,
+                              n_maxed=out.n_maxed)
     raise UnsupportedVariantError(
         "harmonic extension supports Ball, HalfPlane and Polygon domains")
 
 
-def extended_field(dom, g, cfg=None):
-    """The composite field: harmonic extension inside, the datum outside."""
+def extended_field(dom, g):
+    """The composite field: harmonic extension inside, the datum outside, on
+    Ball and HalfPlane, whose deterministic Poisson quadratures the operator's
+    error estimate covers (polygons have Monte Carlo point values only)."""
     if isinstance(dom, Ball):
         inside = DiskExtension(dom, g)
-    elif isinstance(dom, Polygon):
-        ext = PolygonExtension(dom, g, cfg)
-        inside = lambda pts: np.array([ext(p) for p in np.atleast_2d(pts)])
     elif isinstance(dom, HalfPlane):
         inside = HalfPlaneExtension(dom, g)
     else:
-        raise UnsupportedVariantError("no extension for this domain variant")
+        raise UnsupportedVariantError(
+            f"extended_field supports Ball and HalfPlane, not "
+            f"{type(dom).__name__}")
     return CompositeField(dom, inside, g, growth=g.payload_growth)
 
 
@@ -338,8 +308,7 @@ class ExtensionBoundsReport:
 
 
 def check_extension_bounds(dom, g, band=(1e-3, 1e-1), alpha=None, n_points=10,
-                           kernel=None, towards=None, q=None, slope_tol=0.1,
-                           cfg=None):
+                           kernel=None, towards=None, q=None, slope_tol=0.1):
     """Probe |D^2 gbar| d^{2-alpha} and |L gbar| d^{2s-alpha} on log-spaced
     distances in the band, approaching the datum's singular anchor.
 
@@ -362,7 +331,7 @@ def check_extension_bounds(dom, g, band=(1e-3, 1e-1), alpha=None, n_points=10,
             towards = np.array([1.0, 0.0])
     towards = np.asarray(towards, dtype=float)
     ds = np.geomspace(band[0], band[1], n_points)
-    comp = extended_field(dom, g, cfg)
+    comp = extended_field(dom, g)
     disk = comp.inside          # one shared grid for the Hessian and L
     if q is None:
         q = QuadratureSpec(target_rel_tol=2e-3, angular_nodes=34,

@@ -7,7 +7,8 @@ proportional to (|y|^2 - 1)^{-s} |y|^{-N} on |y| > 1, isotropic in angle.
 In every dimension W = |y|^{-2} follows Beta(s, 1 - s) (Blumenthal, Getoor
 and Ray, Trans. AMS 99, 1961), so the exit radius is drawn exactly as
 W^{-1/2}.  Scale invariance of the process makes the unit-ball law exact for
-every ball radius.
+every ball radius.  With exit radius 1 the same walk is Brownian
+walk-on-spheres, which the polygon harmonic extension runs.
 """
 
 from dataclasses import dataclass
@@ -37,6 +38,16 @@ class StableExitSampler:
         equal slots share one radius."""
         n = np.max(slot, initial=-1) + 1
         return rng.beta(self.s, 1.0 - self.s, n)[slot] ** -0.5
+
+
+class BrownianExitSampler:
+    """The s -> 1 limit of the exit law: Brownian motion leaves a ball on
+    its sphere (Muller, Ann. Math. Stat. 27, 1956), so no radius is drawn."""
+    s = 1.0
+
+    @staticmethod
+    def radius(slot, rng):
+        return 1.0
 
 
 def sample_ball_exit(s, dim, rng, n=1):
@@ -95,33 +106,8 @@ class SolutionSample:
 
 def solve(dom, g, x, kernel, cfg=None, point_index=0):
     """Estimate the solution of the fractional Dirichlet problem at x by
-    alpha-stable walk-on-spheres.
-
-    Each step makes one ``dom.dist_bound(newpos, snap_eps)`` call: a walker
-    jumps from a ball of radius sphere_fraction times that lower bound on
-    the distance, exits where the bound is 0, and snaps to its projection
-    where the distance is below snap_eps (the bound is exact there, so the
-    snap decisions are those of the exact distance).  Only the live walkers
-    are carried from step to step.  Each step draws one exit radius and one
-    angle phi per live unit, an antithetic pair or a single walker; the two
-    walkers of a pair share the radius and step at opposite angles.  The
-    step direction is (cos phi, sin phi) in dimension two and sign(cos phi)
-    in dimension one, from the same draws.
-    A walker that exits, snaps or runs out of steps records where it
-    stopped.  At the end of its batch one ``dom.project`` call takes every
-    walker paid at its projection (snapped or stopped by max_steps), and one
-    ``g`` call pays every walker; both act row by row, so a walker's payload
-    does not depend on the rest of the batch.  A non-finite payload (an exit
-    radius that overflowed at small s, met by a datum that grows) raises a
-    ReliabilityError naming s and the count.
-    The estimator is unbiased up to the snap bias, which the Hoelder
-    certificate of g bounds by C0 * snap_eps^alpha, plus, for the walkers
-    stopped by max_steps and paid at their projection, C0 * dist^alpha of
-    each over the paths walked (reported together as bias_bound).
-    Path batches draw from counter-based streams keyed by (seed, point,
-    batch), so results do not depend on scheduling.  The stderr is NaN when
-    the run has one estimator unit (one path, or one antithetic pair).
-    """
+    alpha-stable walk-on-spheres: ``_walk_on_spheres`` with the exact exit
+    law of order s and the configured step and stream layout."""
     if cfg is None:
         cfg = WoSConfig()
     if not dom.bounded:
@@ -136,21 +122,56 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     if dom.dim > 2:
         raise ParameterError(
             f"walk-on-spheres steps in dim 1 or 2, not dim {dom.dim}")
-    x = np.asarray(x, dtype=float)
-    if not dom.contains(x):
-        raise DomainError("solve requires an interior starting point")
-    s = kernel.s
     snap_eps = cfg.snap_eps if cfg.snap_eps is not None \
         else 1e-6 * dom.diameter
     paths = cfg.paths
     if cfg.antithetic and paths % 2:
         paths += 1
+    return _walk_on_spheres(
+        dom, g, x, StableExitSampler(kernel.s), cfg.sphere_fraction, snap_eps,
+        cfg.max_steps, paths, cfg.batch_size, cfg.seed, point_index,
+        cfg.antithetic)
 
-    smp = StableExitSampler(s)
-    kappa = cfg.sphere_fraction
-    n_batches = (paths + cfg.batch_size - 1) // cfg.batch_size
+
+def _walk_on_spheres(dom, g, x, law, kappa, snap_eps, max_steps, paths,
+                     batch_size, seed, point_index=0, antithetic=False):
+    """The walk-on-spheres loop behind ``solve`` and the polygon harmonic
+    extension: ``paths`` walkers started at the interior point x, in
+    batches of at most ``batch_size``, paid by g where they stop.
+
+    Each step makes one ``dom.dist_bound(newpos, snap_eps)`` call: a walker
+    jumps from a ball of radius kappa times that lower bound on the
+    distance, to ``law.radius`` times that radius, exits where the bound is
+    0, and snaps to its projection where the distance is below snap_eps
+    (the bound is exact there, so the snap decisions are those of the exact
+    distance).  Only the live walkers are carried from step to step.  Each
+    step draws one exit radius and one angle phi per live unit, an
+    antithetic pair or a single walker; the two walkers of a pair share the
+    radius and step at opposite angles.  The step direction is
+    (cos phi, sin phi) in dimension two and sign(cos phi) in dimension one,
+    from the same draws.
+    A walker that exits, snaps or runs out of max_steps steps records where
+    it stopped.  At the end of its batch one ``dom.project`` call takes
+    every walker paid at its projection (snapped or stopped by max_steps),
+    and one ``g`` call pays every walker; both act row by row, so a
+    walker's payload does not depend on the rest of the batch.  A
+    non-finite payload (an exit radius that overflowed at small s, met by a
+    datum that grows) raises a ReliabilityError naming s and the count, and
+    so do walkers stopped by max_steps on more than 1% of the paths.
+    The estimator is unbiased up to the snap bias, which the Hoelder
+    certificate of g bounds by C0 * snap_eps^alpha, plus, for the walkers
+    stopped by max_steps and paid at their projection, C0 * dist^alpha of
+    each over the paths walked (reported together as bias_bound).
+    Path batches draw from counter-based streams keyed by (seed, point,
+    batch), so results do not depend on scheduling.  The stderr is NaN
+    when the run has one estimator unit (one path, or one antithetic pair).
+    """
+    x = np.asarray(x, dtype=float)
+    if not dom.contains(x):
+        raise DomainError("walk-on-spheres needs an interior starting point")
+    n_batches = (paths + batch_size - 1) // batch_size
     # a draw unit is an antithetic pair (walkers 2k, 2k + 1) or one walker
-    shift = 1 if cfg.antithetic else 0
+    shift = 1 if antithetic else 0
 
     sum_pay = 0.0
     sum_sq = 0.0       # over estimator units (pairs when antithetic)
@@ -163,10 +184,10 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     maxed_dist = []    # distances of the walkers stopped by max_steps
 
     for b in range(n_batches):
-        size = min(cfg.batch_size, paths - b * cfg.batch_size)
+        size = min(batch_size, paths - b * batch_size)
         n_walked += size
         rng = np.random.Generator(np.random.Philox(
-            key=[cfg.seed, (point_index << 32) + b]))
+            key=[seed, (point_index << 32) + b]))
         # where each walker stopped, and whether it is paid at its
         # projection (snapped or stopped by max_steps) rather than there
         stop = np.empty((size, dom.dim))
@@ -176,7 +197,7 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
         live = np.arange(size)
         pos = np.tile(x, (size, 1))
         d = np.asarray(dom.dist_bound(pos, snap_eps))
-        for step in range(cfg.max_steps):
+        for step in range(max_steps):
             snap = d < snap_eps
             if np.any(snap):
                 stop[live[snap]] = pos[snap]
@@ -188,7 +209,7 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
             # and one angle per unit; the second walker of a pair steps the
             # opposite way (a negative radius)
             slot = np.cumsum(np.diff(live >> shift, prepend=-1) > 0) - 1
-            radius = kappa * d * smp.radius(slot, rng) \
+            radius = kappa * d * law.radius(slot, rng) \
                 * (1 - 2 * (live & shift))
             phi = 2.0 * np.pi * rng.random(slot[-1] + 1)
             if dom.dim == 1:
@@ -220,9 +241,9 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
         if n_bad:
             raise ReliabilityError(
                 f"{n_bad} of {size} walkers of batch {b} have a non-finite "
-                f"payload at order s = {s}: an exit radius overflowed, or "
-                f"the datum is not finite where they stopped")
-        if cfg.antithetic:
+                f"payload at order s = {law.s}: an exit radius overflowed, "
+                f"or the datum is not finite where they stopped")
+        if antithetic:
             units = 0.5 * (payload[0::2] + payload[1::2])
         else:
             units = payload
@@ -232,12 +253,11 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
 
     if n_maxed > 0.01 * n_walked:
         raise ReliabilityError(
-            f"{n_maxed} of {n_walked} paths hit max_steps = {cfg.max_steps}")
+            f"{n_maxed} of {n_walked} paths hit max_steps = {max_steps}")
 
-    mean = sum_pay / n_walked
-    unit_mean = mean  # pair means average to the same value
+    mean = sum_pay / n_walked    # pair means average to the same value
     if n_units > 1:
-        var = max(sum_sq / n_units - unit_mean ** 2, 0.0)
+        var = max(sum_sq / n_units - mean ** 2, 0.0)
         var *= n_units / (n_units - 1)
         stderr = float(np.sqrt(var / n_units))
     else:
@@ -251,7 +271,7 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
         x=tuple(x.tolist()), estimate=float(mean), stderr=stderr,
         paths_used=n_walked, mean_steps=total_steps / n_walked,
         snapped_fraction=n_snapped / n_walked, bias_bound=float(bias),
-        seed=cfg.seed, n_maxed=n_maxed, steps_max=steps_max)
+        seed=seed, n_maxed=n_maxed, steps_max=steps_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fraclab._quad import bisect_edges, gl8_panels, graded_edges, periodic_edges
 from fraclab.barriers import (ExteriorData, capped_distance_data,
                               constant_data, holder_point_singularity)
-from fraclab.errors import (DivergenceError, DomainError, ReliabilityError,
-                            UnsupportedVariantError)
+from fraclab.errors import (DivergenceError, DomainError, ParameterError,
+                            ReliabilityError, UnsupportedVariantError)
 from fraclab.extension import (DiskExtension, ExtensionConfig,
                                HalfPlaneExtension, check_extension_bounds,
                                extended_field, harmonic_extension, hessian_fd)
 from fraclab.fields import CompositeField
-from fraclab.geometry import Ball, Cone, HalfPlane, StarShaped, unit_square
+from fraclab.geometry import (Ball, Cone, HalfPlane, Polygon, StarShaped,
+                              unit_square)
 from fraclab.kernels import make_fractional_laplacian
 from fraclab.nonlocal_op import QuadratureSpec, apply_L
 
@@ -342,7 +345,11 @@ def test_polygon_wos_deterministic():
     b = harmonic_extension(sq, g, [0.4, 0.7], cfg)
     assert a.value == b.value and a.stderr == b.stderr
     # pinned: batching the projections must not change the walk
-    assert (a.value, a.stderr) == (0.9274120301457155, 0.0026874280585113407)
+    assert a.value == 0.9274120301457155
+    # the stderr from the walk-on-spheres engine's running sums; np.std of
+    # the payloads gave ...13407, 3e-15 relative away
+    assert a.stderr == 0.0026874280585113325
+    assert a.stderr == pytest.approx(0.0026874280585113407, rel=1e-14, abs=0)
 
 
 def test_polygon_wos_max_steps_accounted():
@@ -357,6 +364,82 @@ def test_polygon_wos_max_steps_accounted():
     out = harmonic_extension(sq, g, [0.4, 0.7],
                              ExtensionConfig(paths=2000, max_steps=52))
     assert out.value == 1.0
+
+
+L_SHAPE = Polygon([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0],
+                   [1.0, 2.0], [0.0, 2.0]])
+
+
+def test_polygon_wos_bias_bound_counts_max_steps_walkers():
+    sq = unit_square()
+    g = holder_point_singularity(0.5, [0.0, 0.0])
+    snap_only = g.C0 * (1e-6 * sq.diameter) ** g.alpha
+    out = harmonic_extension(sq, g, [0.4, 0.7],
+                             ExtensionConfig(paths=2000, max_steps=52))
+    assert 0 < out.n_maxed <= 20
+    assert out.bias_bound > snap_only
+    done = harmonic_extension(sq, g, [0.4, 0.7], ExtensionConfig(paths=2000))
+    assert done.n_maxed == 0
+    assert done.bias_bound == pytest.approx(snap_only, rel=1e-15)
+
+
+def test_polygon_wos_one_projection_and_one_datum_call():
+    sq = unit_square()
+    calls = {"project": 0, "datum": 0}
+    project = sq.project
+
+    def counted_project(pts):
+        calls["project"] += 1
+        return project(pts)
+
+    base = holder_point_singularity(0.5, [0.0, 0.0])
+
+    def counted_datum(pts):
+        calls["datum"] += 1
+        return base.fn(pts)
+
+    sq.project = counted_project
+    g = dataclasses.replace(base, fn=counted_datum)
+    out = harmonic_extension(sq, g, [0.4, 0.7],
+                             ExtensionConfig(paths=5000, seed=9))
+    assert out.value == 0.9274120301457155
+    assert calls["project"] <= 1 and calls["datum"] <= 1
+
+
+def test_polygon_wos_l_shape():
+    # the value of the per-step loop the shared engine replaced: the
+    # Brownian walk keeps its stream and its steps
+    g = holder_point_singularity(0.5, [1.0, 1.0])
+    out = harmonic_extension(L_SHAPE, g, [0.5, 1.5],
+                             ExtensionConfig(paths=4000, seed=3))
+    assert out.value == 0.901826633318144
+    # a harmonic datum is its own extension
+    glin = ExteriorData(fn=lambda p: np.asarray(p, dtype=float)[..., 0],
+                        alpha=0.99, C0=4.0, growth=1.0)
+    out = harmonic_extension(L_SHAPE, glin, [0.5, 1.5],
+                             ExtensionConfig(paths=4000, seed=3))
+    assert abs(out.value - 0.5) <= 4 * out.stderr + out.bias_bound
+
+
+def test_polygon_wos_rejects_exterior_point():
+    with pytest.raises(DomainError):
+        harmonic_extension(unit_square(), constant_data(1.0), [2.0, 2.0])
+    with pytest.raises(DomainError):
+        harmonic_extension(L_SHAPE, constant_data(1.0), [1.5, 1.5])
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"paths": 0}, "paths"), ({"paths": -3}, "paths"),
+    ({"max_steps": 0}, "max_steps"), ({"snap_factor": 0.0}, "snap_factor"),
+])
+def test_extension_config_rejects_bad_values(kwargs, name):
+    with pytest.raises(ParameterError, match=name):
+        ExtensionConfig(**kwargs)
+
+
+def test_extended_field_rejects_polygons():
+    with pytest.raises(UnsupportedVariantError, match="Polygon"):
+        extended_field(unit_square(), constant_data(1.0))
 
 
 def test_halfplane_extension():
