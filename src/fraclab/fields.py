@@ -19,11 +19,16 @@ quadrature needs:
   product, so a row does not depend on the batch around it.
 * ``angular_breakpoints(x)``: directions (angles mod pi) where the radial
   kink structure changes, so angular panels can be split there.
+
+Fields whose kink is a domain boundary (``PsiPower``, ``CompositeField``)
+read it from the domain: the radial breakpoints are
+``Domain.boundary_crossings``, and ``PsiPower``'s smooth radius is
+``|Domain.signed_dist|``.
 """
 
 import numpy as np
 
-from .geometry import Ball, Cone, HalfPlane, StarShaped
+from .geometry import Ball, Cone, HalfPlane, StarShaped, plane_crossings
 
 
 class Field:
@@ -41,27 +46,6 @@ class Field:
 
     def angular_breakpoints(self, x):
         return ()
-
-
-def _plane_kinks(b, w, r_max):
-    """One kink column for a hyperplane crossed where b + r w = 0 along
-    x + r theta, with b the signed offset of x and w = theta . normal per
-    direction: both rays x +- r theta meet it at most once, at |b / w|."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.abs(b / w)
-    return np.where((w != 0.0) & (r > 0.0) & (r <= r_max), r, np.inf)[:, None]
-
-
-def _ball_kinks(ball, x, thetas, r_max):
-    """Two kink columns for the sphere of ``ball``: |x + r theta - c| = R is
-    a quadratic in r whose root moduli are the crossings of x +- r theta."""
-    v = np.asarray(x, dtype=float) - ball.center
-    b = np.sum(thetas * v, axis=1)
-    disc = b * b - (float(v @ v) - ball.radius ** 2)
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    roots = np.abs(np.column_stack([-b - sq, -b + sq]))
-    ok = (disc > 0.0)[:, None] & (roots > 0.0) & (roots <= r_max)
-    return np.where(ok, roots, np.inf)
 
 
 class ConstantField(Field):
@@ -183,7 +167,7 @@ class PowerPlus1D(Field):
 
     def radial_breakpoints(self, x, thetas, r_max):
         x = np.asarray(x, dtype=float).reshape(-1)
-        return _plane_kinks(float(x[0]) + self.shift, thetas[:, 0], r_max)
+        return plane_crossings(float(x[0]) + self.shift, thetas[:, 0], r_max)
 
 
 class HalfSpacePower(Field):
@@ -204,8 +188,8 @@ class HalfSpacePower(Field):
         return abs(float(np.asarray(x, dtype=float) @ self.nu))
 
     def radial_breakpoints(self, x, thetas, r_max):
-        return _plane_kinks(float(np.asarray(x, dtype=float) @ self.nu),
-                            np.sum(thetas * self.nu, axis=1), r_max)
+        return plane_crossings(float(np.asarray(x, dtype=float) @ self.nu),
+                               np.sum(thetas * self.nu, axis=1), r_max)
 
     def angular_breakpoints(self, x):
         # directions tangent to the kink plane
@@ -232,29 +216,10 @@ class PsiPower(Field):
         return np.maximum(psi, 0.0) ** self.alpha
 
     def smooth_radius(self, x):
-        x = np.asarray(x, dtype=float)
-        if isinstance(self.domain, Ball):
-            return abs(self.domain.radius
-                       - float(np.linalg.norm(x - self.domain.center)))
-        if isinstance(self.domain, HalfPlane):
-            return abs(float(x @ self.domain.normal))
-        d = float(self.domain.dist(x))
-        if d > 0.0:
-            return d
-        th = self.domain._nearest_param(x[None, :])[0]
-        return float(np.linalg.norm(self.domain.boundary_point(th) - x))
+        return abs(float(self.domain.signed_dist(np.asarray(x, dtype=float))))
 
     def radial_breakpoints(self, x, thetas, r_max):
-        dom = self.domain
-        if isinstance(dom, HalfPlane):
-            return _plane_kinks(float(np.asarray(x, dtype=float) @ dom.normal),
-                                np.sum(thetas * dom.normal, axis=1), r_max)
-        if isinstance(dom, Ball):
-            return _ball_kinks(dom, x, thetas, r_max)
-        return _scan_breakpoints(
-            lambda p: np.asarray(dom.radial(np.arctan2(p[..., 1], p[..., 0]))
-                                 - np.linalg.norm(p, axis=-1)),
-            x, thetas, r_max)
+        return self.domain.boundary_crossings(x, thetas, r_max)
 
 
 class ConeBarrier(Field):
@@ -315,38 +280,12 @@ class ConeBarrier(Field):
         return tuple(out)
 
 
-def _scan_breakpoints(side_fn, x, thetas, r_max, n_probe=256):
-    """Sign changes of a continuous side function along r -> x + r theta for
-    every direction and both its signs: one call of ``side_fn`` on
-    log-spaced probes of all rays, then ``brentq`` on each bracket."""
-    from scipy.optimize import brentq
-
-    x = np.asarray(x, dtype=float)
-    th = np.concatenate([thetas, -thetas])
-    r_lo = 1e-9 * max(1.0, float(np.linalg.norm(x)))
-    rr = np.geomspace(r_lo, r_max, n_probe)
-    pts = x + rr[None, :, None] * th[:, None, :]
-    sgn = np.sign(np.asarray(side_fn(pts.reshape(-1, len(x))))).reshape(
-        len(th), n_probe)
-    rows, cols = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
-    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)  # within a row
-    table = np.full((len(th), int(slot.max(initial=-1)) + 1), np.inf)
-    for i, j, k in zip(rows, cols, slot):
-        f = lambda r: float(side_fn((x + r * th[i])[None, :])[0])
-        try:
-            table[i, k] = brentq(f, rr[j], rr[j + 1], xtol=1e-13)
-        except ValueError:
-            pass
-    return np.hstack(np.split(table, 2))
-
-
 class CompositeField(Field):
     """Value from ``inside`` on Omega and from ``outside`` elsewhere, with the
     domain boundary as the kink surface.  Used for the extended datum
     (harmonic extension inside, raw datum outside).  Radial breakpoints are
-    the zeros of ``domain.signed_dist`` (closed form on a Ball), so the
-    domain must define it: Ball, HalfPlane, Polygon and StarShaped do, Cone
-    does not."""
+    the domain's ``boundary_crossings``: Ball, HalfPlane, Polygon and
+    StarShaped define them, Cone does not."""
 
     def __init__(self, domain, inside, outside, growth):
         self.domain = domain
@@ -370,7 +309,4 @@ class CompositeField(Field):
         return float(self.domain.dist(np.asarray(x, dtype=float)))
 
     def radial_breakpoints(self, x, thetas, r_max):
-        dom = self.domain
-        if isinstance(dom, Ball):
-            return _ball_kinks(dom, x, thetas, r_max)
-        return _scan_breakpoints(dom.signed_dist, x, thetas, r_max)
+        return self.domain.boundary_crossings(x, thetas, r_max)

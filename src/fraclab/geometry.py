@@ -13,9 +13,18 @@ convex Polygons it is the distance to the nearest edge line, which is
 square), and on StarShaped a closed form in the radial gap, O(1) per point.
 ``project`` returns the nearest boundary point together with the inward unit
 normal; on Ball, Polygon and StarShaped it takes a batch of interior points
-(and returns two (n, dim) arrays), on HalfPlane and Cone one point.  Ball,
-HalfPlane and StarShaped additionally provide a C^1 regularized distance psi
-comparable to d with a Hessian controlled by omega(d)/d.
+(and returns two (n, dim) arrays), on HalfPlane and Cone one point.  On
+StarShaped one nearest-point solver serves ``dist``, ``signed_dist``, the
+exact rows of ``dist_bound`` and ``project``, so each reports the same
+|x - z| for the same nearest boundary point z.
+
+``signed_dist`` (Ball, HalfPlane, Polygon, StarShaped) is positive inside
+and negative outside.  ``boundary_crossings(x, thetas, r_max)`` gives where
+the rays x +- r theta cross the boundary as a (D, k) table padded with +inf:
+closed forms on Ball and HalfPlane, a sign-change scan of the radial gap on
+StarShaped and of ``signed_dist`` elsewhere (Cone has neither, and raises).
+Ball, HalfPlane and StarShaped additionally provide a C^1 regularized
+distance psi comparable to d with a Hessian controlled by omega(d)/d.
 """
 
 from dataclasses import dataclass
@@ -38,6 +47,41 @@ def _as_points(x, dim):
 
 def _maybe_scalar(v, single):
     return (v[0] if single else v)
+
+
+def plane_crossings(b, w, r_max):
+    """One crossing column for a hyperplane met where b + r w = 0 along
+    x + r theta, with b the signed offset of x and w = theta . normal per
+    direction: both rays x +- r theta meet it at most once, at |b / w|."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.abs(b / w)
+    return np.where((w != 0.0) & (r > 0.0) & (r <= r_max), r, np.inf)[:, None]
+
+
+def _scan_crossings(side_fn, x, thetas, r_max, n_probe=256):
+    """Sign changes of a continuous side function along r -> x + r theta for
+    every direction and both its signs, as a ``boundary_crossings`` table:
+    one call of ``side_fn`` on log-spaced probes of all rays, then
+    ``brentq`` on each bracket."""
+    from scipy.optimize import brentq
+
+    x = np.asarray(x, dtype=float)
+    th = np.concatenate([thetas, -thetas])
+    r_lo = 1e-9 * max(1.0, float(np.linalg.norm(x)))
+    rr = np.geomspace(r_lo, r_max, n_probe)
+    pts = x + rr[None, :, None] * th[:, None, :]
+    sgn = np.sign(np.asarray(side_fn(pts.reshape(-1, len(x))))).reshape(
+        len(th), n_probe)
+    rows, cols = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)  # within a row
+    table = np.full((len(th), int(slot.max(initial=-1)) + 1), np.inf)
+    for i, j, k in zip(rows, cols, slot):
+        f = lambda r: float(side_fn((x + r * th[i])[None, :])[0])
+        try:
+            table[i, k] = brentq(f, rr[j], rr[j + 1], xtol=1e-13)
+        except ValueError:
+            pass
+    return np.hstack(np.split(table, 2))
 
 
 @dataclass(frozen=True)
@@ -83,6 +127,16 @@ class Domain:
         raise UnsupportedVariantError(
             f"{type(self).__name__} has no signed distance")
 
+    def boundary_crossings(self, x, thetas, r_max):
+        """Where the rays x + r theta_i and x - r theta_i cross the boundary,
+        for the rows theta_i of the (D, dim) array ``thetas``: a (D, k)
+        table padded with +inf whose finite entries in row i are the radii
+        in (0, r_max] of the crossings (unordered, maybe repeated).  Rows
+        are computed elementwise, so a row does not depend on the batch
+        around it.  Here the sign changes of ``signed_dist``; Ball and
+        HalfPlane have closed forms, StarShaped scans its radial gap."""
+        return _scan_crossings(self.signed_dist, x, thetas, r_max)
+
     def regularized_distance(self, x):
         raise UnsupportedVariantError(
             f"{type(self).__name__} has no regularized distance")
@@ -113,9 +167,23 @@ class Ball(Domain):
         return _maybe_scalar(r < self.radius, single)
 
     def dist(self, x):
+        return np.maximum(self.signed_dist(x), 0.0)
+
+    def signed_dist(self, x):
         pts, single = _as_points(x, self.dim)
         r = np.linalg.norm(pts - self.center, axis=-1)
-        return _maybe_scalar(np.maximum(self.radius - r, 0.0), single)
+        return _maybe_scalar(self.radius - r, single)
+
+    def boundary_crossings(self, x, thetas, r_max):
+        """|x + r theta - c| = R is a quadratic in r whose root moduli are
+        the crossings of x +- r theta: two columns."""
+        v = np.asarray(x, dtype=float) - self.center
+        b = np.sum(thetas * v, axis=1)
+        disc = b * b - (float(v @ v) - self.radius ** 2)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        roots = np.abs(np.column_stack([-b - sq, -b + sq]))
+        ok = (disc > 0.0)[:, None] & (roots > 0.0) & (roots <= r_max)
+        return np.where(ok, roots, np.inf)
 
     def project(self, x):
         pts, single = _as_points(x, self.dim)
@@ -185,6 +253,10 @@ class HalfPlane(Domain):
         return _maybe_scalar(pts @ self.normal, single)
 
     signed_dist = psi_value
+
+    def boundary_crossings(self, x, thetas, r_max):
+        return plane_crossings(float(np.asarray(x, dtype=float) @ self.normal),
+                               np.sum(thetas * self.normal, axis=1), r_max)
 
     def regularized_distance(self, x):
         x = np.asarray(x, dtype=float)
@@ -441,9 +513,7 @@ class StarShaped(Domain):
         self._gap_slack = 4.0 * np.finfo(float).eps * (
             np.sum(np.abs(self.coeff_cos)) + np.sum(np.abs(self.coeff_sin))
             + 2.0 * np.pi * self._slope_bound)
-        # boundary grids seeding dist (256 nodes) and project (512 nodes)
-        self._dist_grid = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-        self._dist_nodes = self.boundary_point(self._dist_grid)
+        # boundary grid seeding the nearest-point search
         self._proj_grid = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
         self._proj_nodes = self.boundary_point(self._proj_grid)
 
@@ -490,6 +560,10 @@ class StarShaped(Domain):
         pts, single = _as_points(x, 2)
         return _maybe_scalar(self._radial_gap(pts)[1] > 0.0, single)
 
+    def boundary_crossings(self, x, thetas, r_max):
+        return _scan_crossings(lambda p: self._radial_gap(p)[1],
+                               x, thetas, r_max)
+
     # fixed splits of the cone bound below, and its relative rounding margin
     _BOUND_LAMBDAS = np.array([1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2])[:, None]
     _BOUND_MARGIN = 1e-12
@@ -520,66 +594,72 @@ class StarShaped(Domain):
         bound = np.where(inside, bound, 0.0)
         exact = inside & ((bound < exact_below) | (bound <= 0.0))
         if np.any(exact):
-            bound[exact] = self._dist_batch(pts[exact])
+            bound[exact] = self._nearest(pts[exact])[2]
         return _maybe_scalar(bound, single)
 
     def boundary_point(self, theta):
         r = self.radial(theta)
         return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
-    def _nearest_param(self, pts):
-        """Boundary parameter minimizing |x - B(theta)| for each row of pts:
-        damped Newton from the nearest node of the 512-point grid, each
-        point stopping at its first step below tolerance, with golden-section
+    def _nearest(self, pts):
+        """The nearest boundary point B(theta) to each row x of pts, as the
+        parameter theta, the point and the distance |x - B(theta)|: damped
+        Newton from the nearest node of the 512-point grid, each point
+        stopping at its first step below tolerance, with golden-section
         search on the grid cell where Newton stalls (a non-positive
-        curvature, or a step above 1e-10 diameter that does not descend)."""
+        curvature, or a step above 1e-10 diameter that does not descend).
+        The one nearest-point solver behind ``dist``, ``signed_dist``,
+        ``dist_bound`` and ``project``; every row is on its own, so a row's
+        result does not depend on the rest of the batch."""
         tol = 1e-12 * self.diameter
         flat = 1e-10 * self.diameter
         cell = 2.0 * np.pi / 256      # damping: stay within the grid cells
-        out = np.empty(len(pts))
+        px, py = pts[:, 0], pts[:, 1]
+        nodes = self._proj_nodes
+        # the node scan in 128-row chunks caps its (rows, 512) temporaries
+        k = np.empty(len(pts), dtype=np.intp)
         for lo in range(0, len(pts), 128):
-            px, py = pts[lo:lo + 128, 0], pts[lo:lo + 128, 1]
-            nodes = self._proj_nodes
-            k = np.argmin((nodes[:, 0] - px[:, None]) ** 2
-                          + (nodes[:, 1] - py[:, None]) ** 2, axis=1)
-            th = self._proj_grid[k]
-            f = self._param_dist2(th, px, py)
-            stalled = np.zeros(len(th), dtype=bool)
-            act = np.arange(len(th))
-            for _ in range(60):
-                t, x0, x1 = th[act], px[act], py[act]
-                r, rp, rpp, c, s = self._radial_derivs(t)
-                bx, by = r * c, r * s
-                dbx = rp * c - r * s
-                dby = rp * s + r * c
-                d2bx = rpp * c - 2 * rp * s - r * c
-                d2by = rpp * s + 2 * rp * c - r * s
-                g = 2.0 * ((bx - x0) * dbx + (by - x1) * dby)
-                h = 2.0 * (dbx * dbx + dby * dby
-                           + (bx - x0) * d2bx + (by - x1) * d2by)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    step = np.clip(g / h, -cell, cell)
-                t_new = t - step
-                f_new = self._param_dist2(t_new, x0, x1)
-                ok = (h > 0) & (f_new <= f[act])
-                th[act[ok]] = t_new[ok]
-                f[act[ok]] = f_new[ok]
-                # a step below flat changes the squared distance by less
-                # than its rounding, so failing the descent test there is
-                # convergence; only real stalls fall back
-                small = np.abs(step) * self.r_max < tol
-                converged = (h > 0) & (np.abs(step) * self.r_max < flat)
-                stalled[act[~ok & ~converged]] = True
-                act = act[ok & ~small]
-                if len(act) == 0:
-                    break
-            stalled[act] = True
-            idx = np.nonzero(stalled)[0]
-            if len(idx):
-                th[idx] = self._golden_param(self._proj_grid[k[idx]],
-                                             px[idx], py[idx], tol)
-            out[lo:lo + 128] = th
-        return out
+            k[lo:lo + 128] = np.argmin(
+                (nodes[:, 0] - px[lo:lo + 128, None]) ** 2
+                + (nodes[:, 1] - py[lo:lo + 128, None]) ** 2, axis=1)
+        th = self._proj_grid[k]
+        f = self._param_dist2(th, px, py)
+        stalled = np.zeros(len(th), dtype=bool)
+        act = np.arange(len(th))
+        for _ in range(60):
+            t, x0, x1 = th[act], px[act], py[act]
+            r, rp, rpp, c, s = self._radial_derivs(t)
+            bx, by = r * c, r * s
+            dbx = rp * c - r * s
+            dby = rp * s + r * c
+            d2bx = rpp * c - 2 * rp * s - r * c
+            d2by = rpp * s + 2 * rp * c - r * s
+            g = 2.0 * ((bx - x0) * dbx + (by - x1) * dby)
+            h = 2.0 * (dbx * dbx + dby * dby
+                       + (bx - x0) * d2bx + (by - x1) * d2by)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.clip(g / h, -cell, cell)
+            t_new = t - step
+            f_new = self._param_dist2(t_new, x0, x1)
+            ok = (h > 0) & (f_new <= f[act])
+            th[act[ok]] = t_new[ok]
+            f[act[ok]] = f_new[ok]
+            # a step below flat changes the squared distance by less than
+            # its rounding, so failing the descent test there is
+            # convergence; only real stalls fall back
+            small = np.abs(step) * self.r_max < tol
+            converged = (h > 0) & (np.abs(step) * self.r_max < flat)
+            stalled[act[~ok & ~converged]] = True
+            act = act[ok & ~small]
+            if len(act) == 0:
+                break
+        stalled[act] = True
+        idx = np.nonzero(stalled)[0]
+        if len(idx):
+            th[idx] = self._golden_param(self._proj_grid[k[idx]],
+                                         px[idx], py[idx], tol)
+        z0 = self.boundary_point(th)
+        return th, z0, np.linalg.norm(pts - z0, axis=1)
 
     def _param_dist2(self, th, px, py):
         """|(px, py) - B(th)|^2."""
@@ -612,44 +692,9 @@ class StarShaped(Domain):
             run = (b - a) * self.r_max > tol
         return 0.5 * (a + b)
 
-    def _dist_batch(self, pts):
-        """Distance to the boundary for a batch: nearest node of the
-        256-point grid, then at most 30 damped vectorized Newton steps on the
-        squared distance along the boundary parameter.  Every row is on its
-        own (each point stops at its first step below tolerance), so a
-        point's distance does not depend on the rest of the batch."""
-        B = self._dist_nodes
-        cell = 2.0 * np.pi / len(B)
-        tol = 1e-13 * self.diameter
-        out = np.empty(pts.shape[0])
-        for lo in range(0, pts.shape[0], 8192):
-            p = pts[lo:lo + 8192]
-            th = self._dist_grid[np.argmin(
-                (B[:, 0] - p[:, 0:1]) ** 2 + (B[:, 1] - p[:, 1:2]) ** 2, axis=1)]
-            act = np.arange(len(p))
-            for _ in range(30):
-                r, rp, rpp, c, s = self._radial_derivs(th[act])
-                bx, by = r * c, r * s
-                dbx = rp * c - r * s
-                dby = rp * s + r * c
-                d2bx = rpp * c - 2 * rp * s - r * c
-                d2by = rpp * s + 2 * rp * c - r * s
-                ex, ey = bx - p[act, 0], by - p[act, 1]
-                g1 = 2.0 * (ex * dbx + ey * dby)
-                h1 = 2.0 * (dbx ** 2 + dby ** 2 + ex * d2bx + ey * d2by)
-                step = np.where(h1 > 0.0, g1 / np.maximum(h1, 1e-300), 0.0)
-                step = np.clip(step, -cell, cell)
-                th[act] -= step
-                act = act[np.abs(step) * self.r_max >= tol]
-                if len(act) == 0:
-                    break
-            bp = self.boundary_point(th)
-            out[lo:lo + 8192] = np.linalg.norm(bp - p, axis=1)
-        return out
-
     def signed_dist(self, x):
         pts, single = _as_points(x, 2)
-        d = self._dist_batch(pts)
+        d = self._nearest(pts)[2]
         inside = np.asarray(self.contains(pts))
         return _maybe_scalar(np.where(inside, d, -d), single)
 
@@ -658,18 +703,15 @@ class StarShaped(Domain):
         out = np.zeros(pts.shape[0])
         inside = np.asarray(self.contains(pts))
         if np.any(inside):
-            out[inside] = self._dist_batch(pts[inside])
+            out[inside] = self._nearest(pts[inside])[2]
         return _maybe_scalar(out, single)
 
     def project(self, x):
         pts, single = _as_points(x, 2)
         if not np.all(self.contains(pts)):
             raise DomainError("project requires an interior point")
-        th = self._nearest_param(pts)
-        z0 = self.boundary_point(th)
-        v = pts - z0
-        n = np.linalg.norm(v, axis=1)
-        normal = v / np.where(n > 0.0, n, 1.0)[:, None]
+        th, z0, n = self._nearest(pts)
+        normal = (pts - z0) / np.where(n > 0.0, n, 1.0)[:, None]
         on_curve = n == 0.0
         if np.any(on_curve):
             # x is its own nearest boundary point: the curve's inward normal
@@ -691,20 +733,30 @@ class StarShaped(Domain):
         return self.r_min / 3.0, 2.0 * self.r_min / 3.0
 
     def _h(self, rho):
+        """The flattened gap h(rho) and its first two derivatives,
+        elementwise: the identity up to r1, a constant from r2 on, and in
+        between h' falls from 1 to 0 along a quintic smoothstep, so
+        h(rho) = r1 + int_{r1}^{rho} h'."""
         r1, r2 = self._gap_cut()
-        if rho <= r1:
-            return rho, 1.0, 0.0
-        if rho >= r2:
-            # value of the blend at r2 (constant beyond)
-            hv, _, _ = self._h(r2 - 1e-15)
-            return hv, 0.0, 0.0
-        # quintic smoothstep of the derivative from 1 down to 0 on [r1, r2]
-        t = (rho - r1) / (r2 - r1)
-        blend = 1.0 - (10 * t ** 3 - 15 * t ** 4 + 6 * t ** 5)
-        dblend = -(30 * t ** 2 - 60 * t ** 3 + 30 * t ** 4) / (r2 - r1)
-        # h(rho) = r1 + int_{r1}^{rho} blend
-        sint = (rho - r1) - (10 / 4 * t ** 4 - 15 / 5 * t ** 5 + 6 / 6 * t ** 6) * (r2 - r1)
-        return r1 + sint, blend, dblend
+        w = r2 - r1
+
+        def ramp(g):
+            """Powers 2..6 of t = (g - r1) / w, and h(g) for g in [r1, r2]."""
+            t = np.clip((g - r1) / w, 0.0, 1.0)
+            t2, t3, t4, t5, t6 = (t ** k for k in (2, 3, 4, 5, 6))
+            h = r1 + ((g - r1) - (2.5 * t4 - 3.0 * t5 + t6) * w)
+            return (t2, t3, t4, t5), h
+
+        rho = np.asarray(rho, dtype=float)
+        (t2, t3, t4, t5), h = ramp(rho)
+        below, above = rho <= r1, rho >= r2
+        # the constant is the ramp's value at r2 (read just below it)
+        h = np.where(below, rho, np.where(above, ramp(r2 - 1e-15)[1], h))
+        dh = np.where(below, 1.0, np.where(
+            above, 0.0, 1.0 - (10 * t3 - 15 * t4 + 6 * t5)))
+        d2h = np.where(below | above, 0.0,
+                       -(30 * t2 - 60 * t3 + 30 * t4) / w)
+        return h, dh, d2h
 
     def _gap(self, x):
         th = np.arctan2(x[1], x[0])
@@ -751,22 +803,14 @@ class StarShaped(Domain):
 
     def psi_value(self, x):
         pts, single = _as_points(x, 2)
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        rho = self.radial(th) - np.linalg.norm(pts, axis=-1)
-        r1, r2 = self._gap_cut()
-        flat, _, _ = self._h(r2)
-        t = np.clip((rho - r1) / (r2 - r1), 0.0, 1.0)
-        sint = (rho - r1) - (2.5 * t ** 4 - 3.0 * t ** 5 + t ** 6) * (r2 - r1)
-        out = np.where(rho <= r1, rho, np.where(rho >= r2, flat, r1 + sint))
-        return _maybe_scalar(out, single)
+        return _maybe_scalar(self._h(self._radial_gap(pts)[1])[0], single)
 
     def regularized_distance(self, x):
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
             raise DomainError("regularized distance requires an interior point")
         if np.linalg.norm(x) == 0.0:
-            r1, r2 = self._gap_cut()
-            hv, _, _ = self._h(r2)
+            hv = float(self._h(self._gap_cut()[1])[0])
             return RegularizedDistance(psi=hv, grad=np.zeros(2),
                                        hess=np.zeros((2, 2)),
                                        omega_bound=0.0)

@@ -34,12 +34,10 @@ class QuadratureSpec:
 
     ``near_fraction`` sets the near ball as a fraction of the distance from x
     to the nearest kink of u (the role the distance to the boundary plays for
-    the barrier integrands); ``near_radius`` overrides it with an absolute
-    radius, still capped by that distance.
+    the barrier integrands).
     """
 
     near_fraction: float = 0.5
-    near_radius: float | None = None
     radial_panels: int = 8
     angular_nodes: int = 34
     far_cutoff: float = 16.0
@@ -86,8 +84,6 @@ def _near_radius(u, x, q):
         base = 0.5 * scale
     else:
         base = q.near_fraction * sr
-    if q.near_radius is not None:
-        base = min(q.near_radius, 0.9 * sr) if np.isfinite(sr) else q.near_radius
     return max(base, 1e-14 * scale)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .geometry import Ball
-from .wos import WoSConfig, ball_poisson, halfplane_poisson, solve
+from .wos import WoSConfig, halfplane_poisson, solve
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,6 @@ def wos_solver(dom, g, kernel, cfg):
     def run(x, index=0):
         out = solve(dom, g, x, kernel, cfg, point_index=index)
         return out.estimate, out.stderr
-    return run
-
-
-def ball_poisson_solver(dom, g, s):
-    def run(x, index=0):
-        v, e = ball_poisson(dom, g, x, s)
-        return v, e
     return run
 
 

@@ -174,7 +174,11 @@ def _walk_on_spheres(dom, g, x, law, kappa, snap_eps, max_steps, paths,
     shift = 1 if antithetic else 0
 
     sum_pay = 0.0
-    sum_sq = 0.0       # over estimator units (pairs when antithetic)
+    # the variance sums run over estimator units (pairs when antithetic)
+    # less the first unit, so they do not cancel under a large mean
+    ref = None
+    sum_dev = 0.0
+    sum_sq = 0.0
     n_units = 0
     n_walked = 0
     total_steps = 0
@@ -247,8 +251,12 @@ def _walk_on_spheres(dom, g, x, law, kappa, snap_eps, max_steps, paths,
             units = 0.5 * (payload[0::2] + payload[1::2])
         else:
             units = payload
+        if ref is None:
+            ref = float(units[0])
+        dev = units - ref
         sum_pay += float(np.sum(payload))
-        sum_sq += float(np.sum(units * units))
+        sum_dev += float(np.sum(dev))
+        sum_sq += float(np.sum(dev * dev))
         n_units += len(units)
 
     if n_maxed > 0.01 * n_walked:
@@ -257,7 +265,7 @@ def _walk_on_spheres(dom, g, x, law, kappa, snap_eps, max_steps, paths,
 
     mean = sum_pay / n_walked    # pair means average to the same value
     if n_units > 1:
-        var = max(sum_sq / n_units - mean ** 2, 0.0)
+        var = max(sum_sq / n_units - (sum_dev / n_units) ** 2, 0.0)
         var *= n_units / (n_units - 1)
         stderr = float(np.sqrt(var / n_units))
     else:

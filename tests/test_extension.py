@@ -346,10 +346,10 @@ def test_polygon_wos_deterministic():
     assert a.value == b.value and a.stderr == b.stderr
     # pinned: batching the projections must not change the walk
     assert a.value == 0.9274120301457155
-    # the stderr from the walk-on-spheres engine's running sums; np.std of
-    # the payloads gave ...13407, 3e-15 relative away
-    assert a.stderr == 0.0026874280585113325
-    assert a.stderr == pytest.approx(0.0026874280585113407, rel=1e-14, abs=0)
+    # the stderr from the walk-on-spheres engine's variance sums, shifted by
+    # the first payload; unshifted they gave ...13325
+    assert a.stderr == 0.0026874280585113407
+    assert a.stderr == pytest.approx(0.0026874280585113325, rel=1e-12, abs=0)
 
 
 def test_polygon_wos_max_steps_accounted():

@@ -185,3 +185,32 @@ def test_fields_without_kinks_give_empty_rows():
     table = ConstantField(1.0).radial_breakpoints(
         np.zeros(2), _directions([], n=8), 1.0)
     assert table.shape == (8, 0)
+
+
+def test_halfplane_composite_kinks_are_the_plane_closed_form():
+    # theta . e2 and x . e2 are exact, so the kinks are |x_2 / theta_2|
+    comp = CompositeField(HalfPlane([0.0, 1.0]), constant_data(1.0),
+                          constant_data(0.0), 0.0)
+    thetas = _directions([[1.0, 0.0]])
+    x = np.array([0.4, 0.7])
+    with np.errstate(divide="ignore"):
+        want = np.abs(0.7 / thetas[:, 1])
+    for r_max in (1e12, 1.5):
+        table = comp.radial_breakpoints(x, thetas, r_max)
+        assert table.shape[0] == len(thetas)
+        np.testing.assert_array_equal(
+            np.min(table, axis=1), np.where(want <= r_max, want, np.inf))
+
+
+@pytest.mark.parametrize("dom", [Ball([0.1, 0.0], 1.0), HalfPlane([0.3, 1.0]),
+                                 StarShaped([1.0, 0.0, 0.1])],
+                         ids=["ball", "halfplane", "star"])
+def test_psi_power_and_composite_share_the_domain_kinks(dom):
+    psi = PsiPower(dom, 0.5)
+    comp = CompositeField(dom, constant_data(1.0), constant_data(0.0), 0.0)
+    thetas = _directions([[1.0, 0.0], [0.0, 1.0]])
+    for x in ([0.2, 0.1], [1.3, -0.4], [0.0, 0.0]):
+        for r_max in (1e12, 1.5):
+            np.testing.assert_array_equal(
+                psi.radial_breakpoints(x, thetas, r_max),
+                comp.radial_breakpoints(x, thetas, r_max))

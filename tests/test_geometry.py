@@ -396,9 +396,32 @@ def test_star_projection_rarely_falls_back_to_golden_section(monkeypatch):
     pts = (dom.radial(th) - gap)[:, None] * np.stack([np.cos(th), np.sin(th)],
                                                      axis=1)
     z0, _ = dom.project(pts)
-    np.testing.assert_allclose(np.linalg.norm(pts - z0, axis=1), dom.dist(pts),
-                               rtol=0.0, atol=1e-12)
     # Newton steps below 1e-10 diameter that fail the descent test on
     # rounding are converged; sent to golden section they were 818 of these
     # rows, and 191 with only the steps below tolerance counted converged
     assert sum(rows) <= 10
+    # dist runs the same solver, so it falls back as rarely
+    rows.clear()
+    d = dom.dist(pts)
+    assert sum(rows) <= 10
+    np.testing.assert_allclose(np.linalg.norm(pts - z0, axis=1), d,
+                               rtol=0.0, atol=1e-12)
+
+
+def test_star_dist_is_the_projection_distance():
+    dom = StarShaped([1.0, 0.2, 0.1, 0.05])
+    rng = np.random.Generator(np.random.Philox(key=21))
+    th = rng.random(3000) * 2.0 * np.pi
+    # near the boundary, then anywhere inside the disc of radius r_min
+    gap = np.concatenate([10.0 ** rng.uniform(-12.0, -2.0, 1500),
+                          dom.radial(th[1500:])
+                          - dom.r_min * np.sqrt(rng.random(1500))])
+    pts = (dom.radial(th) - gap)[:, None] * np.stack([np.cos(th), np.sin(th)],
+                                                     axis=1)
+    assert np.all(dom.contains(pts))
+    z0, _ = dom.project(pts)
+    want = np.linalg.norm(pts - z0, axis=1)
+    np.testing.assert_array_equal(dom.dist(pts), want)
+    np.testing.assert_array_equal(dom.signed_dist(pts), want)
+    # the exact rows of dist_bound read the same distance
+    np.testing.assert_array_equal(dom.dist_bound(pts, np.inf), want)

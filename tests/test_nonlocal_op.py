@@ -219,7 +219,6 @@ def test_value_invariant_under_near_far_split():
     base = apply_L(K, u, x, q=QuadratureSpec(target_rel_tol=1e-5))
     variants = [
         QuadratureSpec(near_fraction=0.2, target_rel_tol=1e-5),
-        QuadratureSpec(near_radius=0.05, target_rel_tol=1e-5),
         QuadratureSpec(far_cutoff=64.0, target_rel_tol=1e-5),
         QuadratureSpec(far_cutoff=4.0, target_rel_tol=1e-5),
     ]

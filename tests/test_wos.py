@@ -273,6 +273,21 @@ def test_stderr_of_one_estimator_unit_is_nan(paths, antithetic):
     assert np.isfinite(out.estimate)
 
 
+def test_stderr_does_not_cancel_under_a_large_mean():
+    # a payload spread of 1e-4 about a mean of 1e6: E[u^2] - mean^2 from
+    # running sums cancelled to a stderr of 0.0
+    def shifted(offset):
+        return ExteriorData(fn=lambda p: offset + 1e-3 * np.asarray(p)[..., 0],
+                            alpha=1.0, C0=1e-3, growth=1.0)
+
+    cfg = WoSConfig(paths=20000, seed=1)
+    far = solve(unit_square(), shifted(1e6), [0.3, 0.4], K05, cfg)
+    near = solve(unit_square(), shifted(0.0), [0.3, 0.4], K05, cfg)
+    assert far.estimate - 1e6 == pytest.approx(near.estimate, abs=1e-9)
+    assert near.stderr > 0.0
+    assert far.stderr == pytest.approx(near.stderr, rel=1e-8)
+
+
 def test_reliability_error_on_tiny_step_budget():
     g = constant_data(1.0)
     with pytest.raises(ReliabilityError):
@@ -405,14 +420,19 @@ def test_bias_bound_counts_max_steps_walkers():
 # drawn from the exact Beta exit law, one radius and one angle per live
 # antithetic pair and step.
 SQUARE_PINNED = [
-    (1e-4, 0.4375694588405487, 0.0017179392156027326),
-    (1e-2, 0.6854919129181836, 0.0023985151558037453),
+    (1e-4, 0.4375694588405487, 0.001717939215602741),
+    (1e-2, 0.6854919129181836, 0.0023985151558037657),
 ]
 STAR_PINNED = [
-    (0.3, 0.5, 1.920945890575877, 0.017525193879284678),
-    (1.2, 0.05, 1.9987881071416207, 0.010508945615636353),
-    (2.0, 1e-3, 2.5426181275363113, 0.003321536681187481),
+    (0.3, 0.5, 1.920945890575877, 0.017525193879284667),
+    (1.2, 0.05, 1.9987881071416207, 0.010508945615636384),
+    (2.0, 1e-3, 2.5426181275363113, 0.003321536681187605),
 ]
+# the stderrs of the same walks from variance sums not shifted by the first
+# estimator unit, which agree with the pins above to the last few bits
+SQUARE_UNSHIFTED_STDERR = [0.0017179392156027326, 0.0023985151558037453]
+STAR_UNSHIFTED_STDERR = [0.017525193879284678, 0.010508945615636353,
+                         0.003321536681187481]
 # the same problems walked with the spline-fitted exit law, which drew two
 # uniforms (radius and angle) per pair of a batch at every step, live or not
 SQUARE_SPLINE_LAW = [
@@ -440,6 +460,8 @@ def test_square_corner_walks_pinned():
         out = solve(sq, g, t * bisector, K05, WoSConfig(paths=2000, seed=1),
                     point_index=k)
         assert (out.estimate, out.stderr) == (est, se)
+        assert out.stderr == pytest.approx(SQUARE_UNSHIFTED_STDERR[k],
+                                           rel=1e-12, abs=0)
         assert out.snapped_fraction > 0.0
 
 
@@ -452,6 +474,8 @@ def test_star_walks_pinned():
         out = solve(star, g, x, K05, WoSConfig(paths=2000, seed=1),
                     point_index=k)
         assert (out.estimate, out.stderr) == (est, se)
+        assert out.stderr == pytest.approx(STAR_UNSHIFTED_STDERR[k],
+                                           rel=1e-12, abs=0)
         assert out.snapped_fraction > 0.0
 
 
