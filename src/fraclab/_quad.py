@@ -2,9 +2,12 @@
 
 The radial direction of the operator integral is handled in three pieces:
 a Gauss-Jacobi rule on the near ball that absorbs the r^{1-2s} behaviour of
-the symmetrized integrand exactly, adaptive Gauss-Legendre panels on the mid
+the symmetrized integrand exactly, adaptive Gauss-Kronrod panels on the mid
 range with pre-splits at declared kink radii, and a Gauss-Jacobi rule in the
 reciprocal variable for the tail, which absorbs the declared power growth.
+A mid panel costs the 15 nodes of the nested G7/K15 pair: K15 gives the
+value and the |f| mass, and G7, on every other K15 node, the error estimate
+|K15 - G7|.
 ``radial_integrals`` runs this rule on a batch of directions at once: every
 direction keeps its own panels and refinement decisions, while each stage
 (the first pass, then each bisection sweep) evaluates the nodes of all
@@ -26,8 +29,47 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-_GL16 = roots_legendre(16)
 _GL8 = roots_legendre(8)
+
+# the nested Gauss-Kronrod pair G7/K15 on [-1, 1] (Kronrod 1965; the QUADPACK
+# table, Piessens et al. 1983): the 8 nonnegative K15 nodes, descending, and
+# their weights; G7's nodes are K15's odd-indexed ones (0.949..., 0.741...,
+# 0.405..., 0), with the 4 weights below.  Both rules are mirrored by symmetry.
+_K15_HALF = (0.991455371120812639206854697526329,
+             0.949107912342758524526189684047851,
+             0.864864423359769072789712788640926,
+             0.741531185599394439863864773280788,
+             0.586087235467691130294144838258730,
+             0.405845151377397166906606412076961,
+             0.207784955007898467600689403773245,
+             0.000000000000000000000000000000000)
+_K15_HALF_W = (0.022935322010529224963732008058970,
+               0.063092092629978553290700663189204,
+               0.104790010322250183839876322541518,
+               0.140653259715525918745189590510238,
+               0.169004726639267902826583426598550,
+               0.190350578064785409913256402421014,
+               0.204432940075298892414161999234649,
+               0.209482141084727828012999174891714)
+_G7_HALF_W = (0.129484966168869693270611432679082,
+              0.279705391489276667901467771423780,
+              0.381830050505118944950369775488975,
+              0.417959183673469387755102040816327)
+
+
+def _mirror(half, sign=1.0):
+    """The values at the nonnegative nodes ``half`` (0 last), extended to the
+    mirrored negative nodes: sign -1 for nodes, +1 for weights."""
+    half = np.array(half)
+    return np.concatenate([half, sign * half[-2::-1]])
+
+
+_K15_X = _mirror(_K15_HALF, -1.0)
+_K15_W = _mirror(_K15_HALF_W)
+_G7_W = _mirror(_G7_HALF_W)
+# the mid-panel rule as ``_rule_sums`` takes it: the weights of K15 and of
+# G7, and the G7 columns among the K15 nodes
+_MID_RULE = (_K15_W, _G7_W, slice(1, None, 2))
 
 # quadrature nodes per chunk of a batched Poisson integral: large enough to
 # amortize the Python overhead, small enough that the temporaries stay in
@@ -130,31 +172,31 @@ def _pymax(first, *rest):
 
 def _jacobi_rule(n, beta):
     """Nodes of the n-point Gauss-Jacobi rule on [0, 1] followed by those of
-    its embedded half-order rule, and the two weight vectors."""
+    its embedded half-order rule, the two weight vectors and the columns of
+    the embedded rule."""
     t1, w1 = gauss_jacobi_01(n, beta)
     t0, w0 = gauss_jacobi_01(max(n // 2, 4), beta)
-    return np.concatenate([t1, t0]), w1, w0
+    return np.concatenate([t1, t0]), w1, w0, slice(n, None)
 
 
-def _jacobi_sums(vals, w1, w0, scale):
+def _rule_sums(vals, w1, w0, coarse, scale):
     """Value, embedded error and |f| mass of each row of ``vals``, whose
-    columns are the nodes of a rule with weights w1 followed by those of its
-    embedded rule with weights w0: ``_jacobi_rule``, or the GL16 then GL8
-    nodes of ``_panel_nodes``."""
-    n1 = len(w1)
-    v1 = scale * np.sum(vals[:, :n1] * w1, axis=1)
-    v0 = scale * np.sum(vals[:, n1:] * w0, axis=1)
-    mass = scale * np.sum(np.abs(vals[:, :n1]) * w1, axis=1)
+    first len(w1) columns are the nodes of a rule with weights w1 and whose
+    columns ``coarse`` are those of its embedded rule with weights w0: the
+    appended half-order nodes of ``_jacobi_rule``, or the G7 nodes among the
+    K15 nodes of ``_panel_nodes``."""
+    v1 = scale * np.sum(vals[:, :len(w1)] * w1, axis=1)
+    v0 = scale * np.sum(vals[:, coarse] * w0, axis=1)
+    mass = scale * np.sum(np.abs(vals[:, :len(w1)]) * w1, axis=1)
     return v1, np.abs(v1 - v0), mass
 
 
 def _panel_nodes(a, b):
-    """GL16 then GL8 nodes of each panel [a, b], one row per panel."""
+    """The 15 K15 nodes of each panel [a, b], one row per panel, and the
+    panels' half-widths."""
     mid = (a + b) / 2.0
     half = (b - a) / 2.0
-    x16 = mid[:, None] + half[:, None] * _GL16[0]
-    x8 = mid[:, None] + half[:, None] * _GL8[0]
-    return np.concatenate([x16, x8], axis=1), half
+    return mid[:, None] + half[:, None] * _K15_X, half
 
 
 def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
@@ -190,8 +232,8 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     # by t = R/r, so that t^{growth} * pair_avg(R/t) is smooth and the
     # Jacobi weight t^{2s-1-growth} carries the power law
     beta_near = 1.0 - two_s
-    t_near, w1_near, w0_near = _jacobi_rule(n_jacobi, beta_near)
-    t_tail, w1_tail, w0_tail = _jacobi_rule(n_jacobi, two_s - 1.0 - growth)
+    t_near, *near_rule = _jacobi_rule(n_jacobi, beta_near)
+    t_tail, *tail_rule = _jacobi_rule(n_jacobi, two_s - 1.0 - growth)
     r_near = t_near * rho
     r_tail = r_far[:, None] / t_tail
     x_mid, half = _panel_nodes(a, b)
@@ -203,15 +245,14 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
                                   np.repeat(k, x_mid.shape[1])]))
     split_at = np.cumsum([n_dir * n_near, n_dir * n_tail])
     pa_near, pa_tail, pa_mid = np.split(pa, split_at)
-    near, err_near, mass_near = _jacobi_sums(
+    near, err_near, mass_near = _rule_sums(
         (u_x - pa_near.reshape(n_dir, n_near)) / (r_near * r_near),
-        w1_near, w0_near, rho ** (beta_near + 1.0))
-    tail_pair, err_tail, mass_tail = _jacobi_sums(
-        pa_tail.reshape(n_dir, n_tail) * t_tail ** growth,
-        w1_tail, w0_tail, 1.0)
-    val, err, mass = _jacobi_sums(
+        *near_rule, rho ** (beta_near + 1.0))
+    tail_pair, err_tail, mass_tail = _rule_sums(
+        pa_tail.reshape(n_dir, n_tail) * t_tail ** growth, *tail_rule, 1.0)
+    val, err, mass = _rule_sums(
         (u_x - pa_mid.reshape(x_mid.shape)) * x_mid ** (-1.0 - two_s),
-        _GL16[1], _GL8[1], half)
+        *_MID_RULE, half)
     n_evals = len(pa)
 
     # the near and mid pieces largely cancel for nearly harmonic fields, so
@@ -246,9 +287,9 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
         new_k = np.repeat(k[idx], 2)
         x_new, half = _panel_nodes(new_a, new_b)
         pa = pair_avg(x_new.ravel(), np.repeat(new_k, x_new.shape[1]))
-        new_val, new_err, new_mass = _jacobi_sums(
+        new_val, new_err, new_mass = _rule_sums(
             (u_x - pa.reshape(x_new.shape)) * x_new ** (-1.0 - two_s),
-            _GL16[1], _GL8[1], half)
+            *_MID_RULE, half)
         n_evals += len(pa)
         bisections += len(idx)
         keep = ~split

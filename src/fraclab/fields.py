@@ -22,12 +22,13 @@ quadrature needs:
 
 Fields whose kink is a domain boundary (``PsiPower``, ``CompositeField``)
 read it from the domain: the radial breakpoints are
-``Domain.boundary_crossings``, and ``PsiPower``'s smooth radius is
-``|Domain.signed_dist|``.
+``Domain.boundary_crossings``, and the smooth radius is
+``|Domain.signed_dist|``, inside and outside alike.
 """
 
 import numpy as np
 
+from .errors import ParameterError
 from .geometry import Ball, Cone, HalfPlane, StarShaped, plane_crossings
 
 
@@ -205,7 +206,9 @@ class PsiPower(Field):
 
     def __init__(self, domain, alpha):
         if not isinstance(domain, (Ball, HalfPlane, StarShaped)):
-            raise TypeError("PsiPower needs a domain with a regularized distance")
+            raise ParameterError(
+                f"domain must be a Ball, HalfPlane or StarShaped (a domain "
+                f"with a regularized distance), not {type(domain).__name__}")
         self.domain = domain
         self.alpha = float(alpha)
         self.growth = float(alpha) if isinstance(domain, HalfPlane) else 0.0
@@ -306,7 +309,7 @@ class CompositeField(Field):
         return float(out[0]) if single else out
 
     def smooth_radius(self, x):
-        return float(self.domain.dist(np.asarray(x, dtype=float)))
+        return abs(float(self.domain.signed_dist(np.asarray(x, dtype=float))))
 
     def radial_breakpoints(self, x, thetas, r_max):
         return self.domain.boundary_crossings(x, thetas, r_max)

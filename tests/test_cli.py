@@ -357,14 +357,14 @@ GOLDEN = {
         ["apply-op", "--s", "0.5",
          "--field", '{"name": "halfspace_power", "alpha": 0.25}',
          "--points", "0.0,1.0;0.3,2.0", "--rel-tol", "1e-5"],
-        "0ff09307125a97b57b9e04048ce8d4787768cb2986db26936303d636823b59b0"),
+        "b3ca569ae83c5a94bb25ce888cee7c01e50114e2f295be5e6bfb1b9e87dc7959"),
     "counterexample.csv": (
         ["counterexample", "--n", "3"],
         "31f9ef8fc6ba9ebf9c1cf62895cac38b271f25e7479bfa0fac88215c9a1bdd10"),
     "verify_halfspace.json": (
         ["verify-barrier", "--kind", "halfspace", "--s", "0.5",
          "--alpha", "0.25"],
-        "db80486b4df5075431c7e601acf907361c77017afb9ffaa13275e65a8324da87"),
+        "42693f262f88e021e1dad5b5d3c4dc62839409000e5658c0f94b079324938c54"),
 }
 
 

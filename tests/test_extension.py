@@ -308,6 +308,22 @@ def test_composite_field_constant_data():
     assert abs(ov.value) <= max(1e-8, 10 * ov.err_estimate)
 
 
+def test_composite_field_operator_at_an_exterior_point():
+    """Outside the domain the near ball reaches to the boundary, as inside;
+    the value does not depend on how the near/far split is drawn."""
+    K = make_fractional_laplacian(0.5, 2)
+    comp = extended_field(Ball([0.0, 0.0], 1.0),
+                          holder_point_singularity(0.3, [1.0, 0.0]))
+    x = np.array([1.5, 0.0])
+    assert comp.smooth_radius(x) == 0.5
+    base = apply_L(K, comp, x, q=QuadratureSpec(target_rel_tol=1e-5))
+    split = apply_L(K, comp, x, q=QuadratureSpec(target_rel_tol=1e-5,
+                                                 near_fraction=0.25))
+    assert base.tol_ok and split.tol_ok
+    assert base.near_part != split.near_part
+    assert abs(base.value - split.value) <= base.err_estimate + split.err_estimate
+
+
 def test_composite_field_breakpoints_on_star_and_cone():
     star = StarShaped([1.0, 0.0, 0.1])
     comp = CompositeField(star, constant_data(1.0), constant_data(0.0), 0.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fraclab.barriers import constant_data
+from fraclab.errors import ParameterError
 from fraclab.fields import (CompositeField, ConeBarrier, ConstantField,
                             HalfSpacePower, LinearCombinationField,
                             PowerPlus1D, PsiPower, TranslatedField)
@@ -209,8 +210,19 @@ def test_psi_power_and_composite_share_the_domain_kinks(dom):
     psi = PsiPower(dom, 0.5)
     comp = CompositeField(dom, constant_data(1.0), constant_data(0.0), 0.0)
     thetas = _directions([[1.0, 0.0], [0.0, 1.0]])
-    for x in ([0.2, 0.1], [1.3, -0.4], [0.0, 0.0]):
+    for x in map(np.array, ([0.2, 0.1], [1.3, -0.4], [0.0, 0.0])):
         for r_max in (1e12, 1.5):
             np.testing.assert_array_equal(
                 psi.radial_breakpoints(x, thetas, r_max),
                 comp.radial_breakpoints(x, thetas, r_max))
+        # the distance to the boundary, outside too (0 would read as a kink
+        # at x), and dist bit for bit inside
+        r = comp.smooth_radius(x)
+        assert r == psi.smooth_radius(x)
+        if dom.contains(x):
+            assert r == dom.dist(x)
+
+
+def test_psi_power_rejects_a_domain_without_regularized_distance():
+    with pytest.raises(ParameterError, match="domain"):
+        PsiPower(unit_square(), 0.5)

@@ -230,19 +230,30 @@ def test_value_invariant_under_near_far_split():
             or q.far_cutoff != 16.0  # the split itself did move
 
 
-# Values and n_evals of the one-direction-at-a-time quadrature that the
-# batched radial layer replaced; the batch makes the same refinement
-# decisions, and its sums differ from the old BLAS dot products in the
-# last bits only.
+# Values and n_evals of the batched radial quadrature with G7/K15 mid panels
+# (15 nodes per panel).
 PINNED = {
-    "power_1d": (0.78539808796032, 576),
-    "halfspace": (1.8569581032285243, 15792),
-    "psi_ball": (56.10286386707946, 22560),
-    "psi_star": (21.02906429216258, 14688),
-    "cone_beta005": (2.348289015798185, 49224),
-    "cone_beta05_coarse": (-0.3884938305007341, 30024),
-    "translated": (1.8569581032286226, 15792),
-    "extended_datum": (-61.90773339015156, 9744),
+    "power_1d": (0.7853981424963499, 417),
+    "halfspace": (1.856958705531287, 11268),
+    "psi_ball": (56.102878042558594, 16098),
+    "psi_star": (21.02911418899201, 10578),
+    "cone_beta005": (2.3482899868555096, 34890),
+    "cone_beta05_coarse": (-0.3884911871191092, 21960),
+    "translated": (1.8569587055313854, 11268),
+    "extended_datum": (-61.90772686089802, 6822),
+}
+
+# (value, err_estimate) of the same cases with GL16 mid panels and a
+# separate GL8 error rule (24 nodes per panel), the rule G7/K15 replaced
+GL16_GL8 = {
+    "power_1d": (0.78539808796032, 3.2195021529594567e-07),
+    "halfspace": (1.8569581032285243, 5.500001645107273e-06),
+    "psi_ball": (56.10286386707946, 0.0004678899017936433),
+    "psi_star": (21.02906429216258, 0.0006020680434767237),
+    "cone_beta005": (2.348289015798185, 6.141002813775943e-06),
+    "cone_beta05_coarse": (-0.3884938305007341, 3.299163731005748e-05),
+    "translated": (1.8569581032286226, 5.500001624268959e-06),
+    "extended_datum": (-61.90773339015156, 0.0001437106552334541),
 }
 
 
@@ -286,13 +297,29 @@ def test_pinned_operator_values(name):
     assert ov.n_evals == n_evals
 
 
+@pytest.mark.parametrize("name", sorted(GL16_GL8))
+def test_pinned_values_agree_with_gl16_rule(name):
+    """Both mid-panel rules estimate the same integral: the values differ by
+    no more than the two error estimates together."""
+    old, err_old = GL16_GL8[name]
+    ov = _pinned_case(name)
+    assert ov.tol_ok
+    assert abs(ov.value - old) <= ov.err_estimate + err_old
+
+
+def test_power_1d_error_covers_exact_value():
+    # -(-Delta)^{1/2} (t_+)^{1/4} at t = 1 is pi/4 (V_STAR_A025_S05_X1)
+    ov = _pinned_case("power_1d")
+    assert abs(ov.value - np.pi / 4.0) <= ov.err_estimate
+
+
 def test_refinements_count_bisections():
-    # one direction: the nodes are 36 near + 36 tail + 24 per panel, and
-    # each bisection of a mid panel adds two
+    # one direction: the nodes are 36 near + 36 tail + 15 (K15) per panel,
+    # and each bisection of a mid panel adds two
     ov = apply_L_1d(0.5, PowerPlus1D(alpha=0.25), 1.0)
     n_init = len(mid_panels(0.5, np.array([16.0]), np.array([[1.0]]), 8)[0])
     assert ov.refinements > 0
-    assert ov.n_evals == 72 + 24 * (n_init + 2 * ov.refinements)
+    assert ov.n_evals == 72 + 15 * (n_init + 2 * ov.refinements)
     K = make_fractional_laplacian(0.5, 2)
     assert apply_L(K, ConstantField(1.0), [0.7, 0.7]).refinements == 0
     # a tighter tolerance refines more, radially and over the angles

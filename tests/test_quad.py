@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+import scipy.integrate._quad_vec as quad_vec
 
+from fraclab import _quad
 from fraclab._quad import (NODE_CAP, bisect_edges, gauss_jacobi_01,
                            gl8_panels, graded_edges, mid_panels, node_chunks,
                            periodic_edges, radial_integrals)
@@ -74,10 +75,55 @@ def test_node_chunks_cover_rows_within_cap(sizes):
 
 
 # ---------------------------------------------------------------------------
-# the batched radial quadrature against a one-direction reference
+# the G7/K15 table of the mid panels
 
-_GL16 = roots_legendre(16)
-_GL8 = roots_legendre(8)
+
+def _scipy_gk15():
+    """scipy's QUADPACK G7/K15 table: the 15 K15 nodes (descending), the 7
+    G7 weights (G7 on the odd-indexed nodes) and the 15 K15 weights."""
+    saved = quad_vec._quadrature_gk
+    quad_vec._quadrature_gk = lambda a, b, f, norm, x, w, v: (x, w, v)
+    try:
+        x, w, v = quad_vec._quadrature_gk15(-1.0, 1.0, None, None)
+    finally:
+        quad_vec._quadrature_gk = saved
+    return np.array(x), np.array(w), np.array(v)
+
+
+_GK15 = _scipy_gk15()
+
+
+def _check_gk15(x, w15, w7):
+    """The committed table against scipy's to 1e-15, and exact on the
+    monomials of degree <= 22 (K15) and <= 13 (G7) on [-1, 1]."""
+    ref_x, ref_w7, ref_w15 = _GK15
+    np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w15, ref_w15, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w7, ref_w7, rtol=0.0, atol=1e-15)
+    for rule, nodes, degree in ((w15, x, 22), (w7, x[1::2], 13)):
+        d = np.arange(degree + 1)
+        exact = (1.0 + (-1.0) ** d) / (d + 1.0)
+        got = rule @ nodes[:, None] ** d
+        np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-14)
+
+
+def test_gk15_table_matches_scipy_and_is_exact():
+    w15, w7, g7_cols = _quad._MID_RULE
+    _check_gk15(_quad._K15_X, w15, w7)
+    assert g7_cols == slice(1, None, 2)
+
+
+@pytest.mark.parametrize("which", ["k15", "g7"])
+def test_gk15_check_fails_on_a_perturbed_weight(which):
+    for i in range(8 if which == "k15" else 4):
+        w15, w7 = _quad._K15_W.copy(), _quad._G7_W.copy()
+        (w15 if which == "k15" else w7)[i] += 1e-12
+        with pytest.raises(AssertionError):
+            _check_gk15(_quad._K15_X, w15, w7)
+
+
+# ---------------------------------------------------------------------------
+# the batched radial quadrature against a one-direction reference
 
 
 def _reference_edges(lo, hi, kinks, n_min):
@@ -116,12 +162,12 @@ def _reference_radial(f, u_x, s, rho, kinks, growth, far_cutoff, rel_tol,
         return (u_x - f(r)) * r ** (-1.0 - two_s)
 
     def panel(a, b):
+        x15, w7, w15 = _GK15
         mid, half = (a + b) / 2.0, (b - a) / 2.0
-        v16 = integrand(mid + half * _GL16[0])
-        v8 = integrand(mid + half * _GL8[0])
-        i16 = half * float(v16 @ _GL16[1])
-        return [a, b, i16, abs(i16 - half * float(v8 @ _GL8[1])),
-                half * float(np.abs(v16) @ _GL16[1])]
+        v15 = integrand(mid + half * x15)
+        i15 = half * float(v15 @ w15)
+        return [a, b, i15, abs(i15 - half * float(v15[1::2] @ w7)),
+                half * float(np.abs(v15) @ w15)]
 
     near, err_near, mass_near = jacobi(
         lambda r: (u_x - f(r)) / (r * r), rho, 1.0 - two_s)
@@ -129,7 +175,7 @@ def _reference_radial(f, u_x, s, rho, kinks, growth, far_cutoff, rel_tol,
     r_far = max(far_cutoff, 4.0 * rho, *(2.0 * b for b in kinks))
     edges = _reference_edges(rho, r_far, kinks, init_panels)
     panels = [panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    n_evals, bisections = 72 + 24 * len(panels), 0
+    n_evals, bisections = 72 + 15 * len(panels), 0
     tol = rel_tol * max(abs(near + sum(p[2] for p in panels)),
                         0.25 * (mass_near + sum(p[4] for p in panels)), 1e-300)
     for _ in range(40):
@@ -144,7 +190,7 @@ def _reference_radial(f, u_x, s, rho, kinks, growth, far_cutoff, rel_tol,
             a, b = panels.pop(i)[:2]
             panels.append(panel(a, (a + b) / 2.0))
             panels.append(panel((a + b) / 2.0, b))
-        n_evals += 48 * len(idx)
+        n_evals += 30 * len(idx)
         bisections += len(idx)
     tail_pair, err_tail, mass_tail = jacobi(
         lambda t: f(r_far / t) * t ** growth, 1.0, two_s - 1.0 - growth)
@@ -244,4 +290,4 @@ def test_radial_integrals_of_a_constant():
     assert out.bisections == 0
     # r_far = 16 on both directions; the kink at 3 adds one panel
     n_mid = len(mid_panels(0.1, np.array([16.0]), np.full((1, 0), np.nan), 8)[0])
-    assert out.n_evals == 2 * 72 + 24 * (2 * n_mid + 1)
+    assert out.n_evals == 2 * 72 + 15 * (2 * n_mid + 1)
