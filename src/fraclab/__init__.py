@@ -7,7 +7,7 @@ from .geometry import (Ball, Cone, Domain, HalfPlane, Polygon, StarShaped,
                        RegularizedDistance, regularized_distance,
                        domain_from_config, domain_to_config, unit_square)
 from .nonlocal_op import (OperatorValue, QuadratureSpec, apply_L, apply_L_1d,
-                          homogeneity_check)
+                          apply_L_many, homogeneity_check)
 from .fields import (ConeBarrier, HalfSpacePower, PowerPlus1D, PsiPower)
 from .barriers import (ExteriorData, eval_barrier, data_from_config,
                        holder_point_singularity, counterexample_min_rs_1,

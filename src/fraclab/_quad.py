@@ -8,10 +8,11 @@ reciprocal variable for the tail, which absorbs the declared power growth.
 A mid panel costs the 15 nodes of the nested G7/K15 pair: K15 gives the
 value and the |f| mass, and G7, on every other K15 node, the error estimate
 |K15 - G7|.
-``radial_integrals`` runs this rule on a batch of directions at once: every
-direction keeps its own panels and refinement decisions, while each stage
-(the first pass, then each bisection sweep) evaluates the nodes of all
-directions in one call of the integrand.  Angular integration (dim 2) uses
+``radial_integrals`` runs this rule on a batch of directions at once, each
+about its own point: every direction keeps its own panels and refinement
+decisions, while each stage (the first pass, then each bisection sweep)
+evaluates the nodes of all directions in chunks of at most NODE_CAP nodes,
+one call of the integrand each.  Angular integration (dim 2) uses
 adaptive Clenshaw-Curtis panels whose embedded coarse rule shares nodes
 with the fine one.
 
@@ -71,10 +72,11 @@ _G7_W = _mirror(_G7_HALF_W)
 # G7, and the G7 columns among the K15 nodes
 _MID_RULE = (_K15_W, _G7_W, slice(1, None, 2))
 
-# quadrature nodes per chunk of a batched Poisson integral: large enough to
-# amortize the Python overhead, small enough that the temporaries stay in
-# cache and peak memory stays flat (1 << 13 was the fastest of 1 << 12 ...
-# 1 << 17 on a 2-vCPU Xeon, with peaks under 1 MB)
+# quadrature nodes per chunk of a batched Poisson integral or of a stage of
+# the radial rule: large enough to amortize the Python overhead, small
+# enough that the temporaries stay in cache and peak memory stays flat
+# (1 << 13 was the fastest of 1 << 12 ... 1 << 17 for the Poisson integrals
+# on a 2-vCPU Xeon, with peaks under 1 MB)
 NODE_CAP = 1 << 13
 
 # panel edges closer than this merge into one
@@ -113,22 +115,23 @@ def mid_panels(lo, hi, kinks, n_min):
     """Initial mid-range panels of D directions, grouped by direction.
 
     Direction k gets max(n_min, 2 per decade) log-spaced panels on
-    [lo, hi[k]], split at the radii of ``kinks`` (a (D, m) array, padded
-    with NaN) strictly inside.  After such a split, an edge within 1e-13
-    (relative, absolute below 1) of the previous kept edge is dropped,
-    except the end edge hi[k].  Returns the panel ends a, b and the
-    direction index of each panel.
+    [lo[k], hi[k]] (a scalar lo is shared), split at the radii of ``kinks``
+    (a (D, m) array, padded with NaN) strictly inside.  After such a split,
+    an edge within 1e-13 (relative, absolute below 1) of the previous kept
+    edge is dropped, except the end edge hi[k].  Returns the panel ends a,
+    b and the direction index of each panel.
     """
     n_dir = len(hi)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), hi.shape)
     n = np.maximum(np.ceil(2.0 * np.log10(hi / lo)).astype(np.int64),
                    max(n_min, 1))
-    inside = (kinks > lo) & (kinks < hi[:, None])
+    inside = (kinks > lo[:, None]) & (kinks < hi[:, None])
     # rows are padded with their end edge, which sorts last
     width = int(n.max()) + 1 + kinks.shape[1]
     edges = np.repeat(hi[:, None], width, axis=1)
     for m in np.unique(n):
         rows = np.nonzero(n == m)[0]
-        edges[rows, :m + 1] = np.geomspace(lo, hi[rows], m + 1, axis=1)
+        edges[rows, :m + 1] = np.geomspace(lo[rows], hi[rows], m + 1, axis=1)
     edges[:, width - kinks.shape[1]:] = np.where(inside, kinks, hi[:, None])
     edges.sort(axis=1)
     ends = n + inside.sum(axis=1)
@@ -145,15 +148,16 @@ def mid_panels(lo, hi, kinks, n_min):
 
 
 class RadialIntegrals(NamedTuple):
-    """Per-direction pieces of the radial integral, with the totals of the
-    work done: quadrature nodes (``n_evals``) and mid-panel bisections."""
+    """Per-direction pieces of the radial integral, with the work done on
+    each direction: quadrature nodes (``n_evals``) and mid-panel
+    bisections."""
 
     near: np.ndarray
     far: np.ndarray
     err: np.ndarray
     mass: np.ndarray
-    n_evals: int
-    bisections: int
+    n_evals: np.ndarray
+    bisections: np.ndarray
 
 
 # bisection sweeps of the mid panels per direction
@@ -199,34 +203,58 @@ def _panel_nodes(a, b):
     return mid[:, None] + half[:, None] * _K15_X, half
 
 
+def _row_chunks(sizes):
+    """Consecutive slices of rows whose ``sizes`` sum to at most NODE_CAP
+    (a single row may exceed it)."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + NODE_CAP,
+                                                  side="right")))
+        yield slice(start, stop)
+        start = stop
+
+
 def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
                      rel_tol, n_jacobi, init_panels, max_panels):
     """The operator integral int_0^inf (u_x - pair_avg(r)) r^{-1-2s} dr
     along D directions at once, split as near ([0, rho]) and far (the rest).
 
-    ``pair_avg(r, k)`` returns (u(x + r theta_k) + u(x - r theta_k)) / 2 for
-    node radii r on direction indices k (equal-length arrays) in one field
-    call; ``breakpoints`` is the (D, m) kink table of
+    ``u_x`` and ``rho`` are per direction, or scalars shared by all.
+    ``pair_avg(r, k)`` returns (u(x_k + r theta_k) + u(x_k - r theta_k)) / 2
+    for node radii r on direction indices k (equal-length arrays) in one
+    field call; ``breakpoints`` is the (D, m) kink table of
     ``Field.radial_breakpoints``: row i holds the kink radii of direction i,
     padded with +inf (every non-finite entry is padding).  Each direction
     keeps its own rule: near Gauss-Jacobi nodes, mid panels pre-split at its
     kinks and bisected adaptively, a tail in the reciprocal variable.  Panel
     state lives in flat arrays tagged with the direction index, in each
-    direction's panel order, and every stage (the first pass, then each
-    bisection sweep) gathers the nodes of all directions into one call of
-    ``pair_avg``.  Per-direction sums run in panel order (``np.bincount``
-    adds in array order), so a direction's refinement decisions do not
-    depend on the batch around it.
+    direction's panel order.  Every stage (the first pass, then each
+    bisection sweep) gathers the nodes of all directions and evaluates them
+    in consecutive chunks of at most NODE_CAP nodes, one call of
+    ``pair_avg`` each, so memory does not grow with the batch.
+    Per-direction sums run in panel order (``np.bincount`` adds in array
+    order), so a direction's refinement decisions do not depend on the
+    batch around it.
     """
     two_s = 2.0 * s
     kinks = np.asarray(breakpoints, dtype=float)
     kinks = np.where(np.isfinite(kinks), kinks, np.nan)
     n_dir = len(kinks)
     dirs = np.arange(n_dir)
+    u_x = np.broadcast_to(np.asarray(u_x, dtype=float), (n_dir,))
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), (n_dir,))
     # far cutoff beyond every kink so the tail transform sees a smooth field
-    r_far = np.maximum(max(far_cutoff, 4.0 * rho),
+    r_far = np.maximum(np.maximum(far_cutoff, 4.0 * rho),
                        2.0 * np.max(np.nan_to_num(kinks), axis=1, initial=0.0))
     a, b, k = mid_panels(rho, r_far, kinks, init_panels)
+
+    def mid_sums(pa, x_mid, half, k):
+        """K15 value, G7 error and mass of the panels with nodes x_mid."""
+        return _rule_sums(
+            (u_x[k, None] - pa.reshape(x_mid.shape)) * x_mid ** (-1.0 - two_s),
+            *_MID_RULE, half)
 
     # near ball: integrand = (delta u / r^2) * r^{1-2s}; the tail is mapped
     # by t = R/r, so that t^{growth} * pair_avg(R/t) is smooth and the
@@ -234,26 +262,32 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     beta_near = 1.0 - two_s
     t_near, *near_rule = _jacobi_rule(n_jacobi, beta_near)
     t_tail, *tail_rule = _jacobi_rule(n_jacobi, two_s - 1.0 - growth)
-    r_near = t_near * rho
-    r_tail = r_far[:, None] / t_tail
-    x_mid, half = _panel_nodes(a, b)
-    n_near, n_tail = len(t_near), len(t_tail)
-    pa = pair_avg(np.concatenate([np.tile(r_near, n_dir), r_tail.ravel(),
-                                  x_mid.ravel()]),
-                  np.concatenate([np.repeat(dirs, n_near),
-                                  np.repeat(dirs, n_tail),
-                                  np.repeat(k, x_mid.shape[1])]))
-    split_at = np.cumsum([n_dir * n_near, n_dir * n_tail])
-    pa_near, pa_tail, pa_mid = np.split(pa, split_at)
-    near, err_near, mass_near = _rule_sums(
-        (u_x - pa_near.reshape(n_dir, n_near)) / (r_near * r_near),
-        *near_rule, rho ** (beta_near + 1.0))
-    tail_pair, err_tail, mass_tail = _rule_sums(
-        pa_tail.reshape(n_dir, n_tail) * t_tail ** growth, *tail_rule, 1.0)
-    val, err, mass = _rule_sums(
-        (u_x - pa_mid.reshape(x_mid.shape)) * x_mid ** (-1.0 - two_s),
-        *_MID_RULE, half)
-    n_evals = len(pa)
+    n_near, n_tail, n_mid = len(t_near), len(t_tail), len(_K15_X)
+    counts = np.bincount(k, minlength=n_dir)
+    first = np.cumsum(counts) - counts      # each direction's first panel
+    n_evals = n_near + n_tail + n_mid * counts
+    dir_sums = np.empty((6, n_dir))  # near, err, mass; tail pair, err, mass
+    val, err, mass = np.empty((3, len(a)))
+    for d in _row_chunks(n_evals):
+        p = slice(first[d.start], first[d.stop - 1] + counts[d.stop - 1])
+        r_near = rho[d, None] * t_near
+        x_mid, half = _panel_nodes(a[p], b[p])
+        pa = pair_avg(np.concatenate([r_near.ravel(),
+                                      (r_far[d, None] / t_tail).ravel(),
+                                      x_mid.ravel()]),
+                      np.concatenate([np.repeat(dirs[d], n_near),
+                                      np.repeat(dirs[d], n_tail),
+                                      np.repeat(k[p], n_mid)]))
+        pa_near, pa_tail, pa_mid = np.split(
+            pa, np.cumsum([r_near.size, len(r_near) * n_tail]))
+        dir_sums[:3, d] = _rule_sums(
+            (u_x[d, None] - pa_near.reshape(r_near.shape)) / (r_near * r_near),
+            *near_rule, rho[d] ** (beta_near + 1.0))
+        dir_sums[3:, d] = _rule_sums(
+            pa_tail.reshape(len(r_near), n_tail) * t_tail ** growth,
+            *tail_rule, 1.0)
+        val[p], err[p], mass[p] = mid_sums(pa_mid, x_mid, half, k[p])
+    near, err_near, mass_near, tail_pair, err_tail, mass_tail = dir_sums
 
     # the near and mid pieces largely cancel for nearly harmonic fields, so
     # the integrand mass, not the value, sets the relative-error scale
@@ -261,7 +295,7 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
                     0.25 * (mass_near + np.bincount(k, mass, n_dir)),
                     1e-300)
     tol = rel_tol * scale0
-    bisections = 0
+    bisections = np.zeros(n_dir, dtype=np.int64)
     for _ in range(_MAX_SWEEPS):
         counts = np.bincount(k, minlength=n_dir)
         starts = np.cumsum(counts) - counts
@@ -285,13 +319,15 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
         new_a = np.column_stack([a[idx], m]).ravel()
         new_b = np.column_stack([m, b[idx]]).ravel()
         new_k = np.repeat(k[idx], 2)
-        x_new, half = _panel_nodes(new_a, new_b)
-        pa = pair_avg(x_new.ravel(), np.repeat(new_k, x_new.shape[1]))
-        new_val, new_err, new_mass = _rule_sums(
-            (u_x - pa.reshape(x_new.shape)) * x_new ** (-1.0 - two_s),
-            *_MID_RULE, half)
-        n_evals += len(pa)
-        bisections += len(idx)
+        new_val, new_err, new_mass = np.empty((3, len(new_a)))
+        for p in _row_chunks(np.full(len(new_a), n_mid)):
+            x_new, half = _panel_nodes(new_a[p], new_b[p])
+            pa = pair_avg(x_new.ravel(), np.repeat(new_k[p], n_mid))
+            new_val[p], new_err[p], new_mass[p] = mid_sums(pa, x_new, half,
+                                                           new_k[p])
+        split_dirs = np.bincount(k[idx], minlength=n_dir)
+        n_evals += 2 * n_mid * split_dirs
+        bisections += split_dirs
         keep = ~split
         k = np.concatenate([k[keep], new_k])
         order = np.argsort(k, kind="stable")
@@ -306,7 +342,7 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     tail = u_x * far_pow / two_s - far_pow * tail_pair
     err = err_near + np.bincount(k, err, n_dir) + err_tail * far_pow
     mass = (mass_near + np.bincount(k, mass, n_dir) + mass_tail * far_pow
-            + abs(u_x) * far_pow / two_s)
+            + np.abs(u_x) * far_pow / two_s)
     return RadialIntegrals(near=near, far=mid + tail, err=err, mass=mass,
                            n_evals=n_evals, bisections=bisections)
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ParameterError, UnsupportedVariantError
 from .fields import ConeBarrier, HalfSpacePower, PsiPower
 from .geometry import Ball, Cone, HalfPlane, Polygon, StarShaped
-from .nonlocal_op import apply_L
+from .nonlocal_op import apply_L_many
 
 
 def eval_barrier(b, x):
@@ -200,6 +200,9 @@ class BarrierReport:
     min_value: float
     min_margin: float           # min over points of value / err_estimate
     extra: dict = field(default_factory=dict)
+    # (point, OperatorValue) of every operator evaluation, diagnostic points
+    # included; the operator's diagnostics, kept out of to_jsonable
+    evaluations: tuple = field(default=(), repr=False)
 
     def to_jsonable(self):
         return {
@@ -226,13 +229,18 @@ def _jsonable(obj):
     return obj
 
 
-def _evaluate_at(kernel, u, points, q):
-    vals, errs = [], []
-    for x in points:
-        ov = apply_L(kernel, u, np.asarray(x, dtype=float), q=q)
-        vals.append(ov.value)
-        errs.append(ov.err_estimate)
-    return np.array(vals), np.array(errs)
+def _evaluate_at(kernel, u, points, q, diagnostic=None):
+    """Values and error estimates of -Lu at ``points`` from one batched
+    quadrature, which also takes the ``diagnostic`` point when one is
+    given; returns them with the batch's (point, OperatorValue) pairs."""
+    batch = [np.asarray(x, dtype=float) for x in points]
+    if diagnostic is not None:
+        batch.append(np.asarray(diagnostic, dtype=float))
+    ovs = apply_L_many(kernel, u, batch, q=q) if batch else []
+    own = ovs[:len(points)]
+    return (np.array([ov.value for ov in own]),
+            np.array([ov.err_estimate for ov in own]),
+            tuple((tuple(map(float, x)), ov) for x, ov in zip(batch, ovs)))
 
 
 def verify_halfspace_supersolution(kernel, alpha, points, nu=None, q=None):
@@ -249,13 +257,14 @@ def verify_halfspace_supersolution(kernel, alpha, points, nu=None, q=None):
     for p in pts:
         if p @ u.nu <= 0:
             raise ParameterError("all points must satisfy x . nu > 0")
-    vals, errs = _evaluate_at(kernel, u, pts, q)
+    # homogeneity diagnostic on the first point, in the same batch
+    vals, errs, evaluations = _evaluate_at(
+        kernel, u, pts, q, 2.0 * pts[0] if pts else None)
     margins = vals / np.maximum(errs, 1e-300)
     passed = bool(np.all(vals > errs))
-    # homogeneity diagnostic on the first point
     extra = {}
     if len(pts) >= 1:
-        ratio = apply_L(kernel, u, 2.0 * pts[0], q=q).value / float(vals[0])
+        ratio = evaluations[-1][1].value / float(vals[0])
         expected = 2.0 ** (alpha - 2.0 * kernel.s)
         extra["homogeneity_ratio"] = ratio
         extra["homogeneity_expected"] = expected
@@ -264,7 +273,7 @@ def verify_halfspace_supersolution(kernel, alpha, points, nu=None, q=None):
         kind="halfspace", points=tuple(tuple(p) for p in pts),
         values=tuple(vals), errors=tuple(errs), passed=passed,
         min_value=float(np.min(vals)), min_margin=float(np.min(margins)),
-        extra=extra)
+        extra=extra, evaluations=evaluations)
 
 
 def verify_psi_barrier(kernel, dom, alpha, band=(1e-3, 1e-1), n_points=20,
@@ -297,7 +306,7 @@ def verify_psi_barrier(kernel, dom, alpha, band=(1e-3, 1e-1), n_points=20,
             z = dom.boundary_point(direction)
             _, normal = dom.project(z * (1.0 - 1e-9 / np.linalg.norm(z)))
             pts.append(z + d * normal)
-    vals, errs = _evaluate_at(kernel, u, pts, q)
+    vals, errs, evaluations = _evaluate_at(kernel, u, pts, q)
     two_s = 2.0 * kernel.s
     normalized = vals * ds ** (two_s - alpha)
     norm_err = errs * ds ** (two_s - alpha)
@@ -318,7 +327,7 @@ def verify_psi_barrier(kernel, dom, alpha, band=(1e-3, 1e-1), n_points=20,
         values=tuple(vals), errors=tuple(errs), passed=passed,
         min_value=float(np.min(vals)) if len(vals) else np.nan,
         min_margin=float(np.min(vals / np.maximum(errs, 1e-300))) if len(vals) else np.nan,
-        extra=extra)
+        extra=extra, evaluations=evaluations)
 
 
 def cone_boundary_points(e, eta, count=16, r_lo=0.25, r_hi=4.0):
@@ -344,12 +353,15 @@ def verify_cone_barrier(kernel, e, eta, beta, points=None, q=None,
     if points is None:
         points = cone_boundary_points(e, eta)
     pts = [np.asarray(p, dtype=float) for p in points]
-    vals, errs = _evaluate_at(kernel, u, pts, q)
+    lam = 2.0
+    # the scaling diagnostic on the first point, in the same batch
+    scaling = check_scaling and len(pts) >= 1
+    vals, errs, evaluations = _evaluate_at(
+        kernel, u, pts, q, lam * pts[0] if scaling else None)
     passed = bool(np.all(vals > errs))
     extra = {"beta": beta, "eta": eta}
-    if check_scaling and len(pts) >= 1:
-        lam = 2.0
-        ratio = apply_L(kernel, u, lam * pts[0], q=q).value / float(vals[0])
+    if scaling:
+        ratio = evaluations[-1][1].value / float(vals[0])
         expected = lam ** (beta - 2.0 * kernel.s)
         extra["scaling_ratio"] = ratio
         extra["scaling_expected"] = expected
@@ -359,7 +371,7 @@ def verify_cone_barrier(kernel, e, eta, beta, points=None, q=None,
         values=tuple(vals), errors=tuple(errs), passed=passed,
         min_value=float(np.min(vals)),
         min_margin=float(np.min(vals / np.maximum(errs, 1e-300))),
-        extra=extra)
+        extra=extra, evaluations=evaluations)
 
 
 def bracket_cone_beta0(kernel, e, eta, points=None, beta_lo=0.02,

@@ -9,7 +9,9 @@ ParameterError naming it.  ``_write_csv`` and ``_write_report`` write every
 output: the CSV embeds the resolved config and its hash in comment lines,
 and a JSON sidecar ``<out>.meta.json`` carries the config, package and
 Python versions, platform, worker threads, seed and wall time, and the
-run's report (for ``solve``, each point's walk diagnostics).  Outputs are
+run's report (for ``solve``, each point's walk diagnostics; for
+``apply-op`` and ``verify-barrier``, each operator point's quadrature
+diagnostics and the ToleranceWarnings raised).  Outputs are
 byte-identical for identical (config, seed): floats have a fixed precision
 and ``_map`` keeps input order.
 
@@ -23,6 +25,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,12 +35,12 @@ from . import __version__
 from .barriers import (counterexample_min_rs_1, data_from_config,
                        holder_point_singularity, verify_cone_barrier,
                        verify_halfspace_supersolution, verify_psi_barrier)
-from .errors import FracLabError, ParameterError
+from .errors import FracLabError, ParameterError, ToleranceWarning
 from .fields import ConeBarrier, HalfSpacePower, PsiPower
 from .geometry import (Ball, Polygon, StarShaped, domain_from_config,
                        unit_square)
 from .kernels import kernel_from_config, make_fractional_laplacian, validate_kernel
-from .nonlocal_op import QuadratureSpec, apply_L
+from .nonlocal_op import QuadratureSpec, apply_L_many
 from .regularity import (boundary_profile, exponent_experiment, fit_holder,
                          BoundaryProfile, wos_solver)
 from .wos import WoSConfig, halfplane_poisson, kappa_constant, solve
@@ -259,20 +262,52 @@ def _field_from_spec(spec):
     return _FIELDS[name](spec)
 
 
+_OPERATOR_DIAGNOSTICS = ("n_evals", "refinements", "err_estimate", "tol_ok")
+
+
+def _counting_tolerance_warnings(fn):
+    """fn() and the number of ToleranceWarnings it raised.  Every warning
+    caught is issued again afterwards, through the caller's filters."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ToleranceWarning)
+        out = fn()
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return out, sum(issubclass(w.category, ToleranceWarning) for w in caught)
+
+
+def _operator_diagnostics(evaluations, n_warnings):
+    """Each operator point's quadrature diagnostics and, over all points,
+    the nodes and refinements summed, the largest error estimate, the
+    tolerance misses and the ToleranceWarnings raised."""
+    evaluations = list(evaluations)
+    points = [{"x": [float(v) for v in x],
+               **{k: getattr(ov, k) for k in _OPERATOR_DIAGNOSTICS}}
+              for x, ov in evaluations]
+    ovs = [ov for _, ov in evaluations]
+    totals = {"n_evals": sum(ov.n_evals for ov in ovs),
+              "refinements": sum(ov.refinements for ov in ovs),
+              "err_estimate": max((ov.err_estimate for ov in ovs),
+                                  default=0.0),
+              "tol_misses": sum(not ov.tol_ok for ov in ovs),
+              "tol_warnings": n_warnings}
+    return {"points": points, "totals": totals}
+
+
 def cmd_apply_op(args):
     cfg = _resolve(args)
     u = _build(cfg, "field", _field_from_spec)
     kernel = make_fractional_laplacian(cfg["s"], cfg["dim"])
     pts = cfg["points"]
     q = QuadratureSpec(target_rel_tol=cfg["rel-tol"])
-
-    def work(p):
-        ov = apply_L(kernel, u, np.asarray(p, dtype=float), q=q)
-        return (*p, ov.value, ov.err_estimate, ov.near_part, ov.far_part)
-
-    rows = _map(cfg, work, pts)
+    ovs, n_warnings = _counting_tolerance_warnings(
+        lambda: apply_L_many(kernel, u, pts, q=q))
+    rows = [(*p, ov.value, ov.err_estimate, ov.near_part, ov.far_part)
+            for p, ov in zip(pts, ovs)]
     out = _write_csv(cfg, _coords(len(pts[0])) + [
-        "value", "err_estimate", "near_part", "far_part"], rows)
+        "value", "err_estimate", "near_part", "far_part"], rows,
+        report={"diagnostics": _operator_diagnostics(zip(pts, ovs),
+                                                     n_warnings)})
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -282,20 +317,26 @@ def cmd_verify_barrier(args):
     kind = cfg["kind"]
     kernel = make_fractional_laplacian(cfg["s"], 2)
     q = QuadratureSpec(target_rel_tol=cfg["rel-tol"])
-    if kind == "halfspace":
-        heights = np.geomspace(0.25, 4.0, 10)
-        pts = [np.array([0.3 * h, h]) for h in heights]
-        rep = verify_halfspace_supersolution(kernel, cfg["alpha"], pts, q=q)
-    elif kind == "psi":
-        rep = verify_psi_barrier(kernel, Ball([0.0, 0.0], 1.0), cfg["alpha"],
-                                 q=q)
-    elif kind == "cone":
-        rep = verify_cone_barrier(kernel, (0.0, 1.0), cfg["eta"], cfg["beta"],
-                                  q=q)
-    else:
+
+    def verify():
+        if kind == "halfspace":
+            heights = np.geomspace(0.25, 4.0, 10)
+            pts = [np.array([0.3 * h, h]) for h in heights]
+            return verify_halfspace_supersolution(kernel, cfg["alpha"], pts,
+                                                  q=q)
+        if kind == "psi":
+            return verify_psi_barrier(kernel, Ball([0.0, 0.0], 1.0),
+                                      cfg["alpha"], q=q)
+        if kind == "cone":
+            return verify_cone_barrier(kernel, (0.0, 1.0), cfg["eta"],
+                                       cfg["beta"], q=q)
         raise ParameterError(f"unknown barrier kind {kind!r}")
-    _write_report(cfg, rep.to_jsonable(), {"pass": rep.passed},
-                  name=f"verify_{kind}.json")
+
+    rep, n_warnings = _counting_tolerance_warnings(verify)
+    _write_report(cfg, rep.to_jsonable(), {
+        "pass": rep.passed,
+        "diagnostics": _operator_diagnostics(rep.evaluations, n_warnings)},
+        name=f"verify_{kind}.json")
     print(("PASS" if rep.passed else "FAIL"),
           f"{kind} barrier: min value {rep.min_value:.6g}, "
           f"min margin {rep.min_margin:.3g}x err")

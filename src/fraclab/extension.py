@@ -21,7 +21,7 @@ from .errors import (DivergenceError, DomainError, ParameterError,
                      UnsupportedVariantError)
 from .fields import CompositeField
 from .geometry import Ball, HalfPlane, Polygon
-from .nonlocal_op import QuadratureSpec, apply_L
+from .nonlocal_op import QuadratureSpec, apply_L_many
 from .wos import BrownianExitSampler, WoSConfig, _walk_on_spheres
 
 
@@ -170,23 +170,23 @@ class DiskExtension:
         return integ / mass
 
 
-_ONES8 = np.ones(8)
-
-
 def _kernel_panels(w, zx, zy, x, h):
     """Per-panel sums of the GL8 weights ``w`` times 1/|z - x|^2, and times
     h/|z - x|^2 as well, for boundary nodes z = (zx, zy) whose last axis
     runs over panels of 8 nodes; x (shape (..., 1, 2)) broadcasts against
     the panel rows.  The Poisson kernel's other factor, (R^2 - r^2) / 2 pi,
-    is constant per point and cancels in the normalized integral."""
+    is constant per point and cancels in the normalized integral.  einsum
+    sums every panel on its own, so a point's value does not depend on the
+    chunk of points around it (a BLAS product with a ones vector rounds a
+    row differently depending on its place in the matrix)."""
     d2 = zx - x[..., 0]
     d2 *= d2
     dy = zy - x[..., 1]
     dy *= dy
     d2 += dy
     kern = np.divide(w, d2, out=d2)
-    return (kern.reshape(-1, 8) @ _ONES8,
-            (kern * h).reshape(-1, 8) @ _ONES8)
+    return (np.einsum("ij->i", kern.reshape(-1, 8)),
+            np.einsum("ij->i", (kern * h).reshape(-1, 8)))
 
 
 class HalfPlaneExtension:
@@ -337,14 +337,14 @@ def check_extension_bounds(dom, g, band=(1e-3, 1e-1), alpha=None, n_points=10,
         q = QuadratureSpec(target_rel_tol=2e-3, angular_nodes=34,
                            max_angular_panels=24, max_radial_panels=160,
                            n_jacobi=16)
+    xs = [dom.center + (dom.radius - d) * towards for d in ds]
+    ovs = apply_L_many(kernel, comp, xs, q=q)
     hess_n, hessnorm, opv, operr, opn = [], [], [], [], []
-    for d in ds:
-        x = dom.center + (dom.radius - d) * towards
+    for d, x, ov in zip(ds, xs, ovs):
         H = hessian_fd(disk, x, d / 8.0)
         hn = float(np.linalg.norm(H, 2))
         hess_n.append(hn)
         hessnorm.append(hn * d ** (2.0 - alpha))
-        ov = apply_L(kernel, comp, x, q=q)
         opv.append(ov.value)
         operr.append(ov.err_estimate)
         opn.append(abs(ov.value) * d ** (2.0 * s - alpha))

@@ -14,7 +14,7 @@ from fraclab.fields import ConeBarrier, HalfSpacePower
 from fraclab.geometry import Ball, HalfPlane, StarShaped, unit_square
 from fraclab.kernels import make_fractional_laplacian
 import fraclab.barriers as barriers_mod
-from fraclab.nonlocal_op import QuadratureSpec, apply_L
+from fraclab.nonlocal_op import QuadratureSpec, apply_L, apply_L_many
 
 Q_FAST = QuadratureSpec(target_rel_tol=1e-5, max_angular_panels=24,
                         max_radial_panels=200)
@@ -200,13 +200,13 @@ def test_reports_reuse_operator_values(monkeypatch):
     bisection skips them; reports and brackets stay bit for bit."""
     K = make_fractional_laplacian(0.5, 2)
     q = QuadratureSpec(target_rel_tol=1e-4, max_angular_panels=16)
-    calls = []
+    calls = []      # one entry per operator point, whatever the batching
 
-    def counting(kernel, u, x, q=None):
-        calls.append(u)
-        return apply_L(kernel, u, x, q=q)
+    def counting(kernel, u, points, q=None):
+        calls.extend(u for _ in points)
+        return apply_L_many(kernel, u, points, q=q)
 
-    monkeypatch.setattr(barriers_mod, "apply_L", counting)
+    monkeypatch.setattr(barriers_mod, "apply_L_many", counting)
 
     pts = [np.array([0.1, 0.5]), np.array([-0.3, 1.2])]
     rep = verify_halfspace_supersolution(K, 0.25, pts, q=q)

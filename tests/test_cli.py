@@ -6,9 +6,11 @@ import pytest
 
 from fraclab.barriers import capped_distance_data
 from fraclab.cli import build_parser, run
-from fraclab.errors import ParameterError
+from fraclab.errors import ParameterError, ToleranceWarning
 from fraclab.geometry import Ball
+from fraclab.fields import HalfSpacePower, PsiPower
 from fraclab.kernels import make_fractional_laplacian
+from fraclab.nonlocal_op import QuadratureSpec, apply_L_many
 from fraclab.wos import WoSConfig, solve
 
 
@@ -69,6 +71,78 @@ def test_verify_barrier_halfspace(tmp_path):
     assert code == 0
     body = json.loads(out.read_text())
     assert body["report"]["pass"] is True
+
+
+def _operator_entry(x, ov):
+    return {"x": list(x), "n_evals": ov.n_evals,
+            "refinements": ov.refinements, "err_estimate": ov.err_estimate,
+            "tol_ok": ov.tol_ok}
+
+
+@pytest.mark.filterwarnings("error::fraclab.errors.ToleranceWarning")
+def test_apply_op_sidecar_reports_the_quadrature(tmp_path):
+    out = tmp_path / "op.csv"
+    assert run(["apply-op", "--s", "0.5",
+                "--field", '{"name": "halfspace_power", "alpha": 0.25}',
+                "--points", "0.0,1.0;0.0,2.0", "--rel-tol", "1e-5",
+                "--out", str(out)]) == 0
+    diag = json.loads(open(str(out) + ".meta.json").read())["report"][
+        "diagnostics"]
+    pts = [[0.0, 1.0], [0.0, 2.0]]
+    ovs = apply_L_many(make_fractional_laplacian(0.5, 2),
+                       HalfSpacePower([0.0, 1.0], 0.25), pts,
+                       q=QuadratureSpec(target_rel_tol=1e-5))
+    assert diag["points"] == [_operator_entry(x, ov) for x, ov in zip(pts, ovs)]
+    assert diag["totals"] == {
+        "n_evals": sum(ov.n_evals for ov in ovs),
+        "refinements": sum(ov.refinements for ov in ovs),
+        "err_estimate": max(ov.err_estimate for ov in ovs),
+        "tol_misses": 0, "tol_warnings": 0}
+    assert diag["totals"]["n_evals"] > 0
+
+
+def test_apply_op_sidecar_counts_tolerance_warnings(tmp_path):
+    out = tmp_path / "op.csv"
+    with pytest.warns(ToleranceWarning) as caught:
+        assert run(["apply-op", "--s", "0.5", "--field",
+                    '{"name": "halfspace_power", "alpha": 0.25}',
+                    "--points", "0.0,1.0;0.3,2.0;0.0,1.0",
+                    "--rel-tol", "1e-14", "--out", str(out)]) == 0
+    # the warnings still reach the caller, one per missing point
+    assert sum(w.category is ToleranceWarning for w in caught) == 3
+    totals = json.loads(open(str(out) + ".meta.json").read())["report"][
+        "diagnostics"]["totals"]
+    assert totals["tol_misses"] == totals["tol_warnings"] == 3
+
+
+def test_verify_barrier_sidecar_reports_every_operator_point(tmp_path):
+    out = tmp_path / "vb.json"
+    assert run(["verify-barrier", "--kind", "halfspace", "--s", "0.5",
+                "--alpha", "0.25", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    side = json.loads(open(str(out) + ".meta.json").read())["report"]
+    assert side["pass"] is True
+    diag = side["diagnostics"]
+    # the ten report points, then the homogeneity diagnostic at 2 x the first
+    assert [p["x"] for p in diag["points"]] == report["points"] + [
+        [2.0 * v for v in report["points"][0]]]
+    assert [p["err_estimate"] for p in diag["points"][:10]] == report["errors"]
+    assert all(p["tol_ok"] and p["n_evals"] > 0 for p in diag["points"])
+    assert diag["totals"]["n_evals"] == sum(p["n_evals"]
+                                            for p in diag["points"])
+    assert diag["totals"]["tol_misses"] == diag["totals"]["tol_warnings"] == 0
+
+    out = tmp_path / "psi.json"
+    assert run(["verify-barrier", "--kind", "psi", "--s", "0.5",
+                "--alpha", "0.25", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    diag = json.loads(open(str(out) + ".meta.json").read())["report"][
+        "diagnostics"]
+    pts = [tuple(p) for p in report["points"]]
+    ovs = apply_L_many(make_fractional_laplacian(0.5, 2),
+                       PsiPower(Ball([0.0, 0.0], 1.0), 0.25), pts,
+                       q=QuadratureSpec(target_rel_tol=1e-5))
+    assert diag["points"] == [_operator_entry(x, ov) for x, ov in zip(pts, ovs)]
 
 
 def test_solve_and_determinism(tmp_path):

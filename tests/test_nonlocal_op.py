@@ -1,9 +1,14 @@
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
 from fraclab._quad import mid_panels
 from fraclab.barriers import cone_boundary_points, holder_point_singularity
-from fraclab.errors import DivergenceError, ParameterError, ToleranceWarning
+from fraclab import nonlocal_op
+from fraclab.errors import (DivergenceError, DomainError, ParameterError,
+                            ToleranceWarning)
 from fraclab.extension import extended_field
 from fraclab.fields import (AffineField, CallableField, ConeBarrier,
                             ConstantField, HalfSpacePower,
@@ -12,7 +17,7 @@ from fraclab.fields import (AffineField, CallableField, ConeBarrier,
 from fraclab.geometry import Ball, StarShaped
 from fraclab.kernels import KernelSpec, make_fractional_laplacian
 from fraclab.nonlocal_op import (QuadratureSpec, apply_L, apply_L_1d,
-                                 homogeneity_check)
+                                 apply_L_many, homogeneity_check)
 
 from oracles import halfcircle_reduction_constant, op_1d_power_plus
 
@@ -327,3 +332,135 @@ def test_refinements_count_bisections():
     coarse = apply_L(K, u, [0.3, 0.8], q=QuadratureSpec(target_rel_tol=1e-3))
     fine = apply_L(K, u, [0.3, 0.8], q=QuadratureSpec(target_rel_tol=1e-6))
     assert fine.refinements > coarse.refinements
+
+
+# ---------------------------------------------------------------------------
+# the batched entry point: apply_L_many
+
+
+def _batch_case(name):
+    """(kernel, field, points, spec) of a batch; each batch repeats a point
+    and mixes near and far points, which refine differently."""
+    K1 = make_fractional_laplacian(0.5, 1)
+    K = make_fractional_laplacian(0.5, 2)
+    q4 = QuadratureSpec(target_rel_tol=1e-4)
+    q5 = QuadratureSpec(target_rel_tol=1e-5)
+    ball = Ball([0.0, 0.0], 1.0)
+    return {
+        "power_1d": (K1, PowerPlus1D(0.25), [[1.0], [0.1], [3.0], [1.0]], None),
+        "halfspace": (K, HalfSpacePower([0.0, 1.0], 0.25),
+                      [[0.3, 0.8], [0.0, 0.05], [-1.0, 3.0], [0.3, 0.8]], q5),
+        # the first point splits angular panels at the default tolerance,
+        # the others do not
+        "psi_ball": (K, PsiPower(ball, 0.25),
+                     [[0.0, 0.99], [0.5, 0.0], [0.0, 0.99], [-0.2, -0.9]],
+                     None),
+        "psi_star": (K, PsiPower(StarShaped([1.0, 0.0, 0.1]), 0.25),
+                     [[1.05, 0.0], [0.0, 0.5], [1.05, 0.0]], q4),
+        "cone": (K, ConeBarrier([0.0, 1.0], 1.0, 0.05),
+                 cone_boundary_points((0.0, 1.0), 1.0, 6)[:3]
+                 + [[0.0, 1.5], cone_boundary_points((0.0, 1.0), 1.0, 6)[0]],
+                 None),
+        "translated": (K, TranslatedField(HalfSpacePower([0.0, 1.0], 0.25),
+                                          [0.2, -0.3]),
+                       [[0.5, 0.5], [0.5, -0.2], [0.5, 0.5]], q5),
+        # criterion 10's extended datum, inside and outside the ball
+        "extended_datum": (
+            K, extended_field(ball, holder_point_singularity(0.3, [1.0, 0.0])),
+            [[0.99, 0.0], [0.5, 0.3], [1.5, 0.0], [0.99, 0.0]],
+            QuadratureSpec(target_rel_tol=2e-3, angular_nodes=34,
+                           max_angular_panels=24, max_radial_panels=160,
+                           n_jacobi=16)),
+    }[name]
+
+
+# the cone batch's point [0, 1.5] misses the default tolerance: its
+# tol_ok=False must match as well
+@pytest.mark.filterwarnings("ignore::fraclab.errors.ToleranceWarning")
+@pytest.mark.parametrize("name", ["power_1d", "halfspace", "psi_ball",
+                                  "psi_star", "cone", "translated",
+                                  "extended_datum"])
+def test_apply_L_many_matches_apply_L_bit_for_bit(name):
+    K, u, pts, q = _batch_case(name)
+    batch = apply_L_many(K, u, pts, q=q)
+    alone = [apply_L(K, u, x, q=q) for x in pts]
+    # every field, value and counts alike, equals the one-point call's
+    assert batch == alone
+    assert len({ov.n_evals for ov in batch}) > 1
+
+
+@pytest.mark.filterwarnings("ignore::fraclab.errors.ToleranceWarning")
+@pytest.mark.parametrize("name", ["psi_ball", "cone"])
+def test_apply_L_many_takes_a_round_per_split_of_its_slowest_point(
+        name, monkeypatch):
+    K, u, pts, q = _batch_case(name)
+    calls = []
+    panels = nonlocal_op._angular_panels
+
+    def counting(*args):
+        calls.append(len(args[-2]))     # the panels evaluated together
+        return panels(*args)
+
+    monkeypatch.setattr(nonlocal_op, "_angular_panels", counting)
+    single = []
+    for x in pts:
+        calls.clear()
+        apply_L(K, u, x, q=q)
+        single.append(len(calls) - 1)   # angular splits of this point
+    calls.clear()
+    apply_L_many(K, u, pts, q=q)
+    assert len(set(single)) > 1
+    # one initial call, then one per round, each with the two halves of
+    # every point still splitting
+    assert len(calls) == 1 + max(single)
+    assert calls[1:] == [2 * sum(n > r for n in single)
+                         for r in range(max(single))]
+
+
+def test_homogeneity_check_uses_the_batch_bit_for_bit():
+    K1 = make_fractional_laplacian(0.5, 1)
+    u = PowerPlus1D(alpha=0.25)
+    rep = homogeneity_check(K1, u, np.array([1.0]), scales=(0.5, 2.0))
+    assert rep.base_value == apply_L(K1, u, [1.0]).value
+    assert rep.scaled_values == tuple(apply_L(K1, u, [t]).value
+                                      for t in (0.5, 2.0))
+
+
+def test_apply_L_many_rejects_bad_points_before_any_quadrature():
+    K = make_fractional_laplacian(0.5, 2)
+    evaluated = []
+    base = HalfSpacePower([0.0, 1.0], 0.25)
+    u = CallableField(lambda p: evaluated.append(len(p)) or base(p),
+                      growth=0.25, smooth_radius_fn=base.smooth_radius)
+    with pytest.raises(ParameterError, match="points"):
+        apply_L_many(K, u, [])
+    with pytest.raises(ParameterError, match=r"points\[1\]"):
+        apply_L_many(K, u, [[0.1, 0.5], [0.1, 0.5, 0.0]])
+    with pytest.raises(ParameterError, match=r"points\[0\]"):
+        apply_L(K, u, [0.1])
+    # on the kink plane of the half-space power, the third point
+    with pytest.raises(DomainError, match=r"points\[2\]"):
+        apply_L_many(K, u, [[0.1, 0.5], [0.3, 0.2], [0.4, 0.0]])
+    assert evaluated == []
+    # 1-D points may be plain numbers
+    K1 = make_fractional_laplacian(0.5, 1)
+    assert apply_L_many(K1, PowerPlus1D(0.25), [1.0, 2.0]) == [
+        apply_L(K1, PowerPlus1D(0.25), [t]) for t in (1.0, 2.0)]
+
+
+def test_tolerance_warnings_once_per_missing_point_at_the_callers_line():
+    K1 = make_fractional_laplacian(0.5, 1)
+    u = PowerPlus1D(alpha=0.25)
+    starved = QuadratureSpec(target_rel_tol=1e-13, max_radial_panels=8,
+                             radial_panels=4, n_jacobi=6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        ovs = apply_L_many(K1, u, [[1.0], [2.0], [1.0]], q=starved)
+        line_one = inspect.currentframe().f_lineno + 1
+        one = apply_L(K1, u, [1.0], q=starved)
+        apply_L_many(K1, u, [[1.0], [2.0]])     # meets its target: silent
+    assert not any(ov.tol_ok for ov in ovs) and not one.tol_ok
+    assert [w.category for w in caught] == [ToleranceWarning] * 4
+    assert {w.filename for w in caught} == {__file__}
+    assert [w.lineno for w in caught] == [line] * 3 + [line_one]

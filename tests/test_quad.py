@@ -257,9 +257,11 @@ def test_radial_batch_matches_reference(u, x):
         assert abs(rad.far[i] - far) <= 1e-13 * mass
         assert abs(rad.err[i] - err) <= 1e-13 * mass
         assert rad.mass[i] == pytest.approx(mass, rel=1e-13)
+        assert (rad.n_evals[i], rad.bisections[i]) == (ev, bis)
         n_evals += ev
         bisections += bis
-    assert (rad.n_evals, rad.bisections) == (n_evals, bisections)
+    # the per-direction counts add up to the work of the whole batch
+    assert (rad.n_evals.sum(), rad.bisections.sum()) == (n_evals, bisections)
     assert bisections > 0
 
 
@@ -287,7 +289,8 @@ def test_radial_integrals_of_a_constant():
     out = radial_integrals(pair_avg, 2.0, 0.5, 0.1, [[np.inf], [3.0]], 0.0,
                            16.0, 1e-6, 24, 8, 400)
     assert np.all(out.near == 0.0) and np.all(out.err == 0.0)
-    assert out.bisections == 0
+    assert out.bisections.tolist() == [0, 0]
     # r_far = 16 on both directions; the kink at 3 adds one panel
     n_mid = len(mid_panels(0.1, np.array([16.0]), np.full((1, 0), np.nan), 8)[0])
-    assert out.n_evals == 2 * 72 + 15 * (2 * n_mid + 1)
+    assert out.n_evals.tolist() == [72 + 15 * n_mid, 72 + 15 * (n_mid + 1)]
+    assert out.n_evals.sum() == 2 * 72 + 15 * (2 * n_mid + 1)
