@@ -255,7 +255,7 @@ def verify_halfspace_supersolution(kernel, alpha, points, nu=None, q=None):
     u = HalfSpacePower(nu, alpha)
     pts = [np.asarray(p, dtype=float) for p in points]
     for p in pts:
-        if p @ u.nu <= 0:
+        if p @ u.domain.normal <= 0:
             raise ParameterError("all points must satisfy x . nu > 0")
     # homogeneity diagnostic on the first point, in the same batch
     vals, errs, evaluations = _evaluate_at(

@@ -21,9 +21,18 @@ quadrature needs:
   kink structure changes, so angular panels can be split there.
 
 Fields whose kink is a domain boundary (``PsiPower``, ``CompositeField``)
-read it from the domain: the radial breakpoints are
-``Domain.boundary_crossings``, and the smooth radius is
+read it from the domain, in one place: the radial breakpoints are
+``Domain.boundary_crossings``, the angular ones
+``Domain.angular_breakpoints``, and the smooth radius is
 ``|Domain.signed_dist|``, inside and outside alike.
+
+``PsiPower(domain, alpha)`` is the one power-of-psi field, (psi_+)^alpha
+with psi the domain's side function ``psi_value``.  It is the paper's
+comparison function in each setting: the half-space power (x . nu)_+^alpha
+on a HalfPlane, psi^alpha near a C^{1,gamma} boundary on a Ball or
+StarShaped domain, and the cone barrier Phi_beta on a Cone.
+``HalfSpacePower(nu, alpha)`` and ``ConeBarrier(e, eta, beta)`` construct
+the first and the last.
 """
 
 import numpy as np
@@ -143,10 +152,6 @@ class TranslatedField(Field):
             np.asarray(x, dtype=float) - self.shift)
 
 
-def _wrap_angle_mod_pi(phi):
-    return float(phi % np.pi)
-
-
 class PowerPlus1D(Field):
     """((t + shift)_+)^alpha on the line; s-harmonic when alpha = s, shift-free
     version is positively homogeneous of degree alpha."""
@@ -171,48 +176,25 @@ class PowerPlus1D(Field):
         return plane_crossings(float(x[0]) + self.shift, thetas[:, 0], r_max)
 
 
-class HalfSpacePower(Field):
-    """(x . nu)_+^alpha, the half-space barrier; homogeneous of degree alpha."""
-
-    def __init__(self, nu, alpha):
-        nu = np.atleast_1d(np.asarray(nu, dtype=float))
-        self.nu = nu / np.linalg.norm(nu)
-        self.alpha = float(alpha)
-        self.growth = float(alpha)
-        self.homogeneity = float(alpha)
-
-    def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.maximum(pts @ self.nu, 0.0) ** self.alpha
-
-    def smooth_radius(self, x):
-        return abs(float(np.asarray(x, dtype=float) @ self.nu))
-
-    def radial_breakpoints(self, x, thetas, r_max):
-        return plane_crossings(float(np.asarray(x, dtype=float) @ self.nu),
-                               np.sum(thetas * self.nu, axis=1), r_max)
-
-    def angular_breakpoints(self, x):
-        # directions tangent to the kink plane
-        if len(self.nu) != 2:
-            return ()
-        phi_nu = np.arctan2(self.nu[1], self.nu[0])
-        return (_wrap_angle_mod_pi(phi_nu + 0.5 * np.pi),)
-
-
 class PsiPower(Field):
-    """psi(x)^alpha inside Omega, zero outside, with psi the regularized
-    distance of a Ball, HalfPlane or StarShaped domain."""
+    """(psi_+)^alpha with psi the side function ``psi_value`` of a Ball,
+    HalfPlane, StarShaped or Cone domain: the regularized distance psi^alpha
+    inside and zero outside, the half-space power (x . nu)_+^alpha on a
+    HalfPlane, the cone barrier Phi_beta on a Cone.  On the unbounded
+    domains psi is positively homogeneous of degree 1, so the field grows
+    like, and is homogeneous of, degree alpha.  Its kinks are the domain
+    boundary, read from the domain."""
 
     def __init__(self, domain, alpha):
-        if not isinstance(domain, (Ball, HalfPlane, StarShaped)):
+        if not isinstance(domain, (Ball, Cone, HalfPlane, StarShaped)):
             raise ParameterError(
-                f"domain must be a Ball, HalfPlane or StarShaped (a domain "
-                f"with a regularized distance), not {type(domain).__name__}")
+                f"domain must be a Ball, Cone, HalfPlane or StarShaped (a "
+                f"domain with a side function psi), not "
+                f"{type(domain).__name__}")
         self.domain = domain
         self.alpha = float(alpha)
-        self.growth = float(alpha) if isinstance(domain, HalfPlane) else 0.0
-        self.homogeneity = float(alpha) if isinstance(domain, HalfPlane) else None
+        self.growth = 0.0 if domain.bounded else self.alpha
+        self.homogeneity = None if domain.bounded else self.alpha
 
     def __call__(self, pts):
         psi = np.asarray(self.domain.psi_value(np.asarray(pts, dtype=float)))
@@ -224,71 +206,25 @@ class PsiPower(Field):
     def radial_breakpoints(self, x, thetas, r_max):
         return self.domain.boundary_crossings(x, thetas, r_max)
 
-
-class ConeBarrier(Field):
-    """Phi_beta = (psi_+)^beta with psi(x) = e.x + eta |x| (1-(e.x)^2/|x|^2);
-    positively homogeneous of degree beta, positive exactly on the cone."""
-
-    def __init__(self, e, eta, beta):
-        self.cone = Cone(e, eta)
-        self.e = self.cone.axis
-        self.eta = float(eta)
-        self.beta = float(beta)
-        self.growth = float(beta)
-        self.homogeneity = float(beta)
-
-    def side_function(self, pts):
-        return self.cone.side_function(pts)
-
-    def __call__(self, pts):
-        psi = np.asarray(self.cone.side_function(np.asarray(pts, dtype=float)))
-        return np.maximum(psi, 0.0) ** self.beta
-
-    def smooth_radius(self, x):
-        x = np.asarray(x, dtype=float)
-        dists = []
-        for w in self.cone.edge_dirs:
-            t = max(float(x @ w), 0.0)
-            dists.append(float(np.linalg.norm(x - t * w)))
-        return min(dists)
-
-    def radial_breakpoints(self, x, thetas, r_max):
-        x = np.asarray(x, dtype=float)
-        th0, th1 = np.concatenate([thetas, -thetas]).T   # +theta rows first
-        cols = []
-        for w in self.cone.edge_dirs:
-            # the ray meets the line of the edge at r; keep the half line
-            den = th0 * w[1] - th1 * w[0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = (x[1] * w[0] - x[0] * w[1]) / den
-            t = (x[0] + r * th0) * w[0] + (x[1] + r * th1) * w[1]
-            ok = (np.abs(den) >= 1e-14) & (r > 0.0) & (r <= r_max) & (t >= 0.0)
-            cols.append(np.where(ok, r, np.inf))
-        # ray through the vertex
-        cross = x[0] * th1 - x[1] * th0
-        along = -(x[0] * th0 + x[1] * th1)
-        ok = ((np.abs(cross) < 1e-14 * max(1.0, np.linalg.norm(x)))
-              & (along > 0.0) & (along <= r_max))
-        cols.append(np.where(ok, along, np.inf))
-        return np.hstack(np.split(np.column_stack(cols), 2))
-
     def angular_breakpoints(self, x):
-        x = np.asarray(x, dtype=float)
-        out = [
-            _wrap_angle_mod_pi(np.arctan2(w[1], w[0]))
-            for w in self.cone.edge_dirs
-        ]
-        if np.linalg.norm(x) > 0:
-            out.append(_wrap_angle_mod_pi(np.arctan2(x[1], x[0])))
-        return tuple(out)
+        return self.domain.angular_breakpoints(x)
+
+
+def HalfSpacePower(nu, alpha):
+    """(x . nu)_+^alpha, the half-space barrier."""
+    return PsiPower(HalfPlane(nu), alpha)
+
+
+def ConeBarrier(e, eta, beta):
+    """Phi_beta = (psi_+)^beta on the cone C_{-eta} about the axis e."""
+    return PsiPower(Cone(e, eta), beta)
 
 
 class CompositeField(Field):
     """Value from ``inside`` on Omega and from ``outside`` elsewhere, with the
-    domain boundary as the kink surface.  Used for the extended datum
-    (harmonic extension inside, raw datum outside).  Radial breakpoints are
-    the domain's ``boundary_crossings``: Ball, HalfPlane, Polygon and
-    StarShaped define them, Cone does not."""
+    domain boundary as the kink surface, read from the domain as
+    ``PsiPower`` reads it.  Used for the extended datum (harmonic extension
+    inside, raw datum outside)."""
 
     def __init__(self, domain, inside, outside, growth):
         self.domain = domain
@@ -308,8 +244,6 @@ class CompositeField(Field):
             out[~mask] = self.outside(p[~mask])
         return float(out[0]) if single else out
 
-    def smooth_radius(self, x):
-        return abs(float(self.domain.signed_dist(np.asarray(x, dtype=float))))
-
-    def radial_breakpoints(self, x, thetas, r_max):
-        return self.domain.boundary_crossings(x, thetas, r_max)
+    smooth_radius = PsiPower.smooth_radius
+    radial_breakpoints = PsiPower.radial_breakpoints
+    angular_breakpoints = PsiPower.angular_breakpoints

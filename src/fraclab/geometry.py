@@ -12,19 +12,26 @@ convex Polygons it is the distance to the nearest edge line, which is
 ``dist`` up to a few ulps of the coordinates (bit for bit on the unit
 square), and on StarShaped a closed form in the radial gap, O(1) per point.
 ``project`` returns the nearest boundary point together with the inward unit
-normal; on Ball, Polygon and StarShaped it takes a batch of interior points
-(and returns two (n, dim) arrays), on HalfPlane and Cone one point.  On
-StarShaped one nearest-point solver serves ``dist``, ``signed_dist``, the
-exact rows of ``dist_bound`` and ``project``, so each reports the same
-|x - z| for the same nearest boundary point z.
+normal; every variant takes a batch of interior points (and returns two (n,
+dim) arrays).  On StarShaped and on Cone one nearest-point primitive serves
+``dist``, ``signed_dist`` and ``project`` (and StarShaped's exact rows of
+``dist_bound``), so each reports the same |x - z| for the same nearest
+boundary point z; on Cone it is the foot max(x . w, 0) w on each edge ray w,
+with row dots that do not depend on the batch.
 
-``signed_dist`` (Ball, HalfPlane, Polygon, StarShaped) is positive inside
-and negative outside.  ``boundary_crossings(x, thetas, r_max)`` gives where
-the rays x +- r theta cross the boundary as a (D, k) table padded with +inf:
-closed forms on Ball and HalfPlane, a sign-change scan of the radial gap on
-StarShaped and of ``signed_dist`` elsewhere (Cone has neither, and raises).
-Ball, HalfPlane and StarShaped additionally provide a C^1 regularized
-distance psi comparable to d with a Hessian controlled by omega(d)/d.
+``signed_dist`` (every variant) is positive inside and negative outside.
+``boundary_crossings(x, thetas, r_max)`` gives where the rays x +- r theta
+cross the boundary as a (D, k) table padded with +inf: closed forms on Ball,
+HalfPlane and Cone (the edge lines met on their half lines, and the ray
+through the vertex), a sign-change scan of the radial gap on StarShaped and
+of ``signed_dist`` on Polygon.  ``angular_breakpoints(x)`` gives the angles
+(read mod pi) of the directions where that crossing pattern changes:
+HalfPlane's tangent (2-D), Cone's two edges and the ray from x through its
+vertex, none elsewhere.  Ball, HalfPlane, Cone and StarShaped have a side
+function ``psi_value``, positive exactly inside; on Ball, HalfPlane and
+StarShaped it is a C^1 regularized distance psi comparable to d with a
+Hessian controlled by omega(d)/d, on Cone the homogeneous cone function of
+the barrier Phi_beta.
 """
 
 from dataclasses import dataclass
@@ -124,8 +131,7 @@ class Domain:
 
     def signed_dist(self, x):
         """Distance to the boundary, positive inside and negative outside."""
-        raise UnsupportedVariantError(
-            f"{type(self).__name__} has no signed distance")
+        raise NotImplementedError
 
     def boundary_crossings(self, x, thetas, r_max):
         """Where the rays x + r theta_i and x - r theta_i cross the boundary,
@@ -133,9 +139,16 @@ class Domain:
         table padded with +inf whose finite entries in row i are the radii
         in (0, r_max] of the crossings (unordered, maybe repeated).  Rows
         are computed elementwise, so a row does not depend on the batch
-        around it.  Here the sign changes of ``signed_dist``; Ball and
-        HalfPlane have closed forms, StarShaped scans its radial gap."""
+        around it.  Here the sign changes of ``signed_dist``; Ball, HalfPlane
+        and Cone have closed forms, StarShaped scans its radial gap."""
         return _scan_crossings(self.signed_dist, x, thetas, r_max)
+
+    def angular_breakpoints(self, x):
+        """Angles (read mod pi) of the directions theta where the crossings
+        of x +- r theta with the boundary change pattern: a straight piece
+        of the boundary met end on, or the ray through a vertex.  None
+        here; HalfPlane and Cone have them."""
+        return ()
 
     def regularized_distance(self, x):
         raise UnsupportedVariantError(
@@ -242,11 +255,13 @@ class HalfPlane(Domain):
         return _maybe_scalar(np.maximum(pts @ self.normal, 0.0), single)
 
     def project(self, x):
-        x = np.asarray(x, dtype=float)
-        h = x @ self.normal
-        if h <= 0:
+        pts, single = _as_points(x, self.dim)
+        h = np.vecdot(pts, self.normal)
+        if not np.all(h > 0.0):
             raise DomainError("project requires an interior point")
-        return x - h * self.normal, self.normal.copy()
+        normal = np.broadcast_to(self.normal, pts.shape).copy()
+        return (_maybe_scalar(pts - h[:, None] * self.normal, single),
+                _maybe_scalar(normal, single))
 
     def psi_value(self, x):
         pts, single = _as_points(x, self.dim)
@@ -257,6 +272,12 @@ class HalfPlane(Domain):
     def boundary_crossings(self, x, thetas, r_max):
         return plane_crossings(float(np.asarray(x, dtype=float) @ self.normal),
                                np.sum(thetas * self.normal, axis=1), r_max)
+
+    def angular_breakpoints(self, x):
+        """The tangent direction of the boundary line (2-D only)."""
+        if self.dim != 2:
+            return ()
+        return (np.arctan2(self.normal[1], self.normal[0]) + 0.5 * np.pi,)
 
     def regularized_distance(self, x):
         x = np.asarray(x, dtype=float)
@@ -298,7 +319,7 @@ class Cone(Domain):
             [np.cos(base - self.half_opening), np.sin(base - self.half_opening)],
         ])
 
-    def side_function(self, x):
+    def psi_value(self, x):
         """psi(x); positive inside the cone, zero on its boundary."""
         pts, single = _as_points(x, 2)
         r = np.linalg.norm(pts, axis=-1)
@@ -310,40 +331,72 @@ class Cone(Domain):
 
     def contains(self, x):
         pts, single = _as_points(x, 2)
-        return _maybe_scalar(np.asarray(self.side_function(pts)) > 0.0, single)
+        return _maybe_scalar(np.asarray(self.psi_value(pts)) > 0.0, single)
+
+    def _nearest(self, pts):
+        """The nearest boundary point to each row x of pts and the distance
+        to it: the foot t w with t = max(x . w, 0) on each edge ray, and the
+        nearer of the two feet (the first edge on a tie).  The row dots are
+        ``np.vecdot``, so a row does not depend on the batch around it.  The
+        one nearest-point primitive behind ``dist``, ``signed_dist`` and
+        ``project``."""
+        feet, dists = [], []
+        for w in self.edge_dirs:
+            foot = np.maximum(np.vecdot(pts, w), 0.0)[:, None] * w
+            v = pts - foot
+            feet.append(foot)
+            dists.append(np.sqrt(np.vecdot(v, v)))
+        second = dists[1] < dists[0]
+        return (np.where(second[:, None], feet[1], feet[0]),
+                np.where(second, dists[1], dists[0]))
+
+    def signed_dist(self, x):
+        pts, single = _as_points(x, 2)
+        d = self._nearest(pts)[1]
+        return _maybe_scalar(np.where(self.contains(pts), d, -d), single)
 
     def dist(self, x):
-        pts, single = _as_points(x, 2)
-        inside = np.asarray(self.side_function(pts)) > 0.0
-        d = np.full(pts.shape[0], 0.0)
-        if np.any(inside):
-            sub = pts[inside]
-            dists = []
-            for w in self.edge_dirs:
-                t = np.clip(sub @ w, 0.0, None)
-                foot = t[:, None] * w[None, :]
-                dists.append(np.linalg.norm(sub - foot, axis=-1))
-            d[inside] = np.minimum(dists[0], dists[1])
-        return _maybe_scalar(d, single)
+        return np.maximum(self.signed_dist(x), 0.0)
 
     def project(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
+        pts, single = _as_points(x, 2)
+        if not np.all(self.contains(pts)):
             raise DomainError("project requires an interior point")
-        best = None
+        z0, d = self._nearest(pts)
+        # at the vertex the normal is the bisector, the axis
+        normal = np.where((np.vecdot(z0, z0) == 0.0)[:, None], self.axis,
+                          (pts - z0) / d[:, None])
+        return _maybe_scalar(z0, single), _maybe_scalar(normal, single)
+
+    def boundary_crossings(self, x, thetas, r_max):
+        """Closed form, three columns per ray x +- r theta: where it meets
+        the line of each edge, kept when that point lies on the edge's half
+        line (t >= 0), and the vertex, when the ray runs through it."""
+        x = np.asarray(x, dtype=float)
+        th0, th1 = np.concatenate([thetas, -thetas]).T   # +theta rows first
+        cols = []
         for w in self.edge_dirs:
-            t = max(float(x @ w), 0.0)
-            foot = t * w
-            dd = float(np.linalg.norm(x - foot))
-            if best is None or dd < best[0]:
-                best = (dd, foot)
-        z0 = best[1]
-        if np.linalg.norm(z0) == 0.0:
-            normal = self.axis.copy()  # vertex: bisector = axis
-        else:
-            v = x - z0
-            normal = v / np.linalg.norm(v)
-        return z0, normal
+            den = th0 * w[1] - th1 * w[0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = (x[1] * w[0] - x[0] * w[1]) / den
+            t = (x[0] + r * th0) * w[0] + (x[1] + r * th1) * w[1]
+            ok = (np.abs(den) >= 1e-14) & (r > 0.0) & (r <= r_max) & (t >= 0.0)
+            cols.append(np.where(ok, r, np.inf))
+        cross = x[0] * th1 - x[1] * th0
+        along = -(x[0] * th0 + x[1] * th1)
+        ok = ((np.abs(cross) < 1e-14 * max(1.0, np.linalg.norm(x)))
+              & (along > 0.0) & (along <= r_max))
+        cols.append(np.where(ok, along, np.inf))
+        return np.hstack(np.split(np.column_stack(cols), 2))
+
+    def angular_breakpoints(self, x):
+        """The edge directions, and the direction of x (the ray through the
+        vertex) unless x is the vertex."""
+        x = np.asarray(x, dtype=float)
+        out = [np.arctan2(w[1], w[0]) for w in self.edge_dirs]
+        if np.linalg.norm(x) > 0:
+            out.append(np.arctan2(x[1], x[0]))
+        return tuple(out)
 
 
 class Polygon(Domain):
@@ -823,10 +876,6 @@ class StarShaped(Domain):
 
 # ---------------------------------------------------------------------------
 # spec-shaped module-level operations
-
-def regularized_distance(dom, x):
-    return dom.regularized_distance(x)
-
 
 def domain_from_config(cfg):
     """Domain config records, one key per variant:

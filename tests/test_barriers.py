@@ -47,7 +47,7 @@ def test_barrier_zero_outside_positivity_set():
     b = ConeBarrier([0.0, 1.0], 1.0, 0.1)
     rng = np.random.Generator(np.random.Philox(key=4))
     pts = rng.standard_normal((2000, 2)) * 3.0
-    psi = np.asarray(b.side_function(pts))
+    psi = np.asarray(b.domain.psi_value(pts))
     vals = b(pts)
     assert np.all(vals[psi <= 0] == 0.0)
     assert np.all(vals[psi > 0] > 0.0)

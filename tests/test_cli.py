@@ -439,6 +439,9 @@ GOLDEN = {
         ["verify-barrier", "--kind", "halfspace", "--s", "0.5",
          "--alpha", "0.25"],
         "42693f262f88e021e1dad5b5d3c4dc62839409000e5658c0f94b079324938c54"),
+    "verify_cone.json": (
+        ["verify-barrier", "--kind", "cone", "--s", "0.5", "--beta", "0.05"],
+        "d3c9713e6fbee64d1b0f391bd2647c5ab2d1acffd1018f675637e68f5a830da3"),
 }
 
 

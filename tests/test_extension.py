@@ -16,6 +16,7 @@ from fraclab.geometry import (Ball, Cone, HalfPlane, Polygon, StarShaped,
                               unit_square)
 from fraclab.kernels import make_fractional_laplacian
 from fraclab.nonlocal_op import QuadratureSpec, apply_L
+from test_fields import _ref_cone
 
 
 def test_mean_value_constant_data():
@@ -331,11 +332,20 @@ def test_composite_field_breakpoints_on_star_and_cone():
     br = comp.radial_breakpoints(np.zeros(2), np.array([[1.0, 0.0]]), 3.0)
     assert br.shape[0] == 1 and np.sum(np.isfinite(br)) >= 1
     np.testing.assert_allclose(br[np.isfinite(br)], 1.1, rtol=0.0, atol=1e-12)
-    cone = CompositeField(Cone([0.0, 1.0], 0.5), constant_data(1.0),
-                          constant_data(0.0), 0.0)
-    with pytest.raises(UnsupportedVariantError):
-        cone.radial_breakpoints(np.array([0.0, 1.0]),
-                                np.array([[1.0, 0.0]]), 3.0)
+    # the cone's kinks are its closed-form edge crossings
+    dom = Cone([0.0, 1.0], 0.5)
+    cone = CompositeField(dom, constant_data(1.0), constant_data(0.0), 0.0)
+    thetas = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+    # the line through (0.3, -0.5) along e1 meets both edges; the one
+    # through (0, -0.2) along e2 runs through the vertex
+    for x in map(np.array, ([0.3, -0.5], [0.0, -0.2], [0.0, 1.0])):
+        br = cone.radial_breakpoints(x, thetas, 3.0)
+        assert br.shape[0] == len(thetas)
+        for row, theta in zip(br, thetas):
+            np.testing.assert_array_equal(np.unique(row[np.isfinite(row)]),
+                                          _ref_cone(dom, x, theta, 3.0))
+    assert len(_ref_cone(dom, np.array([0.3, -0.5]), thetas[0], 3.0)) == 2
+    assert _ref_cone(dom, np.array([0.0, -0.2]), thetas[2], 3.0) == (0.2,)
 
 
 def test_polygon_wos_extension():

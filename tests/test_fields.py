@@ -9,7 +9,7 @@ from fraclab.errors import ParameterError
 from fraclab.fields import (CompositeField, ConeBarrier, ConstantField,
                             HalfSpacePower, LinearCombinationField,
                             PowerPlus1D, PsiPower, TranslatedField)
-from fraclab.geometry import Ball, HalfPlane, StarShaped, unit_square
+from fraclab.geometry import Ball, Cone, HalfPlane, StarShaped, unit_square
 
 
 def _ref_plane(b, w, r_max):
@@ -30,11 +30,11 @@ def _ref_ball(dom, x, theta, r_max):
     return tuple(sorted({float(r) for r in roots if 0.0 < r <= r_max}))
 
 
-def _ref_cone(u, x, theta, r_max):
+def _ref_cone(dom, x, theta, r_max):
     roots = set()
     for sign in (1.0, -1.0):
         th = sign * theta
-        for w in u.cone.edge_dirs:
+        for w in dom.edge_dirs:
             den = th[0] * w[1] - th[1] * w[0]
             if abs(den) < 1e-14:
                 continue
@@ -81,10 +81,6 @@ def reference_breakpoints(u, x, theta, r_max):
     theta = np.asarray(theta, dtype=float)
     if isinstance(u, PowerPlus1D):
         return _ref_plane(float(x[0]) + u.shift, float(theta[0]), r_max)
-    if isinstance(u, HalfSpacePower):
-        return _ref_plane(float(x @ u.nu), float(theta @ u.nu), r_max)
-    if isinstance(u, ConeBarrier):
-        return _ref_cone(u, x, theta, r_max)
     if isinstance(u, TranslatedField):
         return reference_breakpoints(u.base, x - u.shift, theta, r_max)
     if isinstance(u, LinearCombinationField):
@@ -96,6 +92,8 @@ def reference_breakpoints(u, x, theta, r_max):
                           r_max)
     if isinstance(dom, Ball):
         return _ref_ball(dom, x, theta, r_max)
+    if isinstance(dom, Cone):
+        return _ref_cone(dom, x, theta, r_max)
     if isinstance(u, PsiPower):
         return _ref_scan(_star_side(dom), x, theta, r_max)
     return _ref_scan(dom.signed_dist, x, theta, r_max)
