@@ -108,12 +108,23 @@ def _boundary_sample(dom, rng):
 
 # builtin data, constructible by name from config records ------------------
 
+def _length(v):
+    """|v| over the last axis: ``np.abs`` of a length-1 axis and ``np.hypot``
+    of a length-2 one, which are faster than ``np.linalg.norm`` there."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1] == 1:
+        return np.abs(v[..., 0])
+    if v.shape[-1] == 2:
+        return np.hypot(v[..., 0], v[..., 1])
+    return np.linalg.norm(v, axis=-1)
+
+
 def holder_point_singularity(alpha, z0, C0=1.0):
     """g(y) = C0 |y - z0|^alpha, the point-singularity datum anchored at z0."""
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
 
     def fn(pts):
-        return C0 * np.linalg.norm(pts - z0, axis=-1) ** alpha
+        return C0 * _length(pts - z0) ** alpha
 
     return ExteriorData(fn=fn, alpha=float(alpha), C0=float(C0),
                         description=f"holder_point_singularity({alpha}, {z0.tolist()})",
@@ -124,7 +135,7 @@ def counterexample_min_rs_1(s):
     """g(y) = min(|y|^s, 1): the sharp datum of the log-correction example."""
 
     def fn(pts):
-        return np.minimum(np.linalg.norm(pts, axis=-1) ** s, 1.0)
+        return np.minimum(_length(pts) ** s, 1.0)
 
     return ExteriorData(fn=fn, alpha=float(s), C0=1.0,
                         description=f"counterexample_min_rs_1(s={s})",
@@ -159,7 +170,7 @@ def capped_distance_data(p, cap, alpha=0.9):
     p = np.atleast_1d(np.asarray(p, dtype=float))
 
     def fn(pts):
-        return np.minimum(np.linalg.norm(pts - p, axis=-1), cap)
+        return np.minimum(_length(pts - p), cap)
 
     C0 = max(1.0, float(cap))
     return ExteriorData(fn=fn, alpha=float(alpha), C0=C0,

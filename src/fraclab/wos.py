@@ -17,7 +17,8 @@ import numpy as np
 
 from ._quad import (bisect_edges, gauss_jacobi_01, gl8_panels, node_chunks,
                     periodic_edges)
-from .errors import DomainError, ParameterError, ReliabilityError
+from .errors import (DivergenceError, DomainError, ParameterError,
+                     ReliabilityError)
 from .geometry import Ball
 
 
@@ -68,7 +69,7 @@ def sample_ball_exit(s, dim, rng, n=1):
 
 @dataclass(frozen=True)
 class WoSConfig:
-    sphere_fraction: float = 0.5
+    sphere_fraction: float = 1.0
     max_steps: int = 1000
     snap_eps: float | None = None   # default: 1e-6 * diameter
     paths: int = 100000
@@ -77,8 +78,8 @@ class WoSConfig:
     batch_size: int = 1 << 15
 
     def __post_init__(self):
-        if not 0.0 < self.sphere_fraction < 1.0:
-            raise ParameterError("sphere_fraction must lie in (0,1)")
+        if not 0.0 < self.sphere_fraction <= 1.0:
+            raise ParameterError("sphere_fraction must lie in (0,1]")
         if self.paths < 1:
             raise ParameterError("paths must be >= 1")
         if self.batch_size < 1:
@@ -107,7 +108,9 @@ class SolutionSample:
 def solve(dom, g, x, kernel, cfg=None, point_index=0):
     """Estimate the solution of the fractional Dirichlet problem at x by
     alpha-stable walk-on-spheres: ``_walk_on_spheres`` with the exact exit
-    law of order s and the configured step and stream layout."""
+    law of order s and the configured step and stream layout.  A datum whose
+    declared growth reaches 2s raises a DivergenceError: the exit radius has
+    tail P(R > r) ~ r^(-2s), so its payload has no mean."""
     if cfg is None:
         cfg = WoSConfig()
     if not dom.bounded:
@@ -122,6 +125,11 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     if dom.dim > 2:
         raise ParameterError(
             f"walk-on-spheres steps in dim 1 or 2, not dim {dom.dim}")
+    growth = getattr(g, "payload_growth", 0.0)
+    if growth >= 2.0 * kernel.s:
+        raise DivergenceError(
+            f"datum growth {growth} is not below 2s = {2.0 * kernel.s}: the "
+            "exit radius has tail r^(-2s), so the payload's mean diverges")
     snap_eps = cfg.snap_eps if cfg.snap_eps is not None \
         else 1e-6 * dom.diameter
     paths = cfg.paths
@@ -144,8 +152,10 @@ def _walk_on_spheres(dom, g, x, law, kappa, snap_eps, max_steps, paths,
     distance, to ``law.radius`` times that radius, exits where the bound is
     0, and snaps to its projection where the distance is below snap_eps
     (the bound is exact there, so the snap decisions are those of the exact
-    distance).  Only the live walkers are carried from step to step.  Each
-    step draws one exit radius and one angle phi per live unit, an
+    distance).  Any kappa in (0, 1] keeps the ball inside the domain, where
+    the exit law is exact, so kappa = 1 is as unbiased as a smaller ball and
+    takes the fewest steps.  Only the live walkers are carried from step to
+    step.  Each step draws one exit radius and one angle phi per live unit, an
     antithetic pair or a single walker; the two walkers of a pair share the
     radius and step at opposite angles.  The step direction is
     (cos phi, sin phi) in dimension two and sign(cos phi) in dimension one,
@@ -471,10 +481,13 @@ def _halfplane_raw(g, x1, x2, s, n_jac, mid_panels, n_seg):
     return float(w_th @ rad)
 
 
-_HALFPLANE_NORM = {}
+# (Jacobi nodes, radial mid panels, angular segments) of the coarse and the
+# fine level of ``halfplane_poisson``
+_HALFPLANE_LEVELS = ((16, 24, 8), (24, 40, 14))
+_HALFPLANE_NORM = {}    # the fine level's integral of g == 1, per order s
 
 
-def halfplane_poisson(g, x, s, q=None):
+def halfplane_poisson(g, x, s):
     """Solution of the fractional Dirichlet problem on the upper half plane
     with datum g on the lower half plane, by direct quadrature of the
     explicit Poisson kernel
@@ -482,32 +495,24 @@ def halfplane_poisson(g, x, s, q=None):
         u(x) = c_s x2^s int int g(z) / (|z2|^s |x - z|^2) dz.
 
     The constant c_s is fixed by u == 1 for g == 1 (computed once per s and
-    cached).  g must be bounded.  Two resolution levels, scaled from q when
-    one is supplied, provide the error estimate.  Returns
-    (value, err_estimate).
+    cached).  g must be bounded.  Two fixed resolution levels provide the
+    error estimate.  Returns (value, err_estimate).
     """
-    if q is None:
-        levels = ((16, 24, 8), (24, 40, 14))
-    else:
-        base = (q.n_jacobi, max(q.radial_panels, 24),
-                max(q.angular_nodes // 4, 8))
-        levels = ((max(base[0] * 2 // 3, 8), max(base[1] * 2 // 3, 16),
-                   max(base[2] * 2 // 3, 6)), base)
     if getattr(g, "payload_growth", 0.0) > 0.0:
         raise DomainError("halfplane_poisson requires a bounded datum")
     x = np.asarray(x, dtype=float)
     x1, x2 = float(x[0]), float(x[1])
     if x2 <= 0.0:
         raise DomainError("evaluation point must have x2 > 0")
-    key = (s, tuple(levels[-1]))
-    if key not in _HALFPLANE_NORM:
+    coarse, fine = _HALFPLANE_LEVELS
+    if s not in _HALFPLANE_NORM:
         ones = lambda z: np.ones(np.asarray(z).shape[0])
         # for g == 1 the raw integral is x2^{-s} * J with J independent of x
-        _HALFPLANE_NORM[key] = _halfplane_raw(ones, 0.0, 1.0, s, *levels[-1])
-    norm = _HALFPLANE_NORM[key]
+        _HALFPLANE_NORM[s] = _halfplane_raw(ones, 0.0, 1.0, s, *fine)
+    norm = _HALFPLANE_NORM[s]
     vals = [x2 ** s * _halfplane_raw(g, x1, x2, s, *lv) / norm
-            for lv in levels]
-    return vals[-1], abs(vals[-1] - vals[-2])
+            for lv in (coarse, fine)]
+    return vals[1], abs(vals[1] - vals[0])
 
 
 def kappa_constant(s):

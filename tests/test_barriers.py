@@ -264,15 +264,21 @@ def test_data_certificates():
 
 # sampled (holder_ratio, growth_ratio) of the certificate check, seed 3,
 # 500 samples, recorded when boundary samples were dispatched on attributes;
-# dispatching on the domain type draws the same numbers
+# dispatching on the domain type draws the same numbers.  The data take
+# their distances by np.hypot, which moved the last bit of two ratios
 VALIDATE_PINNED = {
     ("ball", "point"): (0.8453903952451518, 0.7229095404309195),
     ("ball", "capped"): (1.0896280718696865, 1.3309270479738593),
     ("square", "point"): (0.9047852804472915, 0.7035544285275134),
     ("square", "capped"): (1.0610724558315012, 1.5072538391909867),
     ("star", "point"): (0.8022420229538304, 0.7280875842133419),
-    ("star", "capped"): (1.0923319334852395, 1.2677541565841957),
+    ("star", "capped"): (1.0923319334852393, 1.2677541565841957),
     ("halfplane", "point"): (0.7721121274879137, 0.6865284995462778),
+    ("halfplane", "capped"): (1.115470199441526, 1.511964251859706),
+}
+# the two ratios when the data took their distances by np.linalg.norm
+NORM_DISTANCE_RATIOS = {
+    ("star", "capped"): (1.0923319334852395, 1.2677541565841957),
     ("halfplane", "capped"): (1.1154701994415261, 1.511964251859706),
 }
 
@@ -287,6 +293,36 @@ def test_validate_reports_pinned(dom_name, data_name):
     rep = g.validate(dom, n_samples=500, seed=3)
     assert (rep["holder_ratio"], rep["growth_ratio"]) \
         == VALIDATE_PINNED[dom_name, data_name]
+
+
+@pytest.mark.parametrize("key", sorted(NORM_DISTANCE_RATIOS))
+def test_validate_pins_agree_with_norm_distance_ratios(key):
+    for new, old in zip(VALIDATE_PINNED[key], NORM_DISTANCE_RATIOS[key]):
+        assert new == pytest.approx(old, rel=1e-15, abs=0)
+
+
+def test_data_use_hypot_distances():
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((1000, 2)) * 3.0
+    z0 = np.array([1.0, -0.5])
+    r = np.hypot(pts[:, 0] - z0[0], pts[:, 1] - z0[1])
+    r_norm = np.linalg.norm(pts - z0, axis=-1)
+    for g, ref, ref_norm in (
+            (holder_point_singularity(0.3, z0), r ** 0.3, r_norm ** 0.3),
+            (capped_distance_data(z0, 3.0), np.minimum(r, 3.0),
+             np.minimum(r_norm, 3.0)),
+            (counterexample_min_rs_1(0.5),
+             np.minimum(np.hypot(pts[:, 0], pts[:, 1]) ** 0.5, 1.0),
+             np.minimum(np.linalg.norm(pts, axis=-1) ** 0.5, 1.0))):
+        np.testing.assert_array_equal(g(pts), ref)
+        # the np.linalg.norm form they replaced rounds within a few ulp
+        np.testing.assert_allclose(g(pts), ref_norm,
+                                   rtol=4 * np.finfo(float).eps, atol=0)
+    # in 1-D the distance is |y - z0|
+    line = rng.standard_normal((50, 1))
+    np.testing.assert_array_equal(
+        holder_point_singularity(0.3, [0.2])(line),
+        np.abs(line[:, 0] - 0.2) ** 0.3)
 
 
 def test_data_builtin_configs():

@@ -359,6 +359,17 @@ def test_bad_config_exits_1(tmp_path):
     assert code == 1
 
 
+def test_solve_with_a_diverging_datum_exits_1(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run(["solve", "--domain", "ball", "--s", "0.1", "--data",
+                '{"name": "holder_point_singularity", "alpha": 0.3, '
+                '"z0": [1, 0]}', "--points", "0,0", "--paths", "100",
+                "--out", str(out)])
+    assert code == 1
+    assert "growth 0.3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_csv_embeds_full_config(tmp_path):
     out = tmp_path / "ce.csv"
     run(["counterexample", "--s", "0.5", "--tmin", "1e-3", "--tmax", "1e-2",
@@ -415,18 +426,18 @@ GOLDEN = {
         ["solve", "--domain", "ball", "--data",
          '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
          "--points", "0.3,0.0;0.0,0.5", "--paths", "2000", "--seed", "7"],
-        "f19bf0aaf6bf5294826138b20aa8bc2d2688162d454015f0a3e82c48ca04fa65"),
+        "0985453fc9003e1c6235b242d955bf293c24149feb45b9ea8784a3344792a1ce"),
     "star.csv": (
         ["solve", "--domain", '{"star": {"coeff_cos": [1, 0, 0.1]}}', "--data",
          '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
          "--points", "0.1,0.2;-0.3,0.1", "--paths", "2000", "--seed", "3",
          "--out", "star.csv"],
-        "b5189f179a4c3611e21084a4c9e181067c97d3dc43ab6f4dbc87bf71f063b306"),
+        "8cab2e677be2478d1b7467f6878286a8ef6762538a55b8eafe27972935a30b78"),
     "profile.csv": (
         ["profile", "--domain", "square", "--data",
          '{"name": "holder_point_singularity", "alpha": 0.1, "z0": [0, 0]}',
          "--n", "4", "--paths", "2000", "--seed", "2"],
-        "15f96d7b9dea96b8c1a9fd9b4a6bff70e1e67220d3ff3fc574c9533cfae5a163"),
+        "857f9e1512939892899045bcd51ef713e82976e2bcb2ffc392ca9f04daab0a57"),
     "apply_op.csv": (
         ["apply-op", "--s", "0.5",
          "--field", '{"name": "halfspace_power", "alpha": 0.25}',
@@ -453,6 +464,41 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+def wos_rows(name):
+    """(estimate, stderr) of each row of a walk-on-spheres CSV."""
+    lines = [ln for ln in read_lines(name) if not ln.startswith("#")]
+    cols = lines[0].split(",")
+    i_est = cols.index("value" if "value" in cols else "estimate")
+    i_se = cols.index("stderr")
+    return [(float(row[i_est]), float(row[i_se]))
+            for row in (ln.split(",") for ln in lines[1:])]
+
+
+# (estimate, stderr) of each row the seeded walk-on-spheres runs of GOLDEN
+# wrote when each step jumped from half the ball of radius dist_bound
+HALF_BALL_STEPS = {
+    "solve.csv": [(2.14409887842, 0.0151720440523),
+                  (2.35288210718, 0.0131068231383)],
+    "star.csv": [(2.29038143883, 0.0138167011577),
+                 (2.51267379899, 0.0120964000052)],
+    "profile.csv": [(0.450306471384, 0.00155922993547),
+                    (0.524777230624, 0.00189210016438),
+                    (0.614381646796, 0.00226742231986),
+                    (0.7122598694, 0.00249967949245)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALF_BALL_STEPS))
+def test_wos_outputs_agree_with_half_ball_runs(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(["--threads", "1", *GOLDEN[name][0]]) == 0
+    rows = wos_rows(name)
+    assert len(rows) == len(HALF_BALL_STEPS[name])
+    for (new_est, new_se), (est, se) in zip(rows, HALF_BALL_STEPS[name]):
+        assert new_est != est
+        assert abs(new_est - est) <= 4.0 * (new_se ** 2 + se ** 2) ** 0.5
+
+
 # (estimate, stderr) of each row the seeded walk-on-spheres runs of GOLDEN
 # wrote with the spline-fitted exit law and its stream layout
 SPLINE_LAW = {
@@ -471,12 +517,7 @@ SPLINE_LAW = {
 def test_wos_outputs_agree_with_spline_law_runs(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     assert run(["--threads", "1", *GOLDEN[name][0]]) == 0
-    lines = [ln for ln in read_lines(name) if not ln.startswith("#")]
-    cols = lines[0].split(",")
-    i_est = cols.index("value" if "value" in cols else "estimate")
-    i_se = cols.index("stderr")
-    rows = [ln.split(",") for ln in lines[1:]]
+    rows = wos_rows(name)
     assert len(rows) == len(SPLINE_LAW[name])
-    for row, (est, se) in zip(rows, SPLINE_LAW[name]):
-        new_est, new_se = float(row[i_est]), float(row[i_se])
+    for (new_est, new_se), (est, se) in zip(rows, SPLINE_LAW[name]):
         assert abs(new_est - est) <= 4.0 * (new_se ** 2 + se ** 2) ** 0.5

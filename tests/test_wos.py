@@ -13,7 +13,8 @@ from fraclab.barriers import (ExteriorData, capped_distance_data,
                               constant_data, coordinate_data,
                               counterexample_min_rs_1,
                               holder_point_singularity)
-from fraclab.errors import DomainError, ParameterError, ReliabilityError
+from fraclab.errors import (DivergenceError, DomainError, ParameterError,
+                            ReliabilityError)
 from fraclab.geometry import Ball, HalfPlane, Polygon, StarShaped, unit_square
 from fraclab.kernels import KernelSpec, make_fractional_laplacian
 from fraclab.wos import (StableExitSampler, WoSConfig, ball_poisson,
@@ -143,9 +144,17 @@ def test_constant_data_exact():
 
 
 def test_antisymmetry_at_center():
-    out = solve(BALL, coordinate_data(0), [0.0, 0.0], K05,
-                WoSConfig(paths=20000, seed=2))
+    # the coordinate datum grows like |y|, so its payload has a finite mean
+    # only for s > 1/2; at s = 1/2 solve refuses it
+    k = make_fractional_laplacian(0.75, 2)
+    out = solve(BALL, coordinate_data(0), [0.0, 0.0], k,
+                WoSConfig(paths=20000, seed=2, antithetic=False))
     assert abs(out.estimate) <= 3.0 * out.stderr + 1e-3
+    # from the centre the full ball exits in one jump, and the two walkers
+    # of an antithetic pair land at opposite points
+    pairs = solve(BALL, coordinate_data(0), [0.0, 0.0], k,
+                  WoSConfig(paths=20000, seed=2))
+    assert pairs.estimate == 0.0 and pairs.stderr == 0.0
 
 
 def test_matches_poisson_quadrature():
@@ -185,6 +194,24 @@ def test_kappa_consistency():
     b = solve(BALL, g, x, K05, WoSConfig(paths=100000, seed=6,
                                          sphere_fraction=0.25))
     assert abs(a.estimate - b.estimate) <= 3.0 * (a.stderr + b.stderr)
+    # the exit law is exact for every ball inside the domain, and dist_bound
+    # is a lower bound on the distance: the full ball is as unbiased as half
+    star = StarShaped([1.0, 0.0, 0.1])
+    for dom, x in ((BALL, [0.2, 0.1]), (unit_square(), [0.1, 0.3]),
+                   (star, [0.7, 0.3])):
+        full = solve(dom, g, x, K05, WoSConfig(paths=100000, seed=5,
+                                               sphere_fraction=1.0))
+        half = solve(dom, g, x, K05, WoSConfig(paths=100000, seed=6,
+                                               sphere_fraction=0.5))
+        assert full.mean_steps < half.mean_steps
+        assert abs(full.estimate - half.estimate) \
+            <= 3.0 * (full.stderr + half.stderr)
+    # the fraction's range is (0, 1], and the full ball is the default
+    assert WoSConfig().sphere_fraction == 1.0
+    assert WoSConfig(sphere_fraction=1.0).sphere_fraction == 1.0
+    for bad in (0.0, 1.0000001):
+        with pytest.raises(ParameterError, match="sphere_fraction"):
+            WoSConfig(sphere_fraction=bad)
 
 
 def test_snap_bias_controlled():
@@ -275,23 +302,26 @@ def test_stderr_of_one_estimator_unit_is_nan(paths, antithetic):
 
 def test_stderr_does_not_cancel_under_a_large_mean():
     # a payload spread of 1e-4 about a mean of 1e6: E[u^2] - mean^2 from
-    # running sums cancelled to a stderr of 0.0
+    # running sums cancelled to a stderr of 0.0.  The datum grows like |y|,
+    # so order 3/4 keeps its payload's mean finite
     def shifted(offset):
         return ExteriorData(fn=lambda p: offset + 1e-3 * np.asarray(p)[..., 0],
                             alpha=1.0, C0=1e-3, growth=1.0)
 
+    k = make_fractional_laplacian(0.75, 2)
     cfg = WoSConfig(paths=20000, seed=1)
-    far = solve(unit_square(), shifted(1e6), [0.3, 0.4], K05, cfg)
-    near = solve(unit_square(), shifted(0.0), [0.3, 0.4], K05, cfg)
+    far = solve(unit_square(), shifted(1e6), [0.3, 0.4], k, cfg)
+    near = solve(unit_square(), shifted(0.0), [0.3, 0.4], k, cfg)
     assert far.estimate - 1e6 == pytest.approx(near.estimate, abs=1e-9)
     assert near.stderr > 0.0
     assert far.stderr == pytest.approx(near.stderr, rel=1e-8)
 
 
 def test_reliability_error_on_tiny_step_budget():
+    # off centre: from the centre the full ball exits in one jump
     g = constant_data(1.0)
     with pytest.raises(ReliabilityError):
-        solve(BALL, g, [0.0, 0.0], K05, WoSConfig(paths=1000, max_steps=1,
+        solve(BALL, g, [0.9, 0.0], K05, WoSConfig(paths=1000, max_steps=1,
                                                   seed=1))
 
 
@@ -312,8 +342,27 @@ def test_non_finite_payloads_raise():
     assert np.isfinite(out.estimate) and np.isfinite(out.stderr)
 
 
+def test_solve_refuses_a_datum_whose_mean_diverges():
+    # the exit radius has tail P(R > r) ~ r^(-2s), so a datum growing like
+    # |y|^a pays an infinite mean once a >= 2s: at s = 0.1 the 0.3 datum
+    # returned 1161.9 +- 870
+    ball = Ball([0.0, 0.0], 1.0)
+    ball.dist_bound = lambda *a: pytest.fail("a walker started")
+    g = holder_point_singularity(0.3, [1.0, 0.0])
+    with pytest.raises(DivergenceError, match=r"growth 0\.3 .* 2s = 0\.2"):
+        solve(ball, g, [0.0, 0.0], make_fractional_laplacian(0.1, 2),
+              WoSConfig(paths=2000, seed=1))
+    # the boundary case a = 2s diverges too
+    with pytest.raises(DivergenceError, match="growth 1.0"):
+        solve(ball, coordinate_data(0), [0.0, 0.0], K05, WoSConfig(paths=10))
+    # below 2s the mean is finite and the walk runs
+    out = solve(BALL, g, [0.0, 0.0], make_fractional_laplacian(0.2, 2),
+                WoSConfig(paths=2000, seed=1))
+    assert np.isfinite(out.estimate)
+
+
 @pytest.mark.parametrize("dom, x, max_steps", [
-    (Ball([0.0, 0.0], 1.0), [0.9, 0.0], 40),   # some walkers hit max_steps
+    (Ball([0.0, 0.0], 1.0), [0.9, 0.0], 16),   # some walkers hit max_steps
     (unit_square(), [0.02, 0.5], 1000),
     (StarShaped([1.0, 0.0, 0.1]), [0.95, 0.05], 1000),
 ], ids=["ball", "square", "star"])
@@ -377,15 +426,21 @@ def test_star_domain_walks():
 
 def test_star_disc_matches_exit_law_oracle():
     # r = 1 is the unit disc, with no closed-form shortcut in its distance
-    # bound; from the centre, P(exit radius > 2) is the exit law's tail
-    from fraclab.geometry import StarShaped
+    # bound; from the centre, P(exit radius > 2) is the exit law's tail.
+    # Half balls take several steps; the full ball exits in one jump
     far = ExteriorData(
         fn=lambda p: (np.linalg.norm(p, axis=1) > 2.0).astype(float),
         alpha=0.5, C0=1.0)
-    out = solve(StarShaped([1.0]), far, [0.0, 0.0], K05,
-                WoSConfig(paths=40000, seed=31))
-    assert out.mean_steps > 1.0
-    assert abs(out.estimate - exit_law_tail_prob(0.5, 2.0)) <= 4.0 * out.stderr
+    tail = exit_law_tail_prob(0.5, 2.0)
+    half = solve(StarShaped([1.0]), far, [0.0, 0.0], K05,
+                 WoSConfig(paths=40000, seed=31, sphere_fraction=0.5))
+    assert half.mean_steps > 1.0
+    assert abs(half.estimate - tail) <= 4.0 * half.stderr
+    full = solve(StarShaped([1.0]), far, [0.0, 0.0], K05,
+                 WoSConfig(paths=40000, seed=31))
+    assert full.mean_steps == 1.0 and full.steps_max == 1
+    assert full.snapped_fraction == 0.0
+    assert abs(full.estimate - tail) <= 4.0 * full.stderr
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
@@ -393,18 +448,25 @@ def test_wos_1d_matches_exit_law_oracle(s):
     # the exit law's radial density does not depend on the dimension, so
     # from the centre of (-1, 1), P(|exit point| > 1.5) is its tail
     far = lambda p: (np.abs(p[..., 0]) > 1.5).astype(float)
-    out = solve(Ball([0.0], 1.0), far, [0.0], make_fractional_laplacian(s, 1),
-                WoSConfig(paths=40000, seed=3))
-    assert out.mean_steps > 1.0
-    assert abs(out.estimate - exit_law_tail_prob(s, 1.5)) <= 4.0 * out.stderr
+    k = make_fractional_laplacian(s, 1)
+    tail = exit_law_tail_prob(s, 1.5)
+    half = solve(Ball([0.0], 1.0), far, [0.0], k,
+                 WoSConfig(paths=40000, seed=3, sphere_fraction=0.5))
+    assert half.mean_steps > 1.0
+    assert abs(half.estimate - tail) <= 4.0 * half.stderr
+    full = solve(Ball([0.0], 1.0), far, [0.0], k,
+                 WoSConfig(paths=40000, seed=3))
+    assert full.mean_steps == 1.0 and full.steps_max == 1
+    assert full.snapped_fraction == 0.0
+    assert abs(full.estimate - tail) <= 4.0 * full.stderr
 
 
 def test_bias_bound_counts_max_steps_walkers():
     g = holder_point_singularity(0.3, [1.0, 0.0])
     out = solve(BALL, g, [0.9, 0.0], K05,
-                WoSConfig(paths=4000, seed=3, max_steps=40))
+                WoSConfig(paths=4000, seed=3, max_steps=16))
     assert 0 < out.n_maxed <= 0.01 * out.paths_used
-    assert out.steps_max == 40
+    assert out.steps_max == 16
     snap_only = g.C0 * (1e-6 * BALL.diameter) ** g.alpha
     assert out.bias_bound > snap_only
     done = solve(BALL, g, [0.9, 0.0], K05, WoSConfig(paths=4000, seed=3))
@@ -418,21 +480,32 @@ def test_bias_bound_counts_max_steps_walkers():
 # step on StarShaped.dist_bound, a lower bound on the distance (smaller
 # steps, new streams); they are pinned at the values of that walk.  Both are
 # drawn from the exact Beta exit law, one radius and one angle per live
-# antithetic pair and step.
+# antithetic pair and step, from the whole ball of radius dist_bound.
 SQUARE_PINNED = [
+    (1e-4, 0.4390189967319075, 0.0017540619800195266),
+    (1e-2, 0.6875819807078501, 0.0025567818756747685),
+]
+STAR_PINNED = [
+    (0.3, 0.5, 1.9347995787827152, 0.017169540867107046),
+    (1.2, 0.05, 1.9847520227312179, 0.011138727920048726),
+    (2.0, 1e-3, 2.5389216510324037, 0.003541029025753007),
+]
+# the stderrs of the same walks from variance sums not shifted by the first
+# estimator unit, which agree with the pins above to the last few bits
+SQUARE_UNSHIFTED_STDERR = [0.0017540619800195073, 0.002556781875674718]
+STAR_UNSHIFTED_STDERR = [0.017169540867107078, 0.011138727920048734,
+                         0.003541029025752933]
+# the same problems walked from half the ball of radius dist_bound, with
+# the datum's distance taken by np.linalg.norm
+SQUARE_HALF_BALL_STEPS = [
     (1e-4, 0.4375694588405487, 0.001717939215602741),
     (1e-2, 0.6854919129181836, 0.0023985151558037657),
 ]
-STAR_PINNED = [
+STAR_HALF_BALL_STEPS = [
     (0.3, 0.5, 1.920945890575877, 0.017525193879284667),
     (1.2, 0.05, 1.9987881071416207, 0.010508945615636384),
     (2.0, 1e-3, 2.5426181275363113, 0.003321536681187605),
 ]
-# the stderrs of the same walks from variance sums not shifted by the first
-# estimator unit, which agree with the pins above to the last few bits
-SQUARE_UNSHIFTED_STDERR = [0.0017179392156027326, 0.0023985151558037453]
-STAR_UNSHIFTED_STDERR = [0.017525193879284678, 0.010508945615636353,
-                         0.003321536681187481]
 # the same problems walked with the spline-fitted exit law, which drew two
 # uniforms (radius and angle) per pair of a batch at every step, live or not
 SQUARE_SPLINE_LAW = [
@@ -483,6 +556,16 @@ def test_star_pins_agree_with_exact_distance_walks():
     for new, old in zip(STAR_PINNED, STAR_EXACT_STEPS):
         assert new[:2] == old[:2]
         assert abs(new[2] - old[2]) <= 4.0 * np.hypot(new[3], old[3])
+
+
+@pytest.mark.parametrize("pinned, half", [
+    (SQUARE_PINNED, SQUARE_HALF_BALL_STEPS),
+    (STAR_PINNED, STAR_HALF_BALL_STEPS)], ids=["square", "star"])
+def test_pins_agree_with_half_ball_walks(pinned, half):
+    for new, old in zip(pinned, half):
+        assert new[:-2] == old[:-2]
+        assert new[-2] != old[-2]
+        assert abs(new[-2] - old[-2]) <= 4.0 * np.hypot(new[-1], old[-1])
 
 
 @pytest.mark.parametrize("pinned, spline", [
