@@ -4,8 +4,7 @@ with Hoelder exterior data."""
 from .kernels import (KernelSpec, make_fractional_laplacian, kernel_eval,
                       validate_kernel, kernel_from_config, kernel_to_config)
 from .geometry import (Ball, Cone, Domain, HalfPlane, Polygon, StarShaped,
-                       RegularizedDistance, domain_from_config,
-                       domain_to_config, unit_square)
+                       domain_from_config, domain_to_config, unit_square)
 from .nonlocal_op import (OperatorValue, QuadratureSpec, apply_L, apply_L_1d,
                           apply_L_many, homogeneity_check)
 from .fields import (ConeBarrier, HalfSpacePower, PowerPlus1D, PsiPower)

@@ -143,7 +143,7 @@ def counterexample_min_rs_1(s):
                         kink_circles=(((0.0, 0.0), 1.0),))
 
 
-def constant_data(value):
+def constant_data(value=1.0):
     def fn(pts):
         return np.full(np.asarray(pts).shape[:-1], float(value))
 
@@ -179,23 +179,31 @@ def capped_distance_data(p, cap, alpha=0.9):
                         kink_circles=((tuple(p.tolist()), float(cap)),))
 
 
+# each builtin's constructor and the keys of its config record besides "name"
 _BUILTIN_DATA = {
-    "holder_point_singularity": lambda cfg: holder_point_singularity(
-        cfg["alpha"], cfg["z0"], cfg.get("C0", 1.0)),
-    "counterexample_min_rs_1": lambda cfg: counterexample_min_rs_1(cfg["s"]),
-    "constant": lambda cfg: constant_data(cfg.get("value", 1.0)),
-    "coordinate": lambda cfg: coordinate_data(cfg.get("axis", 0)),
-    "capped_distance": lambda cfg: capped_distance_data(
-        cfg["p"], cfg["cap"], cfg.get("alpha", 0.9)),
+    "holder_point_singularity": (holder_point_singularity,
+                                 ("alpha", "z0", "C0")),
+    "counterexample_min_rs_1": (counterexample_min_rs_1, ("s",)),
+    "constant": (constant_data, ("value",)),
+    "coordinate": (coordinate_data, ("axis",)),
+    "capped_distance": (capped_distance_data, ("p", "cap", "alpha")),
 }
 
 
 def data_from_config(cfg):
+    """The builtin datum ``cfg["name"]`` built from the record's other keys;
+    a key the builtin does not take raises a ParameterError naming it."""
     name = cfg.get("name")
     if name not in _BUILTIN_DATA:
         raise ParameterError(
             f"unknown data builtin {name!r}; known: {sorted(_BUILTIN_DATA)}")
-    return _BUILTIN_DATA[name](cfg)
+    make, keys = _BUILTIN_DATA[name]
+    args = {k: v for k, v in cfg.items() if k != "name"}
+    unknown = sorted(set(args) - set(keys))
+    if unknown:
+        raise ParameterError(
+            f"unknown {name} key(s) {unknown}; known: {list(keys)}")
+    return make(**args)
 
 
 # ---------------------------------------------------------------------------

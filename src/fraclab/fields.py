@@ -29,7 +29,7 @@ read it from the domain, in one place: the radial breakpoints are
 ``PsiPower(domain, alpha)`` is the one power-of-psi field, (psi_+)^alpha
 with psi the domain's side function ``psi_value``.  It is the paper's
 comparison function in each setting: the half-space power (x . nu)_+^alpha
-on a HalfPlane, psi^alpha near a C^{1,gamma} boundary on a Ball or
+on a HalfPlane, psi^alpha near the smooth boundary of a Ball or
 StarShaped domain, and the cone barrier Phi_beta on a Cone.
 ``HalfSpacePower(nu, alpha)`` and ``ConeBarrier(e, eta, beta)`` construct
 the first and the last.

@@ -1,4 +1,4 @@
-"""Geometric domains with distance, projection and regularized distance.
+"""Geometric domains with distance, projection and a side function.
 
 All variants expose vectorized ``contains``/``dist``/``dist_bound`` over
 point batches of shape (n, dim) (single points of shape (dim,) also
@@ -28,13 +28,12 @@ of ``signed_dist`` on Polygon.  ``angular_breakpoints(x)`` gives the angles
 (read mod pi) of the directions where that crossing pattern changes:
 HalfPlane's tangent (2-D), Cone's two edges and the ray from x through its
 vertex, none elsewhere.  Ball, HalfPlane, Cone and StarShaped have a side
-function ``psi_value``, positive exactly inside; on Ball, HalfPlane and
-StarShaped it is a C^1 regularized distance psi comparable to d with a
-Hessian controlled by omega(d)/d, on Cone the homogeneous cone function of
-the barrier Phi_beta.
+function ``psi_value``, positive exactly inside: on Ball, HalfPlane and
+StarShaped a smooth psi comparable to d (a closed form on Ball and
+HalfPlane, the flattened radial gap on StarShaped), whose barriers psi^alpha
+the certified operator checks; on Cone the homogeneous cone function of the
+barrier Phi_beta.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,16 +90,6 @@ def _scan_crossings(side_fn, x, thetas, r_max, n_probe=256):
     return np.hstack(np.split(table, 2))
 
 
-@dataclass(frozen=True)
-class RegularizedDistance:
-    """Value, gradient and Hessian of psi at one point, plus the modulus
-    value omega(d) entering the Hessian bound |D^2 psi| <= omega(d)/d."""
-    psi: float
-    grad: np.ndarray
-    hess: np.ndarray
-    omega_bound: float
-
-
 class Domain:
     """Base class; concrete variants implement the geometry services.
 
@@ -149,10 +138,6 @@ class Domain:
         of the boundary met end on, or the ray through a vertex.  None
         here; HalfPlane and Cone have them."""
         return ()
-
-    def regularized_distance(self, x):
-        raise UnsupportedVariantError(
-            f"{type(self).__name__} has no regularized distance")
 
     @property
     def diameter(self):
@@ -212,25 +197,11 @@ class Ball(Domain):
         return _maybe_scalar(z0, single), _maybe_scalar(-direction, single)
 
     def psi_value(self, x):
-        """Regularized distance value, vectorized; negative outside Omega."""
+        """psi = (R^2 - |x - c|^2) / (2R), vectorized; negative outside Omega."""
         pts, single = _as_points(x, self.dim)
         v = pts - self.center
         psi = (self.radius ** 2 - np.sum(v * v, axis=-1)) / (2.0 * self.radius)
         return _maybe_scalar(psi, single)
-
-    def regularized_distance(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise DomainError("regularized distance requires an interior point")
-        v = x - self.center
-        R = self.radius
-        psi = (R ** 2 - v @ v) / (2.0 * R)
-        grad = -v / R
-        hess = -np.eye(self.dim) / R
-        d = self.dist(x)
-        # |D^2 psi| = 1/R, so omega(r) = r/R works (gamma = 1, C = 1/R)
-        return RegularizedDistance(psi=float(psi), grad=grad, hess=hess,
-                                   omega_bound=float(d / R))
 
 
 class HalfPlane(Domain):
@@ -278,14 +249,6 @@ class HalfPlane(Domain):
         if self.dim != 2:
             return ()
         return (np.arctan2(self.normal[1], self.normal[0]) + 0.5 * np.pi,)
-
-    def regularized_distance(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise DomainError("regularized distance requires an interior point")
-        return RegularizedDistance(
-            psi=float(x @ self.normal), grad=self.normal.copy(),
-            hess=np.zeros((self.dim, self.dim)), omega_bound=0.0)
 
 
 class Cone(Domain):
@@ -441,19 +404,6 @@ class Polygon(Domain):
         v = self.vertices
         return float(np.max(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)))
 
-    def lipschitz_constant(self):
-        """Graph constant of the boundary, max over corners of cot(theta/2)
-        with theta the smaller of the interior/exterior corner angle."""
-        prev = self.vertices - np.roll(self.vertices, 1, axis=0)
-        nxt = np.roll(self.vertices, -1, axis=0) - self.vertices
-        worst = 0.0
-        for u, v in zip(prev, nxt):
-            cosang = -(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-            ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-            ang = min(ang, 2.0 * np.pi - ang)
-            worst = max(worst, 1.0 / np.tan(ang / 2.0))
-        return float(worst)
-
     def _edge_pass(self, pts):
         """One pass over the edges for a batch of points: the clamped
         parameter ``t`` of the nearest point on every edge and the squared
@@ -529,18 +479,17 @@ class Polygon(Domain):
 
 
 class StarShaped(Domain):
-    """Star-shaped (about the origin) C^{1,gamma} domain r(theta) given by a
-    finite cosine/sine series; r(theta) >= r_min > 0 is required."""
+    """Star-shaped (about the origin) smooth domain r(theta) given by a
+    finite cosine/sine series; r(theta) >= r_min > 0 is required.  Its side
+    function ``psi_value`` is the radial gap r(theta_x) - |x| flattened to a
+    constant before the origin: C^2 on the domain and comparable to d."""
 
     dim = 2
 
-    def __init__(self, coeff_cos, coeff_sin=(), gamma=1.0):
+    def __init__(self, coeff_cos, coeff_sin=()):
         self.coeff_cos = np.atleast_1d(np.asarray(coeff_cos, dtype=float))
         self.coeff_sin = np.atleast_1d(np.asarray(coeff_sin, dtype=float)) \
             if len(coeff_sin) else np.zeros(0)
-        if gamma <= 0 or gamma > 1:
-            raise ParameterError("gamma must lie in (0, 1]")
-        self.gamma = float(gamma)
         self._r0 = float(self.coeff_cos[0]) if len(self.coeff_cos) else 0.0
         self._cos_terms = [(float(k), c) for k, c in enumerate(self.coeff_cos)
                            if k > 0 and c != 0.0]
@@ -553,7 +502,6 @@ class StarShaped(Domain):
         self.r_max = float(np.max(rr))
         if self.r_min <= 0:
             raise ParameterError("radial profile must stay positive")
-        self._omega_const = None
         # dist_bound: M = sum_k k (|a_k| + |b_k|) >= max |r'|, the sampled
         # minimum lowered by M times half a sample spacing (a certified
         # lower bound on min r), and the rounding error of the radial gap
@@ -777,127 +725,62 @@ class StarShaped(Domain):
             normal[on_curve] = inward
         return _maybe_scalar(z0, single), _maybe_scalar(normal, single)
 
-    # --- regularized distance: flattened radial gap ----------------------
+    # --- side function: flattened radial gap ----------------------------
     # psi = h(rho) with rho(x) = r(theta_x) - |x|; h is the identity near the
     # boundary and flattens to a constant before the origin, so psi is C^2 on
     # all of Omega while psi ~ d near the boundary.
 
-    def _gap_cut(self):
-        return self.r_min / 3.0, 2.0 * self.r_min / 3.0
-
     def _h(self, rho):
-        """The flattened gap h(rho) and its first two derivatives,
-        elementwise: the identity up to r1, a constant from r2 on, and in
-        between h' falls from 1 to 0 along a quintic smoothstep, so
-        h(rho) = r1 + int_{r1}^{rho} h'."""
-        r1, r2 = self._gap_cut()
+        """The flattened gap h(rho), elementwise: the identity up to r1, a
+        constant from r2 on, and in between h' falls from 1 to 0 along a
+        quintic smoothstep, so h(rho) = r1 + int_{r1}^{rho} h'."""
+        r1, r2 = self.r_min / 3.0, 2.0 * self.r_min / 3.0
         w = r2 - r1
 
         def ramp(g):
-            """Powers 2..6 of t = (g - r1) / w, and h(g) for g in [r1, r2]."""
             t = np.clip((g - r1) / w, 0.0, 1.0)
-            t2, t3, t4, t5, t6 = (t ** k for k in (2, 3, 4, 5, 6))
-            h = r1 + ((g - r1) - (2.5 * t4 - 3.0 * t5 + t6) * w)
-            return (t2, t3, t4, t5), h
+            t4, t5, t6 = (t ** k for k in (4, 5, 6))
+            return r1 + ((g - r1) - (2.5 * t4 - 3.0 * t5 + t6) * w)
 
         rho = np.asarray(rho, dtype=float)
-        (t2, t3, t4, t5), h = ramp(rho)
-        below, above = rho <= r1, rho >= r2
         # the constant is the ramp's value at r2 (read just below it)
-        h = np.where(below, rho, np.where(above, ramp(r2 - 1e-15)[1], h))
-        dh = np.where(below, 1.0, np.where(
-            above, 0.0, 1.0 - (10 * t3 - 15 * t4 + 6 * t5)))
-        d2h = np.where(below | above, 0.0,
-                       -(30 * t2 - 60 * t3 + 30 * t4) / w)
-        return h, dh, d2h
-
-    def _gap(self, x):
-        th = np.arctan2(x[1], x[0])
-        rr = np.linalg.norm(x)
-        r, rp, rpp, _, _ = self._radial_derivs(th)
-        if rr == 0.0:
-            return r, None, None
-        # gradients of theta and |x|
-        gth = np.array([-x[1], x[0]]) / rr ** 2
-        grr = x / rr
-        grad = rp * gth - grr
-        hth = (np.array([[2 * x[0] * x[1], x[1] ** 2 - x[0] ** 2],
-                         [x[1] ** 2 - x[0] ** 2, -2 * x[0] * x[1]]]) / rr ** 4)
-        hrr = (np.eye(2) - np.outer(x, x) / rr ** 2) / rr
-        hess = (rpp * np.outer(gth, gth) + rp * hth - hrr)
-        return r - rr, grad, hess
-
-    def omega_constant(self):
-        """Empirical constant C with |D^2 psi| <= C d^{gamma-1}, from a
-        sampled sup with modest headroom (cached per domain)."""
-        if self._omega_const is None:
-            rng = np.random.Generator(np.random.Philox(key=7))
-            worst = 1e-12
-            n = 0
-            while n < 2000:
-                p = (rng.random(2) * 2.0 - 1.0) * self.r_max
-                if not self.contains(p):
-                    continue
-                n += 1
-                d = float(self.dist(p))
-                if d <= 0:
-                    continue
-                rd = self._reg(p)
-                worst = max(worst, float(np.linalg.norm(rd[2], 2)) * d ** (1.0 - self.gamma))
-            self._omega_const = 1.15 * worst
-        return self._omega_const
-
-    def _reg(self, x):
-        rho, grho, hrho = self._gap(x)
-        hv, hp, hpp = self._h(rho)
-        grad = hp * grho
-        hess = hpp * np.outer(grho, grho) + hp * hrho
-        return hv, grad, hess
+        return np.where(rho <= r1, rho,
+                        np.where(rho >= r2, ramp(r2 - 1e-15), ramp(rho)))
 
     def psi_value(self, x):
         pts, single = _as_points(x, 2)
-        return _maybe_scalar(self._h(self._radial_gap(pts)[1])[0], single)
-
-    def regularized_distance(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise DomainError("regularized distance requires an interior point")
-        if np.linalg.norm(x) == 0.0:
-            hv = float(self._h(self._gap_cut()[1])[0])
-            return RegularizedDistance(psi=hv, grad=np.zeros(2),
-                                       hess=np.zeros((2, 2)),
-                                       omega_bound=0.0)
-        hv, grad, hess = self._reg(x)
-        d = float(self.dist(x))
-        omega = self.omega_constant() * d ** self.gamma
-        return RegularizedDistance(psi=float(hv), grad=grad, hess=hess,
-                                   omega_bound=float(omega))
+        return _maybe_scalar(self._h(self._radial_gap(pts)[1]), single)
 
 
 # ---------------------------------------------------------------------------
 # spec-shaped module-level operations
 
+# each variant's class and the keys of its config record
+_VARIANTS = {"ball": (Ball, ("center", "radius")),
+             "halfplane": (HalfPlane, ("normal",)),
+             "cone": (Cone, ("axis", "eta")),
+             "polygon": (Polygon, ("vertices",)),
+             "star": (StarShaped, ("coeff_cos", "coeff_sin"))}
+
+
 def domain_from_config(cfg):
     """Domain config records, one key per variant:
     {"ball": {"center": [..], "radius": r}}, {"halfplane": {"normal": [..]}},
     {"cone": {"axis": [..], "eta": e}}, {"polygon": {"vertices": [[..]..]}},
-    {"star": {"coeff_cos": [..], "coeff_sin": [..], "gamma": g}}.
+    {"star": {"coeff_cos": [..], "coeff_sin": [..]}} (coeff_sin optional).
+    Any other key raises a ParameterError naming it.
     """
     if len(cfg) != 1:
         raise ParameterError("domain config must have exactly one variant key")
     (kind, body), = cfg.items()
-    if kind == "ball":
-        return Ball(body["center"], body["radius"])
-    if kind == "halfplane":
-        return HalfPlane(body["normal"])
-    if kind == "cone":
-        return Cone(body["axis"], body["eta"])
-    if kind == "polygon":
-        return Polygon(body["vertices"])
-    if kind == "star":
-        return StarShaped(body["coeff_cos"], body.get("coeff_sin", ()),
-                          gamma=body.get("gamma", 1.0))
-    raise ParameterError(f"unknown domain variant {kind!r}")
+    if kind not in _VARIANTS:
+        raise ParameterError(f"unknown domain variant {kind!r}")
+    cls, keys = _VARIANTS[kind]
+    unknown = sorted(set(body) - set(keys))
+    if unknown:
+        raise ParameterError(
+            f"unknown {kind} key(s) {unknown}; known: {list(keys)}")
+    return cls(**body)
 
 
 def domain_to_config(dom):
@@ -911,8 +794,7 @@ def domain_to_config(dom):
         return {"polygon": {"vertices": dom.vertices.tolist()}}
     if isinstance(dom, StarShaped):
         return {"star": {"coeff_cos": dom.coeff_cos.tolist(),
-                         "coeff_sin": dom.coeff_sin.tolist(),
-                         "gamma": dom.gamma}}
+                         "coeff_sin": dom.coeff_sin.tolist()}}
     raise ParameterError(f"cannot serialize {type(dom).__name__}")
 
 

@@ -105,12 +105,31 @@ class SolutionSample:
     steps_max: int = 0    # the most steps any walker took
 
 
+def _declared_growth(g):
+    """The payload growth the datum g declares; a ParameterError naming g
+    if it declares none, as a bare callable does."""
+    if not hasattr(g, "payload_growth"):
+        raise ParameterError(
+            f"datum g = {g!r} declares no growth: pass an ExteriorData, so "
+            "that its payload can be checked to have a mean")
+    return g.payload_growth
+
+
+def _refuse_diverging(growth, s):
+    """A DivergenceError once a datum's growth reaches 2s (see ``solve``)."""
+    if growth >= 2.0 * s:
+        raise DivergenceError(
+            f"datum growth {growth} is not below 2s = {2.0 * s}: the "
+            "exit radius has tail r^(-2s), so the payload's mean diverges")
+
+
 def solve(dom, g, x, kernel, cfg=None, point_index=0):
     """Estimate the solution of the fractional Dirichlet problem at x by
     alpha-stable walk-on-spheres: ``_walk_on_spheres`` with the exact exit
-    law of order s and the configured step and stream layout.  A datum whose
-    declared growth reaches 2s raises a DivergenceError: the exit radius has
-    tail P(R > r) ~ r^(-2s), so its payload has no mean."""
+    law of order s and the configured step and stream layout.  A datum
+    that declares no growth raises a ParameterError, and one whose growth
+    reaches 2s a DivergenceError: the exit radius has tail P(R > r) ~
+    r^(-2s), so its payload has no mean."""
     if cfg is None:
         cfg = WoSConfig()
     if not dom.bounded:
@@ -125,11 +144,7 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     if dom.dim > 2:
         raise ParameterError(
             f"walk-on-spheres steps in dim 1 or 2, not dim {dom.dim}")
-    growth = getattr(g, "payload_growth", 0.0)
-    if growth >= 2.0 * kernel.s:
-        raise DivergenceError(
-            f"datum growth {growth} is not below 2s = {2.0 * kernel.s}: the "
-            "exit radius has tail r^(-2s), so the payload's mean diverges")
+    _refuse_diverging(_declared_growth(g), kernel.s)
     snap_eps = cfg.snap_eps if cfg.snap_eps is not None \
         else 1e-6 * dom.diameter
     paths = cfg.paths
@@ -339,9 +354,7 @@ def _ball_poisson_level(dom, g, x, s, n_jac, mid_panels, split):
     d = R - rx
     circles = [(np.asarray(cc, dtype=float), float(rr))
                for cc, rr in getattr(g, "kink_circles", ())]
-    growth = getattr(g, "payload_growth", 0.0)
-    if growth >= 2.0 * s:
-        raise DomainError("datum growth must stay below 2s")
+    growth = g.payload_growth
 
     centers = [phi_x]
     scales = [0.25 * max(d, 1e-12) / R]
@@ -404,13 +417,15 @@ def ball_poisson(dom, g, x, s):
     The constant of the exit kernel is eliminated by normalizing with the
     quadrature of the kernel itself (exact value 1 for g == 1), so the
     maximum principle holds by construction.  Two resolutions provide the
-    error estimate.  Returns (value, err_estimate).
+    error estimate.  Returns (value, err_estimate).  A datum is checked as
+    in ``solve``, before either resolution.
     """
     if not isinstance(dom, Ball) or dom.dim != 2:
         raise DomainError("ball_poisson requires a planar ball")
     x = np.asarray(x, dtype=float)
     if not dom.contains(x):
         raise DomainError("evaluation point must be interior")
+    _refuse_diverging(_declared_growth(g), s)
     coarse = _ball_poisson_level(dom, g, x, s, n_jac=16, mid_panels=16,
                                  split=False)
     fine = _ball_poisson_level(dom, g, x, s, n_jac=24, mid_panels=24,
@@ -498,7 +513,7 @@ def halfplane_poisson(g, x, s):
     cached).  g must be bounded.  Two fixed resolution levels provide the
     error estimate.  Returns (value, err_estimate).
     """
-    if getattr(g, "payload_growth", 0.0) > 0.0:
+    if _declared_growth(g) > 0.0:
         raise DomainError("halfplane_poisson requires a bounded datum")
     x = np.asarray(x, dtype=float)
     x1, x2 = float(x[0]), float(x[1])

@@ -139,7 +139,7 @@ def test_psi_barrier_alpha_near_s():
 
 def test_psi_barrier_star_domain():
     K = make_fractional_laplacian(0.5, 2)
-    star = StarShaped([1.0, 0.0, 0.08], gamma=1.0)
+    star = StarShaped([1.0, 0.0, 0.08])
     rep = verify_psi_barrier(K, star, 0.25, band=(3e-2, 1e-1), n_points=3,
                              q=QuadratureSpec(target_rel_tol=1e-4,
                                               max_angular_panels=16,

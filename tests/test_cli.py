@@ -405,6 +405,12 @@ CONSTANT = '{"name": "constant", "value": 1.0}'
       "--points", "0.1,0.0"], "domain"),
     # a datum with no singular point leaves no default for z0
     (["profile", "--domain", "ball", "--data", '{"name": "constant"}'], "z0"),
+    # a key the record does not take, a stale or misspelt one
+    (["solve", "--domain", '{"star": {"coeff_cos": [1, 0, 0.1], "gamma": 0.9}}',
+      "--data", CONSTANT, "--points", "0.1,0.0"], "gamma"),
+    (["solve", "--domain", "ball", "--data",
+      '{"name": "capped_distance", "p": [2, 0], "cap": 3, "alhpa": 0.5}',
+      "--points", "0.1,0.0"], "alhpa"),
 ])
 def test_missing_or_unparsable_parameter_is_named(tmp_path, capsys, argv,
                                                   name):

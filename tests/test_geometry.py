@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fraclab.errors import DomainError, ParameterError, UnsupportedVariantError
+from fraclab.errors import DomainError, ParameterError
 from fraclab.geometry import (Ball, Cone, HalfPlane, Polygon, StarShaped,
                               domain_from_config, domain_to_config,
                               unit_square)
@@ -60,7 +60,6 @@ def test_polygon_square():
     z0, n = sq.project([0.5, 0.2])
     np.testing.assert_allclose(z0, [0.5, 0.0])
     np.testing.assert_allclose(n, [0.0, 1.0])
-    assert sq.lipschitz_constant() == pytest.approx(1.0)
     assert sq.diameter == pytest.approx(np.sqrt(2.0))
 
 
@@ -85,7 +84,7 @@ def test_project_rejects_exterior():
 def test_projection_consistency_random():
     rng = np.random.Generator(np.random.Philox(key=11))
     doms = [Ball([0.2, -0.1], 1.3), unit_square(),
-            StarShaped([1.0, 0.0, 0.12], [0.0, 0.07], gamma=1.0)]
+            StarShaped([1.0, 0.0, 0.12], [0.0, 0.07])]
     for dom in doms:
         n_done = 0
         while n_done < 60:
@@ -99,41 +98,24 @@ def test_projection_consistency_random():
 
 
 def test_star_reduces_to_ball():
-    star = StarShaped([1.0], gamma=1.0)
+    star = StarShaped([1.0])
     assert star.dist([0.9, 0.0]) == pytest.approx(0.1, abs=1e-10)
     assert star.dist([0.3, 0.4]) == pytest.approx(0.5, abs=1e-10)
 
 
-def test_regularized_distance_ball_closed_form():
+def test_psi_value_closed_forms():
     b = Ball([0.0, 0.0], 1.0)
-    rd = b.regularized_distance([0.5, 0.0])
-    assert rd.psi == pytest.approx(0.375)
-    np.testing.assert_allclose(rd.grad, [-0.5, 0.0])
-    np.testing.assert_allclose(rd.hess, -np.eye(2))
+    assert b.psi_value([0.5, 0.0]) == pytest.approx(0.375)
     # psi/d = (1+|x|)/2 near the boundary
-    rd2 = b.regularized_distance([0.99, 0.0])
     d = 0.01
-    assert 0.5 <= rd2.psi / d <= 1.0
-    assert rd2.psi / d == pytest.approx((1 + 0.99) / 2)
-
-
-def test_regularized_distance_halfplane():
-    h = HalfPlane([0.0, 1.0])
-    rd = h.regularized_distance([2.0, 0.3])
-    assert rd.psi == pytest.approx(0.3)
-    assert np.all(rd.hess == 0.0)
-
-
-def test_regularized_distance_unsupported():
-    with pytest.raises(UnsupportedVariantError):
-        unit_square().regularized_distance([0.5, 0.5])
-    with pytest.raises(UnsupportedVariantError):
-        Cone([0, 1], 1.0).regularized_distance([0.0, 1.0])
+    assert 0.5 <= b.psi_value([0.99, 0.0]) / d <= 1.0
+    assert b.psi_value([0.99, 0.0]) / d == pytest.approx((1 + 0.99) / 2)
+    assert HalfPlane([0.0, 1.0]).psi_value([2.0, 0.3]) == pytest.approx(0.3)
 
 
 @pytest.mark.parametrize("dom", [
     Ball([0.0, 0.0], 1.0),
-    StarShaped([1.0, 0.0, 0.1], [0.0, 0.05], gamma=1.0),
+    StarShaped([1.0, 0.0, 0.1], [0.0, 0.05]),
 ])
 def test_psi_comparable_to_distance(dom):
     rng = np.random.Generator(np.random.Philox(key=5))
@@ -149,46 +131,42 @@ def test_psi_comparable_to_distance(dom):
     assert C < 10.0, f"psi/d spread too large: C = {C}"
 
 
-def test_psi_hessian_bound_star():
-    dom = StarShaped([1.0, 0.0, 0.1], [0.0, 0.05], gamma=1.0)
-    rng = np.random.Generator(np.random.Philox(key=9))
-    n = 0
-    while n < 200:
-        p = rng.random(2) * 2.0 - 1.0
-        if not dom.contains(p):
-            continue
-        n += 1
-        rd = dom.regularized_distance(p)
-        d = float(dom.dist(p))
-        if d <= 1e-9:
-            continue
-        assert np.linalg.norm(rd.hess, 2) <= rd.omega_bound / d * (1 + 1e-9)
+def _fd_hessian(f, x, h):
+    """Central-difference Hessian of a scalar function at x with step h."""
+    H = np.empty((len(x), len(x)))
+    for i in range(len(x)):
+        for j in range(len(x)):
+            ei = np.zeros(len(x)); ei[i] = h
+            ej = np.zeros(len(x)); ej[j] = h
+            H[i, j] = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej)
+                       + f(x - ei - ej)) / (4 * h * h)
+    return H
 
 
-def test_psi_gradient_matches_finite_differences():
-    dom = StarShaped([1.0, 0.0, 0.1], [0.0, 0.05], gamma=1.0)
-    x = np.array([0.55, 0.2])
-    rd = dom.regularized_distance(x)
-    h = 1e-6
-    for i in range(2):
-        e = np.zeros(2); e[i] = h
-        fd = (dom.psi_value(x + e) - dom.psi_value(x - e)) / (2 * h)
-        assert rd.grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-    # Hessian via finite differences of psi_value
-    for i in range(2):
-        for j in range(2):
-            ei = np.zeros(2); ei[i] = h
-            ej = np.zeros(2); ej[j] = h
-            fd = (dom.psi_value(x + ei + ej) - dom.psi_value(x + ei - ej)
-                  - dom.psi_value(x - ei + ej) + dom.psi_value(x - ei - ej)) \
-                / (4 * h * h)
-            assert rd.hess[i, j] == pytest.approx(fd, rel=2e-4, abs=1e-4)
+def test_star_psi_is_c2_across_its_flattening_ramp():
+    # psi = h(r(theta_x) - |x|) with h flattened between r1 = r_min/3 and
+    # r2 = 2 r_min/3; where psi is C^2 the difference Hessians at two steps
+    # converge to the same matrix (entries up to 5.3 here).  The last two
+    # points lie 1.5e-3 inside the ramp's ends, so the larger step straddles
+    # an end and the smaller does not: a jump of D^2 psi there (a ramp
+    # that is only C^1) makes the two disagree by about 0.5
+    dom = StarShaped([1.0, 0.0, 0.1], [0.0, 0.05])
+    r1, r2 = dom.r_min / 3.0, 2.0 * dom.r_min / 3.0
+    u = np.array([np.cos(0.3), np.sin(0.3)])
+    points = [[0.55, 0.2], [0.8, 0.3], [0.0, 0.5], [0.3, 0.1],
+              (dom.radial(0.3) - (r1 + 1.5e-3)) * u,
+              (dom.radial(0.3) - (r2 - 1.5e-3)) * u]
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        coarse = _fd_hessian(dom.psi_value, x, 2e-3)
+        fine = _fd_hessian(dom.psi_value, x, 1e-3)
+        assert np.max(np.abs(coarse - fine)) <= 5e-3, x
 
 
 def test_domain_config_round_trip():
     for dom in (Ball([0.1, 0.2], 1.5), HalfPlane([0.0, 1.0]),
                 Cone([0.0, 1.0], 0.7), unit_square(),
-                StarShaped([1.0, 0.0, 0.1], [0.0, 0.05], gamma=0.8)):
+                StarShaped([1.0, 0.0, 0.1], [0.0, 0.05])):
         cfg = domain_to_config(dom)
         dom2 = domain_from_config(cfg)
         assert type(dom2) is type(dom)
@@ -214,7 +192,7 @@ DOMAINS = {
     "square": unit_square(),
     "L": Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]),
     "star": StarShaped([1.0, 0.0, 0.1]),
-    "star2": StarShaped([1.0, 0.0, 0.12], [0.0, 0.07], gamma=0.8),
+    "star2": StarShaped([1.0, 0.0, 0.12], [0.0, 0.07]),
 }
 UNBOUNDED = {"halfplane": HalfPlane([0.3, 1.0]), "cone": Cone([0.0, 1.0], 0.7)}
 

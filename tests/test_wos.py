@@ -361,6 +361,24 @@ def test_solve_refuses_a_datum_whose_mean_diverges():
     assert np.isfinite(out.estimate)
 
 
+def test_a_datum_that_declares_no_growth_is_refused(monkeypatch):
+    # a bare callable has no growth to check: at s = 0.1 the 0.3 datum
+    # walked to 949.55 +- 742 with a NaN bias_bound, and at s = 0.2
+    # ball_poisson read 2.83 +- 0.08 against 3.73 with the growth declared
+    ball = Ball([0.0, 0.0], 1.0)
+    ball.dist_bound = lambda *a: pytest.fail("a walker started")
+    monkeypatch.setattr(fraclab.wos, "_ball_poisson_level",
+                        lambda *a, **k: pytest.fail("a level ran"))
+    bare = holder_point_singularity(0.3, [1.0, 0.0]).fn
+    with pytest.raises(ParameterError, match="g = .*declares no growth"):
+        solve(ball, bare, [0.0, 0.0], make_fractional_laplacian(0.1, 2),
+              WoSConfig(paths=2000, seed=1))
+    with pytest.raises(ParameterError, match="g = .*declares no growth"):
+        ball_poisson(ball, bare, [0.0, 0.0], 0.2)
+    with pytest.raises(ParameterError, match="g = .*declares no growth"):
+        halfplane_poisson(constant_data(1.0).fn, [0.0, 1.0], 0.5)
+
+
 @pytest.mark.parametrize("dom, x, max_steps", [
     (Ball([0.0, 0.0], 1.0), [0.9, 0.0], 16),   # some walkers hit max_steps
     (unit_square(), [0.02, 0.5], 1000),
@@ -416,7 +434,7 @@ def test_polygon_domain_walks():
 
 def test_star_domain_walks():
     from fraclab.geometry import StarShaped
-    star = StarShaped([1.0, 0.0, 0.1], gamma=1.0)
+    star = StarShaped([1.0, 0.0, 0.1])
     g = capped_distance_data([2.0, 0.0], 3.0)
     out = solve(star, g, [0.2, 0.1], K05, WoSConfig(paths=20000, seed=21))
     # datum values lie in [0, 3]; the estimate must respect the bounds
@@ -447,7 +465,8 @@ def test_star_disc_matches_exit_law_oracle():
 def test_wos_1d_matches_exit_law_oracle(s):
     # the exit law's radial density does not depend on the dimension, so
     # from the centre of (-1, 1), P(|exit point| > 1.5) is its tail
-    far = lambda p: (np.abs(p[..., 0]) > 1.5).astype(float)
+    far = ExteriorData(fn=lambda p: (np.abs(p[..., 0]) > 1.5).astype(float),
+                       growth=0.0)
     k = make_fractional_laplacian(s, 1)
     tail = exit_law_tail_prob(s, 1.5)
     half = solve(Ball([0.0], 1.0), far, [0.0], k,
@@ -588,6 +607,14 @@ def test_ball_poisson_maximum_principle():
     g = holder_point_singularity(0.3, [1.0, 0.0])
     v, e = ball_poisson(BALL, g, [0.0, 0.0], 0.5)
     assert 0.0 < v < 3.0
+
+
+def test_ball_poisson_refuses_a_diverging_datum_before_any_level(monkeypatch):
+    monkeypatch.setattr(fraclab.wos, "_ball_poisson_level",
+                        lambda *a, **k: pytest.fail("a level ran"))
+    g = holder_point_singularity(0.3, [1.0, 0.0])
+    with pytest.raises(DivergenceError, match=r"growth 0\.3 .* 2s = 0\.2"):
+        ball_poisson(BALL, g, [0.0, 0.0], 0.1)
 
 
 def test_halfplane_poisson_constant():
