@@ -103,14 +103,29 @@ def test_star_reduces_to_ball():
     assert star.dist([0.3, 0.4]) == pytest.approx(0.5, abs=1e-10)
 
 
-def test_psi_value_closed_forms():
+def test_regularized_distance_ball_closed_form():
     b = Ball([0.0, 0.0], 1.0)
-    assert b.psi_value([0.5, 0.0]) == pytest.approx(0.375)
+    x = np.array([0.5, 0.0])
+    assert b.psi_value(x) == pytest.approx(0.375)
+    # psi = (1 - |x|^2)/2: gradient -x, Hessian -I
+    h = 1e-3
+    fd_grad = [(b.psi_value(x + e) - b.psi_value(x - e)) / (2 * h)
+               for e in h * np.eye(2)]
+    np.testing.assert_allclose(fd_grad, [-0.5, 0.0], atol=1e-8)
+    np.testing.assert_allclose(_fd_hessian(b.psi_value, x, h), -np.eye(2),
+                               atol=1e-6)
     # psi/d = (1+|x|)/2 near the boundary
     d = 0.01
     assert 0.5 <= b.psi_value([0.99, 0.0]) / d <= 1.0
     assert b.psi_value([0.99, 0.0]) / d == pytest.approx((1 + 0.99) / 2)
-    assert HalfPlane([0.0, 1.0]).psi_value([2.0, 0.3]) == pytest.approx(0.3)
+
+
+def test_regularized_distance_halfplane():
+    h = HalfPlane([0.0, 1.0])
+    x = np.array([2.0, 0.3])
+    assert h.psi_value(x) == pytest.approx(0.3)
+    np.testing.assert_allclose(_fd_hessian(h.psi_value, x, 1e-3), 0.0,
+                               atol=1e-6)
 
 
 @pytest.mark.parametrize("dom", [
