@@ -22,15 +22,34 @@ Poisson quadratures) share the fixed 8-point Gauss-Legendre panel rule below:
 or angle, into nodes and weights, and ``graded_edges``/``periodic_edges``
 build those rows.  Rows of different lengths are padded by repeating their
 end edge, so the padding panels have zero width and contribute nothing.
+
+The GL8 and G7/K15 rules are literal tables.  The Gauss-Jacobi rules are
+built by scipy.special, which is imported on the first rule built
+(``gauss_jacobi_01``), not with this module: importing it, with
+scipy.linalg behind it, more than doubled the package's import time, and
+the walk-on-spheres commands build no Jacobi rule.
 """
 
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
-_GL8 = roots_legendre(8)
+# the 8-point Gauss-Legendre rule on [-1, 1]: its 4 positive nodes,
+# ascending, and their weights, as scipy.special.roots_legendre(8) returns
+# them (round-trip literals, equal bit for bit); the rule is mirrored by
+# symmetry.  numpy's leggauss(8) differs from it by up to 1.4e-15 in the
+# weights.
+_GL8_HALF = (0.18343464249564984,
+             0.525532409916329,
+             0.7966664774136267,
+             0.9602898564975363)
+_GL8_HALF_W = (0.36268378337836205,
+               0.3137066458778876,
+               0.22238103445337473,
+               0.10122853629037562)
+_GL8 = (np.concatenate([-np.array(_GL8_HALF[::-1]), _GL8_HALF]),
+        np.concatenate([_GL8_HALF_W[::-1], _GL8_HALF_W]))
 
 # the nested Gauss-Kronrod pair G7/K15 on [-1, 1] (Kronrod 1965; the QUADPACK
 # table, Piessens et al. 1983): the 8 nonnegative K15 nodes, descending, and
@@ -106,7 +125,12 @@ def clenshaw_curtis(n):
 
 @lru_cache(maxsize=256)
 def gauss_jacobi_01(n, beta):
-    """Nodes/weights approximating int_0^1 t^beta f(t) dt = sum w f(t)."""
+    """Nodes/weights approximating int_0^1 t^beta f(t) dt = sum w f(t).
+
+    scipy.special is imported on the first call, not with the module (see
+    the module docstring)."""
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n, 0.0, beta)
     return (x + 1.0) / 2.0, w * 0.5 ** (beta + 1.0)
 

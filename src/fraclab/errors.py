@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a config
+record's keys that raises one."""
+
+import inspect
 
 
 class FracLabError(Exception):
@@ -31,6 +34,24 @@ class InsufficientDataError(FracLabError, ValueError):
 
 class ReliabilityError(FracLabError, RuntimeError):
     """A Monte Carlo run failed its own reliability checks."""
+
+
+def check_record_keys(variant, record, make, keys):
+    """Raise a ParameterError if the config ``record`` of ``variant``, the
+    keyword arguments of ``make(**record)``, has a key outside ``keys`` or
+    lacks one that ``make`` requires (has no default for); the error names
+    the variant and the offending keys."""
+    unknown = sorted(set(record) - set(keys))
+    if unknown:
+        raise ParameterError(
+            f"unknown {variant} key(s) {unknown}; known: {list(keys)}")
+    params = inspect.signature(make).parameters
+    missing = [k for k in keys
+               if params[k].default is inspect.Parameter.empty
+               and k not in record]
+    if missing:
+        raise ParameterError(
+            f"{variant} record lacks required key(s) {missing}")
 
 
 class ToleranceWarning(UserWarning):

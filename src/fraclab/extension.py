@@ -20,7 +20,7 @@ from ._quad import (MERGE_TOL, bisect_edges, gl8_panels, graded_edges,
 from .errors import (DivergenceError, DomainError, ParameterError,
                      UnsupportedVariantError)
 from .fields import CompositeField
-from .geometry import Ball, HalfPlane, Polygon
+from .geometry import Ball, HalfPlane, Polygon, row_dot
 from .nonlocal_op import QuadratureSpec, apply_L_many
 from .wos import BrownianExitSampler, WoSConfig, _walk_on_spheres
 
@@ -209,29 +209,39 @@ class HalfPlaneExtension:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
-        h = pts @ self.dom.normal
+        h = row_dot(pts, self.dom.normal)
         if np.any(h <= 0):
             raise DomainError("extension evaluation requires an interior point")
-        t0 = pts @ self.tangent
+        t0 = row_dot(pts, self.tangent)
         T = np.maximum(1e4 * np.maximum(h, 1.0), 1e4 * np.abs(t0))
         # graded edges, refined to quarter-octave spacing by two bisections
         n_edges = 4 * (2 * octaves(h / 4.0, T) + 5)
         out = np.empty(len(h))
-        for rows in node_chunks(8 * n_edges):
-            hr, tr = h[rows], t0[rows]
-            edges = bisect_edges(bisect_edges(graded_edges(tr, hr / 4.0, T[rows])))
-            ts, w = gl8_panels(edges)
-            kern = w * ((hr[:, None] / np.pi)
-                        / ((ts - tr[:, None]) ** 2 + hr[:, None] ** 2))
-            integ = np.sum(kern * self._trace(ts), axis=1)
-            norm = np.sum(kern, axis=1)
-            # analytic kernel mass beyond the cutoffs, with the edge datum value
-            for edge in (edges[:, -1], edges[:, 0]):
-                mass = 0.5 - np.arctan(np.abs(edge - tr) / hr) / np.pi
-                integ += mass * self._trace(edge)
-                norm += mass
-            out[rows] = integ / norm
+        # the rows of a chunk share their octave count, so none is padded
+        # (padding panels, at both ends of a row, would regroup the row sum)
+        # and a point's value does not depend on the batch around it
+        for m in np.unique(n_edges):
+            same = np.nonzero(n_edges == m)[0]
+            for rows in node_chunks(np.full(len(same), 8 * m)):
+                rows = same[rows]
+                out[rows] = self._values(h[rows], t0[rows], T[rows])
         return float(out[0]) if x.ndim == 1 else out
+
+    def _values(self, h, t0, T):
+        """Extension values at a chunk of points at heights h and tangential
+        coordinates t0, with cutoffs T."""
+        edges = bisect_edges(bisect_edges(graded_edges(t0, h / 4.0, T)))
+        ts, w = gl8_panels(edges)
+        kern = w * ((h[:, None] / np.pi)
+                    / ((ts - t0[:, None]) ** 2 + h[:, None] ** 2))
+        integ = np.sum(kern * self._trace(ts), axis=1)
+        norm = np.sum(kern, axis=1)
+        # analytic kernel mass beyond the cutoffs, with the edge datum value
+        for edge in (edges[:, -1], edges[:, 0]):
+            mass = 0.5 - np.arctan(np.abs(edge - t0) / h) / np.pi
+            integ += mass * self._trace(edge)
+            norm += mass
+        return integ / norm
 
 
 def harmonic_extension(dom, g, x, cfg=None):

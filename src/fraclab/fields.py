@@ -38,7 +38,8 @@ the first and the last.
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import Ball, Cone, HalfPlane, StarShaped, plane_crossings
+from .geometry import (Ball, Cone, HalfPlane, StarShaped, plane_crossings,
+                       row_dot)
 
 
 class Field:
@@ -77,7 +78,7 @@ class AffineField(Field):
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
-        return pts @ self.b + self.c
+        return row_dot(pts, self.b) + self.c
 
 
 class CallableField(Field):

@@ -16,8 +16,10 @@ normal; every variant takes a batch of interior points (and returns two (n,
 dim) arrays).  On StarShaped and on Cone one nearest-point primitive serves
 ``dist``, ``signed_dist`` and ``project`` (and StarShaped's exact rows of
 ``dist_bound``), so each reports the same |x - z| for the same nearest
-boundary point z; on Cone it is the foot max(x . w, 0) w on each edge ray w,
-with row dots that do not depend on the batch.
+boundary point z; on Cone it is the foot max(x . w, 0) w on each edge ray w.
+Row dots are elementwise (``np.vecdot`` for the cone's x . w, ``row_dot``
+for x . e on HalfPlane and Cone), so a point's value does not depend on the
+batch around it.
 
 ``signed_dist`` (every variant) is positive inside and negative outside.
 ``boundary_crossings(x, thetas, r_max)`` gives where the rays x +- r theta
@@ -37,7 +39,8 @@ barrier Phi_beta.
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, UnsupportedVariantError
+from .errors import (DomainError, ParameterError, UnsupportedVariantError,
+                     check_record_keys)
 
 
 def _as_points(x, dim):
@@ -53,6 +56,18 @@ def _as_points(x, dim):
 
 def _maybe_scalar(v, single):
     return (v[0] if single else v)
+
+
+def row_dot(pts, v):
+    """The dot product of each row of ``pts`` (shape (..., d)) with ``v``:
+    elementwise products summed in coordinate order.  A row's value does
+    not depend on the batch around it, where a BLAS matrix-vector product
+    (``pts @ v``) rounds a row by its place in the batch; on 8192 rows of 2
+    it costs twice that product, and a fifth of ``np.vecdot``."""
+    out = pts[..., 0] * v[0]
+    for k in range(1, len(v)):
+        out += pts[..., k] * v[k]
+    return out
 
 
 def plane_crossings(b, w, r_max):
@@ -219,15 +234,16 @@ class HalfPlane(Domain):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        return _maybe_scalar(pts @ self.normal > 0.0, single)
+        return _maybe_scalar(row_dot(pts, self.normal) > 0.0, single)
 
     def dist(self, x):
         pts, single = _as_points(x, self.dim)
-        return _maybe_scalar(np.maximum(pts @ self.normal, 0.0), single)
+        return _maybe_scalar(np.maximum(row_dot(pts, self.normal), 0.0),
+                             single)
 
     def project(self, x):
         pts, single = _as_points(x, self.dim)
-        h = np.vecdot(pts, self.normal)
+        h = row_dot(pts, self.normal)
         if not np.all(h > 0.0):
             raise DomainError("project requires an interior point")
         normal = np.broadcast_to(self.normal, pts.shape).copy()
@@ -236,7 +252,7 @@ class HalfPlane(Domain):
 
     def psi_value(self, x):
         pts, single = _as_points(x, self.dim)
-        return _maybe_scalar(pts @ self.normal, single)
+        return _maybe_scalar(row_dot(pts, self.normal), single)
 
     signed_dist = psi_value
 
@@ -286,7 +302,7 @@ class Cone(Domain):
         """psi(x); positive inside the cone, zero on its boundary."""
         pts, single = _as_points(x, 2)
         r = np.linalg.norm(pts, axis=-1)
-        p = pts @ self.axis
+        p = row_dot(pts, self.axis)
         with np.errstate(invalid="ignore", divide="ignore"):
             val = p + self.eta * (r - p ** 2 / r)
         val = np.where(r == 0.0, 0.0, val)
@@ -768,7 +784,8 @@ def domain_from_config(cfg):
     {"ball": {"center": [..], "radius": r}}, {"halfplane": {"normal": [..]}},
     {"cone": {"axis": [..], "eta": e}}, {"polygon": {"vertices": [[..]..]}},
     {"star": {"coeff_cos": [..], "coeff_sin": [..]}} (coeff_sin optional).
-    Any other key raises a ParameterError naming it.
+    Any other key, or a missing required one, raises a ParameterError
+    naming it.
     """
     if len(cfg) != 1:
         raise ParameterError("domain config must have exactly one variant key")
@@ -776,10 +793,7 @@ def domain_from_config(cfg):
     if kind not in _VARIANTS:
         raise ParameterError(f"unknown domain variant {kind!r}")
     cls, keys = _VARIANTS[kind]
-    unknown = sorted(set(body) - set(keys))
-    if unknown:
-        raise ParameterError(
-            f"unknown {kind} key(s) {unknown}; known: {list(keys)}")
+    check_record_keys(kind, body, cls, keys)
     return cls(**body)
 
 

@@ -4,10 +4,10 @@ import os
 
 import pytest
 
-from fraclab.barriers import capped_distance_data
+from fraclab.barriers import capped_distance_data, data_from_config
 from fraclab.cli import build_parser, run
 from fraclab.errors import ParameterError, ToleranceWarning
-from fraclab.geometry import Ball
+from fraclab.geometry import Ball, domain_from_config
 from fraclab.fields import HalfSpacePower, PsiPower
 from fraclab.kernels import make_fractional_laplacian
 from fraclab.nonlocal_op import QuadratureSpec, apply_L_many
@@ -421,6 +421,24 @@ def test_missing_or_unparsable_parameter_is_named(tmp_path, capsys, argv,
     assert run(argv) == 1
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("load, record, variant, missing", [
+    (data_from_config, {"name": "capped_distance", "p": [2, 0]},
+     "capped_distance", "['cap']"),
+    (data_from_config, {"name": "holder_point_singularity"},
+     "holder_point_singularity", "['alpha', 'z0']"),
+    (domain_from_config, {"ball": {"center": [0, 0]}}, "ball", "['radius']"),
+    (domain_from_config, {"star": {"coeff_sin": [0.1]}}, "star",
+     "['coeff_cos']"),
+])
+def test_a_record_missing_a_required_key_is_refused(load, record, variant,
+                                                    missing):
+    # called directly, not only through the CLI: the loaders name the
+    # variant and every missing key, as they do an unknown key
+    with pytest.raises(ParameterError) as info:
+        load(record)
+    assert variant in str(info.value) and missing in str(info.value)
 
 
 # SHA-256 of the outputs of small seeded runs with their default or relative

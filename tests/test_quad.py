@@ -23,6 +23,14 @@ def test_gl8_panels_padding_contributes_nothing():
                                rtol=1e-14)
 
 
+def test_gl8_table_is_scipys_rule_bit_for_bit():
+    from scipy.special import roots_legendre
+
+    x, w = roots_legendre(8)
+    assert np.array_equal(_quad._GL8[0], x)
+    assert np.array_equal(_quad._GL8[1], w)
+
+
 def test_bisect_edges_inserts_midpoints():
     np.testing.assert_array_equal(bisect_edges([[0.0, 1.0, 3.0]]),
                                   [[0.0, 0.5, 1.0, 2.0, 3.0]])

@@ -90,6 +90,38 @@ def test_import_leaves_scipy_interpolate_unloaded():
     assert out.stdout.strip() == "False"
 
 
+# the README's walk-on-spheres commands, with few paths; ``fit`` reads the
+# profile written before it
+_WALK_COMMANDS = (
+    ["validate-kernel", "--s", "0.5", "--samples", "200"],
+    ["solve", "--domain", "ball",
+     "--data", '{"name":"capped_distance","p":[2,0],"cap":3}',
+     "--points", "0,0;0.5,0", "--paths", "2000", "--seed", "1",
+     "--out", "sol.csv"],
+    ["profile", "--domain", "ball",
+     "--data", '{"name":"holder_point_singularity","alpha":0.3,"z0":[1,0]}',
+     "--n", "6", "--paths", "4000", "--seed", "7", "--out", "prof.csv"],
+    ["fit", "--input", "prof.csv", "--s", "0.5", "--out", "fit.json"],
+    ["experiment", "--alpha", "0.3", "--paths", "2000", "--seed", "7",
+     "--out", "exp.csv"],
+)
+
+
+def test_walk_commands_leave_scipy_special_unloaded(tmp_path):
+    # scipy.special (with scipy.linalg behind it) more than doubled the cold
+    # start; only the Gauss-Jacobi rules of the quadratures load it
+    code = ("import sys\n"
+            "from fraclab import cli\n"
+            f"for argv in {_WALK_COMMANDS!r}:\n"
+            "    assert cli.run(['--threads', '1', *argv]) == 0, argv\n"
+            "print('scipy.special' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(fraclab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_exit_tail_probability_matches_oracle():
     rng = np.random.Generator(np.random.Philox(key=42))
     n = 10 ** 6
