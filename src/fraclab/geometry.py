@@ -457,12 +457,14 @@ class Polygon(Domain):
 
     def dist_bound(self, x, exact_below=0.0):
         """On a convex polygon, min_i (x - a_i) . nu_i, the distance to the
-        nearest edge line, which inside is the distance itself; rows where
-        it falls below ``exact_below`` (or near or below 0, or is NaN) get
-        the edge pass's exact ``dist``.  On the unit square it is ``dist``
-        bit for bit.  Elsewhere the two formulas round differently, a few
-        ulps of the coordinates apart.  Non-convex polygons return
-        ``dist``: their edge lines cut through the interior."""
+        nearest edge line, which inside is the distance itself and clearly
+        outside (below -_exact_floor) is negative, so the distance is 0;
+        rows where it falls below ``exact_below`` (or near 0, or is NaN)
+        get the edge pass's exact ``dist``.  On the unit square it is
+        ``dist`` bit for bit.  Elsewhere the two formulas round
+        differently, a few ulps of the coordinates apart.  Non-convex
+        polygons return ``dist``: their edge lines cut through the
+        interior."""
         if not self.convex:
             return self.dist(x)
         pts, single = _as_points(x, 2)
@@ -471,10 +473,12 @@ class Polygon(Domain):
         # one edge at a time: a min over a short trailing axis is slow
         for nx, ny, off in self._lines:
             bound = np.minimum(bound, px * nx + py * ny - off)
-        exact = ~(bound >= max(exact_below, self._exact_floor))
+        outside = bound < -self._exact_floor
+        exact = ~((bound >= max(exact_below, self._exact_floor)) | outside)
         if np.any(exact):
             _, _, d, inside = self._edge_pass(pts[exact])
             bound[exact] = np.where(inside, d, 0.0)
+        bound[outside] = 0.0
         return _maybe_scalar(bound, single)
 
     def project(self, x):

@@ -36,9 +36,12 @@ class StableExitSampler:
     def radius(self, slot, rng):
         """Exit radii >= 1, one per entry of the index array ``slot``:
         max(slot) + 1 radii are drawn and entry i takes radius slot[i], so
-        equal slots share one radius."""
+        equal slots share one radius.  At small s numpy's Beta draw gives
+        W = 0 now and then (about 6e-4 of the draws at s = 0.01): that
+        radius is inf, an exit at infinity, where a bounded datum pays its
+        limit."""
         n = np.max(slot, initial=-1) + 1
-        return rng.beta(self.s, 1.0 - self.s, n)[slot] ** -0.5
+        return (rng.beta(self.s, 1.0 - self.s, n) ** -0.5)[slot]
 
 
 class BrownianExitSampler:
@@ -162,16 +165,21 @@ def _walk_on_spheres(dom, g, x, law, kappa, snap_eps, max_steps, paths,
     extension: ``paths`` walkers started at the interior point x, in
     batches of at most ``batch_size``, paid by g where they stop.
 
-    Each step makes one ``dom.dist_bound(newpos, snap_eps)`` call: a walker
-    jumps from a ball of radius kappa times that lower bound on the
-    distance, to ``law.radius`` times that radius, exits where the bound is
-    0, and snaps to its projection where the distance is below snap_eps
-    (the bound is exact there, so the snap decisions are those of the exact
-    distance).  Any kappa in (0, 1] keeps the ball inside the domain, where
-    the exit law is exact, so kappa = 1 is as unbiased as a smaller ball and
-    takes the fewest steps.  Only the live walkers are carried from step to
-    step.  Each step draws one exit radius and one angle phi per live unit, an
-    antithetic pair or a single walker; the two walkers of a pair share the
+    The walkers of a batch all start at x, so one ``dom.dist_bound`` row of
+    x serves them, and each step makes one ``dom.dist_bound(newpos,
+    snap_eps)`` call: a walker jumps from a ball of radius kappa times that
+    lower bound on the distance, to ``law.radius`` times that radius, exits
+    where the bound is 0 (or NaN), and snaps to its projection where the
+    distance is below snap_eps (the bound is exact there, so the snap
+    decisions are those of the exact distance).  Any kappa in (0, 1] keeps
+    the ball inside the domain, where the exit law is exact, so kappa = 1 is
+    as unbiased as a smaller ball and takes the fewest steps.  Only the live
+    walkers are carried from step to step: one compaction after each
+    ``dist_bound`` call stops the exits and the snaps together, and after
+    the last allowed step only the exits, so a walker that lands within
+    snap_eps there has run out of steps.  Each step draws one exit radius
+    and one angle phi per live unit, an antithetic pair or a single walker,
+    and gathers them to the walkers; the two walkers of a pair share the
     radius and step at opposite angles.  The step direction is
     (cos phi, sin phi) in dimension two and sign(cos phi) in dimension one,
     from the same draws.
@@ -225,34 +233,48 @@ def _walk_on_spheres(dom, g, x, law, kappa, snap_eps, max_steps, paths,
         # as walkers snap, exit or run out of steps
         live = np.arange(size)
         pos = np.tile(x, (size, 1))
-        d = np.asarray(dom.dist_bound(pos, snap_eps))
-        for step in range(max_steps):
-            snap = d < snap_eps
-            if np.any(snap):
-                stop[live[snap]] = pos[snap]
-                projected[live[snap]] = True
-                live, pos, d = live[~snap], pos[~snap], d[~snap]
-            if len(live) == 0:
-                break
-            # rank of each walker's unit among the live units: one radius
-            # and one angle per unit; the second walker of a pair steps the
-            # opposite way (a negative radius)
-            slot = np.cumsum(np.diff(live >> shift, prepend=-1) > 0) - 1
-            radius = kappa * d * law.radius(slot, rng) \
-                * (1 - 2 * (live & shift))
-            phi = 2.0 * np.pi * rng.random(slot[-1] + 1)
-            if dom.dim == 1:
-                step_dir = np.sign(np.cos(phi))[:, None]
-            else:
-                step_dir = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-            pos = pos + radius[:, None] * step_dir[slot]
-            total_steps += len(live)
-            steps_max = max(steps_max, step + 1)
-            d = np.asarray(dom.dist_bound(pos, snap_eps))
-            inside = d > 0.0
-            if not np.all(inside):
-                stop[live[~inside]] = pos[~inside]
-                live, pos, d = live[inside], pos[inside], d[inside]
+        # every walker starts at x, so one dist_bound row serves the batch
+        d = np.full(size, dom.dist_bound(x[None], snap_eps)[0])
+        # an exit radius is inf where numpy's Beta draw gives W = 0 (at
+        # small s), and the step and dist_bound then meet inf and NaN: such
+        # a walker exits, and its payload is checked below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for step in range(max_steps + 1):
+                # one compaction: a walker stays live at d >= snap_eps,
+                # snaps to its projection at 0 < d < snap_eps and exits at
+                # d <= 0 or NaN; after the last allowed step only exits
+                # leave, and the rest ran out of steps
+                inside = d > 0.0
+                keep = inside if step == max_steps else d >= snap_eps
+                if not np.all(keep):
+                    gone = ~keep
+                    stopped = live.compress(gone)
+                    stop[stopped] = pos.compress(gone, axis=0)
+                    projected[stopped] = inside.compress(gone)
+                    live = live.compress(keep)
+                    pos = pos.compress(keep, axis=0)
+                    d = d.compress(keep)
+                if step == max_steps or len(live) == 0:
+                    break
+                # rank of each walker's unit among the live units: one
+                # radius and one angle per unit; the second walker of a
+                # pair steps the opposite way (a negative radius)
+                unit = live >> shift
+                first = np.empty(len(live), dtype=bool)
+                first[0] = True
+                np.not_equal(unit[1:], unit[:-1], out=first[1:])
+                slot = np.cumsum(first) - 1
+                radius = kappa * d * law.radius(slot, rng) \
+                    * (1 - 2 * (live & shift))
+                phi = 2.0 * np.pi * rng.random(slot[-1] + 1)
+                if dom.dim == 1:
+                    pos[:, 0] += radius * np.sign(np.cos(phi))[slot]
+                else:
+                    pos[:, 0] += radius * np.cos(phi)[slot]
+                    pos[:, 1] += radius * np.sin(phi)[slot]
+                total_steps += len(live)
+                steps_max = max(steps_max, step + 1)
+                d = np.asarray(dom.dist_bound(pos, snap_eps))
         # the walkers still live ran out of steps
         n_maxed += len(live)
         stop[live] = pos

@@ -400,6 +400,53 @@ def test_dist_bound_is_dist_on_balls_and_polygons(name):
     assert dom.dist_bound(pts[0]) == dom.dist(pts[0])
 
 
+# a convex quadrilateral with no edge along an axis
+TILTED_QUAD = Polygon([[0.1, 0.0], [1.0, 0.3], [0.8, 1.1], [-0.2, 0.7]])
+
+
+def _edge_pass_rows(name):
+    """Rows about each edge of a convex polygon, four at a time: 0.5,
+    1e-9 and 1e-15 outside, on it, 1e-15 and 1e-2 inside, and the
+    vertices; then three NaN rows and three far outside."""
+    dom = DOMAINS["square"] if name == "square" else TILTED_QUAD
+    a, nu = dom._a, dom._inward
+    mid = a + 0.5 * dom._edge
+    rows = [mid - 0.5 * nu, mid - 1e-9 * nu, mid - 1e-15 * nu, mid,
+            mid + 1e-15 * nu, a, mid + 1e-2 * nu,
+            [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]],
+            [[3.0, 3.0], [-2.0, 0.4], [0.4, -7.0]]]
+    return dom, np.concatenate(rows)
+
+
+@pytest.mark.parametrize("name", ["square", "tilted"])
+def test_polygon_dist_bound_is_dist_outside_near_edges_and_below_exact_below(
+        name):
+    dom, pts = _edge_pass_rows(name)
+    assert dom.convex
+    np.testing.assert_array_equal(dom.dist_bound(pts, 0.05), dom.dist(pts))
+
+
+@pytest.mark.parametrize("name", ["square", "tilted"])
+def test_polygon_dist_bound_skips_the_edge_pass_clearly_outside(
+        name, monkeypatch):
+    dom, pts = _edge_pass_rows(name)
+    rows = []
+    edge_pass = Polygon._edge_pass
+
+    def counted(self, p):
+        rows.append(len(p))
+        return edge_pass(self, p)
+
+    monkeypatch.setattr(Polygon, "_edge_pass", counted)
+    outside = np.concatenate([pts[:8], pts[-3:]])   # 0.5 and 1e-9 outside
+    assert np.all(dom.dist_bound(outside) == 0.0)
+    assert rows == []
+    # the rows near an edge, at a vertex and NaN rows still take it
+    near = pts[8:-3]
+    dom.dist_bound(near)
+    assert rows == [len(near) - 4]    # not the interior rows at 1e-2
+
+
 def test_polygon_convexity_flag():
     assert DOMAINS["square"].convex and BOUNDED_BY["pentagon"].convex
     # clockwise input is reordered before the turns are taken

@@ -68,6 +68,11 @@ def test_supersolution_value_against_oracle():
     assert ov2.value / ov.value == pytest.approx(2.0 ** (0.25 - 1.0), rel=1e-3)
 
 
+def test_power_oracle_refuses_orders_above_one_half():
+    with pytest.raises(ValueError, match=r"s = 0\.8"):
+        op_1d_power_plus(0.8, 0.8, 1.0)
+
+
 def test_subharmonic_power_is_negative():
     # alpha in (s, 2s): the power is a subsolution, the operator flips sign
     ov = apply_L_1d(0.5, PowerPlus1D(alpha=0.75), 1.0)

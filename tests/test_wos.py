@@ -374,6 +374,23 @@ def test_non_finite_payloads_raise():
     assert np.isfinite(out.estimate) and np.isfinite(out.stderr)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dom, x", [
+    (BALL, [0.0, 0.0]),
+    (unit_square(), [0.5, 0.5]),
+    (StarShaped([1.0, 0.0, 0.1]), [0.0, 0.0]),
+], ids=["ball", "square", "star"])
+def test_small_orders_walk_without_warnings(dom, x):
+    # at s = 0.01 a Beta draw W = 0 is an exit at infinity, which the capped
+    # datum pays at its cap; the step reported it as "divide by zero ... in
+    # power", "overflow ... in multiply" and, on the square, "invalid value
+    # ... in multiply" (inf * 0 in an edge line), with estimates near 2.97
+    out = solve(dom, capped_distance_data([2.0, 0.0], 3.0), x,
+                make_fractional_laplacian(0.01, 2),
+                WoSConfig(paths=20000, seed=1))
+    assert np.isfinite(out.estimate) and 0.0 <= out.estimate <= 3.0
+
+
 def test_solve_refuses_a_datum_whose_mean_diverges():
     # the exit radius has tail P(R > r) ~ r^(-2s), so a datum growing like
     # |y|^a pays an infinite mean once a >= 2s: at s = 0.1 the 0.3 datum
@@ -523,6 +540,44 @@ def test_bias_bound_counts_max_steps_walkers():
     done = solve(BALL, g, [0.9, 0.0], K05, WoSConfig(paths=4000, seed=3))
     assert done.n_maxed == 0 and 0 < done.steps_max < 1000
     assert done.bias_bound == pytest.approx(snap_only, rel=1e-15)
+
+
+def test_walkers_within_snap_eps_after_the_last_step_ran_out_of_steps():
+    # from depth 0.1 with snap_eps = 0.05 many walkers land within snap_eps
+    # on the last allowed step: they count in n_maxed (paid at their
+    # projection), they do not snap; pinned from the loop that tested for
+    # snaps at the top of each step, so none followed the last one
+    g = holder_point_singularity(0.3, [1.0, 0.0])
+    cfg = WoSConfig(paths=4000, seed=3, snap_eps=0.05, max_steps=2)
+    with pytest.raises(ReliabilityError,
+                       match=r"^1413 of 4000 paths hit max_steps = 2$"):
+        solve(BALL, g, [0.9, 0.0], K05, cfg)
+    out = solve(BALL, g, [0.9, 0.0], K05, dataclasses.replace(cfg,
+                                                              max_steps=8))
+    assert (out.n_maxed, out.steps_max) == (31, 8)
+    assert out.snapped_fraction == 0.29325
+    assert out.bias_bound == 0.41165700400372124
+
+
+class CountingBall(Ball):
+    """A ball that counts the rows its dist_bound is handed."""
+    rows = 0
+
+    def dist_bound(self, x, exact_below=0.0):
+        self.rows += len(x)
+        return super().dist_bound(x, exact_below)
+
+
+@pytest.mark.parametrize("batch_size, n_batches", [(1 << 15, 1), (1000, 4)])
+def test_dist_bound_gets_one_start_row_per_batch_and_one_row_per_step(
+        batch_size, n_batches):
+    # every walker of a batch starts at x: one row serves them all (the
+    # batch handed dist_bound a copy of x per walker)
+    ball = CountingBall([0.0, 0.0], 1.0)
+    out = solve(ball, capped_distance_data([2.0, 0.0], 3.0), [0.5, 0.2], K05,
+                WoSConfig(paths=4000, seed=1, batch_size=batch_size))
+    steps = round(out.paths_used * out.mean_steps)
+    assert ball.rows == n_batches + steps
 
 
 # seeded estimates and stderrs of the benchmark's square-corner and star
