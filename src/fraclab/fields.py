@@ -239,10 +239,9 @@ class CompositeField(Field):
         p = pts[None, :] if single else pts
         mask = np.asarray(self.domain.contains(p))
         out = np.empty(p.shape[0])
-        if np.any(mask):
-            out[mask] = self.inside(p[mask])
-        if np.any(~mask):
-            out[~mask] = self.outside(p[~mask])
+        for rows, field in ((mask, self.inside), (~mask, self.outside)):
+            if np.any(rows):
+                np.place(out, rows, field(p.compress(rows, axis=0)))
         return float(out[0]) if single else out
 
     smooth_radius = PsiPower.smooth_radius

@@ -121,14 +121,21 @@ def _kink_table(u, x, thetas):
 def _radial(kernel, u, u_x, x, thetas, rho, q, rel_tol):
     """The radial integrals of u along every row of ``thetas`` about x: one
     point, or one per row, with u_x and rho then per row as well.  Each
-    chunk of a stage of the quadrature makes one call of u."""
+    chunk of a stage of the quadrature makes one call of u, on the x + r
+    theta rows followed by the x - r theta rows of one buffer; its rows are
+    gathered with ``take``, several times cheaper than a fancy row index."""
     x = np.broadcast_to(x, thetas.shape)
 
     def pair_avg(r, k):
-        base = x[k]
-        step = r[:, None] * thetas[k]
-        vals = u(np.concatenate([base + step, base - step], axis=0))
-        return 0.5 * (vals[:len(r)] + vals[len(r):])
+        n = len(r)
+        base = x.take(k, axis=0)
+        step = thetas.take(k, axis=0)
+        step *= r[:, None]
+        pair = np.empty((2 * n, x.shape[1]))
+        np.add(base, step, out=pair[:n])
+        np.subtract(base, step, out=pair[n:])
+        vals = u(pair)
+        return 0.5 * (vals[:n] + vals[n:])
 
     return radial_integrals(
         pair_avg, u_x, kernel.s, rho, _kink_table(u, x, thetas), u.growth,

@@ -282,7 +282,7 @@ def _walk_on_spheres(dom, g, x, law, kappa, snap_eps, max_steps, paths,
         paid = np.flatnonzero(projected)
         n_snapped += len(paid)
         if len(paid):
-            z0 = dom.project(stop[paid])[0]
+            z0 = dom.project(stop.compress(projected, axis=0))[0]
             if len(live):
                 maxed_dist.append(np.linalg.norm(
                     pos - z0[np.searchsorted(paid, live)], axis=1))

@@ -6,9 +6,10 @@ import pytest
 
 from fraclab.barriers import constant_data
 from fraclab.errors import ParameterError
-from fraclab.fields import (CompositeField, ConeBarrier, ConstantField,
-                            HalfSpacePower, LinearCombinationField,
-                            PowerPlus1D, PsiPower, TranslatedField)
+from fraclab.fields import (CallableField, CompositeField, ConeBarrier,
+                            ConstantField, HalfSpacePower,
+                            LinearCombinationField, PowerPlus1D, PsiPower,
+                            TranslatedField)
 from fraclab.geometry import Ball, Cone, HalfPlane, StarShaped, unit_square
 
 
@@ -219,6 +220,30 @@ def test_psi_power_and_composite_share_the_domain_kinks(dom):
         assert r == psi.smooth_radius(x)
         if dom.contains(x):
             assert r == dom.dist(x)
+
+
+def test_composite_field_is_inside_and_outside_on_the_split_rows():
+    dom = Ball([0.2, -0.1], 0.8)
+    inside = PsiPower(dom, 0.5)
+    outside = CallableField(lambda p: np.cos(p[:, 0]) * p[:, 1])
+    comp = CompositeField(dom, inside, outside, 0.0)
+    rng = np.random.Generator(np.random.Philox(key=31))
+    ring = rng.standard_normal((400, 2))
+    ring /= np.linalg.norm(ring, axis=1)[:, None]
+    inner = dom.center + 0.5 * ring * rng.random((400, 1))
+    outer = dom.center + (1.0 + rng.random((400, 1))) * ring
+    mixed = rng.standard_normal((1000, 2))
+    for pts in (inner, outer, mixed, inner[:1], outer[:1]):
+        mask = dom.contains(pts)
+        want = np.empty(len(pts))
+        want[mask] = inside(pts[mask])
+        want[~mask] = outside(pts[~mask])
+        np.testing.assert_array_equal(comp(pts), want)
+    assert 0 < np.count_nonzero(dom.contains(mixed)) < len(mixed)
+    for x in (dom.center, mixed[0], np.array([3.0, 0.0])):
+        value = comp(x)
+        assert isinstance(value, float)
+        assert value == (inside if dom.contains(x) else outside)(x[None])[0]
 
 
 def test_psi_power_rejects_a_domain_without_regularized_distance():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -8,8 +10,8 @@ from fraclab.errors import DomainError, ParameterError
 from fraclab.extension import HalfPlaneExtension
 from fraclab.fields import AffineField
 from fraclab.geometry import (Ball, Cone, HalfPlane, Polygon, StarShaped,
-                              domain_from_config, domain_to_config,
-                              unit_square)
+                              domain_from_config, domain_to_config, row_dot,
+                              row_norm2, unit_square)
 
 
 def test_ball_basics():
@@ -307,6 +309,56 @@ def test_signed_dist_matches_dist_inside_and_flips_outside(name, data):
         nearest = np.min(np.linalg.norm(pts[:, None, :] - samples[None, :, :],
                                         axis=-1), axis=1)
         assert np.all(np.abs(sd) <= nearest + 1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_row_norm2_is_the_numpy_sum_and_norm_bit_for_bit(dim):
+    # coordinates of scales 1e-8 to 1e8 within a row, so the order of the
+    # sum matters (in dim 3, v0^2 + (v1^2 + v2^2) differs on a share of
+    # these rows), and zero rows
+    rng = np.random.Generator(np.random.Philox(key=20 + dim))
+    v = (rng.standard_normal((10000, dim))
+         * 10.0 ** rng.uniform(-8.0, 8.0, (10000, dim)))
+    v[::500] = 0.0
+    n2 = row_norm2(v)
+    np.testing.assert_array_equal(n2, np.sum(v * v, axis=-1))
+    np.testing.assert_array_equal(np.sqrt(n2), np.linalg.norm(v, axis=-1))
+    np.testing.assert_array_equal(row_norm2(v[:1]), np.sum(v[:1] ** 2, axis=-1))
+
+
+def test_ball_and_cone_side_functions_are_their_numpy_forms():
+    rng = np.random.Generator(np.random.Philox(key=23))
+    for center, radius in (([0.3, -0.2], 0.7), ([0.1, 0.2, -0.4], 1.3)):
+        ball = Ball(center, radius)
+        pts = rng.standard_normal((4000, ball.dim)) * 1.5
+        pts[0] = ball.center
+        v = pts - ball.center
+        r = np.linalg.norm(v, axis=-1)
+        np.testing.assert_array_equal(
+            ball.psi_value(pts),
+            (radius ** 2 - np.sum(v * v, axis=-1)) / (2.0 * radius))
+        np.testing.assert_array_equal(ball.contains(pts), r < radius)
+        np.testing.assert_array_equal(ball.signed_dist(pts), radius - r)
+        assert ball.signed_dist(pts[1]) == radius - r[1]
+        inside = r < radius
+        z0, _ = ball.project(pts[inside])
+        rin = r[inside]
+        np.testing.assert_array_equal(
+            z0[1:], ball.center + radius * (v[inside][1:] / rin[1:, None]))
+    for axis, eta in (([0.0, 1.0], 1.0), ([0.6, -0.8], 0.4)):
+        cone = Cone(axis, eta)
+        pts = rng.standard_normal((4000, 2)) * 2.0
+        pts[0] = 0.0
+        # the vertex's 0/0 stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cone.psi_value(pts)
+            assert cone.psi_value(pts[0]) == 0.0
+        r = np.linalg.norm(pts, axis=-1)
+        p = row_dot(pts, cone.axis)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = np.where(r == 0.0, 0.0, p + eta * (r - p ** 2 / r))
+        np.testing.assert_array_equal(got, want)
 
 
 def test_cone_and_halfplane_rows_do_not_depend_on_the_batch():

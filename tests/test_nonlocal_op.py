@@ -422,6 +422,40 @@ def test_apply_L_many_takes_a_round_per_split_of_its_slowest_point(
                          for r in range(max(single))]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pair_avg_hands_u_the_plus_then_minus_points(dim, monkeypatch):
+    # each pair_avg(r, k) call of a radial run evaluates u once, on
+    # x[k] + r theta[k] followed by x[k] - r theta[k], bit for bit
+    seen, runs = [], []
+    u = CallableField(
+        lambda p: seen.append(p.copy()) or 1.0 / (1.0 + np.sum(p * p, axis=-1)))
+    radial, integrals = nonlocal_op._radial, nonlocal_op.radial_integrals
+
+    def recording_radial(kernel, u, u_x, x, thetas, *rest):
+        runs.append((np.broadcast_to(x, thetas.shape), thetas, []))
+        return radial(kernel, u, u_x, x, thetas, *rest)
+
+    def recording_integrals(pair_avg, *rest):
+        def recorded(r, k):
+            seen.clear()
+            out = pair_avg(r, k)
+            assert len(seen) == 1
+            runs[-1][2].append((r, k, seen[0]))
+            return out
+        return integrals(recorded, *rest)
+
+    monkeypatch.setattr(nonlocal_op, "_radial", recording_radial)
+    monkeypatch.setattr(nonlocal_op, "radial_integrals", recording_integrals)
+    pts = [[0.4], [-1.3]] if dim == 1 else [[0.3, -0.2], [1.1, 0.5]]
+    apply_L_many(make_fractional_laplacian(0.4, dim), u, pts)
+    assert runs and all(calls for *_, calls in runs)
+    for x, thetas, calls in runs:
+        for r, k, got in calls:
+            step = r[:, None] * thetas[k]
+            np.testing.assert_array_equal(
+                got, np.concatenate([x[k] + step, x[k] - step]))
+
+
 def test_homogeneity_check_uses_the_batch_bit_for_bit():
     K1 = make_fractional_laplacian(0.5, 1)
     u = PowerPlus1D(alpha=0.25)
