@@ -13,7 +13,7 @@ from .barriers import (ExteriorData, eval_barrier, data_from_config,
                        verify_halfspace_supersolution, verify_psi_barrier,
                        verify_cone_barrier, bracket_cone_beta0)
 from .extension import (harmonic_extension, extended_field,
-                        check_extension_bounds, ExtensionConfig)
+                        check_extension_bounds)
 from .wos import (WoSConfig, SolutionSample, sample_ball_exit, solve,
                   ball_poisson, halfplane_poisson)
 from .regularity import (BoundaryProfile, HolderFit, boundary_profile,

@@ -253,11 +253,11 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     padded with +inf (every non-finite entry is padding).  Each direction
     keeps its own rule: near Gauss-Jacobi nodes, mid panels pre-split at its
     kinks and bisected adaptively, a tail in the reciprocal variable.  Panel
-    state lives in flat arrays tagged with the direction index, in each
-    direction's panel order.  Every stage (the first pass, then each
-    bisection sweep) gathers the nodes of all directions and evaluates them
-    in consecutive chunks of at most NODE_CAP nodes, one call of
-    ``pair_avg`` each, so memory does not grow with the batch.
+    state lives in one stacked array, its columns tagged with the direction
+    index, in each direction's panel order.  Every stage (the first pass,
+    then each bisection sweep) gathers the nodes of all directions and
+    evaluates them in consecutive chunks of at most NODE_CAP nodes, one call
+    of ``pair_avg`` each, so memory does not grow with the batch.
     Per-direction sums run in panel order (``np.bincount`` adds in array
     order), so a direction's refinement decisions do not depend on the
     batch around it.
@@ -273,6 +273,10 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     r_far = np.maximum(np.maximum(far_cutoff, 4.0 * rho),
                        2.0 * np.max(np.nan_to_num(kinks), axis=1, initial=0.0))
     a, b, k = mid_panels(rho, r_far, kinks, init_panels)
+    # mid-panel state, one row each: ends, K15 value, G7 error, |f| mass
+    panels = np.empty((5, len(a)))
+    panels[0], panels[1] = a, b
+    a, b, val, err, mass = panels
 
     def mid_sums(pa, x_mid, half, k):
         """K15 value, G7 error and mass of the panels with nodes x_mid."""
@@ -291,7 +295,6 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     first = np.cumsum(counts) - counts      # each direction's first panel
     n_evals = n_near + n_tail + n_mid * counts
     dir_sums = np.empty((6, n_dir))  # near, err, mass; tail pair, err, mass
-    val, err, mass = np.empty((3, len(a)))
     for d in _row_chunks(n_evals):
         p = slice(first[d.start], first[d.stop - 1] + counts[d.stop - 1])
         r_near = rho[d, None] * t_near
@@ -340,10 +343,11 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
         # halves are appended after the kept panels, the last split first
         idx = idx[np.lexsort((-idx, k[idx]))]
         m = (a[idx] + b[idx]) / 2.0
-        new_a = np.column_stack([a[idx], m]).ravel()
-        new_b = np.column_stack([m, b[idx]]).ravel()
+        halves = np.empty((5, 2 * len(idx)))
+        new_a, new_b, new_val, new_err, new_mass = halves
+        new_a[0::2], new_a[1::2] = a[idx], m
+        new_b[0::2], new_b[1::2] = m, b[idx]
         new_k = np.repeat(k[idx], 2)
-        new_val, new_err, new_mass = np.empty((3, len(new_a)))
         for p in _row_chunks(np.full(len(new_a), n_mid)):
             x_new, half = _panel_nodes(new_a[p], new_b[p])
             pa = pair_avg(x_new.ravel(), np.repeat(new_k[p], n_mid))
@@ -352,14 +356,16 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
         split_dirs = np.bincount(k[idx], minlength=n_dir)
         n_evals += 2 * n_mid * split_dirs
         bisections += split_dirs
-        keep = ~split
-        k = np.concatenate([k[keep], new_k])
+        # kept panels, then halves, stably by direction: one take from both
+        # side by side, once the row views no longer hold the old panels
+        keep = np.flatnonzero(~split)
+        k = np.concatenate([k.take(keep), new_k])
         order = np.argsort(k, kind="stable")
-        k = k[order]
-        a, b, val, err, mass = (
-            np.concatenate([old[keep], new])[order]
-            for old, new in ((a, new_a), (b, new_b), (val, new_val),
-                             (err, new_err), (mass, new_mass)))
+        k = k.take(order)
+        src = np.concatenate([keep, len(split) + np.arange(len(new_k))])
+        panels = np.concatenate([panels, halves], axis=1)
+        del a, b, val, err, mass
+        a, b, val, err, mass = panels = panels.take(src.take(order), axis=1)
 
     mid = np.bincount(k, val, n_dir)
     far_pow = r_far ** (-two_s)

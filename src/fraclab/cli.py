@@ -343,12 +343,17 @@ def cmd_verify_barrier(args):
     return 0 if rep.passed else 2
 
 
+def _walk_config(cfg):
+    """The WoSConfig of a walk-on-spheres command."""
+    return WoSConfig(paths=cfg["paths"], seed=cfg["seed"])
+
+
 def _walk_setup(cfg):
     """Domain, datum, kernel and WoS config of a walk-on-spheres command."""
     dom = _domain(cfg)
     g = _build(cfg, "data", data_from_config)
     kernel = make_fractional_laplacian(cfg["s"], dom.dim)
-    return dom, g, kernel, WoSConfig(paths=cfg["paths"], seed=cfg["seed"])
+    return dom, g, kernel, _walk_config(cfg)
 
 
 _WALK_DIAGNOSTICS = ("paths_used", "n_maxed", "steps_max", "bias_bound")
@@ -452,8 +457,7 @@ def cmd_experiment(args):
     g = holder_point_singularity(cfg["alpha"], anchor)
     cfg["data"] = {"name": "holder_point_singularity", "alpha": cfg["alpha"],
                    "z0": anchor}
-    rep = exponent_experiment(dom, g, cfg["s"], cfg=WoSConfig(
-        paths=cfg["paths"], seed=cfg["seed"]))
+    rep = exponent_experiment(dom, g, cfg["s"], cfg=_walk_config(cfg))
     rows = []
     for (z0, fit), prof in zip(rep.fits, rep.profiles):
         for t, v, e in zip(prof.t, prof.values, prof.stderr):

@@ -17,29 +17,16 @@ import numpy as np
 
 from ._quad import (MERGE_TOL, bisect_edges, gl8_panels, graded_edges,
                     merge_keep, node_chunks, octaves, periodic_edges)
-from .errors import (DivergenceError, DomainError, ParameterError,
-                     UnsupportedVariantError)
+from .errors import DivergenceError, DomainError, UnsupportedVariantError
 from .fields import CompositeField
 from .geometry import Ball, HalfPlane, Polygon, row_dot
 from .nonlocal_op import QuadratureSpec, apply_L_many
-from .wos import BrownianExitSampler, WoSConfig, _walk_on_spheres
+from .wos import (BrownianExitSampler, WoSConfig, _declared_growth,
+                  _walk_on_spheres)
 
 
-@dataclass(frozen=True)
-class ExtensionConfig:
-    """Walk-on-spheres settings of the polygon extension."""
-    paths: int = 20000
-    seed: int = 0
-    max_steps: int = 10000
-    snap_factor: float = 1e-6  # snap distance as a fraction of the diameter
-
-    def __post_init__(self):
-        if self.paths < 1:
-            raise ParameterError("paths must be >= 1")
-        if self.max_steps < 1:
-            raise ParameterError("max_steps must be >= 1")
-        if not 0.0 < self.snap_factor < 1.0:
-            raise ParameterError("snap_factor must lie in (0,1)")
+# the polygon extension's default walk: Brownian walkers, one at a time
+EXTENSION_WOS = WoSConfig(paths=20000, max_steps=10000, antithetic=False)
 
 
 @dataclass(frozen=True)
@@ -194,7 +181,7 @@ class HalfPlaneExtension:
     for ``DiskExtension``."""
 
     def __init__(self, dom, g):
-        if getattr(g, "payload_growth", 1.0) >= 1.0:
+        if _declared_growth(g) >= 1.0:
             raise DivergenceError(
                 "half-plane Poisson integral needs datum growth < 1")
         self.dom = dom
@@ -248,10 +235,12 @@ def harmonic_extension(dom, g, x, cfg=None):
     """Value of the extended datum at an interior point: the solution of the
     Laplace problem with boundary trace g, evaluated at x.
 
-    Disks and half planes use their Poisson-integral quadrature.  Polygons
-    run the walk-on-spheres engine of ``wos.solve`` (streams of point 0)
-    with exit radius 1 and sphere fraction 1: Brownian walk-on-spheres,
-    with its stderr, ``bias_bound`` and ``n_maxed``."""
+    Disks and half planes use their Poisson-integral quadrature (the half
+    plane needs a datum that declares growth below 1).  Polygons run the
+    walk-on-spheres engine of ``wos.solve`` (streams of point 0, a datum
+    that declares its growth) with exit radius 1 and the ``WoSConfig`` cfg,
+    by default ``EXTENSION_WOS``: Brownian walk-on-spheres, with its
+    stderr, ``bias_bound`` and ``n_maxed``."""
     if isinstance(dom, Ball):
         if dom.dim != 2:
             raise UnsupportedVariantError("disk extension is dim-2 only")
@@ -259,10 +248,8 @@ def harmonic_extension(dom, g, x, cfg=None):
     if isinstance(dom, HalfPlane):
         return ExtensionValue(value=HalfPlaneExtension(dom, g)(x))
     if isinstance(dom, Polygon):
-        cfg = cfg or ExtensionConfig()
-        out = _walk_on_spheres(dom, g, x, BrownianExitSampler(), 1.0,
-                               cfg.snap_factor * dom.diameter, cfg.max_steps,
-                               cfg.paths, WoSConfig.batch_size, cfg.seed)
+        out = _walk_on_spheres(dom, g, x, BrownianExitSampler(),
+                               cfg or EXTENSION_WOS)
         return ExtensionValue(value=out.estimate, stderr=out.stderr,
                               method="wos", bias_bound=out.bias_bound,
                               n_maxed=out.n_maxed)
@@ -282,7 +269,7 @@ def extended_field(dom, g):
         raise UnsupportedVariantError(
             f"extended_field supports Ball and HalfPlane, not "
             f"{type(dom).__name__}")
-    return CompositeField(dom, inside, g, growth=g.payload_growth)
+    return CompositeField(dom, inside, g, growth=_declared_growth(g))
 
 
 def hessian_fd(f, x, h):

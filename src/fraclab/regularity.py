@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .geometry import Ball
-from .wos import WoSConfig, halfplane_poisson, solve
+from .wos import halfplane_poisson, solve
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,6 @@ def exponent_experiment(dom, g, s, cfg=None, boundary_points=None,
 
     if kernel is None:
         kernel = make_fractional_laplacian(s, dom.dim)
-    if cfg is None:
-        cfg = WoSConfig()
     if t_grid is None:
         # the asymptotic exponent emerges only below ~1e-3 relative depth,
         # and path counts of 1e5 keep the SNR ample down to 1e-4

@@ -72,10 +72,12 @@ def sample_ball_exit(s, dim, rng, n=1):
 
 @dataclass(frozen=True)
 class WoSConfig:
+    """The settings of the walk-on-spheres engine, for ``solve`` and the
+    polygon harmonic extension alike; ``_walk_on_spheres`` reads them."""
     sphere_fraction: float = 1.0
     max_steps: int = 1000
     snap_eps: float | None = None   # default: 1e-6 * diameter
-    paths: int = 100000
+    paths: int = 100000             # odd counts round up for antithetic pairs
     seed: int = 0
     antithetic: bool = True
     batch_size: int = 1 << 15
@@ -83,6 +85,8 @@ class WoSConfig:
     def __post_init__(self):
         if not 0.0 < self.sphere_fraction <= 1.0:
             raise ParameterError("sphere_fraction must lie in (0,1]")
+        if self.max_steps < 1:
+            raise ParameterError("max_steps must be >= 1")
         if self.paths < 1:
             raise ParameterError("paths must be >= 1")
         if self.batch_size < 1:
@@ -113,13 +117,14 @@ def _declared_growth(g):
     if it declares none, as a bare callable does."""
     if not hasattr(g, "payload_growth"):
         raise ParameterError(
-            f"datum g = {g!r} declares no growth: pass an ExteriorData, so "
-            "that its payload can be checked to have a mean")
+            f"datum g = {g!r} declares no growth: pass an ExteriorData, "
+            "which declares its growth and its Hoelder certificate")
     return g.payload_growth
 
 
 def _refuse_diverging(growth, s):
-    """A DivergenceError once a datum's growth reaches 2s (see ``solve``)."""
+    """A DivergenceError once a datum's growth reaches 2s (see
+    ``_walk_on_spheres``)."""
     if growth >= 2.0 * s:
         raise DivergenceError(
             f"datum growth {growth} is not below 2s = {2.0 * s}: the "
@@ -129,12 +134,9 @@ def _refuse_diverging(growth, s):
 def solve(dom, g, x, kernel, cfg=None, point_index=0):
     """Estimate the solution of the fractional Dirichlet problem at x by
     alpha-stable walk-on-spheres: ``_walk_on_spheres`` with the exact exit
-    law of order s and the configured step and stream layout.  A datum
-    that declares no growth raises a ParameterError, and one whose growth
-    reaches 2s a DivergenceError: the exit radius has tail P(R > r) ~
-    r^(-2s), so its payload has no mean."""
-    if cfg is None:
-        cfg = WoSConfig()
+    law of order s and the settings ``cfg`` (default ``WoSConfig()``).
+    This checks that the domain, the kernel and the dimension fit the
+    stable walk; the engine checks the datum and the point."""
     if not dom.bounded:
         raise DomainError("walk-on-spheres requires a bounded domain")
     if kernel.name != "frac_lap":
@@ -147,23 +149,20 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     if dom.dim > 2:
         raise ParameterError(
             f"walk-on-spheres steps in dim 1 or 2, not dim {dom.dim}")
-    _refuse_diverging(_declared_growth(g), kernel.s)
-    snap_eps = cfg.snap_eps if cfg.snap_eps is not None \
-        else 1e-6 * dom.diameter
-    paths = cfg.paths
-    if cfg.antithetic and paths % 2:
-        paths += 1
-    return _walk_on_spheres(
-        dom, g, x, StableExitSampler(kernel.s), cfg.sphere_fraction, snap_eps,
-        cfg.max_steps, paths, cfg.batch_size, cfg.seed, point_index,
-        cfg.antithetic)
+    return _walk_on_spheres(dom, g, x, StableExitSampler(kernel.s),
+                            cfg or WoSConfig(), point_index)
 
 
-def _walk_on_spheres(dom, g, x, law, kappa, snap_eps, max_steps, paths,
-                     batch_size, seed, point_index=0, antithetic=False):
+def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
     """The walk-on-spheres loop behind ``solve`` and the polygon harmonic
-    extension: ``paths`` walkers started at the interior point x, in
-    batches of at most ``batch_size``, paid by g where they stop.
+    extension: walkers started at the interior point x, paid by g where
+    they stop.  It reads every setting from the ``WoSConfig`` cfg (kappa is
+    its sphere fraction), rounds an odd path count up for antithetic pairs
+    and takes snap_eps = 1e-6 * diameter when cfg leaves it None.  A datum
+    that declares no growth (a bare callable: no Hoelder certificate for
+    the bias bound) raises a ParameterError, and one whose growth reaches
+    2s a DivergenceError: the exit radius has tail P(R > r) ~ r^(-2s), so
+    its payload has no mean (the Brownian law takes the s = 1 limit).
 
     The walkers of a batch all start at x, so one ``dom.dist_bound`` row of
     x serves them, and each step makes one ``dom.dist_bound(newpos,
@@ -199,9 +198,15 @@ def _walk_on_spheres(dom, g, x, law, kappa, snap_eps, max_steps, paths,
     batch), so results do not depend on scheduling.  The stderr is NaN
     when the run has one estimator unit (one path, or one antithetic pair).
     """
+    _refuse_diverging(_declared_growth(g), law.s)
     x = np.asarray(x, dtype=float)
     if not dom.contains(x):
         raise DomainError("walk-on-spheres needs an interior starting point")
+    kappa, max_steps, batch_size, seed, antithetic = (
+        cfg.sphere_fraction, cfg.max_steps, cfg.batch_size, cfg.seed,
+        cfg.antithetic)
+    snap_eps = 1e-6 * dom.diameter if cfg.snap_eps is None else cfg.snap_eps
+    paths = cfg.paths + 1 if antithetic and cfg.paths % 2 else cfg.paths
     n_batches = (paths + batch_size - 1) // batch_size
     # a draw unit is an antithetic pair (walkers 2k, 2k + 1) or one walker
     shift = 1 if antithetic else 0
@@ -317,11 +322,8 @@ def _walk_on_spheres(dom, g, x, law, kappa, snap_eps, max_steps, paths,
         stderr = float(np.sqrt(var / n_units))
     else:
         stderr = float("nan")   # one estimator unit has no sample variance
-    if hasattr(g, "C0"):
-        maxed_mass = sum(float(np.sum(dm ** g.alpha)) for dm in maxed_dist)
-        bias = g.C0 * (snap_eps ** g.alpha + maxed_mass / n_walked)
-    else:
-        bias = np.nan
+    maxed_mass = sum(float(np.sum(dm ** g.alpha)) for dm in maxed_dist)
+    bias = g.C0 * (snap_eps ** g.alpha + maxed_mass / n_walked)
     return SolutionSample(
         x=tuple(x.tolist()), estimate=float(mean), stderr=stderr,
         paths_used=n_walked, mean_steps=total_steps / n_walked,

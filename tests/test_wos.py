@@ -311,6 +311,13 @@ def test_config_rejects_bad_batch_size(kwargs):
         WoSConfig(**kwargs)
 
 
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_config_rejects_max_steps_below_one(max_steps):
+    # refused when the settings are built, before any path walks
+    with pytest.raises(ParameterError, match="max_steps must be >= 1"):
+        WoSConfig(max_steps=max_steps)
+
+
 def test_odd_batch_size_without_antithetic_pairs():
     out = solve(BALL, constant_data(1.0), [0.0, 0.0], K05,
                 WoSConfig(paths=10, batch_size=3, antithetic=False, seed=1))
