@@ -34,7 +34,13 @@ def eval_barrier(b, x):
 class ExteriorData:
     """Dirichlet datum on the complement of the domain with its declared
     Hoelder certificate: |g(x) - g(z)| <= C0 |x-z|^alpha for x outside and z
-    on the boundary, and |g(x)| <= C0 (1 + |x|^alpha)."""
+    on the boundary, and |g(x)| <= C0 (1 + |x|^alpha).
+
+    ``power_anchor`` is a declaration, not an option: only
+    ``holder_point_singularity`` sets it, to its anchor z0, and it states
+    that g(y) is exactly C0 |y - z0|^alpha.  A disk with z0 on its circle
+    then takes the closed-form harmonic extension of g (see
+    ``extension.PointPowerDiskExtension``) instead of a Poisson quadrature."""
 
     fn: callable = field(repr=False)
     alpha: float = 0.5
@@ -43,6 +49,7 @@ class ExteriorData:
     growth: float | None = None  # payload growth for the solver; default alpha
     singular_points: tuple = ()
     kink_circles: tuple = ()     # ((center, radius), ...) where g has a kink
+    power_anchor: tuple | None = None  # z0 when g is exactly C0 |y - z0|^alpha
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -129,7 +136,8 @@ def holder_point_singularity(alpha, z0, C0=1.0):
 
     return ExteriorData(fn=fn, alpha=float(alpha), C0=float(C0),
                         description=f"holder_point_singularity({alpha}, {z0.tolist()})",
-                        singular_points=(tuple(z0.tolist()),))
+                        singular_points=(tuple(z0.tolist()),),
+                        power_anchor=tuple(z0.tolist()))
 
 
 def counterexample_min_rs_1(s):

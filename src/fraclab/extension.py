@@ -4,13 +4,16 @@ The extended datum equals the classical harmonic extension of g's boundary
 trace inside the domain and g itself outside.  On the disk and the half
 plane the extension is a Poisson integral evaluated by graded-panel
 quadrature, and ``extended_field`` builds the composite field from it on
-those two domains only.  On polygons ``harmonic_extension`` samples the
-extension at one point by Brownian walk-on-spheres, run on the engine of
-``wos.solve`` with exit radius 1.  The extension module also checks, by
-finite differences and by the nonlocal operator, the blow-up rates of D^2
-and of L applied to the extension.
+those two domains only.  A disk whose datum declares that it is exactly
+C0 |y - z0|^alpha, with z0 on the circle and 0 < alpha < 1, takes that
+datum's closed-form extension instead.  On polygons ``harmonic_extension``
+samples the extension at one point by Brownian walk-on-spheres, run on the
+engine of ``wos.solve`` with exit radius 1.  The extension module also
+checks, by finite differences and by the nonlocal operator, the blow-up
+rates of D^2 and of L applied to the extension.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +179,63 @@ def _kernel_panels(w, zx, zy, x, h):
             np.einsum("ij->i", (kern * h).reshape(-1, 8)))
 
 
+class PointPowerDiskExtension:
+    """Closed-form harmonic extension into a disk of g = C0 |y - z0|^alpha,
+    with z0 = c + R e^{i phi0} on the circle and 0 < alpha < 1 (NIST DLMF
+    15.2):
+
+        C0 R^alpha c0 (2 Re 2F1(-alpha/2, 1; 1 + alpha/2; zeta) - 1),
+        zeta = (x - c) e^{-i phi0} / R,
+
+    where c0 = Gamma(1 + alpha) / Gamma(1 + alpha/2)^2.  On the circle g is
+    C0 R^alpha |2 sin(phi/2)|^alpha, phi measured from the anchor, whose
+    Fourier coefficients are c0 (-alpha/2)_k / (1 + alpha/2)_k; the series
+    of their extension sums to the hypergeometric function.
+
+    The evaluation is elementwise, so a point's value does not depend on the
+    batch around it.  scipy.special is imported on the first evaluation, not
+    with the module (see ``_quad``).  One point or an (n, 2) array, as for
+    ``DiskExtension``."""
+
+    def __init__(self, dom, alpha, C0, anchor):
+        self.dom = dom
+        self.alpha = float(alpha)
+        v = np.asarray(anchor, dtype=float) - dom.center
+        self._e = v / np.hypot(v[0], v[1])
+        c0 = math.gamma(1.0 + alpha) / math.gamma(1.0 + 0.5 * alpha) ** 2
+        self._scale = C0 * dom.radius ** alpha * c0
+
+    def __call__(self, x):
+        from scipy.special import hyp2f1
+
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
+        vx = pts[:, 0] - self.dom.center[0]
+        vy = pts[:, 1] - self.dom.center[1]
+        R = self.dom.radius
+        if np.any(np.hypot(vx, vy) >= R):
+            raise DomainError("extension evaluation requires an interior point")
+        ex, ey = self._e
+        zeta = ((vx * ex + vy * ey) + 1j * (vy * ex - vx * ey)) / R
+        a = self.alpha
+        out = self._scale * (
+            2.0 * hyp2f1(-0.5 * a, 1.0, 1.0 + 0.5 * a, zeta).real - 1.0)
+        return float(out[0]) if x.ndim == 1 else out
+
+
+def _disk_extension(dom, g):
+    """The harmonic extension of g into the disk dom: the closed form when g
+    declares that it is exactly C0 |y - z0|^alpha with z0 on the circle (to
+    1e-12 R) and 0 < alpha < 1, the Poisson quadrature otherwise."""
+    anchor = getattr(g, "power_anchor", None)
+    if anchor is not None and len(anchor) == dom.dim == 2 \
+            and 0.0 < g.alpha < 1.0:
+        v = np.asarray(anchor, dtype=float) - dom.center
+        if abs(np.hypot(v[0], v[1]) - dom.radius) <= 1e-12 * dom.radius:
+            return PointPowerDiskExtension(dom, g.alpha, g.C0, anchor)
+    return DiskExtension(dom, g)
+
+
 class HalfPlaneExtension:
     """Poisson integral on a half plane; one point or an (n, 2) array, as
     for ``DiskExtension``."""
@@ -236,15 +296,20 @@ def harmonic_extension(dom, g, x, cfg=None):
     Laplace problem with boundary trace g, evaluated at x.
 
     Disks and half planes use their Poisson-integral quadrature (the half
-    plane needs a datum that declares growth below 1).  Polygons run the
-    walk-on-spheres engine of ``wos.solve`` (streams of point 0, a datum
-    that declares its growth) with exit radius 1 and the ``WoSConfig`` cfg,
-    by default ``EXTENSION_WOS``: Brownian walk-on-spheres, with its
+    plane needs a datum that declares growth below 1), except that a disk
+    takes the closed form for the point-singularity datum that declares it
+    (``method="closed_form"``, see ``PointPowerDiskExtension``).  Polygons
+    run the walk-on-spheres engine of ``wos.solve`` (streams of point 0, a
+    datum that declares its growth) with exit radius 1 and the ``WoSConfig``
+    cfg, by default ``EXTENSION_WOS``: Brownian walk-on-spheres, with its
     stderr, ``bias_bound`` and ``n_maxed``."""
     if isinstance(dom, Ball):
         if dom.dim != 2:
             raise UnsupportedVariantError("disk extension is dim-2 only")
-        return ExtensionValue(value=DiskExtension(dom, g)(x))
+        inside = _disk_extension(dom, g)
+        method = ("closed_form" if isinstance(inside, PointPowerDiskExtension)
+                  else "quadrature")
+        return ExtensionValue(value=inside(x), method=method)
     if isinstance(dom, HalfPlane):
         return ExtensionValue(value=HalfPlaneExtension(dom, g)(x))
     if isinstance(dom, Polygon):
@@ -259,10 +324,11 @@ def harmonic_extension(dom, g, x, cfg=None):
 
 def extended_field(dom, g):
     """The composite field: harmonic extension inside, the datum outside, on
-    Ball and HalfPlane, whose deterministic Poisson quadratures the operator's
-    error estimate covers (polygons have Monte Carlo point values only)."""
+    Ball and HalfPlane, whose deterministic Poisson quadratures (or the
+    disk's closed form, for the datum that declares it) the operator's error
+    estimate covers (polygons have Monte Carlo point values only)."""
     if isinstance(dom, Ball):
-        inside = DiskExtension(dom, g)
+        inside = _disk_extension(dom, g)
     elif isinstance(dom, HalfPlane):
         inside = HalfPlaneExtension(dom, g)
     else:
@@ -329,7 +395,7 @@ def check_extension_bounds(dom, g, band=(1e-3, 1e-1), alpha=None, n_points=10,
     towards = np.asarray(towards, dtype=float)
     ds = np.geomspace(band[0], band[1], n_points)
     comp = extended_field(dom, g)
-    disk = comp.inside          # one shared grid for the Hessian and L
+    disk = comp.inside          # one inside field for the Hessian and L
     if q is None:
         q = QuadratureSpec(target_rel_tol=2e-3, angular_nodes=34,
                            max_angular_panels=24, max_radial_panels=160,

@@ -1,8 +1,8 @@
 """Independent oracles for test expectations.
 
 Everything here goes through scipy's adaptive Gauss-Kronrod quadrature with
-explicit breakpoints and substitutions, sharing no code with the package's
-panel machinery.
+explicit breakpoints and substitutions, or through a directly summed series,
+sharing no code with the package's panel machinery or its special functions.
 """
 
 import numpy as np
@@ -111,3 +111,32 @@ def halfcircle_reduction_constant(s, density=None, nu_angle=0.0):
                     for k in (1, 3)))
     val, _ = quad(f, 0.0, 2.0 * np.pi, points=kinks, limit=200)
     return val
+
+
+def point_power_disk_extension(alpha, C0, center, radius, z0, x):
+    """Harmonic extension into the disk (center, radius) of the datum
+    C0 |y - z0|^alpha, z0 on the circle, at the points x (shape (n, 2)) with
+    |x - center| <= 0.99 radius, by its Fourier series summed directly:
+    on the circle the datum is C0 R^alpha |2 sin(phi/2)|^alpha, phi measured
+    from the anchor, with coefficients a_k = c0 (-alpha/2)_k / (1+alpha/2)_k,
+    so the extension is C0 R^alpha (c0 + 2 sum_k a_k rho^k cos(k theta)) at
+    polar coordinates (rho R, theta) about the centre, theta measured from
+    the anchor.  c0, the mean of |2 sin(phi/2)|^alpha, comes from adaptive
+    quadrature, not from the Gamma function."""
+    center = np.asarray(center, dtype=float)
+    v = np.atleast_2d(np.asarray(x, dtype=float)) - center
+    rho = np.hypot(v[:, 0], v[:, 1]) / radius
+    if np.any(rho > 0.99):
+        raise ValueError("the series oracle covers |x - c| <= 0.99 R only")
+    w = np.asarray(z0, dtype=float) - center
+    theta = np.arctan2(v[:, 1], v[:, 0]) - np.arctan2(w[1], w[0])
+    # (1/pi) int_0^pi phi^alpha (2 sin(phi/2) / phi)^alpha dphi, the phi^alpha
+    # endpoint taken by the algebraic weight
+    c0 = quad(lambda phi: (np.sinc(phi / (2.0 * np.pi))) ** alpha, 0.0,
+              np.pi, weight="alg", wvar=(alpha, 0.0), epsabs=1e-15,
+              epsrel=1e-14, limit=200)[0] / np.pi
+    # 0.99^8000 < 1e-34, far below the first coefficients
+    k = np.arange(1, 8000)
+    a = c0 * np.cumprod((k - 1.0 - 0.5 * alpha) / (k + 0.5 * alpha))
+    series = np.sum(a * rho[:, None] ** k * np.cos(k * theta[:, None]), axis=1)
+    return C0 * radius ** alpha * (c0 + 2.0 * series)

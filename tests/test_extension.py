@@ -9,13 +9,15 @@ from fraclab.barriers import (ExteriorData, capped_distance_data,
 from fraclab.errors import (DivergenceError, DomainError, ParameterError,
                             ReliabilityError, UnsupportedVariantError)
 from fraclab.extension import (EXTENSION_WOS, DiskExtension,
-                               HalfPlaneExtension, check_extension_bounds,
+                               HalfPlaneExtension, PointPowerDiskExtension,
+                               _disk_extension, check_extension_bounds,
                                extended_field, harmonic_extension, hessian_fd)
 from fraclab.fields import CompositeField
 from fraclab.geometry import (Ball, Cone, HalfPlane, Polygon, StarShaped,
                               unit_square)
 from fraclab.kernels import make_fractional_laplacian
 from fraclab.nonlocal_op import QuadratureSpec, apply_L
+from oracles import point_power_disk_extension
 from test_fields import _ref_cone
 
 
@@ -294,6 +296,99 @@ def test_extension_batch_rejects_exterior_point():
     he = HalfPlaneExtension(HalfPlane([0.0, 1.0]), g)
     with pytest.raises(DomainError):
         he(np.array([[0.0, 1.0], [2.0, -1e-3]]))
+
+
+# ---------------------------------------------------------------------------
+# the closed form for the point-singularity datum
+
+EPS = np.finfo(float).eps
+# (centre, radius, C0) of the swept disks, and the anchor angles on each
+POINT_POWER_DISKS = (((0.0, 0.0), 1.0, 1.0), ((0.3, -0.7), 2.5, 1.7))
+POINT_POWER_ANCHORS = (0.0, 2.2)
+
+
+def _near_anchor_bound(R, x, z0):
+    """Relative accuracy allowed at x: a floor, plus 4 times the relative
+    precision to which |x - z0| is known from coordinates of size R (no
+    method resolves the datum near its anchor better)."""
+    return 1e-13 + 4.0 * EPS * R / np.hypot(*(x - z0).T)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.8])
+def test_point_power_closed_form_matches_oracle_and_quadrature(alpha):
+    angles = np.linspace(0.0, np.pi, 8)       # from the anchor
+    for c, R, C0 in POINT_POWER_DISKS:
+        c = np.array(c)
+        ball = Ball(c, R)
+        for phi0 in POINT_POWER_ANCHORS:
+            z0 = c + R * np.array([np.cos(phi0), np.sin(phi0)])
+            g = holder_point_singularity(alpha, z0, C0)
+            ext = extended_field(ball, g).inside
+            assert isinstance(ext, PointPowerDiskExtension)
+
+            def ray_points(depths):
+                return np.array([
+                    c + R * (1.0 - d) * np.array([np.cos(phi0 + t),
+                                                  np.sin(phi0 + t)])
+                    for d in depths for t in angles])
+
+            # the series oracle, where it converges
+            x = ray_points((0.5, 0.1, 0.02))
+            ref = point_power_disk_extension(alpha, C0, c, R, z0, x)
+            assert np.all(np.abs(ext(x) / ref - 1.0)
+                          <= _near_anchor_bound(R, x, z0))
+            # the Poisson quadrature, down to depth 1e-9
+            x = ray_points((1e-1, 1e-3, 1e-5, 1e-7, 1e-9))
+            ref = DiskExtension(ball, g)(x)
+            assert np.all(np.abs(ext(x) / ref - 1.0)
+                          <= _near_anchor_bound(R, x, z0))
+            # the centre holds the datum's mean over the circle
+            centre = C0 * R ** alpha * point_power_disk_extension(
+                alpha, 1.0, [0.0, 0.0], 1.0, [1.0, 0.0], [[0.0, 0.0]])[0]
+            assert ext(c) == pytest.approx(centre, rel=1e-13, abs=0.0)
+
+
+def test_point_power_closed_form_rows_are_independent():
+    ext = extended_field(Ball([0.0, 0.0], 1.0),
+                         holder_point_singularity(0.3, [1.0, 0.0])).inside
+    pts = _disk_probe_points()
+    batch = ext(pts)
+    assert np.array_equal(batch, [ext(p) for p in pts])
+    assert all(isinstance(ext(p), float) for p in pts[:3])
+
+
+def test_point_power_closed_form_rejects_points_off_the_open_disk():
+    g = holder_point_singularity(0.3, [0.0, 2.0])
+    ext = extended_field(Ball([0.0, 1.0], 1.0), g).inside
+    assert isinstance(ext, PointPowerDiskExtension)
+    for x in ([0.0, 2.0], [1.0, 1.0], [3.0, 0.0]):
+        with pytest.raises(DomainError):
+            ext(x)
+        with pytest.raises(DomainError):
+            harmonic_extension(Ball([0.0, 1.0], 1.0), g, x)
+    with pytest.raises(DomainError):
+        ext(np.array([[0.0, 1.0], [0.0, 2.0]]))
+
+
+def test_harmonic_extension_reports_the_closed_form():
+    ball = Ball([0.0, 0.0], 1.0)
+    g = holder_point_singularity(0.3, [1.0, 0.0])
+    out = harmonic_extension(ball, g, [0.99, 0.0])
+    assert out.method == "closed_form"
+    assert out.value == extended_field(ball, g).inside([0.99, 0.0])
+
+
+@pytest.mark.parametrize("g", [
+    holder_point_singularity(0.3, [1.0 + 1e-6, 0.0]),   # anchor off the circle
+    holder_point_singularity(0.3, [0.5, 0.0]),          # anchor inside
+    holder_point_singularity(1.0, [1.0, 0.0]),          # alpha = 1
+    capped_distance_data([2.0, 0.0], 3.0),              # no declaration
+    lambda p: np.hypot(p[..., 0] - 1.0, p[..., 1]) ** 0.3,  # bare callable
+], ids=["off_circle", "inside", "alpha_1", "undeclared", "bare_callable"])
+def test_other_data_take_the_disk_quadrature(g):
+    ball = Ball([0.0, 0.0], 1.0)
+    assert isinstance(_disk_extension(ball, g), DiskExtension)
+    assert harmonic_extension(ball, g, [0.5, 0.2]).method == "quadrature"
 
 
 def test_composite_field_constant_data():

@@ -9,9 +9,9 @@ from fraclab.barriers import cone_boundary_points, holder_point_singularity
 from fraclab import nonlocal_op
 from fraclab.errors import (DivergenceError, DomainError, ParameterError,
                             ToleranceWarning)
-from fraclab.extension import extended_field
-from fraclab.fields import (AffineField, CallableField, ConeBarrier,
-                            ConstantField, HalfSpacePower,
+from fraclab.extension import DiskExtension, extended_field
+from fraclab.fields import (AffineField, CallableField, CompositeField,
+                            ConeBarrier, ConstantField, HalfSpacePower,
                             LinearCombinationField, PowerPlus1D, PsiPower,
                             TranslatedField)
 from fraclab.geometry import Ball, StarShaped
@@ -241,7 +241,8 @@ def test_value_invariant_under_near_far_split():
 
 
 # Values and n_evals of the batched radial quadrature with G7/K15 mid panels
-# (15 nodes per panel).
+# (15 nodes per panel).  The extended datum's inside field is the closed-form
+# disk extension of the point-singularity datum.
 PINNED = {
     "power_1d": (0.7853981424963499, 417),
     "halfspace": (1.856958705531287, 11268),
@@ -250,8 +251,12 @@ PINNED = {
     "cone_beta005": (2.3482899868555096, 34890),
     "cone_beta05_coarse": (-0.3884911871191092, 21960),
     "translated": (1.8569587055313854, 11268),
-    "extended_datum": (-61.90772686089802, 6822),
+    "extended_datum": (-61.90772686084167, 6822),
 }
+
+# the extended datum's value with the disk Poisson quadrature as its inside
+# field, before the closed form replaced it
+EXTENDED_DATUM_DISK_QUADRATURE = -61.90772686089802
 
 # (value, err_estimate) of the same cases with GL16 mid panels and a
 # separate GL8 error rule (24 nodes per panel), the rule G7/K15 replaced
@@ -315,6 +320,32 @@ def test_pinned_values_agree_with_gl16_rule(name):
     ov = _pinned_case(name)
     assert ov.tol_ok
     assert abs(ov.value - old) <= ov.err_estimate + err_old
+
+
+def test_extended_datum_agrees_with_its_disk_quadrature_value():
+    ov = _pinned_case("extended_datum")
+    assert abs(ov.value - EXTENDED_DATUM_DISK_QUADRATURE) <= ov.err_estimate
+
+
+def test_extended_datum_operator_agrees_with_the_disk_quadrature_field():
+    """Criterion 10's operator on the extended datum, with the closed form
+    and with the Poisson quadrature as the inside field, agrees within the
+    operator's error estimate, down to depth 1e-3 at the anchor."""
+    K = make_fractional_laplacian(0.5, 2)
+    ball = Ball([0.0, 0.0], 1.0)
+    g = holder_point_singularity(0.3, [1.0, 0.0])
+    q = QuadratureSpec(target_rel_tol=2e-3, angular_nodes=34,
+                       max_angular_panels=24, max_radial_panels=160,
+                       n_jacobi=16)
+    exact = extended_field(ball, g)
+    assert not isinstance(exact.inside, DiskExtension)
+    quadrature = CompositeField(ball, DiskExtension(ball, g), g,
+                                growth=g.payload_growth)
+    pts = [[1.0 - d, 0.0] for d in (1e-1, 1e-2, 1e-3)] + [[0.5, 0.4]]
+    for a, b in zip(apply_L_many(K, exact, pts, q=q),
+                    apply_L_many(K, quadrature, pts, q=q)):
+        assert a.tol_ok
+        assert abs(a.value - b.value) <= a.err_estimate
 
 
 def test_power_1d_error_covers_exact_value():
