@@ -40,7 +40,14 @@ class ExteriorData:
     ``holder_point_singularity`` sets it, to its anchor z0, and it states
     that g(y) is exactly C0 |y - z0|^alpha.  A disk with z0 on its circle
     then takes the closed-form harmonic extension of g (see
-    ``extension.PointPowerDiskExtension``) instead of a Poisson quadrature."""
+    ``extension.PointPowerDiskExtension``) instead of a Poisson quadrature.
+
+    ``radial_center`` is a declaration of the same kind: it holds p when
+    g(y) depends on |y - p| only, and ``counterexample_min_rs_1`` (p = 0)
+    and ``capped_distance_data`` (its p) set it.  ``wos.halfplane_poisson``
+    at a point x = (p1, x2) over p = (p1, 0), with every kink circle centred
+    at p, then integrates g along one ray against the closed angular
+    integral of the kernel instead of over the half plane."""
 
     fn: callable = field(repr=False)
     alpha: float = 0.5
@@ -50,6 +57,7 @@ class ExteriorData:
     singular_points: tuple = ()
     kink_circles: tuple = ()     # ((center, radius), ...) where g has a kink
     power_anchor: tuple | None = None  # z0 when g is exactly C0 |y - z0|^alpha
+    radial_center: tuple | None = None  # p when g depends on |y - p| only
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -149,7 +157,8 @@ def counterexample_min_rs_1(s):
     return ExteriorData(fn=fn, alpha=float(s), C0=1.0,
                         description=f"counterexample_min_rs_1(s={s})",
                         growth=0.0, singular_points=((0.0, 0.0),),
-                        kink_circles=(((0.0, 0.0), 1.0),))
+                        kink_circles=(((0.0, 0.0), 1.0),),
+                        radial_center=(0.0, 0.0))
 
 
 def constant_data(value=1.0):
@@ -185,7 +194,8 @@ def capped_distance_data(p, cap, alpha=0.9):
     return ExteriorData(fn=fn, alpha=float(alpha), C0=C0,
                         description=f"capped_distance({p.tolist()}, {cap})",
                         growth=0.0,
-                        kink_circles=((tuple(p.tolist()), float(cap)),))
+                        kink_circles=((tuple(p.tolist()), float(cap)),),
+                        radial_center=tuple(p.tolist()))
 
 
 # each builtin's constructor and the keys of its config record besides "name"

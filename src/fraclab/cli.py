@@ -11,7 +11,8 @@ and a JSON sidecar ``<out>.meta.json`` carries the config, package and
 Python versions, platform, worker threads, seed and wall time, and the
 run's report (for ``solve``, each point's walk diagnostics; for
 ``apply-op`` and ``verify-barrier``, each operator point's quadrature
-diagnostics and the ToleranceWarnings raised).  Outputs are
+diagnostics and the ToleranceWarnings raised; for ``counterexample``, each
+depth's quadrature error estimate).  Outputs are
 byte-identical for identical (config, seed): floats have a fixed precision
 and ``_map`` keeps input order.
 
@@ -474,16 +475,31 @@ def cmd_experiment(args):
 def cmd_counterexample(args):
     cfg = _resolve(args)
     s = cfg["s"]
+    # the ratio divides by t^s log(1/t), which is positive only on (0, 1)
+    for key in ("tmin", "tmax"):
+        if not 0.0 < cfg[key] < 1.0:
+            raise ParameterError(
+                f"counterexample needs 0 < {key} < 1 (--{key}), "
+                f"got {cfg[key]}")
+    if cfg["n"] < 1:
+        raise ParameterError(f"counterexample needs n >= 1 (--n), "
+                             f"got {cfg['n']}")
     g = counterexample_min_rs_1(s)
 
     def work(t):
-        v, _ = halfplane_poisson(g, [0.0, t], s)
+        v, e = halfplane_poisson(g, [0.0, t], s)
         base = t ** s * np.log(1.0 / t)
-        return (t, v, t ** s, base, v / base)
+        return (t, v, t ** s, base, v / base), e
 
-    rows = _map(cfg, work, np.geomspace(cfg["tmin"], cfg["tmax"], cfg["n"]))
+    done = _map(cfg, work, np.geomspace(cfg["tmin"], cfg["tmax"], cfg["n"]))
+    rows = [row for row, _ in done]
+    diagnostics = {
+        "points": [{"t": float(row[0]), "err_estimate": e}
+                   for row, e in done],
+        "totals": {"points": len(done), "err_max": max(e for _, e in done)}}
     out = _write_csv(cfg, ["t", "u", "t_pow_s", "t_pow_s_log", "ratio"], rows,
-                     report={"kappa_s": kappa_constant(s)})
+                     report={"kappa_s": kappa_constant(s),
+                             "diagnostics": diagnostics})
     ratios = [r[4] for r in rows]
     print(f"wrote {out}; ratio range [{min(ratios):.4f}, {max(ratios):.4f}]")
     return 0

@@ -25,12 +25,17 @@ from .geometry import Ball
 # ---------------------------------------------------------------------------
 # exit law
 
+def _refuse_order(s):
+    """A ParameterError naming s unless 0 < s < 1."""
+    if not 0.0 < s < 1.0:
+        raise ParameterError(f"order s must lie in (0,1), got {s}")
+
+
 class StableExitSampler:
     """The exact exit-radius law of order s: r = W^{-1/2}, W ~ Beta(s, 1-s)."""
 
     def __init__(self, s):
-        if not 0.0 < s < 1.0:
-            raise ParameterError("order s must lie in (0,1)")
+        _refuse_order(s)
         self.s = float(s)
 
     def radius(self, slot, rng):
@@ -441,9 +446,11 @@ def ball_poisson(dom, g, x, s):
     The constant of the exit kernel is eliminated by normalizing with the
     quadrature of the kernel itself (exact value 1 for g == 1), so the
     maximum principle holds by construction.  Two resolutions provide the
-    error estimate.  Returns (value, err_estimate).  A datum is checked as
-    in ``solve``, before either resolution.
+    error estimate.  Returns (value, err_estimate).  s outside (0, 1)
+    raises a ParameterError, and a datum is checked as in ``solve``, both
+    before either resolution.
     """
+    _refuse_order(s)
     if not isinstance(dom, Ball) or dom.dim != 2:
         raise DomainError("ball_poisson requires a planar ball")
     x = np.asarray(x, dtype=float)
@@ -460,6 +467,52 @@ def ball_poisson(dom, g, x, s):
 # ---------------------------------------------------------------------------
 # half-plane Poisson integral (the sharp log-correction example)
 
+def _halfplane_radial_rule(corner, x2, s, n_jac, mid_panels, circles):
+    """The radial rule of both half-plane paths along rays from ``corner``:
+    GL8 panels on geomspace edges over (r_lo, r_far) with extra edges at
+    0.25 x2, x2 and 4 x2, split at each ray's crossings of the kink circles,
+    and a Jacobi rule in t = r_far / rho for the rho^{-1-s} tail.
+
+    Returns the node count per ray and ``nodes(dirs)``, the radial nodes and
+    weights of the rays along the rows of ``dirs``, one row each."""
+    r_far = 64.0 * max(1.0, abs(corner[0]), x2)
+    for cc, rr in circles:
+        r_far = max(r_far, 4.0 * (float(np.linalg.norm(cc - corner)) + rr))
+    # integrand ~ rho^{1-s} g / x2^2 near 0: mass below r_lo is negligible
+    r_lo = 1e-9 * x2
+    # np.geomspace(r_lo, r_far, mid_panels) bit for bit, without its dtype
+    # and sign handling, which took about a tenth of a radial-path level
+    base = 10.0 ** np.linspace(np.log10(r_lo), np.log10(r_far), mid_panels)
+    base[0], base[-1] = r_lo, r_far
+    extra = [e for e in (0.25 * x2, x2, 4.0 * x2) if r_lo < e < r_far]
+    # a kink circle centred at the corner meets every ray at its radius, so
+    # its two ``_ray_circle_roots`` columns (the radius or r_far, and r_far)
+    # join the shared edges; the other circles split each ray
+    per_ray, crossing = [], []
+    for cc, rr in circles:
+        if cc[0] == corner[0] and cc[1] == corner[1]:
+            crossing += [rr if r_lo < rr < r_far else r_far, r_far]
+        else:
+            per_ray.append((cc, rr))
+    base = np.sort(np.concatenate([base, extra, crossing]))
+    t_tail, w_tail = gauss_jacobi_01(n_jac, s - 1.0)
+    rho_t = r_far / t_tail
+    wrho_t = w_tail * (r_far / t_tail ** 2) / t_tail ** (s - 1.0)
+
+    n_rad = n_jac + 8 * (len(base) - 1 + 2 * len(per_ray))
+
+    def nodes(dirs):
+        rho_m, w_m = gl8_panels(_radial_edges(base, corner, dirs, per_ray,
+                                              r_lo, r_far))
+        rho = np.empty((len(dirs), n_rad))
+        wrho = np.empty((len(dirs), n_rad))
+        rho[:, :-n_jac], rho[:, -n_jac:] = rho_m, rho_t
+        wrho[:, :-n_jac], wrho[:, -n_jac:] = w_m, wrho_t
+        return rho, wrho
+
+    return n_rad, nodes
+
+
 def _halfplane_raw(g, x1, x2, s, n_jac, mid_panels, n_seg):
     """Raw double integral of g(z) / (|z2|^s |x - z|^2) over the lower half
     plane, in polar coordinates around the corner (x1, 0).
@@ -469,21 +522,14 @@ def _halfplane_raw(g, x1, x2, s, n_jac, mid_panels, n_seg):
         raw = int |sin th|^{-s} Rad(th) dth,
         Rad(th) = int_0^inf g(z) rho^{1-s} / (rho^2 + 2 rho x2 |sin th| + x2^2) drho.
 
-    The radial rho^{1-s} head and rho^{-1-s} tail are handled by Jacobi
-    rules; the angular |sin|^{-s} endpoint singularities likewise.  All
-    angles are evaluated together, in chunks of at most NODE_CAP nodes.
+    Rad uses ``_halfplane_radial_rule``; the angular |sin|^{-s} endpoint
+    singularities are handled by Jacobi rules.  All angles are evaluated
+    together, in chunks of at most NODE_CAP nodes.
     """
     circles = [(np.asarray(cc, dtype=float), float(rr))
                for cc, rr in getattr(g, "kink_circles", ())]
     corner = np.array([x1, 0.0])
-    t_tail, w_tail = gauss_jacobi_01(n_jac, s - 1.0)
     t_edge, w_edge = gauss_jacobi_01(n_jac, -s)
-
-    r_far = 64.0 * max(1.0, abs(x1), x2)
-    for cc, rr in circles:
-        r_far = max(r_far, 4.0 * (float(np.linalg.norm(cc - corner)) + rr))
-    # integrand ~ rho^{1-s} g / x2^2 near 0: mass below r_lo is negligible
-    r_lo = 1e-9 * x2
 
     # angular panels over (pi, 2pi); the first and last use the edge Jacobi
     # rule for |sin th|^{-s}, written as tau^{-s} (sin(tau) / tau)^{-s}
@@ -499,20 +545,11 @@ def _halfplane_raw(g, x1, x2, s, n_jac, mid_panels, n_seg):
     dirs = np.stack([np.cos(ths), np.sin(ths)], axis=1)
     st = np.abs(dirs[:, 1])
 
-    base = np.geomspace(r_lo, r_far, mid_panels)
-    extra = [e for e in (0.25 * x2, x2, 4.0 * x2) if r_lo < e < r_far]
-    base = np.sort(np.concatenate([base, extra]))
-    rho_t = r_far / t_tail
-    wrho_t = w_tail * (r_far / t_tail ** 2) / t_tail ** (s - 1.0)
-
+    n_rad, radial_nodes = _halfplane_radial_rule(corner, x2, s, n_jac,
+                                                 mid_panels, circles)
     rad = np.empty(len(ths))
-    n_rad = n_jac + 8 * (len(base) - 1 + 2 * len(circles))
     for rows in node_chunks(np.full(len(ths), n_rad)):
-        m = len(rows)
-        rho_m, w_m = gl8_panels(_radial_edges(base, corner, dirs[rows], circles,
-                                              r_lo, r_far))
-        rho = np.concatenate([rho_m, np.broadcast_to(rho_t, (m, n_jac))], axis=1)
-        wrho = np.concatenate([w_m, np.broadcast_to(wrho_t, (m, n_jac))], axis=1)
+        rho, wrho = radial_nodes(dirs[rows])
         z = _ray_points(corner, dirs[rows], rho)
         denom = rho ** 2 + 2.0 * rho * x2 * st[rows, None] + x2 ** 2
         f = g(z.reshape(-1, 2)).reshape(rho.shape) * rho ** (1.0 - s) / denom
@@ -520,10 +557,53 @@ def _halfplane_raw(g, x1, x2, s, n_jac, mid_panels, n_seg):
     return float(w_th @ rad)
 
 
+def _halfplane_angular(r, s, n_jac):
+    """A(r) = 2 int_0^{pi/2} sin^{-s} phi / (1 + r^2 + 2 r sin phi) dphi for
+    each entry of r: the angular integral of the half-plane kernel over the
+    rays from the foot point, at radius r x2.  The Jacobi rule of weight
+    phi^{-s} takes sin^{-s} phi = phi^{-s} (sin phi / phi)^{-s}; the rest
+    is analytic, with its nearest pole at phi = -pi/2 (r = 1)."""
+    t, w = gauss_jacobi_01(n_jac, -s)
+    phi = 0.5 * np.pi * t
+    sin = np.sin(phi)
+    w = 2.0 * (0.5 * np.pi) ** (1.0 - s) * w * (sin / phi) ** (-s)
+    r = np.asarray(r, dtype=float)[..., None]
+    return (1.0 / (1.0 + r * r + 2.0 * r * sin)) @ w
+
+
+def _halfplane_radial_raw(g, p, x2, s, n_jac, mid_panels):
+    """``_halfplane_raw`` for a datum radial about p = (x1, 0), the foot of
+    x, whose kink circles are all centred at p: g(z) = G(|z - p|), so the
+    angular integral leaves the datum and
+
+        raw = x2^{-2} int_0^inf G(rho) rho^{1-s} A(rho / x2) drho
+
+    with A from ``_halfplane_angular``, on the radial rule of the 2-D path
+    (every ray crosses a kink circle centred at p at its radius)."""
+    circles = [(np.asarray(cc, dtype=float), float(rr))
+               for cc, rr in g.kink_circles]
+    down = np.array([[0.0, -1.0]])
+    _, radial_nodes = _halfplane_radial_rule(p, x2, s, n_jac, mid_panels,
+                                             circles)
+    rho, wrho = radial_nodes(down)
+    f = wrho[0] * g(_ray_points(p, down, rho)[0]) * rho[0] ** (1.0 - s)
+    return float(f @ _halfplane_angular(rho[0] / x2, s, n_jac)) / x2 ** 2
+
+
+def _radial_about_foot(g, x1):
+    """Whether ``halfplane_poisson`` may take the radial path at a point over
+    (x1, 0): g declares a radial centre p with p2 == 0 and p1 == x1, and
+    every declared kink circle is centred at p."""
+    p = getattr(g, "radial_center", None)
+    if p is None or len(p) != 2 or p[1] != 0.0 or p[0] != x1:
+        return False
+    return all(len(cc) == 2 and cc[0] == p[0] and cc[1] == p[1]
+               for cc, _ in getattr(g, "kink_circles", ()))
+
+
 # (Jacobi nodes, radial mid panels, angular segments) of the coarse and the
 # fine level of ``halfplane_poisson``
 _HALFPLANE_LEVELS = ((16, 24, 8), (24, 40, 14))
-_HALFPLANE_NORM = {}    # the fine level's integral of g == 1, per order s
 
 
 def halfplane_poisson(g, x, s):
@@ -531,27 +611,37 @@ def halfplane_poisson(g, x, s):
     with datum g on the lower half plane, by direct quadrature of the
     explicit Poisson kernel
 
-        u(x) = c_s x2^s int int g(z) / (|z2|^s |x - z|^2) dz.
+        u(x) = c_s x2^s int int g(z) / (|z2|^s |x - z|^2) dz,
 
-    The constant c_s is fixed by u == 1 for g == 1 (computed once per s and
-    cached).  g must be bounded.  Two fixed resolution levels provide the
-    error estimate.  Returns (value, err_estimate).
+    c_s = sin(pi s) / pi^2 (Blumenthal, Getoor and Ray, Trans. AMS 99,
+    1961), so that u == 1 for g == 1.  g must be bounded.  A datum that
+    declares a ``radial_center`` p with p2 == 0 and p1 == x1, and only kink
+    circles centred at p, takes a one-dimensional radial integral
+    (``_halfplane_radial_raw``); every other datum or point takes the 2-D
+    polar rule (``_halfplane_raw``).  Two fixed resolution levels provide
+    the error estimate.  Returns (value, err_estimate).  s outside (0, 1)
+    and an x that is not a finite 2-vector raise a ParameterError.
     """
+    _refuse_order(s)
     if _declared_growth(g) > 0.0:
         raise DomainError("halfplane_poisson requires a bounded datum")
     x = np.asarray(x, dtype=float)
+    if x.shape != (2,) or not np.all(np.isfinite(x)):
+        raise ParameterError(
+            f"halfplane_poisson needs x as a finite 2-vector, not {x.tolist()}")
     x1, x2 = float(x[0]), float(x[1])
     if x2 <= 0.0:
         raise DomainError("evaluation point must have x2 > 0")
-    coarse, fine = _HALFPLANE_LEVELS
-    if s not in _HALFPLANE_NORM:
-        ones = lambda z: np.ones(np.asarray(z).shape[0])
-        # for g == 1 the raw integral is x2^{-s} * J with J independent of x
-        _HALFPLANE_NORM[s] = _halfplane_raw(ones, 0.0, 1.0, s, *fine)
-    norm = _HALFPLANE_NORM[s]
-    vals = [x2 ** s * _halfplane_raw(g, x1, x2, s, *lv) / norm
-            for lv in (coarse, fine)]
-    return vals[1], abs(vals[1] - vals[0])
+    if _radial_about_foot(g, x1):
+        p = np.array([x1, 0.0])
+        vals = [_halfplane_radial_raw(g, p, x2, s, n_jac, mid_panels)
+                for n_jac, mid_panels, _ in _HALFPLANE_LEVELS]
+    else:
+        vals = [_halfplane_raw(g, x1, x2, s, *lv) for lv in _HALFPLANE_LEVELS]
+    # for g == 1 the raw integral is x2^{-s} pi^2 / sin(pi s)
+    scale = x2 ** s * float(np.sin(np.pi * s)) / np.pi ** 2
+    coarse, fine = (scale * v for v in vals)
+    return fine, abs(fine - coarse)
 
 
 def kappa_constant(s):

@@ -236,6 +236,30 @@ def test_counterexample_csv(tmp_path):
     assert all(r > 0 for r in ratios)
     side = json.loads(open(str(out) + ".meta.json").read())
     assert side["report"]["kappa_s"] > 0
+    # each depth's quadrature error estimate, in the shape of the solve and
+    # operator reports' diagnostics
+    diag = side["report"]["diagnostics"]
+    ts = [float(l.split(",")[0]) for l in lines[3:]]
+    assert [p["t"] for p in diag["points"]] == pytest.approx(ts, rel=1e-11)
+    errs = [p["err_estimate"] for p in diag["points"]]
+    assert all(0.0 <= e < 1e-6 for e in errs)
+    assert diag["totals"] == {"points": 5, "err_max": max(errs)}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("tmin", "0"), ("tmin", "-1e-3"), ("tmin", "nan"), ("tmax", "1"),
+    ("tmax", "2"), ("n", "0")])
+def test_counterexample_refuses_bad_flags(tmp_path, monkeypatch, capsys,
+                                          flag, value):
+    # tmin 0 reached numpy's "Geometric sequence cannot include zero", a
+    # tmax >= 1 wrote inf or negative ratios (log(1/t) <= 0) and n 0 reached
+    # "min() arg is an empty sequence"
+    monkeypatch.setattr("fraclab.cli.halfplane_poisson",
+                        lambda *a: pytest.fail("a depth was computed"))
+    out = tmp_path / "ce.csv"
+    assert run(["counterexample", f"--{flag}={value}", "--out", str(out)]) == 1
+    assert f"--{flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_env(tmp_path, monkeypatch):

@@ -778,3 +778,96 @@ def test_ball_poisson_pinned(g, x, s, value):
 def test_halfplane_poisson_pinned(x, s, value):
     v, _ = halfplane_poisson(counterexample_min_rs_1(s), x, s)
     assert v == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_halfplane_normalisation_is_the_closed_form(s):
+    # the 2-D rule's integral of g == 1 at x2 = 1 is pi^2 / sin(pi s), the
+    # constant that halfplane_poisson divides by
+    ones = lambda z: np.ones(np.asarray(z).shape[0])
+    raw = fraclab.wos._halfplane_raw(ones, 0.0, 1.0, s,
+                                     *fraclab.wos._HALFPLANE_LEVELS[1])
+    assert raw == pytest.approx(np.pi ** 2 / np.sin(np.pi * s), rel=1e-9)
+    v, e = halfplane_poisson(constant_data(1.0), [0.3, 0.5], s)
+    assert abs(v - 1.0) <= e
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, -0.2, 1.5, float("nan")])
+def test_poisson_quadratures_refuse_an_order_outside_the_unit_interval(
+        monkeypatch, s):
+    # s = 1.5 used to reach scipy's "alpha and beta must be greater than
+    # -1", and s = 1 a division by sin(pi s) = 0
+    monkeypatch.setattr(fraclab.wos, "_ball_poisson_level",
+                        lambda *a, **k: pytest.fail("a level ran"))
+    monkeypatch.setattr(fraclab.wos, "_halfplane_raw",
+                        lambda *a, **k: pytest.fail("a level ran"))
+    with pytest.raises(ParameterError, match="order s"):
+        halfplane_poisson(constant_data(1.0), [0.0, 0.5], s)
+    with pytest.raises(ParameterError, match="order s"):
+        ball_poisson(BALL, constant_data(1.0), [0.0, 0.0], s)
+
+
+@pytest.mark.parametrize("x", [[0.0], [np.nan, 0.5], [0.0, np.inf],
+                               [0.0, 0.5, 1.0]],
+                         ids=["short", "nan", "inf", "three"])
+def test_halfplane_poisson_refuses_a_point_that_is_not_a_finite_2_vector(x):
+    # these raised IndexError, returned 1.0, returned nan and were accepted
+    with pytest.raises(ParameterError, match="finite 2-vector"):
+        halfplane_poisson(counterexample_min_rs_1(0.5), x, 0.5)
+
+
+RADIAL_DATA = {"counterexample": counterexample_min_rs_1,
+               "capped": lambda s: capped_distance_data([0.0, 0.0], 0.5)}
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-2, 0.5, 3.0])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("name", sorted(RADIAL_DATA))
+def test_halfplane_radial_path_agrees_with_the_2d_rule(name, s, t):
+    g = RADIAL_DATA[name](s)
+    v1, e1 = halfplane_poisson(g, [0.0, t], s)
+    v2, e2 = halfplane_poisson(dataclasses.replace(g, radial_center=None),
+                               [0.0, t], s)
+    assert abs(v1 - v2) <= e1 + e2
+
+
+def test_halfplane_radial_path_skips_the_2d_rule(monkeypatch):
+    monkeypatch.setattr(fraclab.wos, "_halfplane_raw",
+                        lambda *a, **k: pytest.fail("the 2-D rule ran"))
+    v, _ = halfplane_poisson(counterexample_min_rs_1(0.5), [0.0, 1e-3], 0.5)
+    assert v == pytest.approx(0.14110339974378966, rel=1e-12, abs=0.0)
+    halfplane_poisson(capped_distance_data([0.7, 0.0], 0.5), [0.7, 0.2], 0.3)
+
+
+@pytest.mark.parametrize("g, x", [
+    (counterexample_min_rs_1(0.5), [1e-12, 0.1]),              # x1 != p1
+    (capped_distance_data([0.0, -0.5], 0.5), [0.0, 0.1]),      # p2 != 0
+    (dataclasses.replace(counterexample_min_rs_1(0.5),         # off-centre kink
+                         kink_circles=(((0.0, 0.0), 1.0),
+                                       ((0.5, -1.0), 0.2))), [0.0, 0.1]),
+], ids=["x1", "p2", "kink"])
+def test_halfplane_falls_back_to_the_2d_rule(monkeypatch, g, x):
+    calls = []
+    raw = fraclab.wos._halfplane_raw
+    monkeypatch.setattr(fraclab.wos, "_halfplane_raw",
+                        lambda *a: calls.append(1) or raw(*a))
+    halfplane_poisson(g, x, 0.5)
+    assert len(calls) == len(fraclab.wos._HALFPLANE_LEVELS)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_halfplane_angular_integral(s):
+    from scipy.integrate import quad
+    A = fraclab.wos._halfplane_angular
+    n_jac = fraclab.wos._HALFPLANE_LEVELS[1][0]
+    r = np.array([1e-6, 0.3, 1.0, 3.0, 1e5])
+    # A(1/r) = r^2 A(r): substitute r -> 1/r in the denominator
+    assert A(1.0 / r, s, n_jac) == pytest.approx(r ** 2 * A(r, s, n_jac),
+                                                 rel=1e-14, abs=0.0)
+    for ri, a in zip(r, A(r, s, n_jac)):
+        # QUADPACK's algebraic-weight rule (QAWS) takes the phi^{-s}
+        ref, _ = quad(lambda p: 2.0 * (np.sin(p) / p if p > 0 else 1.0) ** (-s)
+                      / (1.0 + ri * ri + 2.0 * ri * np.sin(p)),
+                      0.0, 0.5 * np.pi, weight="alg", wvar=(-s, 0.0),
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        assert a == pytest.approx(ref, rel=1e-12, abs=0.0)
