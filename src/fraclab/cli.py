@@ -4,8 +4,9 @@ One binary with subcommands, run through one path: ``build_parser``
 declares each subcommand's flags and defaults, and ``_resolve`` builds the
 run's config from them (config file, then present flags, which win, then
 the defaults), parsing the string forms of ``data``, ``field``, ``points``
-and ``z0`` once.  A parameter that is missing or does not parse raises a
-ParameterError naming it.  ``_write_csv`` and ``_write_report`` write every
+and ``z0`` once, and giving a config-file value of an int or float flag
+that flag's type unless the flag is present.  A parameter that is missing
+or does not parse raises a ParameterError naming it.  ``_write_csv`` and ``_write_report`` write every
 output: the CSV embeds the resolved config and its hash in comment lines,
 and a JSON sidecar ``<out>.meta.json`` carries the config, package and
 Python versions, platform, worker threads, seed and wall time, and the
@@ -96,6 +97,22 @@ _PARSERS = {
 }
 
 
+def _number(v, typ):
+    """A config-file value of a flag of type ``typ`` (int or float): a
+    string parsed with typ, a number unchanged, except that an int flag
+    takes an integral float as an int.  A bool, any other value and a
+    non-integral number for an int flag are refused."""
+    if isinstance(v, str):
+        return typ(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"not a number ({typ.__name__})")
+    if typ is int and isinstance(v, float):
+        if not v.is_integer():
+            raise ValueError("not an integer")
+        return int(v)
+    return v
+
+
 def _resolve(args):
     """The run's config: file values overridden by present flags, then the
     declared defaults, with string forms parsed."""
@@ -104,6 +121,11 @@ def _resolve(args):
         with open(args.config) as f:
             cfg.update(_build(vars(args), "config",
                               lambda _: dict(json.load(f))))
+        # a file value that a present flag replaces is not checked
+        for k, typ in args.types.items():
+            if typ in (int, float) and k in cfg \
+                    and getattr(args, k.replace("-", "_")) is None:
+                cfg[k] = _build(cfg, k, lambda v: _number(v, typ))
     for k in args.flags:
         v = getattr(args, k.replace("-", "_"))
         if v is not None:
@@ -522,8 +544,8 @@ def build_parser():
         sp.add_argument("--out", default=None)
         for flag, typ in flags.items():
             sp.add_argument(f"--{flag}", type=typ, default=None)
-        sp.set_defaults(fn=fn, flags=("out", *flags), defaults=defaults or {},
-                        fallbacks=fallbacks or {})
+        sp.set_defaults(fn=fn, flags=("out", *flags), types=flags,
+                        defaults=defaults or {}, fallbacks=fallbacks or {})
 
     walk = {"paths": 100000, "seed": 0}
     add("validate-kernel", cmd_validate_kernel,

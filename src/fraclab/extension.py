@@ -45,20 +45,19 @@ class ExtensionValue:
 
 
 class DiskExtension:
-    """Poisson integral on a disk with panels graded toward the evaluation
+    """Poisson integral on a disk by GL8 panels graded toward the evaluation
     angle and toward declared singular angles of the datum.
 
-    The grading toward the singular angles (down to 1e-12) is the same for
-    every point, so it is built once: a shared periodic grid of GL8 panels
-    with the datum cached on its nodes, or one full-period panel when the
-    datum declares no singular angle on the circle.  A point's own edges,
-    graded toward its angle down to a quarter of its depth, split some of
-    the shared panels; the point sums the kernel over the shared nodes,
-    drops the panels its edges split, and adds GL8 sums over the pieces,
-    evaluating the datum only there.  The rule is GL8 on the union of both
-    edge sets, normalized by the computed kernel mass.  Where two edges lie
-    within 1e-13 the shared one is kept, so a singular angle always stays
-    an edge.
+    A point's edges are the shared ones, graded toward the singular angles
+    down to 1e-12 and built once (one full-period panel when the datum
+    declares no singular angle on the circle), and its own, graded toward
+    its angle down to a quarter of its depth, less those within 1e-13 of a
+    shared edge, so a singular angle stays an edge.  No node value is
+    cached: the datum and the kernel are evaluated on every node.  The
+    value is the Poisson integral over the computed kernel mass, which
+    removes the leading quadrature error and keeps the mean-value property;
+    both sums take one reduction, so the datum 1 comes out exactly 1 and
+    leaves no rounding noise for the operator to refine.
 
     Called with one point it returns a float; with an (n, 2) array it
     returns the n values, a chunk of points at a time.
@@ -82,10 +81,6 @@ class DiskExtension:
         # edges as offsets from the start of the shared period
         self._lo = edges[0]
         self._offsets = edges - edges[0]
-        phis, self._w = gl8_panels(edges)
-        self._zx = dom.center[0] + dom.radius * np.cos(phis)
-        self._zy = dom.center[1] + dom.radius * np.sin(phis)
-        self._gv = g(np.column_stack([self._zx, self._zy]))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -98,18 +93,17 @@ class DiskExtension:
         delta = np.maximum(R - r, 1e-13 * R)
         phi_x = np.where(r > 0, np.arctan2(v[:, 1], v[:, 0]), 0.0)
         inner = 0.25 * delta / R
-        # chunks are sized by a bound on each point's own nodes plus its row
-        # of the shared-node table, whose entries cost about a quarter of a
-        # node (no datum, no cos/sin)
+        # shared nodes count a quarter each, so a chunk may reach 4 NODE_CAP
+        # nodes; counting them in full split the 9-point Hessian stencil in
+        # two (+30% per call) and slowed 61000-point batches by 25% (measured)
         n_edges = 2 * octaves(inner, np.pi) + 5
         out = np.empty(len(r))
-        for rows in node_chunks(8 * n_edges + len(self._w) // 4):
+        for rows in node_chunks(8 * n_edges + 2 * len(self._offsets)):
             out[rows] = self._values(pts[rows], phi_x[rows], inner[rows])
         return float(out[0]) if x.ndim == 1 else out
 
     def _values(self, pts, phi_x, inner):
         """Extension values at a chunk of points."""
-        n = len(pts)
         period = 2.0 * np.pi
         offsets = self._offsets
         # the point's edges as offsets into the shared period
@@ -122,61 +116,28 @@ class DiskExtension:
         gap = np.minimum(u - offsets[np.maximum(j - 1, 0)],
                          offsets[np.minimum(j, len(offsets) - 1)] - u)
         keep &= gap > MERGE_TOL
-        row = np.nonzero(keep)[0]
-        u, j = u[keep], j[keep] - 1        # offsets[j] < u < offsets[j + 1]
-        # sub-panels of each split shared panel: one ending at each point
-        # edge, and one closing the panel
-        first = np.ones(len(u), dtype=bool)
-        first[1:] = (row[1:] != row[:-1]) | (j[1:] != j[:-1])
-        last = np.ones_like(first)
-        last[:-1] = first[1:]
-        prev = np.empty_like(u)
-        prev[1:] = u[:-1]
-        sub_row = np.concatenate([row, row[last]])
-        sub = np.column_stack([
-            np.concatenate([np.where(first, offsets[j], prev), u[last]]),
-            np.concatenate([u, offsets[j[last] + 1]])]) + self._lo
-        phis, w = gl8_panels(sub)
-        z = np.empty(phis.shape + (2,))
-        z[..., 0] = self.dom.center[0] + self.dom.radius * np.cos(phis)
-        z[..., 1] = self.dom.center[1] + self.dom.radius * np.sin(phis)
-        h = self.g(z.reshape(-1, 2)).reshape(phis.shape)
-        mass, integ = _kernel_panels(w, z[..., 0], z[..., 1],
-                                     pts[sub_row, None], h)
-        # the shared panels, without those the point's edges split: their
-        # sums are zeroed, not subtracted, since a shared node near the point
-        # carries a kernel weight up to 1/depth^2 that a difference would
-        # cancel catastrophically
-        shared_mass, shared_integ = _kernel_panels(
-            self._w, self._zx, self._zy, pts[:, None], self._gv)
-        shared_mass = shared_mass.reshape(n, -1)
-        shared_integ = shared_integ.reshape(n, -1)
-        shared_mass[row[last], j[last]] = 0.0
-        shared_integ[row[last], j[last]] = 0.0
-        mass = shared_mass.sum(axis=1) + np.bincount(sub_row, mass, n)
-        integ = shared_integ.sum(axis=1) + np.bincount(sub_row, integ, n)
-        # normalizing by the computed kernel mass removes the leading
-        # quadrature error and enforces the mean-value property exactly
-        return integ / mass
+        # one sorted row per point; a dropped edge becomes the end edge, so
+        # its panel has zero width
+        edges = np.concatenate([
+            np.broadcast_to(offsets, (len(u), len(offsets))),
+            np.where(keep, u, offsets[-1])], axis=1)
+        edges.sort(axis=1)
+        phis, w = gl8_panels(edges + self._lo)
+        zx = self.dom.center[0] + self.dom.radius * np.cos(phis)
+        zy = self.dom.center[1] + self.dom.radius * np.sin(phis)
+        h = self.g(np.column_stack([zx.ravel(), zy.ravel()])).reshape(w.shape)
+        # w/|z - x|^2: the Poisson kernel's other factor, (R^2 - r^2) / 2 pi,
+        # is constant per point and cancels in the normalized integral
+        kern = w / ((zx - pts[:, :1]) ** 2 + (zy - pts[:, 1:]) ** 2)
+        return _row_sums(kern * h) / _row_sums(kern)
 
 
-def _kernel_panels(w, zx, zy, x, h):
-    """Per-panel sums of the GL8 weights ``w`` times 1/|z - x|^2, and times
-    h/|z - x|^2 as well, for boundary nodes z = (zx, zy) whose last axis
-    runs over panels of 8 nodes; x (shape (..., 1, 2)) broadcasts against
-    the panel rows.  The Poisson kernel's other factor, (R^2 - r^2) / 2 pi,
-    is constant per point and cancels in the normalized integral.  einsum
-    sums every panel on its own, so a point's value does not depend on the
-    chunk of points around it (a BLAS product with a ones vector rounds a
-    row differently depending on its place in the matrix)."""
-    d2 = zx - x[..., 0]
-    d2 *= d2
-    dy = zy - x[..., 1]
-    dy *= dy
-    d2 += dy
-    kern = np.divide(w, d2, out=d2)
-    return (np.einsum("ij->i", kern.reshape(-1, 8)),
-            np.einsum("ij->i", (kern * h).reshape(-1, 8)))
+def _row_sums(a):
+    """Row sums of GL8 node values (n, 8k), per panel by einsum, then in
+    order: unlike a pairwise or SIMD row sum, neither the zero-width panels
+    that pad a row nor the chunk of points around it changes its sum."""
+    panels = np.einsum("ij->i", a.reshape(-1, 8)).reshape(len(a), -1)
+    return np.cumsum(panels, axis=1)[:, -1]
 
 
 class PointPowerDiskExtension:
@@ -226,10 +187,11 @@ class PointPowerDiskExtension:
 def _disk_extension(dom, g):
     """The harmonic extension of g into the disk dom: the closed form when g
     declares that it is exactly C0 |y - z0|^alpha with z0 on the circle (to
-    1e-12 R) and 0 < alpha < 1, the Poisson quadrature otherwise."""
+    1e-12 R) and 0 < alpha < 1, the Poisson quadrature otherwise; dim 2 only."""
+    if dom.dim != 2:
+        raise UnsupportedVariantError("disk extension is dim-2 only")
     anchor = getattr(g, "power_anchor", None)
-    if anchor is not None and len(anchor) == dom.dim == 2 \
-            and 0.0 < g.alpha < 1.0:
+    if anchor is not None and len(anchor) == 2 and 0.0 < g.alpha < 1.0:
         v = np.asarray(anchor, dtype=float) - dom.center
         if abs(np.hypot(v[0], v[1]) - dom.radius) <= 1e-12 * dom.radius:
             return PointPowerDiskExtension(dom, g.alpha, g.C0, anchor)
@@ -304,8 +266,6 @@ def harmonic_extension(dom, g, x, cfg=None):
     cfg, by default ``EXTENSION_WOS``: Brownian walk-on-spheres, with its
     stderr, ``bias_bound`` and ``n_maxed``."""
     if isinstance(dom, Ball):
-        if dom.dim != 2:
-            raise UnsupportedVariantError("disk extension is dim-2 only")
         inside = _disk_extension(dom, g)
         method = ("closed_form" if isinstance(inside, PointPowerDiskExtension)
                   else "quadrature")
@@ -324,9 +284,9 @@ def harmonic_extension(dom, g, x, cfg=None):
 
 def extended_field(dom, g):
     """The composite field: harmonic extension inside, the datum outside, on
-    Ball and HalfPlane, whose deterministic Poisson quadratures (or the
-    disk's closed form, for the datum that declares it) the operator's error
-    estimate covers (polygons have Monte Carlo point values only)."""
+    a 2-D Ball and on HalfPlane, whose deterministic Poisson quadratures (or
+    the disk's closed form, for the datum that declares it) the operator's
+    error estimate covers (polygons have Monte Carlo point values only)."""
     if isinstance(dom, Ball):
         inside = _disk_extension(dom, g)
     elif isinstance(dom, HalfPlane):

@@ -376,6 +376,57 @@ def test_config_round_trip_through_sidecar(tmp_path):
     assert s1 == s2
 
 
+@pytest.mark.parametrize("argv, record, flag", [
+    (["counterexample", "--n", "3"], {"tmin": "0.001"}, ["--tmin", "0.001"]),
+    (["solve", "--domain", "ball", "--data", '{"name": "constant"}',
+      "--points", "0.1,0.0", "--seed", "1"], {"paths": "100"},
+     ["--paths", "100"]),
+    # an integral float for an int flag is that int
+    (["counterexample", "--tmin", "1e-3"], {"n": 3.0}, ["--n", "3"]),
+])
+def test_config_file_strings_take_the_flag_type(tmp_path, argv, record, flag):
+    # a string for an int or float flag ended in a TypeError traceback
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(record))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["--threads", "1", *argv, "--config", str(cfg),
+                "--out", str(a)]) == 0
+    assert run(["--threads", "1", *argv, *flag, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command, record, key", [
+    (["counterexample"], {"tmin": "abc"}, "tmin"),
+    (["counterexample"], {"tmin": True}, "tmin"),
+    (["counterexample"], {"tmax": [0.1]}, "tmax"),
+    (["counterexample"], {"n": 2.5}, "n"),
+    (["counterexample"], {"n": "3.0"}, "n"),
+    (["solve", "--domain", "ball", "--data", '{"name": "constant"}',
+      "--points", "0.1,0.0"], {"paths": "1e2"}, "paths"),
+    (["solve", "--domain", "ball", "--data", '{"name": "constant"}',
+      "--points", "0.1,0.0"], {"seed": None}, "seed"),
+])
+def test_config_file_value_of_the_wrong_type_is_named(tmp_path, capsys,
+                                                      command, record, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(record))
+    out = tmp_path / "x.csv"
+    assert run([*command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"bad {key} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_value_a_flag_replaces_is_not_checked(tmp_path):
+    # the present flag wins, so the file's bad value never reaches the run
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tmin": "abc"}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["--threads", "1", "counterexample", "--n", "3", "--tmin", "0.001"]
+    assert run([*argv, "--config", str(cfg), "--out", str(a)]) == 0
+    assert run([*argv, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_bad_config_exits_1(tmp_path):
     out = tmp_path / "x.csv"
     code = run(["solve", "--domain", "nonsense{", "--data", "{}",

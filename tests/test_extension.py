@@ -101,7 +101,8 @@ def test_disk_extension_batch_matches_rows():
     assert batch.shape == (len(pts),)
     rows = np.array([de(p) for p in pts])
     assert all(isinstance(de(p), float) for p in pts[:3])
-    np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=0.0)
+    # bit for bit: zero-width padding panels leave a row's sum unchanged
+    np.testing.assert_array_equal(batch, rows)
 
 
 def _polar(de, x):
@@ -223,6 +224,13 @@ def test_disk_extension_matches_one_row_rule(name):
                                rtol=1e-13, atol=0.0)
 
 
+def test_disk_extension_constant_datum_is_exact():
+    # the kernel mass and the integral take one reduction, so a datum that
+    # is a power of two scales every term exactly and the ratio is exact
+    de = DiskExtension(Ball([0.0, 0.0], 1.0), constant_data(2.0))
+    np.testing.assert_array_equal(de(_disk_random_points()), 2.0)
+
+
 @pytest.mark.parametrize("name", sorted(_DISK_DATA))
 def test_disk_extension_matches_earlier_rule(name):
     de = DiskExtension(Ball([0.0, 0.0], 1.0), _DISK_DATA[name]())
@@ -285,7 +293,7 @@ def test_extension_batch_larger_than_chunk():
     phi = rng.uniform(-np.pi, np.pi, 300)
     pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
     small = np.concatenate([de(pts[i:i + 4]) for i in range(0, len(pts), 4)])
-    np.testing.assert_allclose(de(pts), small, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(de(pts), small)
 
 
 def test_extension_batch_rejects_exterior_point():
@@ -581,6 +589,14 @@ def test_extension_refuses_a_datum_without_growth_where_it_needs_one():
     assert disk.value == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ParameterError, match="declares no growth"):
         extended_field(Ball([0.0, 0.0], 1.0), bare_datum)
+
+
+def test_disk_extensions_refuse_balls_not_in_the_plane():
+    for ball in (Ball([0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)):
+        with pytest.raises(UnsupportedVariantError, match="dim-2"):
+            extended_field(ball, constant_data(1.0))
+        with pytest.raises(UnsupportedVariantError, match="dim-2"):
+            harmonic_extension(ball, constant_data(1.0), np.zeros(ball.dim))
 
 
 def test_extended_field_rejects_polygons():
