@@ -4,18 +4,20 @@ One binary with subcommands, run through one path: ``build_parser``
 declares each subcommand's flags and defaults, and ``_resolve`` builds the
 run's config from them (config file, then present flags, which win, then
 the defaults), parsing the string forms of ``data``, ``field``, ``points``
-and ``z0`` once, and giving a config-file value of an int or float flag
-that flag's type unless the flag is present.  A parameter that is missing
-or does not parse raises a ParameterError naming it.  ``_write_csv`` and ``_write_report`` write every
-output: the CSV embeds the resolved config and its hash in comment lines,
-and a JSON sidecar ``<out>.meta.json`` carries the config, package and
-Python versions, platform, worker threads, seed and wall time, and the
-run's report (for ``solve``, each point's walk diagnostics; for
+and ``z0`` once.  Unless its flag is present, a config-file value of an
+int or float flag takes that flag's type, and one of those four flags must
+be a string or its parsed form.  A parameter that is missing or does not
+parse, and a config-file key that the command neither declares nor reads,
+raise a ParameterError naming it.  ``_write_csv`` and ``_write_report``
+write every output: the CSV embeds the resolved config and its hash in
+comment lines, and a JSON sidecar ``<out>.meta.json`` carries the config,
+package and Python versions, platform, worker threads, seed and wall time,
+and the run's report (for ``solve``, each point's walk diagnostics; for
 ``apply-op`` and ``verify-barrier``, each operator point's quadrature
 diagnostics and the ToleranceWarnings raised; for ``counterexample``, each
-depth's quadrature error estimate).  Outputs are
-byte-identical for identical (config, seed): floats have a fixed precision
-and ``_map`` keeps input order.
+depth's quadrature error estimate).  Outputs are byte-identical for
+identical (config, seed): floats have a fixed precision and ``_map`` keeps
+input order.
 
 Exit codes: 0 success / verification PASS, 2 verification FAIL, 1 error.
 """
@@ -88,12 +90,23 @@ def _floats(text):
     return [float(v) for v in text.split(",")]
 
 
-# parsers of the string forms a flag carries
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_point(v):
+    return isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))
+
+
+# the string forms a flag carries: the parser of each, and the test of the
+# parsed form, which a config file may give in place of the string
 _PARSERS = {
-    "data": json.loads,
-    "field": json.loads,
-    "points": lambda text: [_floats(p) for p in text.split(";")],
-    "z0": _floats,
+    "data": (json.loads, lambda v: isinstance(v, dict)),
+    "field": (json.loads, lambda v: isinstance(v, dict)),
+    "points": (lambda text: [_floats(p) for p in text.split(";")],
+               lambda v: isinstance(v, list) and len(v) > 0
+               and all(map(_is_point, v))),
+    "z0": (_floats, _is_point),
 }
 
 
@@ -113,19 +126,36 @@ def _number(v, typ):
     return v
 
 
+def _parsed_form(v, is_parsed):
+    """Refuse a config-file value of a flag with a string form unless it is
+    that string or passes the parsed form's test ``is_parsed``."""
+    if not (isinstance(v, str) or is_parsed(v)):
+        raise ValueError("neither a string nor its parsed form")
+
+
 def _resolve(args):
     """The run's config: file values overridden by present flags, then the
-    declared defaults, with string forms parsed."""
+    declared defaults, with string forms parsed.  A file key that the
+    command neither declares nor reads is refused by name."""
     cfg = Config(args.command, args.flags, args.fallbacks, _threads(args))
     if args.config:
         with open(args.config) as f:
             cfg.update(_build(vars(args), "config",
                               lambda _: dict(json.load(f))))
+        unknown = sorted(set(cfg) - {*args.flags, *args.fallbacks,
+                                     *args.records, "command"})
+        if unknown:
+            raise ParameterError(
+                f"{args.command} takes no {', '.join(map(repr, unknown))} "
+                f"(config file {args.config})")
         # a file value that a present flag replaces is not checked
         for k, typ in args.types.items():
-            if typ in (int, float) and k in cfg \
-                    and getattr(args, k.replace("-", "_")) is None:
+            if k not in cfg or getattr(args, k.replace("-", "_")) is not None:
+                continue
+            if typ in (int, float):
                 cfg[k] = _build(cfg, k, lambda v: _number(v, typ))
+            elif k in _PARSERS:
+                _build(cfg, k, lambda v: _parsed_form(v, _PARSERS[k][1]))
     for k in args.flags:
         v = getattr(args, k.replace("-", "_"))
         if v is not None:
@@ -136,7 +166,7 @@ def _resolve(args):
     if "points-file" in args.flags and cfg.get("points-file"):
         cfg["points"] = _build(cfg, "points-file", lambda path: np.loadtxt(
             path, delimiter=",", comments="#", ndmin=2).tolist())
-    for k, parse in _PARSERS.items():
+    for k, (parse, _) in _PARSERS.items():
         if k in args.flags and isinstance(cfg.get(k), str):
             cfg[k] = _build(cfg, k, parse)
     return cfg
@@ -535,22 +565,24 @@ def build_parser():
                    help="worker threads (default: all cores, or FRACLAB_THREADS)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, flags, defaults=None, fallbacks=None):
+    def add(name, fn, flags, defaults=None, fallbacks=None, records=()):
         """A subcommand with its flags; ``defaults`` enter the resolved
         config, ``fallbacks`` are read in place of an absent key but stay
-        out of it."""
+        out of it, and ``records`` are the keys beyond the flags that the
+        command reads or records, which a config file may carry too."""
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--out", default=None)
         for flag, typ in flags.items():
             sp.add_argument(f"--{flag}", type=typ, default=None)
         sp.set_defaults(fn=fn, flags=("out", *flags), types=flags,
-                        defaults=defaults or {}, fallbacks=fallbacks or {})
+                        defaults=defaults or {}, fallbacks=fallbacks or {},
+                        records=records)
 
     walk = {"paths": 100000, "seed": 0}
     add("validate-kernel", cmd_validate_kernel,
         {"s": float, "dim": int, "samples": int},
-        defaults={"dim": 2, "samples": 1000})
+        defaults={"dim": 2, "samples": 1000}, records=("kernel",))
     add("apply-op", cmd_apply_op,
         {"s": float, "dim": int, "field": str, "points": str,
          "rel-tol": float},
@@ -571,7 +603,7 @@ def build_parser():
     add("experiment", cmd_experiment,
         {"domain": str, "alpha": float, "s": float, "paths": int,
          "seed": int},
-        defaults={"domain": "ball", "s": 0.5, **walk})
+        defaults={"domain": "ball", "s": 0.5, **walk}, records=("data",))
     add("counterexample", cmd_counterexample,
         {"s": float, "tmin": float, "tmax": float, "n": int},
         defaults={"s": 0.5, "tmin": 1e-4, "tmax": 1e-1, "n": 25})

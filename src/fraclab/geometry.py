@@ -4,13 +4,16 @@ All variants expose vectorized ``contains``/``dist``/``dist_bound`` over
 point batches of shape (n, dim) (single points of shape (dim,) also
 accepted).  On every variant ``contains(x) == (dist(x) > 0) ==
 (dist_bound(x) > 0)``.  ``dist_bound(x, exact_below)`` is a certified lower
-bound on ``dist``, equal to it wherever it falls below ``exact_below``; the
-walk-on-spheres loop makes one ``dist_bound`` call per step, steps on a ball
-of that radius, reads the exit test off its sign and snaps on the exact
-distance.  On Ball and non-convex Polygons the bound is ``dist`` itself; on
-convex Polygons it is the distance to the nearest edge line, which is
-``dist`` up to a few ulps of the coordinates (bit for bit on the unit
-square), and on StarShaped a closed form in the radial gap, O(1) per point.
+bound on ``dist`` that decides ``dist < exact_below`` exactly: a row whose
+bound falls below ``exact_below`` gets ``dist`` itself unless the variant's
+cheap upper bound on ``dist`` falls below it too.  The walk-on-spheres loop
+makes one ``dist_bound`` call per step, steps on a ball of that radius,
+reads the exit test off its sign and decides the snap exactly.  On Ball and
+non-convex Polygons the bound is ``dist`` itself; on convex Polygons it is
+the distance to the nearest edge line, which is ``dist`` up to a few ulps of
+the coordinates (bit for bit on the unit square; the decision is that of
+``dist`` up to those ulps), and on StarShaped a closed form in the radial
+gap, O(1) per point, with the radial gap as its upper bound.
 ``project`` returns the nearest boundary point together with the inward unit
 normal; every variant takes a batch of interior points (and returns two (n,
 dim) arrays).  On StarShaped and on Cone one nearest-point primitive serves
@@ -138,11 +141,13 @@ class Domain:
 
     def dist_bound(self, x, exact_below=0.0):
         """A lower bound on ``dist``: 0 outside, positive inside (so
-        ``contains(x) == (dist_bound(x) > 0)``), and equal to ``dist``
-        wherever it falls below ``exact_below``.  A ball of this radius about
-        x lies in the domain, which is all a walk-on-spheres step needs.
-        Here it is ``dist`` itself; convex polygons and star domains
-        override it with closed forms."""
+        ``contains(x) == (dist_bound(x) > 0)``), and below ``exact_below``
+        exactly where ``dist`` is: where the bound falls below
+        ``exact_below`` and an upper bound on ``dist`` does not, it is
+        ``dist`` itself.  A ball of this radius about x lies in the domain,
+        which is all a walk-on-spheres step needs.  Here it is ``dist``
+        itself; convex polygons and star domains override it with closed
+        forms."""
         return self.dist(x)
 
     def signed_dist(self, x):
@@ -470,11 +475,14 @@ class Polygon(Domain):
     def dist_bound(self, x, exact_below=0.0):
         """On a convex polygon, min_i (x - a_i) . nu_i, the distance to the
         nearest edge line, which inside is the distance itself and clearly
-        outside (below -_exact_floor) is negative, so the distance is 0;
-        rows where it falls below ``exact_below`` (or near 0, or is NaN)
-        get the edge pass's exact ``dist``.  On the unit square it is
+        outside (below -_exact_floor) is negative, so the distance is 0.
+        Rows near 0 (below _exact_floor), NaN rows and rows where it falls
+        below ``exact_below`` while the upper bound it + _exact_floor does
+        not get the edge pass's exact ``dist``.  On the unit square it is
         ``dist`` bit for bit.  Elsewhere the two formulas round
-        differently, a few ulps of the coordinates apart.  Non-convex
+        differently, a few ulps of the coordinates apart (far below
+        _exact_floor), so a row whose ``dist`` is within those ulps of
+        ``exact_below`` may read on the other side of it.  Non-convex
         polygons return ``dist``: their edge lines cut through the
         interior."""
         if not self.convex:
@@ -486,7 +494,9 @@ class Polygon(Domain):
         for nx, ny, off in self._lines:
             bound = np.minimum(bound, px * nx + py * ny - off)
         outside = bound < -self._exact_floor
-        exact = ~((bound >= max(exact_below, self._exact_floor)) | outside)
+        settled = (bound >= self._exact_floor) & (
+            (bound >= exact_below) | (bound + self._exact_floor < exact_below))
+        exact = ~(settled | outside)
         if np.any(exact):
             _, _, d, inside = self._edge_pass(pts.compress(exact, axis=0))
             bound[exact] = np.where(inside, d, 0.0)
@@ -543,9 +553,19 @@ class StarShaped(Domain):
         self._slope_bound = float(np.sum(k_cos * np.abs(self.coeff_cos))
                                   + np.sum(k_sin * np.abs(self.coeff_sin)))
         self._r_lo = self.r_min - self._slope_bound * np.pi / len(th)
-        self._gap_slack = 4.0 * np.finfo(float).eps * (
-            np.sum(np.abs(self.coeff_cos)) + np.sum(np.abs(self.coeff_sin))
-            + 2.0 * np.pi * self._slope_bound)
+        eps = np.finfo(float).eps
+        coeff_sum = float(np.sum(np.abs(self.coeff_cos))
+                          + np.sum(np.abs(self.coeff_sin)))
+        self._gap_slack = 4.0 * eps * (coeff_sum
+                                       + 2.0 * np.pi * self._slope_bound)
+        # dist_bound's upper bound gap + _upper_slack on _nearest's distance:
+        # B(t) at the computed angle t of x = rho u(theta_x) lies within
+        # |r(t) - rho| + rho |t - theta_x| of x, that is the computed gap
+        # up to _gap_slack plus rho (< sum |c_k|) times atan2's error (below
+        # 4 eps pi); _nearest's |x - z| rounds as the gap does, within
+        # another _gap_slack
+        self._upper_slack = (2.0 * self._gap_slack
+                             + 4.0 * eps * np.pi * coeff_sum)
         # boundary grid seeding the nearest-point search
         self._proj_grid = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
         self._proj_nodes = self.boundary_point(self._proj_grid)
@@ -611,9 +631,12 @@ class StarShaped(Domain):
         M^2/((1 - lam) rho)^2).  Hence dist >= min(lam rho, G / sqrt(...))
         for every lam in (0, 1), and dist >= r_lo - rho since the disc of
         radius r_lo <= min r lies in the domain.  The best of these, lowered
-        by a relative margin and the gap's rounding error, is the bound;
-        points where it falls below ``exact_below`` (or to 0 inside) get the
-        exact distance.
+        by a relative margin and the gap's rounding error, is the bound.
+        The gap is an upper bound: B(theta_x) is a boundary point at
+        distance G, so dist <= G + _upper_slack (the rounding of the gap,
+        of the angle theta_x and of the exact distance; see ``__init__``).
+        Inside points where the bound falls to 0, or below ``exact_below``
+        while that upper bound does not, get the exact distance.
         """
         pts, single = _as_points(x, 2)
         rho, gap = self._radial_gap(pts)
@@ -625,7 +648,8 @@ class StarShaped(Domain):
         bound = bound * (1.0 - self._BOUND_MARGIN) - self._gap_slack
         inside = gap > 0.0
         bound = np.where(inside, bound, 0.0)
-        exact = inside & ((bound < exact_below) | (bound <= 0.0))
+        exact = inside & ((bound <= 0.0) | (
+            (bound < exact_below) & (gap + self._upper_slack >= exact_below)))
         if np.any(exact):
             bound[exact] = self._nearest(pts.compress(exact, axis=0))[2]
         return _maybe_scalar(bound, single)
@@ -642,8 +666,9 @@ class StarShaped(Domain):
         search on the grid cell where Newton stalls (a non-positive
         curvature, or a step above 1e-10 diameter that does not descend).
         The one nearest-point solver behind ``dist``, ``signed_dist``,
-        ``dist_bound`` and ``project``; every row is on its own, so a row's
-        result does not depend on the rest of the batch."""
+        ``dist_bound`` (on the rows its bounds leave open) and ``project``;
+        every row is on its own, so a row's result does not depend on the
+        rest of the batch."""
         tol = 1e-12 * self.diameter
         flat = 1e-10 * self.diameter
         cell = 2.0 * np.pi / 256      # damping: stay within the grid cells

@@ -174,14 +174,17 @@ def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
     snap_eps)`` call: a walker jumps from a ball of radius kappa times that
     lower bound on the distance, to ``law.radius`` times that radius, exits
     where the bound is 0 (or NaN), and snaps to its projection where the
-    distance is below snap_eps (the bound is exact there, so the snap
-    decisions are those of the exact distance).  Any kappa in (0, 1] keeps
-    the ball inside the domain, where the exit law is exact, so kappa = 1 is
-    as unbiased as a smaller ball and takes the fewest steps.  Only the live
-    walkers are carried from step to step: one compaction after each
-    ``dist_bound`` call stops the exits and the snaps together, and after
-    the last allowed step only the exits, so a walker that lands within
-    snap_eps there has run out of steps.  Each step draws one exit radius
+    distance is below snap_eps.  ``dist_bound`` decides the snap exactly:
+    below snap_eps it is the exact distance unless the domain's upper bound
+    on the distance is below snap_eps too, and then the walker snaps on
+    either value, so the snap decisions are those of the exact distance.
+    Any kappa in (0, 1] keeps the ball inside the domain, where the exit
+    law is exact, so kappa = 1 is as unbiased as a smaller ball and takes
+    the fewest steps.  Only the live walkers are carried from step to
+    step: one compaction after each ``dist_bound`` call stops the exits
+    and the snaps together, and after the last allowed step only the
+    exits, so a walker that lands within snap_eps there has run out of
+    steps.  Each step draws one exit radius
     and one angle phi per live unit, an antithetic pair or a single walker,
     and gathers them to the walkers; the two walkers of a pair share the
     radius and step at opposite angles.  The step direction is

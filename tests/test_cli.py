@@ -405,6 +405,20 @@ def test_config_file_strings_take_the_flag_type(tmp_path, argv, record, flag):
       "--points", "0.1,0.0"], {"paths": "1e2"}, "paths"),
     (["solve", "--domain", "ball", "--data", '{"name": "constant"}',
       "--points", "0.1,0.0"], {"seed": None}, "seed"),
+    # a flag with a string form takes that string or its parsed form; a
+    # number for points ended in a TypeError traceback
+    (["solve", "--domain", "ball", "--data", '{"name": "constant"}'],
+     {"points": 5}, "points"),
+    (["solve", "--domain", "ball", "--data", '{"name": "constant"}'],
+     {"points": [[0.1, "0"]]}, "points"),
+    (["solve", "--domain", "ball", "--points", "0.1,0.0"], {"data": [1]},
+     "data"),
+    (["profile", "--domain", "ball", "--data", '{"name": "constant"}',
+      "--n", "2", "--paths", "10"], {"z0": 5}, "z0"),
+    (["profile", "--domain", "ball", "--data", '{"name": "constant"}',
+      "--n", "2", "--paths", "10"], {"z0": None}, "z0"),
+    (["apply-op", "--s", "0.5", "--points", "0.3,0.5"], {"field": 5},
+     "field"),
 ])
 def test_config_file_value_of_the_wrong_type_is_named(tmp_path, capsys,
                                                       command, record, key):
@@ -414,6 +428,65 @@ def test_config_file_value_of_the_wrong_type_is_named(tmp_path, capsys,
     assert run([*command, "--config", str(cfg), "--out", str(out)]) == 1
     assert f"bad {key} " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, record, key", [
+    # a misspelt tmin ran at the default tmin and was recorded in the CSV
+    (["counterexample", "--n", "3"], {"tmni": 0.001}, "tmni"),
+    (["solve", "--domain", "ball", "--data", '{"name": "constant"}',
+      "--points", "0.1,0.0"], {"paths": 10, "threads": 1}, "threads"),
+    # rel-tol is read in place of an absent key by verify-barrier only
+    (["apply-op", "--s", "0.5", "--field",
+      '{"name": "halfspace_power", "alpha": 0.25}', "--points", "0.3,0.5"],
+     {"eta": 1.0}, "eta"),
+])
+def test_config_file_key_the_command_does_not_take_is_named(
+        tmp_path, capsys, command, record, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(record))
+    out = tmp_path / "x.csv"
+    assert run([*command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each command with few points or paths; ``fit`` reads the profile
+_REPLAYED = [
+    ["validate-kernel", "--s", "0.5", "--samples", "50"],
+    ["apply-op", "--s", "0.5", "--field",
+     '{"name": "halfspace_power", "alpha": 0.25}', "--points", "0.3,0.5",
+     "--rel-tol", "1e-4"],
+    ["verify-barrier", "--kind", "halfspace", "--s", "0.5", "--alpha", "0.25"],
+    ["solve", "--domain", "ball", "--data", '{"name": "constant"}',
+     "--points", "0.1,0.0;0.5,0.2", "--paths", "100", "--seed", "1"],
+    ["profile", "--domain", "ball", "--data",
+     '{"name": "holder_point_singularity", "alpha": 0.3, "z0": [1, 0]}',
+     "--n", "6", "--paths", "4000", "--seed", "7"],
+    ["fit", "--input", "profile.csv", "--s", "0.5"],
+    ["experiment", "--alpha", "0.3", "--paths", "200", "--seed", "7"],
+    ["counterexample", "--tmin", "1e-3", "--tmax", "1e-2", "--n", "3"],
+]
+
+
+def test_every_command_replays_its_sidecar_config(tmp_path, monkeypatch):
+    # every key a command records is one a config file may give it
+    monkeypatch.chdir(tmp_path)
+    for argv in _REPLAYED:
+        name = argv[0]
+        first = ["--threads", "1", *argv, "--out", f"{name}.csv"]
+        code = run(first)
+        side = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+        (tmp_path / "replay.json").write_text(json.dumps(side["config"]))
+        assert run(["--threads", "1", name, "--config", "replay.json",
+                    "--out", "replay.csv"]) == code, name
+        again = json.loads((tmp_path / "replay.csv.meta.json").read_text())
+        assert again["config_hash"] == side["config_hash"], name
+        assert again["report"] == side["report"], name
+    # verify-barrier also reads rel-tol, which it does not record
+    (tmp_path / "replay.json").write_text(json.dumps(
+        {"kind": "halfspace", "s": 0.5, "alpha": 0.25, "rel-tol": 1e-4}))
+    assert run(["--threads", "1", "verify-barrier", "--config", "replay.json",
+                "--out", "rel_tol.json"]) == 0
 
 
 def test_config_file_value_a_flag_replaces_is_not_checked(tmp_path):

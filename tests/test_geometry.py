@@ -426,11 +426,47 @@ def test_dist_bound_is_a_certified_lower_bound(name, data, exact_below):
                                     axis=-1), axis=1)
     assert np.all(b <= nearest + slack)
     np.testing.assert_array_equal(b > 0.0, np.asarray(dom.contains(pts)))
-    # exact (bit for bit) wherever the bound falls below exact_below
-    be = np.asarray(dom.dist_bound(pts, exact_below))
-    low = b < exact_below
-    np.testing.assert_array_equal(be[low], d[low])
-    np.testing.assert_array_equal(be[~low], b[~low])
+    _check_exact_below(dom, pts, exact_below, slack)
+
+
+def _check_exact_below(dom, pts, e, slack):
+    """dist_bound(pts, e) decides dist < e exactly: dist bit for bit where
+    the bound falls below e and dist does not, the bound where it is at
+    least e, and a positive lower bound on dist inside.  Where the bound
+    rounds apart from dist (the pentagon), a row whose dist is within that
+    slack of e may read the bound on the other side of e."""
+    d = np.asarray(dom.dist(pts))
+    b = np.asarray(dom.dist_bound(pts))
+    be = np.asarray(dom.dist_bound(pts, e))
+    far = np.abs(d - e) >= slack
+    np.testing.assert_array_equal((be < e)[far], (d < e)[far])
+    band = (b < e) & (e <= d)
+    np.testing.assert_array_equal(be[band], d[band])
+    np.testing.assert_array_equal(be[b >= e], b[b >= e])
+    assert np.all((be == b) | (be == d))
+    inside = d > 0.0
+    assert np.all(be[inside] > 0.0) and np.all(be[inside] <= d[inside] + slack)
+    assert np.all(be[~inside] == 0.0)
+    return d
+
+
+@pytest.mark.parametrize("name", BOUNDED_BY)
+def test_dist_bound_decides_dist_below_exact_below_at_the_threshold(name):
+    # points at e (1 + k ulp) from the boundary, |k| <= 64, along the
+    # inward normals of 16 feet projected from points halfway to the centre
+    dom = BOUNDED_BY[name]
+    samples = _boundary_samples(dom)[::256]
+    centre = np.mean(samples, axis=0)
+    z0, normal = dom.project(centre + 0.5 * (samples - centre))
+    k = np.arange(-64, 65) * np.finfo(float).eps
+    sides = set()
+    for e in (1e-9, 1e-6, 1e-3, 0.1):
+        t = e * (1.0 + k)
+        pts = (z0[:, None, :]
+               + t[None, :, None] * normal[:, None, :]).reshape(-1, 2)
+        d = _check_exact_below(dom, pts, e, ROUNDING.get(name, 0.0))
+        sides |= set(np.unique(d < e).tolist())
+    assert sides == {False, True}
 
 
 @given(data=st.data())
@@ -475,7 +511,11 @@ def test_polygon_dist_bound_is_dist_outside_near_edges_and_below_exact_below(
         name):
     dom, pts = _edge_pass_rows(name)
     assert dom.convex
-    np.testing.assert_array_equal(dom.dist_bound(pts, 0.05), dom.dist(pts))
+    d = dom.dist(pts)
+    # exact_below half the bound's margin above each row's distance, where
+    # the bound leaves dist < exact_below open
+    got = [dom.dist_bound(p, e) for p, e in zip(pts, d + dom._exact_floor / 2)]
+    np.testing.assert_array_equal(got, d)
 
 
 @pytest.mark.parametrize("name", ["square", "tilted"])
@@ -551,5 +591,7 @@ def test_star_dist_is_the_projection_distance():
     want = np.linalg.norm(pts - z0, axis=1)
     np.testing.assert_array_equal(dom.dist(pts), want)
     np.testing.assert_array_equal(dom.signed_dist(pts), want)
-    # the exact rows of dist_bound read the same distance
-    np.testing.assert_array_equal(dom.dist_bound(pts, np.inf), want)
+    # the exact rows of dist_bound read the same distance: exact_below at
+    # a row's distance lies between its lower and upper bounds
+    np.testing.assert_array_equal(
+        [dom.dist_bound(p, e) for p, e in zip(pts, want)], want)

@@ -671,6 +671,58 @@ def test_star_pins_agree_with_exact_distance_walks():
         assert abs(new[2] - old[2]) <= 4.0 * np.hypot(new[3], old[3])
 
 
+def test_star_walks_solve_nearest_points_in_project_and_at_the_snap_threshold(
+        monkeypatch):
+    # the benchmark's star solves: the nearest-point solver runs once per
+    # batch in project, and in dist_bound only on the rows at the snap
+    # threshold that its bounds leave open, whose distance is within 10% of
+    # snap_eps (dist_bound ran it 38 times on 265 rows here when every row
+    # below snap_eps took it, and project solved the snapped rows again)
+    star = StarShaped([1.0, 0.0, 0.1])
+    snap_eps = 1e-6 * star.diameter
+    calls = {"project": [], "dist_bound": []}
+    nearest = StarShaped._nearest
+
+    def counted(self, pts):
+        out = nearest(self, pts)
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller].append(len(pts))
+        if caller == "dist_bound":
+            assert np.all(np.abs(out[2] / snap_eps - 1.0) < 0.1)
+        return out
+
+    monkeypatch.setattr(StarShaped, "_nearest", counted)
+    g = capped_distance_data([2.0, 0.0], 3.0)
+    for k, (th, gap) in enumerate([(0.3, 0.5), (1.2, 0.05), (2.0, 1e-3)]):
+        x = (float(star.radial(th)) - gap) * np.array([np.cos(th), np.sin(th)])
+        solve(star, g, x, K05, WoSConfig(paths=10000, seed=1), point_index=k)
+    assert len(calls["project"]) == 3           # one batch per point
+    assert (len(calls["dist_bound"]), sum(calls["dist_bound"])) == (5, 8)
+
+
+def test_square_profile_edge_pass_rows_pinned(tmp_path, monkeypatch):
+    # the benchmark's square-corner profile: dist_bound sends no row to the
+    # edge pass (2,046 of its 5,132 rows did when every row below snap_eps
+    # took it; project passes the same rows again)
+    rows = {}
+    edge_pass = Polygon._edge_pass
+
+    def counted(self, pts):
+        caller = sys._getframe(1).f_code.co_name
+        rows[caller] = rows.get(caller, 0) + len(pts)
+        return edge_pass(self, pts)
+
+    monkeypatch.setattr(Polygon, "_edge_pass", counted)
+    from fraclab.cli import run
+    assert run(["--threads", "1", "profile", "--domain", "square", "--data",
+                '{"name": "holder_point_singularity", "alpha": 0.1, '
+                '"z0": [0.0, 0.0]}', "--tmin", "1e-4", "--tmax", "1e-2",
+                "--n", "8", "--paths", "10000", "--seed", "1",
+                "--out", str(tmp_path / "square.csv")]) == 0
+    assert "dist_bound" not in rows
+    assert sum(rows.values()) == 3086
+
+
 @pytest.mark.parametrize("pinned, half", [
     (SQUARE_PINNED, SQUARE_HALF_BALL_STEPS),
     (STAR_PINNED, STAR_HALF_BALL_STEPS)], ids=["square", "star"])
