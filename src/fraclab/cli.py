@@ -5,8 +5,9 @@ declares each subcommand's flags and defaults, and ``_resolve`` builds the
 run's config from them (config file, then present flags, which win, then
 the defaults), parsing the string forms of ``data``, ``field``, ``points``
 and ``z0`` once.  Unless its flag is present, a config-file value of an
-int or float flag takes that flag's type, and one of those four flags must
-be a string or its parsed form.  A parameter that is missing or does not
+int or float flag takes that flag's type, one of those four flags must be
+a string or its parsed form, and a path (``out``, ``input`` and
+``points-file``) must be a string.  A parameter that is missing or does not
 parse, and a config-file key that the command neither declares nor reads,
 raise a ParameterError naming it.  ``_write_csv`` and ``_write_report``
 write every output: the CSV embeds the resolved config and its hash in
@@ -99,7 +100,8 @@ def _is_point(v):
 
 
 # the string forms a flag carries: the parser of each, and the test of the
-# parsed form, which a config file may give in place of the string
+# parsed form, which a config file may give in place of the string.  A path
+# has no parsed form: it is used as given, and only a string is taken
 _PARSERS = {
     "data": (json.loads, lambda v: isinstance(v, dict)),
     "field": (json.loads, lambda v: isinstance(v, dict)),
@@ -107,6 +109,7 @@ _PARSERS = {
                lambda v: isinstance(v, list) and len(v) > 0
                and all(map(_is_point, v))),
     "z0": (_floats, _is_point),
+    **{path: (str, None) for path in ("out", "input", "points-file")},
 }
 
 
@@ -128,8 +131,13 @@ def _number(v, typ):
 
 def _parsed_form(v, is_parsed):
     """Refuse a config-file value of a flag with a string form unless it is
-    that string or passes the parsed form's test ``is_parsed``."""
-    if not (isinstance(v, str) or is_parsed(v)):
+    that string or passes the parsed form's test ``is_parsed`` (None for a
+    path, which has no parsed form)."""
+    if isinstance(v, str):
+        return
+    if is_parsed is None:
+        raise ValueError("not a string (a path)")
+    if not is_parsed(v):
         raise ValueError("neither a string nor its parsed form")
 
 
@@ -476,6 +484,9 @@ def _read_numeric_csv(path):
 def cmd_fit(args):
     cfg = _resolve(args)
     arr = _read_numeric_csv(cfg["input"])
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise ParameterError(
+            f"input {cfg['input']!r} has no rows of t and value to fit")
     prof = BoundaryProfile(z0=(np.nan,), normal=(np.nan,),
                            t=tuple(arr[:, 0]), values=tuple(arr[:, 1]),
                            stderr=tuple(arr[:, 2] if arr.shape[1] > 2
@@ -575,7 +586,8 @@ def build_parser():
         sp.add_argument("--out", default=None)
         for flag, typ in flags.items():
             sp.add_argument(f"--{flag}", type=typ, default=None)
-        sp.set_defaults(fn=fn, flags=("out", *flags), types=flags,
+        sp.set_defaults(fn=fn, flags=("out", *flags),
+                        types={"out": str, **flags},
                         defaults=defaults or {}, fallbacks=fallbacks or {},
                         records=records)
 

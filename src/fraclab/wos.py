@@ -2,11 +2,15 @@
 quadratures used as its deterministic counterparts.
 
 The isotropic 2s-stable process exits a ball in one jump with a known law:
-started at the center of the unit ball, the exit point has density
-proportional to (|y|^2 - 1)^{-s} |y|^{-N} on |y| > 1, isotropic in angle.
-In every dimension W = |y|^{-2} follows Beta(s, 1 - s) (Blumenthal, Getoor
-and Ray, Trans. AMS 99, 1961), so the exit radius is drawn exactly as
-W^{-1/2}.  Scale invariance of the process makes the unit-ball law exact for
+started at x in the unit ball, the exit point has density proportional to
+((1 - |x|^2) / (|y|^2 - 1))^s |x - y|^{-N} on |y| > 1 (Blumenthal, Getoor
+and Ray, Trans. AMS 99, 1961).  From the centre it is isotropic in angle,
+and in every dimension W = |y|^{-2} follows Beta(s, 1 - s), so the exit
+radius is drawn exactly as W^{-1/2}.  From any other point two closed forms
+map that draw and a uniform angle to the exact exit point
+(``_ball_exit``), so ``solve`` on a Ball takes one exact jump per walker;
+on every other domain the walkers step from inscribed balls until they
+leave.  Scale invariance of the process makes the unit-ball law exact for
 every ball radius.  With exit radius 1 the same walk is Brownian
 walk-on-spheres, which the polygon harmonic extension runs.
 """
@@ -59,17 +63,60 @@ class BrownianExitSampler:
         return 1.0
 
 
-def sample_ball_exit(s, dim, rng, n=1):
-    """Exit points of the 2s-stable process from the unit ball started at its
-    center: n points with |y| >= 1, isotropic in angle."""
+def _ball_exit(law, v, R, n, shift, rng):
+    """Exit points, less the centre, of n walkers started at offset v from
+    the centre of a ball of radius R, in one exact jump each.  The draws
+    are those of one step from the centre: one radius R0 = ``law.radius``
+    and one angle phi per unit (an antithetic pair, walkers 2k and 2k + 1,
+    when shift is 1, else one walker), the two walkers of a pair at
+    z = +-e^{i phi}.  With r = |v| / R, the exit density integrated over
+    angle makes (rho^2 - 1) / (1 - r^2) follow the law of R0^2 - 1,
+    BetaPrime(1 - s, s), so the exit radius is rho R with
+    rho = R0 sqrt(1 - r^2 (1 - R0^-2)).  Given rho, the exit direction
+    follows the disk's harmonic measure from a = v / (R rho), which is the
+    image e^{i theta} = (z + a) / (1 + conj(a) z) of the uniform z.  In
+    dimension one a is a signed number, and the walker exits on the
+    positive side where Re z > -sin(pi a / 2), with probability
+    (1 + a) / 2.  At v = 0 both maps are the identity: rho = R0 and the
+    direction is z, so a walk from the centre draws and rounds the numbers
+    of a step loop's first step.  An infinite R0 (a Beta draw W = 0) gives
+    rho = inf and a = 0."""
+    walker = np.arange(n)
+    slot = walker >> shift
+    sign = 1 - 2 * (walker & shift)
+    r0 = law.radius(slot, rng)
+    phi = 2.0 * np.pi * rng.random(slot[-1] + 1)
+    r2 = float(v @ v) / (R * R)
+    rho = r0 * np.sqrt(1.0 - r2 * (1.0 - 1.0 / (r0 * r0)))
+    # the step times a unit direction, as a step of the loop rounds it
+    step = R * rho
+    zx = sign * np.cos(phi)[slot]
+    a = v[:, None] / step
+    if len(v) == 1:
+        return (step * np.sign(zx + np.sin(0.5 * np.pi * a[0])))[:, None]
+    zy = sign * np.sin(phi)[slot]
+    ax, ay = a
+    # (z + a) / (1 + conj(a) z) as (z + a) conj(1 + conj(a) z) / |.|^2
+    num_x, num_y = zx + ax, zy + ay
+    den_x, den_y = 1.0 + ax * zx + ay * zy, ax * zy - ay * zx
+    norm = den_x * den_x + den_y * den_y
+    return np.stack([step * ((num_x * den_x + num_y * den_y) / norm),
+                     step * ((num_y * den_x - num_x * den_y) / norm)], axis=1)
+
+
+def sample_ball_exit(s, dim, rng, n=1, x=None):
+    """Exit points of the 2s-stable process from the unit ball started at x
+    (default its centre): n points with |y| >= 1, drawn as ``solve`` draws
+    the one exact jump of a ball walker, without antithetic pairs."""
     if dim not in (1, 2):
         raise ParameterError("exit sampling supports dim 1 and 2")
-    r = StableExitSampler(s).radius(np.arange(n), rng)
-    if dim == 1:
-        sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        return (r * sign)[:, None]
-    phi = rng.random(n) * 2.0 * np.pi
-    return r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    v = np.zeros(dim) if x is None else np.asarray(x, dtype=float)
+    if v.shape != (dim,) or not float(v @ v) < 1.0:
+        raise ParameterError(
+            f"exit sampling starts inside the unit ball of dim {dim}, "
+            f"not at {v.tolist()}")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _ball_exit(StableExitSampler(s), v, 1.0, n, 0, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +125,9 @@ def sample_ball_exit(s, dim, rng, n=1):
 @dataclass(frozen=True)
 class WoSConfig:
     """The settings of the walk-on-spheres engine, for ``solve`` and the
-    polygon harmonic extension alike; ``_walk_on_spheres`` reads them."""
+    polygon harmonic extension alike; ``_walk_on_spheres`` reads them.
+    sphere_fraction, max_steps and snap_eps act only on the domains that
+    step: a Ball walker exits in one exact jump."""
     sphere_fraction: float = 1.0
     max_steps: int = 1000
     snap_eps: float | None = None   # default: 1e-6 * diameter
@@ -138,8 +187,9 @@ def _refuse_diverging(growth, s):
 
 def solve(dom, g, x, kernel, cfg=None, point_index=0):
     """Estimate the solution of the fractional Dirichlet problem at x by
-    alpha-stable walk-on-spheres: ``_walk_on_spheres`` with the exact exit
-    law of order s and the settings ``cfg`` (default ``WoSConfig()``).
+    alpha-stable walk-on-spheres (one exact jump per walker on a Ball):
+    ``_walk_on_spheres`` with the exact exit law of order s and the
+    settings ``cfg`` (default ``WoSConfig()``).
     This checks that the domain, the kernel and the dimension fit the
     stable walk; the engine checks the datum and the point."""
     if not dom.bounded:
@@ -159,49 +209,31 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
 
 
 def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
-    """The walk-on-spheres loop behind ``solve`` and the polygon harmonic
+    """The walk-on-spheres engine behind ``solve`` and the polygon harmonic
     extension: walkers started at the interior point x, paid by g where
-    they stop.  It reads every setting from the ``WoSConfig`` cfg (kappa is
-    its sphere fraction), rounds an odd path count up for antithetic pairs
-    and takes snap_eps = 1e-6 * diameter when cfg leaves it None.  A datum
-    that declares no growth (a bare callable: no Hoelder certificate for
-    the bias bound) raises a ParameterError, and one whose growth reaches
-    2s a DivergenceError: the exit radius has tail P(R > r) ~ r^(-2s), so
-    its payload has no mean (the Brownian law takes the s = 1 limit).
+    they stop.  It reads every setting from the ``WoSConfig`` cfg, rounds
+    an odd path count up for antithetic pairs and takes snap_eps = 1e-6 *
+    diameter when cfg leaves it None.  A datum that declares no growth (a
+    bare callable: no Hoelder certificate for the bias bound) raises a
+    ParameterError, and one whose growth reaches 2s a DivergenceError: the
+    exit radius has tail P(R > r) ~ r^(-2s), so its payload has no mean
+    (the Brownian law takes the s = 1 limit).
 
-    The walkers of a batch all start at x, so one ``dom.dist_bound`` row of
-    x serves them, and each step makes one ``dom.dist_bound(newpos,
-    snap_eps)`` call: a walker jumps from a ball of radius kappa times that
-    lower bound on the distance, to ``law.radius`` times that radius, exits
-    where the bound is 0 (or NaN), and snaps to its projection where the
-    distance is below snap_eps.  ``dist_bound`` decides the snap exactly:
-    below snap_eps it is the exact distance unless the domain's upper bound
-    on the distance is below snap_eps too, and then the walker snaps on
-    either value, so the snap decisions are those of the exact distance.
-    Any kappa in (0, 1] keeps the ball inside the domain, where the exit
-    law is exact, so kappa = 1 is as unbiased as a smaller ball and takes
-    the fewest steps.  Only the live walkers are carried from step to
-    step: one compaction after each ``dist_bound`` call stops the exits
-    and the snaps together, and after the last allowed step only the
-    exits, so a walker that lands within snap_eps there has run out of
-    steps.  Each step draws one exit radius
-    and one angle phi per live unit, an antithetic pair or a single walker,
-    and gathers them to the walkers; the two walkers of a pair share the
-    radius and step at opposite angles.  The step direction is
-    (cos phi, sin phi) in dimension two and sign(cos phi) in dimension one,
-    from the same draws.
-    A walker that exits, snaps or runs out of max_steps steps records where
-    it stopped.  At the end of its batch one ``dom.project`` call takes
-    every walker paid at its projection (snapped or stopped by max_steps),
-    and one ``g`` call pays every walker; both act row by row, so a
+    On a Ball every walker exits in one exact jump (``_ball_exit``), from
+    the draws of one step: one exit radius and one angle per unit, an
+    antithetic pair or a single walker, the two walkers of a pair at
+    opposite points of the unit circle.  No ``dist_bound``, snap or
+    projection enters, so the bias bound is 0, and a walker takes one step.
+    Every other domain walks the step loop of ``_step_batch``, on which
+    kappa (the sphere fraction), snap_eps and max_steps act; its bias bound
+    is the snap bias, which the Hoelder certificate of g bounds by C0 *
+    snap_eps^alpha, plus C0 * dist^alpha for each walker stopped by
+    max_steps and paid at its projection, over the paths walked.
+    One ``g`` call per batch pays every walker; it acts row by row, so a
     walker's payload does not depend on the rest of the batch.  A
     non-finite payload (an exit radius that overflowed at small s, met by a
     datum that grows) raises a ReliabilityError naming s and the count, and
     so do walkers stopped by max_steps on more than 1% of the paths.
-    The estimator is unbiased up to the snap bias, which the Hoelder
-    certificate of g bounds by C0 * snap_eps^alpha, plus, for the walkers
-    stopped by max_steps and paid at their projection, C0 * dist^alpha of
-    each over the paths walked (reported together as bias_bound).
     Path batches draw from counter-based streams keyed by (seed, point,
     batch), so results do not depend on scheduling.  The stderr is NaN
     when the run has one estimator unit (one path, or one antithetic pair).
@@ -210,9 +242,8 @@ def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
     x = np.asarray(x, dtype=float)
     if not dom.contains(x):
         raise DomainError("walk-on-spheres needs an interior starting point")
-    kappa, max_steps, batch_size, seed, antithetic = (
-        cfg.sphere_fraction, cfg.max_steps, cfg.batch_size, cfg.seed,
-        cfg.antithetic)
+    exact = isinstance(dom, Ball)
+    batch_size, seed, antithetic = cfg.batch_size, cfg.seed, cfg.antithetic
     snap_eps = 1e-6 * dom.diameter if cfg.snap_eps is None else cfg.snap_eps
     paths = cfg.paths + 1 if antithetic and cfg.paths % 2 else cfg.paths
     n_batches = (paths + batch_size - 1) // batch_size
@@ -231,75 +262,32 @@ def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
     n_snapped = 0
     n_maxed = 0
     steps_max = 0
-    maxed_dist = []    # distances of the walkers stopped by max_steps
+    # sum of dist^alpha over the walkers stopped by max_steps
+    maxed_mass = 0.0
 
     for b in range(n_batches):
         size = min(batch_size, paths - b * batch_size)
         n_walked += size
         rng = np.random.Generator(np.random.Philox(
             key=[seed, (point_index << 32) + b]))
-        # where each walker stopped, and whether it is paid at its
-        # projection (snapped or stopped by max_steps) rather than there
-        stop = np.empty((size, dom.dim))
-        projected = np.zeros(size, dtype=bool)
-        # the live walkers, their positions and their dist_bound, compacted
-        # as walkers snap, exit or run out of steps
-        live = np.arange(size)
-        pos = np.tile(x, (size, 1))
-        # every walker starts at x, so one dist_bound row serves the batch
-        d = np.full(size, dom.dist_bound(x[None], snap_eps)[0])
-        # an exit radius is inf where numpy's Beta draw gives W = 0 (at
-        # small s), and the step and dist_bound then meet inf and NaN: such
-        # a walker exits, and its payload is checked below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for step in range(max_steps + 1):
-                # one compaction: a walker stays live at d >= snap_eps,
-                # snaps to its projection at 0 < d < snap_eps and exits at
-                # d <= 0 or NaN; after the last allowed step only exits
-                # leave, and the rest ran out of steps
-                inside = d > 0.0
-                keep = inside if step == max_steps else d >= snap_eps
-                if not np.all(keep):
-                    gone = ~keep
-                    stopped = live.compress(gone)
-                    stop[stopped] = pos.compress(gone, axis=0)
-                    projected[stopped] = inside.compress(gone)
-                    live = live.compress(keep)
-                    pos = pos.compress(keep, axis=0)
-                    d = d.compress(keep)
-                if step == max_steps or len(live) == 0:
-                    break
-                # rank of each walker's unit among the live units: one
-                # radius and one angle per unit; the second walker of a
-                # pair steps the opposite way (a negative radius)
-                unit = live >> shift
-                first = np.empty(len(live), dtype=bool)
-                first[0] = True
-                np.not_equal(unit[1:], unit[:-1], out=first[1:])
-                slot = np.cumsum(first) - 1
-                radius = kappa * d * law.radius(slot, rng) \
-                    * (1 - 2 * (live & shift))
-                phi = 2.0 * np.pi * rng.random(slot[-1] + 1)
-                if dom.dim == 1:
-                    pos[:, 0] += radius * np.sign(np.cos(phi))[slot]
-                else:
-                    pos[:, 0] += radius * np.cos(phi)[slot]
-                    pos[:, 1] += radius * np.sin(phi)[slot]
-                total_steps += len(live)
-                steps_max = max(steps_max, step + 1)
-                d = np.asarray(dom.dist_bound(pos, snap_eps))
-        # the walkers still live ran out of steps
-        n_maxed += len(live)
-        stop[live] = pos
-        projected[live] = True
-        paid = np.flatnonzero(projected)
-        n_snapped += len(paid)
-        if len(paid):
-            z0 = dom.project(stop.compress(projected, axis=0))[0]
-            if len(live):
-                maxed_dist.append(np.linalg.norm(
-                    pos - z0[np.searchsorted(paid, live)], axis=1))
-            stop[paid] = z0
+        if exact:
+            # an exit radius is inf where numpy's Beta draw gives W = 0 (at
+            # small s): such a walker exits at infinity, and its payload is
+            # checked below
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                stop = dom.center + _ball_exit(law, x - dom.center,
+                                               dom.radius, size, shift, rng)
+            total_steps += size
+            steps_max = 1
+        else:
+            stop, steps, most, paid, dist = _step_batch(
+                dom, x, law, cfg, snap_eps, size, shift, rng)
+            total_steps += steps
+            steps_max = max(steps_max, most)
+            n_snapped += paid
+            n_maxed += len(dist)
+            maxed_mass += float(np.sum(dist ** g.alpha))
         payload = np.asarray(g(stop), dtype=float)
         n_bad = np.count_nonzero(~np.isfinite(payload))
         if n_bad:
@@ -321,7 +309,7 @@ def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
 
     if n_maxed > 0.01 * n_walked:
         raise ReliabilityError(
-            f"{n_maxed} of {n_walked} paths hit max_steps = {max_steps}")
+            f"{n_maxed} of {n_walked} paths hit max_steps = {cfg.max_steps}")
 
     mean = sum_pay / n_walked    # pair means average to the same value
     if n_units > 1:
@@ -330,13 +318,105 @@ def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
         stderr = float(np.sqrt(var / n_units))
     else:
         stderr = float("nan")   # one estimator unit has no sample variance
-    maxed_mass = sum(float(np.sum(dm ** g.alpha)) for dm in maxed_dist)
-    bias = g.C0 * (snap_eps ** g.alpha + maxed_mass / n_walked)
+    bias = 0.0 if exact else \
+        g.C0 * (snap_eps ** g.alpha + maxed_mass / n_walked)
     return SolutionSample(
         x=tuple(x.tolist()), estimate=float(mean), stderr=stderr,
         paths_used=n_walked, mean_steps=total_steps / n_walked,
         snapped_fraction=n_snapped / n_walked, bias_bound=float(bias),
         seed=seed, n_maxed=n_maxed, steps_max=steps_max)
+
+
+def _step_batch(dom, x, law, cfg, snap_eps, size, shift, rng):
+    """One batch of ``size`` walkers of the step loop, started at the
+    interior point x of a planar domain.  Returns where each walker stopped
+    (its projection where it snapped or ran out of steps), the steps walked,
+    the most steps of a walker, the count paid at a projection and the
+    distances to it of the walkers stopped by max_steps.
+
+    The walkers all start at x, so one ``dom.dist_bound`` row of x serves
+    them, and each step makes one ``dom.dist_bound(newpos, snap_eps)``
+    call: a walker jumps from a ball of radius kappa (cfg's sphere
+    fraction) times that lower bound on the distance, to ``law.radius``
+    times that radius, exits where the bound is 0 (or NaN), and snaps to
+    its projection where the distance is below snap_eps.  ``dist_bound``
+    decides the snap exactly: below snap_eps it is the exact distance
+    unless the domain's upper bound on the distance is below snap_eps too,
+    and then the walker snaps on either value, so the snap decisions are
+    those of the exact distance.  Any kappa in (0, 1] keeps the ball inside
+    the domain, where the exit law is exact, so kappa = 1 is as unbiased as
+    a smaller ball and takes the fewest steps.  Only the live walkers are
+    carried from step to step: one compaction after each ``dist_bound``
+    call stops the exits and the snaps together, and after the last allowed
+    step (cfg's max_steps) only the exits, so a walker that lands within
+    snap_eps there has run out of steps.  Each step draws one exit radius
+    and one angle phi per live unit and gathers them to the walkers; the
+    two walkers of a pair share the radius and step at opposite angles.
+    At the end of the batch one ``dom.project`` call takes every walker
+    paid at its projection (snapped or stopped by max_steps); it acts row
+    by row."""
+    kappa, max_steps = cfg.sphere_fraction, cfg.max_steps
+    # where each walker stopped, and whether it is paid at its projection
+    # (snapped or stopped by max_steps) rather than there
+    stop = np.empty((size, dom.dim))
+    projected = np.zeros(size, dtype=bool)
+    # the live walkers, their positions and their dist_bound, compacted as
+    # walkers snap, exit or run out of steps
+    live = np.arange(size)
+    pos = np.tile(x, (size, 1))
+    # every walker starts at x, so one dist_bound row serves the batch
+    d = np.full(size, dom.dist_bound(x[None], snap_eps)[0])
+    total_steps = 0
+    steps_max = 0
+    # an exit radius is inf where numpy's Beta draw gives W = 0 (at small
+    # s), and the step and dist_bound then meet inf and NaN: such a walker
+    # exits, and its payload is checked by the caller
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for step in range(max_steps + 1):
+            # one compaction: a walker stays live at d >= snap_eps, snaps to
+            # its projection at 0 < d < snap_eps and exits at d <= 0 or
+            # NaN; after the last allowed step only exits leave, and the
+            # rest ran out of steps
+            inside = d > 0.0
+            keep = inside if step == max_steps else d >= snap_eps
+            if not np.all(keep):
+                gone = ~keep
+                stopped = live.compress(gone)
+                stop[stopped] = pos.compress(gone, axis=0)
+                projected[stopped] = inside.compress(gone)
+                live = live.compress(keep)
+                pos = pos.compress(keep, axis=0)
+                d = d.compress(keep)
+            if step == max_steps or len(live) == 0:
+                break
+            # rank of each walker's unit among the live units: one radius
+            # and one angle per unit; the second walker of a pair steps the
+            # opposite way (a negative radius)
+            unit = live >> shift
+            first = np.empty(len(live), dtype=bool)
+            first[0] = True
+            np.not_equal(unit[1:], unit[:-1], out=first[1:])
+            slot = np.cumsum(first) - 1
+            radius = kappa * d * law.radius(slot, rng) \
+                * (1 - 2 * (live & shift))
+            phi = 2.0 * np.pi * rng.random(slot[-1] + 1)
+            pos[:, 0] += radius * np.cos(phi)[slot]
+            pos[:, 1] += radius * np.sin(phi)[slot]
+            total_steps += len(live)
+            steps_max = max(steps_max, step + 1)
+            d = np.asarray(dom.dist_bound(pos, snap_eps))
+    # the walkers still live ran out of steps
+    stop[live] = pos
+    projected[live] = True
+    paid = np.flatnonzero(projected)
+    maxed_dist = np.empty(0)
+    if len(paid):
+        z0 = dom.project(stop.compress(projected, axis=0))[0]
+        if len(live):
+            maxed_dist = np.linalg.norm(
+                pos - z0[np.searchsorted(paid, live)], axis=1)
+        stop[paid] = z0
+    return stop, total_steps, steps_max, len(paid), maxed_dist
 
 
 # ---------------------------------------------------------------------------

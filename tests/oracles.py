@@ -140,3 +140,67 @@ def point_power_disk_extension(alpha, C0, center, radius, z0, x):
     a = c0 * np.cumprod((k - 1.0 - 0.5 * alpha) / (k + 0.5 * alpha))
     series = np.sum(a * rho[:, None] ** k * np.cos(k * theta[:, None]), axis=1)
     return C0 * radius ** alpha * (c0 + 2.0 * series)
+
+
+def _exit_radial_integral(f, s, r, rho_min):
+    """int_{rho_min}^inf ((1 - r^2) / (rho^2 - 1))^s f(rho) drho for
+    rho_min >= 1, by adaptive quadrature: the (rho - 1)^{-s} endpoint by the
+    algebraic weight, geometric panels from 1 + (1 - r) to 2 (the kernel
+    varies on the scale of the start point's depth 1 - r), and the tail by
+    rho = 2 / t, whose t^{2s-1} endpoint takes the algebraic weight."""
+    opts = dict(limit=200, epsabs=0.0, epsrel=1e-11)
+    depth = 1.0 - r
+    edges = [rho_min]
+    if rho_min < 2.0:
+        edges += [e for e in 1.0 + depth * 4.0 ** np.arange(40)
+                  if rho_min < e < 2.0]
+        edges.append(2.0)
+    total = 0.0
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if k == 0 and lo == 1.0:
+            g = lambda p: ((1.0 - r * r) / (p + 1.0)) ** s * f(p)
+            total += quad(g, lo, hi, weight="alg", wvar=(-s, 0.0), **opts)[0]
+        else:
+            g = lambda p: ((1.0 - r * r) / (p * p - 1.0)) ** s * f(p)
+            total += quad(g, lo, hi, **opts)[0]
+    top = edges[-1]
+    # rho = top / t: drho = top / t^2 dt, and the kernel ~ rho^{-2s}
+    tail = lambda t: ((1.0 - r * r) * t * t / (top * top - t * t)) ** s \
+        * f(top / t) * top / t ** 2 / t ** (2.0 * s - 1.0) if t > 0 else 0.0
+    total += quad(tail, 0.0, 1.0, weight="alg", wvar=(2.0 * s - 1.0, 0.0),
+                  **opts)[0]
+    return total
+
+
+def off_centre_exit_prob(s, r, rho_min=1.0, half_angle=np.pi):
+    """P(|Y| > rho_min and the angle of Y lies within half_angle of the
+    start point's) for the exit point Y of the 2s-stable process from the
+    unit disk started at (r, 0), 0 <= r < 1.  The exit density is
+    proportional to ((1 - r^2) / (|y|^2 - 1))^s |x - y|^{-2} (Blumenthal,
+    Getoor and Ray, Trans. AMS 99, 1961); this integrates it in polar
+    coordinates about the centre, the angle and the radius both by adaptive
+    quadrature, and divides by the mass over the whole exterior, so no
+    normalising constant enters."""
+    opts = dict(limit=200, epsabs=0.0, epsrel=1e-12)
+
+    def angular(h):
+        # rho int_{-h}^{h} dtheta / |rho e^{i theta} - r|^2, even in theta,
+        # peaked at theta = 0 with width about rho - r
+        return lambda rho: 2.0 * rho * quad(
+            lambda th: 1.0 / (rho * rho + r * r - 2.0 * r * rho * np.cos(th)),
+            0.0, h, points=[min(h, 4.0 * (rho - r))] if h > 4.0 * (rho - r)
+            else None, **opts)[0]
+
+    part = _exit_radial_integral(angular(half_angle), s, r, rho_min)
+    whole = _exit_radial_integral(angular(np.pi), s, r, 1.0)
+    return part / whole
+
+
+def exit_side_prob_1d(s, r):
+    """P(Y > 0) for the exit point Y of the 2s-stable process from (-1, 1)
+    started at r: the exit density, proportional to ((1 - r^2) / (y^2 -
+    1))^s |y - r|^{-1}, integrated over y > 1 and over |y| > 1 by adaptive
+    quadrature, so no normalising constant enters."""
+    near = _exit_radial_integral(lambda y: 1.0 / (y - r), s, abs(r), 1.0)
+    far = _exit_radial_integral(lambda y: 1.0 / (y + r), s, abs(r), 1.0)
+    return near / (near + far)

@@ -431,6 +431,34 @@ def test_config_file_value_of_the_wrong_type_is_named(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, record, key", [
+    # a number reached open() as a file descriptor: {"out": 7} ended in
+    # "OSError: Bad file descriptor", and {"input": 0} read stdin
+    (["counterexample", "--n", "3"], {"out": 7}, "out"),
+    (["fit", "--s", "0.5"], {"input": 0}, "input"),
+    (["solve", "--domain", "ball", "--data", '{"name": "constant"}'],
+     {"points-file": 3}, "points-file"),
+])
+def test_config_file_path_that_is_not_a_string_is_named(
+        tmp_path, monkeypatch, capsys, command, record, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(record))
+    assert run([*command, "--config", "run.json"]) == 1
+    assert f"bad {key} {record[key]!r}: not a string" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+def test_fit_of_a_csv_without_rows_is_named(tmp_path, capsys):
+    # a header and no rows ended in an IndexError traceback
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# fraclab config_hash=0\nt,value,stderr\n")
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--input", str(empty), "--s", "0.5",
+                "--out", str(out)]) == 1
+    assert f"input {str(empty)!r} has no rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, record, key", [
     # a misspelt tmin ran at the default tmin and was recorded in the CSV
     (["counterexample", "--n", "3"], {"tmni": 0.001}, "tmni"),
     (["solve", "--domain", "ball", "--data", '{"name": "constant"}',
@@ -598,7 +626,7 @@ GOLDEN = {
         ["solve", "--domain", "ball", "--data",
          '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
          "--points", "0.3,0.0;0.0,0.5", "--paths", "2000", "--seed", "7"],
-        "0985453fc9003e1c6235b242d955bf293c24149feb45b9ea8784a3344792a1ce"),
+        "9f3813ac7a04029385c8d92548bd73d5cdce17af12e35c7198f6eb357a35f109"),
     "star.csv": (
         ["solve", "--domain", '{"star": {"coeff_cos": [1, 0, 0.1]}}', "--data",
          '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
@@ -670,6 +698,26 @@ def test_wos_outputs_agree_with_half_ball_runs(tmp_path, monkeypatch, name):
     rows = wos_rows(name)
     assert len(rows) == len(HALF_BALL_STEPS[name])
     for (new_est, new_se), (est, se) in zip(rows, HALF_BALL_STEPS[name]):
+        assert new_est != est
+        assert abs(new_est - est) <= 4.0 * (new_se ** 2 + se ** 2) ** 0.5
+
+
+# (estimate, stderr) of each row the seeded ball walks of GOLDEN wrote when
+# a ball walker stepped on inscribed balls until it left, instead of taking
+# one exact jump from the off-centre exit law
+STEP_LOOP = {
+    "solve.csv": [(2.14103101781, 0.0149521308268),
+                  (2.35620459895, 0.0130011453379)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_LOOP))
+def test_wos_outputs_agree_with_step_loop_runs(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(["--threads", "1", *GOLDEN[name][0]]) == 0
+    rows = wos_rows(name)
+    assert len(rows) == len(STEP_LOOP[name])
+    for (new_est, new_se), (est, se) in zip(rows, STEP_LOOP[name]):
         assert new_est != est
         assert abs(new_est - est) <= 4.0 * (new_se ** 2 + se ** 2) ** 0.5
 
