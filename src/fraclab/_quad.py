@@ -240,7 +240,7 @@ def _row_chunks(sizes):
         start = stop
 
 
-def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
+def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, tail_start,
                      rel_tol, n_jacobi, init_panels, max_panels):
     """The operator integral int_0^inf (u_x - pair_avg(r)) r^{-1-2s} dr
     along D directions at once, split as near ([0, rho]) and far (the rest).
@@ -252,7 +252,8 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     ``Field.radial_breakpoints``: row i holds the kink radii of direction i,
     padded with +inf (every non-finite entry is padding).  Each direction
     keeps its own rule: near Gauss-Jacobi nodes, mid panels pre-split at its
-    kinks and bisected adaptively, a tail in the reciprocal variable.  Panel
+    kinks and bisected adaptively, a tail in the reciprocal variable from
+    the largest of ``tail_start``, 4 rho and twice its last kink.  Panel
     state lives in one stacked array, its columns tagged with the direction
     index, in each direction's panel order.  Every stage (the first pass,
     then each bisection sweep) gathers the nodes of all directions and
@@ -269,8 +270,8 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, far_cutoff,
     dirs = np.arange(n_dir)
     u_x = np.broadcast_to(np.asarray(u_x, dtype=float), (n_dir,))
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (n_dir,))
-    # far cutoff beyond every kink so the tail transform sees a smooth field
-    r_far = np.maximum(np.maximum(far_cutoff, 4.0 * rho),
+    # the tail starts beyond every kink so its transform sees a smooth field
+    r_far = np.maximum(np.maximum(tail_start, 4.0 * rho),
                        2.0 * np.max(np.nan_to_num(kinks), axis=1, initial=0.0))
     a, b, k = mid_panels(rho, r_far, kinks, init_panels)
     # mid-panel state, one row each: ends, K15 value, G7 error, |f| mass

@@ -450,13 +450,29 @@ def cmd_solve(args):
     return 0
 
 
+def _depth_grid(cfg, command, upper=np.inf):
+    """The n depths geomspace(tmin, tmax, n) of ``command``; a ParameterError
+    naming the flag unless 0 < tmin, tmax < upper and n >= 1 (an infinite
+    or NaN depth fails the bound)."""
+    for key in ("tmin", "tmax"):
+        if not 0.0 < cfg[key] < upper:
+            raise ParameterError(
+                f"{command} needs 0 < {key} < {upper:g} (--{key}), "
+                f"got {cfg[key]}")
+    if cfg["n"] < 1:
+        raise ParameterError(f"{command} needs n >= 1 (--n), "
+                             f"got {cfg['n']}")
+    return np.geomspace(cfg["tmin"], cfg["tmax"], cfg["n"])
+
+
 def cmd_profile(args):
     cfg = _resolve(args)
+    depths = _depth_grid(cfg, "profile")
     dom, g, kernel, wcfg = _walk_setup(cfg)
     if cfg.get("z0") is None and g.singular_points:
         cfg["z0"] = list(g.singular_points[0])
     z0 = np.asarray(cfg["z0"], dtype=float)
-    t_grid = np.geomspace(cfg["tmin"], cfg["tmax"], cfg["n"]) * dom.diameter
+    t_grid = depths * dom.diameter
     prof = boundary_profile(wos_solver(dom, g, kernel, wcfg), dom, g, z0,
                             t_grid)
     rows = list(zip(prof.t, prof.values, prof.stderr))
@@ -539,14 +555,7 @@ def cmd_counterexample(args):
     cfg = _resolve(args)
     s = cfg["s"]
     # the ratio divides by t^s log(1/t), which is positive only on (0, 1)
-    for key in ("tmin", "tmax"):
-        if not 0.0 < cfg[key] < 1.0:
-            raise ParameterError(
-                f"counterexample needs 0 < {key} < 1 (--{key}), "
-                f"got {cfg[key]}")
-    if cfg["n"] < 1:
-        raise ParameterError(f"counterexample needs n >= 1 (--n), "
-                             f"got {cfg['n']}")
+    depths = _depth_grid(cfg, "counterexample", upper=1.0)
     g = counterexample_min_rs_1(s)
 
     def work(t):
@@ -554,7 +563,7 @@ def cmd_counterexample(args):
         base = t ** s * np.log(1.0 / t)
         return (t, v, t ** s, base, v / base), e
 
-    done = _map(cfg, work, np.geomspace(cfg["tmin"], cfg["tmax"], cfg["n"]))
+    done = _map(cfg, work, depths)
     rows = [row for row, _ in done]
     diagnostics = {
         "points": [{"t": float(row[0]), "err_estimate": e}

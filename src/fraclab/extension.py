@@ -357,9 +357,8 @@ def check_extension_bounds(dom, g, band=(1e-3, 1e-1), alpha=None, n_points=10,
     comp = extended_field(dom, g)
     disk = comp.inside          # one inside field for the Hessian and L
     if q is None:
-        q = QuadratureSpec(target_rel_tol=2e-3, angular_nodes=34,
-                           max_angular_panels=24, max_radial_panels=160,
-                           n_jacobi=16)
+        q = QuadratureSpec(target_rel_tol=2e-3, max_angular_panels=24,
+                           max_radial_panels=160, n_jacobi=16)
     xs = [dom.center + (dom.radius - d) * towards for d in ds]
     ovs = apply_L_many(kernel, comp, xs, q=q)
     hess_n, hessnorm, opv, operr, opn = [], [], [], [], []

@@ -29,31 +29,28 @@ from .errors import DivergenceError, DomainError, ParameterError, ToleranceWarni
 from .kernels import make_fractional_laplacian
 
 _TINY = 1e-300
+# the near ball is this fraction of the distance from x to the nearest kink
+# of u (the role the distance to the boundary plays for the barrier
+# integrands)
+_NEAR_FRACTION = 0.5
+# the radial tail (in the reciprocal variable) starts at this radius or
+# beyond, and the mid range between the near ball and it starts as this
+# many panels
+_FAR_CUTOFF = 16.0
+_RADIAL_PANELS = 8
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Knobs of the operator quadrature.
+    """Knobs of the operator quadrature."""
 
-    ``near_fraction`` sets the near ball as a fraction of the distance from x
-    to the nearest kink of u (the role the distance to the boundary plays for
-    the barrier integrands).
-    """
-
-    near_fraction: float = 0.5
-    radial_panels: int = 8
     angular_nodes: int = 34
-    far_cutoff: float = 16.0
     target_rel_tol: float = 1e-6
     max_radial_panels: int = 400
     max_angular_panels: int = 40
     n_jacobi: int = 24
 
     def __post_init__(self):
-        if not 0.0 < self.near_fraction <= 1.0:
-            raise ParameterError("near_fraction must lie in (0, 1]")
-        if self.radial_panels < 4:
-            raise ParameterError("radial_panels must be >= 4")
         if self.target_rel_tol <= 0.0:
             raise ParameterError("target_rel_tol must be positive")
 
@@ -92,7 +89,7 @@ def _points(points, dim):
     return np.array(pts)
 
 
-def _near_radius(u, x, q, index=0):
+def _near_radius(u, x, index=0):
     sr = float(u.smooth_radius(x))
     if sr <= 0.0:
         raise DomainError(f"points[{index}] = {x.tolist()} lies on a kink of "
@@ -101,7 +98,7 @@ def _near_radius(u, x, q, index=0):
     if np.isinf(sr):
         base = 0.5 * scale
     else:
-        base = q.near_fraction * sr
+        base = _NEAR_FRACTION * sr
     return max(base, 1e-14 * scale)
 
 
@@ -139,33 +136,32 @@ def _radial(kernel, u, u_x, x, thetas, rho, q, rel_tol):
 
     return radial_integrals(
         pair_avg, u_x, kernel.s, rho, _kink_table(u, x, thetas), u.growth,
-        q.far_cutoff, rel_tol, q.n_jacobi, q.radial_panels,
-        q.max_radial_panels)
+        _FAR_CUTOFF, rel_tol, q.n_jacobi, _RADIAL_PANELS, q.max_radial_panels)
 
 
-def apply_L(kernel, u, x, q=None, half_circle=True):
+def apply_L(kernel, u, x, q=None):
     """Quadrature estimate of -Lu(x) for a homogeneous kernel.
 
     u must declare a growth exponent < 2s; otherwise the far integral
     diverges and a DivergenceError is raised.  This is the one-point case
     of ``apply_L_many``.
     """
-    return _operator_values(kernel, u, [x], q, half_circle)[0]
+    return _operator_values(kernel, u, [x], q)[0]
 
 
-def apply_L_many(kernel, u, points, q=None, half_circle=True):
-    """``[apply_L(kernel, u, x, q, half_circle) for x in points]``, bit for
-    bit, from one batched quadrature: every point keeps its own panels and
-    refinement decisions, and each stage evaluates u on the nodes of all
-    points at once.  Every point is checked before any quadrature runs: an
+def apply_L_many(kernel, u, points, q=None):
+    """``[apply_L(kernel, u, x, q) for x in points]``, bit for bit, from
+    one batched quadrature: every point keeps its own panels and refinement
+    decisions, and each stage evaluates u on the nodes of all points at
+    once.  Every point is checked before any quadrature runs: an
     empty list or a point of the wrong dimension raises a ParameterError,
     a point on a kink of u a DomainError, each naming the point's index.
     A ToleranceWarning is emitted for each point that misses its target.
     """
-    return _operator_values(kernel, u, points, q, half_circle)
+    return _operator_values(kernel, u, points, q)
 
 
-def _operator_values(kernel, u, points, q, half_circle):
+def _operator_values(kernel, u, points, q):
     """The OperatorValues of ``apply_L_many``; a ToleranceWarning per point
     that misses its target is attributed to the caller of the public
     entry point."""
@@ -179,7 +175,7 @@ def _operator_values(kernel, u, points, q, half_circle):
     xs = _points(points, kernel.dim)
     if kernel.dim not in (1, 2):
         raise ParameterError("operator quadrature supports dim 1 and 2")
-    rho = np.array([_near_radius(u, x, q, i) for i, x in enumerate(xs)])
+    rho = np.array([_near_radius(u, x, i) for i, x in enumerate(xs)])
     u_x = np.asarray(u(xs), dtype=float)
 
     if kernel.dim == 1:
@@ -193,7 +189,7 @@ def _operator_values(kernel, u, points, q, half_circle):
                   int(rad.n_evals[i]), int(rad.bisections[i]))
                  for i in range(len(xs))]
     else:
-        parts = _angular_integrals(kernel, u, u_x, xs, rho, q, half_circle)
+        parts = _angular_integrals(kernel, u, u_x, xs, rho, q)
 
     out = []
     for near, far, err, mass, n_evals, refinements in parts:
@@ -250,28 +246,22 @@ def _angular_panels(kernel, u, u_x, xs, rho, q, rad_tol, edges, owner):
     return panels, evals.sum(axis=1), bis.sum(axis=1)
 
 
-def _angular_integrals(kernel, u, u_x, xs, rho, q, half_circle):
-    """(near, far, err, mass, n_evals, refinements) of each point.  The
-    points refine in lockstep: each round, every point still above its
-    target splits its own worst panel, and the halves of all points go
-    through one radial quadrature, so each point makes the decisions it
-    makes alone."""
-    span = np.pi if half_circle else 2.0 * np.pi
-    factor = 2.0 if half_circle else 1.0
+def _angular_integrals(kernel, u, u_x, xs, rho, q):
+    """(near, far, err, mass, n_evals, refinements) of each point, from the
+    directions of the half circle [0, pi], doubled: the symmetrized
+    integrand is even.  The points refine in lockstep: each round, every
+    point still above its target splits its own worst panel, and the halves
+    of all points go through one radial quadrature, so each point makes the
+    decisions it makes alone."""
     # subdivide long segments so the initial node budget is met
     n_target = max(2, q.angular_nodes // 17)
     segments, owner = [], []
     for i, x in enumerate(xs):
-        bps = sorted({float(b % np.pi) for b in u.angular_breakpoints(x)})
-        edges = [0.0]
-        for b in bps:
-            for rep in (b, b + np.pi):
-                if 1e-12 < rep < span - 1e-12:
-                    edges.append(rep)
-        edges.append(span)
-        edges = sorted(set(edges))
+        bps = {float(b % np.pi) for b in u.angular_breakpoints(x)}
+        edges = sorted({0.0, np.pi}
+                       | {b for b in bps if 1e-12 < b < np.pi - 1e-12})
         for a, b in zip(edges[:-1], edges[1:]):
-            k = max(1, int(np.ceil((b - a) / (span / n_target))))
+            k = max(1, int(np.ceil((b - a) / (np.pi / n_target))))
             sub = np.linspace(a, b, k + 1)
             segments.extend(zip(sub[:-1], sub[1:]))
             owner.extend([i] * k)
@@ -292,9 +282,9 @@ def _angular_integrals(kernel, u, u_x, xs, rho, q, half_circle):
         halves, owner = [], []
         for i in active:
             pan = panels[i]
-            value = factor * sum(p.near + p.far for p in pan)
-            mass = factor * sum(p.mass for p in pan)
-            rule_err = factor * sum(p.rule_err for p in pan)
+            value = 2.0 * sum(p.near + p.far for p in pan)
+            mass = 2.0 * sum(p.mass for p in pan)
+            rule_err = 2.0 * sum(p.rule_err for p in pan)
             target = q.target_rel_tol * max(abs(value), 0.25 * mass, _TINY)
             if rule_err <= 0.7 * target or len(pan) >= q.max_angular_panels:
                 continue
@@ -319,10 +309,10 @@ def _angular_integrals(kernel, u, u_x, xs, rho, q, half_circle):
 
     out = []
     for pan, ev, ref in zip(panels, n_evals, refinements):
-        near = factor * sum(p.near for p in pan)
-        far = factor * sum(p.far for p in pan)
-        err = factor * sum(p.rule_err + p.rad_err for p in pan)
-        mass = factor * sum(p.mass for p in pan)
+        near = 2.0 * sum(p.near for p in pan)
+        far = 2.0 * sum(p.far for p in pan)
+        err = 2.0 * sum(p.rule_err + p.rad_err for p in pan)
+        mass = 2.0 * sum(p.mass for p in pan)
         out.append((near, far, err, mass, ev, ref))
     return out
 

@@ -46,9 +46,12 @@ class StableExitSampler:
         """Exit radii >= 1, one per entry of the index array ``slot``:
         max(slot) + 1 radii are drawn and entry i takes radius slot[i], so
         equal slots share one radius.  At small s numpy's Beta draw gives
-        W = 0 now and then (about 6e-4 of the draws at s = 0.01): that
-        radius is inf, an exit at infinity, where a bounded datum pays its
-        limit."""
+        W = 0 now and then: a draw below the smallest double, 4.9e-324,
+        rounds to 0, so P(W = 0) is about (4.9e-324)^s = 10^(-323 s), 5.8e-4
+        at s = 0.01 and 3.4e-7 at s = 0.02.  That radius is inf, an exit at
+        infinity, where a bounded datum pays its limit and a growing one
+        fails the walk (with probability about N 10^(-323 s) over N
+        paths)."""
         n = np.max(slot, initial=-1) + 1
         return (rng.beta(self.s, 1.0 - self.s, n) ** -0.5)[slot]
 
@@ -110,6 +113,8 @@ def sample_ball_exit(s, dim, rng, n=1, x=None):
     the one exact jump of a ball walker, without antithetic pairs."""
     if dim not in (1, 2):
         raise ParameterError("exit sampling supports dim 1 and 2")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ParameterError(f"n must be a positive integer, got {n!r}")
     v = np.zeros(dim) if x is None else np.asarray(x, dtype=float)
     if v.shape != (dim,) or not float(v @ v) < 1.0:
         raise ParameterError(
@@ -126,9 +131,8 @@ def sample_ball_exit(s, dim, rng, n=1, x=None):
 class WoSConfig:
     """The settings of the walk-on-spheres engine, for ``solve`` and the
     polygon harmonic extension alike; ``_walk_on_spheres`` reads them.
-    sphere_fraction, max_steps and snap_eps act only on the domains that
-    step: a Ball walker exits in one exact jump."""
-    sphere_fraction: float = 1.0
+    max_steps and snap_eps act only on the domains that step: a Ball walker
+    exits in one exact jump."""
     max_steps: int = 1000
     snap_eps: float | None = None   # default: 1e-6 * diameter
     paths: int = 100000             # odd counts round up for antithetic pairs
@@ -137,8 +141,6 @@ class WoSConfig:
     batch_size: int = 1 << 15
 
     def __post_init__(self):
-        if not 0.0 < self.sphere_fraction <= 1.0:
-            raise ParameterError("sphere_fraction must lie in (0,1]")
         if self.max_steps < 1:
             raise ParameterError("max_steps must be >= 1")
         if self.paths < 1:
@@ -225,7 +227,7 @@ def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
     opposite points of the unit circle.  No ``dist_bound``, snap or
     projection enters, so the bias bound is 0, and a walker takes one step.
     Every other domain walks the step loop of ``_step_batch``, on which
-    kappa (the sphere fraction), snap_eps and max_steps act; its bias bound
+    snap_eps and max_steps act; its bias bound
     is the snap bias, which the Hoelder certificate of g bounds by C0 *
     snap_eps^alpha, plus C0 * dist^alpha for each walker stopped by
     max_steps and paid at its projection, over the paths walked.
@@ -336,26 +338,25 @@ def _step_batch(dom, x, law, cfg, snap_eps, size, shift, rng):
 
     The walkers all start at x, so one ``dom.dist_bound`` row of x serves
     them, and each step makes one ``dom.dist_bound(newpos, snap_eps)``
-    call: a walker jumps from a ball of radius kappa (cfg's sphere
-    fraction) times that lower bound on the distance, to ``law.radius``
-    times that radius, exits where the bound is 0 (or NaN), and snaps to
-    its projection where the distance is below snap_eps.  ``dist_bound``
-    decides the snap exactly: below snap_eps it is the exact distance
-    unless the domain's upper bound on the distance is below snap_eps too,
-    and then the walker snaps on either value, so the snap decisions are
-    those of the exact distance.  Any kappa in (0, 1] keeps the ball inside
-    the domain, where the exit law is exact, so kappa = 1 is as unbiased as
-    a smaller ball and takes the fewest steps.  Only the live walkers are
-    carried from step to step: one compaction after each ``dist_bound``
-    call stops the exits and the snaps together, and after the last allowed
-    step (cfg's max_steps) only the exits, so a walker that lands within
-    snap_eps there has run out of steps.  Each step draws one exit radius
-    and one angle phi per live unit and gathers them to the walkers; the
-    two walkers of a pair share the radius and step at opposite angles.
-    At the end of the batch one ``dom.project`` call takes every walker
-    paid at its projection (snapped or stopped by max_steps); it acts row
-    by row."""
-    kappa, max_steps = cfg.sphere_fraction, cfg.max_steps
+    call: a walker jumps from the ball whose radius is that lower bound on
+    the distance, to ``law.radius`` times that radius, exits where the
+    bound is 0 (or NaN), and snaps to its projection where the distance is
+    below snap_eps.  ``dist_bound`` decides the snap exactly: below
+    snap_eps it is the exact distance unless the domain's upper bound on
+    the distance is below snap_eps too, and then the walker snaps on either
+    value, so the snap decisions are those of the exact distance.  The ball
+    lies inside the domain, where the exit law is exact, so the whole ball
+    is as unbiased as a smaller one and takes the fewest steps.  Only the
+    live walkers are carried from step to step: one compaction after each
+    ``dist_bound`` call stops the exits and the snaps together, and after
+    the last allowed step (cfg's max_steps) only the exits, so a walker
+    that lands within snap_eps there has run out of steps.  Each step draws
+    one exit radius and one angle phi per live unit and gathers them to the
+    walkers; the two walkers of a pair share the radius and step at
+    opposite angles.  At the end of the batch one ``dom.project`` call
+    takes every walker paid at its projection (snapped or stopped by
+    max_steps); it acts row by row."""
+    max_steps = cfg.max_steps
     # where each walker stopped, and whether it is paid at its projection
     # (snapped or stopped by max_steps) rather than there
     stop = np.empty((size, dom.dim))
@@ -397,8 +398,7 @@ def _step_batch(dom, x, law, cfg, snap_eps, size, shift, rng):
             first[0] = True
             np.not_equal(unit[1:], unit[:-1], out=first[1:])
             slot = np.cumsum(first) - 1
-            radius = kappa * d * law.radius(slot, rng) \
-                * (1 - 2 * (live & shift))
+            radius = d * law.radius(slot, rng) * (1 - 2 * (live & shift))
             phi = 2.0 * np.pi * rng.random(slot[-1] + 1)
             pos[:, 0] += radius * np.cos(phi)[slot]
             pos[:, 1] += radius * np.sin(phi)[slot]

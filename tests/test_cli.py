@@ -248,18 +248,28 @@ def test_counterexample_csv(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("tmin", "0"), ("tmin", "-1e-3"), ("tmin", "nan"), ("tmax", "1"),
-    ("tmax", "2"), ("n", "0")])
+    ("tmax", "2"), ("n", "0"), ("tmax", "inf")])
 def test_counterexample_refuses_bad_flags(tmp_path, monkeypatch, capsys,
                                           flag, value):
     # tmin 0 reached numpy's "Geometric sequence cannot include zero", a
     # tmax >= 1 wrote inf or negative ratios (log(1/t) <= 0) and n 0 reached
-    # "min() arg is an empty sequence"
+    # "min() arg is an empty sequence".  profile shares the check, with
+    # depths in diameters, so only a finite tmax >= 1 passes it there; it
+    # wrote a row of NaN and negative depths at tmin -1e-3 and an empty CSV
+    # at n 0
     monkeypatch.setattr("fraclab.cli.halfplane_poisson",
                         lambda *a: pytest.fail("a depth was computed"))
-    out = tmp_path / "ce.csv"
-    assert run(["counterexample", f"--{flag}={value}", "--out", str(out)]) == 1
-    assert f"--{flag}" in capsys.readouterr().err
-    assert not out.exists()
+    monkeypatch.setattr("fraclab.cli.boundary_profile",
+                        lambda *a: pytest.fail("a depth was computed"))
+    commands = [["counterexample"]]
+    if not (flag == "tmax" and float(value) < float("inf")):
+        commands.append(["profile", "--domain", "ball", "--data",
+                         '{"name": "constant"}', "--z0", "1,0"])
+    for command in commands:
+        out = tmp_path / "depths.csv"
+        assert run([*command, f"--{flag}={value}", "--out", str(out)]) == 1
+        assert f"--{flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_threads_env(tmp_path, monkeypatch):

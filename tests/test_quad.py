@@ -9,7 +9,8 @@ from fraclab._quad import (NODE_CAP, bisect_edges, gauss_jacobi_01,
 from fraclab.fields import ConeBarrier, HalfSpacePower, PsiPower
 from fraclab.geometry import Ball
 from fraclab.kernels import make_fractional_laplacian
-from fraclab.nonlocal_op import QuadratureSpec, _near_radius, _radial
+from fraclab.nonlocal_op import (_FAR_CUTOFF, _RADIAL_PANELS, QuadratureSpec,
+                                 _near_radius, _radial)
 
 
 def test_gl8_panels_padding_contributes_nothing():
@@ -150,7 +151,7 @@ def _reference_edges(lo, hi, kinks, n_min):
     return np.array(keep)
 
 
-def _reference_radial(f, u_x, s, rho, kinks, growth, far_cutoff, rel_tol,
+def _reference_radial(f, u_x, s, rho, kinks, growth, tail_start, rel_tol,
                       n_jacobi, init_panels, max_panels):
     """One direction of the radial integral with a list of panels, split
     in place; f(r) is the pair average.  Returns (near, far, err, mass,
@@ -180,7 +181,7 @@ def _reference_radial(f, u_x, s, rho, kinks, growth, far_cutoff, rel_tol,
     near, err_near, mass_near = jacobi(
         lambda r: (u_x - f(r)) / (r * r), rho, 1.0 - two_s)
     kinks = [b for b in kinks if b > 0.0]
-    r_far = max(far_cutoff, 4.0 * rho, *(2.0 * b for b in kinks))
+    r_far = max(tail_start, 4.0 * rho, *(2.0 * b for b in kinks))
     edges = _reference_edges(rho, r_far, kinks, init_panels)
     panels = [panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
     n_evals, bisections = 72 + 15 * len(panels), 0
@@ -245,7 +246,7 @@ def test_radial_batch_matches_reference(u, x):
     q = QuadratureSpec(target_rel_tol=1e-5)
     x = np.asarray(x)
     u_x = float(u(x[None, :])[0])
-    rho = _near_radius(u, x, q)
+    rho = _near_radius(u, x)
     phis = np.linspace(0.0, np.pi, 17)
     thetas = np.column_stack([np.cos(phis), np.sin(phis)])
     rad = _radial(K, u, u_x, x, thetas, rho, q, 1e-6)
@@ -258,8 +259,7 @@ def test_radial_batch_matches_reference(u, x):
 
         near, far, err, mass, ev, bis = _reference_radial(
             f, u_x, 0.5, rho, kinks[i][np.isfinite(kinks[i])], u.growth,
-            q.far_cutoff, 1e-6, q.n_jacobi, q.radial_panels,
-            q.max_radial_panels)
+            _FAR_CUTOFF, 1e-6, q.n_jacobi, _RADIAL_PANELS, q.max_radial_panels)
         # the pieces cancel in places; |f| mass is the scale of the sums
         assert abs(rad.near[i] - near) <= 1e-13 * mass
         assert abs(rad.far[i] - far) <= 1e-13 * mass
@@ -280,7 +280,7 @@ def test_direction_alone_matches_batch():
     u = PsiPower(Ball([0.0, 0.0], 1.0), 0.25)
     x = np.array([0.3, 0.5])
     u_x = float(u(x[None, :])[0])
-    rho = _near_radius(u, x, q)
+    rho = _near_radius(u, x)
     phis = np.linspace(0.1, 3.0, 34)
     thetas = np.column_stack([np.cos(phis), np.sin(phis)])
     batch = _radial(K, u, u_x, x, thetas, rho, q, 1e-6)

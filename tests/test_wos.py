@@ -27,8 +27,25 @@ from oracles import (exit_law_median, exit_law_tail_prob, exit_side_prob_1d,
 K05 = make_fractional_laplacian(0.5, 2)
 BALL = Ball([0.0, 0.0], 1.0)
 # the unit disc as a star domain: a Ball walks in one exact jump, the disc
-# walks the step loop on which kappa, snap_eps and max_steps act
+# walks the step loop on which snap_eps and max_steps act
 DISC = StarShaped([1.0])
+
+
+class SmallerBalls:
+    """``dom`` with its walkers stepping from balls of a fraction of the
+    radius of its own: ``dist_bound`` times the fraction wherever that
+    stays at or above ``exact_below``, and the bound itself below, so it is
+    still a lower bound on the distance that decides the snap exactly."""
+
+    def __init__(self, dom, fraction):
+        self.dom, self.fraction = dom, fraction
+
+    def __getattr__(self, name):
+        return getattr(self.dom, name)
+
+    def dist_bound(self, x, exact_below=0.0):
+        d = self.dom.dist_bound(x, exact_below)
+        return np.where(d >= exact_below / self.fraction, self.fraction * d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +234,10 @@ def test_exit_points_from_the_centre_are_pinned():
 def test_exit_sampling_refuses_a_start_outside_the_ball(dim, x):
     with pytest.raises(ParameterError, match="inside the unit ball"):
         sample_ball_exit(0.5, dim, np.random.default_rng(0), x=x)
+    # and a count of points that is not a positive integer
+    for n in (0, -1, 2.5, True):
+        with pytest.raises(ParameterError, match="^n must"):
+            sample_ball_exit(0.5, dim, np.random.default_rng(0), n=n)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -362,31 +383,27 @@ def test_seed_determinism_bit_identical():
 
 
 def test_kappa_consistency():
+    """Walks whose steps use a fraction (kappa in the walk-on-spheres
+    literature) of the certified distance agree with each other and with
+    the full ball, which takes the fewest steps."""
     g = capped_distance_data([2.0, 0.0], 3.0)
     x = [0.2, 0.1]
-    a = solve(DISC, g, x, K05, WoSConfig(paths=100000, seed=5,
-                                         sphere_fraction=0.5))
-    b = solve(DISC, g, x, K05, WoSConfig(paths=100000, seed=6,
-                                         sphere_fraction=0.25))
+    a = solve(SmallerBalls(DISC, 0.5), g, x, K05,
+              WoSConfig(paths=100000, seed=5))
+    b = solve(SmallerBalls(DISC, 0.25), g, x, K05,
+              WoSConfig(paths=100000, seed=6))
     assert abs(a.estimate - b.estimate) <= 3.0 * (a.stderr + b.stderr)
     # the exit law is exact for every ball inside the domain, and dist_bound
     # is a lower bound on the distance: the full ball is as unbiased as half
     star = StarShaped([1.0, 0.0, 0.1])
     for dom, x in ((DISC, [0.2, 0.1]), (unit_square(), [0.1, 0.3]),
                    (star, [0.7, 0.3])):
-        full = solve(dom, g, x, K05, WoSConfig(paths=100000, seed=5,
-                                               sphere_fraction=1.0))
-        half = solve(dom, g, x, K05, WoSConfig(paths=100000, seed=6,
-                                               sphere_fraction=0.5))
+        full = solve(dom, g, x, K05, WoSConfig(paths=100000, seed=5))
+        half = solve(SmallerBalls(dom, 0.5), g, x, K05,
+                     WoSConfig(paths=100000, seed=6))
         assert full.mean_steps < half.mean_steps
         assert abs(full.estimate - half.estimate) \
             <= 3.0 * (full.stderr + half.stderr)
-    # the fraction's range is (0, 1], and the full ball is the default
-    assert WoSConfig().sphere_fraction == 1.0
-    assert WoSConfig(sphere_fraction=1.0).sphere_fraction == 1.0
-    for bad in (0.0, 1.0000001):
-        with pytest.raises(ParameterError, match="sphere_fraction"):
-            WoSConfig(sphere_fraction=bad)
 
 
 def test_snap_bias_controlled():
@@ -651,8 +668,8 @@ def test_star_disc_matches_exit_law_oracle():
         fn=lambda p: (np.linalg.norm(p, axis=1) > 2.0).astype(float),
         alpha=0.5, C0=1.0)
     tail = exit_law_tail_prob(0.5, 2.0)
-    half = solve(StarShaped([1.0]), far, [0.0, 0.0], K05,
-                 WoSConfig(paths=40000, seed=31, sphere_fraction=0.5))
+    half = solve(SmallerBalls(StarShaped([1.0]), 0.5), far, [0.0, 0.0], K05,
+                 WoSConfig(paths=40000, seed=31))
     assert half.mean_steps > 1.0
     assert abs(half.estimate - tail) <= 4.0 * half.stderr
     full = solve(StarShaped([1.0]), far, [0.0, 0.0], K05,
