@@ -1,15 +1,18 @@
 """Command-line entry point.
 
 One binary with subcommands, run through one path: ``build_parser``
-declares each subcommand's flags and defaults, and ``_resolve`` builds the
-run's config from them (config file, then present flags, which win, then
-the defaults), parsing the string forms of ``data``, ``field``, ``points``
-and ``z0`` once.  Unless its flag is present, a config-file value of an
-int or float flag takes that flag's type, one of those four flags must be
-a string or its parsed form, and a path (``out``, ``input`` and
-``points-file``) must be a string.  A parameter that is missing or does not
-parse, and a config-file key that the command neither declares nor reads,
-raise a ParameterError naming it.  ``_write_csv`` and ``_write_report``
+declares each subcommand's flags, the form of each flag's value (int,
+float, text, record, points, point or path) and the defaults.
+``_resolve`` merges the config file's values and the present flags, which
+win, takes each winning flag value through its form in ``_FORMS`` (a
+string is parsed; a config file may give in place of the string what the
+form allows, such as an integral float for an int or a dict for a record,
+but a path only as a string), then applies the defaults.  Argparse only
+splits the command line; ``--threads`` and ``FRACLAB_THREADS`` take the
+int form too.  A parameter
+that is missing or does not parse, from a flag or the file alike, and a
+config-file key that the command neither declares nor reads, raise a
+ParameterError naming it.  ``_write_csv`` and ``_write_report``
 write every output: the CSV embeds the resolved config and its hash in
 comment lines, and a JSON sidecar ``<out>.meta.json`` carries the config,
 package and Python versions, platform, worker threads, seed and wall time,
@@ -20,7 +23,8 @@ depth's quadrature error estimate).  Outputs are byte-identical for
 identical (config, seed): floats have a fixed precision and ``_map`` keeps
 input order.
 
-Exit codes: 0 success / verification PASS, 2 verification FAIL, 1 error.
+Exit codes: 0 success / verification PASS, 2 verification FAIL, 1 error;
+argparse's usage errors (an unknown flag or subcommand) also exit 2.
 """
 
 import argparse
@@ -32,6 +36,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import scipy
@@ -99,84 +104,62 @@ def _is_point(v):
     return isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))
 
 
-# the string forms a flag carries: the parser of each, and the test of the
-# parsed form, which a config file may give in place of the string.  A path
-# has no parsed form: it is used as given, and only a string is taken
-_PARSERS = {
-    "data": (json.loads, lambda v: isinstance(v, dict)),
-    "field": (json.loads, lambda v: isinstance(v, dict)),
+# the forms of a flag's value: the parser of its string, and the test of
+# what a config file may give in place of the string
+_FORMS = {
+    "int": (int, lambda v: type(v) is int
+            or isinstance(v, float) and v.is_integer()),
+    "float": (float, _is_number),
+    "text": (str, lambda v: isinstance(v, dict)),
+    "record": (json.loads, lambda v: isinstance(v, dict)),
     "points": (lambda text: [_floats(p) for p in text.split(";")],
                lambda v: isinstance(v, list) and len(v) > 0
                and all(map(_is_point, v))),
-    "z0": (_floats, _is_point),
-    **{path: (str, None) for path in ("out", "input", "points-file")},
+    "point": (_floats, _is_point),
+    # a path is used as given, so a file may give only its string
+    "path": (str, lambda v: False),
 }
 
 
-def _number(v, typ):
-    """A config-file value of a flag of type ``typ`` (int or float): a
-    string parsed with typ, a number unchanged, except that an int flag
-    takes an integral float as an int.  A bool, any other value and a
-    non-integral number for an int flag are refused."""
+def _take(form, v):
+    """v in the given form: a string parsed, any other value taken if the
+    form allows it in place of the string (an integral float as an int)."""
+    parse, allows = _FORMS[form]
     if isinstance(v, str):
-        return typ(v)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"not a number ({typ.__name__})")
-    if typ is int and isinstance(v, float):
-        if not v.is_integer():
-            raise ValueError("not an integer")
-        return int(v)
-    return v
-
-
-def _parsed_form(v, is_parsed):
-    """Refuse a config-file value of a flag with a string form unless it is
-    that string or passes the parsed form's test ``is_parsed`` (None for a
-    path, which has no parsed form)."""
-    if isinstance(v, str):
-        return
-    if is_parsed is None:
-        raise ValueError("not a string (a path)")
-    if not is_parsed(v):
-        raise ValueError("neither a string nor its parsed form")
+        return parse(v)
+    if not allows(v):
+        raise ValueError(f"not a string, nor a value of the {form} form")
+    return int(v) if form == "int" else v
 
 
 def _resolve(args):
-    """The run's config: file values overridden by present flags, then the
-    declared defaults, with string forms parsed.  A file key that the
-    command neither declares nor reads is refused by name."""
+    """The run's config: file values overridden by present flags, each
+    winning value of a flag taken in that flag's form, then the declared
+    defaults.  A file key that the command neither declares nor reads is
+    refused by name."""
     cfg = Config(args.command, args.flags, args.fallbacks, _threads(args))
+    given = {}
     if args.config:
         with open(args.config) as f:
-            cfg.update(_build(vars(args), "config",
-                              lambda _: dict(json.load(f))))
-        unknown = sorted(set(cfg) - {*args.flags, *args.fallbacks,
-                                     *args.records, "command"})
+            given = _build(vars(args), "config", lambda _: dict(json.load(f)))
+        unknown = sorted(set(given) - {*args.flags, *args.fallbacks,
+                                       *args.records, "command"})
         if unknown:
             raise ParameterError(
                 f"{args.command} takes no {', '.join(map(repr, unknown))} "
                 f"(config file {args.config})")
-        # a file value that a present flag replaces is not checked
-        for k, typ in args.types.items():
-            if k not in cfg or getattr(args, k.replace("-", "_")) is not None:
-                continue
-            if typ in (int, float):
-                cfg[k] = _build(cfg, k, lambda v: _number(v, typ))
-            elif k in _PARSERS:
-                _build(cfg, k, lambda v: _parsed_form(v, _PARSERS[k][1]))
-    for k in args.flags:
-        v = getattr(args, k.replace("-", "_"))
-        if v is not None:
-            cfg[k] = v
+    # a file value that a present flag replaces is not checked
+    parsed = vars(args)
+    given.update({k: parsed[k] for k in args.flags if parsed[k] is not None})
+    for k, v in given.items():
+        form = args.flags.get(k)
+        cfg[k] = v if form is None else _build(given, k, partial(_take, form))
     for k, v in args.defaults.items():
         cfg.setdefault(k, v)
     cfg["command"] = args.command
-    if "points-file" in args.flags and cfg.get("points-file"):
+    if cfg.get("points-file"):
         cfg["points"] = _build(cfg, "points-file", lambda path: np.loadtxt(
             path, delimiter=",", comments="#", ndmin=2).tolist())
-    for k, (parse, _) in _PARSERS.items():
-        if k in args.flags and isinstance(cfg.get(k), str):
-            cfg[k] = _build(cfg, k, parse)
     return cfg
 
 
@@ -195,14 +178,12 @@ def _domain(cfg):
 
 
 def _threads(args):
-    n = getattr(args, "threads", None)
+    """--threads, else FRACLAB_THREADS, else every core, in the int form."""
+    key, n = "threads", args.threads
     if n is None:
-        env = os.environ.get("FRACLAB_THREADS")
-        try:
-            n = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            raise ParameterError(
-                f"threads must be an integer (FRACLAB_THREADS={env!r})") from None
+        key = "threads (FRACLAB_THREADS)"
+        n = os.environ.get("FRACLAB_THREADS") or os.cpu_count() or 1
+    n = _build({key: n}, key, partial(_take, "int"))
     if n < 1:
         raise ParameterError(f"threads must be >= 1 (got {n})")
     return n
@@ -484,16 +465,28 @@ def cmd_profile(args):
 
 
 def _read_numeric_csv(path):
-    rows = []
+    """The rows of a numeric CSV, skipping blank and ``#`` lines and one
+    header line before the first row; any other line that does not parse,
+    or that has another column count than the first row, is refused by its
+    line number."""
+    rows, header = [], False
     with open(path) as f:
-        for line in f:
+        for i, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                rows.append([float(v) for v in line.split(",")])
+                row = [float(v) for v in line.split(",")]
             except ValueError:
-                continue  # header row
+                row = None
+            if row is None and not (rows or header):
+                header = True
+            elif row is None or rows and len(row) != len(rows[0]):
+                raise ParameterError(
+                    f"input {path!r} line {i} is not a numeric row of the "
+                    f"table: {line!r}")
+            else:
+                rows.append(row)
     return np.asarray(rows, dtype=float)
 
 
@@ -581,52 +574,53 @@ def build_parser():
     p = argparse.ArgumentParser(
         prog="fraclab",
         description="numerical laboratory for nonlocal Dirichlet problems")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", default=None,
                    help="worker threads (default: all cores, or FRACLAB_THREADS)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, flags, defaults=None, fallbacks=None, records=()):
-        """A subcommand with its flags; ``defaults`` enter the resolved
-        config, ``fallbacks`` are read in place of an absent key but stay
-        out of it, and ``records`` are the keys beyond the flags that the
-        command reads or records, which a config file may carry too."""
+        """A subcommand with its flags, each with the form its value takes
+        (a key of _FORMS); ``defaults`` enter the resolved config,
+        ``fallbacks`` are read in place of an absent key but stay out of
+        it, and ``records`` are the keys beyond the flags that the command
+        reads or records, which a config file may carry too."""
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--out", default=None)
-        for flag, typ in flags.items():
-            sp.add_argument(f"--{flag}", type=typ, default=None)
-        sp.set_defaults(fn=fn, flags=("out", *flags),
-                        types={"out": str, **flags},
-                        defaults=defaults or {}, fallbacks=fallbacks or {},
-                        records=records)
+        flags = {"out": "path", **flags}
+        for flag in flags:
+            sp.add_argument(f"--{flag}", dest=flag, default=None)
+        sp.set_defaults(fn=fn, flags=flags, defaults=defaults or {},
+                        fallbacks=fallbacks or {}, records=records)
 
     walk = {"paths": 100000, "seed": 0}
     add("validate-kernel", cmd_validate_kernel,
-        {"s": float, "dim": int, "samples": int},
+        {"s": "float", "dim": "int", "samples": "int"},
         defaults={"dim": 2, "samples": 1000}, records=("kernel",))
     add("apply-op", cmd_apply_op,
-        {"s": float, "dim": int, "field": str, "points": str,
-         "rel-tol": float},
+        {"s": "float", "dim": "int", "field": "record", "points": "points",
+         "rel-tol": "float"},
         defaults={"dim": 2}, fallbacks={"rel-tol": 1e-6})
     add("verify-barrier", cmd_verify_barrier,
-        {"kind": str, "s": float, "alpha": float, "beta": float,
-         "eta": float},
+        {"kind": "text", "s": "float", "alpha": "float", "beta": "float",
+         "eta": "float"},
         fallbacks={"eta": 1.0, "rel-tol": 1e-5})
     add("solve", cmd_solve,
-        {"domain": str, "data": str, "s": float, "points": str,
-         "points-file": str, "paths": int, "seed": int},
+        {"domain": "text", "data": "record", "s": "float",
+         "points": "points", "points-file": "path", "paths": "int",
+         "seed": "int"},
         defaults={"s": 0.5, **walk})
     add("profile", cmd_profile,
-        {"domain": str, "data": str, "s": float, "z0": str, "tmin": float,
-         "tmax": float, "n": int, "paths": int, "seed": int},
+        {"domain": "text", "data": "record", "s": "float", "z0": "point",
+         "tmin": "float", "tmax": "float", "n": "int", "paths": "int",
+         "seed": "int"},
         defaults={"s": 0.5, "tmin": 1e-4, "tmax": 1e-2, "n": 12, **walk})
-    add("fit", cmd_fit, {"input": str, "s": float})
+    add("fit", cmd_fit, {"input": "path", "s": "float"})
     add("experiment", cmd_experiment,
-        {"domain": str, "alpha": float, "s": float, "paths": int,
-         "seed": int},
+        {"domain": "text", "alpha": "float", "s": "float", "paths": "int",
+         "seed": "int"},
         defaults={"domain": "ball", "s": 0.5, **walk}, records=("data",))
     add("counterexample", cmd_counterexample,
-        {"s": float, "tmin": float, "tmax": float, "n": int},
+        {"s": "float", "tmin": "float", "tmax": "float", "n": "int"},
         defaults={"s": 0.5, "tmin": 1e-4, "tmax": 1e-1, "n": 25})
     return p
 

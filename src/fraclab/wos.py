@@ -127,29 +127,27 @@ def sample_ball_exit(s, dim, rng, n=1, x=None):
 # ---------------------------------------------------------------------------
 # solver
 
+# walkers per batch; even, so that no antithetic pair spans two batches
+_BATCH_SIZE = 1 << 15
+
+
 @dataclass(frozen=True)
 class WoSConfig:
     """The settings of the walk-on-spheres engine, for ``solve`` and the
     polygon harmonic extension alike; ``_walk_on_spheres`` reads them.
     max_steps and snap_eps act only on the domains that step: a Ball walker
-    exits in one exact jump."""
+    exits in one exact jump.  Walkers run in batches of ``_BATCH_SIZE``."""
     max_steps: int = 1000
     snap_eps: float | None = None   # default: 1e-6 * diameter
     paths: int = 100000             # odd counts round up for antithetic pairs
     seed: int = 0
     antithetic: bool = True
-    batch_size: int = 1 << 15
 
     def __post_init__(self):
         if self.max_steps < 1:
             raise ParameterError("max_steps must be >= 1")
         if self.paths < 1:
             raise ParameterError("paths must be >= 1")
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
-        if self.antithetic and self.batch_size % 2:
-            raise ParameterError(
-                "batch_size must be even with antithetic pairs")
         if self.snap_eps is not None and self.snap_eps <= 0:
             raise ParameterError("snap_eps must be positive")
 
@@ -245,7 +243,7 @@ def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
     if not dom.contains(x):
         raise DomainError("walk-on-spheres needs an interior starting point")
     exact = isinstance(dom, Ball)
-    batch_size, seed, antithetic = cfg.batch_size, cfg.seed, cfg.antithetic
+    batch_size, seed, antithetic = _BATCH_SIZE, cfg.seed, cfg.antithetic
     snap_eps = 1e-6 * dom.diameter if cfg.snap_eps is None else cfg.snap_eps
     paths = cfg.paths + 1 if antithetic and cfg.paths % 2 else cfg.paths
     n_batches = (paths + batch_size - 1) // batch_size

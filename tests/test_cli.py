@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from fraclab.barriers import capped_distance_data, data_from_config
@@ -440,6 +441,24 @@ def test_config_file_value_of_the_wrong_type_is_named(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["counterexample", "--tmin", "abc"], "tmin"),
+    (["counterexample", "--n", "2.5"], "n"),
+    (["counterexample", "--n", "3.0"], "n"),
+    (["solve", "--domain", "ball", "--data", '{"name": "constant"}',
+      "--points", "0.1,0.0", "--paths", "1e2"], "paths"),
+    (["--threads", "abc", "counterexample", "--n", "2"], "threads"),
+])
+def test_flag_value_of_the_wrong_type_is_named_as_in_the_file(
+        tmp_path, capsys, argv, key):
+    # a flag's string takes the path of a config-file value: it exited 2,
+    # argparse's usage error and the code of a verification FAIL
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert f"bad {key} " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, record, key", [
     # a number reached open() as a file descriptor: {"out": 7} ended in
     # "OSError: Bad file descriptor", and {"input": 0} read stdin
@@ -466,6 +485,39 @@ def test_fit_of_a_csv_without_rows_is_named(tmp_path, capsys):
                 "--out", str(out)]) == 1
     assert f"input {str(empty)!r} has no rows" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("body, line", [
+    # a row that does not parse was taken as a header and skipped
+    ("t,value\n1e-4,0.01\n2e-4,abc,0.001\n4e-4,0.02\n", 3),
+    # a second header
+    ("t,value\nt,value\n1e-4,0.01\n", 2),
+    # a ragged row ended in numpy's "inhomogeneous shape" ValueError
+    ("# comment\n1e-4,0.01,0.001\n\n2e-4,0.02\n", 4),
+], ids=["bad_row", "second_header", "ragged_row"])
+def test_fit_refuses_a_row_that_is_not_numeric_by_line(tmp_path, capsys,
+                                                        body, line):
+    path = tmp_path / "prof.csv"
+    path.write_text(body)
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--input", str(path), "--s", "0.5",
+                "--out", str(out)]) == 1
+    assert f"input {str(path)!r} line {line} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_reads_a_csv_with_or_without_its_header(tmp_path):
+    rows = "".join(f"{t:.17g},{t ** 0.5:.17g}\n"
+                   for t in np.geomspace(1e-4, 1e-2, 8))
+    reports = []
+    for name, body in [("bare.csv", rows), ("head.csv", "t,value\n" + rows)]:
+        (tmp_path / name).write_text(body)
+        out = tmp_path / (name + ".json")
+        assert run(["fit", "--input", str(tmp_path / name),
+                    "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0] == reports[1]
+    assert reports[0]["n_used"] == 8
 
 
 @pytest.mark.parametrize("command, record, key", [

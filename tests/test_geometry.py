@@ -311,6 +311,21 @@ def test_signed_dist_matches_dist_inside_and_flips_outside(name, data):
         assert np.all(np.abs(sd) <= nearest + 1e-12)
 
 
+@pytest.mark.parametrize("name", SIGNED)
+def test_dist_is_signed_dist_clipped_at_zero(name):
+    # one dist for every variant: fmax(signed_dist, 0), so a NaN row reads 0
+    # (Ball, HalfPlane and Cone returned NaN there); StarShaped computes its
+    # own on inside rows only, with the same bits
+    dom = SIGNED[name]
+    rng = np.random.Generator(np.random.Philox(key=31))
+    pts = rng.uniform(-2.5, 2.5, (2000, 2))
+    pts[7] = np.nan
+    d = np.asarray(dom.dist(pts))
+    assert d.tobytes() == np.fmax(dom.signed_dist(pts), 0.0).tobytes()
+    assert d[7] == 0.0 and np.count_nonzero(d) > 0
+    assert dom.dist(pts[7]) == 0.0
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_row_norm2_is_the_numpy_sum_and_norm_bit_for_bit(dim):
     # coordinates of scales 1e-8 to 1e8 within a row, so the order of the

@@ -17,6 +17,7 @@ from fraclab.errors import (DivergenceError, DomainError, ParameterError,
                             ReliabilityError)
 from fraclab.geometry import Ball, HalfPlane, Polygon, StarShaped, unit_square
 from fraclab.kernels import KernelSpec, make_fractional_laplacian
+from fraclab import wos
 from fraclab.wos import (StableExitSampler, WoSConfig, ball_poisson,
                          halfplane_poisson, kappa_constant, sample_ball_exit,
                          solve)
@@ -307,13 +308,14 @@ def test_ball_walkers_exit_in_one_exact_jump(monkeypatch):
     ball = Ball([0.3, -0.2], 2.5)
     ball.dist_bound = lambda *a: pytest.fail("a walker stepped")
     ball.project = lambda *a: pytest.fail("a walker snapped")
+    monkeypatch.setattr(wos, "_BATCH_SIZE", 2048)
     draws = []
     radius = StableExitSampler.radius
     monkeypatch.setattr(StableExitSampler, "radius", lambda self, slot, rng:
                         draws.append(len(slot)) or radius(self, slot, rng))
     g = holder_point_singularity(0.3, [2.8, -0.2])
     out = solve(ball, g, [2.799, -0.2], K05,
-                WoSConfig(paths=5000, seed=52, max_steps=1, batch_size=2048))
+                WoSConfig(paths=5000, seed=52, max_steps=1))
     assert (out.mean_steps, out.steps_max) == (1.0, 1)
     assert (out.snapped_fraction, out.n_maxed, out.bias_bound) == (0.0, 0, 0.0)
     assert draws == [2048, 2048, 904]
@@ -332,14 +334,15 @@ def test_1d_ball_walks_off_centre_match_the_side_quadrature(r):
 
 # (estimate, stderr) of walks started at a ball's centre, pinned from the
 # step loop, whose first step from the centre was already the exit: the
-# exact jump from the centre draws and rounds the same numbers
+# exact jump from the centre draws and rounds the same numbers (the third
+# walks batches of 1000)
 CENTRE_PINNED = [
-    (Ball([0.0, 0.0], 1.0), 0.5, WoSConfig(paths=4000, seed=12),
+    (Ball([0.0, 0.0], 1.0), 0.5, WoSConfig(paths=4000, seed=12), 1 << 15,
      2.3391850799523994, 0.008636892085596929),
-    (Ball([0.3, -0.2], 2.5), 0.3, WoSConfig(paths=4000, seed=13),
+    (Ball([0.3, -0.2], 2.5), 0.3, WoSConfig(paths=4000, seed=13), 1 << 15,
      2.852970788060622, 0.0062575693641381104),
     (Ball([0.0, 0.0], 1.0), 0.8,
-     WoSConfig(paths=4001, seed=14, antithetic=False, batch_size=1000),
+     WoSConfig(paths=4001, seed=14, antithetic=False), 1000,
      2.1767147551194705, 0.011753040197684307),
 ]
 CENTRE_PINNED_1D = [
@@ -348,10 +351,13 @@ CENTRE_PINNED_1D = [
 ]
 
 
-def test_ball_walks_from_the_centre_are_pinned():
+def test_ball_walks_from_the_centre_are_pinned(monkeypatch):
     g = capped_distance_data([2.0, 0.0], 3.0)
-    for ball, s, cfg, est, se in CENTRE_PINNED:
-        out = solve(ball, g, ball.center, make_fractional_laplacian(s, 2), cfg)
+    for ball, s, cfg, batch_size, est, se in CENTRE_PINNED:
+        with monkeypatch.context() as m:
+            m.setattr(wos, "_BATCH_SIZE", batch_size)
+            out = solve(ball, g, ball.center,
+                        make_fractional_laplacian(s, 2), cfg)
         assert (out.estimate, out.stderr) == (est, se)
     g1 = ExteriorData(fn=lambda p: np.minimum(np.abs(p[..., 0] - 0.5), 2.0),
                       alpha=1.0, C0=1.0, growth=0.0)
@@ -461,16 +467,6 @@ def test_solver_rejects_a_3d_ball_before_walking():
               make_fractional_laplacian(0.5, 3), WoSConfig(paths=10))
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"batch_size": 0},
-    {"batch_size": -4},
-    {"paths": 10, "batch_size": 3},   # odd batches would break up pairs
-])
-def test_config_rejects_bad_batch_size(kwargs):
-    with pytest.raises(ParameterError, match="batch_size"):
-        WoSConfig(**kwargs)
-
-
 @pytest.mark.parametrize("max_steps", [0, -1])
 def test_config_rejects_max_steps_below_one(max_steps):
     # refused when the settings are built, before any path walks
@@ -478,15 +474,17 @@ def test_config_rejects_max_steps_below_one(max_steps):
         WoSConfig(max_steps=max_steps)
 
 
-def test_odd_batch_size_without_antithetic_pairs():
+def test_odd_batch_size_without_antithetic_pairs(monkeypatch):
+    monkeypatch.setattr(wos, "_BATCH_SIZE", 3)
     out = solve(BALL, constant_data(1.0), [0.0, 0.0], K05,
-                WoSConfig(paths=10, batch_size=3, antithetic=False, seed=1))
+                WoSConfig(paths=10, antithetic=False, seed=1))
     assert out.paths_used == 10
 
 
-def test_even_batches_walk_the_rounded_paths():
+def test_even_batches_walk_the_rounded_paths(monkeypatch):
+    monkeypatch.setattr(wos, "_BATCH_SIZE", 4)
     out = solve(BALL, constant_data(1.0), [0.0, 0.0], K05,
-                WoSConfig(paths=11, batch_size=4, seed=1))
+                WoSConfig(paths=11, seed=1))
     assert out.paths_used == 12
 
 
@@ -738,12 +736,13 @@ class CountingDisc(StarShaped):
 
 @pytest.mark.parametrize("batch_size, n_batches", [(1 << 15, 1), (1000, 4)])
 def test_dist_bound_gets_one_start_row_per_batch_and_one_row_per_step(
-        batch_size, n_batches):
+        monkeypatch, batch_size, n_batches):
     # every walker of a batch starts at x: one row serves them all (the
     # batch handed dist_bound a copy of x per walker)
+    monkeypatch.setattr(wos, "_BATCH_SIZE", batch_size)
     disc = CountingDisc([1.0])
     out = solve(disc, capped_distance_data([2.0, 0.0], 3.0), [0.5, 0.2], K05,
-                WoSConfig(paths=4000, seed=1, batch_size=batch_size))
+                WoSConfig(paths=4000, seed=1))
     steps = round(out.paths_used * out.mean_steps)
     assert disc.rows == n_batches + steps
 
