@@ -16,12 +16,12 @@ ParameterError naming it.  ``_write_csv`` and ``_write_report``
 write every output: the CSV embeds the resolved config and its hash in
 comment lines, and a JSON sidecar ``<out>.meta.json`` carries the config,
 package and Python versions, platform, worker threads, seed and wall time,
-and the run's report (for ``solve``, each point's walk diagnostics; for
-``apply-op`` and ``verify-barrier``, each operator point's quadrature
-diagnostics and the ToleranceWarnings raised; for ``counterexample``, each
-depth's quadrature error estimate).  Outputs are byte-identical for
-identical (config, seed): floats have a fixed precision and ``_map`` keeps
-input order.
+and the run's report (for ``solve``, ``profile`` and ``experiment``, each
+walked point's diagnostics; for ``apply-op`` and ``verify-barrier``, each
+operator point's quadrature diagnostics and the ToleranceWarnings raised;
+for ``counterexample``, each depth's quadrature error estimate).  Outputs
+are byte-identical for identical (config, seed): floats have a fixed
+precision and ``_map`` keeps input order.
 
 Exit codes: 0 success / verification PASS, 2 verification FAIL, 1 error;
 argparse's usage errors (an unknown flag or subcommand) also exit 2.
@@ -408,8 +408,9 @@ def _walk_diagnostics(samples):
               for o in samples]
     totals = {"paths_used": sum(o.paths_used for o in samples),
               "n_maxed": sum(o.n_maxed for o in samples),
-              "steps_max": max(o.steps_max for o in samples),
-              "bias_bound": max(o.bias_bound for o in samples)}
+              "steps_max": max((o.steps_max for o in samples), default=0),
+              "bias_bound": max((o.bias_bound for o in samples),
+                                default=0.0)}
     return {"points": points, "totals": totals}
 
 
@@ -454,12 +455,14 @@ def cmd_profile(args):
         cfg["z0"] = list(g.singular_points[0])
     z0 = np.asarray(cfg["z0"], dtype=float)
     t_grid = depths * dom.diameter
-    prof = boundary_profile(wos_solver(dom, g, kernel, wcfg), dom, g, z0,
-                            t_grid)
+    samples = []
+    prof = boundary_profile(wos_solver(dom, g, kernel, wcfg, samples), dom, g,
+                            z0, t_grid)
     rows = list(zip(prof.t, prof.values, prof.stderr))
     out = _write_csv(cfg, ["t", "value", "stderr"], rows,
                      report={"z0": list(prof.z0), "normal": list(prof.normal),
-                             "g0": prof.g0})
+                             "g0": prof.g0,
+                             "diagnostics": _walk_diagnostics(samples)})
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -530,14 +533,18 @@ def cmd_experiment(args):
     g = holder_point_singularity(cfg["alpha"], anchor)
     cfg["data"] = {"name": "holder_point_singularity", "alpha": cfg["alpha"],
                    "z0": anchor}
-    rep = exponent_experiment(dom, g, cfg["s"], cfg=_walk_config(cfg))
+    kernel = make_fractional_laplacian(cfg["s"], dom.dim)
+    samples = []
+    solver = wos_solver(dom, g, kernel, _walk_config(cfg), samples)
+    rep = exponent_experiment(dom, g, cfg["s"], solver=solver)
     rows = []
     for (z0, fit), prof in zip(rep.fits, rep.profiles):
         for t, v, e in zip(prof.t, prof.values, prof.stderr):
             rows.append((*z0, t, v, e, fit.alpha_hat, fit.model))
     _write_csv(cfg, ["z0_x", "z0_y"][:dom.dim]
                + ["t", "value", "stderr", "alpha_hat", "model"], rows,
-               report=rep.to_jsonable())
+               report={**rep.to_jsonable(),
+                       "diagnostics": _walk_diagnostics(samples)})
     print(f"alpha_hat={rep.alpha_hat:.4f} expected={rep.expected_exponent} "
           f"verdict: {rep.verdict}")
     ok = "deviates" not in rep.verdict and "no log" not in rep.verdict

@@ -61,6 +61,18 @@ def _maybe_scalar(v, single):
     return (v[0] if single else v)
 
 
+def _finite(name, value):
+    """A domain parameter as a float array; a ParameterError naming it
+    unless it is numeric and every entry is finite."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    return arr
+
+
 def row_dot(pts, v):
     """The dot product of each row of ``pts`` (shape (..., d)) with ``v``:
     elementwise products summed in coordinate order.  A row's value does
@@ -179,7 +191,8 @@ class Domain:
 
 class Ball(Domain):
     def __init__(self, center, radius, dim=None):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+        center = np.atleast_1d(_finite("center", center))
+        radius = float(_finite("radius", radius))
         if radius <= 0:
             raise ParameterError("ball radius must be positive")
         self.center = center
@@ -243,7 +256,7 @@ class HalfPlane(Domain):
     bounded = False
 
     def __init__(self, normal):
-        normal = np.atleast_1d(np.asarray(normal, dtype=float))
+        normal = np.atleast_1d(_finite("normal", normal))
         n = np.linalg.norm(normal)
         if n == 0:
             raise ParameterError("normal must be nonzero")
@@ -291,12 +304,13 @@ class Cone(Domain):
     dim = 2
 
     def __init__(self, axis, eta):
-        axis = np.atleast_1d(np.asarray(axis, dtype=float))
+        axis = np.atleast_1d(_finite("axis", axis))
         if len(axis) != 2:
             raise ParameterError("cone axis must be 2-dimensional")
         n = np.linalg.norm(axis)
         if n == 0:
             raise ParameterError("axis must be nonzero")
+        eta = float(_finite("eta", eta))
         if eta <= 0:
             raise ParameterError("eta must be positive")
         self.axis = axis / n
@@ -394,7 +408,7 @@ class Polygon(Domain):
     dim = 2
 
     def __init__(self, vertices):
-        verts = np.asarray(vertices, dtype=float)
+        verts = _finite("vertices", vertices)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise ParameterError("polygon needs at least 3 planar vertices")
         area2 = float(np.sum(verts[:, 0] * np.roll(verts[:, 1], -1)
@@ -519,8 +533,8 @@ class StarShaped(Domain):
     dim = 2
 
     def __init__(self, coeff_cos, coeff_sin=()):
-        self.coeff_cos = np.atleast_1d(np.asarray(coeff_cos, dtype=float))
-        self.coeff_sin = np.atleast_1d(np.asarray(coeff_sin, dtype=float)) \
+        self.coeff_cos = np.atleast_1d(_finite("coeff_cos", coeff_cos))
+        self.coeff_sin = np.atleast_1d(_finite("coeff_sin", coeff_sin)) \
             if len(coeff_sin) else np.zeros(0)
         self._r0 = float(self.coeff_cos[0]) if len(self.coeff_cos) else 0.0
         self._cos_terms = [(float(k), c) for k, c in enumerate(self.coeff_cos)
@@ -596,7 +610,7 @@ class StarShaped(Domain):
 
     def _radial_gap(self, pts):
         """|x| and the radial gap r(theta_x) - |x|, positive exactly inside."""
-        rho = np.linalg.norm(pts, axis=-1)
+        rho = np.sqrt(row_norm2(pts))
         return rho, self.radial(np.arctan2(pts[:, 1], pts[:, 0])) - rho
 
     def contains(self, x):
@@ -607,8 +621,7 @@ class StarShaped(Domain):
         return _scan_crossings(lambda p: self._radial_gap(p)[1],
                                x, thetas, r_max)
 
-    # fixed splits of the cone bound below, and its relative rounding margin
-    _BOUND_LAMBDAS = np.array([1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2])[:, None]
+    # the relative rounding margin of the cone bound below
     _BOUND_MARGIN = 1e-12
 
     def dist_bound(self, x, exact_below=0.0):
@@ -617,24 +630,30 @@ class StarShaped(Domain):
         With rho = |x|, G = r(theta_x) - rho and F(y) = |y| - r(arg y):
         F(x) = -G, F vanishes at the nearest boundary point z, and |grad F|
         <= sqrt(1 + M^2/|y|^2) with M >= max |r'|.  If |x - z| < lam rho, the
-        segment to z keeps |y| > (1 - lam) rho, so G <= |x - z| sqrt(1 +
-        M^2/((1 - lam) rho)^2).  Hence dist >= min(lam rho, G / sqrt(...))
-        for every lam in (0, 1), and dist >= r_lo - rho since the disc of
-        radius r_lo <= min r lies in the domain.  The best of these, lowered
-        by a relative margin and the gap's rounding error, is the bound.
-        The gap is an upper bound: B(theta_x) is a boundary point at
-        distance G, so dist <= G + _upper_slack (the rounding of the gap,
-        of the angle theta_x and of the exact distance; see ``__init__``).
-        Inside points where the bound falls to 0, or below ``exact_below``
-        while that upper bound does not, get the exact distance.
+        segment to z keeps |y| > (1 - lam) rho = q, so G <= |x - z| sqrt(1 +
+        M^2/q^2).  Hence dist >= min(lam rho, G q / sqrt(q^2 + M^2)) for
+        every lam in (0, 1); each point takes the one split lam = min(1/2,
+        G / sqrt(rho^2 + M^2)), where the two terms about cross (at q =
+        rho they would be equal).  Also dist >= r_lo - rho, since the disc
+        of radius r_lo <= min r lies in the domain.  The larger of the two,
+        lowered by a relative margin and the gap's rounding error, is the
+        bound.  The gap is an upper bound: B(theta_x) is a boundary point
+        at distance G, so dist <= G + _upper_slack (the rounding of the
+        gap, of the angle theta_x and of the exact distance; see
+        ``__init__``).  Inside points where the bound falls to 0, or below
+        ``exact_below`` while that upper bound does not, get the exact
+        distance.
         """
         pts, single = _as_points(x, 2)
         rho, gap = self._radial_gap(pts)
-        q = (1.0 - self._BOUND_LAMBDAS) * rho
-        with np.errstate(invalid="ignore"):   # 0/0 at the origin of a disc
-            cone = np.fmin(self._BOUND_LAMBDAS * rho,
-                           gap * q / np.hypot(q, self._slope_bound))
-        bound = np.maximum(self._r_lo - rho, np.max(cone, axis=0))
+        m2 = self._slope_bound * self._slope_bound
+        # the origin of a disc (rho = M = 0) divides G and 0 by 0, and fmin
+        # drops the NaN term; far outside rows may overflow q^2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lam = np.minimum(0.5, gap / np.sqrt(rho * rho + m2))
+            q = (1.0 - lam) * rho
+            cone = np.fmin(lam * rho, gap * q / np.sqrt(q * q + m2))
+        bound = np.maximum(self._r_lo - rho, cone)
         bound = bound * (1.0 - self._BOUND_MARGIN) - self._gap_slack
         inside = gap > 0.0
         bound = np.where(inside, bound, 0.0)
@@ -707,7 +726,7 @@ class StarShaped(Domain):
             th[idx] = self._golden_param(self._proj_grid[k[idx]],
                                          px[idx], py[idx], tol)
         z0 = self.boundary_point(th)
-        return th, z0, np.linalg.norm(pts - z0, axis=1)
+        return th, z0, np.sqrt(row_norm2(pts - z0))
 
     def _param_dist2(self, th, px, py):
         """|(px, py) - B(th)|^2."""

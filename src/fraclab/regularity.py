@@ -131,9 +131,13 @@ def holder_seminorm(samples, alpha):
 # ---------------------------------------------------------------------------
 # solver adapters: callable(x, index) -> (value, stderr)
 
-def wos_solver(dom, g, kernel, cfg):
+def wos_solver(dom, g, kernel, cfg, record=None):
+    """A walk-on-spheres solver; each point's SolutionSample is appended to
+    the list ``record`` when one is given."""
     def run(x, index=0):
         out = solve(dom, g, x, kernel, cfg, point_index=index)
+        if record is not None:
+            record.append(out)
         return out.estimate, out.stderr
     return run
 

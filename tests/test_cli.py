@@ -186,6 +186,52 @@ def test_solve_sidecar_describes_the_run(tmp_path):
         "bias_bound": max(w.bias_bound for w in walks)}
 
 
+def _walk_totals(points):
+    return {"paths_used": sum(p["paths_used"] for p in points),
+            "n_maxed": sum(p["n_maxed"] for p in points),
+            "steps_max": max(p["steps_max"] for p in points),
+            "bias_bound": max(p["bias_bound"] for p in points)}
+
+
+def test_profile_and_experiment_sidecars_report_the_walks(tmp_path):
+    # one entry per walked depth, in the shape of solve's diagnostics; the
+    # square's walkers snap, so each bias bound is positive
+    out = tmp_path / "p.csv"
+    assert run(["--threads", "1", "profile", "--domain", "square", "--data",
+                '{"name": "holder_point_singularity", "alpha": 0.1, '
+                '"z0": [0, 0]}', "--n", "4", "--paths", "2000", "--seed", "2",
+                "--out", str(out)]) == 0
+    diag = json.loads(open(str(out) + ".meta.json").read())["report"][
+        "diagnostics"]
+    rows = [l.split(",") for l in read_lines(str(out))[3:]]
+    t_dir = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    assert [p["x"] for p in diag["points"]] == [
+        pytest.approx(float(r[0]) * t_dir, rel=1e-11) for r in rows]
+    assert all(p["paths_used"] == 2000 and p["bias_bound"] > 0.0
+               for p in diag["points"])
+    assert diag["totals"] == _walk_totals(diag["points"])
+
+    # a profile whose every point lies outside walks nothing
+    out = tmp_path / "trimmed.csv"
+    with pytest.warns(UserWarning, match="trimmed"):
+        assert run(["profile", "--domain", "ball", "--data",
+                    '{"name": "constant"}', "--z0", "5,5", "--paths", "100",
+                    "--out", str(out)]) == 0
+    assert json.loads(open(str(out) + ".meta.json").read())["report"][
+        "diagnostics"] == {"points": [], "totals": {
+            "paths_used": 0, "n_maxed": 0, "steps_max": 0, "bias_bound": 0.0}}
+
+    out = tmp_path / "e.csv"
+    run(["experiment", "--domain", "ball", "--alpha", "0.3", "--s", "0.5",
+         "--seed", "7", "--paths", "1000", "--out", str(out)])
+    side = json.loads(open(str(out) + ".meta.json").read())["report"]
+    diag = side["diagnostics"]
+    assert len(diag["points"]) == len(read_lines(str(out))) - 3 == 12
+    assert diag["totals"] == _walk_totals(diag["points"])
+    assert diag["totals"]["paths_used"] == 12 * 1000
+    assert side["verdict"]
+
+
 def test_solve_points_file(tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text("0.3,0.0\n0.0,0.5\n")
@@ -355,6 +401,24 @@ def test_experiment_rejects_unbounded_domain(tmp_path, capsys):
                 "--out", str(tmp_path / "exp.csv")])
     assert code == 1
     assert "domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain, name", [
+    ('{"star": {"coeff_cos": [NaN]}}', "coeff_cos"),
+    ('{"star": {"coeff_cos": [1, 0], "coeff_sin": [Infinity]}}', "coeff_sin"),
+    ('{"ball": {"center": [0, 0], "radius": NaN}}', "radius")])
+def test_solve_refuses_a_non_finite_domain_by_its_key(tmp_path, capsys,
+                                                      domain, name):
+    # a NaN star held no point, so the walk reported that it "needs an
+    # interior starting point"
+    code = run(["solve", "--domain", domain, "--data",
+                '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
+                "--points", "0,0", "--paths", "100",
+                "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert name in err and "interior" not in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -694,7 +758,7 @@ GOLDEN = {
          '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
          "--points", "0.1,0.2;-0.3,0.1", "--paths", "2000", "--seed", "3",
          "--out", "star.csv"],
-        "8cab2e677be2478d1b7467f6878286a8ef6762538a55b8eafe27972935a30b78"),
+        "e467438d62b581d5c6a9d48b92de6e05d8949f3e7e2923fc385c0a53881da506"),
     "profile.csv": (
         ["profile", "--domain", "square", "--data",
          '{"name": "holder_point_singularity", "alpha": 0.1, "z0": [0, 0]}',
@@ -780,6 +844,26 @@ def test_wos_outputs_agree_with_step_loop_runs(tmp_path, monkeypatch, name):
     rows = wos_rows(name)
     assert len(rows) == len(STEP_LOOP[name])
     for (new_est, new_se), (est, se) in zip(rows, STEP_LOOP[name]):
+        assert new_est != est
+        assert abs(new_est - est) <= 4.0 * (new_se ** 2 + se ** 2) ** 0.5
+
+
+# (estimate, stderr) of each row the seeded star walks of GOLDEN wrote when
+# StarShaped.dist_bound took the best of four fixed splits of its cone bound
+# at every point, instead of one split per point
+FOUR_SPLIT = {
+    "star.csv": [(2.31098717424, 0.0138609255645),
+                 (2.51229627798, 0.0113859650712)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_SPLIT))
+def test_wos_outputs_agree_with_four_split_runs(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(["--threads", "1", *GOLDEN[name][0]]) == 0
+    rows = wos_rows(name)
+    assert len(rows) == len(FOUR_SPLIT[name])
+    for (new_est, new_se), (est, se) in zip(rows, FOUR_SPLIT[name]):
         assert new_est != est
         assert abs(new_est - est) <= 4.0 * (new_se ** 2 + se ** 2) ** 0.5
 

@@ -759,15 +759,22 @@ SQUARE_PINNED = [
     (1e-2, 0.6875819807078501, 0.0025567818756747685),
 ]
 STAR_PINNED = [
-    (0.3, 0.5, 1.9347995787827152, 0.017169540867107046),
-    (1.2, 0.05, 1.9847520227312179, 0.011138727920048726),
-    (2.0, 1e-3, 2.5389216510324037, 0.003541029025753007),
+    (0.3, 0.5, 1.9459887458000558, 0.017055642812213265),
+    (1.2, 0.05, 1.9924751800495646, 0.010750649131069519),
+    (2.0, 1e-3, 2.541356854768978, 0.0034479964093032216),
 ]
 # the stderrs of the same walks from variance sums not shifted by the first
 # estimator unit, which agree with the pins above to the last few bits
 SQUARE_UNSHIFTED_STDERR = [0.0017540619800195073, 0.002556781875674718]
-STAR_UNSHIFTED_STDERR = [0.017169540867107078, 0.011138727920048734,
-                         0.003541029025752933]
+STAR_UNSHIFTED_STDERR = [0.017055642812213244, 0.010750649131069542,
+                         0.003447996409303188]
+# the star problems walked when dist_bound took the best of four fixed
+# splits lam = 1/16, 1/8, 1/4, 1/2 of its cone bound at every point
+STAR_FOUR_SPLIT = [
+    (0.3, 0.5, 1.9347995787827152, 0.017169540867107046),
+    (1.2, 0.05, 1.9847520227312179, 0.011138727920048726),
+    (2.0, 1e-3, 2.5389216510324037, 0.003541029025753007),
+]
 # the same problems walked from half the ball of radius dist_bound, with
 # the datum's distance taken by np.linalg.norm
 SQUARE_HALF_BALL_STEPS = [
@@ -831,6 +838,26 @@ def test_star_pins_agree_with_exact_distance_walks():
         assert abs(new[2] - old[2]) <= 4.0 * np.hypot(new[3], old[3])
 
 
+def test_star_pins_agree_with_four_split_walks():
+    for new, old in zip(STAR_PINNED, STAR_FOUR_SPLIT):
+        assert new[:2] == old[:2]
+        assert new[2] != old[2]
+        assert abs(new[2] - old[2]) <= 4.0 * np.hypot(new[3], old[3])
+
+
+def test_star_walks_take_no_more_steps_than_four_split_walks():
+    # the mean steps of the same walks at 1e5 paths when dist_bound took
+    # the best of four fixed splits: one split per point steps further
+    star = StarShaped([1.0, 0.0, 0.1])
+    g = capped_distance_data([2.0, 0.0], 3.0)
+    four_split = (3.26109, 3.63788, 3.96186)
+    for k, (th, gap, _, _) in enumerate(STAR_FOUR_SPLIT):
+        x = (float(star.radial(th)) - gap) * np.array([np.cos(th), np.sin(th)])
+        out = solve(star, g, x, K05, WoSConfig(paths=100000, seed=5),
+                    point_index=k)
+        assert out.mean_steps < four_split[k]
+
+
 def test_star_walks_solve_nearest_points_in_project_and_at_the_snap_threshold(
         monkeypatch):
     # the benchmark's star solves: the nearest-point solver runs once per
@@ -857,7 +884,7 @@ def test_star_walks_solve_nearest_points_in_project_and_at_the_snap_threshold(
         x = (float(star.radial(th)) - gap) * np.array([np.cos(th), np.sin(th)])
         solve(star, g, x, K05, WoSConfig(paths=10000, seed=1), point_index=k)
     assert len(calls["project"]) == 3           # one batch per point
-    assert (len(calls["dist_bound"]), sum(calls["dist_bound"])) == (5, 8)
+    assert (len(calls["dist_bound"]), sum(calls["dist_bound"])) == (6, 6)
 
 
 def test_square_profile_edge_pass_rows_pinned(tmp_path, monkeypatch):
