@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ParameterError, UnsupportedVariantError,
-                     check_record_keys)
+                     build_record)
 from .fields import ConeBarrier, HalfSpacePower, PsiPower
 from .geometry import Ball, Cone, HalfPlane, Polygon, StarShaped
 from .nonlocal_op import apply_L_many
@@ -213,14 +213,7 @@ def data_from_config(cfg):
     """The builtin datum ``cfg["name"]`` built from the record's other keys;
     a key the builtin does not take, or a required one the record lacks,
     raises a ParameterError naming it."""
-    name = cfg.get("name")
-    if name not in _BUILTIN_DATA:
-        raise ParameterError(
-            f"unknown data builtin {name!r}; known: {sorted(_BUILTIN_DATA)}")
-    make, keys = _BUILTIN_DATA[name]
-    args = {k: v for k, v in cfg.items() if k != "name"}
-    check_record_keys(name, args, make, keys)
-    return make(**args)
+    return build_record("data builtin", _BUILTIN_DATA, cfg, tag="name")
 
 
 # ---------------------------------------------------------------------------

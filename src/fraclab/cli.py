@@ -9,19 +9,20 @@ string is parsed; a config file may give in place of the string what the
 form allows, such as an integral float for an int or a dict for a record,
 but a path only as a string), then applies the defaults.  Argparse only
 splits the command line; ``--threads`` and ``FRACLAB_THREADS`` take the
-int form too.  A parameter
-that is missing or does not parse, from a flag or the file alike, and a
-config-file key that the command neither declares nor reads, raise a
-ParameterError naming it.  ``_write_csv`` and ``_write_report``
-write every output: the CSV embeds the resolved config and its hash in
-comment lines, and a JSON sidecar ``<out>.meta.json`` carries the config,
-package and Python versions, platform, worker threads, seed and wall time,
-and the run's report (for ``solve``, ``profile`` and ``experiment``, each
-walked point's diagnostics; for ``apply-op`` and ``verify-barrier``, each
-operator point's quadrature diagnostics and the ToleranceWarnings raised;
-for ``counterexample``, each depth's quadrature error estimate).  Outputs
-are byte-identical for identical (config, seed): floats have a fixed
-precision and ``_map`` keeps input order.
+int form too.  A parameter that is missing or does not parse, from a flag
+or the file alike, and a config-file key that the command neither declares
+nor reads, raise a ParameterError naming it, as ``errors.build_record``
+does an unknown variant or key and a missing required key of a domain,
+datum, field (``_FIELDS``) or kernel record.  ``_write_csv`` and
+``_write_report`` write every output: the CSV embeds the resolved config
+and its hash in comment lines, and a JSON sidecar ``<out>.meta.json``
+carries the config, package and Python versions, platform, worker threads,
+seed and wall time, and the run's report (for ``solve``, ``profile`` and
+``experiment``, each walked point's diagnostics; for ``apply-op`` and
+``verify-barrier``, each operator point's quadrature diagnostics and the
+ToleranceWarnings raised; for ``counterexample``, each depth's quadrature
+error estimate).  Outputs are byte-identical for identical (config, seed):
+floats have a fixed precision and ``_map`` keeps input order.
 
 Exit codes: 0 success / verification PASS, 2 verification FAIL, 1 error;
 argparse's usage errors (an unknown flag or subcommand) also exit 2.
@@ -43,13 +44,15 @@ import scipy
 
 from . import __version__
 from .barriers import (counterexample_min_rs_1, data_from_config,
-                       holder_point_singularity, verify_cone_barrier,
-                       verify_halfspace_supersolution, verify_psi_barrier)
-from .errors import FracLabError, ParameterError, ToleranceWarning
+                       verify_cone_barrier, verify_halfspace_supersolution,
+                       verify_psi_barrier)
+from .errors import (FracLabError, ParameterError, ToleranceWarning,
+                     build_record)
 from .fields import ConeBarrier, HalfSpacePower, PsiPower
 from .geometry import (Ball, Polygon, StarShaped, domain_from_config,
                        unit_square)
-from .kernels import kernel_from_config, make_fractional_laplacian, validate_kernel
+from .kernels import (kernel_from_config, kernel_to_config,
+                      make_fractional_laplacian, validate_kernel)
 from .nonlocal_op import QuadratureSpec, apply_L_many
 from .regularity import (boundary_profile, exponent_experiment, fit_holder,
                          BoundaryProfile, wos_solver)
@@ -268,10 +271,10 @@ def _coords(dim):
 def cmd_validate_kernel(args):
     cfg = _resolve(args)
     if "kernel" in cfg:
-        kernel = kernel_from_config(cfg["kernel"])
+        kernel = _build(cfg, "kernel", kernel_from_config)
     else:
         kernel = make_fractional_laplacian(cfg["s"], cfg["dim"])
-        cfg["kernel"] = {"type": "frac_lap", "s": cfg["s"], "dim": cfg["dim"]}
+        cfg["kernel"] = kernel_to_config(kernel)
     rep = validate_kernel(kernel, samples=cfg["samples"])
     report = {
         "samples": rep.samples,
@@ -285,23 +288,16 @@ def cmd_validate_kernel(args):
     return 0 if rep.ok else 2
 
 
+# each field's constructor and the keys of its record besides "name"
 _FIELDS = {
-    "halfspace_power": lambda p: HalfSpacePower(p.get("nu", (0.0, 1.0)),
-                                                p["alpha"]),
-    "psi_power_ball": lambda p: PsiPower(Ball(p.get("center", (0.0, 0.0)),
-                                              p.get("radius", 1.0)),
-                                         p["alpha"]),
-    "cone_barrier": lambda p: ConeBarrier(p.get("e", (0.0, 1.0)),
-                                          p.get("eta", 1.0), p["beta"]),
+    "halfspace_power": (lambda alpha, nu=(0.0, 1.0): HalfSpacePower(nu, alpha),
+                        ("alpha", "nu")),
+    "psi_power_ball": (lambda alpha, center=(0.0, 0.0), radius=1.0:
+                       PsiPower(Ball(center, radius), alpha),
+                       ("alpha", "center", "radius")),
+    "cone_barrier": (lambda beta, e=(0.0, 1.0), eta=1.0:
+                     ConeBarrier(e, eta, beta), ("beta", "e", "eta")),
 }
-
-
-def _field_from_spec(spec):
-    name = spec["name"]
-    if name not in _FIELDS:
-        raise ParameterError(
-            f"unknown field {name!r}; known: {sorted(_FIELDS)}")
-    return _FIELDS[name](spec)
 
 
 _OPERATOR_DIAGNOSTICS = ("n_evals", "refinements", "err_estimate", "tol_ok")
@@ -338,7 +334,8 @@ def _operator_diagnostics(evaluations, n_warnings):
 
 def cmd_apply_op(args):
     cfg = _resolve(args)
-    u = _build(cfg, "field", _field_from_spec)
+    u = _build(cfg, "field",
+               partial(build_record, "field", _FIELDS, tag="name"))
     kernel = make_fractional_laplacian(cfg["s"], cfg["dim"])
     pts = cfg["points"]
     q = QuadratureSpec(target_rel_tol=cfg["rel-tol"])
@@ -530,9 +527,9 @@ def cmd_experiment(args):
         raise ParameterError(
             "experiment needs a 1-D or 2-D ball, a polygon or a star domain, "
             f"not a {dom.dim}-D {type(dom).__name__}")
-    g = holder_point_singularity(cfg["alpha"], anchor)
     cfg["data"] = {"name": "holder_point_singularity", "alpha": cfg["alpha"],
                    "z0": anchor}
+    g = data_from_config(cfg["data"])
     kernel = make_fractional_laplacian(cfg["s"], dom.dim)
     samples = []
     solver = wos_solver(dom, g, kernel, _walk_config(cfg), samples)

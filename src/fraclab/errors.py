@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the check of a config
-record's keys that raises one."""
+"""Exception types shared across the package, and the one builder of the
+domain, datum, field and kernel config records, which checks their keys."""
 
 import inspect
 
@@ -36,22 +36,33 @@ class ReliabilityError(FracLabError, RuntimeError):
     """A Monte Carlo run failed its own reliability checks."""
 
 
-def check_record_keys(variant, record, make, keys):
-    """Raise a ParameterError if the config ``record`` of ``variant``, the
-    keyword arguments of ``make(**record)``, has a key outside ``keys`` or
-    lacks one that ``make`` requires (has no default for); the error names
-    the variant and the offending keys."""
-    unknown = sorted(set(record) - set(keys))
+def build_record(what, table, record, tag=None):
+    """``make(**args)`` of the ``table`` entry ``(make, keys)`` of the variant
+    that ``record`` names under the key ``tag`` (the args are its other keys)
+    or, with no tag, as its one key (whose value is the args).  A
+    ParameterError names an unknown variant, an arg outside ``keys``, and a
+    missing one that ``make`` has no default for."""
+    if tag is None:
+        if len(record) != 1:
+            raise ParameterError(f"the record of a {what} must have exactly "
+                                 f"one key, got {list(record)}")
+        (name, args), = record.items()
+    else:
+        args = dict(record)
+        name = args.pop(tag, None)
+    if name not in table:
+        raise ParameterError(f"unknown {what} {name!r}; known: {sorted(table)}")
+    make, keys = table[name]
+    unknown = sorted(set(args) - set(keys))
     if unknown:
         raise ParameterError(
-            f"unknown {variant} key(s) {unknown}; known: {list(keys)}")
+            f"unknown {name} key(s) {unknown}; known: {list(keys)}")
     params = inspect.signature(make).parameters
-    missing = [k for k in keys
-               if params[k].default is inspect.Parameter.empty
-               and k not in record]
+    missing = [k for k in keys if k not in args and (
+        k not in params or params[k].default is inspect.Parameter.empty)]
     if missing:
-        raise ParameterError(
-            f"{variant} record lacks required key(s) {missing}")
+        raise ParameterError(f"{name} record lacks required key(s) {missing}")
+    return make(**args)
 
 
 class ToleranceWarning(UserWarning):

@@ -253,6 +253,15 @@ class HalfPlaneExtension:
         return integ / norm
 
 
+def _inside_field(dom, g):
+    """The deterministic extension of g inside a Ball or HalfPlane, else None."""
+    if isinstance(dom, Ball):
+        return _disk_extension(dom, g)
+    if isinstance(dom, HalfPlane):
+        return HalfPlaneExtension(dom, g)
+    return None
+
+
 def harmonic_extension(dom, g, x, cfg=None):
     """Value of the extended datum at an interior point: the solution of the
     Laplace problem with boundary trace g, evaluated at x.
@@ -265,13 +274,11 @@ def harmonic_extension(dom, g, x, cfg=None):
     datum that declares its growth) with exit radius 1 and the ``WoSConfig``
     cfg, by default ``EXTENSION_WOS``: Brownian walk-on-spheres, with its
     stderr, ``bias_bound`` and ``n_maxed``."""
-    if isinstance(dom, Ball):
-        inside = _disk_extension(dom, g)
+    inside = _inside_field(dom, g)
+    if inside is not None:
         method = ("closed_form" if isinstance(inside, PointPowerDiskExtension)
                   else "quadrature")
         return ExtensionValue(value=inside(x), method=method)
-    if isinstance(dom, HalfPlane):
-        return ExtensionValue(value=HalfPlaneExtension(dom, g)(x))
     if isinstance(dom, Polygon):
         out = _walk_on_spheres(dom, g, x, BrownianExitSampler(),
                                cfg or EXTENSION_WOS)
@@ -287,11 +294,8 @@ def extended_field(dom, g):
     a 2-D Ball and on HalfPlane, whose deterministic Poisson quadratures (or
     the disk's closed form, for the datum that declares it) the operator's
     error estimate covers (polygons have Monte Carlo point values only)."""
-    if isinstance(dom, Ball):
-        inside = _disk_extension(dom, g)
-    elif isinstance(dom, HalfPlane):
-        inside = HalfPlaneExtension(dom, g)
-    else:
+    inside = _inside_field(dom, g)
+    if inside is None:
         raise UnsupportedVariantError(
             f"extended_field supports Ball and HalfPlane, not "
             f"{type(dom).__name__}")

@@ -43,7 +43,7 @@ barrier Phi_beta.
 import numpy as np
 
 from .errors import (DomainError, ParameterError, UnsupportedVariantError,
-                     check_record_keys)
+                     build_record)
 
 
 def _as_points(x, dim):
@@ -90,10 +90,12 @@ def row_norm2(pts):
     squared columns summed in coordinate order, bit for bit ``np.sum(pts *
     pts, axis=-1)``, and its ``np.sqrt`` bit for bit ``np.linalg.norm(pts,
     axis=-1)``; on 8192 rows of 2 each costs about a seventh of the numpy
-    form, a reduction over a short trailing axis."""
-    out = pts[..., 0] * pts[..., 0]
-    for k in range(1, pts.shape[-1]):
-        out += pts[..., k] * pts[..., k]
+    form, a reduction over a short trailing axis.  A row whose square
+    overflows reads inf without a warning."""
+    with np.errstate(over="ignore"):
+        out = pts[..., 0] * pts[..., 0]
+        for k in range(1, pts.shape[-1]):
+            out += pts[..., k] * pts[..., k]
     return out
 
 
@@ -837,28 +839,15 @@ def domain_from_config(cfg):
     Any other key, or a missing required one, raises a ParameterError
     naming it.
     """
-    if len(cfg) != 1:
-        raise ParameterError("domain config must have exactly one variant key")
-    (kind, body), = cfg.items()
-    if kind not in _VARIANTS:
-        raise ParameterError(f"unknown domain variant {kind!r}")
-    cls, keys = _VARIANTS[kind]
-    check_record_keys(kind, body, cls, keys)
-    return cls(**body)
+    return build_record("domain variant", _VARIANTS, cfg)
 
 
 def domain_to_config(dom):
-    if isinstance(dom, Ball):
-        return {"ball": {"center": dom.center.tolist(), "radius": dom.radius}}
-    if isinstance(dom, HalfPlane):
-        return {"halfplane": {"normal": dom.normal.tolist()}}
-    if isinstance(dom, Cone):
-        return {"cone": {"axis": dom.axis.tolist(), "eta": dom.eta}}
-    if isinstance(dom, Polygon):
-        return {"polygon": {"vertices": dom.vertices.tolist()}}
-    if isinstance(dom, StarShaped):
-        return {"star": {"coeff_cos": dom.coeff_cos.tolist(),
-                         "coeff_sin": dom.coeff_sin.tolist()}}
+    """The config record of ``dom``, the inverse of ``domain_from_config``."""
+    for kind, (cls, keys) in _VARIANTS.items():
+        if isinstance(dom, cls):
+            return {kind: {k: np.asarray(getattr(dom, k)).tolist()
+                           for k in keys}}
     raise ParameterError(f"cannot serialize {type(dom).__name__}")
 
 

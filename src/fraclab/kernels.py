@@ -5,7 +5,8 @@ a bounded between two ellipticity constants.  The isotropic case a == 1 is
 the fractional Laplacian up to a positive constant; we fix the convention
 that no such constant is carried, so every downstream check is built on
 signs, zeros, ratios and homogeneity exponents, all invariant under a
-positive rescaling of the operator.
+positive rescaling of the operator.  Kernel records go through
+``errors.build_record``.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, SingularityError
+from .errors import ParameterError, SingularityError, build_record
 
 
 def _ones_density(theta):
@@ -35,7 +36,6 @@ class KernelSpec:
     lam: float
     Lam: float
     angular_density: Callable = field(default=_ones_density, repr=False)
-    homogeneous: bool = True
     name: str = "custom"
 
     def __post_init__(self):
@@ -49,16 +49,16 @@ class KernelSpec:
             )
 
 
-def make_fractional_laplacian(s, dim):
+def make_fractional_laplacian(s, dim=2):
     """Kernel of the fractional Laplacian: a == 1, lam = Lam = 1.
 
     No normalizing constant is applied (see module docstring).
     """
-    if not isinstance(dim, (int, np.integer)):
-        raise ParameterError(f"dimension must be an integer, got {dim!r}")
+    if not (isinstance(dim, (int, np.integer, float))
+            and float(dim).is_integer()):
+        raise ParameterError(f"kernel dim must be an integer, got {dim!r}")
     return KernelSpec(s=float(s), dim=int(dim), lam=1.0, Lam=1.0,
-                      angular_density=_ones_density, homogeneous=True,
-                      name="frac_lap")
+                      angular_density=_ones_density, name="frac_lap")
 
 
 def kernel_eval(kernel, y):
@@ -145,32 +145,36 @@ def _cos_even_density(coefficients):
     return density
 
 
+def _custom_kernel(s, angular, dim=2, **bounds):
+    """A custom record's kernel; ``bounds`` holds its lambda and Lambda."""
+    if dim != 2:
+        raise ParameterError(f"custom kernels have dim 2 only, got dim {dim!r}")
+    if list(angular) != ["cos_even"]:
+        raise ParameterError(
+            f"custom kernel angular takes cos_even only, got {angular!r}")
+    return KernelSpec(float(s), 2, float(bounds["lambda"]),
+                      float(bounds["Lambda"]),
+                      _cos_even_density(angular["cos_even"]), name="custom")
+
+
+# each kernel type's constructor and the keys of its record besides "type"
+_KERNELS = {
+    "frac_lap": (make_fractional_laplacian, ("s", "dim")),
+    "custom": (_custom_kernel, ("s", "dim", "lambda", "Lambda", "angular")),
+}
+
+
 def kernel_from_config(cfg):
     """Build a KernelSpec from a config record.
 
-    Records: {"type": "frac_lap", "s": .., "dim": ..} or
-    {"type": "custom", "s", "dim", "lambda", "Lambda",
-     "angular": {"cos_even": [c0, c2, c4, ...]}} where the angular density is
-    the even cosine series c0 + c2 cos(2 phi) + ... (symmetric by construction,
-    dim 2 only).
+    Records: {"type": "frac_lap", "s": .., "dim": ..} (type and dim
+    optional: frac_lap, 2) or {"type": "custom", "s", "dim", "lambda",
+    "Lambda", "angular": {"cos_even": [c0, c2, c4, ...]}} (dim 2 only) where
+    the angular density is the even cosine series c0 + c2 cos(2 phi) + ...
+    (symmetric by construction).
     """
-    kind = cfg.get("type", "frac_lap")
-    if kind == "frac_lap":
-        return make_fractional_laplacian(cfg["s"], int(cfg.get("dim", 2)))
-    if kind == "custom":
-        angular = cfg.get("angular", {})
-        coeffs = angular.get("cos_even")
-        if coeffs is None:
-            raise ParameterError("custom kernel config needs angular.cos_even")
-        if int(cfg.get("dim", 2)) != 2:
-            raise ParameterError("cos_even angular densities are dim-2 only")
-        return KernelSpec(
-            s=float(cfg["s"]), dim=2,
-            lam=float(cfg["lambda"]), Lam=float(cfg["Lambda"]),
-            angular_density=_cos_even_density(coeffs),
-            homogeneous=True, name="custom",
-        )
-    raise ParameterError(f"unknown kernel type {kind!r}")
+    return build_record("kernel type", _KERNELS, {"type": "frac_lap", **cfg},
+                        tag="type")
 
 
 def kernel_to_config(kernel, angular_coeffs=None):

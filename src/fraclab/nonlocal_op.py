@@ -338,9 +338,7 @@ class HomogeneityReport:
 
 def homogeneity_check(kernel, u, x, scales, q=None):
     """Check that -(L u)(t x) = t^(a-2s) (-L u)(x) for a homogeneous field of
-    degree a and a homogeneous kernel."""
-    if not kernel.homogeneous:
-        raise ParameterError("homogeneity check requires a homogeneous kernel")
+    degree a (every kernel a(theta)|y|^(-N-2s) is homogeneous)."""
     if u.homogeneity is None:
         raise ParameterError("field does not declare a homogeneity degree")
     a = float(u.homogeneity)

@@ -251,8 +251,10 @@ def exponent_experiment(dom, g, s, cfg=None, boundary_points=None,
 
     fits = []
     profiles = []
-    for z0 in boundary_points:
-        prof = boundary_profile(solver, dom, g, z0, t_grid)
+    for j, z0 in enumerate(boundary_points):
+        # boundary point j walks depth k on the streams of j * len(t_grid) + k
+        prof = boundary_profile(lambda x, k: solver(x, j * len(t_grid) + k),
+                                dom, g, z0, t_grid)
         profiles.append(prof)
         fits.append((tuple(np.asarray(z0, dtype=float).tolist()),
                      fit_holder(prof, s=s)))

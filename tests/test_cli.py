@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fraclab.barriers import capped_distance_data, data_from_config
-from fraclab.cli import build_parser, run
-from fraclab.errors import ParameterError, ToleranceWarning
+from fraclab.cli import _FIELDS, build_parser, run
+from fraclab.errors import ParameterError, ToleranceWarning, build_record
 from fraclab.geometry import Ball, domain_from_config
 from fraclab.fields import HalfSpacePower, PsiPower
 from fraclab.kernels import make_fractional_laplacian
@@ -741,6 +741,56 @@ def test_a_record_missing_a_required_key_is_refused(load, record, variant,
     with pytest.raises(ParameterError) as info:
         load(record)
     assert variant in str(info.value) and missing in str(info.value)
+
+
+@pytest.mark.parametrize("field, name", [
+    # the half-space normal is nu: a misspelt key fell back to (0, 1)
+    ({"name": "halfspace_power", "alpha": 0.25, "normal": [1, 0]},
+     "unknown halfspace_power key(s) ['normal']"),
+    ({"name": "halfspace_power", "nu": [1, 0]},
+     "halfspace_power record lacks required key(s) ['alpha']"),
+    ({"name": "cone_barrier", "beta": 0.05, "axis": [0, 1]},
+     "unknown cone_barrier key(s) ['axis']"),
+    ({"name": "psi_power", "alpha": 0.25}, "unknown field 'psi_power'"),
+])
+def test_a_bad_field_record_is_refused_by_its_key(tmp_path, capsys, field,
+                                                 name):
+    with pytest.raises(ParameterError) as info:
+        build_record("field", _FIELDS, field, tag="name")
+    assert name in str(info.value)
+    argv = ["apply-op", "--s", "0.5", "--field", json.dumps(field),
+            "--points", "0,1", "--out", str(tmp_path / "out")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kernel, name", [
+    ({"type": "frac_lap", "s": 0.5, "dimm": 3},
+     "unknown frac_lap key(s) ['dimm']"),
+    ({"type": "frac_lap"}, "frac_lap record lacks required key(s) ['s']"),
+    ({"type": "frac_lap", "s": 0.5, "dim": 2.7},
+     "kernel dim must be an integer, got 2.7"),
+])
+def test_validate_kernel_refuses_a_bad_kernel_record(tmp_path, capsys, kernel,
+                                                     name):
+    config = tmp_path / "k.json"
+    config.write_text(json.dumps({"kernel": kernel}))
+    out = tmp_path / "k_out.json"
+    assert run(["validate-kernel", "--config", str(config),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_validate_kernel_records_the_kernel_it_built(tmp_path):
+    out = tmp_path / "k.json"
+    assert run(["validate-kernel", "--s", "0.3", "--dim", "1", "--samples",
+                "10", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["kernel"] == {
+        "type": "frac_lap", "s": 0.3, "dim": 1}
 
 
 # SHA-256 of the outputs of small seeded runs with their default or relative

@@ -688,3 +688,16 @@ def test_star_dist_is_the_projection_distance():
     # a row's distance lies between its lower and upper bounds
     np.testing.assert_array_equal(
         [dom.dist_bound(p, e) for p, e in zip(pts, want)], want)
+
+
+def test_rows_beyond_the_square_root_of_the_largest_float_are_silent():
+    # |x|^2 overflows to inf there: the row lies outside and its distance
+    # bound is 0, without an overflow warning from row_norm2
+    far = np.array([[1e200, 1e200]])
+    ball, star = Ball([0.0, 0.0], 1.0), StarShaped([1.0, 0.0, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not ball.contains(far)[0]
+        assert ball.signed_dist(far)[0] == -np.inf
+        assert not star.contains(far)[0]
+        assert star.dist_bound(far)[0] == 0.0

@@ -10,7 +10,6 @@ from fraclab.kernels import (KernelSpec, kernel_eval, kernel_from_config,
 def test_fractional_laplacian_construction():
     K = make_fractional_laplacian(0.5, 1)
     assert K.lam == K.Lam == 1.0
-    assert K.homogeneous
     assert K.dim == 1
 
     K2 = make_fractional_laplacian(0.75, 2)
@@ -98,3 +97,37 @@ def test_config_round_trip():
     assert validate_kernel(K2, samples=400).symmetry_ok
     back = kernel_to_config(K2, angular_coeffs=[1.0, 0.25])
     assert back["lambda"] == 0.5 and back["angular"]["cos_even"] == [1.0, 0.25]
+
+
+CUSTOM = {"type": "custom", "s": 0.4, "lambda": 0.5, "Lambda": 1.5,
+          "angular": {"cos_even": [1.0, 0.25]}}
+
+
+@pytest.mark.parametrize("record, name", [
+    # a misspelt key, a missing one, and a dim that is not an integer were
+    # accepted, a bare KeyError, and cut to 2
+    ({"type": "frac_lap", "s": 0.5, "dimm": 3},
+     "unknown frac_lap key(s) ['dimm']"),
+    ({"type": "frac_lap"}, "frac_lap record lacks required key(s) ['s']"),
+    ({"type": "frac_lap", "s": 0.5, "dim": 2.5},
+     "kernel dim must be an integer, got 2.5"),
+    ({**CUSTOM, "dim": 2.5}, "dim 2 only, got dim 2.5"),
+    ({**CUSTOM, "dim": 3}, "dim 2 only, got dim 3"),
+    ({k: v for k, v in CUSTOM.items() if k != "lambda"},
+     "custom record lacks required key(s) ['lambda']"),
+    ({k: v for k, v in CUSTOM.items() if k != "angular"},
+     "custom record lacks required key(s) ['angular']"),
+    ({**CUSTOM, "angular": {"cos_even": [1.0], "cos_odd": [0.1]}}, "cos_odd"),
+    ({"type": "stable", "s": 0.5}, "unknown kernel type 'stable'"),
+])
+def test_a_bad_kernel_record_is_refused_by_its_key(record, name):
+    with pytest.raises(ParameterError) as info:
+        kernel_from_config(record)
+    assert name in str(info.value)
+
+
+def test_kernel_record_defaults_and_integral_dims():
+    assert kernel_to_config(kernel_from_config({"s": 0.5})) == {
+        "type": "frac_lap", "s": 0.5, "dim": 2}
+    assert kernel_from_config({"s": 0.5, "dim": 1.0}).dim == 1
+    assert kernel_from_config({**CUSTOM, "dim": 2.0}).dim == 2

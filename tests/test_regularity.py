@@ -194,3 +194,19 @@ def test_experiment_alpha_equals_s_flags_log():
                               t_grid=np.geomspace(1e-4, 1e-2, 10))
     assert rep.log_corrected
     assert "log-corrected" in rep.verdict
+
+
+def test_experiment_walks_each_boundary_point_on_its_own_streams():
+    # boundary point j walks depth k on stream index j * n + k, so the two
+    # profiles share no stream and the anchor keeps indices 0..n-1
+    g = holder_point_singularity(0.3, [1.0, 0.0])
+    seen = []
+
+    def recording_solver(x, index=0):
+        seen.append(index)
+        return 0.1, 0.0
+
+    t_grid = np.geomspace(1e-3, 1e-1, 6)
+    exponent_experiment(BALL, g, 0.5, solver=recording_solver, t_grid=t_grid,
+                        boundary_points=[(1.0, 0.0), (0.0, 1.0)])
+    assert seen == list(range(12))
