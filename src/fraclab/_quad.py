@@ -23,11 +23,11 @@ or angle, into nodes and weights, and ``graded_edges``/``periodic_edges``
 build those rows.  Rows of different lengths are padded by repeating their
 end edge, so the padding panels have zero width and contribute nothing.
 
-The GL8 and G7/K15 rules are literal tables.  The Gauss-Jacobi rules are
-built by scipy.special, which is imported on the first rule built
-(``gauss_jacobi_01``), not with this module: importing it, with
-scipy.linalg behind it, more than doubled the package's import time, and
-the walk-on-spheres commands build no Jacobi rule.
+The GL8 and G7/K15 rules are literal tables.  The Gauss-Jacobi rules
+(``gauss_jacobi_01``) are built from their three-term recurrence with numpy
+alone, so this module imports nothing from scipy: scipy.special, with
+scipy.linalg behind it, more than doubled a quadrature command's cold start
+and took a third of its memory.
 """
 
 from functools import lru_cache
@@ -123,16 +123,63 @@ def clenshaw_curtis(n):
     return np.cos(theta), w
 
 
+# Newton steps that polish the eigenvalue nodes of ``gauss_jacobi_01``
+_NEWTON_STEPS = 2
+
+
 @lru_cache(maxsize=256)
 def gauss_jacobi_01(n, beta):
-    """Nodes/weights approximating int_0^1 t^beta f(t) dt = sum w f(t).
+    """Nodes (ascending) and weights of the n-point Gauss rule
+    int_0^1 t^beta f(t) dt = sum w f(t), for beta > -1.
 
-    scipy.special is imported on the first call, not with the module (see
-    the module docstring)."""
-    from scipy.special import roots_jacobi
+    It is the Gauss-Jacobi rule for the weight (1 + x)^beta on [-1, 1]
+    mapped to [0, 1] by t = (1 + x)/2, built from its three-term recurrence
+    alone (Golub & Welsch 1969).  The recurrence coefficients are the Jacobi
+    ones for alpha = 0, those of scipy.special.roots_jacobi, halved and
+    shifted by the map.  The nodes are the eigenvalues of the Jacobi matrix,
+    polished by Newton steps on the recurrence.  The weights are the
+    Christoffel numbers 1 / sum_k p_k(t)^2 of the orthonormal polynomials
+    p_k, scaled to sum to the exact moment 1/(beta + 1); no Gamma function
+    is needed."""
+    k = np.arange(1, n, dtype=float)
+    c = 2.0 * k + beta
+    diag = np.concatenate([[(beta + 1.0) / (beta + 2.0)],
+                           0.5 + 0.5 * beta * beta / (c * (c + 2.0))])
+    off = k * (k + beta) / (c * np.sqrt(c * c - 1.0))
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    for _ in range(_NEWTON_STEPS):
+        p_n, dp_n, _ = _recurrence(t, diag, off, beta)
+        t = t - p_n / dp_n
+    w = 1.0 / _recurrence(t, diag, off, beta)[2]
+    mu0 = 1.0 / (beta + 1.0)
+    w *= mu0 / w.sum()
+    # the rule sums add the weights in np.sum's order: the rounding residual
+    # goes to the first weight, largest first, that makes this sum the
+    # moment exactly, so that a constant's two levels agree
+    for i in np.argsort(-w):
+        exact = w.copy()
+        exact[i] += mu0 - w.sum()
+        if exact.sum() == mu0:
+            w = exact
+            break
+    # every caller shares the cached arrays
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
-    x, w = roots_jacobi(n, 0.0, beta)
-    return (x + 1.0) / 2.0, w * 0.5 ** (beta + 1.0)
+
+def _recurrence(t, diag, off, beta):
+    """At the points t: e_n p_n, its derivative, and sum_{k<n} p_k^2, where
+    p_k are the orthonormal polynomials of t^beta on [0, 1], with the
+    recurrence t p_k = e_{k+1} p_{k+1} + diag[k] p_k + e_k p_{k-1} and
+    e_k = off[k - 1] (n = len(diag))."""
+    e = np.concatenate([[0.0], off, [1.0]])
+    p_prev = dp_prev = squares = np.zeros_like(t)
+    p, dp = np.full_like(t, np.sqrt(beta + 1.0)), np.zeros_like(t)
+    for j, d in enumerate(diag):
+        squares = squares + p * p
+        p_prev, p = p, ((t - d) * p - e[j] * p_prev) / e[j + 1]
+        dp_prev, dp = dp, (p_prev + (t - d) * dp - e[j] * dp_prev) / e[j + 1]
+    return p, dp, squares
 
 
 def mid_panels(lo, hi, kinks, n_min):

@@ -272,6 +272,14 @@ def cmd_validate_kernel(args):
     cfg = _resolve(args)
     if "kernel" in cfg:
         kernel = _build(cfg, "kernel", kernel_from_config)
+        # a value the record does not hold would be recorded, not validated
+        clash = [f"--{k} {cfg[k]}" for k, v in (("s", kernel.s),
+                                               ("dim", kernel.dim))
+                 if k in cfg and cfg[k] != v]
+        if clash:
+            raise ParameterError(
+                f"validate-kernel got {' and '.join(clash)} beside a kernel "
+                f"record of s {kernel.s} and dim {kernel.dim}")
     else:
         kernel = make_fractional_laplacian(cfg["s"], cfg["dim"])
         cfg["kernel"] = kernel_to_config(kernel)
@@ -599,7 +607,7 @@ def build_parser():
     walk = {"paths": 100000, "seed": 0}
     add("validate-kernel", cmd_validate_kernel,
         {"s": "float", "dim": "int", "samples": "int"},
-        defaults={"dim": 2, "samples": 1000}, records=("kernel",))
+        defaults={"samples": 1000}, fallbacks={"dim": 2}, records=("kernel",))
     add("apply-op", cmd_apply_op,
         {"s": "float", "dim": "int", "field": "record", "points": "points",
          "rel-tol": "float"},

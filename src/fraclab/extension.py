@@ -155,8 +155,8 @@ class PointPowerDiskExtension:
 
     The evaluation is elementwise, so a point's value does not depend on the
     batch around it.  scipy.special is imported on the first evaluation, not
-    with the module (see ``_quad``).  One point or an (n, 2) array, as for
-    ``DiskExtension``."""
+    with the module: importing it takes about as long as importing the
+    package.  One point or an (n, 2) array, as for ``DiskExtension``."""
 
     def __init__(self, dom, alpha, C0, anchor):
         self.dom = dom

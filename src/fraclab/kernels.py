@@ -29,6 +29,9 @@ class KernelSpec:
     ``angular_density`` maps unit vectors, shaped (..., dim), to values
     (...,).  It must be even and take values in [lam, Lam]; this is checked
     by sampling via :func:`validate_kernel`, not enforced symbolically.
+    ``cos_even`` holds the coefficients of a custom record's density, so
+    that :func:`kernel_to_config` can write the record back; it is None for
+    a density given as a bare callable.
     """
 
     s: float
@@ -37,6 +40,7 @@ class KernelSpec:
     Lam: float
     angular_density: Callable = field(default=_ones_density, repr=False)
     name: str = "custom"
+    cos_even: tuple = None
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -131,14 +135,12 @@ def validate_kernel(kernel, samples=1000, seed=0, tol=1e-12):
     )
 
 
-def _cos_even_density(coefficients):
-    coeffs = [float(c) for c in coefficients]
-
+def _cos_even_density(coeffs):
     def density(theta):
         theta = np.asarray(theta, dtype=float)
         phi = np.arctan2(theta[..., 1], theta[..., 0])
         out = np.full(theta.shape[:-1], coeffs[0])
-        for k, c in enumerate(coefficients[1:], start=1):
+        for k, c in enumerate(coeffs[1:], start=1):
             out = out + c * np.cos(2 * k * phi)
         return out
 
@@ -152,9 +154,10 @@ def _custom_kernel(s, angular, dim=2, **bounds):
     if list(angular) != ["cos_even"]:
         raise ParameterError(
             f"custom kernel angular takes cos_even only, got {angular!r}")
+    coeffs = tuple(float(c) for c in angular["cos_even"])
     return KernelSpec(float(s), 2, float(bounds["lambda"]),
-                      float(bounds["Lambda"]),
-                      _cos_even_density(angular["cos_even"]), name="custom")
+                      float(bounds["Lambda"]), _cos_even_density(coeffs),
+                      name="custom", cos_even=coeffs)
 
 
 # each kernel type's constructor and the keys of its record besides "type"
@@ -177,11 +180,16 @@ def kernel_from_config(cfg):
                         tag="type")
 
 
-def kernel_to_config(kernel, angular_coeffs=None):
+def kernel_to_config(kernel):
+    """The record that ``kernel_from_config`` builds ``kernel`` from.  A
+    custom kernel whose density is a bare callable has no record and is
+    refused."""
     if kernel.name == "frac_lap":
         return {"type": "frac_lap", "s": kernel.s, "dim": kernel.dim}
-    cfg = {"type": "custom", "s": kernel.s, "dim": kernel.dim,
-           "lambda": kernel.lam, "Lambda": kernel.Lam}
-    if angular_coeffs is not None:
-        cfg["angular"] = {"cos_even": list(angular_coeffs)}
-    return cfg
+    if kernel.cos_even is None:
+        raise ParameterError(
+            f"kernel {kernel.name!r} has no record: its angular density is "
+            "a callable, not a cos_even series")
+    return {"type": "custom", "s": kernel.s, "dim": kernel.dim,
+            "lambda": kernel.lam, "Lambda": kernel.Lam,
+            "angular": {"cos_even": list(kernel.cos_even)}}

@@ -793,6 +793,27 @@ def test_validate_kernel_records_the_kernel_it_built(tmp_path):
         "type": "frac_lap", "s": 0.3, "dim": 1}
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--s", "0.9", "--dim", "1"], "--s 0.9 and --dim 1"),
+    (["--dim", "3"], "--dim 3"),
+])
+def test_validate_kernel_refuses_flags_the_kernel_record_contradicts(
+        tmp_path, capsys, flags, named):
+    # they were recorded in the config but not used: s 0.5 in dim 2 was
+    # validated
+    config = tmp_path / "k.json"
+    config.write_text(json.dumps({"kernel": {"type": "frac_lap", "s": 0.5}}))
+    out = tmp_path / "k_out.json"
+    assert run(["validate-kernel", "--config", str(config), *flags,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+    # values the record holds are no contradiction
+    assert run(["validate-kernel", "--config", str(config), "--s", "0.5",
+                "--dim", "2", "--samples", "10", "--out", str(out)]) == 0
+
+
 # SHA-256 of the outputs of small seeded runs with their default or relative
 # output names: any change to the bytes the CLI writes fails here (the solve
 # and profile digests also depend on numpy's rounding, like the seeded pins
@@ -818,20 +839,20 @@ GOLDEN = {
         ["apply-op", "--s", "0.5",
          "--field", '{"name": "halfspace_power", "alpha": 0.25}',
          "--points", "0.0,1.0;0.3,2.0", "--rel-tol", "1e-5"],
-        "b3ca569ae83c5a94bb25ce888cee7c01e50114e2f295be5e6bfb1b9e87dc7959"),
+        "9e9b694a43f00406976716865062f64d6ee279ed31550f611779e9d11bdf5609"),
     "counterexample.csv": (
         ["counterexample", "--n", "3"],
         "31f9ef8fc6ba9ebf9c1cf62895cac38b271f25e7479bfa0fac88215c9a1bdd10"),
     "verify_halfspace.json": (
         ["verify-barrier", "--kind", "halfspace", "--s", "0.5",
          "--alpha", "0.25"],
-        "42693f262f88e021e1dad5b5d3c4dc62839409000e5658c0f94b079324938c54"),
+        "5deb84626e1a56eab61d5ce030507d4dc5151167bc9e364c9d4b36cdc188d759"),
     "verify_psi.json": (
         ["verify-barrier", "--kind", "psi", "--s", "0.5", "--alpha", "0.25"],
-        "f4027b948e6d0f227edbb8816d4c122933fefca81dffa427357c80e4a5ba7adc"),
+        "75a3fb5270be60ae98cbc57a79fde5dfb0a7f9cd5bec7c3b8b19a43cf34b421d"),
     "verify_cone.json": (
         ["verify-barrier", "--kind", "cone", "--s", "0.5", "--beta", "0.05"],
-        "d3c9713e6fbee64d1b0f391bd2647c5ab2d1acffd1018f675637e68f5a830da3"),
+        "899fce9e322634bfde656709220eea0b0fa4dcb80698e9e7f89606eb6bed3813"),
 }
 
 
@@ -916,6 +937,104 @@ def test_wos_outputs_agree_with_four_split_runs(tmp_path, monkeypatch, name):
     for (new_est, new_se), (est, se) in zip(rows, FOUR_SPLIT[name]):
         assert new_est != est
         assert abs(new_est - est) <= 4.0 * (new_se ** 2 + se ** 2) ** 0.5
+
+
+# (value, err_estimate) of each point, and the n_evals of each operator value
+# in the sidecar, that the quadrature runs of GOLDEN wrote when their
+# Gauss-Jacobi rules came from scipy.special.roots_jacobi
+ROOTS_JACOBI = {
+    "apply_op.csv": (
+        [(1.57079585046, 4.12506888e-06),
+         (0.934000716361, 3.10636391e-06)],
+        [11028, 11208]),
+    "verify_cone.json": (
+        [(0.7681638888381, 4.51020707e-06),
+         (0.8786749965054, 4.70087245e-06),
+         (1.094344919701, 5.65124519e-06),
+         (1.444075107529, 7.51786554e-06),
+         (1.814488199484, 4.86716076e-06),
+         (2.077470274444, 5.4030568e-06),
+         (2.242543727789, 5.53105729e-06),
+         (2.348289986856, 5.8631447e-06),
+         (0.7681638888381, 4.51020707e-06),
+         (0.8786749965057, 4.70087246e-06),
+         (1.094344919701, 5.65124522e-06),
+         (1.444075107529, 7.51786557e-06),
+         (1.814488199484, 4.86716074e-06),
+         (2.077470274444, 5.40305681e-06),
+         (2.242543727789, 5.53105729e-06),
+         (2.348289986852, 5.86314425e-06)],
+        [17976, 18066, 18006, 36423, 30300, 38040, 35850, 34890,
+         17976, 18066, 18006, 36423, 30300, 38040, 35850, 34890, 17826]),
+    "verify_halfspace.json": (
+        [(4.442881733024, 1.1953064e-05),
+         (3.526317589911, 8.86698132e-06),
+         (2.798840057435, 7.50072828e-06),
+         (2.221440793704, 6.11653227e-06),
+         (1.763158743268, 4.94678278e-06),
+         (1.399419942137, 4.19520891e-06),
+         (1.110720343163, 3.17735077e-06),
+         (0.8815792232967, 3.33270001e-06),
+         (0.6997098549402, 2.73613655e-06),
+         (0.555360008596, 2.59001227e-06)],
+        [13788, 10968, 10968, 16038, 10968, 11208, 11208, 9768, 10488,
+         10818, 16578]),
+    "verify_psi.json": (
+        [(286.3094578703, 0.00164137554),
+         (239.8345715163, 0.000841009625),
+         (201.0744698384, 0.00047844403),
+         (168.7462580953, 0.00058728257),
+         (141.7802501662, 0.000578326808),
+         (119.2845404072, 0.00050244317),
+         (100.515456331, 0.00082966239),
+         (84.85293039927, 0.000478275999),
+         (71.77995782296, 0.000315718111),
+         (60.86546675633, 0.000463715091),
+         (51.7500532496, 0.000457427366),
+         (44.13407589397, 0.000384511663),
+         (37.76774220533, 0.000278998866),
+         (32.44283730122, 0.000188079437),
+         (27.98584122271, 0.000125132848),
+         (24.25219207792, 7.7591341e-05),
+         (21.12150977954, 5.35526677e-05),
+         (18.49362843509, 4.09228112e-05),
+         (16.28529954103, 3.17419779e-05),
+         (14.42746423447, 3.01450898e-05)],
+        [46644, 46674, 46734, 46674, 46854, 46044, 30801, 15198, 15318,
+         16158, 16218, 15918, 16338, 16158, 15618, 15858, 15918, 15498,
+         15498, 15378]),
+}
+
+
+def quadrature_rows(name):
+    """(value, err_estimate) of each point of an apply-op CSV or a
+    verify-barrier report."""
+    if name.endswith(".csv"):
+        lines = [ln for ln in read_lines(name) if not ln.startswith("#")]
+        cols = lines[0].split(",")
+        i_val, i_err = cols.index("value"), cols.index("err_estimate")
+        return [(float(row[i_val]), float(row[i_err]))
+                for row in (ln.split(",") for ln in lines[1:])]
+    report = json.loads(open(name).read())["report"]
+    return list(zip(report["values"], report["errors"]))
+
+
+@pytest.mark.parametrize("name", sorted(ROOTS_JACOBI))
+def test_quadrature_outputs_agree_with_roots_jacobi_runs(tmp_path,
+                                                         monkeypatch, name):
+    # the rules moved the values by at most 5e-14 relative and the
+    # two-level error estimates by at most 4e-8; no refinement changed
+    monkeypatch.chdir(tmp_path)
+    assert run(["--threads", "1", *GOLDEN[name][0]]) == 0
+    old_rows, old_evals = ROOTS_JACOBI[name]
+    rows = quadrature_rows(name)
+    assert len(rows) == len(old_rows)
+    for (value, err), (old_value, old_err) in zip(rows, old_rows):
+        assert value == pytest.approx(old_value, rel=1e-12, abs=0.0)
+        assert err == pytest.approx(old_err, rel=1e-6, abs=0.0)
+    diag = json.loads(open(name + ".meta.json").read())["report"][
+        "diagnostics"]
+    assert [p["n_evals"] for p in diag["points"]] == old_evals
 
 
 # (estimate, stderr) of each row the seeded walk-on-spheres runs of GOLDEN

@@ -95,8 +95,17 @@ def test_config_round_trip():
               "Lambda": 1.5, "angular": {"cos_even": [1.0, 0.25]}}
     K2 = kernel_from_config(custom)
     assert validate_kernel(K2, samples=400).symmetry_ok
-    back = kernel_to_config(K2, angular_coeffs=[1.0, 0.25])
-    assert back["lambda"] == 0.5 and back["angular"]["cos_even"] == [1.0, 0.25]
+    assert kernel_to_config(K2) == custom
+    assert kernel_to_config(kernel_from_config(kernel_to_config(K2))) == custom
+
+
+def test_a_callable_density_has_no_record():
+    # it was written without its angular key, a record that could not be
+    # read back
+    K = KernelSpec(s=0.5, dim=2, lam=1.0, Lam=1.5,
+                   angular_density=lambda th: 1.0 + 0.25 * th[..., 0] ** 2)
+    with pytest.raises(ParameterError, match="callable"):
+        kernel_to_config(K)
 
 
 CUSTOM = {"type": "custom", "s": 0.4, "lambda": 0.5, "Lambda": 1.5,

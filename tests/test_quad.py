@@ -32,6 +32,35 @@ def test_gl8_table_is_scipys_rule_bit_for_bit():
     assert np.array_equal(_quad._GL8[1], w)
 
 
+_JACOBI_BETAS = (-0.95, -0.75, -0.5, -0.25, 0.0, 0.3, 0.6, 0.9)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 24, 32, 48])
+def test_gauss_jacobi_rule_is_exact_on_monomials(n):
+    m = np.arange(2 * n)[:, None]
+    for beta in _JACOBI_BETAS:
+        t, w = gauss_jacobi_01(n, beta)
+        assert np.all(np.diff(t) > 0) and 0.0 < t[0] and t[-1] < 1.0
+        assert np.all(w > 0.0)
+        np.testing.assert_allclose(np.sum(w * t ** m, axis=1),
+                                   1.0 / (m[:, 0] + beta + 1.0),
+                                   rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 24, 32, 48])
+def test_gauss_jacobi_rule_matches_roots_jacobi(n):
+    # roots_jacobi's weights are the less accurate ones: against 40-digit
+    # references they are off by up to 1e5 ulps at n = 48
+    from scipy.special import roots_jacobi
+
+    for beta in _JACOBI_BETAS:
+        x, w_ref = roots_jacobi(n, 0.0, beta)
+        t, w = gauss_jacobi_01(n, beta)
+        np.testing.assert_allclose(t, (x + 1.0) / 2.0, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(w, w_ref * 0.5 ** (beta + 1.0), rtol=1e-9,
+                                   atol=0.0)
+
+
 def test_bisect_edges_inserts_midpoints():
     np.testing.assert_array_equal(bisect_edges([[0.0, 1.0, 3.0]]),
                                   [[0.0, 0.5, 1.0, 2.0, 3.0]])

@@ -129,19 +129,44 @@ _WALK_COMMANDS = (
 )
 
 
-def test_walk_commands_leave_scipy_special_unloaded(tmp_path):
-    # scipy.special (with scipy.linalg behind it) more than doubled the cold
-    # start; only the Gauss-Jacobi rules of the quadratures load it
+def _loaded_after(commands, modules, cwd):
+    """Which of ``modules`` a fresh process has loaded after running the CLI
+    ``commands`` one after the other."""
     code = ("import sys\n"
             "from fraclab import cli\n"
-            f"for argv in {_WALK_COMMANDS!r}:\n"
+            f"for argv in {commands!r}:\n"
             "    assert cli.run(['--threads', '1', *argv]) == 0, argv\n"
-            "print('scipy.special' in sys.modules)")
+            f"print([m for m in {modules!r} if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(fraclab.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, cwd=tmp_path,
+                         text=True, check=True, cwd=cwd,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip().splitlines()[-1] == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_walk_commands_leave_scipy_special_unloaded(tmp_path):
+    # scipy.special (with scipy.linalg behind it) more than doubled the cold
+    # start; the walk-on-spheres commands need neither
+    assert _loaded_after(_WALK_COMMANDS, ["scipy.special", "scipy.linalg"],
+                         tmp_path) == "[]"
+
+
+# the README's quadrature commands: the operator values and the Poisson
+# values build their Gauss-Jacobi rules with numpy alone
+_QUADRATURE_COMMANDS = (
+    ["apply-op", "--s", "0.5",
+     "--field", '{"name": "halfspace_power", "alpha": 0.25}',
+     "--points", "0.0,1.0;0.3,2.0", "--rel-tol", "1e-5", "--out", "op.csv"],
+    ["verify-barrier", "--kind", "halfspace", "--s", "0.5", "--alpha", "0.25"],
+    ["verify-barrier", "--kind", "psi", "--s", "0.5", "--alpha", "0.25"],
+    ["verify-barrier", "--kind", "cone", "--s", "0.5", "--beta", "0.05"],
+    ["counterexample", "--n", "3"],
+)
+
+
+def test_quadrature_commands_leave_scipy_special_unloaded(tmp_path):
+    assert _loaded_after(_QUADRATURE_COMMANDS,
+                         ["scipy.special", "scipy.linalg"], tmp_path) == "[]"
 
 
 def test_exit_tail_probability_matches_oracle():
