@@ -37,7 +37,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import scipy
@@ -56,7 +56,7 @@ from .kernels import (kernel_from_config, kernel_to_config,
 from .nonlocal_op import QuadratureSpec, apply_L_many
 from .regularity import (boundary_profile, exponent_experiment, fit_holder,
                          BoundaryProfile, wos_solver)
-from .wos import WoSConfig, halfplane_poisson, kappa_constant, solve
+from .wos import WoSConfig, halfplane_poisson, kappa_constant, solve_points
 
 _FLOAT_FMT = ".12g"
 
@@ -193,9 +193,19 @@ def _threads(args):
 
 
 def _map(cfg, fn, items):
-    """[fn(item) for item in items] on the worker threads, in input order."""
+    """[fn(item) for item in items] on the worker threads, in input order;
+    inline, without a pool, on one thread or one item."""
+    if min(cfg.threads, len(items)) <= 1:
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
         return list(ex.map(fn, items))
+
+
+def _chunks(n, parts):
+    """range(n) cut into min(parts, n) contiguous runs of near-equal
+    length."""
+    parts = min(parts, n)
+    return [range(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +432,17 @@ def _walk_diagnostics(samples):
 def cmd_solve(args):
     cfg = _resolve(args)
     dom, g, kernel, wcfg = _walk_setup(cfg)
+    points = cfg["points"]
 
-    def work(item):
-        i, p = item
-        return solve(dom, g, p, kernel, wcfg, point_index=i)
+    def work(chunk):
+        return solve_points(dom, g, [points[i] for i in chunk], kernel, wcfg,
+                            chunk)
 
-    samples = _map(cfg, work, enumerate(cfg["points"]))
+    # one solve_points call per thread, on a contiguous run of the points
+    samples = [o for part in _map(cfg, work, _chunks(len(points), cfg.threads))
+               for o in part]
     rows = [(*p, o.estimate, o.stderr, o.mean_steps, o.snapped_fraction)
-            for p, o in zip(cfg["points"], samples)]
+            for p, o in zip(points, samples)]
     out = _write_csv(cfg, _coords(dom.dim) + [
         "estimate", "stderr", "mean_steps", "snapped_fraction"], rows,
         report={"diagnostics": _walk_diagnostics(samples)})
@@ -582,7 +595,11 @@ def cmd_counterexample(args):
     return 0
 
 
+@cache
 def build_parser():
+    """The parser of every subcommand, built once per process: a run reads
+    the dicts it declares (flags, defaults, fallbacks) and never writes
+    them."""
     p = argparse.ArgumentParser(
         prog="fraclab",
         description="numerical laboratory for nonlocal Dirichlet problems")

@@ -280,8 +280,8 @@ def harmonic_extension(dom, g, x, cfg=None):
                   else "quadrature")
         return ExtensionValue(value=inside(x), method=method)
     if isinstance(dom, Polygon):
-        out = _walk_on_spheres(dom, g, x, BrownianExitSampler(),
-                               cfg or EXTENSION_WOS)
+        out, = _walk_on_spheres(dom, g, [x], BrownianExitSampler(),
+                                cfg or EXTENSION_WOS)
         return ExtensionValue(value=out.estimate, stderr=out.stderr,
                               method="wos", bias_bound=out.bias_bound,
                               n_maxed=out.n_maxed)

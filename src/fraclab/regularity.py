@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .geometry import Ball
-from .wos import halfplane_poisson, solve
+from .wos import halfplane_poisson, solve_points
 
 
 @dataclass(frozen=True)
@@ -129,45 +129,50 @@ def holder_seminorm(samples, alpha):
 
 
 # ---------------------------------------------------------------------------
-# solver adapters: callable(x, index) -> (value, stderr)
+# solver adapters: callable(xs, indices) -> [(value, stderr), ...], one pair
+# per point of xs, point xs[k] on the streams of indices[k]
 
 def wos_solver(dom, g, kernel, cfg, record=None):
-    """A walk-on-spheres solver; each point's SolutionSample is appended to
-    the list ``record`` when one is given."""
-    def run(x, index=0):
-        out = solve(dom, g, x, kernel, cfg, point_index=index)
+    """A walk-on-spheres solver: the points of one call walk together
+    (``solve_points``); each point's SolutionSample is appended to the list
+    ``record`` when one is given."""
+    def run(xs, indices):
+        out = solve_points(dom, g, xs, kernel, cfg, indices)
         if record is not None:
-            record.append(out)
-        return out.estimate, out.stderr
+            record.extend(out)
+        return [(o.estimate, o.stderr) for o in out]
     return run
 
 
 def halfplane_solver(g, s):
-    def run(x, index=0):
-        v, e = halfplane_poisson(g, x, s)
-        return v, e
+    def run(xs, indices):
+        return [halfplane_poisson(g, x, s) for x in xs]
     return run
 
 
 def boundary_profile(solver, dom, g, z0, t_grid, normal=None):
     """Evaluate u - g(z0) along the inward normal at z0 via the supplied
-    solver; non-interior grid points are trimmed with a warning."""
+    solver, in one call ``solver(xs, indices)`` that takes every interior
+    grid point, the k-th depth of the sorted grid with index k;
+    non-interior grid points are trimmed with a warning."""
     z0 = np.asarray(z0, dtype=float)
     if normal is None:
         normal = inward_normal(dom, z0)
     normal = np.asarray(normal, dtype=float)
     normal = normal / np.linalg.norm(normal)
     g0 = float(g(z0))
-    ts, vals, errs = [], [], []
+    ts, xs, ks = [], [], []
     for k, t in enumerate(np.sort(np.asarray(t_grid, dtype=float))):
         x = z0 + t * normal
         if not dom.contains(x):
             warnings.warn(f"profile point at t={t:g} is not interior; trimmed")
             continue
-        v, e = solver(x, k)
         ts.append(float(t))
-        vals.append(float(v) - g0)
-        errs.append(float(e))
+        xs.append(x)
+        ks.append(k)
+    out = solver(xs, ks)
+    vals = [float(v) - g0 for v, _ in out]
+    errs = [float(e) for _, e in out]
     return BoundaryProfile(z0=tuple(z0.tolist()), normal=tuple(normal.tolist()),
                            t=tuple(ts), values=tuple(vals), stderr=tuple(errs),
                            g0=g0)
@@ -253,8 +258,9 @@ def exponent_experiment(dom, g, s, cfg=None, boundary_points=None,
     profiles = []
     for j, z0 in enumerate(boundary_points):
         # boundary point j walks depth k on the streams of j * len(t_grid) + k
-        prof = boundary_profile(lambda x, k: solver(x, j * len(t_grid) + k),
-                                dom, g, z0, t_grid)
+        prof = boundary_profile(
+            lambda xs, ks: solver(xs, [j * len(t_grid) + k for k in ks]),
+            dom, g, z0, t_grid)
         profiles.append(prof)
         fits.append((tuple(np.asarray(z0, dtype=float).tolist()),
                      fit_holder(prof, s=s)))

@@ -13,6 +13,16 @@ on every other domain the walkers step from inscribed balls until they
 leave.  Scale invariance of the process makes the unit-ball law exact for
 every ball radius.  With exit radius 1 the same walk is Brownian
 walk-on-spheres, which the polygon harmonic extension runs.
+
+``solve_points`` walks many points in one call: each point's walkers form
+streams of at most ``_BATCH_SIZE`` walkers, each with its own
+counter-based generator, and consecutive streams of all the points are
+packed into shared walk batches of at most ``_BATCH_SIZE`` walkers, each
+of which runs one step loop.  A walker draws the same numbers in any walk
+batch, so every point's sample is the one ``solve`` returns for it alone,
+bit for bit (Kyprianou, Osojnik and Shardlow, IMA J. Numer. Anal. 38,
+2018, walk each walker independently of the others once its draws are
+fixed).
 """
 
 from dataclasses import dataclass
@@ -136,7 +146,9 @@ class WoSConfig:
     """The settings of the walk-on-spheres engine, for ``solve`` and the
     polygon harmonic extension alike; ``_walk_on_spheres`` reads them.
     max_steps and snap_eps act only on the domains that step: a Ball walker
-    exits in one exact jump.  Walkers run in batches of ``_BATCH_SIZE``."""
+    exits in one exact jump.  A point's walkers draw from streams of at
+    most ``_BATCH_SIZE`` walkers, and the streams of all the points of one
+    call walk in shared batches of at most ``_BATCH_SIZE`` walkers."""
     max_steps: int = 1000
     snap_eps: float | None = None   # default: 1e-6 * diameter
     paths: int = 100000             # odd counts round up for antithetic pairs
@@ -188,10 +200,18 @@ def _refuse_diverging(growth, s):
 def solve(dom, g, x, kernel, cfg=None, point_index=0):
     """Estimate the solution of the fractional Dirichlet problem at x by
     alpha-stable walk-on-spheres (one exact jump per walker on a Ball):
-    ``_walk_on_spheres`` with the exact exit law of order s and the
-    settings ``cfg`` (default ``WoSConfig()``).
+    ``solve_points`` at the one point x, on the streams of point_index."""
+    return solve_points(dom, g, [x], kernel, cfg, [point_index])[0]
+
+
+def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
+    """``solve`` at every point of xs, point k on the streams of
+    point_indices[k] (default k), walked together: ``_walk_on_spheres``
+    with the exact exit law of order s and the settings ``cfg`` (default
+    ``WoSConfig()``).  Returns one SolutionSample per point, each the one
+    ``solve`` returns at that point and index.
     This checks that the domain, the kernel and the dimension fit the
-    stable walk; the engine checks the datum and the point."""
+    stable walk; the engine checks the datum and the points."""
     if not dom.bounded:
         raise DomainError("walk-on-spheres requires a bounded domain")
     if kernel.name != "frac_lap":
@@ -204,20 +224,111 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     if dom.dim > 2:
         raise ParameterError(
             f"walk-on-spheres steps in dim 1 or 2, not dim {dom.dim}")
-    return _walk_on_spheres(dom, g, x, StableExitSampler(kernel.s),
-                            cfg or WoSConfig(), point_index)
+    return _walk_on_spheres(dom, g, xs, StableExitSampler(kernel.s),
+                            cfg or WoSConfig(), point_indices)
 
 
-def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
-    """The walk-on-spheres engine behind ``solve`` and the polygon harmonic
-    extension: walkers started at the interior point x, paid by g where
-    they stop.  It reads every setting from the ``WoSConfig`` cfg, rounds
-    an odd path count up for antithetic pairs and takes snap_eps = 1e-6 *
-    diameter when cfg leaves it None.  A datum that declares no growth (a
-    bare callable: no Hoelder certificate for the bias bound) raises a
-    ParameterError, and one whose growth reaches 2s a DivergenceError: the
-    exit radius has tail P(R > r) ~ r^(-2s), so its payload has no mean
-    (the Brownian law takes the s = 1 limit).
+class _Tally:
+    """The running sums of one point's walk, stream by stream."""
+
+    def __init__(self):
+        self.sum_pay = 0.0
+        # the variance sums run over estimator units (pairs when
+        # antithetic) less the first unit, so they do not cancel under a
+        # large mean
+        self.ref = None
+        self.sum_dev = 0.0
+        self.sum_sq = 0.0
+        self.n_units = 0
+        self.n_walked = 0
+        self.total_steps = 0
+        self.n_snapped = 0
+        self.n_maxed = 0
+        self.steps_max = 0
+        # sum of dist^alpha over the walkers stopped by max_steps
+        self.maxed_mass = 0.0
+
+    def add(self, payload, antithetic, steps, most, paid, maxed_dist, alpha):
+        """Take one stream: its walkers' payloads, its steps, its most steps
+        of a walker, its count paid at a projection and the distances to it
+        of its walkers stopped by max_steps."""
+        self.n_walked += len(payload)
+        self.total_steps += steps
+        self.steps_max = max(self.steps_max, most)
+        self.n_snapped += paid
+        self.n_maxed += len(maxed_dist)
+        self.maxed_mass += float(np.sum(maxed_dist ** alpha))
+        if antithetic:
+            units = 0.5 * (payload[0::2] + payload[1::2])
+        else:
+            units = payload
+        if self.ref is None:
+            self.ref = float(units[0])
+        dev = units - self.ref
+        self.sum_pay += float(np.sum(payload))
+        self.sum_dev += float(np.sum(dev))
+        self.sum_sq += float(np.sum(dev * dev))
+        self.n_units += len(units)
+
+    def sample(self, x, g, snap_eps, exact, seed):
+        """The SolutionSample of the point x."""
+        n_walked, n_units = self.n_walked, self.n_units
+        # pair means average to the same value
+        mean = self.sum_pay / n_walked
+        if n_units > 1:
+            var = max(self.sum_sq / n_units - (self.sum_dev / n_units) ** 2,
+                      0.0)
+            var *= n_units / (n_units - 1)
+            stderr = float(np.sqrt(var / n_units))
+        else:
+            stderr = float("nan")   # one estimator unit has no sample variance
+        bias = 0.0 if exact else \
+            g.C0 * (snap_eps ** g.alpha + self.maxed_mass / n_walked)
+        return SolutionSample(
+            x=tuple(x.tolist()), estimate=float(mean), stderr=stderr,
+            paths_used=n_walked, mean_steps=self.total_steps / n_walked,
+            snapped_fraction=self.n_snapped / n_walked,
+            bias_bound=float(bias), seed=seed, n_maxed=self.n_maxed,
+            steps_max=self.steps_max)
+
+
+def _packs(streams, cap):
+    """Consecutive streams packed into walk batches of at most cap walkers
+    (the third entry of a stream is its walker count)."""
+    pack, walkers = [], 0
+    for stream in streams:
+        if pack and walkers + stream[2] > cap:
+            yield pack
+            pack, walkers = [], 0
+        pack.append(stream)
+        walkers += stream[2]
+    if pack:
+        yield pack
+
+
+def _walk_on_spheres(dom, g, xs, law, cfg, point_indices=None):
+    """The walk-on-spheres engine behind ``solve_points`` and the polygon
+    harmonic extension: walkers started at each interior point of xs, paid
+    by g where they stop; one SolutionSample per point.  It reads every
+    setting from the ``WoSConfig`` cfg, rounds an odd path count up for
+    antithetic pairs and takes snap_eps = 1e-6 * diameter when cfg leaves
+    it None.  A datum that declares no growth (a bare callable: no Hoelder
+    certificate for the bias bound) raises a ParameterError, and one whose
+    growth reaches 2s a DivergenceError: the exit radius has tail
+    P(R > r) ~ r^(-2s), so its payload has no mean (the Brownian law takes
+    the s = 1 limit).  A point that is not interior raises a DomainError
+    naming its index and coordinates; all three checks come before any
+    walker moves.
+
+    A point's walkers form streams: stream b of point k holds walkers
+    b * _BATCH_SIZE onwards, at most ``_BATCH_SIZE`` of them, and draws
+    from the counter-based generator keyed by (seed, point_indices[k], b),
+    so results do not depend on scheduling.  Consecutive streams, of one
+    point or of several, are packed into walk batches of at most
+    ``_BATCH_SIZE`` walkers, and each walk batch walks together.  A walker
+    draws the same numbers in any walk batch, and each point's sums run
+    over its streams in order, so every point's sample is the one it gets
+    walked alone.
 
     On a Ball every walker exits in one exact jump (``_ball_exit``), from
     the draws of one step: one exit radius and one angle per unit, an
@@ -229,19 +340,27 @@ def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
     is the snap bias, which the Hoelder certificate of g bounds by C0 *
     snap_eps^alpha, plus C0 * dist^alpha for each walker stopped by
     max_steps and paid at its projection, over the paths walked.
-    One ``g`` call per batch pays every walker; it acts row by row, so a
-    walker's payload does not depend on the rest of the batch.  A
+    One ``g`` call per walk batch pays every walker; it acts row by row, so
+    a walker's payload does not depend on the rest of the batch.  A
     non-finite payload (an exit radius that overflowed at small s, met by a
     datum that grows) raises a ReliabilityError naming s and the count, and
-    so do walkers stopped by max_steps on more than 1% of the paths.
-    Path batches draw from counter-based streams keyed by (seed, point,
-    batch), so results do not depend on scheduling.  The stderr is NaN
-    when the run has one estimator unit (one path, or one antithetic pair).
+    so do walkers stopped by max_steps on more than 1% of a point's paths.
+    The stderr is NaN when a point has one estimator unit (one path, or
+    one antithetic pair).
     """
     _refuse_diverging(_declared_growth(g), law.s)
-    x = np.asarray(x, dtype=float)
-    if not dom.contains(x):
-        raise DomainError("walk-on-spheres needs an interior starting point")
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    point_indices = (range(len(xs)) if point_indices is None
+                     else [int(i) for i in point_indices])
+    if len(point_indices) != len(xs):
+        raise ParameterError(
+            f"{len(xs)} points need as many point indices, got "
+            f"{len(point_indices)}")
+    for i, x in zip(point_indices, xs):
+        if not dom.contains(x):
+            raise DomainError(
+                f"walk-on-spheres needs an interior starting point: point "
+                f"{i} at {x.tolist()} is not interior")
     exact = isinstance(dom, Ball)
     batch_size, seed, antithetic = _BATCH_SIZE, cfg.seed, cfg.antithetic
     snap_eps = 1e-6 * dom.diameter if cfg.snap_eps is None else cfg.snap_eps
@@ -250,123 +369,101 @@ def _walk_on_spheres(dom, g, x, law, cfg, point_index=0):
     # a draw unit is an antithetic pair (walkers 2k, 2k + 1) or one walker
     shift = 1 if antithetic else 0
 
-    sum_pay = 0.0
-    # the variance sums run over estimator units (pairs when antithetic)
-    # less the first unit, so they do not cancel under a large mean
-    ref = None
-    sum_dev = 0.0
-    sum_sq = 0.0
-    n_units = 0
-    n_walked = 0
-    total_steps = 0
-    n_snapped = 0
-    n_maxed = 0
-    steps_max = 0
-    # sum of dist^alpha over the walkers stopped by max_steps
-    maxed_mass = 0.0
-
-    for b in range(n_batches):
-        size = min(batch_size, paths - b * batch_size)
-        n_walked += size
-        rng = np.random.Generator(np.random.Philox(
-            key=[seed, (point_index << 32) + b]))
+    # the streams (point k, batch b, walkers), point by point
+    streams = [(k, b, min(batch_size, paths - b * batch_size))
+               for k in range(len(xs)) for b in range(n_batches)]
+    tallies = [_Tally() for _ in xs]
+    for pack in _packs(streams, batch_size):
+        rngs = [np.random.Generator(np.random.Philox(
+            key=[seed, (point_indices[k] << 32) + b])) for k, b, _ in pack]
         if exact:
             # an exit radius is inf where numpy's Beta draw gives W = 0 (at
             # small s): such a walker exits at infinity, and its payload is
             # checked below
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
-                stop = dom.center + _ball_exit(law, x - dom.center,
-                                               dom.radius, size, shift, rng)
-            total_steps += size
-            steps_max = 1
+                stop = np.concatenate([
+                    dom.center + _ball_exit(law, xs[k] - dom.center,
+                                            dom.radius, size, shift, rng)
+                    for (k, _, size), rng in zip(pack, rngs)])
+            walks = [(size, 1, 0, np.empty(0)) for _, _, size in pack]
         else:
-            stop, steps, most, paid, dist = _step_batch(
-                dom, x, law, cfg, snap_eps, size, shift, rng)
-            total_steps += steps
-            steps_max = max(steps_max, most)
-            n_snapped += paid
-            n_maxed += len(dist)
-            maxed_mass += float(np.sum(dist ** g.alpha))
+            stop, walks = _step_batch(
+                dom, [xs[k] for k, _, _ in pack],
+                [size for _, _, size in pack], law, cfg, snap_eps, shift,
+                rngs)
         payload = np.asarray(g(stop), dtype=float)
-        n_bad = np.count_nonzero(~np.isfinite(payload))
-        if n_bad:
+        lo = 0
+        for (k, b, size), walk in zip(pack, walks):
+            part = payload[lo:lo + size]
+            lo += size
+            n_bad = np.count_nonzero(~np.isfinite(part))
+            if n_bad:
+                raise ReliabilityError(
+                    f"{n_bad} of {size} walkers of batch {b} have a "
+                    f"non-finite payload at order s = {law.s}: an exit "
+                    f"radius overflowed, or the datum is not finite where "
+                    f"they stopped")
+            tallies[k].add(part, antithetic, *walk, g.alpha)
+
+    for t in tallies:
+        if t.n_maxed > 0.01 * t.n_walked:
             raise ReliabilityError(
-                f"{n_bad} of {size} walkers of batch {b} have a non-finite "
-                f"payload at order s = {law.s}: an exit radius overflowed, "
-                f"or the datum is not finite where they stopped")
-        if antithetic:
-            units = 0.5 * (payload[0::2] + payload[1::2])
-        else:
-            units = payload
-        if ref is None:
-            ref = float(units[0])
-        dev = units - ref
-        sum_pay += float(np.sum(payload))
-        sum_dev += float(np.sum(dev))
-        sum_sq += float(np.sum(dev * dev))
-        n_units += len(units)
-
-    if n_maxed > 0.01 * n_walked:
-        raise ReliabilityError(
-            f"{n_maxed} of {n_walked} paths hit max_steps = {cfg.max_steps}")
-
-    mean = sum_pay / n_walked    # pair means average to the same value
-    if n_units > 1:
-        var = max(sum_sq / n_units - (sum_dev / n_units) ** 2, 0.0)
-        var *= n_units / (n_units - 1)
-        stderr = float(np.sqrt(var / n_units))
-    else:
-        stderr = float("nan")   # one estimator unit has no sample variance
-    bias = 0.0 if exact else \
-        g.C0 * (snap_eps ** g.alpha + maxed_mass / n_walked)
-    return SolutionSample(
-        x=tuple(x.tolist()), estimate=float(mean), stderr=stderr,
-        paths_used=n_walked, mean_steps=total_steps / n_walked,
-        snapped_fraction=n_snapped / n_walked, bias_bound=float(bias),
-        seed=seed, n_maxed=n_maxed, steps_max=steps_max)
+                f"{t.n_maxed} of {t.n_walked} paths hit max_steps = "
+                f"{cfg.max_steps}")
+    return [t.sample(x, g, snap_eps, exact, seed)
+            for x, t in zip(xs, tallies)]
 
 
-def _step_batch(dom, x, law, cfg, snap_eps, size, shift, rng):
-    """One batch of ``size`` walkers of the step loop, started at the
-    interior point x of a planar domain.  Returns where each walker stopped
-    (its projection where it snapped or ran out of steps), the steps walked,
-    the most steps of a walker, the count paid at a projection and the
-    distances to it of the walkers stopped by max_steps.
+def _step_batch(dom, starts, sizes, law, cfg, snap_eps, shift, rngs):
+    """One walk batch of the step loop on a planar domain: stream j holds
+    sizes[j] walkers started at the interior point starts[j] and draws
+    from the generator rngs[j].  Returns where each walker of the batch
+    stopped (its projection where it snapped or ran out of steps), stream
+    after stream, and for each stream its steps walked, its most steps of
+    a walker, its count paid at a projection and the distances to it of
+    its walkers stopped by max_steps.
 
-    The walkers all start at x, so one ``dom.dist_bound`` row of x serves
-    them, and each step makes one ``dom.dist_bound(newpos, snap_eps)``
-    call: a walker jumps from the ball whose radius is that lower bound on
-    the distance, to ``law.radius`` times that radius, exits where the
-    bound is 0 (or NaN), and snaps to its projection where the distance is
-    below snap_eps.  ``dist_bound`` decides the snap exactly: below
-    snap_eps it is the exact distance unless the domain's upper bound on
-    the distance is below snap_eps too, and then the walker snaps on either
-    value, so the snap decisions are those of the exact distance.  The ball
-    lies inside the domain, where the exit law is exact, so the whole ball
-    is as unbiased as a smaller one and takes the fewest steps.  Only the
-    live walkers are carried from step to step: one compaction after each
+    A stream's walkers all start at its point, so one ``dom.dist_bound``
+    row per stream serves them, and each step makes one
+    ``dom.dist_bound(newpos, snap_eps)`` call for the whole batch: a walker
+    jumps from the ball whose radius is that lower bound on the distance,
+    to ``law.radius`` times that radius, exits where the bound is 0 (or
+    NaN), and snaps to its projection where the distance is below
+    snap_eps.  ``dist_bound`` decides the snap exactly: below snap_eps it
+    is the exact distance unless the domain's upper bound on the distance
+    is below snap_eps too, and then the walker snaps on either value, so
+    the snap decisions are those of the exact distance.  The ball lies
+    inside the domain, where the exit law is exact, so the whole ball is as
+    unbiased as a smaller one and takes the fewest steps.  Only the live
+    walkers are carried from step to step: one compaction after each
     ``dist_bound`` call stops the exits and the snaps together, and after
     the last allowed step (cfg's max_steps) only the exits, so a walker
-    that lands within snap_eps there has run out of steps.  Each step draws
-    one exit radius and one angle phi per live unit and gathers them to the
-    walkers; the two walkers of a pair share the radius and step at
-    opposite angles.  At the end of the batch one ``dom.project`` call
-    takes every walker paid at its projection (snapped or stopped by
-    max_steps); it acts row by row."""
+    that lands within snap_eps there has run out of steps.  At each step
+    every stream with live walkers draws, from its own generator, one exit
+    radius and one angle phi per live unit of its own, in the order of its
+    walkers, so a walker's numbers do not depend on the other streams; the
+    two walkers of a pair share the radius and step at opposite angles.
+    At the end of the batch one ``dom.project`` call takes every walker
+    paid at its projection (snapped or stopped by max_steps); it acts row
+    by row."""
     max_steps = cfg.max_steps
+    # stream j holds walkers offsets[j] to offsets[j + 1] - 1 of the batch;
+    # every stream but the last of a point has _BATCH_SIZE walkers and the
+    # path count is even under antithetic pairs, so no pair spans two
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    starts = np.asarray(starts)
     # where each walker stopped, and whether it is paid at its projection
     # (snapped or stopped by max_steps) rather than there
-    stop = np.empty((size, dom.dim))
-    projected = np.zeros(size, dtype=bool)
+    stop = np.empty((offsets[-1], dom.dim))
+    projected = np.zeros(offsets[-1], dtype=bool)
     # the live walkers, their positions and their dist_bound, compacted as
     # walkers snap, exit or run out of steps
-    live = np.arange(size)
-    pos = np.tile(x, (size, 1))
-    # every walker starts at x, so one dist_bound row serves the batch
-    d = np.full(size, dom.dist_bound(x[None], snap_eps)[0])
-    total_steps = 0
-    steps_max = 0
+    live = np.arange(offsets[-1])
+    pos = np.repeat(starts, sizes, axis=0)
+    d = np.repeat(dom.dist_bound(starts, snap_eps), sizes)
+    steps = [0] * len(sizes)
+    steps_max = [0] * len(sizes)
     # an exit radius is inf where numpy's Beta draw gives W = 0 (at small
     # s), and the step and dist_bound then meet inf and NaN: such a walker
     # exits, and its payload is checked by the caller
@@ -388,20 +485,34 @@ def _step_batch(dom, x, law, cfg, snap_eps, size, shift, rng):
                 d = d.compress(keep)
             if step == max_steps or len(live) == 0:
                 break
-            # rank of each walker's unit among the live units: one radius
-            # and one angle per unit; the second walker of a pair steps the
-            # opposite way (a negative radius)
+            # rank of each walker's unit among the live units of the batch;
+            # a stream's live walkers are live[a:b], a = cut[j], b =
+            # cut[j + 1], and its own ranks are slot[a:b] less slot[a]; the
+            # second walker of a pair steps the opposite way (a negative
+            # radius)
             unit = live >> shift
             first = np.empty(len(live), dtype=bool)
             first[0] = True
             np.not_equal(unit[1:], unit[:-1], out=first[1:])
             slot = np.cumsum(first) - 1
-            radius = d * law.radius(slot, rng) * (1 - 2 * (live & shift))
-            phi = 2.0 * np.pi * rng.random(slot[-1] + 1)
+            cut = np.searchsorted(live, offsets).tolist()
+            radii, phis = [], []
+            for j, (a, b) in enumerate(zip(cut, cut[1:])):
+                if a == b:
+                    continue
+                u = slot[a]
+                # law.radius may return one radius for all (the Brownian 1)
+                radii.append(np.broadcast_to(law.radius(
+                    slot[a:b] - u if u else slot[a:b], rngs[j]), b - a))
+                phis.append(rngs[j].random(slot[b - 1] + 1 - u))
+                steps[j] += b - a
+                steps_max[j] = step + 1
+            radius = radii[0] if len(radii) == 1 else np.concatenate(radii)
+            phi = phis[0] if len(phis) == 1 else np.concatenate(phis)
+            radius = d * radius * (1 - 2 * (live & shift))
+            phi = 2.0 * np.pi * phi
             pos[:, 0] += radius * np.cos(phi)[slot]
             pos[:, 1] += radius * np.sin(phi)[slot]
-            total_steps += len(live)
-            steps_max = max(steps_max, step + 1)
             d = np.asarray(dom.dist_bound(pos, snap_eps))
     # the walkers still live ran out of steps
     stop[live] = pos
@@ -414,7 +525,11 @@ def _step_batch(dom, x, law, cfg, snap_eps, size, shift, rng):
             maxed_dist = np.linalg.norm(
                 pos - z0[np.searchsorted(paid, live)], axis=1)
         stop[paid] = z0
-    return stop, total_steps, steps_max, len(paid), maxed_dist
+    n_paid = np.searchsorted(paid, offsets)
+    n_maxed = np.searchsorted(live, offsets)
+    return stop, [(steps[j], steps_max[j], int(n_paid[j + 1] - n_paid[j]),
+                   maxed_dist[n_maxed[j]:n_maxed[j + 1]])
+                  for j in range(len(sizes))]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from fraclab.barriers import capped_distance_data, data_from_config
 from fraclab.cli import _FIELDS, build_parser, run
 from fraclab.errors import ParameterError, ToleranceWarning, build_record
-from fraclab.geometry import Ball, domain_from_config
+from fraclab.geometry import Ball, StarShaped, domain_from_config
 from fraclab.fields import HalfSpacePower, PsiPower
 from fraclab.kernels import make_fractional_laplacian
 from fraclab.nonlocal_op import QuadratureSpec, apply_L_many
@@ -862,6 +862,61 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     assert run(["--threads", "1", *argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def _star_points_arg():
+    """The benchmark's three star points, at radial gaps 0.5, 0.05 and
+    1e-3, as a --points value."""
+    star = StarShaped([1.0, 0.0, 0.1])
+    pts = [(float(star.radial(th)) - gap) * np.array([np.cos(th), np.sin(th)])
+           for th, gap in ((0.3, 0.5), (1.2, 0.05), (2.0, 1e-3))]
+    return ";".join(f"{float(x)!r},{float(y)!r}" for x, y in pts)
+
+
+CAPPED = '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}'
+CORNER = '{"name": "holder_point_singularity", "alpha": 0.1, "z0": [0, 0]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--domain", '{"star": {"coeff_cos": [1, 0, 0.1]}}', "--data",
+     CAPPED, "--points=" + _star_points_arg(), "--paths", "40001"],
+    ["profile", "--domain", "square", "--data", CORNER, "--n", "8",
+     "--paths", "10000"]], ids=["star-solve", "square-profile"])
+def test_thread_count_leaves_the_csv_bytes(tmp_path, argv):
+    # --threads only changes the wall time: two threads walk the points in
+    # two contiguous runs, one walks them in one
+    outs = [tmp_path / f"threads{n}.csv" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        assert run(["--threads", str(n), *argv, "--seed", "3",
+                    "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_one_parser_serves_every_run_of_a_process(tmp_path):
+    # the parser is built once per process; a run reads the dicts it
+    # declares and never writes them, so a solve after a profile writes
+    # the first solve's bytes
+    assert build_parser() is build_parser()
+    solve_argv = ["--threads", "1", "solve", "--domain", "ball", "--data",
+                  CAPPED, "--points", "0.3,0.0;0.0,0.5", "--paths", "2000",
+                  "--seed", "7", "--out"]
+    assert run([*solve_argv, str(tmp_path / "first.csv")]) == 0
+    assert run(["--threads", "1", "profile", "--domain", "square", "--data",
+                CORNER, "--n", "4", "--paths", "2000", "--seed", "2",
+                "--out", str(tmp_path / "p.csv")]) == 0
+    assert run([*solve_argv, str(tmp_path / "again.csv")]) == 0
+    assert ((tmp_path / "first.csv").read_bytes()
+            == (tmp_path / "again.csv").read_bytes())
+
+
+def test_solve_names_the_point_that_is_not_interior(tmp_path, capsys):
+    # the message named no point, and the points before it had walked
+    code = run(["--threads", "1", "solve", "--domain", "ball", "--data",
+                CAPPED, "--points", "0.3,0.0;0.0,0.5;2.0,0.5", "--paths",
+                "100", "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert "point 2 at [2.0, 0.5] is not interior" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def wos_rows(name):

@@ -186,9 +186,10 @@ def test_experiment_alpha_equals_s_flags_log():
     # a fake solver to exercise the verdict path deterministically
     g = holder_point_singularity(0.5, [1.0, 0.0])
 
-    def fake_solver(x, index=0):
-        t = 1.0 - np.linalg.norm(x)
-        return t ** 0.5 * np.log(1.0 / t) + g((1.0, 0.0)), 0.0
+    def fake_solver(xs, indices):
+        t = [1.0 - np.linalg.norm(x) for x in xs]
+        return [(tt ** 0.5 * np.log(1.0 / tt) + g((1.0, 0.0)), 0.0)
+                for tt in t]
 
     rep = exponent_experiment(BALL, g, 0.5, solver=fake_solver,
                               t_grid=np.geomspace(1e-4, 1e-2, 10))
@@ -202,9 +203,9 @@ def test_experiment_walks_each_boundary_point_on_its_own_streams():
     g = holder_point_singularity(0.3, [1.0, 0.0])
     seen = []
 
-    def recording_solver(x, index=0):
-        seen.append(index)
-        return 0.1, 0.0
+    def recording_solver(xs, indices):
+        seen.extend(indices)
+        return [(0.1, 0.0)] * len(xs)
 
     t_grid = np.geomspace(1e-3, 1e-1, 6)
     exponent_experiment(BALL, g, 0.5, solver=recording_solver, t_grid=t_grid,

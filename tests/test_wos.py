@@ -953,6 +953,101 @@ def test_pins_agree_with_spline_law_walks(pinned, spline):
         assert abs(new[-2] - old[-2]) <= 4.0 * np.hypot(new[-1], old[-1])
 
 
+# the benchmark's star points (theta, radial gap) and square-corner depths
+STAR = StarShaped([1.0, 0.0, 0.1])
+STAR_POINTS = [(float(STAR.radial(th)) - gap) * np.array([np.cos(th),
+                                                          np.sin(th)])
+               for th, gap in ((0.3, 0.5), (1.2, 0.05), (2.0, 1e-3))]
+BISECTOR = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
+PACKED_CASES = {
+    "star": (STAR, capped_distance_data([2.0, 0.0], 3.0), STAR_POINTS),
+    "square": (unit_square(), holder_point_singularity(0.1, [0.0, 0.0]),
+               [t * BISECTOR for t in np.geomspace(1e-4, 1e-2, 8)]),
+    # a notched pentagon: the vertex (1, 0.8) is reflex
+    "notched": (Polygon([[0, 0], [2, 0], [2, 2], [1, 0.8], [0, 2]]),
+                capped_distance_data([2.5, 1.0], 3.0),
+                [[0.5, 0.5], [1.5, 0.4], [1.0, 0.3], [0.2, 1.5]]),
+    "ball": (Ball([0.1, 0.0], 1.0), capped_distance_data([2.0, 0.0], 3.0),
+             [[0.0, 0.0], [0.5, 0.3], [-0.8, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("paths, batch_size", [
+    (10000, 1 << 15), (40001, 1 << 15), (70000, 1 << 15), (10000, 1000),
+    (40001, 1000)])
+@pytest.mark.parametrize("case", sorted(PACKED_CASES))
+def test_solve_points_equal_a_loop_of_solve(monkeypatch, case, paths,
+                                            batch_size):
+    # streams of several points share walk batches; every walker draws the
+    # numbers it draws walked alone, so each sample equals solve's in every
+    # field, bit for bit
+    monkeypatch.setattr(wos, "_BATCH_SIZE", batch_size)
+    dom, g, pts = PACKED_CASES[case]
+    cfg = WoSConfig(paths=paths, seed=7)
+    indices = [3 * k + 1 for k in range(len(pts))]
+    packed = wos.solve_points(dom, g, pts, K05, cfg, indices)
+    assert packed == [solve(dom, g, x, K05, cfg, point_index=i)
+                      for x, i in zip(pts, indices)]
+
+
+class CountingStar(StarShaped):
+    """The benchmark's star, counting its dist_bound calls and the largest
+    row count of one, and its project calls."""
+    dist_bound_calls = project_calls = most_rows = 0
+
+    def dist_bound(self, x, exact_below=0.0):
+        self.dist_bound_calls += 1
+        self.most_rows = max(self.most_rows, len(x))
+        return super().dist_bound(x, exact_below)
+
+    def project(self, x):
+        self.project_calls += 1
+        return super().project(x)
+
+
+def test_solve_points_walk_the_benchmark_star_in_one_step_loop():
+    # its three points of 10,000 paths pack into one walk batch: one
+    # project call, one dist_bound call for the start rows and one per
+    # step (each point walking its own loop made about 90 calls)
+    star = CountingStar([1.0, 0.0, 0.1])
+    out = wos.solve_points(star, capped_distance_data([2.0, 0.0], 3.0),
+                           STAR_POINTS, K05, WoSConfig(paths=10000, seed=1))
+    assert star.project_calls == 1
+    assert star.dist_bound_calls <= 3 + max(o.steps_max for o in out)
+    assert star.most_rows == 30000
+
+
+@pytest.mark.parametrize("batch_size", [1 << 15, 1000])
+def test_a_walk_batch_holds_at_most_batch_size_walkers(monkeypatch,
+                                                       batch_size):
+    # eight square-corner depths of 10,000 paths are 80,000 walkers; no
+    # walk batch holds more than _BATCH_SIZE of them
+    monkeypatch.setattr(wos, "_BATCH_SIZE", batch_size)
+    rows = []
+    sq = unit_square()
+    dist_bound = sq.dist_bound
+    sq.dist_bound = lambda x, e=0.0: rows.append(len(x)) or dist_bound(x, e)
+    dom, g, pts = PACKED_CASES["square"]
+    wos.solve_points(sq, g, pts, K05, WoSConfig(paths=10000, seed=1))
+    assert max(rows) == (30000 if batch_size == 1 << 15 else 1000)
+
+
+@pytest.mark.parametrize("dom", [STAR, BALL], ids=["star", "ball"])
+def test_solve_points_refuse_an_exterior_point_by_name_before_walking(
+        monkeypatch, dom):
+    # the first points walked before the third was refused, by a message
+    # that named no point
+    monkeypatch.setattr(wos, "_step_batch",
+                        lambda *a: pytest.fail("a walker started"))
+    monkeypatch.setattr(wos, "_ball_exit",
+                        lambda *a: pytest.fail("a walker started"))
+    pts = [[0.1, 0.0], [0.0, 0.2], [1.5, 0.25]]
+    with pytest.raises(DomainError,
+                       match=r"point 9 at \[1\.5, 0\.25\] is not interior"):
+        wos.solve_points(dom, capped_distance_data([2.0, 0.0], 3.0), pts,
+                         K05, WoSConfig(paths=100), [4, 5, 9])
+
+
 # ---------------------------------------------------------------------------
 # Poisson quadratures
 
