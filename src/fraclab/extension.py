@@ -6,11 +6,10 @@ plane the extension is a Poisson integral evaluated by graded-panel
 quadrature, and ``extended_field`` builds the composite field from it on
 those two domains only.  A disk whose datum declares that it is exactly
 C0 |y - z0|^alpha, with z0 on the circle and 0 < alpha < 1, takes that
-datum's closed-form extension instead.  On polygons ``harmonic_extension``
-samples the extension at one point by Brownian walk-on-spheres, run on the
-engine of ``wos.solve`` with exit radius 1.  The extension module also
-checks, by finite differences and by the nonlocal operator, the blow-up
-rates of D^2 and of L applied to the extension.
+datum's closed-form extension instead.  Every other domain is refused.
+The extension module also checks, by finite differences and by the
+nonlocal operator, the blow-up rates of D^2 and of L applied to the
+extension.
 """
 
 import math
@@ -22,23 +21,15 @@ from ._quad import (MERGE_TOL, bisect_edges, gl8_panels, graded_edges,
                     merge_keep, node_chunks, octaves, periodic_edges)
 from .errors import DivergenceError, DomainError, UnsupportedVariantError
 from .fields import CompositeField
-from .geometry import Ball, HalfPlane, Polygon, row_dot
+from .geometry import Ball, HalfPlane, row_dot
 from .nonlocal_op import QuadratureSpec, apply_L_many
-from .wos import (BrownianExitSampler, WoSConfig, _declared_growth,
-                  _walk_on_spheres)
-
-
-# the polygon extension's default walk: Brownian walkers, one at a time
-EXTENSION_WOS = WoSConfig(paths=20000, max_steps=10000, antithetic=False)
+from .wos import _declared_growth
 
 
 @dataclass(frozen=True)
 class ExtensionValue:
     value: float
-    stderr: float = 0.0
     method: str = "quadrature"
-    bias_bound: float = 0.0   # walk-on-spheres only: snap and max_steps bias
-    n_maxed: int = 0          # walk-on-spheres only: walkers out of steps
 
     def __float__(self):
         return self.value
@@ -253,53 +244,40 @@ class HalfPlaneExtension:
         return integ / norm
 
 
-def _inside_field(dom, g):
-    """The deterministic extension of g inside a Ball or HalfPlane, else None."""
+def _inside_field(dom, g, caller):
+    """The deterministic extension of g inside a Ball or HalfPlane; any
+    other domain raises an UnsupportedVariantError naming caller, the two
+    supported domains and its type."""
     if isinstance(dom, Ball):
         return _disk_extension(dom, g)
     if isinstance(dom, HalfPlane):
         return HalfPlaneExtension(dom, g)
-    return None
+    raise UnsupportedVariantError(
+        f"{caller} supports Ball and HalfPlane, not {type(dom).__name__}")
 
 
-def harmonic_extension(dom, g, x, cfg=None):
+def harmonic_extension(dom, g, x):
     """Value of the extended datum at an interior point: the solution of the
     Laplace problem with boundary trace g, evaluated at x.
 
     Disks and half planes use their Poisson-integral quadrature (the half
     plane needs a datum that declares growth below 1), except that a disk
     takes the closed form for the point-singularity datum that declares it
-    (``method="closed_form"``, see ``PointPowerDiskExtension``).  Polygons
-    run the walk-on-spheres engine of ``wos.solve`` (streams of point 0, a
-    datum that declares its growth) with exit radius 1 and the ``WoSConfig``
-    cfg, by default ``EXTENSION_WOS``: Brownian walk-on-spheres, with its
-    stderr, ``bias_bound`` and ``n_maxed``."""
-    inside = _inside_field(dom, g)
-    if inside is not None:
-        method = ("closed_form" if isinstance(inside, PointPowerDiskExtension)
-                  else "quadrature")
-        return ExtensionValue(value=inside(x), method=method)
-    if isinstance(dom, Polygon):
-        out, = _walk_on_spheres(dom, g, [x], BrownianExitSampler(),
-                                cfg or EXTENSION_WOS)
-        return ExtensionValue(value=out.estimate, stderr=out.stderr,
-                              method="wos", bias_bound=out.bias_bound,
-                              n_maxed=out.n_maxed)
-    raise UnsupportedVariantError(
-        "harmonic extension supports Ball, HalfPlane and Polygon domains")
+    (``method="closed_form"``, see ``PointPowerDiskExtension``).  Every
+    other domain raises an UnsupportedVariantError."""
+    inside = _inside_field(dom, g, "harmonic_extension")
+    method = ("closed_form" if isinstance(inside, PointPowerDiskExtension)
+              else "quadrature")
+    return ExtensionValue(value=inside(x), method=method)
 
 
 def extended_field(dom, g):
     """The composite field: harmonic extension inside, the datum outside, on
     a 2-D Ball and on HalfPlane, whose deterministic Poisson quadratures (or
     the disk's closed form, for the datum that declares it) the operator's
-    error estimate covers (polygons have Monte Carlo point values only)."""
-    inside = _inside_field(dom, g)
-    if inside is None:
-        raise UnsupportedVariantError(
-            f"extended_field supports Ball and HalfPlane, not "
-            f"{type(dom).__name__}")
-    return CompositeField(dom, inside, g, growth=_declared_growth(g))
+    error estimate covers."""
+    return CompositeField(dom, _inside_field(dom, g, "extended_field"), g,
+                          growth=_declared_growth(g))
 
 
 def hessian_fd(f, x, h):

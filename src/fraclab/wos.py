@@ -11,17 +11,17 @@ map that draw and a uniform angle to the exact exit point
 (``_ball_exit``), so ``solve`` on a Ball takes one exact jump per walker;
 on every other domain the walkers step from inscribed balls until they
 leave.  Scale invariance of the process makes the unit-ball law exact for
-every ball radius.  With exit radius 1 the same walk is Brownian
-walk-on-spheres, which the polygon harmonic extension runs.
+every ball radius.
 
 ``solve_points`` walks many points in one call: each point's walkers form
 streams of at most ``_BATCH_SIZE`` walkers, each with its own
-counter-based generator, and consecutive streams of all the points are
-packed into shared walk batches of at most ``_BATCH_SIZE`` walkers, each
-of which runs one step loop.  A walker draws the same numbers in any walk
-batch, so every point's sample is the one ``solve`` returns for it alone,
-bit for bit (Kyprianou, Osojnik and Shardlow, IMA J. Numer. Anal. 38,
-2018, walk each walker independently of the others once its draws are
+counter-based generator.  The streams are listed batch by batch (the
+first stream of every point, then the second, ...) and consecutive ones
+are packed into shared walk batches of at most ``_BATCH_SIZE`` walkers,
+each of which runs one step loop.  A walker draws the same numbers in any
+walk batch, so every point's sample is the one ``solve`` returns for it
+alone, bit for bit (Kyprianou, Osojnik and Shardlow, IMA J. Numer. Anal.
+38, 2018, walk each walker independently of the others once its draws are
 fixed).
 """
 
@@ -64,16 +64,6 @@ class StableExitSampler:
         paths)."""
         n = np.max(slot, initial=-1) + 1
         return (rng.beta(self.s, 1.0 - self.s, n) ** -0.5)[slot]
-
-
-class BrownianExitSampler:
-    """The s -> 1 limit of the exit law: Brownian motion leaves a ball on
-    its sphere (Muller, Ann. Math. Stat. 27, 1956), so no radius is drawn."""
-    s = 1.0
-
-    @staticmethod
-    def radius(slot, rng):
-        return 1.0
 
 
 def _ball_exit(law, v, R, n, shift, rng):
@@ -143,8 +133,7 @@ _BATCH_SIZE = 1 << 15
 
 @dataclass(frozen=True)
 class WoSConfig:
-    """The settings of the walk-on-spheres engine, for ``solve`` and the
-    polygon harmonic extension alike; ``_walk_on_spheres`` reads them.
+    """The settings of ``solve`` and ``solve_points``, read in one place.
     max_steps and snap_eps act only on the domains that step: a Ball walker
     exits in one exact jump.  A point's walkers draw from streams of at
     most ``_BATCH_SIZE`` walkers, and the streams of all the points of one
@@ -190,7 +179,7 @@ def _declared_growth(g):
 
 def _refuse_diverging(growth, s):
     """A DivergenceError once a datum's growth reaches 2s (see
-    ``_walk_on_spheres``)."""
+    ``solve_points``)."""
     if growth >= 2.0 * s:
         raise DivergenceError(
             f"datum growth {growth} is not below 2s = {2.0 * s}: the "
@@ -202,30 +191,6 @@ def solve(dom, g, x, kernel, cfg=None, point_index=0):
     alpha-stable walk-on-spheres (one exact jump per walker on a Ball):
     ``solve_points`` at the one point x, on the streams of point_index."""
     return solve_points(dom, g, [x], kernel, cfg, [point_index])[0]
-
-
-def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
-    """``solve`` at every point of xs, point k on the streams of
-    point_indices[k] (default k), walked together: ``_walk_on_spheres``
-    with the exact exit law of order s and the settings ``cfg`` (default
-    ``WoSConfig()``).  Returns one SolutionSample per point, each the one
-    ``solve`` returns at that point and index.
-    This checks that the domain, the kernel and the dimension fit the
-    stable walk; the engine checks the datum and the points."""
-    if not dom.bounded:
-        raise DomainError("walk-on-spheres requires a bounded domain")
-    if kernel.name != "frac_lap":
-        raise ParameterError(
-            "the stable exit law is exact only for the fractional Laplacian; "
-            "general kernels are exercised through the operator checks")
-    if kernel.dim != dom.dim:
-        raise ParameterError(
-            f"kernel dim {kernel.dim} does not match the domain's dim {dom.dim}")
-    if dom.dim > 2:
-        raise ParameterError(
-            f"walk-on-spheres steps in dim 1 or 2, not dim {dom.dim}")
-    return _walk_on_spheres(dom, g, xs, StableExitSampler(kernel.s),
-                            cfg or WoSConfig(), point_indices)
 
 
 class _Tally:
@@ -306,29 +271,35 @@ def _packs(streams, cap):
         yield pack
 
 
-def _walk_on_spheres(dom, g, xs, law, cfg, point_indices=None):
-    """The walk-on-spheres engine behind ``solve_points`` and the polygon
-    harmonic extension: walkers started at each interior point of xs, paid
-    by g where they stop; one SolutionSample per point.  It reads every
-    setting from the ``WoSConfig`` cfg, rounds an odd path count up for
-    antithetic pairs and takes snap_eps = 1e-6 * diameter when cfg leaves
-    it None.  A datum that declares no growth (a bare callable: no Hoelder
-    certificate for the bias bound) raises a ParameterError, and one whose
-    growth reaches 2s a DivergenceError: the exit radius has tail
-    P(R > r) ~ r^(-2s), so its payload has no mean (the Brownian law takes
-    the s = 1 limit).  A point that is not interior raises a DomainError
-    naming its index and coordinates; all three checks come before any
-    walker moves.
+def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
+    """``solve`` at every point of xs, point k on the streams of
+    point_indices[k] (default k), walked together with the exact exit law
+    of order s = kernel.s: walkers started at each interior point of xs,
+    paid by g where they stop.  Returns one SolutionSample per point, each
+    the one ``solve`` returns at that point and index.
+
+    Every setting comes from the ``WoSConfig`` cfg (default
+    ``WoSConfig()``): an odd path count rounds up for antithetic pairs, and
+    snap_eps = 1e-6 * diameter when cfg leaves it None.  A domain that is
+    not bounded, a kernel that is not the fractional Laplacian of the
+    domain's dimension, or a dimension above 2 is refused first.  A datum
+    that declares no growth (a bare callable: no Hoelder certificate for
+    the bias bound) raises a ParameterError, and one whose growth reaches
+    2s a DivergenceError: the exit radius has tail P(R > r) ~ r^(-2s), so
+    its payload has no mean.  A point that is not interior raises a
+    DomainError naming its index and coordinates; every check comes before
+    any walker moves.
 
     A point's walkers form streams: stream b of point k holds walkers
     b * _BATCH_SIZE onwards, at most ``_BATCH_SIZE`` of them, and draws
     from the counter-based generator keyed by (seed, point_indices[k], b),
-    so results do not depend on scheduling.  Consecutive streams, of one
-    point or of several, are packed into walk batches of at most
-    ``_BATCH_SIZE`` walkers, and each walk batch walks together.  A walker
-    draws the same numbers in any walk batch, and each point's sums run
-    over its streams in order, so every point's sample is the one it gets
-    walked alone.
+    so results do not depend on scheduling.  The streams are listed batch
+    by batch, stream b of every point before stream b + 1 of any, so the
+    short last streams of all the points sit together; consecutive streams
+    are packed into walk batches of at most ``_BATCH_SIZE`` walkers, and
+    each walk batch walks together.  A walker draws the same numbers in any
+    walk batch, and each point's sums run over its streams in order, so
+    every point's sample is the one it gets walked alone.
 
     On a Ball every walker exits in one exact jump (``_ball_exit``), from
     the draws of one step: one exit radius and one angle per unit, an
@@ -348,6 +319,20 @@ def _walk_on_spheres(dom, g, xs, law, cfg, point_indices=None):
     The stderr is NaN when a point has one estimator unit (one path, or
     one antithetic pair).
     """
+    if not dom.bounded:
+        raise DomainError("walk-on-spheres requires a bounded domain")
+    if kernel.name != "frac_lap":
+        raise ParameterError(
+            "the stable exit law is exact only for the fractional Laplacian; "
+            "general kernels are exercised through the operator checks")
+    if kernel.dim != dom.dim:
+        raise ParameterError(
+            f"kernel dim {kernel.dim} does not match the domain's dim {dom.dim}")
+    if dom.dim > 2:
+        raise ParameterError(
+            f"walk-on-spheres steps in dim 1 or 2, not dim {dom.dim}")
+    law = StableExitSampler(kernel.s)
+    cfg = cfg or WoSConfig()
     _refuse_diverging(_declared_growth(g), law.s)
     xs = [np.asarray(x, dtype=float) for x in xs]
     point_indices = (range(len(xs)) if point_indices is None
@@ -369,9 +354,9 @@ def _walk_on_spheres(dom, g, xs, law, cfg, point_indices=None):
     # a draw unit is an antithetic pair (walkers 2k, 2k + 1) or one walker
     shift = 1 if antithetic else 0
 
-    # the streams (point k, batch b, walkers), point by point
+    # the streams (point k, batch b, walkers), batch by batch
     streams = [(k, b, min(batch_size, paths - b * batch_size))
-               for k in range(len(xs)) for b in range(n_batches)]
+               for b in range(n_batches) for k in range(len(xs))]
     tallies = [_Tally() for _ in xs]
     for pack in _packs(streams, batch_size):
         rngs = [np.random.Generator(np.random.Philox(
@@ -501,9 +486,8 @@ def _step_batch(dom, starts, sizes, law, cfg, snap_eps, shift, rngs):
                 if a == b:
                     continue
                 u = slot[a]
-                # law.radius may return one radius for all (the Brownian 1)
-                radii.append(np.broadcast_to(law.radius(
-                    slot[a:b] - u if u else slot[a:b], rngs[j]), b - a))
+                radii.append(law.radius(slot[a:b] - u if u else slot[a:b],
+                                        rngs[j]))
                 phis.append(rngs[j].random(slot[b - 1] + 1 - u))
                 steps[j] += b - a
                 steps_max[j] = step + 1

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,11 +5,11 @@ from fraclab._quad import bisect_edges, gl8_panels, graded_edges, periodic_edges
 from fraclab.barriers import (ExteriorData, capped_distance_data,
                               constant_data, holder_point_singularity)
 from fraclab.errors import (DivergenceError, DomainError, ParameterError,
-                            ReliabilityError, UnsupportedVariantError)
-from fraclab.extension import (EXTENSION_WOS, DiskExtension,
-                               HalfPlaneExtension, PointPowerDiskExtension,
-                               _disk_extension, check_extension_bounds,
-                               extended_field, harmonic_extension, hessian_fd)
+                            UnsupportedVariantError)
+from fraclab.extension import (DiskExtension, HalfPlaneExtension,
+                               PointPowerDiskExtension, _disk_extension,
+                               check_extension_bounds, extended_field,
+                               harmonic_extension, hessian_fd)
 from fraclab.fields import CompositeField
 from fraclab.geometry import (Ball, Cone, HalfPlane, Polygon, StarShaped,
                               unit_square)
@@ -453,136 +451,15 @@ def test_composite_field_breakpoints_on_star_and_cone():
     assert _ref_cone(dom, np.array([0.0, -0.2]), thetas[2], 3.0) == (0.2,)
 
 
-def ext_cfg(**changes):
-    """The polygon extension's default walk settings with ``changes``."""
-    return dataclasses.replace(EXTENSION_WOS, **changes)
-
-
-def test_polygon_wos_extension():
-    sq = unit_square()
-    g = constant_data(3.0)
-    out = harmonic_extension(sq, g, [0.3, 0.4],
-                             ext_cfg(paths=2000, seed=1))
-    assert out.value == pytest.approx(3.0, abs=1e-12)
-    assert out.stderr == 0.0
-
-    glin = ExteriorData(fn=lambda p: np.asarray(p, dtype=float)[..., 0],
-                        alpha=0.99, C0=4.0, growth=1.0)
-    out2 = harmonic_extension(sq, glin, [0.3, 0.4],
-                              ext_cfg(paths=20000, seed=1))
-    assert out2.value == pytest.approx(0.3, abs=4 * out2.stderr + 1e-3)
-
-
-def test_polygon_wos_deterministic():
-    sq = unit_square()
-    g = holder_point_singularity(0.5, [0.0, 0.0])
-    cfg = ext_cfg(paths=5000, seed=9)
-    a = harmonic_extension(sq, g, [0.4, 0.7], cfg)
-    b = harmonic_extension(sq, g, [0.4, 0.7], cfg)
-    assert a.value == b.value and a.stderr == b.stderr
-    # pinned: batching the projections must not change the walk
-    assert a.value == 0.9274120301457155
-    # the stderr from the walk-on-spheres engine's variance sums, shifted by
-    # the first payload; unshifted they gave ...13325
-    assert a.stderr == 0.0026874280585113407
-    assert a.stderr == pytest.approx(0.0026874280585113325, rel=1e-12, abs=0)
-
-
-def test_polygon_wos_max_steps_accounted():
-    sq = unit_square()
-    g = constant_data(1.0)
-    # walkers alive after max_steps were scored 0: this gave 0.001 for 1
-    with pytest.raises(ReliabilityError, match="1998 of 2000"):
-        harmonic_extension(sq, g, [0.4, 0.7],
-                           ext_cfg(paths=2000, max_steps=2))
-    # 18 of 2000 survivors, under the 1% threshold, are paid at their
-    # projection (0.991 when they scored 0)
-    out = harmonic_extension(sq, g, [0.4, 0.7],
-                             ext_cfg(paths=2000, max_steps=52))
-    assert out.value == 1.0
-
-
-L_SHAPE = Polygon([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0],
-                   [1.0, 2.0], [0.0, 2.0]])
-
-
-def test_polygon_wos_bias_bound_counts_max_steps_walkers():
-    sq = unit_square()
-    g = holder_point_singularity(0.5, [0.0, 0.0])
-    snap_only = g.C0 * (1e-6 * sq.diameter) ** g.alpha
-    out = harmonic_extension(sq, g, [0.4, 0.7],
-                             ext_cfg(paths=2000, max_steps=52))
-    assert 0 < out.n_maxed <= 20
-    assert out.bias_bound > snap_only
-    done = harmonic_extension(sq, g, [0.4, 0.7], ext_cfg(paths=2000))
-    assert done.n_maxed == 0
-    assert done.bias_bound == pytest.approx(snap_only, rel=1e-15)
-
-
-def test_polygon_wos_one_projection_and_one_datum_call():
-    sq = unit_square()
-    calls = {"project": 0, "datum": 0}
-    project = sq.project
-
-    def counted_project(pts):
-        calls["project"] += 1
-        return project(pts)
-
-    base = holder_point_singularity(0.5, [0.0, 0.0])
-
-    def counted_datum(pts):
-        calls["datum"] += 1
-        return base.fn(pts)
-
-    sq.project = counted_project
-    g = dataclasses.replace(base, fn=counted_datum)
-    out = harmonic_extension(sq, g, [0.4, 0.7],
-                             ext_cfg(paths=5000, seed=9))
-    assert out.value == 0.9274120301457155
-    assert calls["project"] <= 1 and calls["datum"] <= 1
-
-
-def test_polygon_wos_l_shape():
-    # the value of the per-step loop the shared engine replaced: the
-    # Brownian walk keeps its stream and its steps
-    g = holder_point_singularity(0.5, [1.0, 1.0])
-    out = harmonic_extension(L_SHAPE, g, [0.5, 1.5],
-                             ext_cfg(paths=4000, seed=3))
-    assert out.value == 0.901826633318144
-    # a harmonic datum is its own extension
-    glin = ExteriorData(fn=lambda p: np.asarray(p, dtype=float)[..., 0],
-                        alpha=0.99, C0=4.0, growth=1.0)
-    out = harmonic_extension(L_SHAPE, glin, [0.5, 1.5],
-                             ext_cfg(paths=4000, seed=3))
-    assert abs(out.value - 0.5) <= 4 * out.stderr + out.bias_bound
-
-
-def test_polygon_wos_rejects_exterior_point():
-    with pytest.raises(DomainError):
-        harmonic_extension(unit_square(), constant_data(1.0), [2.0, 2.0])
-    with pytest.raises(DomainError):
-        harmonic_extension(L_SHAPE, constant_data(1.0), [1.5, 1.5])
-
-
-@pytest.mark.parametrize("kwargs, name", [
-    ({"paths": 0}, "paths"), ({"paths": -3}, "paths"),
-    ({"max_steps": 0}, "max_steps"), ({"snap_eps": 0.0}, "snap_eps"),
-])
-def test_extension_config_rejects_bad_values(kwargs, name):
-    with pytest.raises(ParameterError, match=name):
-        ext_cfg(**kwargs)
-
-
 def bare_datum(p):
     return np.ones(np.asarray(p).shape[0])
 
 
 def test_extension_refuses_a_datum_without_growth_where_it_needs_one():
-    # the polygon walk's bias bound needs the datum's Hoelder certificate,
-    # and the half plane's Poisson integral needs its growth below 1
-    with pytest.raises(ParameterError, match="declares no growth"):
-        harmonic_extension(unit_square(), bare_datum, [0.4, 0.7],
-                           ext_cfg(paths=10))
+    # the half plane's Poisson integral needs the datum's growth below 1;
+    # a polygon is refused whatever its datum
+    with pytest.raises(UnsupportedVariantError, match="not Polygon"):
+        harmonic_extension(unit_square(), bare_datum, [0.4, 0.7])
     with pytest.raises(ParameterError, match="declares no growth"):
         harmonic_extension(HalfPlane([0.0, 1.0]), bare_datum, [0.0, 1.0])
     # the disk's Poisson integral reads no growth, its extended field does
@@ -625,13 +502,23 @@ def test_halfplane_extension_rejects_growth():
         harmonic_extension(hp, glin, [0.0, 1.0])
 
 
+# a non-convex polygon: the vertex (1, 1) is reflex
+L_SHAPE = Polygon([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0],
+                   [1.0, 2.0], [0.0, 2.0]])
+
+
 def test_extension_rejects_exterior_and_unsupported():
     ball = Ball([0.0, 0.0], 1.0)
     g = constant_data(1.0)
     with pytest.raises(DomainError):
         harmonic_extension(ball, g, [2.0, 0.0])
-    with pytest.raises(UnsupportedVariantError):
-        harmonic_extension(Cone([0, 1], 1.0), g, [0.0, 1.0])
+    for dom, x in ((Cone([0, 1], 1.0), [0.0, 1.0]),
+                   (StarShaped([1.0, 0.0, 0.1]), [0.2, 0.1]),
+                   (unit_square(), [0.4, 0.7]), (L_SHAPE, [0.5, 1.5])):
+        with pytest.raises(UnsupportedVariantError,
+                           match=f"^harmonic_extension supports Ball and "
+                                 f"HalfPlane, not {type(dom).__name__}$"):
+            harmonic_extension(dom, g, x)
 
 
 def test_check_extension_bounds_constant_is_flat_zero():

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -492,11 +493,19 @@ def test_solver_rejects_a_3d_ball_before_walking():
               make_fractional_laplacian(0.5, 3), WoSConfig(paths=10))
 
 
-@pytest.mark.parametrize("max_steps", [0, -1])
-def test_config_rejects_max_steps_below_one(max_steps):
-    # refused when the settings are built, before any path walks
-    with pytest.raises(ParameterError, match="max_steps must be >= 1"):
-        WoSConfig(max_steps=max_steps)
+@pytest.mark.parametrize("field, value, refusal", [
+    pytest.param("max_steps", 0, "max_steps must be >= 1", id="0"),
+    pytest.param("max_steps", -1, "max_steps must be >= 1", id="-1"),
+    pytest.param("paths", 0, "paths must be >= 1", id="paths-0"),
+    pytest.param("paths", -3, "paths must be >= 1", id="paths--3"),
+    pytest.param("snap_eps", 0.0, "snap_eps must be positive",
+                 id="snap_eps-0"),
+])
+def test_config_rejects_max_steps_below_one(field, value, refusal):
+    # refused when the settings are built, before any path walks; so are
+    # a path count below one and a snap_eps that is not positive
+    with pytest.raises(ParameterError, match=refusal):
+        WoSConfig(**{field: value})
 
 
 def test_odd_batch_size_without_antithetic_pairs(monkeypatch):
@@ -1017,6 +1026,19 @@ def test_solve_points_walk_the_benchmark_star_in_one_step_loop():
     assert star.most_rows == 30000
 
 
+def test_last_streams_of_all_points_share_a_walk_batch():
+    # 40,001 paths round up to 40,002: streams of 32,768 and 7,234 walkers
+    # per point, and the three short streams share one walk batch, so the
+    # three points walk 4 batches, with one project call each
+    star = CountingStar([1.0, 0.0, 0.1])
+    g = capped_distance_data([2.0, 0.0], 3.0)
+    cfg = WoSConfig(paths=40001, seed=1)
+    out = wos.solve_points(star, g, STAR_POINTS, K05, cfg)
+    assert star.project_calls == 4
+    assert out == [solve(STAR, g, x, K05, cfg, point_index=k)
+                   for k, x in enumerate(STAR_POINTS)]
+
+
 @pytest.mark.parametrize("batch_size", [1 << 15, 1000])
 def test_a_walk_batch_holds_at_most_batch_size_walkers(monkeypatch,
                                                        batch_size):
@@ -1032,18 +1054,22 @@ def test_a_walk_batch_holds_at_most_batch_size_walkers(monkeypatch,
     assert max(rows) == (30000 if batch_size == 1 << 15 else 1000)
 
 
-@pytest.mark.parametrize("dom", [STAR, BALL], ids=["star", "ball"])
+@pytest.mark.parametrize("dom, pts", [
+    (STAR, [[0.1, 0.0], [0.0, 0.2], [1.5, 0.25]]),
+    (BALL, [[0.1, 0.0], [0.0, 0.2], [1.5, 0.25]]),
+    # the third point lies in the notch, above the reflex vertex (1, 0.8)
+    (PACKED_CASES["notched"][0], [[0.5, 0.5], [1.5, 0.4], [1.0, 1.5]]),
+], ids=["star", "ball", "notched"])
 def test_solve_points_refuse_an_exterior_point_by_name_before_walking(
-        monkeypatch, dom):
+        monkeypatch, dom, pts):
     # the first points walked before the third was refused, by a message
     # that named no point
     monkeypatch.setattr(wos, "_step_batch",
                         lambda *a: pytest.fail("a walker started"))
     monkeypatch.setattr(wos, "_ball_exit",
                         lambda *a: pytest.fail("a walker started"))
-    pts = [[0.1, 0.0], [0.0, 0.2], [1.5, 0.25]]
-    with pytest.raises(DomainError,
-                       match=r"point 9 at \[1\.5, 0\.25\] is not interior"):
+    with pytest.raises(DomainError, match=re.escape(
+            f"point 9 at {pts[2]} is not interior")):
         wos.solve_points(dom, capped_distance_data([2.0, 0.0], 3.0), pts,
                          K05, WoSConfig(paths=100), [4, 5, 9])
 
