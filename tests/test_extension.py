@@ -16,6 +16,7 @@ from fraclab.geometry import (Ball, Cone, HalfPlane, Polygon, StarShaped,
 from fraclab.kernels import make_fractional_laplacian
 from fraclab import nonlocal_op
 from fraclab.nonlocal_op import QuadratureSpec, apply_L
+from fraclab.wos import WoSConfig
 from oracles import point_power_disk_extension
 from test_fields import _ref_cone
 
@@ -453,6 +454,17 @@ def test_composite_field_breakpoints_on_star_and_cone():
 
 def bare_datum(p):
     return np.ones(np.asarray(p).shape[0])
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"paths": 0}, "paths"), ({"paths": -3}, "paths"),
+    ({"max_steps": 0}, "max_steps"), ({"snap_eps": 0.0}, "snap_eps"),
+])
+def test_extension_config_rejects_bad_values(kwargs, name):
+    # the walk settings a Monte Carlo extension would run with refuse
+    # these when they are built
+    with pytest.raises(ParameterError, match=name):
+        WoSConfig(**kwargs)
 
 
 def test_extension_refuses_a_datum_without_growth_where_it_needs_one():
