@@ -272,20 +272,18 @@ def _evaluate_at(kernel, u, points, q, diagnostic=None):
             tuple((tuple(map(float, x)), ov) for x, ov in zip(batch, ovs)))
 
 
-def verify_halfspace_supersolution(kernel, alpha, points, nu=None, q=None):
-    """-L (x.nu)_+^alpha > 0 on {x.nu > 0} for alpha in (0, s)."""
+def verify_halfspace_supersolution(kernel, alpha, points, q=None):
+    """-L (x_N)_+^alpha > 0 on {x_N > 0} for alpha in (0, s), N the
+    kernel's dimension: the half space of normal e_N."""
     if not 0.0 < alpha < kernel.s:
         raise ParameterError(
             f"the half-space power is a supersolution only for alpha in (0, s); "
             f"got alpha={alpha}, s={kernel.s} (alpha = s is the harmonic case)")
-    if nu is None:
-        nu = np.zeros(kernel.dim)
-        nu[-1] = 1.0
-    u = HalfSpacePower(nu, alpha)
+    u = HalfSpacePower(np.eye(kernel.dim)[-1], alpha)
     pts = [np.asarray(p, dtype=float) for p in points]
     for p in pts:
         if p @ u.domain.normal <= 0:
-            raise ParameterError("all points must satisfy x . nu > 0")
+            raise ParameterError("all points must satisfy x_N > 0")
     # homogeneity diagnostic on the first point, in the same batch
     vals, errs, evaluations = _evaluate_at(
         kernel, u, pts, q, 2.0 * pts[0] if pts else None)
@@ -359,11 +357,12 @@ def verify_psi_barrier(kernel, dom, alpha, band=(1e-3, 1e-1), n_points=20,
         extra=extra, evaluations=evaluations)
 
 
-def cone_boundary_points(e, eta, count=16, r_lo=0.25, r_hi=4.0):
-    """Points on e + boundary(C_{-eta}), half on each edge, radii log-spaced."""
+def cone_boundary_points(e, eta, count=16):
+    """Points on e + boundary(C_{-eta}), half on each edge, radii
+    log-spaced over [0.25, 4]."""
     cone = Cone(e, eta)
     n_half = count // 2
-    radii = np.geomspace(r_lo, r_hi, n_half)
+    radii = np.geomspace(0.25, 4.0, n_half)
     pts = []
     for w in cone.edge_dirs:
         for r in radii:
@@ -403,15 +402,16 @@ def verify_cone_barrier(kernel, e, eta, beta, points=None, q=None,
         extra=extra, evaluations=evaluations)
 
 
-def bracket_cone_beta0(kernel, e, eta, points=None, beta_lo=0.02,
-                       beta_hi=0.98, iters=6, q=None):
+def bracket_cone_beta0(kernel, e, eta, points=None, iters=6, q=None):
     """Empirical bracket [lo, hi] for the largest beta keeping the cone
-    barrier a supersolution, by bisection on the PASS verdict."""
+    barrier a supersolution, by bisection on the PASS verdict between
+    beta 0.02 and 0.98."""
 
     def passes(beta):
         return verify_cone_barrier(kernel, e, eta, beta, points, q=q,
                                    check_scaling=False).passed
 
+    beta_lo, beta_hi = 0.02, 0.98
     lo_pass = passes(beta_lo)
     hi_pass = passes(beta_hi)
     if not lo_pass:

@@ -313,7 +313,7 @@ class ExtensionBoundsReport:
 
 
 def check_extension_bounds(dom, g, band=(1e-3, 1e-1), alpha=None, n_points=10,
-                           kernel=None, towards=None, q=None, slope_tol=0.1):
+                           kernel=None, towards=None, slope_tol=0.1):
     """Probe |D^2 gbar| d^{2-alpha} and |L gbar| d^{2s-alpha} on log-spaced
     distances in the band, approaching the datum's singular anchor.
 
@@ -338,9 +338,8 @@ def check_extension_bounds(dom, g, band=(1e-3, 1e-1), alpha=None, n_points=10,
     ds = np.geomspace(band[0], band[1], n_points)
     comp = extended_field(dom, g)
     disk = comp.inside          # one inside field for the Hessian and L
-    if q is None:
-        q = QuadratureSpec(target_rel_tol=2e-3, max_angular_panels=24,
-                           max_radial_panels=160, n_jacobi=16)
+    q = QuadratureSpec(target_rel_tol=2e-3, max_angular_panels=24,
+                       max_radial_panels=160, n_jacobi=16)
     xs = [dom.center + (dom.radius - d) * towards for d in ds]
     ovs = apply_L_many(kernel, comp, xs, q=q)
     hess_n, hessnorm, opv, operr, opn = [], [], [], [], []

@@ -108,16 +108,17 @@ def plane_crossings(b, w, r_max):
     return np.where((w != 0.0) & (r > 0.0) & (r <= r_max), r, np.inf)[:, None]
 
 
-def _scan_crossings(side_fn, x, thetas, r_max, n_probe=256):
+def _scan_crossings(side_fn, x, thetas, r_max):
     """Sign changes of a continuous side function along r -> x + r theta for
     every direction and both its signs, as a ``boundary_crossings`` table:
-    one call of ``side_fn`` on log-spaced probes of all rays, then
+    one call of ``side_fn`` on 256 log-spaced probes of each ray, then
     ``brentq`` on each bracket."""
     from scipy.optimize import brentq
 
     x = np.asarray(x, dtype=float)
     th = np.concatenate([thetas, -thetas])
     r_lo = 1e-9 * max(1.0, float(np.linalg.norm(x)))
+    n_probe = 256
     rr = np.geomspace(r_lo, r_max, n_probe)
     pts = x + rr[None, :, None] * th[:, None, :]
     sgn = np.sign(np.asarray(side_fn(pts.reshape(-1, len(x))))).reshape(

@@ -178,16 +178,16 @@ def boundary_profile(solver, dom, g, z0, t_grid, normal=None):
                            g0=g0)
 
 
-def inward_normal(dom, z0, probe=None):
+def inward_normal(dom, z0):
     """Inward direction at a boundary point: the direction maximizing the
-    distance to the complement a small step in.  At polygon corners this is
-    the corner bisector."""
+    distance to the complement a small step in, 1e-3 times the diameter (1e-3
+    on an unbounded domain).  At polygon corners this is the corner
+    bisector."""
     z0 = np.asarray(z0, dtype=float)
     if isinstance(dom, Ball):
         v = dom.center - z0
         return v / np.linalg.norm(v)
-    if probe is None:
-        probe = 1e-3 * dom.diameter if dom.bounded else 1e-3
+    probe = 1e-3 * dom.diameter if dom.bounded else 1e-3
     phis = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
     dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
     pts = z0[None, :] + probe * dirs
@@ -229,17 +229,19 @@ class ExperimentReport:
 
 
 def exponent_experiment(dom, g, s, cfg=None, boundary_points=None,
-                        t_grid=None, solver=None, kernel=None, tol=0.05):
+                        t_grid=None, solver=None):
     """Run boundary profiles + fits and compare the fitted exponent at the
-    datum's anchor point with the expected min(alpha, s).
+    datum's anchor point with the expected min(alpha, s), within 0.05.
+    The default solver walks cfg's paths with the fractional Laplacian of
+    order s, the one kernel ``solve_points`` takes.
 
     The alpha = s case is flagged for the log correction rather than judged
     on the plain exponent alone.
     """
     from .kernels import make_fractional_laplacian
 
-    if kernel is None:
-        kernel = make_fractional_laplacian(s, dom.dim)
+    kernel = make_fractional_laplacian(s, dom.dim)
+    tol = 0.05
     if t_grid is None:
         # the asymptotic exponent emerges only below ~1e-3 relative depth,
         # and path counts of 1e5 keep the SNR ample down to 1e-4

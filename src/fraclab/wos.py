@@ -33,7 +33,7 @@ from ._quad import (bisect_edges, gauss_jacobi_01, gl8_panels, node_chunks,
                     periodic_edges)
 from .errors import (DivergenceError, DomainError, ParameterError,
                      ReliabilityError)
-from .geometry import Ball
+from .geometry import Ball, row_dot
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +43,11 @@ def _refuse_order(s):
     """A ParameterError naming s unless 0 < s < 1."""
     if not 0.0 < s < 1.0:
         raise ParameterError(f"order s must lie in (0,1), got {s}")
+
+
+def _is_int(v):
+    """Whether v is an integer that is not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 class StableExitSampler:
@@ -113,7 +118,7 @@ def sample_ball_exit(s, dim, rng, n=1, x=None):
     the one exact jump of a ball walker, without antithetic pairs."""
     if dim not in (1, 2):
         raise ParameterError("exit sampling supports dim 1 and 2")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
     v = np.zeros(dim) if x is None else np.asarray(x, dtype=float)
     if v.shape != (dim,) or not float(v @ v) < 1.0:
@@ -129,28 +134,36 @@ def sample_ball_exit(s, dim, rng, n=1, x=None):
 
 # walkers per batch; even, so that no antithetic pair spans two batches
 _BATCH_SIZE = 1 << 15
+# the most steps a walker of the step loop takes; one still inside after
+# them is paid at its projection and counted in n_maxed
+_MAX_STEPS = 1000
+# the snap tolerance as a fraction of the domain's diameter: a walker of
+# the step loop closer to the boundary than that is paid at its projection
+_SNAP_REL = 1e-6
 
 
 @dataclass(frozen=True)
 class WoSConfig:
-    """The settings of ``solve`` and ``solve_points``, read in one place.
-    max_steps and snap_eps act only on the domains that step: a Ball walker
-    exits in one exact jump.  A point's walkers draw from streams of at
-    most ``_BATCH_SIZE`` walkers, and the streams of all the points of one
-    call walk in shared batches of at most ``_BATCH_SIZE`` walkers."""
-    max_steps: int = 1000
-    snap_eps: float | None = None   # default: 1e-6 * diameter
+    """The settings of ``solve`` and ``solve_points``, read in one place,
+    each refused by name when it is built out of range: paths an int >= 1,
+    seed an int in [0, 2^64) (the first word of every Philox key) and
+    antithetic a bool.  A point's walkers draw from streams of at most
+    ``_BATCH_SIZE`` walkers, and the streams of all the points of one call
+    walk in shared batches of at most ``_BATCH_SIZE`` walkers."""
     paths: int = 100000             # odd counts round up for antithetic pairs
     seed: int = 0
     antithetic: bool = True
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ParameterError("max_steps must be >= 1")
-        if self.paths < 1:
-            raise ParameterError("paths must be >= 1")
-        if self.snap_eps is not None and self.snap_eps <= 0:
-            raise ParameterError("snap_eps must be positive")
+        if not _is_int(self.paths) or self.paths < 1:
+            raise ParameterError(
+                f"paths must be an int >= 1, got {self.paths!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
+            raise ParameterError(
+                f"seed must be an int in [0, 2^64), got {self.seed!r}")
+        if not isinstance(self.antithetic, bool):
+            raise ParameterError(
+                f"antithetic must be a bool, got {self.antithetic!r}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +176,7 @@ class SolutionSample:
     snapped_fraction: float
     bias_bound: float
     seed: int
-    n_maxed: int = 0      # walkers stopped by max_steps, paid at projection
+    n_maxed: int = 0      # walkers stopped by the step cap, paid at projection
     steps_max: int = 0    # the most steps any walker took
 
 
@@ -210,13 +223,13 @@ class _Tally:
         self.n_snapped = 0
         self.n_maxed = 0
         self.steps_max = 0
-        # sum of dist^alpha over the walkers stopped by max_steps
+        # sum of dist^alpha over the walkers stopped by the step cap
         self.maxed_mass = 0.0
 
     def add(self, payload, antithetic, steps, most, paid, maxed_dist, alpha):
         """Take one stream: its walkers' payloads, its steps, its most steps
         of a walker, its count paid at a projection and the distances to it
-        of its walkers stopped by max_steps."""
+        of its walkers stopped by the step cap."""
         self.n_walked += len(payload)
         self.total_steps += steps
         self.steps_max = max(self.steps_max, most)
@@ -278,17 +291,18 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
     paid by g where they stop.  Returns one SolutionSample per point, each
     the one ``solve`` returns at that point and index.
 
-    Every setting comes from the ``WoSConfig`` cfg (default
-    ``WoSConfig()``): an odd path count rounds up for antithetic pairs, and
-    snap_eps = 1e-6 * diameter when cfg leaves it None.  A domain that is
-    not bounded, a kernel that is not the fractional Laplacian of the
-    domain's dimension, or a dimension above 2 is refused first.  A datum
-    that declares no growth (a bare callable: no Hoelder certificate for
-    the bias bound) raises a ParameterError, and one whose growth reaches
-    2s a DivergenceError: the exit radius has tail P(R > r) ~ r^(-2s), so
-    its payload has no mean.  A point that is not interior raises a
-    DomainError naming its index and coordinates; every check comes before
-    any walker moves.
+    The paths, seed and antithetic pairs come from the ``WoSConfig`` cfg
+    (default ``WoSConfig()``); an odd path count rounds up for antithetic
+    pairs.  A domain that is not bounded, a kernel that is not the
+    fractional Laplacian of the domain's dimension, or a dimension above 2
+    is refused first, and so is a point index that is not an int in
+    [0, 2^32), since its streams' Philox key word is (index << 32) + b.  A
+    datum that declares no growth (a bare callable: no Hoelder certificate
+    for the bias bound) raises a ParameterError, and one whose growth
+    reaches 2s a DivergenceError: the exit radius has tail
+    P(R > r) ~ r^(-2s), so its payload has no mean.  A point that is not
+    interior raises a DomainError naming its index and coordinates; every
+    check comes before any walker moves.
 
     A point's walkers form streams: stream b of point k holds walkers
     b * _BATCH_SIZE onwards, at most ``_BATCH_SIZE`` of them, and draws
@@ -306,16 +320,18 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
     antithetic pair or a single walker, the two walkers of a pair at
     opposite points of the unit circle.  No ``dist_bound``, snap or
     projection enters, so the bias bound is 0, and a walker takes one step.
-    Every other domain walks the step loop of ``_step_batch``, on which
-    snap_eps and max_steps act; its bias bound
-    is the snap bias, which the Hoelder certificate of g bounds by C0 *
-    snap_eps^alpha, plus C0 * dist^alpha for each walker stopped by
-    max_steps and paid at its projection, over the paths walked.
+    Every other domain walks the step loop of ``_step_batch``, with the
+    snap tolerance snap_eps = ``_SNAP_REL`` * diameter and the step cap
+    ``_MAX_STEPS``; its bias bound is the snap bias, which the Hoelder
+    certificate of g bounds by C0 * snap_eps^alpha, plus C0 * dist^alpha
+    for each walker stopped by the step cap and paid at its projection,
+    over the paths walked.
     One ``g`` call per walk batch pays every walker; it acts row by row, so
     a walker's payload does not depend on the rest of the batch.  A
     non-finite payload (an exit radius that overflowed at small s, met by a
     datum that grows) raises a ReliabilityError naming s and the count, and
-    so do walkers stopped by max_steps on more than 1% of a point's paths.
+    so do walkers stopped by the step cap on more than 1% of a point's
+    paths.
     The stderr is NaN when a point has one estimator unit (one path, or
     one antithetic pair).
     """
@@ -336,11 +352,15 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
     _refuse_diverging(_declared_growth(g), law.s)
     xs = [np.asarray(x, dtype=float) for x in xs]
     point_indices = (range(len(xs)) if point_indices is None
-                     else [int(i) for i in point_indices])
+                     else list(point_indices))
     if len(point_indices) != len(xs):
         raise ParameterError(
             f"{len(xs)} points need as many point indices, got "
             f"{len(point_indices)}")
+    for i in point_indices:
+        if not _is_int(i) or not 0 <= i < 1 << 32:
+            raise ParameterError(
+                f"a point index must be an int in [0, 2^32), got {i!r}")
     for i, x in zip(point_indices, xs):
         if not dom.contains(x):
             raise DomainError(
@@ -348,7 +368,7 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
                 f"{i} at {x.tolist()} is not interior")
     exact = isinstance(dom, Ball)
     batch_size, seed, antithetic = _BATCH_SIZE, cfg.seed, cfg.antithetic
-    snap_eps = 1e-6 * dom.diameter if cfg.snap_eps is None else cfg.snap_eps
+    snap_eps = _SNAP_REL * dom.diameter
     paths = cfg.paths + 1 if antithetic and cfg.paths % 2 else cfg.paths
     n_batches = (paths + batch_size - 1) // batch_size
     # a draw unit is an antithetic pair (walkers 2k, 2k + 1) or one walker
@@ -360,7 +380,8 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
     tallies = [_Tally() for _ in xs]
     for pack in _packs(streams, batch_size):
         rngs = [np.random.Generator(np.random.Philox(
-            key=[seed, (point_indices[k] << 32) + b])) for k, b, _ in pack]
+            key=[seed, (int(point_indices[k]) << 32) + b]))
+            for k, b, _ in pack]
         if exact:
             # an exit radius is inf where numpy's Beta draw gives W = 0 (at
             # small s): such a walker exits at infinity, and its payload is
@@ -375,8 +396,7 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
         else:
             stop, walks = _step_batch(
                 dom, [xs[k] for k, _, _ in pack],
-                [size for _, _, size in pack], law, cfg, snap_eps, shift,
-                rngs)
+                [size for _, _, size in pack], law, snap_eps, shift, rngs)
         payload = np.asarray(g(stop), dtype=float)
         lo = 0
         for (k, b, size), walk in zip(pack, walks):
@@ -395,19 +415,19 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
         if t.n_maxed > 0.01 * t.n_walked:
             raise ReliabilityError(
                 f"{t.n_maxed} of {t.n_walked} paths hit max_steps = "
-                f"{cfg.max_steps}")
+                f"{_MAX_STEPS}")
     return [t.sample(x, g, snap_eps, exact, seed)
             for x, t in zip(xs, tallies)]
 
 
-def _step_batch(dom, starts, sizes, law, cfg, snap_eps, shift, rngs):
+def _step_batch(dom, starts, sizes, law, snap_eps, shift, rngs):
     """One walk batch of the step loop on a planar domain: stream j holds
     sizes[j] walkers started at the interior point starts[j] and draws
     from the generator rngs[j].  Returns where each walker of the batch
     stopped (its projection where it snapped or ran out of steps), stream
     after stream, and for each stream its steps walked, its most steps of
     a walker, its count paid at a projection and the distances to it of
-    its walkers stopped by max_steps.
+    its walkers stopped by the step cap ``_MAX_STEPS``.
 
     A stream's walkers all start at its point, so one ``dom.dist_bound``
     row per stream serves them, and each step makes one
@@ -423,23 +443,23 @@ def _step_batch(dom, starts, sizes, law, cfg, snap_eps, shift, rngs):
     unbiased as a smaller one and takes the fewest steps.  Only the live
     walkers are carried from step to step: one compaction after each
     ``dist_bound`` call stops the exits and the snaps together, and after
-    the last allowed step (cfg's max_steps) only the exits, so a walker
-    that lands within snap_eps there has run out of steps.  At each step
-    every stream with live walkers draws, from its own generator, one exit
+    the last allowed step (the ``_MAX_STEPS``-th) only the exits, so a
+    walker that lands within snap_eps there has run out of steps.  At each
+    step every stream with live walkers draws, from its own generator, one exit
     radius and one angle phi per live unit of its own, in the order of its
     walkers, so a walker's numbers do not depend on the other streams; the
     two walkers of a pair share the radius and step at opposite angles.
     At the end of the batch one ``dom.project`` call takes every walker
-    paid at its projection (snapped or stopped by max_steps); it acts row
-    by row."""
-    max_steps = cfg.max_steps
+    paid at its projection (snapped or stopped by the step cap); it acts
+    row by row."""
+    max_steps = _MAX_STEPS
     # stream j holds walkers offsets[j] to offsets[j + 1] - 1 of the batch;
     # every stream but the last of a point has _BATCH_SIZE walkers and the
     # path count is even under antithetic pairs, so no pair spans two
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     starts = np.asarray(starts)
     # where each walker stopped, and whether it is paid at its projection
-    # (snapped or stopped by max_steps) rather than there
+    # (snapped or stopped by the step cap) rather than there
     stop = np.empty((offsets[-1], dom.dim))
     projected = np.zeros(offsets[-1], dtype=bool)
     # the live walkers, their positions and their dist_bound, compacted as
@@ -522,9 +542,10 @@ def _step_batch(dom, starts, sizes, law, cfg, snap_eps, shift, rngs):
 def _ray_circle_roots(origin, dirs, center, radius, lo, hi):
     """Radii r in (lo, hi) with |origin + r theta - center| = radius, for
     each unit direction theta (a row of ``dirs``): two columns per direction,
-    ``hi`` where there is no such root, so the roots can pad panel edges."""
+    ``hi`` where there is no such root, so the roots can pad panel edges.
+    A row's roots do not depend on the other rows (``row_dot``)."""
     v = np.asarray(origin, dtype=float) - np.asarray(center, dtype=float)
-    b = dirs @ v
+    b = row_dot(dirs, v)
     disc = b * b - (float(v @ v) - radius ** 2)
     sq = np.sqrt(np.maximum(disc, 0.0))
     roots = np.stack([-b - sq, -b + sq], axis=-1)

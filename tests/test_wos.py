@@ -29,7 +29,7 @@ from oracles import (exit_law_median, exit_law_tail_prob, exit_side_prob_1d,
 K05 = make_fractional_laplacian(0.5, 2)
 BALL = Ball([0.0, 0.0], 1.0)
 # the unit disc as a star domain: a Ball walks in one exact jump, the disc
-# walks the step loop on which snap_eps and max_steps act
+# walks the step loop on which the snap tolerance and the step cap act
 DISC = StarShaped([1.0])
 
 
@@ -339,9 +339,9 @@ def test_ball_walkers_exit_in_one_exact_jump(monkeypatch):
     radius = StableExitSampler.radius
     monkeypatch.setattr(StableExitSampler, "radius", lambda self, slot, rng:
                         draws.append(len(slot)) or radius(self, slot, rng))
+    monkeypatch.setattr(wos, "_MAX_STEPS", 1)
     g = holder_point_singularity(0.3, [2.8, -0.2])
-    out = solve(ball, g, [2.799, -0.2], K05,
-                WoSConfig(paths=5000, seed=52, max_steps=1))
+    out = solve(ball, g, [2.799, -0.2], K05, WoSConfig(paths=5000, seed=52))
     assert (out.mean_steps, out.steps_max) == (1.0, 1)
     assert (out.snapped_fraction, out.n_maxed, out.bias_bound) == (0.0, 0, 0.0)
     assert draws == [2048, 2048, 904]
@@ -438,14 +438,13 @@ def test_kappa_consistency():
             <= 3.0 * (full.stderr + half.stderr)
 
 
-def test_snap_bias_controlled():
+def test_snap_bias_controlled(monkeypatch):
     g = holder_point_singularity(0.3, [1.0, 0.0])
     x = [0.9, 0.0]
     base_eps = 1e-6 * DISC.diameter
-    a = solve(DISC, g, x, K05, WoSConfig(paths=100000, seed=7,
-                                         snap_eps=base_eps))
-    b = solve(DISC, g, x, K05, WoSConfig(paths=100000, seed=8,
-                                         snap_eps=2.0 * base_eps))
+    a = solve(DISC, g, x, K05, WoSConfig(paths=100000, seed=7))
+    monkeypatch.setattr(wos, "_SNAP_REL", 2.0 * wos._SNAP_REL)
+    b = solve(DISC, g, x, K05, WoSConfig(paths=100000, seed=8))
     bound = g.C0 * (2.0 * base_eps) ** g.alpha + 3.0 * (a.stderr + b.stderr)
     assert abs(a.estimate - b.estimate) <= bound
     assert a.bias_bound == pytest.approx(g.C0 * base_eps ** g.alpha)
@@ -493,11 +492,47 @@ def test_solver_rejects_a_3d_ball_before_walking():
               make_fractional_laplacian(0.5, 3), WoSConfig(paths=10))
 
 
-@pytest.mark.parametrize("max_steps", [0, -1])
-def test_config_rejects_max_steps_below_one(max_steps):
-    # refused when the settings are built, before any path walks
-    with pytest.raises(ParameterError, match="max_steps must be >= 1"):
-        WoSConfig(max_steps=max_steps)
+@pytest.mark.parametrize("kwargs, message", [
+    ({"paths": 0}, "paths must be an int >= 1, got 0"),
+    ({"paths": -3}, "paths must be an int >= 1, got -3"),
+    ({"paths": 2.5}, "paths must be an int >= 1, got 2.5"),
+    ({"paths": 1000.0}, "paths must be an int >= 1, got 1000.0"),
+    ({"paths": True}, "paths must be an int >= 1, got True"),
+    ({"seed": 1.5}, "seed must be an int in [0, 2^64), got 1.5"),
+    ({"seed": -1}, "seed must be an int in [0, 2^64), got -1"),
+    ({"seed": 2 ** 64}, f"seed must be an int in [0, 2^64), got {2 ** 64}"),
+    ({"seed": False}, "seed must be an int in [0, 2^64), got False"),
+    ({"antithetic": 1}, "antithetic must be a bool, got 1"),
+    ({"antithetic": "no"}, "antithetic must be a bool, got 'no'"),
+], ids=["paths=0", "paths=-3", "paths=2.5", "paths=1000.0", "paths=True",
+        "seed=1.5", "seed=-1", "seed=2**64", "seed=False", "antithetic=1",
+        "antithetic=no"])
+def test_config_refuses_each_bad_setting_by_name(kwargs, message):
+    # refused when the settings are built, before any path walks: a float
+    # path count died as a bare TypeError in the engine, seed 1.5 walked
+    # seed 1's streams, seed -1 walked after a numpy cast warning and seed
+    # 2^64 raised a bare OverflowError
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        WoSConfig(**kwargs)
+
+
+def test_config_takes_the_ends_of_its_ranges():
+    # the largest seed and point index fill their Philox key words
+    cfg = WoSConfig(paths=np.int64(2), seed=(1 << 64) - 1, antithetic=False)
+    out = solve(BALL, constant_data(1.0), [0.0, 0.0], K05, cfg,
+                point_index=(1 << 32) - 1)
+    assert (out.estimate, out.paths_used) == (1.0, 2)
+
+
+@pytest.mark.parametrize("index", [1 << 32, -1, 1.0, True])
+def test_solve_refuses_a_point_index_outside_its_key_word(index):
+    # the Philox key word is (index << 32) + b: index 2^32 raised a bare
+    # OverflowError
+    with pytest.raises(ParameterError,
+                       match=r"^a point index must be an int in \[0, 2\^32\), "
+                             f"got {re.escape(repr(index))}$"):
+        solve(BALL, constant_data(1.0), [0.0, 0.0], K05,
+              WoSConfig(paths=10), point_index=index)
 
 
 def test_odd_batch_size_without_antithetic_pairs(monkeypatch):
@@ -540,12 +575,12 @@ def test_stderr_does_not_cancel_under_a_large_mean():
     assert far.stderr == pytest.approx(near.stderr, rel=1e-8)
 
 
-def test_reliability_error_on_tiny_step_budget():
+def test_reliability_error_on_tiny_step_budget(monkeypatch):
     # off centre: from the centre the full disc exits in one jump
+    monkeypatch.setattr(wos, "_MAX_STEPS", 1)
     g = constant_data(1.0)
     with pytest.raises(ReliabilityError):
-        solve(DISC, g, [0.9, 0.0], K05, WoSConfig(paths=1000, max_steps=1,
-                                                  seed=1))
+        solve(DISC, g, [0.9, 0.0], K05, WoSConfig(paths=1000, seed=1))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -626,7 +661,9 @@ def test_a_datum_that_declares_no_growth_is_refused(monkeypatch):
     (unit_square(), [0.02, 0.5], 1000),
     (StarShaped([1.0, 0.0, 0.1]), [0.95, 0.05], 1000),
 ], ids=["disc", "square", "star"])
-def test_one_projection_and_one_datum_call_per_batch(dom, x, max_steps):
+def test_one_projection_and_one_datum_call_per_batch(dom, x, max_steps,
+                                                     monkeypatch):
+    monkeypatch.setattr(wos, "_MAX_STEPS", max_steps)
     calls = {"project": 0, "datum": 0}
     project = dom.project
 
@@ -642,8 +679,7 @@ def test_one_projection_and_one_datum_call_per_batch(dom, x, max_steps):
 
     dom.project = counted_project
     g = dataclasses.replace(base, fn=counted_datum)
-    out = solve(dom, g, x, K05, WoSConfig(paths=4000, seed=3,
-                                          max_steps=max_steps))
+    out = solve(dom, g, x, K05, WoSConfig(paths=4000, seed=3))
     assert out.snapped_fraction > 0.0
     assert (out.n_maxed > 0) == (max_steps < 1000)
     assert calls == {"project": 1, "datum": 1}
@@ -718,20 +754,22 @@ def test_wos_1d_matches_exit_law_oracle(s):
     assert abs(full.estimate - tail) <= 4.0 * full.stderr
 
 
-def test_bias_bound_counts_max_steps_walkers():
+def test_bias_bound_counts_max_steps_walkers(monkeypatch):
     g = holder_point_singularity(0.3, [1.0, 0.0])
-    out = solve(DISC, g, [0.9, 0.0], K05,
-                WoSConfig(paths=4000, seed=3, max_steps=16))
+    monkeypatch.setattr(wos, "_MAX_STEPS", 16)
+    out = solve(DISC, g, [0.9, 0.0], K05, WoSConfig(paths=4000, seed=3))
     assert 0 < out.n_maxed <= 0.01 * out.paths_used
     assert out.steps_max == 16
     snap_only = g.C0 * (1e-6 * DISC.diameter) ** g.alpha
     assert out.bias_bound > snap_only
+    monkeypatch.undo()
     done = solve(DISC, g, [0.9, 0.0], K05, WoSConfig(paths=4000, seed=3))
     assert done.n_maxed == 0 and 0 < done.steps_max < 1000
     assert done.bias_bound == pytest.approx(snap_only, rel=1e-15)
 
 
-def test_walkers_within_snap_eps_after_the_last_step_ran_out_of_steps():
+def test_walkers_within_snap_eps_after_the_last_step_ran_out_of_steps(
+        monkeypatch):
     # from depth 0.1 with snap_eps = 0.05 many walkers land within snap_eps
     # on the last allowed step: they count in n_maxed (paid at their
     # projection), they do not snap; pinned from the loop that tested for
@@ -740,12 +778,15 @@ def test_walkers_within_snap_eps_after_the_last_step_ran_out_of_steps():
     # counts were the same and the bias bound 0.41165700400372124: the
     # disc's nearest-point solve rounds the projections differently
     g = holder_point_singularity(0.3, [1.0, 0.0])
-    cfg = WoSConfig(paths=4000, seed=3, snap_eps=0.05, max_steps=2)
+    cfg = WoSConfig(paths=4000, seed=3)
+    # the disc's diameter is 2, so snap_eps is 0.05
+    monkeypatch.setattr(wos, "_SNAP_REL", 0.025)
+    monkeypatch.setattr(wos, "_MAX_STEPS", 2)
     with pytest.raises(ReliabilityError,
                        match=r"^1413 of 4000 paths hit max_steps = 2$"):
         solve(DISC, g, [0.9, 0.0], K05, cfg)
-    out = solve(DISC, g, [0.9, 0.0], K05, dataclasses.replace(cfg,
-                                                              max_steps=8))
+    monkeypatch.setattr(wos, "_MAX_STEPS", 8)
+    out = solve(DISC, g, [0.9, 0.0], K05, cfg)
     assert (out.n_maxed, out.steps_max) == (31, 8)
     assert out.snapped_fraction == 0.29325
     assert out.bias_bound == 0.4116570040037295
@@ -1155,6 +1196,22 @@ def test_ball_poisson_pinned(g, x, s, value):
 def test_halfplane_poisson_pinned(x, s, value):
     v, _ = halfplane_poisson(counterexample_min_rs_1(s), x, s)
     assert v == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("origin", [[0.0, 0.0], [0.3, -0.2]])
+def test_ray_circle_roots_of_a_ray_do_not_depend_on_the_batch(origin):
+    # a kink circle off the axes: with b = dirs @ v, a BLAS product, 80 of
+    # these 1,472 rays from the origin got other roots alone than in the
+    # batch
+    phis = np.linspace(0.0, 2.0 * np.pi, 1472, endpoint=False)
+    dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    origin, center = np.array(origin), np.array([1.7, 0.9])
+    batch = wos._ray_circle_roots(origin, dirs, center, 1.5, 1.0, 16.0)
+    assert np.count_nonzero(np.any(batch < 16.0, axis=1)) > 400
+    for k in range(len(dirs)):
+        alone = wos._ray_circle_roots(origin, dirs[k:k + 1], center, 1.5,
+                                      1.0, 16.0)
+        np.testing.assert_array_equal(alone[0], batch[k])
 
 
 @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
