@@ -18,15 +18,6 @@ from .geometry import Ball, Cone, HalfPlane, Polygon, StarShaped
 from .nonlocal_op import apply_L_many
 
 
-def eval_barrier(b, x):
-    """Closed-form barrier value at one point or a batch; identically zero
-    outside the positivity set."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return float(b(x[None, :])[0])
-    return b(x)
-
-
 # ---------------------------------------------------------------------------
 # exterior data
 

@@ -12,10 +12,6 @@ class ParameterError(FracLabError, ValueError):
     """An argument is outside its admissible range."""
 
 
-class SingularityError(FracLabError, ValueError):
-    """Evaluation requested at a singular point (e.g. the kernel at 0)."""
-
-
 class DomainError(FracLabError, ValueError):
     """A point or domain violates an operation's geometric precondition."""
 

@@ -1,15 +1,13 @@
 """Harmonic extension of the exterior datum and the bounds it satisfies.
 
 The extended datum equals the classical harmonic extension of g's boundary
-trace inside the domain and g itself outside.  On the disk and the half
-plane the extension is a Poisson integral evaluated by graded-panel
-quadrature, and ``extended_field`` builds the composite field from it on
-those two domains only.  A disk whose datum declares that it is exactly
-C0 |y - z0|^alpha, with z0 on the circle and 0 < alpha < 1, takes that
-datum's closed-form extension instead.  Every other domain is refused.
-The extension module also checks, by finite differences and by the
-nonlocal operator, the blow-up rates of D^2 and of L applied to the
-extension.
+trace inside the domain and g itself outside.  ``extended_field`` builds it
+on a planar Ball only: inside, the disk's Poisson integral evaluated by
+graded-panel quadrature, or, for a datum that declares that it is exactly
+C0 |y - z0|^alpha with z0 on the circle and 0 < alpha < 1, that datum's
+closed-form extension.  Every other domain is refused.  The module also
+checks, by finite differences and by the nonlocal operator, the blow-up
+rates of D^2 and of L applied to the extension, at criterion 10's settings.
 """
 
 import math
@@ -17,22 +15,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (MERGE_TOL, bisect_edges, gl8_panels, graded_edges,
-                    merge_keep, node_chunks, octaves, periodic_edges)
-from .errors import DivergenceError, DomainError, UnsupportedVariantError
+from ._quad import (MERGE_TOL, gl8_panels, graded_edges, merge_keep,
+                    node_chunks, octaves, periodic_edges)
+from .errors import DomainError, ParameterError, UnsupportedVariantError
 from .fields import CompositeField
-from .geometry import Ball, HalfPlane, row_dot
+from .geometry import Ball
+from .kernels import make_fractional_laplacian
 from .nonlocal_op import QuadratureSpec, apply_L_many
 from .wos import _declared_growth
 
 
-@dataclass(frozen=True)
-class ExtensionValue:
-    value: float
-    method: str = "quadrature"
-
-    def __float__(self):
-        return self.value
+def _plane_points(x):
+    """x as a float array, and its rows as an (n, 2) array; a ParameterError
+    naming the point unless x is a finite 2-vector or an (n, 2) array of
+    finite rows."""
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    if x.ndim > 2 or pts.shape[1] != 2:
+        what = x.tolist() if x.ndim < 2 else f"an array of shape {x.shape}"
+        raise ParameterError(
+            f"an extension point must be a 2-vector, not {what}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        bad = pts[~finite][0].tolist()
+        raise ParameterError(f"an extension point must be finite, not {bad}")
+    return x, pts
 
 
 class DiskExtension:
@@ -51,7 +58,8 @@ class DiskExtension:
     leaves no rounding noise for the operator to refine.
 
     Called with one point it returns a float; with an (n, 2) array it
-    returns the n values, a chunk of points at a time.
+    returns the n values, a chunk of points at a time.  Any other shape,
+    and a point that is not finite, raise a ParameterError naming it.
     """
 
     def __init__(self, dom, g):
@@ -74,8 +82,7 @@ class DiskExtension:
         self._offsets = edges - edges[0]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
+        x, pts = _plane_points(x)
         v = pts - self.dom.center
         r = np.sqrt(np.sum(v * v, axis=1))
         R = self.dom.radius
@@ -160,8 +167,7 @@ class PointPowerDiskExtension:
     def __call__(self, x):
         from scipy.special import hyp2f1
 
-        x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
+        x, pts = _plane_points(x)
         vx = pts[:, 0] - self.dom.center[0]
         vy = pts[:, 1] - self.dom.center[1]
         R = self.dom.radius
@@ -189,94 +195,16 @@ def _disk_extension(dom, g):
     return DiskExtension(dom, g)
 
 
-class HalfPlaneExtension:
-    """Poisson integral on a half plane; one point or an (n, 2) array, as
-    for ``DiskExtension``."""
-
-    def __init__(self, dom, g):
-        if _declared_growth(g) >= 1.0:
-            raise DivergenceError(
-                "half-plane Poisson integral needs datum growth < 1")
-        self.dom = dom
-        self.g = g
-        self.tangent = np.array([-dom.normal[1], dom.normal[0]])
-
-    def _trace(self, t):
-        t = np.asarray(t, dtype=float)
-        z = t.reshape(-1, 1) * self.tangent[None, :]
-        return self.g(z).reshape(t.shape)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
-        h = row_dot(pts, self.dom.normal)
-        if np.any(h <= 0):
-            raise DomainError("extension evaluation requires an interior point")
-        t0 = row_dot(pts, self.tangent)
-        T = np.maximum(1e4 * np.maximum(h, 1.0), 1e4 * np.abs(t0))
-        # graded edges, refined to quarter-octave spacing by two bisections
-        n_edges = 4 * (2 * octaves(h / 4.0, T) + 5)
-        out = np.empty(len(h))
-        # the rows of a chunk share their octave count, so none is padded
-        # (padding panels, at both ends of a row, would regroup the row sum)
-        # and a point's value does not depend on the batch around it
-        for m in np.unique(n_edges):
-            same = np.nonzero(n_edges == m)[0]
-            for rows in node_chunks(np.full(len(same), 8 * m)):
-                rows = same[rows]
-                out[rows] = self._values(h[rows], t0[rows], T[rows])
-        return float(out[0]) if x.ndim == 1 else out
-
-    def _values(self, h, t0, T):
-        """Extension values at a chunk of points at heights h and tangential
-        coordinates t0, with cutoffs T."""
-        edges = bisect_edges(bisect_edges(graded_edges(t0, h / 4.0, T)))
-        ts, w = gl8_panels(edges)
-        kern = w * ((h[:, None] / np.pi)
-                    / ((ts - t0[:, None]) ** 2 + h[:, None] ** 2))
-        integ = np.sum(kern * self._trace(ts), axis=1)
-        norm = np.sum(kern, axis=1)
-        # analytic kernel mass beyond the cutoffs, with the edge datum value
-        for edge in (edges[:, -1], edges[:, 0]):
-            mass = 0.5 - np.arctan(np.abs(edge - t0) / h) / np.pi
-            integ += mass * self._trace(edge)
-            norm += mass
-        return integ / norm
-
-
-def _inside_field(dom, g, caller):
-    """The deterministic extension of g inside a Ball or HalfPlane; any
-    other domain raises an UnsupportedVariantError naming caller, the two
-    supported domains and its type."""
-    if isinstance(dom, Ball):
-        return _disk_extension(dom, g)
-    if isinstance(dom, HalfPlane):
-        return HalfPlaneExtension(dom, g)
-    raise UnsupportedVariantError(
-        f"{caller} supports Ball and HalfPlane, not {type(dom).__name__}")
-
-
-def harmonic_extension(dom, g, x):
-    """Value of the extended datum at an interior point: the solution of the
-    Laplace problem with boundary trace g, evaluated at x.
-
-    Disks and half planes use their Poisson-integral quadrature (the half
-    plane needs a datum that declares growth below 1), except that a disk
-    takes the closed form for the point-singularity datum that declares it
-    (``method="closed_form"``, see ``PointPowerDiskExtension``).  Every
-    other domain raises an UnsupportedVariantError."""
-    inside = _inside_field(dom, g, "harmonic_extension")
-    method = ("closed_form" if isinstance(inside, PointPowerDiskExtension)
-              else "quadrature")
-    return ExtensionValue(value=inside(x), method=method)
-
-
 def extended_field(dom, g):
     """The composite field: harmonic extension inside, the datum outside, on
-    a 2-D Ball and on HalfPlane, whose deterministic Poisson quadratures (or
-    the disk's closed form, for the datum that declares it) the operator's
-    error estimate covers."""
-    return CompositeField(dom, _inside_field(dom, g, "extended_field"), g,
+    a 2-D Ball, whose Poisson quadrature (or closed form, for the datum that
+    declares it) the operator's error estimate covers.  Every other domain
+    raises an UnsupportedVariantError naming extended_field, Ball and its
+    type."""
+    if not isinstance(dom, Ball):
+        raise UnsupportedVariantError(
+            f"extended_field supports Ball, not {type(dom).__name__}")
+    return CompositeField(dom, _disk_extension(dom, g), g,
                           growth=_declared_growth(g))
 
 
@@ -312,36 +240,39 @@ class ExtensionBoundsReport:
     slope_tol: float
 
 
-def check_extension_bounds(dom, g, band=(1e-3, 1e-1), alpha=None, n_points=10,
-                           kernel=None, towards=None, slope_tol=0.1):
-    """Probe |D^2 gbar| d^{2-alpha} and |L gbar| d^{2s-alpha} on log-spaced
-    distances in the band, approaching the datum's singular anchor.
+# criterion 10's probe: _N_POINTS log-spaced distances to the boundary in
+# _BAND, the operator's kernel, and the largest |log-log slope| of a
+# normalized quantity that still counts as no growth
+_BAND = (1e-3, 1e-1)
+_N_POINTS = 10
+_KERNEL = make_fractional_laplacian(0.5, 2)
+_SLOPE_TOL = 0.15
+
+
+def check_extension_bounds(dom, g):
+    """Probe |D^2 gbar| d^{2-alpha} and |L gbar| d^{2s-alpha}, alpha the
+    datum's exponent and s the order of ``_KERNEL``, on ``_N_POINTS``
+    log-spaced distances d in ``_BAND``, approaching the datum's first
+    singular point (along e1 if it declares none).
 
     PASS means both normalized quantities show no growth trend: the log-log
-    slope stays within ``slope_tol`` of zero.
+    slope stays within ``_SLOPE_TOL`` of zero.  A domain other than a
+    planar Ball is refused as ``extended_field`` refuses it.
     """
-    if not isinstance(dom, Ball):
-        raise UnsupportedVariantError("extension bounds are probed on Ball")
-    if alpha is None:
-        alpha = g.alpha
-    if kernel is None:
-        from .kernels import make_fractional_laplacian
-        kernel = make_fractional_laplacian(0.5, 2)
-    s = kernel.s
-    if towards is None:
-        if getattr(g, "singular_points", ()):
-            p = np.asarray(g.singular_points[0], dtype=float)
-            towards = (p - dom.center) / np.linalg.norm(p - dom.center)
-        else:
-            towards = np.array([1.0, 0.0])
-    towards = np.asarray(towards, dtype=float)
-    ds = np.geomspace(band[0], band[1], n_points)
     comp = extended_field(dom, g)
     disk = comp.inside          # one inside field for the Hessian and L
+    alpha = g.alpha
+    s = _KERNEL.s
+    if getattr(g, "singular_points", ()):
+        p = np.asarray(g.singular_points[0], dtype=float)
+        towards = (p - dom.center) / np.linalg.norm(p - dom.center)
+    else:
+        towards = np.array([1.0, 0.0])
+    ds = np.geomspace(*_BAND, _N_POINTS)
     q = QuadratureSpec(target_rel_tol=2e-3, max_angular_panels=24,
                        max_radial_panels=160, n_jacobi=16)
     xs = [dom.center + (dom.radius - d) * towards for d in ds]
-    ovs = apply_L_many(kernel, comp, xs, q=q)
+    ovs = apply_L_many(_KERNEL, comp, xs, q=q)
     hess_n, hessnorm, opv, operr, opn = [], [], [], [], []
     for d, x, ov in zip(ds, xs, ovs):
         H = hessian_fd(disk, x, d / 8.0)
@@ -360,10 +291,10 @@ def check_extension_bounds(dom, g, band=(1e-3, 1e-1), alpha=None, n_points=10,
 
     hs = _slope(hessnorm)
     osl = _slope(opn)
-    passed = bool(abs(hs) <= slope_tol and abs(osl) <= slope_tol)
+    passed = bool(abs(hs) <= _SLOPE_TOL and abs(osl) <= _SLOPE_TOL)
     return ExtensionBoundsReport(
         d=tuple(ds), hess_norm=tuple(hess_n), hess_normalized=tuple(hessnorm),
         op_value=tuple(opv), op_err=tuple(operr), op_normalized=tuple(opn),
         hess_slope=hs, op_slope=osl,
         hess_sup=float(np.max(hessnorm)), op_sup=float(np.max(opn)),
-        passed=passed, slope_tol=slope_tol)
+        passed=passed, slope_tol=_SLOPE_TOL)

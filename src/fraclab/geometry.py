@@ -843,14 +843,5 @@ def domain_from_config(cfg):
     return build_record("domain variant", _VARIANTS, cfg)
 
 
-def domain_to_config(dom):
-    """The config record of ``dom``, the inverse of ``domain_from_config``."""
-    for kind, (cls, keys) in _VARIANTS.items():
-        if isinstance(dom, cls):
-            return {kind: {k: np.asarray(getattr(dom, k)).tolist()
-                           for k in keys}}
-    raise ParameterError(f"cannot serialize {type(dom).__name__}")
-
-
 def unit_square():
     return Polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

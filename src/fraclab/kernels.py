@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, SingularityError, build_record
+from .errors import ParameterError, build_record
 
 
 def _ones_density(theta):
@@ -63,21 +63,6 @@ def make_fractional_laplacian(s, dim=2):
         raise ParameterError(f"kernel dim must be an integer, got {dim!r}")
     return KernelSpec(s=float(s), dim=int(dim), lam=1.0, Lam=1.0,
                       angular_density=_ones_density, name="frac_lap")
-
-
-def kernel_eval(kernel, y):
-    """Evaluate K(y) = a(y/|y|) |y|^(-N-2s) at one point or a batch.
-
-    ``y`` has shape (dim,) or (n, dim); y = 0 raises a singularity error.
-    """
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    pts = y[None, :] if single else y
-    r = np.linalg.norm(pts, axis=-1)
-    if np.any(r == 0.0):
-        raise SingularityError("kernel is singular at y = 0")
-    vals = kernel.angular_density(pts / r[:, None]) * r ** (-kernel.dim - 2.0 * kernel.s)
-    return float(vals[0]) if single else vals
 
 
 def _sphere_directions(dim, n):

@@ -113,21 +113,6 @@ def fit_holder(profile, s=None):
         aic_plain=float(aic_plain), aic_log=float(aic_log), n_used=n)
 
 
-def holder_seminorm(samples, alpha):
-    """Max over sample pairs of |u(x) - u(y)| / |x - y|^alpha, a lower bound
-    for the Hoelder seminorm."""
-    pts = np.asarray([p for p, _ in samples], dtype=float)
-    vals = np.asarray([v for _, v in samples], dtype=float)
-    if len(pts) < 2:
-        raise InsufficientDataError("need at least 2 samples")
-    diff = np.abs(vals[:, None] - vals[None, :])
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    iu = np.triu_indices(len(pts), k=1)
-    d = dist[iu]
-    keep = d > 0
-    return float(np.max(diff[iu][keep] / d[keep] ** alpha))
-
-
 # ---------------------------------------------------------------------------
 # solver adapters: callable(xs, indices) -> [(value, stderr), ...], one pair
 # per point of xs, point xs[k] on the streams of indices[k]

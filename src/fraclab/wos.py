@@ -112,23 +112,6 @@ def _ball_exit(law, v, R, n, shift, rng):
                      step * ((num_y * den_x - num_x * den_y) / norm)], axis=1)
 
 
-def sample_ball_exit(s, dim, rng, n=1, x=None):
-    """Exit points of the 2s-stable process from the unit ball started at x
-    (default its centre): n points with |y| >= 1, drawn as ``solve`` draws
-    the one exact jump of a ball walker, without antithetic pairs."""
-    if dim not in (1, 2):
-        raise ParameterError("exit sampling supports dim 1 and 2")
-    if not _is_int(n) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    v = np.zeros(dim) if x is None else np.asarray(x, dtype=float)
-    if v.shape != (dim,) or not float(v @ v) < 1.0:
-        raise ParameterError(
-            f"exit sampling starts inside the unit ball of dim {dim}, "
-            f"not at {v.tolist()}")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _ball_exit(StableExitSampler(s), v, 1.0, n, 0, rng)
-
-
 # ---------------------------------------------------------------------------
 # solver
 

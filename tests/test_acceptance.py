@@ -171,9 +171,8 @@ def test_criterion_9_lipschitz_corner():
 def test_criterion_10_extension_bounds():
     t0 = time.time()
     g = holder_point_singularity(0.3, [1.0, 0.0])
-    rep = check_extension_bounds(BALL, g, band=(1e-3, 1e-1), n_points=10,
-                                 alpha=0.3, kernel=K05, slope_tol=0.15)
-    ok = abs(rep.hess_slope) <= 0.15 and abs(rep.op_slope) <= 0.15
+    rep = check_extension_bounds(BALL, g)
+    ok = rep.passed and rep.slope_tol == 0.15
     elapsed = time.time() - t0
     report(10, ok, f"|D2 gbar| d^(2-a) slope {rep.hess_slope:+.3f}, "
                    f"|L gbar| d^(2s-a) slope {rep.op_slope:+.3f}, "

@@ -5,7 +5,7 @@ from fraclab.barriers import (bracket_cone_beta0,
                               capped_distance_data, cone_boundary_points,
                               coordinate_data,
                               counterexample_min_rs_1, data_from_config,
-                              eval_barrier, holder_point_singularity,
+                              holder_point_singularity,
                               verify_cone_barrier,
                               verify_halfspace_supersolution,
                               verify_psi_barrier)
@@ -22,15 +22,17 @@ Q_FAST = QuadratureSpec(target_rel_tol=1e-5, max_angular_panels=24,
 
 def test_eval_barrier_halfspace():
     b = HalfSpacePower([0.0, 1.0], 0.3)
-    assert eval_barrier(b, np.array([5.0, 4.0])) == pytest.approx(4.0 ** 0.3)
-    assert eval_barrier(b, np.array([5.0, -1.0])) == 0.0
+    v = b(np.array([[5.0, 4.0], [5.0, -1.0]]))
+    assert v[0] == pytest.approx(4.0 ** 0.3)
+    assert v[1] == 0.0
 
 
 def test_eval_barrier_cone():
     b = ConeBarrier([0.0, 1.0], 1.0, 0.1)
-    assert eval_barrier(b, np.array([0.0, -1.0])) == 0.0
+    v = b(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert v[0] == 0.0
     # psi(1, 0) = 0 + 1 * 1 * (1 - 0) = 1
-    assert eval_barrier(b, np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert v[1] == pytest.approx(1.0)
 
 
 def test_cone_barrier_exact_homogeneity():

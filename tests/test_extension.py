@@ -4,12 +4,10 @@ import pytest
 from fraclab._quad import bisect_edges, gl8_panels, graded_edges, periodic_edges
 from fraclab.barriers import (ExteriorData, capped_distance_data,
                               constant_data, holder_point_singularity)
-from fraclab.errors import (DivergenceError, DomainError, ParameterError,
-                            UnsupportedVariantError)
-from fraclab.extension import (DiskExtension, HalfPlaneExtension,
-                               PointPowerDiskExtension, _disk_extension,
-                               check_extension_bounds, extended_field,
-                               harmonic_extension, hessian_fd)
+from fraclab.errors import DomainError, ParameterError, UnsupportedVariantError
+from fraclab.extension import (DiskExtension, PointPowerDiskExtension,
+                               _disk_extension, check_extension_bounds,
+                               extended_field, hessian_fd)
 from fraclab.fields import CompositeField
 from fraclab.geometry import (Ball, Cone, HalfPlane, Polygon, StarShaped,
                               unit_square)
@@ -24,8 +22,7 @@ def test_mean_value_constant_data():
     ball = Ball([0.0, 0.0], 1.0)
     g = constant_data(1.0)
     for x in ([0.0, 0.0], [0.5, 0.3], [0.9, 0.0]):
-        assert harmonic_extension(ball, g, x).value == pytest.approx(1.0,
-                                                                     abs=1e-12)
+        assert _disk_extension(ball, g)(x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_harmonic_polynomial_reproduced():
@@ -34,8 +31,7 @@ def test_harmonic_polynomial_reproduced():
     g = ExteriorData(fn=lambda p: np.asarray(p, dtype=float)[..., 0],
                      alpha=0.99, C0=4.0, growth=1.0)
     for x in ([0.3, 0.2], [0.0, 0.95], [-0.7, 0.1], [0.0, 0.0]):
-        assert harmonic_extension(ball, g, x).value == pytest.approx(
-            x[0], abs=1e-10)
+        assert _disk_extension(ball, g)(x) == pytest.approx(x[0], abs=1e-10)
 
 
 def test_maximum_principle_random_data():
@@ -50,7 +46,7 @@ def test_maximum_principle_random_data():
     phis = np.linspace(0, 2 * np.pi, 512, endpoint=False)
     tr = g(np.stack([np.cos(phis), np.sin(phis)], axis=1))
     for x in ([0.2, 0.4], [0.0, 0.0], [-0.8, 0.1]):
-        v = harmonic_extension(ball, g, x).value
+        v = _disk_extension(ball, g)(x)
         assert tr.min() - 1e-9 <= v <= tr.max() + 1e-9
 
 
@@ -247,21 +243,6 @@ def test_disk_extension_matches_earlier_rule(name):
                 <= 2.0 * np.max(np.abs(old[tie] - ref) / np.abs(ref)))
 
 
-def test_halfplane_extension_batch_matches_rows():
-    hp = HalfPlane([0.0, 1.0])
-    g = ExteriorData(fn=lambda p: np.abs(p[..., 0] - 0.5) ** 0.3
-                     / (1.0 + p[..., 0] ** 2),
-                     alpha=0.3, C0=2.0, growth=0.0)
-    he = HalfPlaneExtension(hp, g)
-    rng = np.random.Generator(np.random.Philox(key=6))
-    pts = np.column_stack([rng.uniform(-3.0, 3.0, 30),
-                           10.0 ** rng.uniform(-12.0, 1.0, 30)])
-    pts[0] = [0.5, 1e-12]
-    rows = np.array([he(p) for p in pts])
-    # bit for bit: a chunk holds rows of one width, so no row is padded
-    np.testing.assert_array_equal(he(pts), rows)
-
-
 def test_extension_pinned_values():
     # values of the per-point evaluation that batching replaced; the rule is
     # unchanged, so they agree to rounding
@@ -273,14 +254,6 @@ def test_extension_pinned_values():
     np.testing.assert_allclose(
         de(disk_pts), [0.00028192413350796013, 0.017806059908959938,
                        1.0956650746843293], rtol=1e-12, atol=0.0)
-    g = ExteriorData(fn=lambda p: np.abs(p[..., 0] - 0.5) ** 0.3
-                     / (1.0 + p[..., 0] ** 2),
-                     alpha=0.3, C0=2.0, growth=0.0)
-    he = HalfPlaneExtension(HalfPlane([0.0, 1.0]), g)
-    np.testing.assert_allclose(
-        he(np.array([[0.5, 1e-12], [0.3, 0.01], [-2.0, 3.0]])),
-        [0.00022553442460983465, 0.5625203793241909, 0.20329274000363526],
-        rtol=1e-12, atol=0.0)
 
 
 def test_extension_batch_larger_than_chunk():
@@ -300,9 +273,25 @@ def test_extension_batch_rejects_exterior_point():
     de = DiskExtension(Ball([0.0, 0.0], 1.0), g)
     with pytest.raises(DomainError):
         de(np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]))
-    he = HalfPlaneExtension(HalfPlane([0.0, 1.0]), g)
-    with pytest.raises(DomainError):
-        he(np.array([[0.0, 1.0], [2.0, -1e-3]]))
+
+
+@pytest.mark.parametrize("g", [
+    holder_point_singularity(0.3, [1.0, 0.0]),      # the closed form
+    capped_distance_data([2.0, 0.0], 3.0),          # the quadrature
+], ids=["closed_form", "quadrature"])
+def test_disk_fields_refuse_a_malformed_point(g):
+    # a third coordinate was dropped without a word, a 1-vector raised a
+    # bare IndexError or a broadcast ValueError, and NaN came back as nan
+    ext = extended_field(Ball([0.0, 0.0], 1.0), g).inside
+    for x, named in (([0.1, 0.0, 0.0], "[0.1, 0.0, 0.0]"), ([0.1], "[0.1]"),
+                     (0.1, "not 0.1"), (np.zeros((2, 3)), "shape (2, 3)"),
+                     (np.zeros((1, 2, 2)), "shape (1, 2, 2)"),
+                     ([np.nan, 0.0], "[nan, 0.0]"),
+                     ([[0.1, 0.0], [0.2, np.inf]], "[0.2, inf]")):
+        with pytest.raises(ParameterError, match="extension point") as info:
+            ext(x)
+        assert named in str(info.value)
+    assert ext(np.empty((0, 2))).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +360,8 @@ def test_point_power_closed_form_rejects_points_off_the_open_disk():
     for x in ([0.0, 2.0], [1.0, 1.0], [3.0, 0.0]):
         with pytest.raises(DomainError):
             ext(x)
-        with pytest.raises(DomainError):
-            harmonic_extension(Ball([0.0, 1.0], 1.0), g, x)
     with pytest.raises(DomainError):
         ext(np.array([[0.0, 1.0], [0.0, 2.0]]))
-
-
-def test_harmonic_extension_reports_the_closed_form():
-    ball = Ball([0.0, 0.0], 1.0)
-    g = holder_point_singularity(0.3, [1.0, 0.0])
-    out = harmonic_extension(ball, g, [0.99, 0.0])
-    assert out.method == "closed_form"
-    assert out.value == extended_field(ball, g).inside([0.99, 0.0])
 
 
 @pytest.mark.parametrize("g", [
@@ -395,7 +374,6 @@ def test_harmonic_extension_reports_the_closed_form():
 def test_other_data_take_the_disk_quadrature(g):
     ball = Ball([0.0, 0.0], 1.0)
     assert isinstance(_disk_extension(ball, g), DiskExtension)
-    assert harmonic_extension(ball, g, [0.5, 0.2]).method == "quadrature"
 
 
 def test_composite_field_constant_data():
@@ -456,15 +434,12 @@ def bare_datum(p):
 
 
 def test_extension_refuses_a_datum_without_growth_where_it_needs_one():
-    # the half plane's Poisson integral needs the datum's growth below 1;
     # a polygon is refused whatever its datum
     with pytest.raises(UnsupportedVariantError, match="not Polygon"):
-        harmonic_extension(unit_square(), bare_datum, [0.4, 0.7])
-    with pytest.raises(ParameterError, match="declares no growth"):
-        harmonic_extension(HalfPlane([0.0, 1.0]), bare_datum, [0.0, 1.0])
+        extended_field(unit_square(), bare_datum)
     # the disk's Poisson integral reads no growth, its extended field does
-    disk = harmonic_extension(Ball([0.0, 0.0], 1.0), bare_datum, [0.3, 0.4])
-    assert disk.value == pytest.approx(1.0, abs=1e-12)
+    disk = _disk_extension(Ball([0.0, 0.0], 1.0), bare_datum)
+    assert disk([0.3, 0.4]) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ParameterError, match="declares no growth"):
         extended_field(Ball([0.0, 0.0], 1.0), bare_datum)
 
@@ -473,33 +448,11 @@ def test_disk_extensions_refuse_balls_not_in_the_plane():
     for ball in (Ball([0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)):
         with pytest.raises(UnsupportedVariantError, match="dim-2"):
             extended_field(ball, constant_data(1.0))
-        with pytest.raises(UnsupportedVariantError, match="dim-2"):
-            harmonic_extension(ball, constant_data(1.0), np.zeros(ball.dim))
 
 
 def test_extended_field_rejects_polygons():
     with pytest.raises(UnsupportedVariantError, match="Polygon"):
         extended_field(unit_square(), constant_data(1.0))
-
-
-def test_halfplane_extension():
-    hp = HalfPlane([0.0, 1.0])
-    g = ExteriorData(fn=lambda p: 1.0 / (1.0 + p[..., 0] ** 2),
-                     alpha=0.9, C0=2.0, growth=0.0)
-    v = harmonic_extension(hp, g, [0.0, 1.0]).value
-    # Poisson integral of 1/(1+t^2) at height h on the axis: 1/(1+h)... the
-    # harmonic extension of this trace is (1+y)/ (x^2 + (1+y)^2) * 1 at x=0
-    assert v == pytest.approx(0.5, abs=1e-6)
-    ones = constant_data(1.0)
-    assert harmonic_extension(hp, ones, [3.0, 0.5]).value == pytest.approx(
-        1.0, abs=1e-9)
-
-
-def test_halfplane_extension_rejects_growth():
-    hp = HalfPlane([0.0, 1.0])
-    glin = ExteriorData(fn=lambda p: p[..., 0], alpha=0.99, C0=4.0, growth=1.0)
-    with pytest.raises(DivergenceError):
-        harmonic_extension(hp, glin, [0.0, 1.0])
 
 
 # a non-convex polygon: the vertex (1, 1) is reflex
@@ -511,21 +464,21 @@ def test_extension_rejects_exterior_and_unsupported():
     ball = Ball([0.0, 0.0], 1.0)
     g = constant_data(1.0)
     with pytest.raises(DomainError):
-        harmonic_extension(ball, g, [2.0, 0.0])
-    for dom, x in ((Cone([0, 1], 1.0), [0.0, 1.0]),
-                   (StarShaped([1.0, 0.0, 0.1]), [0.2, 0.1]),
-                   (unit_square(), [0.4, 0.7]), (L_SHAPE, [0.5, 1.5])):
-        with pytest.raises(UnsupportedVariantError,
-                           match=f"^harmonic_extension supports Ball and "
-                                 f"HalfPlane, not {type(dom).__name__}$"):
-            harmonic_extension(dom, g, x)
+        extended_field(ball, g).inside([2.0, 0.0])
+    # the half plane too: no command, criterion or workload extends into it
+    for dom in (HalfPlane([0.0, 1.0]), Cone([0, 1], 1.0),
+                StarShaped([1.0, 0.0, 0.1]), unit_square(), L_SHAPE):
+        for call in (extended_field, check_extension_bounds):
+            with pytest.raises(UnsupportedVariantError,
+                               match=f"^extended_field supports Ball, not "
+                                     f"{type(dom).__name__}$"):
+                call(dom, g)
 
 
 def test_check_extension_bounds_constant_is_flat_zero():
     ball = Ball([0.0, 0.0], 1.0)
     g = constant_data(1.0)
-    rep = check_extension_bounds(ball, g, band=(1e-2, 1e-1), n_points=4,
-                                 alpha=0.3)
+    rep = check_extension_bounds(ball, g)
     assert np.max(np.abs(rep.hess_norm)) < 1e-6
     assert np.max(np.abs(rep.op_value)) < 1e-5
 
@@ -533,8 +486,7 @@ def test_check_extension_bounds_constant_is_flat_zero():
 def test_check_extension_bounds_lipschitz_datum():
     ball = Ball([0.0, 0.0], 1.0)
     g = capped_distance_data([2.0, 0.0], 3.0, alpha=0.9)
-    rep = check_extension_bounds(ball, g, band=(1e-2, 1e-1), n_points=4,
-                                 alpha=0.9, towards=np.array([1.0, 0.0]))
+    rep = check_extension_bounds(ball, g)
     # smooth datum nearby: normalized quantities stay bounded
     assert np.isfinite(rep.hess_sup) and np.isfinite(rep.op_sup)
     assert rep.hess_sup < 50.0

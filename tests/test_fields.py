@@ -6,11 +6,12 @@ import pytest
 
 from fraclab.barriers import constant_data
 from fraclab.errors import ParameterError
-from fraclab.fields import (CallableField, CompositeField, ConeBarrier,
-                            ConstantField, HalfSpacePower,
-                            LinearCombinationField, PowerPlus1D, PsiPower,
-                            TranslatedField)
+from fraclab.fields import (CompositeField, ConeBarrier, HalfSpacePower,
+                            PowerPlus1D, PsiPower, TranslatedField)
 from fraclab.geometry import Ball, Cone, HalfPlane, StarShaped, unit_square
+
+from fixture_fields import (CallableField, ConstantField,
+                            LinearCombinationField)
 
 
 def _ref_plane(b, w, r_max):

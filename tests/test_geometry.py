@@ -5,13 +5,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fraclab.barriers import holder_point_singularity
 from fraclab.errors import DomainError, ParameterError
-from fraclab.extension import HalfPlaneExtension
-from fraclab.fields import AffineField
 from fraclab.geometry import (Ball, Cone, HalfPlane, Polygon, StarShaped,
-                              domain_from_config, domain_to_config, row_dot,
-                              row_norm2, unit_square)
+                              domain_from_config, row_dot, row_norm2,
+                              unit_square)
+
+from fixture_fields import AffineField
 
 
 def test_ball_basics():
@@ -184,13 +183,19 @@ def test_star_psi_is_c2_across_its_flattening_ramp():
 
 
 def test_domain_config_round_trip():
-    for dom in (Ball([0.1, 0.2], 1.5), HalfPlane([0.0, 1.0]),
-                Cone([0.0, 1.0], 0.7), unit_square(),
-                StarShaped([1.0, 0.0, 0.1], [0.0, 0.05])):
-        cfg = domain_to_config(dom)
-        dom2 = domain_from_config(cfg)
-        assert type(dom2) is type(dom)
-        assert domain_to_config(dom2) == cfg
+    for cls, cfg in (
+            (Ball, {"ball": {"center": [0.1, 0.2], "radius": 1.5}}),
+            (HalfPlane, {"halfplane": {"normal": [0.0, 1.0]}}),
+            (Cone, {"cone": {"axis": [0.0, 1.0], "eta": 0.7}}),
+            (Polygon, {"polygon": {"vertices": [[0.0, 0.0], [1.0, 0.0],
+                                                [1.0, 1.0], [0.0, 1.0]]}}),
+            (StarShaped, {"star": {"coeff_cos": [1.0, 0.0, 0.1],
+                                   "coeff_sin": [0.0, 0.05]}})):
+        dom = domain_from_config(cfg)
+        assert type(dom) is cls
+        (args,) = cfg.values()
+        for key, value in args.items():
+            assert np.asarray(getattr(dom, key)).tolist() == value, key
 
 
 def test_degenerate_domains_rejected():
@@ -414,12 +419,6 @@ def test_cone_and_halfplane_rows_do_not_depend_on_the_batch():
                   AffineField([0.3, 1.1], 0.2)):
         batch = query(pts)
         np.testing.assert_array_equal([query(p) for p in pts], batch)
-    # the half-plane's harmonic extension (a row dot for the height and one
-    # for the tangential coordinate, then a panel sum per point; 149 of
-    # these 600 points differed with the row dots and padded chunks)
-    ext = HalfPlaneExtension(hp, holder_point_singularity(0.3, [0.0, 0.0]))
-    inside = pts[hp.contains(pts)][:600]
-    np.testing.assert_array_equal([ext(p) for p in inside], ext(inside))
     for dom in UNBOUNDED.values():
         inside = pts[np.asarray(dom.contains(pts))]
         z0, normal = dom.project(inside)

@@ -10,15 +10,15 @@ from fraclab import nonlocal_op
 from fraclab.errors import (DivergenceError, DomainError, ParameterError,
                             ToleranceWarning)
 from fraclab.extension import DiskExtension, extended_field
-from fraclab.fields import (AffineField, CallableField, CompositeField,
-                            ConeBarrier, ConstantField, HalfSpacePower,
-                            LinearCombinationField, PowerPlus1D, PsiPower,
-                            TranslatedField)
+from fraclab.fields import (CompositeField, ConeBarrier, HalfSpacePower,
+                            PowerPlus1D, PsiPower, TranslatedField)
 from fraclab.geometry import Ball, StarShaped
 from fraclab.kernels import KernelSpec, make_fractional_laplacian
 from fraclab.nonlocal_op import (QuadratureSpec, apply_L, apply_L_1d,
                                  apply_L_many, homogeneity_check)
 
+from fixture_fields import (AffineField, CallableField, ConstantField,
+                            LinearCombinationField)
 from oracles import halfcircle_reduction_constant, op_1d_power_plus
 
 # frozen from the independent adaptive-quadrature oracle (and equal to pi/4

@@ -7,7 +7,7 @@ from fraclab.geometry import Ball, unit_square
 from fraclab.kernels import make_fractional_laplacian
 from fraclab.regularity import (BoundaryProfile, boundary_profile,
                                 exponent_experiment, fit_holder,
-                                holder_seminorm, inward_normal, wos_solver)
+                                inward_normal, wos_solver)
 from fraclab.wos import WoSConfig
 
 BALL = Ball([0.0, 0.0], 1.0)
@@ -95,41 +95,6 @@ def test_fit_weights_downweight_noisy_points():
     se[0] = 0.3  # but mark it as noisy
     fit = fit_holder(synthetic_profile(t, vals, stderr=se))
     assert fit.alpha_hat == pytest.approx(0.3, abs=2e-3)
-
-
-def test_holder_seminorm_linear():
-    xs = np.linspace(0.0, 1.0, 11)
-    grid = [(np.array([x, y]), x) for x in xs for y in xs]
-    assert holder_seminorm(grid, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_holder_seminorm_constant():
-    pts = [(np.array([0.1 * k, 0.0]), 2.0) for k in range(5)]
-    assert holder_seminorm(pts, 0.5) == 0.0
-
-
-def test_holder_seminorm_monotone_under_refinement():
-    rng = np.random.Generator(np.random.Philox(key=8))
-    pts = [(rng.random(2), float(rng.random())) for _ in range(20)]
-    base = holder_seminorm(pts, 0.4)
-    more = pts + [(rng.random(2), float(rng.random())) for _ in range(20)]
-    assert holder_seminorm(more, 0.4) >= base
-
-
-def test_holder_seminorm_blows_up_at_critical_alpha():
-    """On t^s log(1/t) data the alpha = s seminorm grows as the window
-    shrinks (pairs against the origin)."""
-    s = 0.5
-    est = []
-    for tmin in (1e-2, 1e-3, 1e-4):
-        t = np.geomspace(tmin, 1e-1, 24)
-        samples = [(np.array([tt, 0.0]), tt ** s * np.log(1.0 / tt))
-                   for tt in t]
-        samples.append((np.array([0.0, 0.0]), 0.0))
-        est.append(holder_seminorm(samples, s))
-    assert est[0] < est[1] < est[2]
-    # roughly the log factor: shrinking tmin by 10 adds log(10) against t^s
-    assert est[2] / est[1] > 1.2
 
 
 def test_boundary_profile_constant_data():

@@ -20,8 +20,7 @@ from fraclab.geometry import Ball, HalfPlane, Polygon, StarShaped, unit_square
 from fraclab.kernels import KernelSpec, make_fractional_laplacian
 from fraclab import wos
 from fraclab.wos import (StableExitSampler, WoSConfig, ball_poisson,
-                         halfplane_poisson, kappa_constant, sample_ball_exit,
-                         solve)
+                         halfplane_poisson, kappa_constant, solve)
 
 from oracles import (exit_law_median, exit_law_tail_prob, exit_side_prob_1d,
                      off_centre_exit_prob)
@@ -170,10 +169,18 @@ def test_quadrature_commands_leave_scipy_special_unloaded(tmp_path):
                          ["scipy.special", "scipy.linalg"], tmp_path) == "[]"
 
 
+def _exit_points(s, x, n, rng):
+    """n exit points of the unit ball from x: the one exact jump of a ball
+    walker, without antithetic pairs."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return wos._ball_exit(StableExitSampler(s), np.asarray(x, dtype=float),
+                              1.0, n, 0, rng)
+
+
 def test_exit_tail_probability_matches_oracle():
     rng = np.random.Generator(np.random.Philox(key=42))
     n = 10 ** 6
-    y = sample_ball_exit(0.5, 2, rng, n=n)
+    y = _exit_points(0.5, [0.0, 0.0], n, rng)
     r = np.linalg.norm(y, axis=1)
     # r == 1.0 is the float64 rounding of r - 1 < 1.1e-16 (probability
     # about 8e-9 at s = 0.5), and this stream draws one such radius
@@ -186,7 +193,7 @@ def test_exit_tail_probability_matches_oracle():
 def test_exit_isotropy():
     rng = np.random.Generator(np.random.Philox(key=43))
     n = 10 ** 6
-    y = sample_ball_exit(0.5, 2, rng, n=n)
+    y = _exit_points(0.5, [0.0, 0.0], n, rng)
     u = y / np.linalg.norm(y, axis=1, keepdims=True)
     # each direction component has variance 1/2
     se = np.sqrt(0.5 / n)
@@ -197,7 +204,7 @@ def test_exit_median_decreases_with_s():
     rng = np.random.Generator(np.random.Philox(key=44))
     med = {}
     for s in (0.1, 0.9):
-        y = sample_ball_exit(s, 2, rng, n=200000)
+        y = _exit_points(s, [0.0, 0.0], 200000, rng)
         med[s] = np.median(np.linalg.norm(y, axis=1))
         oracle = exit_law_median(s)
         assert med[s] == pytest.approx(oracle, rel=2e-2)
@@ -206,7 +213,7 @@ def test_exit_median_decreases_with_s():
 
 def test_exit_dim1():
     rng = np.random.Generator(np.random.Philox(key=45))
-    y = sample_ball_exit(0.5, 1, rng, n=50000)
+    y = _exit_points(0.5, [0.0], 50000, rng)
     assert y.shape == (50000, 1)
     assert np.all(np.abs(y) > 1.0)
     assert abs(np.mean(np.sign(y))) < 0.02
@@ -229,7 +236,7 @@ def test_off_centre_exit_law_matches_the_polar_quadrature(s, r):
     n = 200000
     xhat = np.array([np.cos(0.7), np.sin(0.7)])
     rng = np.random.Generator(np.random.Philox(key=[49, int(1e4 * (r + s))]))
-    y = sample_ball_exit(s, 2, rng, n=n, x=r * xhat)
+    y = _exit_points(s, r * xhat, n, rng)
     rad = np.hypot(y[:, 0], y[:, 1])
     # far exits, and exits within pi/4 of the start point's direction
     assert _within_4_sigma(rad > 2.0, off_centre_exit_prob(s, r, 2.0), n)
@@ -242,7 +249,7 @@ def test_off_centre_exit_law_matches_the_polar_quadrature(s, r):
 def test_off_centre_exit_side_1d_matches_the_quadrature(s, r):
     n = 200000
     rng = np.random.Generator(np.random.Philox(key=[50, int(1e4 * (r + s))]))
-    y = sample_ball_exit(s, 1, rng, n=n, x=[-r])[:, 0]
+    y = _exit_points(s, [-r], n, rng)[:, 0]
     assert np.all(np.abs(y) >= 1.0 - 1e-15)
     assert _within_4_sigma(y < 0.0, exit_side_prob_1d(s, r), n)
 
@@ -250,21 +257,10 @@ def test_off_centre_exit_side_1d_matches_the_quadrature(s, r):
 def test_exit_points_from_the_centre_are_pinned():
     # the draws of the sampler before it took a start point
     rng = np.random.Generator(np.random.Philox(key=48))
-    assert sample_ball_exit(0.5, 2, rng, n=3).tolist() == [
+    assert _exit_points(0.5, [0.0, 0.0], 3, rng).tolist() == [
         [0.8861668355759369, -0.7451515473011773],
         [-0.1204915861810411, 1.1107143960827794],
         [-0.014800301387745424, 1.253155764948618]]
-
-
-@pytest.mark.parametrize("dim, x", [(2, [0.6, 0.8]), (2, [0.1]),
-                                    (1, [-1.0]), (1, [np.nan])])
-def test_exit_sampling_refuses_a_start_outside_the_ball(dim, x):
-    with pytest.raises(ParameterError, match="inside the unit ball"):
-        sample_ball_exit(0.5, dim, np.random.default_rng(0), x=x)
-    # and a count of points that is not a positive integer
-    for n in (0, -1, 2.5, True):
-        with pytest.raises(ParameterError, match="^n must"):
-            sample_ball_exit(0.5, dim, np.random.default_rng(0), n=n)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
