@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, ParameterError
 from .geometry import Ball
-from .wos import halfplane_poisson, solve_points
+from .wos import _refuse_order, halfplane_poisson, solve_points
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,10 @@ def fit_holder(profile, s=None):
 
     alpha_hat is always the plain log-log slope; when s is given the
     log-corrected model is fit as well and ``model`` records which one the
-    penalized residual prefers.
+    penalized residual prefers.  An s outside (0, 1) is refused by name.
     """
+    if s is not None:
+        _refuse_order(s)
     t = np.asarray(profile.t, dtype=float)
     v = np.asarray(profile.values, dtype=float)
     se = np.asarray(profile.stderr, dtype=float)
@@ -139,23 +141,30 @@ def boundary_profile(solver, dom, g, z0, t_grid, normal=None):
     """Evaluate u - g(z0) along the inward normal at z0 via the supplied
     solver, in one call ``solver(xs, indices)`` that takes every interior
     grid point, the k-th depth of the sorted grid with index k;
-    non-interior grid points are trimmed with a warning."""
+    non-interior grid points are trimmed with a warning.  A z0 that is not
+    a finite point of the domain's dimension raises a ParameterError, and
+    a grid with no interior point a DomainError, both naming z0."""
     z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (dom.dim,) or not np.all(np.isfinite(z0)):
+        raise ParameterError(
+            f"z0 must be a finite point of dimension {dom.dim}, "
+            f"got {z0.tolist()}")
     if normal is None:
         normal = inward_normal(dom, z0)
     normal = np.asarray(normal, dtype=float)
     normal = normal / np.linalg.norm(normal)
     g0 = float(g(z0))
-    ts, xs, ks = [], [], []
-    for k, t in enumerate(np.sort(np.asarray(t_grid, dtype=float))):
-        x = z0 + t * normal
-        if not dom.contains(x):
-            warnings.warn(f"profile point at t={t:g} is not interior; trimmed")
-            continue
-        ts.append(float(t))
-        xs.append(x)
-        ks.append(k)
-    out = solver(xs, ks)
+    grid = np.sort(np.asarray(t_grid, dtype=float))
+    inside = np.array([dom.contains(z0 + t * normal) for t in grid], bool)
+    if not inside.any():
+        raise DomainError(
+            f"no depth of the profile at z0 = {z0.tolist()} is interior: "
+            "z0 must lie on the boundary")
+    for t in grid[~inside]:
+        warnings.warn(f"profile point at t={t:g} is not interior; trimmed")
+    ks = np.flatnonzero(inside).tolist()
+    ts = grid[ks].tolist()
+    out = solver([z0 + t * normal for t in ts], ks)
     vals = [float(v) - g0 for v, _ in out]
     errs = [float(e) for _, e in out]
     return BoundaryProfile(z0=tuple(z0.tolist()), normal=tuple(normal.tolist()),
@@ -213,10 +222,10 @@ class ExperimentReport:
         }
 
 
-def exponent_experiment(dom, g, s, cfg=None, boundary_points=None,
-                        t_grid=None, solver=None):
-    """Run boundary profiles + fits and compare the fitted exponent at the
-    datum's anchor point with the expected min(alpha, s), within 0.05.
+def exponent_experiment(dom, g, s, cfg=None, solver=None):
+    """Profile and fit u at each singular point of the datum (a datum with
+    none raises a DomainError) and compare the fitted exponent at the
+    first one, the anchor, with the expected min(alpha, s), within 0.05.
     The default solver walks cfg's paths with the fractional Laplacian of
     order s, the one kernel ``solve_points`` takes.
 
@@ -227,30 +236,24 @@ def exponent_experiment(dom, g, s, cfg=None, boundary_points=None,
 
     kernel = make_fractional_laplacian(s, dom.dim)
     tol = 0.05
-    if t_grid is None:
-        # the asymptotic exponent emerges only below ~1e-3 relative depth,
-        # and path counts of 1e5 keep the SNR ample down to 1e-4
-        t_grid = np.geomspace(1e-4, 1e-2, 12) * dom.diameter
-    if boundary_points is None:
-        if g.singular_points:
-            boundary_points = [np.asarray(p, dtype=float)
-                               for p in g.singular_points]
-        else:
-            raise DomainError("no boundary points given and the datum has "
-                              "no singular anchor")
+    # the asymptotic exponent emerges only below ~1e-3 relative depth, and
+    # path counts of 1e5 keep the SNR ample down to 1e-4
+    t_grid = np.geomspace(1e-4, 1e-2, 12) * dom.diameter
+    if not g.singular_points:
+        raise DomainError("the datum has no singular point to anchor the "
+                          "experiment")
     if solver is None:
         solver = wos_solver(dom, g, kernel, cfg)
 
     fits = []
     profiles = []
-    for j, z0 in enumerate(boundary_points):
-        # boundary point j walks depth k on the streams of j * len(t_grid) + k
+    for j, z0 in enumerate(g.singular_points):
+        # singular point j walks depth k on the streams of j * len(t_grid) + k
         prof = boundary_profile(
             lambda xs, ks: solver(xs, [j * len(t_grid) + k for k in ks]),
             dom, g, z0, t_grid)
         profiles.append(prof)
-        fits.append((tuple(np.asarray(z0, dtype=float).tolist()),
-                     fit_holder(prof, s=s)))
+        fits.append((prof.z0, fit_holder(prof, s=s)))
 
     anchor_z0, anchor_fit = fits[0]
     expected = min(g.alpha, s)

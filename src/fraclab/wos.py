@@ -71,15 +71,14 @@ class StableExitSampler:
         return (rng.beta(self.s, 1.0 - self.s, n) ** -0.5)[slot]
 
 
-def _ball_exit(law, v, R, n, shift, rng):
+def _ball_exit(law, v, R, n, rng):
     """Exit points, less the centre, of n walkers started at offset v from
     the centre of a ball of radius R, in one exact jump each.  The draws
     are those of one step from the centre: one radius R0 = ``law.radius``
-    and one angle phi per unit (an antithetic pair, walkers 2k and 2k + 1,
-    when shift is 1, else one walker), the two walkers of a pair at
-    z = +-e^{i phi}.  With r = |v| / R, the exit density integrated over
-    angle makes (rho^2 - 1) / (1 - r^2) follow the law of R0^2 - 1,
-    BetaPrime(1 - s, s), so the exit radius is rho R with
+    and one angle phi per antithetic pair, walkers 2k and 2k + 1, the two
+    walkers of a pair at z = +-e^{i phi}.  With r = |v| / R, the exit
+    density integrated over angle makes (rho^2 - 1) / (1 - r^2) follow the
+    law of R0^2 - 1, BetaPrime(1 - s, s), so the exit radius is rho R with
     rho = R0 sqrt(1 - r^2 (1 - R0^-2)).  Given rho, the exit direction
     follows the disk's harmonic measure from a = v / (R rho), which is the
     image e^{i theta} = (z + a) / (1 + conj(a) z) of the uniform z.  In
@@ -90,8 +89,8 @@ def _ball_exit(law, v, R, n, shift, rng):
     of a step loop's first step.  An infinite R0 (a Beta draw W = 0) gives
     rho = inf and a = 0."""
     walker = np.arange(n)
-    slot = walker >> shift
-    sign = 1 - 2 * (walker & shift)
+    slot = walker >> 1
+    sign = 1 - 2 * (walker & 1)
     r0 = law.radius(slot, rng)
     phi = 2.0 * np.pi * rng.random(slot[-1] + 1)
     r2 = float(v @ v) / (R * R)
@@ -128,14 +127,12 @@ _SNAP_REL = 1e-6
 @dataclass(frozen=True)
 class WoSConfig:
     """The settings of ``solve`` and ``solve_points``, read in one place,
-    each refused by name when it is built out of range: paths an int >= 1,
-    seed an int in [0, 2^64) (the first word of every Philox key) and
-    antithetic a bool.  A point's walkers draw from streams of at most
-    ``_BATCH_SIZE`` walkers, and the streams of all the points of one call
-    walk in shared batches of at most ``_BATCH_SIZE`` walkers."""
-    paths: int = 100000             # odd counts round up for antithetic pairs
+    each refused by name when it is built out of range: paths an int >= 1
+    and seed an int in [0, 2^64) (the first word of every Philox key).
+    Every walk pairs its walkers antithetically, so an odd path count
+    rounds up to a whole pair (see ``solve_points``)."""
+    paths: int = 100000
     seed: int = 0
-    antithetic: bool = True
 
     def __post_init__(self):
         if not _is_int(self.paths) or self.paths < 1:
@@ -144,9 +141,6 @@ class WoSConfig:
         if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
             raise ParameterError(
                 f"seed must be an int in [0, 2^64), got {self.seed!r}")
-        if not isinstance(self.antithetic, bool):
-            raise ParameterError(
-                f"antithetic must be a bool, got {self.antithetic!r}")
 
 
 @dataclass(frozen=True)
@@ -194,13 +188,12 @@ class _Tally:
 
     def __init__(self):
         self.sum_pay = 0.0
-        # the variance sums run over estimator units (pairs when
-        # antithetic) less the first unit, so they do not cancel under a
-        # large mean
+        # the variance sums run over pair means less the first one, so they
+        # do not cancel under a large mean
         self.ref = None
         self.sum_dev = 0.0
         self.sum_sq = 0.0
-        self.n_units = 0
+        self.n_pairs = 0
         self.n_walked = 0
         self.total_steps = 0
         self.n_snapped = 0
@@ -209,40 +202,37 @@ class _Tally:
         # sum of dist^alpha over the walkers stopped by the step cap
         self.maxed_mass = 0.0
 
-    def add(self, payload, antithetic, steps, most, paid, maxed_dist, alpha):
-        """Take one stream: its walkers' payloads, its steps, its most steps
-        of a walker, its count paid at a projection and the distances to it
-        of its walkers stopped by the step cap."""
+    def add(self, payload, steps, most, paid, maxed_dist, alpha):
+        """Take one stream: its walkers' payloads, pair after pair, its
+        steps, its most steps of a walker, its count paid at a projection
+        and the distances to it of its walkers stopped by the step cap."""
         self.n_walked += len(payload)
         self.total_steps += steps
         self.steps_max = max(self.steps_max, most)
         self.n_snapped += paid
         self.n_maxed += len(maxed_dist)
         self.maxed_mass += float(np.sum(maxed_dist ** alpha))
-        if antithetic:
-            units = 0.5 * (payload[0::2] + payload[1::2])
-        else:
-            units = payload
+        pairs = 0.5 * (payload[0::2] + payload[1::2])
         if self.ref is None:
-            self.ref = float(units[0])
-        dev = units - self.ref
+            self.ref = float(pairs[0])
+        dev = pairs - self.ref
         self.sum_pay += float(np.sum(payload))
         self.sum_dev += float(np.sum(dev))
         self.sum_sq += float(np.sum(dev * dev))
-        self.n_units += len(units)
+        self.n_pairs += len(pairs)
 
     def sample(self, x, g, snap_eps, exact, seed):
         """The SolutionSample of the point x."""
-        n_walked, n_units = self.n_walked, self.n_units
+        n_walked, n_pairs = self.n_walked, self.n_pairs
         # pair means average to the same value
         mean = self.sum_pay / n_walked
-        if n_units > 1:
-            var = max(self.sum_sq / n_units - (self.sum_dev / n_units) ** 2,
+        if n_pairs > 1:
+            var = max(self.sum_sq / n_pairs - (self.sum_dev / n_pairs) ** 2,
                       0.0)
-            var *= n_units / (n_units - 1)
-            stderr = float(np.sqrt(var / n_units))
+            var *= n_pairs / (n_pairs - 1)
+            stderr = float(np.sqrt(var / n_pairs))
         else:
-            stderr = float("nan")   # one estimator unit has no sample variance
+            stderr = float("nan")   # one pair has no sample variance
         bias = 0.0 if exact else \
             g.C0 * (snap_eps ** g.alpha + self.maxed_mass / n_walked)
         return SolutionSample(
@@ -274,12 +264,15 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
     paid by g where they stop.  Returns one SolutionSample per point, each
     the one ``solve`` returns at that point and index.
 
-    The paths, seed and antithetic pairs come from the ``WoSConfig`` cfg
-    (default ``WoSConfig()``); an odd path count rounds up for antithetic
-    pairs.  A domain that is not bounded, a kernel that is not the
-    fractional Laplacian of the domain's dimension, or a dimension above 2
-    is refused first, and so is a point index that is not an int in
-    [0, 2^32), since its streams' Philox key word is (index << 32) + b.  A
+    The paths and seed come from the ``WoSConfig`` cfg (default
+    ``WoSConfig()``).  Every walk pairs its walkers antithetically
+    (Hammersley and Morton, Proc. Camb. Phil. Soc. 52, 1956): walkers 2k
+    and 2k + 1 share their draws and step at opposite angles, and an odd
+    path count rounds up to a whole pair.  A domain that is not bounded, a
+    kernel that is not the fractional Laplacian of the domain's dimension,
+    or a dimension above 2 is refused first, and so is a point index that
+    is not an int in [0, 2^32), since its streams' Philox key word is
+    (index << 32) + b.  A
     datum that declares no growth (a bare callable: no Hoelder certificate
     for the bias bound) raises a ParameterError, and one whose growth
     reaches 2s a DivergenceError: the exit radius has tail
@@ -299,10 +292,10 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
     every point's sample is the one it gets walked alone.
 
     On a Ball every walker exits in one exact jump (``_ball_exit``), from
-    the draws of one step: one exit radius and one angle per unit, an
-    antithetic pair or a single walker, the two walkers of a pair at
-    opposite points of the unit circle.  No ``dist_bound``, snap or
-    projection enters, so the bias bound is 0, and a walker takes one step.
+    the draws of one step: one exit radius and one angle per pair, the two
+    walkers of a pair at opposite points of the unit circle.  No
+    ``dist_bound``, snap or projection enters, so the bias bound is 0, and
+    a walker takes one step.
     Every other domain walks the step loop of ``_step_batch``, with the
     snap tolerance snap_eps = ``_SNAP_REL`` * diameter and the step cap
     ``_MAX_STEPS``; its bias bound is the snap bias, which the Hoelder
@@ -315,8 +308,7 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
     datum that grows) raises a ReliabilityError naming s and the count, and
     so do walkers stopped by the step cap on more than 1% of a point's
     paths.
-    The stderr is NaN when a point has one estimator unit (one path, or
-    one antithetic pair).
+    The stderr is NaN when a point has one pair (one or two paths).
     """
     if not dom.bounded:
         raise DomainError("walk-on-spheres requires a bounded domain")
@@ -350,12 +342,10 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
                 f"walk-on-spheres needs an interior starting point: point "
                 f"{i} at {x.tolist()} is not interior")
     exact = isinstance(dom, Ball)
-    batch_size, seed, antithetic = _BATCH_SIZE, cfg.seed, cfg.antithetic
+    batch_size, seed = _BATCH_SIZE, cfg.seed
     snap_eps = _SNAP_REL * dom.diameter
-    paths = cfg.paths + 1 if antithetic and cfg.paths % 2 else cfg.paths
+    paths = cfg.paths + cfg.paths % 2
     n_batches = (paths + batch_size - 1) // batch_size
-    # a draw unit is an antithetic pair (walkers 2k, 2k + 1) or one walker
-    shift = 1 if antithetic else 0
 
     # the streams (point k, batch b, walkers), batch by batch
     streams = [(k, b, min(batch_size, paths - b * batch_size))
@@ -373,13 +363,13 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
                              invalid="ignore"):
                 stop = np.concatenate([
                     dom.center + _ball_exit(law, xs[k] - dom.center,
-                                            dom.radius, size, shift, rng)
+                                            dom.radius, size, rng)
                     for (k, _, size), rng in zip(pack, rngs)])
             walks = [(size, 1, 0, np.empty(0)) for _, _, size in pack]
         else:
             stop, walks = _step_batch(
                 dom, [xs[k] for k, _, _ in pack],
-                [size for _, _, size in pack], law, snap_eps, shift, rngs)
+                [size for _, _, size in pack], law, snap_eps, rngs)
         payload = np.asarray(g(stop), dtype=float)
         lo = 0
         for (k, b, size), walk in zip(pack, walks):
@@ -392,7 +382,7 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
                     f"non-finite payload at order s = {law.s}: an exit "
                     f"radius overflowed, or the datum is not finite where "
                     f"they stopped")
-            tallies[k].add(part, antithetic, *walk, g.alpha)
+            tallies[k].add(part, *walk, g.alpha)
 
     for t in tallies:
         if t.n_maxed > 0.01 * t.n_walked:
@@ -403,7 +393,7 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
             for x, t in zip(xs, tallies)]
 
 
-def _step_batch(dom, starts, sizes, law, snap_eps, shift, rngs):
+def _step_batch(dom, starts, sizes, law, snap_eps, rngs):
     """One walk batch of the step loop on a planar domain: stream j holds
     sizes[j] walkers started at the interior point starts[j] and draws
     from the generator rngs[j].  Returns where each walker of the batch
@@ -429,16 +419,17 @@ def _step_batch(dom, starts, sizes, law, snap_eps, shift, rngs):
     the last allowed step (the ``_MAX_STEPS``-th) only the exits, so a
     walker that lands within snap_eps there has run out of steps.  At each
     step every stream with live walkers draws, from its own generator, one exit
-    radius and one angle phi per live unit of its own, in the order of its
-    walkers, so a walker's numbers do not depend on the other streams; the
-    two walkers of a pair share the radius and step at opposite angles.
+    radius and one angle phi per live pair of its own (walkers 2k and
+    2k + 1), in the order of its walkers, so a walker's numbers do not
+    depend on the other streams; the two walkers of a pair share the radius
+    and step at opposite angles.
     At the end of the batch one ``dom.project`` call takes every walker
     paid at its projection (snapped or stopped by the step cap); it acts
     row by row."""
     max_steps = _MAX_STEPS
     # stream j holds walkers offsets[j] to offsets[j + 1] - 1 of the batch;
     # every stream but the last of a point has _BATCH_SIZE walkers and the
-    # path count is even under antithetic pairs, so no pair spans two
+    # path count is even, so no pair spans two
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     starts = np.asarray(starts)
     # where each walker stopped, and whether it is paid at its projection
@@ -473,15 +464,15 @@ def _step_batch(dom, starts, sizes, law, snap_eps, shift, rngs):
                 d = d.compress(keep)
             if step == max_steps or len(live) == 0:
                 break
-            # rank of each walker's unit among the live units of the batch;
+            # rank of each walker's pair among the live pairs of the batch;
             # a stream's live walkers are live[a:b], a = cut[j], b =
             # cut[j + 1], and its own ranks are slot[a:b] less slot[a]; the
             # second walker of a pair steps the opposite way (a negative
             # radius)
-            unit = live >> shift
+            pair = live >> 1
             first = np.empty(len(live), dtype=bool)
             first[0] = True
-            np.not_equal(unit[1:], unit[:-1], out=first[1:])
+            np.not_equal(pair[1:], pair[:-1], out=first[1:])
             slot = np.cumsum(first) - 1
             cut = np.searchsorted(live, offsets).tolist()
             radii, phis = [], []
@@ -496,7 +487,7 @@ def _step_batch(dom, starts, sizes, law, snap_eps, shift, rngs):
                 steps_max[j] = step + 1
             radius = radii[0] if len(radii) == 1 else np.concatenate(radii)
             phi = phis[0] if len(phis) == 1 else np.concatenate(phis)
-            radius = d * radius * (1 - 2 * (live & shift))
+            radius = d * radius * (1 - 2 * (live & 1))
             phi = 2.0 * np.pi * phi
             pos[:, 0] += radius * np.cos(phi)[slot]
             pos[:, 1] += radius * np.sin(phi)[slot]

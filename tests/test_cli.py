@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -211,16 +212,6 @@ def test_profile_and_experiment_sidecars_report_the_walks(tmp_path):
                for p in diag["points"])
     assert diag["totals"] == _walk_totals(diag["points"])
 
-    # a profile whose every point lies outside walks nothing
-    out = tmp_path / "trimmed.csv"
-    with pytest.warns(UserWarning, match="trimmed"):
-        assert run(["profile", "--domain", "ball", "--data",
-                    '{"name": "constant"}', "--z0", "5,5", "--paths", "100",
-                    "--out", str(out)]) == 0
-    assert json.loads(open(str(out) + ".meta.json").read())["report"][
-        "diagnostics"] == {"points": [], "totals": {
-            "paths_used": 0, "n_maxed": 0, "steps_max": 0, "bias_bound": 0.0}}
-
     out = tmp_path / "e.csv"
     run(["experiment", "--domain", "ball", "--alpha", "0.3", "--s", "0.5",
          "--seed", "7", "--paths", "1000", "--out", str(out)])
@@ -230,6 +221,26 @@ def test_profile_and_experiment_sidecars_report_the_walks(tmp_path):
     assert diag["totals"] == _walk_totals(diag["points"])
     assert diag["totals"]["paths_used"] == 12 * 1000
     assert side["verdict"]
+
+
+@pytest.mark.parametrize("z0, error", [
+    ("1,0,0", "z0 must be a finite point of dimension 2, got [1.0, 0.0, 0.0]"),
+    ("1", "z0 must be a finite point of dimension 2, got [1.0]"),
+    ("nan,0", "z0 must be a finite point of dimension 2, got [nan, 0.0]"),
+    ("3,0", "no depth of the profile at z0 = [3.0, 0.0] is interior"),
+    ("5,5", "no depth of the profile at z0 = [5.0, 5.0] is interior"),
+], ids=["3-D", "1-D", "nan", "outside", "far-outside"])
+def test_profile_refuses_a_bad_z0_by_name(tmp_path, capsys, z0, error):
+    # a 3-D z0 died in a bare broadcast ValueError; the others trimmed
+    # every depth with a warning each and wrote an empty CSV with exit 0
+    out = tmp_path / "bad.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["profile", "--domain", "ball", "--data",
+                    '{"name": "constant"}', "--z0", z0, "--paths", "100",
+                    "--out", str(out)]) == 1
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_points_file(tmp_path):

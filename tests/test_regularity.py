@@ -1,8 +1,11 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from fraclab.barriers import constant_data, holder_point_singularity
-from fraclab.errors import InsufficientDataError
+from fraclab.errors import DomainError, InsufficientDataError, ParameterError
 from fraclab.geometry import Ball, unit_square
 from fraclab.kernels import make_fractional_laplacian
 from fraclab.regularity import (BoundaryProfile, boundary_profile,
@@ -156,23 +159,42 @@ def test_experiment_alpha_equals_s_flags_log():
         return [(tt ** 0.5 * np.log(1.0 / tt) + g((1.0, 0.0)), 0.0)
                 for tt in t]
 
-    rep = exponent_experiment(BALL, g, 0.5, solver=fake_solver,
-                              t_grid=np.geomspace(1e-4, 1e-2, 10))
+    rep = exponent_experiment(BALL, g, 0.5, solver=fake_solver)
     assert rep.log_corrected
     assert "log-corrected" in rep.verdict
 
 
 def test_experiment_walks_each_boundary_point_on_its_own_streams():
-    # boundary point j walks depth k on stream index j * n + k, so the two
-    # profiles share no stream and the anchor keeps indices 0..n-1
-    g = holder_point_singularity(0.3, [1.0, 0.0])
+    # singular point j walks depth k of the 12 on stream index j * 12 + k,
+    # so the two profiles share no stream and the anchor keeps indices
+    # 0..11
+    g = dataclasses.replace(holder_point_singularity(0.3, [1.0, 0.0]),
+                            singular_points=((1.0, 0.0), (0.0, 1.0)))
     seen = []
 
     def recording_solver(xs, indices):
         seen.extend(indices)
         return [(0.1, 0.0)] * len(xs)
 
-    t_grid = np.geomspace(1e-3, 1e-1, 6)
-    exponent_experiment(BALL, g, 0.5, solver=recording_solver, t_grid=t_grid,
-                        boundary_points=[(1.0, 0.0), (0.0, 1.0)])
-    assert seen == list(range(12))
+    exponent_experiment(BALL, g, 0.5, solver=recording_solver)
+    assert seen == list(range(24))
+
+
+def test_experiment_refuses_a_datum_without_a_singular_point():
+    def no_solver(xs, indices):
+        pytest.fail("the solver was called")
+
+    with pytest.raises(DomainError, match="no singular point"):
+        exponent_experiment(BALL, constant_data(1.0), 0.5, solver=no_solver)
+
+
+@pytest.mark.parametrize("s", [np.nan, 2.0, -1.0, 0.0, 1.0])
+def test_fit_refuses_an_order_outside_the_unit_interval(s):
+    # NaN died in LAPACK's SVD with "illegal value" lines, and an order
+    # outside (0, 1) fitted a t^s log(1/t) model outside the paper's range
+    t = np.geomspace(1e-3, 1e-1, 6)
+    with pytest.raises(ParameterError,
+                       match=f"^order s must lie in \\(0,1\\), got "
+                             f"{re.escape(str(s))}$"):
+        fit_holder(synthetic_profile(t, t ** 0.3), s=s)
+

@@ -169,12 +169,19 @@ def test_quadrature_commands_leave_scipy_special_unloaded(tmp_path):
                          ["scipy.special", "scipy.linalg"], tmp_path) == "[]"
 
 
-def _exit_points(s, x, n, rng):
-    """n exit points of the unit ball from x: the one exact jump of a ball
-    walker, without antithetic pairs."""
+def _paired_exit_points(s, x, n, rng):
+    """n antithetic pairs of exit points of the unit ball from x, walkers
+    2k and 2k + 1 in rows 2k and 2k + 1: the one exact jump of ball
+    walkers."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return wos._ball_exit(StableExitSampler(s), np.asarray(x, dtype=float),
-                              1.0, n, 0, rng)
+                              1.0, 2 * n, rng)
+
+
+def _exit_points(s, x, n, rng):
+    """n independent exit points of the unit ball from x: the first walker
+    of each of n antithetic pairs."""
+    return _paired_exit_points(s, x, n, rng)[0::2]
 
 
 def test_exit_tail_probability_matches_oracle():
@@ -236,12 +243,15 @@ def test_off_centre_exit_law_matches_the_polar_quadrature(s, r):
     n = 200000
     xhat = np.array([np.cos(0.7), np.sin(0.7)])
     rng = np.random.Generator(np.random.Philox(key=[49, int(1e4 * (r + s))]))
-    y = _exit_points(s, r * xhat, n, rng)
-    rad = np.hypot(y[:, 0], y[:, 1])
-    # far exits, and exits within pi/4 of the start point's direction
-    assert _within_4_sigma(rad > 2.0, off_centre_exit_prob(s, r, 2.0), n)
-    assert _within_4_sigma(y @ xhat > np.cos(np.pi / 4) * rad,
-                           off_centre_exit_prob(s, r, 1.0, np.pi / 4), n)
+    pairs = _paired_exit_points(s, r * xhat, n, rng)
+    # the first walkers of the n pairs, then the second walkers of the same
+    # pairs: each walker of a pair follows the exit law on its own
+    for y in (pairs[0::2], pairs[1::2]):
+        rad = np.hypot(y[:, 0], y[:, 1])
+        # far exits, and exits within pi/4 of the start point's direction
+        assert _within_4_sigma(rad > 2.0, off_centre_exit_prob(s, r, 2.0), n)
+        assert _within_4_sigma(y @ xhat > np.cos(np.pi / 4) * rad,
+                               off_centre_exit_prob(s, r, 1.0, np.pi / 4), n)
 
 
 @pytest.mark.parametrize("r", OFF_CENTRE_R)
@@ -274,7 +284,7 @@ def test_an_infinite_exit_radius_jumps_to_infinity_without_warnings(dim):
             return np.full(len(slot), np.inf)
 
     with np.errstate(all="raise"):
-        y = fraclab.wos._ball_exit(Infinite, np.full(dim, 0.45), 2.0, 6, 1,
+        y = fraclab.wos._ball_exit(Infinite, np.full(dim, 0.45), 2.0, 6,
                                    np.random.default_rng(0))
     assert np.all(np.isinf(y))
 
@@ -292,13 +302,10 @@ def test_constant_data_exact():
 
 def test_antisymmetry_at_center():
     # the coordinate datum grows like |y|, so its payload has a finite mean
-    # only for s > 1/2; at s = 1/2 solve refuses it
+    # only for s > 1/2; at s = 1/2 solve refuses it.  From the centre the
+    # full ball exits in one jump, and the two walkers of an antithetic
+    # pair land at opposite points
     k = make_fractional_laplacian(0.75, 2)
-    out = solve(BALL, coordinate_data(0), [0.0, 0.0], k,
-                WoSConfig(paths=20000, seed=2, antithetic=False))
-    assert abs(out.estimate) <= 3.0 * out.stderr + 1e-3
-    # from the centre the full ball exits in one jump, and the two walkers
-    # of an antithetic pair land at opposite points
     pairs = solve(BALL, coordinate_data(0), [0.0, 0.0], k,
                   WoSConfig(paths=20000, seed=2))
     assert pairs.estimate == 0.0 and pairs.stderr == 0.0
@@ -356,16 +363,12 @@ def test_1d_ball_walks_off_centre_match_the_side_quadrature(r):
 
 # (estimate, stderr) of walks started at a ball's centre, pinned from the
 # step loop, whose first step from the centre was already the exit: the
-# exact jump from the centre draws and rounds the same numbers (the third
-# walks batches of 1000)
+# exact jump from the centre draws and rounds the same numbers
 CENTRE_PINNED = [
-    (Ball([0.0, 0.0], 1.0), 0.5, WoSConfig(paths=4000, seed=12), 1 << 15,
+    (Ball([0.0, 0.0], 1.0), 0.5, WoSConfig(paths=4000, seed=12),
      2.3391850799523994, 0.008636892085596929),
-    (Ball([0.3, -0.2], 2.5), 0.3, WoSConfig(paths=4000, seed=13), 1 << 15,
+    (Ball([0.3, -0.2], 2.5), 0.3, WoSConfig(paths=4000, seed=13),
      2.852970788060622, 0.0062575693641381104),
-    (Ball([0.0, 0.0], 1.0), 0.8,
-     WoSConfig(paths=4001, seed=14, antithetic=False), 1000,
-     2.1767147551194705, 0.011753040197684307),
 ]
 CENTRE_PINNED_1D = [
     (Ball([0.0], 1.0), 1.4879606811415695, 0.00889983367883721),
@@ -373,13 +376,10 @@ CENTRE_PINNED_1D = [
 ]
 
 
-def test_ball_walks_from_the_centre_are_pinned(monkeypatch):
+def test_ball_walks_from_the_centre_are_pinned():
     g = capped_distance_data([2.0, 0.0], 3.0)
-    for ball, s, cfg, batch_size, est, se in CENTRE_PINNED:
-        with monkeypatch.context() as m:
-            m.setattr(wos, "_BATCH_SIZE", batch_size)
-            out = solve(ball, g, ball.center,
-                        make_fractional_laplacian(s, 2), cfg)
+    for ball, s, cfg, est, se in CENTRE_PINNED:
+        out = solve(ball, g, ball.center, make_fractional_laplacian(s, 2), cfg)
         assert (out.estimate, out.stderr) == (est, se)
     g1 = ExteriorData(fn=lambda p: np.minimum(np.abs(p[..., 0] - 0.5), 2.0),
                       alpha=1.0, C0=1.0, growth=0.0)
@@ -498,11 +498,8 @@ def test_solver_rejects_a_3d_ball_before_walking():
     ({"seed": -1}, "seed must be an int in [0, 2^64), got -1"),
     ({"seed": 2 ** 64}, f"seed must be an int in [0, 2^64), got {2 ** 64}"),
     ({"seed": False}, "seed must be an int in [0, 2^64), got False"),
-    ({"antithetic": 1}, "antithetic must be a bool, got 1"),
-    ({"antithetic": "no"}, "antithetic must be a bool, got 'no'"),
 ], ids=["paths=0", "paths=-3", "paths=2.5", "paths=1000.0", "paths=True",
-        "seed=1.5", "seed=-1", "seed=2**64", "seed=False", "antithetic=1",
-        "antithetic=no"])
+        "seed=1.5", "seed=-1", "seed=2**64", "seed=False"])
 def test_config_refuses_each_bad_setting_by_name(kwargs, message):
     # refused when the settings are built, before any path walks: a float
     # path count died as a bare TypeError in the engine, seed 1.5 walked
@@ -514,7 +511,7 @@ def test_config_refuses_each_bad_setting_by_name(kwargs, message):
 
 def test_config_takes_the_ends_of_its_ranges():
     # the largest seed and point index fill their Philox key words
-    cfg = WoSConfig(paths=np.int64(2), seed=(1 << 64) - 1, antithetic=False)
+    cfg = WoSConfig(paths=np.int64(2), seed=(1 << 64) - 1)
     out = solve(BALL, constant_data(1.0), [0.0, 0.0], K05, cfg,
                 point_index=(1 << 32) - 1)
     assert (out.estimate, out.paths_used) == (1.0, 2)
@@ -531,13 +528,6 @@ def test_solve_refuses_a_point_index_outside_its_key_word(index):
               WoSConfig(paths=10), point_index=index)
 
 
-def test_odd_batch_size_without_antithetic_pairs(monkeypatch):
-    monkeypatch.setattr(wos, "_BATCH_SIZE", 3)
-    out = solve(BALL, constant_data(1.0), [0.0, 0.0], K05,
-                WoSConfig(paths=10, antithetic=False, seed=1))
-    assert out.paths_used == 10
-
-
 def test_even_batches_walk_the_rounded_paths(monkeypatch):
     monkeypatch.setattr(wos, "_BATCH_SIZE", 4)
     out = solve(BALL, constant_data(1.0), [0.0, 0.0], K05,
@@ -545,12 +535,13 @@ def test_even_batches_walk_the_rounded_paths(monkeypatch):
     assert out.paths_used == 12
 
 
-@pytest.mark.parametrize("paths, antithetic", [(1, False), (1, True),
-                                               (2, True)])
-def test_stderr_of_one_estimator_unit_is_nan(paths, antithetic):
+@pytest.mark.parametrize("paths, one_pair", [(1, True), (2, True),
+                                             (3, False)])
+def test_stderr_of_one_estimator_unit_is_nan(paths, one_pair):
+    # the estimator unit is an antithetic pair; 3 paths round up to 2 pairs
     out = solve(BALL, capped_distance_data([2.0, 0.0], 3.0), [0.3, 0.0], K05,
-                WoSConfig(paths=paths, antithetic=antithetic, seed=1))
-    assert np.isnan(out.stderr)
+                WoSConfig(paths=paths, seed=1))
+    assert np.isnan(out.stderr) == one_pair
     assert np.isfinite(out.estimate)
 
 
