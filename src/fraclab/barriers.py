@@ -38,7 +38,11 @@ class ExteriorData:
     and ``capped_distance_data`` (its p) set it.  ``wos.halfplane_poisson``
     at a point x = (p1, x2) over p = (p1, 0), with every kink circle centred
     at p, then integrates g along one ray against the closed angular
-    integral of the kernel instead of over the half plane."""
+    integral of the kernel instead of over the half plane.
+
+    A certificate with alpha outside (0, 1] or C0 <= 0 bounds nothing (a
+    negative C0 made the walk's bias bound negative, and alpha < 0 declared
+    a datum singular at its anchor): each is refused by name."""
 
     fn: callable = field(repr=False)
     alpha: float = 0.5
@@ -49,6 +53,13 @@ class ExteriorData:
     kink_circles: tuple = ()     # ((center, radius), ...) where g has a kink
     power_anchor: tuple | None = None  # z0 when g is exactly C0 |y - z0|^alpha
     radial_center: tuple | None = None  # p when g depends on |y - p| only
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha <= 1.0:
+            raise ParameterError(
+                f"datum alpha must lie in (0, 1], got {self.alpha}")
+        if not self.C0 > 0.0:
+            raise ParameterError(f"datum C0 must be > 0, got {self.C0}")
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -175,7 +186,10 @@ def coordinate_data(axis=0):
 def capped_distance_data(p, cap, alpha=0.9):
     """g(y) = min(|y - p|, cap): bounded and Lipschitz, hence alpha-Hoelder
     for any alpha < 1.  C0 = max(1, cap) covers both the Hoelder pairs
-    (increments <= min(|x-z|, cap)) and the growth bound (|g| <= cap)."""
+    (increments <= min(|x-z|, cap)) and the growth bound (|g| <= cap).  A
+    cap that is not > 0 is refused by name."""
+    if not cap > 0.0:
+        raise ParameterError(f"capped_distance needs cap > 0, got {cap}")
     p = np.atleast_1d(np.asarray(p, dtype=float))
 
     def fn(pts):

@@ -413,7 +413,8 @@ def _walk_setup(cfg):
     return dom, g, kernel, _walk_config(cfg)
 
 
-_WALK_DIAGNOSTICS = ("paths_used", "n_maxed", "steps_max", "bias_bound")
+_WALK_DIAGNOSTICS = ("paths_used", "n_maxed", "steps_max", "bias_bound",
+                     "control_err")
 
 
 def _walk_diagnostics(samples):

@@ -144,6 +144,10 @@ class Domain:
 
     dim = 2
     bounded = True
+    # a certified core ball: a Ball inside the domain whose exit law
+    # ``wos.solve_points`` takes as the first step of a control variate;
+    # None where the domain keeps none (StarShaped keeps one)
+    core = None
 
     def contains(self, x):
         raise NotImplementedError
@@ -531,7 +535,9 @@ class StarShaped(Domain):
     """Star-shaped (about the origin) smooth domain r(theta) given by a
     finite cosine/sine series; r(theta) >= r_min > 0 is required.  Its side
     function ``psi_value`` is the radial gap r(theta_x) - |x| flattened to a
-    constant before the origin: C^2 on the domain and comparable to d."""
+    constant before the origin: C^2 on the domain and comparable to d.
+    Its ``core`` is the disc of radius r_lo <= min r about the origin
+    (None when the series has no harmonic: the star is then that disc)."""
 
     dim = 2
 
@@ -560,6 +566,11 @@ class StarShaped(Domain):
         self._slope_bound = float(np.sum(k_cos * np.abs(self.coeff_cos))
                                   + np.sum(k_sin * np.abs(self.coeff_sin)))
         self._r_lo = self.r_min - self._slope_bound * np.pi / len(th)
+        # the core: the disc of radius r_lo about the origin; a star with no
+        # harmonic is a disc, whose core would be the whole domain
+        harmonic = self._cos_terms or self._sin_terms
+        self.core = (Ball((0.0, 0.0), self._r_lo)
+                     if harmonic and self._r_lo > 0.0 else None)
         eps = np.finfo(float).eps
         coeff_sum = float(np.sum(np.abs(self.coeff_cos))
                           + np.sum(np.abs(self.coeff_sin)))

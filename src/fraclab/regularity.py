@@ -142,13 +142,20 @@ def boundary_profile(solver, dom, g, z0, t_grid, normal=None):
     solver, in one call ``solver(xs, indices)`` that takes every interior
     grid point, the k-th depth of the sorted grid with index k;
     non-interior grid points are trimmed with a warning.  A z0 that is not
-    a finite point of the domain's dimension raises a ParameterError, and
-    a grid with no interior point a DomainError, both naming z0."""
+    a finite point of the domain's dimension raises a ParameterError; a z0
+    farther than 1e-9 diameters (1e-9 on an unbounded domain) from the
+    boundary, and a grid with no interior point, raise a DomainError; each
+    names z0."""
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (dom.dim,) or not np.all(np.isfinite(z0)):
         raise ParameterError(
             f"z0 must be a finite point of dimension {dom.dim}, "
             f"got {z0.tolist()}")
+    off = abs(float(dom.signed_dist(z0)))
+    if off > 1e-9 * (dom.diameter if dom.bounded else 1.0):
+        raise DomainError(
+            f"z0 = {z0.tolist()} lies {off:.3g} off the boundary: a "
+            "profile starts on the boundary")
     if normal is None:
         normal = inward_normal(dom, z0)
     normal = np.asarray(normal, dtype=float)

@@ -11,7 +11,11 @@ map that draw and a uniform angle to the exact exit point
 (``_ball_exit``), so ``solve`` on a Ball takes one exact jump per walker;
 on every other domain the walkers step from inscribed balls until they
 leave.  Scale invariance of the process makes the unit-ball law exact for
-every ball radius.
+every ball radius.  A point deep in the domain's core ball (``Domain.core``)
+first jumps exactly out of the core, to Y, and walks on from there to its
+exit point X; it is paid g(X) - g(Y) plus the core's exit integral of g,
+a control variate whose mean is exact (Asmussen and Glynn, Stochastic
+Simulation, 2007, ch. V).
 
 ``solve_points`` walks many points in one call: each point's walkers form
 streams of at most ``_BATCH_SIZE`` walkers, each with its own
@@ -122,6 +126,10 @@ _MAX_STEPS = 1000
 # the snap tolerance as a fraction of the domain's diameter: a walker of
 # the step loop closer to the boundary than that is paid at its projection
 _SNAP_REL = 1e-6
+# the least depth in the domain's core ball, as a fraction of its radius,
+# of a point walked with the core control variate: ``ball_poisson``'s error
+# estimate covers its error to about that depth
+_CORE_DEPTH = 1e-3
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,13 @@ class WoSConfig:
 
 @dataclass(frozen=True)
 class SolutionSample:
+    """One point's walk.  ``mean_steps`` and ``steps_max`` count a core
+    jump as a step.  ``bias_bound`` is the snap and step-cap bias bound of
+    the walk (see ``solve_points``) plus ``control_err``, the error
+    estimate of the core quadrature ``ball_poisson`` when the point was
+    walked with the core control variate (None when it was not).  That
+    estimate is the difference of two quadrature levels, and it can fall
+    short of the quadrature's error by about 1e-5 deep in the ball."""
     x: tuple
     estimate: float
     stderr: float
@@ -155,6 +170,7 @@ class SolutionSample:
     seed: int
     n_maxed: int = 0      # walkers stopped by the step cap, paid at projection
     steps_max: int = 0    # the most steps any walker took
+    control_err: float | None = None  # core quadrature error, control walks
 
 
 def _declared_growth(g):
@@ -167,9 +183,26 @@ def _declared_growth(g):
     return g.payload_growth
 
 
-def _refuse_diverging(growth, s):
-    """A DivergenceError once a datum's growth reaches 2s (see
-    ``solve_points``)."""
+def _refuse_datum(g, s, dim):
+    """The checks of a datum g before a walk or a ball quadrature of order s
+    in dimension dim: a ParameterError naming g if it declares no growth
+    (``_declared_growth``) or declares a point (a singular point, its power
+    anchor or radial centre, a kink circle's centre) of another dimension,
+    which its function would broadcast against the rows it is handed or
+    fail on; and a DivergenceError once its growth reaches 2s, since the
+    exit radius has tail r^(-2s)."""
+    growth = _declared_growth(g)
+    points = [("singular_points", p)
+              for p in getattr(g, "singular_points", ())]
+    points += [("kink_circles", c) for c, _ in getattr(g, "kink_circles", ())]
+    points += [(name, getattr(g, name, None))
+               for name in ("power_anchor", "radial_center")]
+    for name, p in points:
+        if p is not None and np.shape(p) != (dim,):
+            label = getattr(g, "description", "") or repr(g)
+            raise ParameterError(
+                f"datum {label} declares {name} point {list(p)}, which is "
+                f"not a point of dimension {dim}")
     if growth >= 2.0 * s:
         raise DivergenceError(
             f"datum growth {growth} is not below 2s = {2.0 * s}: the "
@@ -221,8 +254,9 @@ class _Tally:
         self.sum_sq += float(np.sum(dev * dev))
         self.n_pairs += len(pairs)
 
-    def sample(self, x, g, snap_eps, exact, seed):
-        """The SolutionSample of the point x."""
+    def sample(self, x, g, snap_eps, exact, seed, control_err):
+        """The SolutionSample of the point x; control_err is its core
+        quadrature's error estimate, or None."""
         n_walked, n_pairs = self.n_walked, self.n_pairs
         # pair means average to the same value
         mean = self.sum_pay / n_walked
@@ -235,12 +269,14 @@ class _Tally:
             stderr = float("nan")   # one pair has no sample variance
         bias = 0.0 if exact else \
             g.C0 * (snap_eps ** g.alpha + self.maxed_mass / n_walked)
+        if control_err is not None:
+            bias += control_err
         return SolutionSample(
             x=tuple(x.tolist()), estimate=float(mean), stderr=stderr,
             paths_used=n_walked, mean_steps=self.total_steps / n_walked,
             snapped_fraction=self.n_snapped / n_walked,
             bias_bound=float(bias), seed=seed, n_maxed=self.n_maxed,
-            steps_max=self.steps_max)
+            steps_max=self.steps_max, control_err=control_err)
 
 
 def _packs(streams, cap):
@@ -302,8 +338,20 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
     certificate of g bounds by C0 * snap_eps^alpha, plus C0 * dist^alpha
     for each walker stopped by the step cap and paid at its projection,
     over the paths walked.
-    One ``g`` call per walk batch pays every walker; it acts row by row, so
-    a walker's payload does not depend on the rest of the batch.  A
+    A point x at least ``_CORE_DEPTH`` core radii inside the domain's core
+    ball B = ``dom.core`` (a Ball's own walk keeps its one jump) takes the
+    core control variate.  Before any walker moves it gets (I, err) =
+    ``ball_poisson(B, g, x, s)``, the exit integral of g from B.  Each of
+    its streams first jumps out of B with ``_ball_exit`` (offset x - c,
+    from the stream's own generator), and the step loop walks on from the
+    landing points Y; a walker whose Y lies outside the domain stops there,
+    so X = Y.  A walker is paid g(X) - g(Y) + I, which has the mean of
+    g(X), since E g(Y) = I, and much less variance.  The core jump counts
+    as a step, and err adds to the point's bias bound and is its
+    ``control_err``.
+    One ``g`` call per walk batch pays every walker (at X, and at Y for the
+    control walkers); it acts row by row, so a walker's payload does not
+    depend on the rest of the batch.  A
     non-finite payload (an exit radius that overflowed at small s, met by a
     datum that grows) raises a ReliabilityError naming s and the count, and
     so do walkers stopped by the step cap on more than 1% of a point's
@@ -324,7 +372,7 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
             f"walk-on-spheres steps in dim 1 or 2, not dim {dom.dim}")
     law = StableExitSampler(kernel.s)
     cfg = cfg or WoSConfig()
-    _refuse_diverging(_declared_growth(g), law.s)
+    _refuse_datum(g, law.s, dom.dim)
     xs = [np.asarray(x, dtype=float) for x in xs]
     point_indices = (range(len(xs)) if point_indices is None
                      else list(point_indices))
@@ -342,6 +390,13 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
                 f"walk-on-spheres needs an interior starting point: point "
                 f"{i} at {x.tolist()} is not interior")
     exact = isinstance(dom, Ball)
+    # (value, error estimate) of the core quadrature at each point deep in
+    # the core ball, None at the others (a Ball has no core)
+    core = dom.core
+    controls = [ball_poisson(core, g, x, law.s)
+                if core is not None and core.radius - np.linalg.norm(
+                    x - core.center) >= _CORE_DEPTH * core.radius
+                else None for x in xs]
     batch_size, seed = _BATCH_SIZE, cfg.seed
     snap_eps = _SNAP_REL * dom.diameter
     paths = cfg.paths + cfg.paths % 2
@@ -366,15 +421,37 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
                                             dom.radius, size, rng)
                     for (k, _, size), rng in zip(pack, rngs)])
             walks = [(size, 1, 0, np.empty(0)) for _, _, size in pack]
+            landed = []
         else:
+            # a control stream first jumps out of the core, drawing from its
+            # own generator, and its walkers walk on from where they landed
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                starts = [xs[k] if controls[k] is None else
+                          core.center + _ball_exit(law, xs[k] - core.center,
+                                                   core.radius, size, rng)
+                          for (k, _, size), rng in zip(pack, rngs)]
+            landed = [x for x in starts if x.ndim == 2]
             stop, walks = _step_batch(
-                dom, [xs[k] for k, _, _ in pack],
-                [size for _, _, size in pack], law, snap_eps, rngs)
-        payload = np.asarray(g(stop), dtype=float)
-        lo = 0
+                dom, starts, [size for _, _, size in pack], law, snap_eps,
+                rngs)
+        # one datum call pays where every walker stopped and where each
+        # control walker landed from its core jump
+        payload = np.asarray(
+            g(np.concatenate([stop, *landed]) if landed else stop),
+            dtype=float)
+        lo, lo_y = 0, len(stop)
         for (k, b, size), walk in zip(pack, walks):
             part = payload[lo:lo + size]
             lo += size
+            if controls[k] is not None:
+                # g(X) - g(Y) + I, and the core jump is a step; a growing
+                # datum pays inf - inf at a walker that jumped to infinity,
+                # which the check below refuses
+                with np.errstate(invalid="ignore"):
+                    part = part - payload[lo_y:lo_y + size] + controls[k][0]
+                lo_y += size
+                walk = (walk[0] + size, walk[1] + 1, *walk[2:])
             n_bad = np.count_nonzero(~np.isfinite(part))
             if n_bad:
                 raise ReliabilityError(
@@ -389,21 +466,26 @@ def solve_points(dom, g, xs, kernel, cfg=None, point_indices=None):
             raise ReliabilityError(
                 f"{t.n_maxed} of {t.n_walked} paths hit max_steps = "
                 f"{_MAX_STEPS}")
-    return [t.sample(x, g, snap_eps, exact, seed)
-            for x, t in zip(xs, tallies)]
+    return [t.sample(x, g, snap_eps, exact, seed,
+                     None if c is None else c[1])
+            for x, t, c in zip(xs, tallies, controls)]
 
 
 def _step_batch(dom, starts, sizes, law, snap_eps, rngs):
     """One walk batch of the step loop on a planar domain: stream j holds
-    sizes[j] walkers started at the interior point starts[j] and draws
-    from the generator rngs[j].  Returns where each walker of the batch
-    stopped (its projection where it snapped or ran out of steps), stream
-    after stream, and for each stream its steps walked, its most steps of
-    a walker, its count paid at a projection and the distances to it of
-    its walkers stopped by the step cap ``_MAX_STEPS``.
+    sizes[j] walkers and draws from the generator rngs[j]; they start at
+    the interior point starts[j], or, when starts[j] is an array of
+    sizes[j] rows, walker i at its row i (the landing points of a core
+    jump, any of which may lie outside).  Returns where each walker of the
+    batch stopped (its projection where it snapped or ran out of steps),
+    stream after stream, and for each stream its steps walked, its most
+    steps of a walker, its count paid at a projection and the distances to
+    it of its walkers stopped by the step cap ``_MAX_STEPS``.
 
-    A stream's walkers all start at its point, so one ``dom.dist_bound``
-    row per stream serves them, and each step makes one
+    A stream's walkers that all start at its point take one
+    ``dom.dist_bound`` row, those with their own starts one row each, in
+    one call; a walker that starts outside stops there, and one within
+    snap_eps snaps.  Each step makes one
     ``dom.dist_bound(newpos, snap_eps)`` call for the whole batch: a walker
     jumps from the ball whose radius is that lower bound on the distance,
     to ``law.radius`` times that radius, exits where the bound is 0 (or
@@ -431,7 +513,11 @@ def _step_batch(dom, starts, sizes, law, snap_eps, rngs):
     # every stream but the last of a point has _BATCH_SIZE walkers and the
     # path count is even, so no pair spans two
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    starts = np.asarray(starts)
+    # a stream starts at its point, one row for all its walkers, or at its
+    # walkers' own points, one row each
+    rows = np.concatenate([np.atleast_2d(x) for x in starts])
+    reps = np.concatenate([[n] if np.ndim(x) == 1 else np.ones(n, dtype=int)
+                           for x, n in zip(starts, sizes)])
     # where each walker stopped, and whether it is paid at its projection
     # (snapped or stopped by the step cap) rather than there
     stop = np.empty((offsets[-1], dom.dim))
@@ -439,14 +525,14 @@ def _step_batch(dom, starts, sizes, law, snap_eps, rngs):
     # the live walkers, their positions and their dist_bound, compacted as
     # walkers snap, exit or run out of steps
     live = np.arange(offsets[-1])
-    pos = np.repeat(starts, sizes, axis=0)
-    d = np.repeat(dom.dist_bound(starts, snap_eps), sizes)
+    pos = np.repeat(rows, reps, axis=0)
     steps = [0] * len(sizes)
     steps_max = [0] * len(sizes)
     # an exit radius is inf where numpy's Beta draw gives W = 0 (at small
     # s), and the step and dist_bound then meet inf and NaN: such a walker
     # exits, and its payload is checked by the caller
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = np.repeat(dom.dist_bound(rows, snap_eps), reps)
         for step in range(max_steps + 1):
             # one compaction: a walker stays live at d >= snap_eps, snaps to
             # its projection at 0 < d < snap_eps and exits at d <= 0 or
@@ -631,7 +717,7 @@ def ball_poisson(dom, g, x, s):
     x = np.asarray(x, dtype=float)
     if not dom.contains(x):
         raise DomainError("evaluation point must be interior")
-    _refuse_diverging(_declared_growth(g), s)
+    _refuse_datum(g, s, dom.dim)
     coarse = _ball_poisson_level(dom, g, x, s, n_jac=16, mid_panels=16,
                                  split=False)
     fine = _ball_poisson_level(dom, g, x, s, n_jac=24, mid_panels=24,

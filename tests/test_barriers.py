@@ -338,6 +338,31 @@ def test_data_builtin_configs():
         data_from_config({"name": "nope"})
 
 
+@pytest.mark.parametrize("make, named", [
+    (lambda: holder_point_singularity(0.3, [0.0, 0.0], C0=-1.0), "C0"),
+    (lambda: holder_point_singularity(0.3, [0.0, 0.0], C0=0.0), "C0"),
+    (lambda: holder_point_singularity(0.3, [0.0, 0.0], C0=np.nan), "C0"),
+    (lambda: holder_point_singularity(-0.5, [1.0, 0.0]), "alpha"),
+    (lambda: holder_point_singularity(0.0, [1.0, 0.0]), "alpha"),
+    (lambda: holder_point_singularity(1.5, [1.0, 0.0]), "alpha"),
+    (lambda: holder_point_singularity(np.nan, [1.0, 0.0]), "alpha"),
+    (lambda: capped_distance_data([2.0, 0.0], 0.0), "cap"),
+    (lambda: capped_distance_data([2.0, 0.0], -3.0), "cap"),
+    (lambda: capped_distance_data([2.0, 0.0], np.nan), "cap"),
+], ids=["C0<0", "C0=0", "C0=nan", "alpha<0", "alpha=0", "alpha>1",
+        "alpha=nan", "cap=0", "cap<0", "cap=nan"])
+def test_data_refuse_a_certificate_that_bounds_nothing(make, named):
+    # a negative C0 made the walk's bias bound negative, and alpha -0.5
+    # walked a datum singular at its anchor with exit 0
+    with pytest.raises(ParameterError, match=named):
+        make()
+
+
+def test_data_take_the_ends_of_their_ranges():
+    assert holder_point_singularity(1.0, [1.0, 0.0], C0=1e-300).alpha == 1.0
+    assert capped_distance_data([2.0, 0.0], 1e-300).C0 == 1.0
+
+
 def test_coordinate_data_window_certificate():
     ball = Ball([0.0, 0.0], 1.0)
     g = coordinate_data(0)

@@ -179,7 +179,8 @@ def test_solve_sidecar_describes_the_run(tmp_path):
     diag = side["report"]["diagnostics"]
     assert diag["points"] == [
         {"x": list(w.x), "paths_used": w.paths_used, "n_maxed": w.n_maxed,
-         "steps_max": w.steps_max, "bias_bound": w.bias_bound}
+         "steps_max": w.steps_max, "bias_bound": w.bias_bound,
+         "control_err": None}
         for w in walks]
     assert diag["totals"] == {
         "paths_used": 4000, "n_maxed": 0,
@@ -227,12 +228,17 @@ def test_profile_and_experiment_sidecars_report_the_walks(tmp_path):
     ("1,0,0", "z0 must be a finite point of dimension 2, got [1.0, 0.0, 0.0]"),
     ("1", "z0 must be a finite point of dimension 2, got [1.0]"),
     ("nan,0", "z0 must be a finite point of dimension 2, got [nan, 0.0]"),
-    ("3,0", "no depth of the profile at z0 = [3.0, 0.0] is interior"),
-    ("5,5", "no depth of the profile at z0 = [5.0, 5.0] is interior"),
-], ids=["3-D", "1-D", "nan", "outside", "far-outside"])
+    ("3,0", "z0 = [3.0, 0.0] lies 2 off the boundary"),
+    ("5,5", "z0 = [5.0, 5.0] lies 6.07 off the boundary"),
+    ("0.5,0", "z0 = [0.5, 0.0] lies 0.5 off the boundary"),
+    ("0,0", "z0 = [0.0, 0.0] lies 1 off the boundary"),
+], ids=["3-D", "1-D", "nan", "outside", "far-outside", "inside", "centre"])
 def test_profile_refuses_a_bad_z0_by_name(tmp_path, capsys, z0, error):
-    # a 3-D z0 died in a bare broadcast ValueError; the others trimmed
-    # every depth with a warning each and wrote an empty CSV with exit 0
+    # a 3-D z0 died in a bare broadcast ValueError; the outside ones
+    # trimmed every depth with a warning each and wrote an empty CSV with
+    # exit 0 (later they were refused as having no interior depth); the
+    # inside ones profiled from z0 as if it were a boundary point, and the
+    # centre met a 0/0 in the inward normal before its refusal
     out = tmp_path / "bad.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -840,7 +846,7 @@ GOLDEN = {
          '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
          "--points", "0.1,0.2;-0.3,0.1", "--paths", "2000", "--seed", "3",
          "--out", "star.csv"],
-        "e467438d62b581d5c6a9d48b92de6e05d8949f3e7e2923fc385c0a53881da506"),
+        "e5a4081ce1561089d360f0ca95a9681de63ceb562b078996333c58b45207df2e"),
     "profile.csv": (
         ["profile", "--domain", "square", "--data",
          '{"name": "holder_point_singularity", "alpha": 0.1, "z0": [0, 0]}',
@@ -1003,6 +1009,29 @@ def test_wos_outputs_agree_with_four_split_runs(tmp_path, monkeypatch, name):
     for (new_est, new_se), (est, se) in zip(rows, FOUR_SPLIT[name]):
         assert new_est != est
         assert abs(new_est - est) <= 4.0 * (new_se ** 2 + se ** 2) ** 0.5
+
+
+# (estimate, stderr) of each row the seeded star walks of GOLDEN wrote when
+# every walker walked plainly, before points deep in the star's core disc
+# took the core control variate (both points of star.csv do)
+PLAIN_WALK = {
+    "star.csv": [(2.29859159041, 0.0139970116047),
+                 (2.51442447612, 0.0116083643722)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_WALK))
+def test_wos_outputs_agree_with_plain_walks(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(["--threads", "1", *GOLDEN[name][0]]) == 0
+    rows = wos_rows(name)
+    assert len(rows) == len(PLAIN_WALK[name])
+    for (new_est, new_se), (est, se) in zip(rows, PLAIN_WALK[name]):
+        assert new_se < se
+        assert abs(new_est - est) <= 4.0 * (new_se ** 2 + se ** 2) ** 0.5
+    diag = json.loads(open(name + ".meta.json").read())["report"][
+        "diagnostics"]
+    assert all(0.0 < p["control_err"] < 1e-5 for p in diag["points"])
 
 
 # (value, err_estimate) of each point, and the n_evals of each operator value

@@ -551,6 +551,55 @@ def test_star_one_split_bound_is_as_good_as_the_four_splits(coeff):
     assert ratio.min() >= 0.95 and ratio.mean() >= 1.0
 
 
+@st.composite
+def _stars(draw):
+    """A star r = 1 + sum_k a_k cos k theta + b_k sin k theta with 1 to 6
+    harmonics, each coefficient below 0.07, so r stays above 0.16."""
+    n = draw(st.integers(1, 6))
+    coeff = st.floats(-0.07, 0.07)
+    cos = draw(st.lists(coeff, min_size=n, max_size=n))
+    sin = draw(st.lists(coeff, min_size=n, max_size=n))
+    return StarShaped([1.0, *cos], sin)
+
+
+def _core_lies_inside(dom):
+    core = dom.core
+    assert isinstance(core, Ball)
+    assert core.radius <= dom.dist(core.center)
+    # and below every sample of r, at any angle
+    th = np.linspace(0.0, 2.0 * np.pi, 1 << 16, endpoint=False)
+    assert core.radius <= np.min(dom.radial(th))
+
+
+@pytest.mark.parametrize("coeff_cos, coeff_sin", [
+    ([1.0, 0.0, 0.1], ()),                         # the benchmark star
+    ([1.0, 0.0, 0.12], [0.0, 0.07]),               # with a sine term
+    ([1.0, 0.05, -0.04, 0.03, 0.06], [0.02]),      # four harmonics
+    ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2], ()),
+], ids=["benchmark", "sine", "four-harmonics", "eighth-harmonic"])
+def test_star_core_lies_inside(coeff_cos, coeff_sin):
+    _core_lies_inside(StarShaped(coeff_cos, coeff_sin))
+
+
+@given(dom=_stars())
+def test_star_core_lies_inside_any_star(dom):
+    if dom.core is not None:
+        _core_lies_inside(dom)
+    else:
+        assert not dom._cos_terms and not dom._sin_terms
+
+
+def test_only_a_star_with_a_harmonic_has_a_core():
+    # a star with no harmonic is a disc: its core would be the whole
+    # domain, and a walk there would be the core quadrature itself
+    assert StarShaped([1.0]).core is None
+    assert StarShaped([1.0, 0.0, 0.0], [0.0]).core is None
+    assert StarShaped([1.0, 0.0, 0.1]).core.center.tolist() == [0.0, 0.0]
+    for dom in (Ball([0.0, 0.0], 1.0), unit_square(), HalfPlane([0.0, 1.0]),
+                Cone([0.0, 1.0], 0.7)):
+        assert dom.core is None
+
+
 def test_star_dist_bound_edge_rows_are_silent():
     # the origin of a disc divides 0 by 0 (M = 0) and falls back on the
     # disc bound; a star's origin, boundary points and NaN rows

@@ -109,6 +109,36 @@ def test_boundary_profile_constant_data():
     assert prof.g0 == 1.0
 
 
+@pytest.mark.parametrize("dom, z0, off", [
+    (BALL, [0.5, 0.0], "0.5"), (BALL, [0.0, 0.0], "1"),
+    (BALL, [1.0 + 1e-6, 0.0], "1e-06"),
+    (unit_square(), [0.5, 0.5], "0.5")],
+    ids=["ball-inside", "ball-centre", "ball-just-outside", "square-inside"])
+def test_boundary_profile_refuses_a_z0_off_the_boundary(monkeypatch, dom, z0,
+                                                        off):
+    # an inside z0 profiled from there as if it were a boundary point, and
+    # the ball's centre met a 0/0 in the inward normal first; the refusal
+    # comes before any normal or walk
+    def fail(*args):
+        raise AssertionError("reached past the z0 check")
+
+    monkeypatch.setattr("fraclab.regularity.inward_normal", fail)
+    g = constant_data(1.0)
+    with pytest.raises(DomainError,
+                       match=re.escape(f"z0 = {z0} lies {off} off the")):
+        boundary_profile(fail, dom, g, z0, [1e-3, 1e-2])
+
+
+def test_boundary_profile_takes_a_z0_within_rounding_of_the_boundary():
+    # 1e-12 off the unit circle is within 1e-9 diameters of it
+    g = constant_data(1.0)
+    solver = wos_solver(BALL, g, K05, WoSConfig(paths=200, seed=13))
+    z0 = [1.0 + 1e-12, 0.0]
+    assert BALL.signed_dist(z0) < 0.0
+    prof = boundary_profile(solver, BALL, g, z0, [1e-3, 1e-2])
+    assert len(prof.t) == 2
+
+
 def test_boundary_profile_trims_exterior_points():
     g = constant_data(1.0)
     solver = wos_solver(BALL, g, K05, WoSConfig(paths=200, seed=13))

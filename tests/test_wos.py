@@ -643,6 +643,7 @@ def test_a_datum_that_declares_no_growth_is_refused(monkeypatch):
         halfplane_poisson(constant_data(1.0).fn, [0.0, 1.0], 0.5)
 
 
+
 @pytest.mark.parametrize("dom, x, max_steps", [
     (StarShaped([1.0]), [0.9, 0.0], 16),   # some walkers hit max_steps
     (unit_square(), [0.02, 0.5], 1000),
@@ -807,21 +808,32 @@ def test_dist_bound_gets_one_start_row_per_batch_and_one_row_per_step(
 # step on StarShaped.dist_bound, a lower bound on the distance (smaller
 # steps, new streams); they are pinned at the values of that walk.  Both are
 # drawn from the exact Beta exit law, one radius and one angle per live
-# antithetic pair and step, from the whole ball of radius dist_bound.
+# antithetic pair and step, from the whole ball of radius dist_bound.  The
+# first two star points lie deep in the star's core disc and are walked
+# with the core control variate: a first jump from the core, paid
+# g(X) - g(Y) plus the core's exit integral.
 SQUARE_PINNED = [
     (1e-4, 0.4390189967319075, 0.0017540619800195266),
     (1e-2, 0.6875819807078501, 0.0025567818756747685),
 ]
 STAR_PINNED = [
-    (0.3, 0.5, 1.9459887458000558, 0.017055642812213265),
-    (1.2, 0.05, 1.9924751800495646, 0.010750649131069519),
+    (0.3, 0.5, 1.9066085615284005, 0.009121113054549648),
+    (1.2, 0.05, 2.0047267852799355, 0.006791093028032461),
     (2.0, 1e-3, 2.541356854768978, 0.0034479964093032216),
 ]
 # the stderrs of the same walks from variance sums not shifted by the first
 # estimator unit, which agree with the pins above to the last few bits
 SQUARE_UNSHIFTED_STDERR = [0.0017540619800195073, 0.002556781875674718]
-STAR_UNSHIFTED_STDERR = [0.017055642812213244, 0.010750649131069542,
+STAR_UNSHIFTED_STDERR = [0.009121113054549683, 0.006791093028032499,
                          0.003447996409303188]
+# the star problems walked plainly, with no control variate: the pins
+# before the core jump (the third point lies outside the core and walks
+# the same streams both ways)
+STAR_PLAIN = [
+    (0.3, 0.5, 1.9459887458000558, 0.017055642812213265),
+    (1.2, 0.05, 1.9924751800495646, 0.010750649131069519),
+    (2.0, 1e-3, 2.541356854768978, 0.0034479964093032216),
+]
 # the star problems walked when dist_bound took the best of four fixed
 # splits lam = 1/16, 1/8, 1/4, 1/2 of its cone bound at every point
 STAR_FOUR_SPLIT = [
@@ -886,6 +898,13 @@ def test_star_walks_pinned():
         assert out.snapped_fraction > 0.0
 
 
+def test_star_pins_agree_with_plain_walks():
+    for new, old in zip(STAR_PINNED, STAR_PLAIN):
+        assert new[:2] == old[:2]
+        assert abs(new[2] - old[2]) <= 4.0 * np.hypot(new[3], old[3])
+    assert STAR_PINNED[2] == STAR_PLAIN[2]
+
+
 def test_star_pins_agree_with_exact_distance_walks():
     for new, old in zip(STAR_PINNED, STAR_EXACT_STEPS):
         assert new[:2] == old[:2]
@@ -918,7 +937,8 @@ def test_star_walks_solve_nearest_points_in_project_and_at_the_snap_threshold(
     # batch in project, and in dist_bound only on the rows at the snap
     # threshold that its bounds leave open, whose distance is within 10% of
     # snap_eps (dist_bound ran it 38 times on 265 rows here when every row
-    # below snap_eps took it, and project solved the snapped rows again)
+    # below snap_eps took it, and project solved the snapped rows again;
+    # 6 times on 6 rows before the first two points jumped from the core)
     star = StarShaped([1.0, 0.0, 0.1])
     snap_eps = 1e-6 * star.diameter
     calls = {"project": [], "dist_bound": []}
@@ -938,13 +958,15 @@ def test_star_walks_solve_nearest_points_in_project_and_at_the_snap_threshold(
         x = (float(star.radial(th)) - gap) * np.array([np.cos(th), np.sin(th)])
         solve(star, g, x, K05, WoSConfig(paths=10000, seed=1), point_index=k)
     assert len(calls["project"]) == 3           # one batch per point
-    assert (len(calls["dist_bound"]), sum(calls["dist_bound"])) == (6, 6)
+    assert (len(calls["dist_bound"]), sum(calls["dist_bound"])) == (4, 4)
 
 
 def test_square_profile_edge_pass_rows_pinned(tmp_path, monkeypatch):
     # the benchmark's square-corner profile: dist_bound sends no row to the
     # edge pass (2,046 of its 5,132 rows did when every row below snap_eps
-    # took it; project passes the same rows again)
+    # took it; project passes the same rows again).  signed_dist passes
+    # the 1,024 probes of the inward normal and z0, whose distance to the
+    # boundary the profile checks first
     rows = {}
     edge_pass = Polygon._edge_pass
 
@@ -961,7 +983,8 @@ def test_square_profile_edge_pass_rows_pinned(tmp_path, monkeypatch):
                 "--n", "8", "--paths", "10000", "--seed", "1",
                 "--out", str(tmp_path / "square.csv")]) == 0
     assert "dist_bound" not in rows
-    assert sum(rows.values()) == 3086
+    assert rows["signed_dist"] == 1025
+    assert sum(rows.values()) == 3087
 
 
 @pytest.mark.parametrize("pinned, half", [
@@ -1019,6 +1042,111 @@ def test_solve_points_equal_a_loop_of_solve(monkeypatch, case, paths,
                       for x, i in zip(pts, indices)]
 
 
+@pytest.mark.parametrize("dom, x, g, named", [
+    (BALL, [0.5, 0.0], holder_point_singularity(0.3, [1.0, 0.0, 0.0]),
+     r"holder_point_singularity\(0\.3, \[1\.0, 0\.0, 0\.0\]\) declares "
+     r"singular_points point \[1\.0, 0\.0, 0\.0\]"),
+    (unit_square(), [0.5, 0.5], holder_point_singularity(0.3, [1.0]),
+     r"holder_point_singularity\(0\.3, \[1\.0\]\) declares singular_points"),
+    (BALL, [0.5, 0.0], capped_distance_data([2.0, 0.0, 0.0], 3.0),
+     r"capped_distance\(\[2\.0, 0\.0, 0\.0\], 3\.0\) declares kink_circles"),
+    (STAR, [0.1, 0.2], dataclasses.replace(
+        capped_distance_data([2.0, 0.0], 3.0), radial_center=(2.0,)),
+     r"declares radial_center point \[2\.0\]"),
+    (STAR, [0.1, 0.2], dataclasses.replace(
+        holder_point_singularity(0.3, [1.0, 0.0]), power_anchor=(1.0,)),
+     r"declares power_anchor point \[1\.0\]"),
+], ids=["ball-3d-z0", "square-1d-z0", "ball-3d-kink", "star-radial",
+        "star-anchor"])
+def test_a_datum_anchored_in_another_dimension_is_refused_before_walking(
+        monkeypatch, dom, x, g, named):
+    # a 3-D z0 on the ball died in a bare broadcast ValueError after the
+    # walk, and a 1-D z0 on the square walked |y - (1, 1)|^0.3
+    for name in ("_step_batch", "_ball_exit", "_ball_poisson_level"):
+        monkeypatch.setattr(wos, name,
+                            lambda *a, **k: pytest.fail("a walker started"))
+    with pytest.raises(ParameterError, match=named):
+        solve(dom, g, x, K05, WoSConfig(paths=100))
+    if isinstance(dom, Ball):
+        with pytest.raises(ParameterError, match=named):
+            ball_poisson(dom, g, x, 0.5)
+
+
+# the benchmark's star problems at 40,000 paths and seed 11, point k on the
+# streams of k, walked plainly (no control variate): (estimate, stderr)
+STAR_PLAIN_40K = [
+    (1.9117974454813258, 0.003768460444456791),
+    (2.0071725388151958, 0.002385550523572315),
+    (2.5410006157965515, 0.0007648684409860533),
+]
+
+
+def test_core_control_walks_agree_with_plain_walks_at_less_stderr():
+    # gaps 0.5 and 0.05 lie deep in the core and take the control variate,
+    # gap 1e-3 lies outside it and walks the plain streams; at equal paths
+    # the control cuts the stderr by 1.75x and 1.55x
+    g = capped_distance_data([2.0, 0.0], 3.0)
+    out = wos.solve_points(STAR, g, STAR_POINTS, K05,
+                           WoSConfig(paths=40000, seed=11))
+    for o, (est, se) in zip(out, STAR_PLAIN_40K):
+        assert abs(o.estimate - est) <= 4.0 * np.hypot(o.stderr, se)
+    assert STAR_PLAIN_40K[0][1] / out[0].stderr >= 1.6
+    assert STAR_PLAIN_40K[1][1] / out[1].stderr >= 1.35
+    assert (out[2].estimate, out[2].stderr) == STAR_PLAIN_40K[2]
+    assert out[2].control_err is None
+    # the core quadrature's error estimate adds to the bias bound
+    snap = g.C0 * (wos._SNAP_REL * STAR.diameter) ** g.alpha
+    for o in out[:2]:
+        assert 0.0 < o.control_err < 1e-5 and o.n_maxed == 0
+        assert o.bias_bound == pytest.approx(snap + o.control_err, rel=1e-12)
+
+
+@pytest.mark.parametrize("paths, batch_size, n_batches", [
+    (2000, 1 << 15, 1), (4000, 1000, 4)])
+def test_a_core_point_makes_one_datum_call_per_walk_batch(
+        monkeypatch, paths, batch_size, n_batches):
+    # X and Y are paid together, beyond the core quadrature's own calls
+    monkeypatch.setattr(wos, "_BATCH_SIZE", batch_size)
+    calls = [0]
+    base = capped_distance_data([2.0, 0.0], 3.0)
+
+    def counted(pts):
+        calls[0] += 1
+        return base.fn(pts)
+
+    g = dataclasses.replace(base, fn=counted)
+    x = STAR_POINTS[0]
+    ball_poisson(STAR.core, g, x, 0.5)
+    quadrature, calls[0] = calls[0], 0
+    out = solve(STAR, g, x, K05, WoSConfig(paths=paths, seed=3))
+    assert out.control_err is not None
+    assert calls[0] == quadrature + n_batches
+
+
+def test_a_core_walk_of_a_constant_datum_pays_the_constant():
+    # g(X) - g(Y) is 0 and the core quadrature is exact for a constant, so
+    # every walker pays it; the core jump counts as a step
+    out = solve(STAR, constant_data(2.5), [0.1, 0.2], K05,
+                WoSConfig(paths=2000, seed=3))
+    assert out.control_err == pytest.approx(0.0, abs=1e-12)
+    assert out.estimate == pytest.approx(2.5, abs=1e-12)
+    assert out.stderr == pytest.approx(0.0, abs=1e-12)
+    assert out.mean_steps >= 1.0 and out.steps_max >= 2
+
+
+def test_only_points_deep_in_the_core_take_the_control(monkeypatch):
+    # a point closer than _CORE_DEPTH core radii to the core's circle walks
+    # plainly, where the core quadrature's error estimate may not cover
+    core = STAR.core
+    depth = wos._CORE_DEPTH * core.radius
+    g = capped_distance_data([2.0, 0.0], 3.0)
+    cfg = WoSConfig(paths=200, seed=3)
+    inner = np.array([core.radius - 1.01 * depth, 0.0])
+    outer = np.array([core.radius - 0.99 * depth, 0.0])
+    assert solve(STAR, g, inner, K05, cfg).control_err is not None
+    assert solve(STAR, g, outer, K05, cfg).control_err is None
+
+
 class CountingStar(StarShaped):
     """The benchmark's star, counting its dist_bound calls and the largest
     row count of one, and its project calls."""
@@ -1037,13 +1165,16 @@ class CountingStar(StarShaped):
 def test_solve_points_walk_the_benchmark_star_in_one_step_loop():
     # its three points of 10,000 paths pack into one walk batch: one
     # project call, one dist_bound call for the start rows and one per
-    # step (each point walking its own loop made about 90 calls)
+    # step (each point walking its own loop made about 90 calls).  The
+    # start rows are the landing points of the 20,000 core jumps of the
+    # first two points and one row for the third (30,000 rows, all walkers
+    # at the first step, before the core jump)
     star = CountingStar([1.0, 0.0, 0.1])
     out = wos.solve_points(star, capped_distance_data([2.0, 0.0], 3.0),
                            STAR_POINTS, K05, WoSConfig(paths=10000, seed=1))
     assert star.project_calls == 1
     assert star.dist_bound_calls <= 3 + max(o.steps_max for o in out)
-    assert star.most_rows == 30000
+    assert star.most_rows == 20001
 
 
 def test_last_streams_of_all_points_share_a_walk_batch():
