@@ -7,6 +7,7 @@ theory leaves implicit (how large beta may be for the cone barrier) are
 estimated by bisection, never assumed.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,26 +138,63 @@ def _length(v):
     return np.linalg.norm(v, axis=-1)
 
 
+def _is_real(v):
+    """Whether v is a finite real number (a bool, a string or an int beyond
+    the float range is not one)."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(
+            v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _number(datum, key, v):
+    """v as a float; a ParameterError naming the datum's key unless it is a
+    finite real number."""
+    if not _is_real(v):
+        raise ParameterError(
+            f"{datum} {key} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _point(datum, key, v):
+    """v as a 1-D float array; a ParameterError naming the datum's key
+    unless v is a finite real number or a non-empty list of them."""
+    coords = np.atleast_1d(np.asarray(v, dtype=object))
+    if coords.ndim != 1 or len(coords) == 0 or not all(map(_is_real, coords)):
+        raise ParameterError(
+            f"{datum} {key} must be a point of finite numbers, got {v!r}")
+    return coords.astype(float)
+
+
 def holder_point_singularity(alpha, z0, C0=1.0):
-    """g(y) = C0 |y - z0|^alpha, the point-singularity datum anchored at z0."""
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
+    """g(y) = C0 |y - z0|^alpha, the point-singularity datum anchored at z0.
+    alpha, C0 and each coordinate of z0 must be finite numbers, each
+    refused by name otherwise."""
+    name = "holder_point_singularity"
+    a, c0 = _number(name, "alpha", alpha), _number(name, "C0", C0)
+    z0 = _point(name, "z0", z0)
 
     def fn(pts):
-        return C0 * _length(pts - z0) ** alpha
+        return c0 * _length(pts - z0) ** a
 
-    return ExteriorData(fn=fn, alpha=float(alpha), C0=float(C0),
+    return ExteriorData(fn=fn, alpha=a, C0=c0,
                         description=f"holder_point_singularity({alpha}, {z0.tolist()})",
                         singular_points=(tuple(z0.tolist()),),
                         power_anchor=tuple(z0.tolist()))
 
 
 def counterexample_min_rs_1(s):
-    """g(y) = min(|y|^s, 1): the sharp datum of the log-correction example."""
+    """g(y) = min(|y|^s, 1): the sharp datum of the log-correction example;
+    s must be a finite number."""
+    order = _number("counterexample_min_rs_1", "s", s)
 
     def fn(pts):
-        return np.minimum(_length(pts) ** s, 1.0)
+        return np.minimum(_length(pts) ** order, 1.0)
 
-    return ExteriorData(fn=fn, alpha=float(s), C0=1.0,
+    return ExteriorData(fn=fn, alpha=order, C0=1.0,
                         description=f"counterexample_min_rs_1(s={s})",
                         growth=0.0, singular_points=((0.0, 0.0),),
                         kink_circles=(((0.0, 0.0), 1.0),),
@@ -164,17 +202,24 @@ def counterexample_min_rs_1(s):
 
 
 def constant_data(value=1.0):
-    def fn(pts):
-        return np.full(np.asarray(pts).shape[:-1], float(value))
+    """g(y) = value, a finite number."""
+    v = _number("constant", "value", value)
 
-    return ExteriorData(fn=fn, alpha=0.5, C0=max(abs(float(value)), 1.0),
+    def fn(pts):
+        return np.full(np.asarray(pts).shape[:-1], v)
+
+    return ExteriorData(fn=fn, alpha=0.5, C0=max(abs(v), 1.0),
                         description=f"constant({value})", growth=0.0)
 
 
 def coordinate_data(axis=0):
     """g(y) = y_axis.  No finite (alpha < 1) certificate exists globally; the
     declared pair only covers a bounded window, which is what the sampled
-    validation checks."""
+    validation checks.  An axis that is not an int is refused by name."""
+    if isinstance(axis, (bool, np.bool_)) or not isinstance(
+            axis, (int, np.integer)):
+        raise ParameterError(f"coordinate axis must be an int, got {axis!r}")
+    axis = int(axis)
 
     def fn(pts):
         return np.asarray(pts, dtype=float)[..., axis]
@@ -187,19 +232,21 @@ def capped_distance_data(p, cap, alpha=0.9):
     """g(y) = min(|y - p|, cap): bounded and Lipschitz, hence alpha-Hoelder
     for any alpha < 1.  C0 = max(1, cap) covers both the Hoelder pairs
     (increments <= min(|x-z|, cap)) and the growth bound (|g| <= cap).  A
-    cap that is not > 0 is refused by name."""
-    if not cap > 0.0:
+    cap, alpha or coordinate of p that is not a finite number, and a cap
+    that is not > 0, are refused by name."""
+    name = "capped_distance"
+    c, a = _number(name, "cap", cap), _number(name, "alpha", alpha)
+    if not c > 0.0:
         raise ParameterError(f"capped_distance needs cap > 0, got {cap}")
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    p = _point(name, "p", p)
 
     def fn(pts):
-        return np.minimum(_length(pts - p), cap)
+        return np.minimum(_length(pts - p), c)
 
-    C0 = max(1.0, float(cap))
-    return ExteriorData(fn=fn, alpha=float(alpha), C0=C0,
+    return ExteriorData(fn=fn, alpha=a, C0=max(1.0, c),
                         description=f"capped_distance({p.tolist()}, {cap})",
                         growth=0.0,
-                        kink_circles=((tuple(p.tolist()), float(cap)),),
+                        kink_circles=((tuple(p.tolist()), c),),
                         radial_center=tuple(p.tolist()))
 
 

@@ -127,8 +127,10 @@ _MAX_STEPS = 1000
 # the step loop closer to the boundary than that is paid at its projection
 _SNAP_REL = 1e-6
 # the least depth in the domain's core ball, as a fraction of its radius,
-# of a point walked with the core control variate: ``ball_poisson``'s error
-# estimate covers its error to about that depth
+# of a point walked with the core control variate.  ``ball_poisson``'s
+# error estimate covers its error to depth 1e-5 of the unit ball (15 of 15
+# points of the capped datum, and the star core's 4 test points); a lower
+# depth would move the streams of the points it adds
 _CORE_DEPTH = 1e-3
 
 
@@ -158,8 +160,9 @@ class SolutionSample:
     the walk (see ``solve_points``) plus ``control_err``, the error
     estimate of the core quadrature ``ball_poisson`` when the point was
     walked with the core control variate (None when it was not).  That
-    estimate is the difference of two quadrature levels, and it can fall
-    short of the quadrature's error by about 1e-5 deep in the ball."""
+    estimate is the difference of two quadrature levels; against a scipy
+    oracle it covers the quadrature's error at every point measured, from
+    the centre to depth 1e-5 of the ball."""
     x: tuple
     estimate: float
     stderr: float
@@ -631,97 +634,158 @@ def _radial_edges(base, origin, dirs, circles, lo, hi):
     return np.sort(np.concatenate(cols, axis=1), axis=1)
 
 
-def _ball_poisson_level(dom, g, x, s, n_jac, mid_panels, split):
-    """One resolution level of the ball Poisson quadrature; ``split`` halves
-    every angular panel once more.  All rays of the level are evaluated
-    together, in chunks of at most NODE_CAP radial nodes."""
-    R = dom.radius
+def _ball_ray_kinks(dom, g, dirs, lo, hi):
+    """Where each ray c + rho theta from the ball's centre c (theta a row
+    of ``dirs``) meets the datum's kinks in (lo, hi), as columns padded
+    with ``hi``: its crossings of each kink circle, one column for a circle
+    that encloses c (its other root is negative) and two for any other, and
+    its closest approach (p - c) . theta to the datum's radial centre p when
+    p lies outside the ball, a cone point of a datum of |y - p|."""
     c = dom.center
-    x = np.asarray(x, dtype=float)
+    cols = [np.empty((len(dirs), 0))]
+    for cc, rr in getattr(g, "kink_circles", ()):
+        cc = np.asarray(cc, dtype=float)
+        roots = _ray_circle_roots(c, dirs, cc, float(rr), lo, hi)
+        cols.append(roots[:, 1:] if np.linalg.norm(cc - c) < rr else roots)
+    p = getattr(g, "radial_center", None)
+    offset = None if p is None else np.asarray(p, dtype=float) - c
+    if offset is not None and np.linalg.norm(offset) > dom.radius:
+        near = row_dot(dirs, offset)
+        cols.append(np.where((near > lo) & (near < hi), near, hi)[:, None])
+    return np.concatenate(cols, axis=1)
+
+
+def _ball_angular_edges(dom, g, x):
+    """The angular panel edges of ``ball_poisson`` about the ball's centre:
+    graded towards the angle of x down to a quarter of its depth, and
+    towards the angle of each singular point of g."""
+    c = dom.center
     v = x - c
     rx = float(np.linalg.norm(v))
-    phi_x = float(np.arctan2(v[1], v[0])) if rx > 0 else 0.0
-    d = R - rx
-    circles = [(np.asarray(cc, dtype=float), float(rr))
-               for cc, rr in getattr(g, "kink_circles", ())]
-    growth = g.payload_growth
-
-    centers = [phi_x]
-    scales = [0.25 * max(d, 1e-12) / R]
+    centers = [float(np.arctan2(v[1], v[0])) if rx > 0 else 0.0]
+    scales = [0.25 * max(dom.radius - rx, 1e-12) / dom.radius]
     for p in getattr(g, "singular_points", ()):
         p = np.asarray(p, dtype=float)
         centers.append(float(np.arctan2(p[1] - c[1], p[0] - c[0])))
         scales.append(1e-9)
-    edges = periodic_edges([centers], [scales], 2.0 * np.pi)[0]
-    if split:
-        edges = bisect_edges(edges)
+    return periodic_edges([centers], [scales], 2.0 * np.pi)[0]
+
+
+def _ball_poisson_level(dom, g, x, s, edges, n_jac, ratio):
+    """One level of the ball Poisson quadrature: GL8 panels on the angular
+    ``edges``, and along each ray an ``n_jac``-point Jacobi edge layer, GL8
+    panels geometric in rho - R at a ratio of at most ``ratio`` out to
+    r_far, split at the ray's kinks (``_ball_ray_kinks``), and an
+    ``n_jac``-point Jacobi tail beyond r_far.  All rays of the level are
+    evaluated together, in chunks of at most NODE_CAP radial nodes."""
+    R = dom.radius
+    c = dom.center
+    v = x - c
+    rx = float(np.linalg.norm(v))
+    d = R - rx
+    h = d * (R + rx)    # R^2 - |x|^2 without cancellation
+    circles = [(np.asarray(cc, dtype=float), float(rr))
+               for cc, rr in getattr(g, "kink_circles", ())]
+    growth = g.payload_growth
     phis, w_phi = gl8_panels(edges)
     dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
 
     r_far = max(16.0 * R, 8.0 * (rx + R))
     for cc, rr in circles:
         r_far = max(r_far, 4.0 * (np.linalg.norm(cc - c) + rr))
-    # keep the Jacobi edge layer clear of the datum's kink circles
-    width = R
+    # the Jacobi edge layer: a quarter of the depth of x, where the kernel
+    # peaks, and clear of the kink circles that keep off the ball
+    width = 0.25 * d
     for cc, rr in circles:
         closest = abs(float(np.linalg.norm(cc - c)) - rr)
         if closest > R:
             width = min(width, 0.9 * (closest - R))
-    width = max(width, 0.05 * R)
-
-    # edge layer: the Jacobi rule absorbs the (rho - R)^{-s} singularity
+    # the kernel less |x - y|^-2 and its constant, with the weights, at the
+    # ray-independent nodes: the edge layer, where the Jacobi rule takes
+    # (rho - R)^{-s}, and the tail, in t = r_far / rho with weight
+    # t^{2s-1-growth}
     t_j, w_j = gauss_jacobi_01(n_jac, -s)
     rho_j = R + t_j * width
-    wrho_j = width ** (1.0 - s) * w_j * (rho_j - R) ** s
-    # tail via t = r_far / rho: weight t^{2s-1-growth} of the Jacobi rule
+    k_j = width ** (1.0 - s) * w_j * (h / (rho_j + R)) ** s * rho_j
     beta = 2.0 * s - 1.0 - growth
     t_t, w_t = gauss_jacobi_01(n_jac, beta)
     rho_t = r_far / t_t
-    wrho_t = w_t * (r_far / t_t ** 2) / t_t ** beta
-    # mid range with panels split at the datum's kink circles
-    base = np.geomspace(R + width, r_far, mid_panels)
+    k_t = (w_t * (r_far / t_t ** 2) / t_t ** beta
+           * (h / (rho_t ** 2 - R ** 2)) ** s * rho_t)
+    rho_e = np.concatenate([rho_j, rho_t])
+    k_e = np.concatenate([k_j, k_t])
+    # GL8 panels on edges geometric in rho - R, split at each ray's kinks
+    n_geo = max(1, int(np.ceil(np.log((r_far - R) / width) / np.log(ratio))))
+    base = R + np.geomspace(width, r_far - R, n_geo + 1)
+    kinks = _ball_ray_kinks(dom, g, dirs, base[0], r_far)
 
     num = np.empty(len(phis))
     den = np.empty(len(phis))
-    n_rad = 2 * n_jac + 8 * (mid_panels - 1 + 2 * len(circles))
+    n_rad = 2 * n_jac + 8 * (n_geo + kinks.shape[1])
     for rows in node_chunks(np.full(len(phis), n_rad)):
         m = len(rows)
-        rho_m, w_m = gl8_panels(_radial_edges(base, c, dirs[rows], circles,
-                                              R + width, r_far))
-        rho = np.concatenate([np.broadcast_to(rho_j, (m, n_jac)), rho_m,
-                              np.broadcast_to(rho_t, (m, n_jac))], axis=1)
-        wrho = np.concatenate([np.broadcast_to(wrho_j, (m, n_jac)), w_m,
-                               np.broadcast_to(wrho_t, (m, n_jac))], axis=1)
+        rho_m, w_m = gl8_panels(np.sort(np.concatenate(
+            [np.broadcast_to(base, (m, len(base))), kinks[rows]], axis=1),
+            axis=1))
+        k_m = w_m * (h / (rho_m ** 2 - R ** 2)) ** s * rho_m
+        rho = np.concatenate([np.broadcast_to(rho_e, (m, 2 * n_jac)), rho_m],
+                             axis=1)
+        kern = np.concatenate([np.broadcast_to(k_e, (m, 2 * n_jac)), k_m],
+                              axis=1)
         y = _ray_points(c, dirs[rows], rho)
         dist2 = (y[..., 0] - x[0]) ** 2 + (y[..., 1] - x[1]) ** 2
-        kv = wrho * ((R ** 2 - rx ** 2) / (rho ** 2 - R ** 2)) ** s * rho / dist2
+        kv = kern / dist2
         num[rows] = np.sum(kv * g(y.reshape(-1, 2)).reshape(rho.shape), axis=1)
         den[rows] = np.sum(kv, axis=1)
     return float(w_phi @ num) / float(w_phi @ den)
 
 
+# (Jacobi nodes, largest panel ratio in rho - R, whether the angular panels
+# are bisected) of the coarse and the fine level of ``ball_poisson``
+_BALL_LEVELS = ((16, 4.0, False), (24, 2.0, True))
+
+
 def ball_poisson(dom, g, x, s):
     """Direct Poisson-kernel quadrature of the fractional Dirichlet solution
-    on a planar ball.
+    on a planar ball: the exit kernel ((R^2 - |x|^2) / (|y|^2 - R^2))^s
+    |x - y|^-2 (Blumenthal, Getoor and Ray, Trans. AMS 99, 1961) times g,
+    in polar coordinates about the centre.
 
-    The constant of the exit kernel is eliminated by normalizing with the
-    quadrature of the kernel itself (exact value 1 for g == 1), so the
-    maximum principle holds by construction.  Two resolutions provide the
-    error estimate.  Returns (value, err_estimate).  s outside (0, 1)
-    raises a ParameterError, and a datum is checked as in ``solve``, both
-    before either resolution.
+    The angular panels are graded towards the angle of x down to a quarter
+    of its depth d = R - |x|, where the kernel peaks, and towards each
+    singular point of g.  Along each ray a Jacobi rule takes the
+    (rho - R)^-s edge layer, min(d / 4, the kink circles' clearance of the
+    ball) wide; GL8 panels geometric in rho - R follow out to r_far, split
+    at the ray's kink-circle crossings and at its closest approach to the
+    datum's radial centre outside the ball; a Jacobi rule in r_far / rho
+    takes the tail.  The constant of the exit kernel is eliminated by
+    normalizing with the quadrature of the kernel itself (exact value 1 for
+    g == 1), so the maximum principle holds by construction.
+
+    The two levels of ``_BALL_LEVELS`` provide the error estimate, the
+    fine level's bisected angular panels and finer radial ratio against the
+    coarse one: against a scipy oracle it covers the error at every point
+    measured, from the centre to depth 1e-5.  Returns (value,
+    err_estimate).  s outside (0, 1) and an x that is not a finite 2-vector
+    raise a ParameterError, and a datum is checked as in ``solve``, all
+    before either level.
     """
     _refuse_order(s)
     if not isinstance(dom, Ball) or dom.dim != 2:
         raise DomainError("ball_poisson requires a planar ball")
     x = np.asarray(x, dtype=float)
+    if x.shape != (2,) or not np.all(np.isfinite(x)):
+        raise ParameterError(
+            f"ball_poisson needs x as a finite 2-vector, not {x.tolist()}")
     if not dom.contains(x):
         raise DomainError("evaluation point must be interior")
     _refuse_datum(g, s, dom.dim)
-    coarse = _ball_poisson_level(dom, g, x, s, n_jac=16, mid_panels=16,
-                                 split=False)
-    fine = _ball_poisson_level(dom, g, x, s, n_jac=24, mid_panels=24,
-                               split=True)
+    edges = _ball_angular_edges(dom, g, x)
+    coarse, fine = (
+        _ball_poisson_level(dom, g, x, s,
+                            bisect_edges(edges) if split else edges,
+                            n_jac, ratio)
+        for n_jac, ratio, split in _BALL_LEVELS)
     return fine, abs(fine - coarse)
 
 

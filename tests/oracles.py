@@ -208,3 +208,67 @@ def exit_side_prob_1d(s, r):
     near = _exit_radial_integral(lambda y: 1.0 / (y - r), s, abs(r), 1.0)
     far = _exit_radial_integral(lambda y: 1.0 / (y + r), s, abs(r), 1.0)
     return near / (near + far)
+
+
+def capped_ball_poisson(x, s, P, cap, radius=1.0):
+    """u(x) on the ball of the given radius centred at 0, with the datum
+    g(y) = min(|y - p|, cap), p = (P, 0), P > 0, by the explicit Poisson
+    kernel u(x) = c_s (R^2 - |x|^2)^s int g(y) (|y|^2 - R^2)^{-s}
+    |x - y|^{-2} dy over |y| > R, c_s = sin(pi s) / pi^2 (Blumenthal,
+    Getoor and Ray, Trans. AMS 99, 1961), in polar coordinates about 0, the
+    angle and the radius both by adaptive quadrature.  A ball of radius R is
+    the unit ball scaled: u(x) = R u1(x / R) with p / R and cap / R.
+    Returns (value, error estimate), the estimate of the angular
+    quadrature, whose radial integrals are each taken to 1e-11 relative or
+    1e-12 absolute."""
+    opts = dict(limit=400, epsabs=1e-12, epsrel=1e-11)
+    x1, x2 = np.asarray(x, dtype=float) / radius
+    P, cap = P / radius, cap / radius
+    rx = np.hypot(x1, x2)
+    d = 1.0 - rx
+    phi_x = np.arctan2(x2, x1) if rx > 0 else 0.0
+    e = 1.0 / (1.0 - s)
+    top = max(8.0, 2.0 * (P + cap))
+
+    def radial(phi):
+        c, sn = np.cos(phi), np.sin(phi)
+
+        def dens(rho):
+            y1, y2 = rho * c, rho * sn
+            return min(np.hypot(y1 - P, y2), cap) * rho \
+                / ((x1 - y1) ** 2 + (x2 - y2) ** 2)
+
+        # the kink |y - p| = cap and the closest approach to p on this ray
+        b = P * c
+        disc = b * b - P * P + cap * cap
+        kinks = [b + sg * np.sqrt(disc) for sg in (-1.0, 1.0)] \
+            if disc > 0 else []
+        kinks = [r for r in kinks + [b] if r > 1.0]
+
+        # rho = 1 + u^{1/(1-s)} absorbs (rho - 1)^{-s} on [1, 2]
+        def near(u):
+            rho = 1.0 + u ** e
+            return dens(rho) * (rho + 1.0) ** (-s) * e
+
+        pts_u = [(c0 * d) ** (1.0 - s) for c0 in (0.3, 1.0, 3.0, 10.0)
+                 if c0 * d < 1.0]
+        pts_u += [(r - 1.0) ** (1.0 - s) for r in kinks if r < 2.0]
+        v1, _ = quad(near, 0.0, 1.0, points=sorted(pts_u), **opts)
+
+        def far(rho):
+            return dens(rho) * (rho * rho - 1.0) ** (-s)
+
+        pts = [r for r in kinks if 2.0 < r < top]
+        v2, _ = quad(far, 2.0, top, points=sorted(pts) or None, **opts)
+        v3, _ = quad(far, top, np.inf, **opts)
+        return v1 + v2 + v3
+
+    pts = [phi_x + t for w in (1.0, 10.0, 100.0) for t in (-w * d, w * d)
+           if w * d < 1.0]
+    pts += [phi_x]
+    pts += [a for a in (0.0, 2.0 * np.pi, -2.0 * np.pi)
+            if phi_x - np.pi < a < phi_x + np.pi]
+    val, err = quad(radial, phi_x - np.pi, phi_x + np.pi,
+                    points=sorted(set(pts)), **opts)
+    scale = np.sin(np.pi * s) / np.pi ** 2 * (1.0 - rx * rx) ** s * radius
+    return scale * val, scale * err

@@ -358,6 +358,35 @@ def test_data_refuse_a_certificate_that_bounds_nothing(make, named):
         make()
 
 
+@pytest.mark.parametrize("record, named", [
+    ({"name": "capped_distance", "p": [2, 0], "cap": "abc"}, "cap"),
+    ({"name": "capped_distance", "p": ["a", 0], "cap": 3}, "p"),
+    ({"name": "capped_distance", "p": [[2, 0]], "cap": 3}, "p"),
+    ({"name": "capped_distance", "p": [2, 0], "cap": 3, "alpha": None},
+     "alpha"),
+    ({"name": "holder_point_singularity", "alpha": "0.3", "z0": [1, 0]},
+     "alpha"),
+    ({"name": "holder_point_singularity", "alpha": 0.3, "z0": [1, True]},
+     "z0"),
+    ({"name": "holder_point_singularity", "alpha": 0.3, "z0": [1, 0],
+      "C0": "2"}, "C0"),
+    ({"name": "counterexample_min_rs_1", "s": "0.5"}, "s"),
+    ({"name": "constant", "value": "2"}, "value"),
+    ({"name": "constant", "value": float("inf")}, "value"),
+    ({"name": "coordinate", "axis": "0"}, "axis"),
+    ({"name": "coordinate", "axis": 0.5}, "axis"),
+], ids=["cap-str", "p-str", "p-nested", "alpha-null", "holder-alpha-str",
+        "z0-bool", "C0-str", "s-str", "value-str", "value-inf", "axis-str",
+        "axis-float"])
+def test_data_records_refuse_a_non_number_by_its_key(record, named):
+    # cap "abc" died in Python's "'>' not supported", p ["a", 0] in
+    # "could not convert string to float", and alpha "0.3" passed every
+    # check and died inside the walk
+    with pytest.raises(ParameterError,
+                       match=rf"^{record['name']} {named} must be "):
+        data_from_config(record)
+
+
 def test_data_take_the_ends_of_their_ranges():
     assert holder_point_singularity(1.0, [1.0, 0.0], C0=1e-300).alpha == 1.0
     assert capped_distance_data([2.0, 0.0], 1e-300).C0 == 1.0

@@ -438,6 +438,24 @@ def test_solve_refuses_a_non_finite_domain_by_its_key(tmp_path, capsys,
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("data, name", [
+    ('{"name": "capped_distance", "p": [2, 0], "cap": "abc"}', "cap"),
+    ('{"name": "capped_distance", "p": ["a", 0], "cap": 3}', "p"),
+    ('{"name": "holder_point_singularity", "alpha": "0.3", "z0": [1, 0]}',
+     "alpha")], ids=["cap", "p", "alpha"])
+def test_solve_refuses_a_datum_number_that_is_not_one_by_its_key(
+        tmp_path, capsys, data, name):
+    # these exited with Python's own TypeError and ValueError texts, and
+    # the string alpha died with a traceback inside the walk
+    code = run(["solve", "--domain", "ball", "--data", data,
+                "--points", "0.5,0", "--paths", "100",
+                "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f" {name} must be " in err and "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -846,7 +864,7 @@ GOLDEN = {
          '{"name": "capped_distance", "p": [2.0, 0.0], "cap": 3.0}',
          "--points", "0.1,0.2;-0.3,0.1", "--paths", "2000", "--seed", "3",
          "--out", "star.csv"],
-        "e5a4081ce1561089d360f0ca95a9681de63ceb562b078996333c58b45207df2e"),
+        "08d60c25c050ed7e65c505a53bc0a2393471f2ae48160c3d22c04c7fb6d140b0"),
     "profile.csv": (
         ["profile", "--domain", "square", "--data",
          '{"name": "holder_point_singularity", "alpha": 0.1, "z0": [0, 0]}',
@@ -1018,6 +1036,25 @@ PLAIN_WALK = {
     "star.csv": [(2.29859159041, 0.0139970116047),
                  (2.51442447612, 0.0116083643722)],
 }
+
+
+# (estimate, stderr) of each row the seeded star walks of GOLDEN wrote when
+# the core quadrature's radial panels were geometric in rho
+CORE_GEOMETRIC_IN_RHO = {
+    "star.csv": [(2.27909696099, 0.00616446922997),
+                 (2.51112082044, 0.0052289682792)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORE_GEOMETRIC_IN_RHO))
+def test_wos_outputs_agree_with_walks_on_the_core_rule_geometric_in_rho(
+        tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(["--threads", "1", *GOLDEN[name][0]]) == 0
+    rows = wos_rows(name)
+    assert len(rows) == len(CORE_GEOMETRIC_IN_RHO[name])
+    for (new_est, new_se), (est, se) in zip(rows, CORE_GEOMETRIC_IN_RHO[name]):
+        assert abs(new_est - est) <= 4.0 * (new_se ** 2 + se ** 2) ** 0.5
 
 
 @pytest.mark.parametrize("name", sorted(PLAIN_WALK))

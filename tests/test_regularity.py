@@ -11,7 +11,7 @@ from fraclab.kernels import make_fractional_laplacian
 from fraclab.regularity import (BoundaryProfile, boundary_profile,
                                 exponent_experiment, fit_holder,
                                 inward_normal, wos_solver)
-from fraclab.wos import WoSConfig
+from fraclab.wos import WoSConfig, ball_poisson
 
 BALL = Ball([0.0, 0.0], 1.0)
 K05 = make_fractional_laplacian(0.5, 2)
@@ -208,6 +208,22 @@ def test_experiment_walks_each_boundary_point_on_its_own_streams():
 
     exponent_experiment(BALL, g, 0.5, solver=recording_solver)
     assert seen == list(range(24))
+
+
+@pytest.mark.parametrize("alpha, lo, hi", [(0.3, 0.25, 0.35),
+                                            (0.8, 0.45, 0.55)])
+def test_deterministic_twin_of_criteria_6_and_7(alpha, lo, hi):
+    # the experiment of criteria 6 and 7 with the ball quadrature in place
+    # of the walk: it reads 0.2716 and 0.4861, where the rule with radial
+    # panels geometric in rho read 0.2464 and 0.4661, with error estimates
+    # up to 21% and 38% of the profile's values
+    g = holder_point_singularity(alpha, [1.0, 0.0])
+    rep = exponent_experiment(
+        BALL, g, 0.5,
+        solver=lambda xs, ks: [ball_poisson(BALL, g, x, 0.5) for x in xs])
+    assert lo <= rep.alpha_hat <= hi
+    prof = rep.profiles[0]
+    assert all(e < 0.01 * abs(v) for v, e in zip(prof.values, prof.stderr))
 
 
 def test_experiment_refuses_a_datum_without_a_singular_point():

@@ -817,15 +817,22 @@ SQUARE_PINNED = [
     (1e-2, 0.6875819807078501, 0.0025567818756747685),
 ]
 STAR_PINNED = [
-    (0.3, 0.5, 1.9066085615284005, 0.009121113054549648),
-    (1.2, 0.05, 2.0047267852799355, 0.006791093028032461),
+    (0.3, 0.5, 1.9066085508076152, 0.00912111305454965),
+    (1.2, 0.05, 2.0047267864528333, 0.006791093028032461),
     (2.0, 1e-3, 2.541356854768978, 0.0034479964093032216),
 ]
 # the stderrs of the same walks from variance sums not shifted by the first
 # estimator unit, which agree with the pins above to the last few bits
 SQUARE_UNSHIFTED_STDERR = [0.0017540619800195073, 0.002556781875674718]
-STAR_UNSHIFTED_STDERR = [0.009121113054549683, 0.006791093028032499,
+STAR_UNSHIFTED_STDERR = [0.009121113054549683, 0.006791093028032564,
                          0.003447996409303188]
+# the same walks when the core quadrature's radial panels were geometric
+# in rho (the control walks pay its value, so only their estimates moved)
+STAR_GEOMETRIC_IN_RHO = [
+    (0.3, 0.5, 1.9066085615284005, 0.009121113054549648),
+    (1.2, 0.05, 2.0047267852799355, 0.006791093028032461),
+    (2.0, 1e-3, 2.541356854768978, 0.0034479964093032216),
+]
 # the star problems walked plainly, with no control variate: the pins
 # before the core jump (the third point lies outside the core and walks
 # the same streams both ways)
@@ -903,6 +910,13 @@ def test_star_pins_agree_with_plain_walks():
         assert new[:2] == old[:2]
         assert abs(new[2] - old[2]) <= 4.0 * np.hypot(new[3], old[3])
     assert STAR_PINNED[2] == STAR_PLAIN[2]
+
+
+def test_star_pins_agree_with_walks_on_the_core_rule_geometric_in_rho():
+    for new, old in zip(STAR_PINNED, STAR_GEOMETRIC_IN_RHO):
+        assert new[:2] == old[:2]
+        assert abs(new[2] - old[2]) <= 4.0 * np.hypot(new[3], old[3])
+    assert STAR_PINNED[2] == STAR_GEOMETRIC_IN_RHO[2]
 
 
 def test_star_pins_agree_with_exact_distance_walks():
@@ -1291,20 +1305,155 @@ def test_kappa_constant_value():
         assert kappa_constant(s) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-# values of the per-angle quadratures that the batched evaluation replaced;
-# the rule is unchanged, so they agree to rounding
-@pytest.mark.parametrize("g, x, s, value", [
-    (capped_distance_data([2.0, 0.0], 3.0), [0.0, 0.0], 0.5,
-     2.3434755711573363),
-    (capped_distance_data([2.0, 0.0], 3.0), [0.3, -0.5], 0.5,
-     2.121894653230531),
-    (holder_point_singularity(0.3, [1.0, 0.0]), [0.99, 0.0], 0.5,
-     0.5000613005196507),
-])
-def test_ball_poisson_pinned(g, x, s, value):
-    v, _ = ball_poisson(BALL, g, x, s)
+BALL_PINNED_CASES = [
+    (capped_distance_data([2.0, 0.0], 3.0), [0.0, 0.0], 0.5),
+    (capped_distance_data([2.0, 0.0], 3.0), [0.3, -0.5], 0.5),
+    (holder_point_singularity(0.3, [1.0, 0.0]), [0.99, 0.0], 0.5),
+]
+# ball_poisson's values at BALL_PINNED_CASES, on radial panels graded in
+# rho - R
+BALL_PINNED = [2.343485511432193, 2.121894544817905, 0.5000822861809074]
+# (value, err_estimate) at the same cases when the radial rule put 16 (coarse)
+# and 24 (fine) fixed panels geometric in rho beyond an edge layer of width
+# R; its estimate fell short of its error at the centre, where it read
+# 2.34347557 against the exit-law oracle's 2.34348611
+BALL_GEOMETRIC_IN_RHO = [
+    (2.343475571157333, 2.744788293096434e-06),
+    (2.121894653230526, 1.709934638016719e-05),
+    (0.5000613005196028, 0.0011993030493487877),
+]
+
+
+@pytest.mark.parametrize("case, value",
+                         list(zip(BALL_PINNED_CASES, BALL_PINNED)),
+                         ids=["capped-centre", "capped-off-axis",
+                              "holder-near-anchor"])
+def test_ball_poisson_pinned(case, value):
+    v, _ = ball_poisson(BALL, *case)
     assert v == pytest.approx(value, rel=1e-12, abs=0.0)
 
+
+def test_ball_poisson_pins_agree_with_the_rule_geometric_in_rho():
+    # each old value lies within the two error estimates of the new one,
+    # but at the centre, where the old estimate missed the old error: there
+    # the new value covers the scipy oracle and the old one does not
+    from oracles import capped_ball_poisson
+    for case, (old, old_err) in zip(BALL_PINNED_CASES,
+                                    BALL_GEOMETRIC_IN_RHO):
+        v, e = ball_poisson(BALL, *case)
+        if case[1] != [0.0, 0.0]:
+            assert abs(old - v) <= old_err + e
+            continue
+        ref, ref_err = capped_ball_poisson(case[1], case[2], 2.0, 3.0)
+        assert abs(v - ref) <= e + ref_err
+        assert abs(old - ref) > old_err + ref_err
+
+
+# oracles.capped_ball_poisson at the unit ball's points (1 - depth) (cos a,
+# sin a) for the capped datum p = (2, 0), cap 3 at s = 0.5, as (depth, a,
+# value, error estimate): angle 0 faces p, and the kink circle |y - p| = 3
+# touches the ball at angle pi
+BALL_ORACLE = [
+    (0.1, 0.0, 1.391838692384599, 8.4e-12),
+    (0.1, 2.0, 2.585631652923532, 2.1e-11),
+    (0.1, np.pi, 2.863932616169614, 2.5e-11),
+    (0.01, 0.0, 1.109710838519584, 2.3e-14),
+    (0.01, 2.0, 2.5952530860367764, 1.3e-11),
+    (0.01, np.pi, 2.9589151164817804, 2.3e-11),
+    (0.001, 0.0, 1.0327735477768043, 2.4e-13),
+    (0.001, 2.0, 2.587349603027544, 2.4e-11),
+    (0.001, np.pi, 2.987070640130357, 1.4e-11),
+    (0.0001, 0.0, 1.0101553622511454, 9.1e-13),
+    (0.0001, 2.0, 2.5835593199874247, 1.1e-11),
+    (0.0001, np.pi, 2.995913377626376, 2.6e-11),
+    (1e-05, 0.0, 1.0031900278172134, 2.3e-13),
+    (1e-05, 2.0, 2.5822254160673803, 2.1e-11),
+    (1e-05, np.pi, 2.9987077598835, 1.4e-11),
+]
+# the same oracle on the benchmark star's core ball (radius r_lo, scaled to
+# the unit ball), at the star's two benchmark points deep in the core and
+# at two more points, (x, value, error estimate)
+CORE_ORACLE = [
+    ((0.5565155674326165, 0.17215043847897699), 1.823994005335667,
+     1.4e-11),
+    ((0.3175198336599662, 0.8167091552057609), 1.9547857211996709,
+     1.4e-11),
+    ((-0.3, 0.1), 2.5053138412888925, 2.3e-11),
+    ((0.58, 0.0), 1.7990412493801509, 1.3e-11),
+]
+
+
+def _covers(dom, x, ref, ref_err):
+    # the error estimate is floored at 1e-9 |value|: a relative 1e-9 is
+    # below every consumer's tolerance
+    v, e = ball_poisson(dom, capped_distance_data([2.0, 0.0], 3.0), x, 0.5)
+    return abs(v - ref) <= max(e, 1e-9 * abs(v)) + ref_err
+
+
+@pytest.mark.parametrize("depth, angle, ref, ref_err", BALL_ORACLE)
+def test_ball_poisson_error_estimate_covers_the_oracle_to_depth_1e_5(
+        depth, angle, ref, ref_err):
+    # the rule with panels geometric in rho missed at the 6 points from
+    # depth 1e-4 on (its error reached 1.8e-2 at depth 1e-5, angle 0); with
+    # no edge at each ray's closest approach to p, this rule misses at
+    # depth 1e-5, angles 0 and pi (there by 17x)
+    x = (1.0 - depth) * np.array([np.cos(angle), np.sin(angle)])
+    assert _covers(BALL, x, ref, ref_err)
+
+
+@pytest.mark.parametrize("x, ref, ref_err", CORE_ORACLE)
+def test_ball_poisson_error_estimate_covers_the_oracle_in_the_star_core(
+        x, ref, ref_err):
+    # p lies outside the core ball, and the kink circle |y - p| = 3 keeps
+    # 0.1 off it, which bounds the width of the rule's edge layer
+    assert _covers(STAR.core, x, ref, ref_err)
+
+
+def test_ball_oracle_table_is_the_oracle():
+    from oracles import capped_ball_poisson
+    x, ref, ref_err = CORE_ORACLE[2]
+    v, e = capped_ball_poisson(x, 0.5, 2.0, 3.0, radius=STAR.core.radius)
+    assert abs(v - ref) <= 1e-12 and e <= ref_err
+
+
+def _datum_rows(dom, xs):
+    """The datum rows ``ball_poisson`` evaluates at the points xs, for the
+    capped datum p = (2, 0), cap 3, at s = 0.5, counted by a spy datum."""
+    rows = [0]
+    base = capped_distance_data([2.0, 0.0], 3.0)
+
+    def counted(pts):
+        rows[0] += len(pts)
+        return base.fn(pts)
+
+    g = dataclasses.replace(base, fn=counted)
+    for x in xs:
+        ball_poisson(dom, g, x, 0.5)
+    return rows[0]
+
+
+def test_ball_poisson_node_budget():
+    # the benchmark's 4 ball points, (1 - depth) e^{i k pi / 4}, read
+    # 289,664 rows, and its 2 star points deep in the core 104,192; the rule
+    # with panels geometric in rho read 435,584 and 180,608
+    pe_ball = [(1.0 - depth) * np.array([np.cos(k * np.pi / 4),
+                                         np.sin(k * np.pi / 4)])
+               for depth, k in ((0.5, 2), (0.1, 1), (1e-2, 3), (1e-3, 4))]
+    assert _datum_rows(BALL, pe_ball) <= 320000
+    assert _datum_rows(STAR.core, STAR_POINTS[:2]) <= 120000
+
+
+@pytest.mark.parametrize("x", [[[0.1, 0.2]], [0.1], [np.nan, 0.5],
+                               [0.0, np.inf], [0.0, 0.5, 1.0]],
+                         ids=["nested", "short", "nan", "inf", "three"])
+def test_ball_poisson_refuses_a_point_that_is_not_a_finite_2_vector(
+        monkeypatch, x):
+    # the nested point raised a bare IndexError
+    monkeypatch.setattr(fraclab.wos, "_ball_poisson_level",
+                        lambda *a, **k: pytest.fail("a level ran"))
+    with pytest.raises(ParameterError, match=r"ball_poisson needs x as a "
+                                             r"finite 2-vector"):
+        ball_poisson(BALL, constant_data(1.0), x, 0.5)
 
 @pytest.mark.parametrize("x, s, value", [
     ([0.0, 1e-3], 0.5, 0.14110339974378966),
