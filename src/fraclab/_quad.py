@@ -7,7 +7,14 @@ range with pre-splits at declared kink radii, and a Gauss-Jacobi rule in the
 reciprocal variable for the tail, which absorbs the declared power growth.
 A mid panel costs the 15 nodes of the nested G7/K15 pair: K15 gives the
 value and the |f| mass, and G7, on every other K15 node, the error estimate
-|K15 - G7|.
+|K15 - G7|.  A mid panel with an end on a kink radius takes the same 15
+nodes through the graded map r = a + (b - a) t^3, t = (X + 1)/2 (mirrored
+for a kink at b, t^3 / (t^3 + (1 - t)^3) for kinks at both ends), with the
+Jacobian on the node values (Sidi 1993): the barriers vanish like
+|r - r_k|^alpha at their kinks, which plain panels reach only by bisecting
+into each kink, and the map smooths that power so that the embedded
+estimate still holds.  A bisected graded panel passes the grading only to
+the half that touches the kink.
 ``radial_integrals`` runs this rule on a batch of directions at once, each
 about its own point: every direction keeps its own panels and refinement
 decisions, while each stage (the first pass, then each bisection sweep)
@@ -266,12 +273,58 @@ def _rule_sums(vals, w1, w0, coarse, scale):
     return v1, np.abs(v1 - v0), mass
 
 
-def _panel_nodes(a, b):
-    """The 15 K15 nodes of each panel [a, b], one row per panel, and the
-    panels' half-widths."""
+# the power of the graded map r = a + (b - a) t^3, t = (X + 1)/2, of a mid
+# panel with a kink at its end a: at a kink |r - r_k|^alpha the graded
+# integrand is t^(3 alpha + 2) times a smooth function, which the K15 rule
+# resolves without bisecting into the kink (Sidi 1993).  Chosen by the
+# nodes of criteria 1-4 and criterion 4's beta bracket, one pass each:
+# 1.34M at power 2, 1.25M at 3, 1.27M at 4 and 1.31M at 5, against 2.25M
+# for plain panels.
+_GRADING = 3
+
+
+def _graded_tables(p):
+    """Per kink flag (0 none, 1 at a, 2 at b, 3 at both ends), the K15
+    nodes as offsets in [0, 1] from the panel end they are measured from,
+    whether that end is a, and the Jacobian of the map at each node.  The
+    map is t^p toward a kink at a, 1 - (1 - t)^p toward one at b and
+    t^p / (t^p + (1 - t)^p) toward both.  Each node is measured from its
+    nearer graded end, so that a node close to a kink is not rounded
+    against the panel's other end."""
+    t = (_K15_X + 1.0) / 2.0
+    u = (1.0 - _K15_X) / 2.0            # 1 - t, without the cancellation
+    both = t ** p + u ** p
+    low = t <= 0.5
+    off = np.stack([t, t ** p, u ** p,
+                    np.where(low, t ** p, u ** p) / both])
+    from_a = np.stack([np.ones(15, bool), np.ones(15, bool),
+                       np.zeros(15, bool), low])
+    jac = np.stack([np.ones(15), p * t ** (p - 1), p * u ** (p - 1),
+                    p * (t * u) ** (p - 1) / (both * both)])
+    return off, from_a, jac
+
+
+_GRADED_OFF, _GRADED_FROM_A, _GRADED_JAC = _graded_tables(_GRADING)
+
+
+def _panel_nodes(a, b, kink):
+    """The 15 K15 nodes of each panel [a, b], one row per panel, the
+    panels' half-widths, and the Jacobian of each node.  A panel whose
+    ``kink`` flag is 0 takes the plain nodes mid + half X (Jacobian 1);
+    one with a kink at an end (1 at a, 2 at b, 3 at both) takes the graded
+    nodes of ``_graded_tables``."""
     mid = (a + b) / 2.0
     half = (b - a) / 2.0
-    return mid[:, None] + half[:, None] * _K15_X, half
+    x = mid[:, None] + half[:, None] * _K15_X
+    jac = np.ones(x.shape)
+    g = np.flatnonzero(kink)
+    if len(g):
+        f = kink[g]
+        width = (b[g] - a[g])[:, None] * _GRADED_OFF[f]
+        x[g] = np.where(_GRADED_FROM_A[f], a[g, None] + width,
+                        b[g, None] - width)
+        jac[g] = _GRADED_JAC[f]
+    return x, half, jac
 
 
 def _row_chunks(sizes):
@@ -300,13 +353,16 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, tail_start,
     padded with +inf (every non-finite entry is padding).  Each direction
     keeps its own rule: near Gauss-Jacobi nodes, mid panels pre-split at its
     kinks and bisected adaptively, a tail in the reciprocal variable from
-    the largest of ``tail_start``, 4 rho and twice its last kink.  Panel
-    state lives in one stacked array, its columns tagged with the direction
-    index, in each direction's panel order.  Every stage (the first pass,
-    then each bisection sweep) gathers the nodes of all directions and
-    evaluates them in consecutive chunks of at most NODE_CAP nodes, one call
-    of ``pair_avg`` each, so memory does not grow with the batch.
-    Per-direction sums run in panel order (``np.bincount`` adds in array
+    the largest of ``tail_start``, 4 rho and twice its last kink.  A mid
+    panel end within 1e-13 max(|r_k|, 1) of one of the direction's kink
+    radii r_k is a kink end: the panel's nodes are graded toward it (see
+    ``_panel_nodes``), and of its two halves only the one that shares
+    that end stays graded.  Panel state lives in one stacked array, its
+    columns tagged with the direction index, in each direction's panel
+    order.  Every stage (the first pass, then each bisection sweep) gathers
+    the nodes of all directions and evaluates them in consecutive chunks of
+    at most NODE_CAP nodes, one call of ``pair_avg`` each, so memory does
+    not grow with the batch.  Per-direction sums run in panel order (``np.bincount`` adds in array
     order), so a direction's refinement decisions do not depend on the
     batch around it.
     """
@@ -321,16 +377,22 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, tail_start,
     r_far = np.maximum(np.maximum(tail_start, 4.0 * rho),
                        2.0 * np.max(np.nan_to_num(kinks), axis=1, initial=0.0))
     a, b, k = mid_panels(rho, r_far, kinks, init_panels)
-    # mid-panel state, one row each: ends, K15 value, G7 error, |f| mass
-    panels = np.empty((5, len(a)))
+    # mid-panel state, one row each: ends, K15 value, G7 error, |f| mass and
+    # the kink flag: 1 if a is within 1e-13 max(|r_k|, 1) of one of the
+    # direction's kink radii r_k, plus 2 if b is
+    panels = np.zeros((6, len(a)))
     panels[0], panels[1] = a, b
-    a, b, val, err, mass = panels
+    near_kink = 1e-13 * np.maximum(np.abs(kinks), 1.0)
+    for bit, end in ((1, a), (2, b)):
+        panels[5] += bit * np.any(
+            np.abs(end[:, None] - kinks[k]) <= near_kink[k], axis=1)
+    a, b, val, err, mass, kink = panels
 
-    def mid_sums(pa, x_mid, half, k):
+    def mid_sums(pa, x_mid, half, jac, k):
         """K15 value, G7 error and mass of the panels with nodes x_mid."""
         return _rule_sums(
-            (u_x[k, None] - pa.reshape(x_mid.shape)) * x_mid ** (-1.0 - two_s),
-            *_MID_RULE, half)
+            (u_x[k, None] - pa.reshape(x_mid.shape)) * x_mid ** (-1.0 - two_s)
+            * jac, *_MID_RULE, half)
 
     # near ball: integrand = (delta u / r^2) * r^{1-2s}; the tail is mapped
     # by t = R/r, so that t^{growth} * pair_avg(R/t) is smooth and the
@@ -346,7 +408,7 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, tail_start,
     for d in _row_chunks(n_evals):
         p = slice(first[d.start], first[d.stop - 1] + counts[d.stop - 1])
         r_near = rho[d, None] * t_near
-        x_mid, half = _panel_nodes(a[p], b[p])
+        x_mid, half, jac = _panel_nodes(a[p], b[p], kink[p].astype(int))
         pa = pair_avg(np.concatenate([r_near.ravel(),
                                       (r_far[d, None] / t_tail).ravel(),
                                       x_mid.ravel()]),
@@ -361,7 +423,7 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, tail_start,
         dir_sums[3:, d] = _rule_sums(
             pa_tail.reshape(len(r_near), n_tail) * t_tail ** growth,
             *tail_rule, 1.0)
-        val[p], err[p], mass[p] = mid_sums(pa_mid, x_mid, half, k[p])
+        val[p], err[p], mass[p] = mid_sums(pa_mid, x_mid, half, jac, k[p])
     near, err_near, mass_near, tail_pair, err_tail, mass_tail = dir_sums
 
     # the near and mid pieces largely cancel for nearly harmonic fields, so
@@ -388,19 +450,23 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, tail_start,
         idx = np.nonzero(split)[0]
         if len(idx) == 0:
             break
-        # halves are appended after the kept panels, the last split first
+        # halves are appended after the kept panels, the last split first;
+        # each half keeps the kink flag of the end it shares with its panel
         idx = idx[np.lexsort((-idx, k[idx]))]
         m = (a[idx] + b[idx]) / 2.0
-        halves = np.empty((5, 2 * len(idx)))
-        new_a, new_b, new_val, new_err, new_mass = halves
+        halves = np.empty((6, 2 * len(idx)))
+        new_a, new_b, new_val, new_err, new_mass, new_kink = halves
         new_a[0::2], new_a[1::2] = a[idx], m
         new_b[0::2], new_b[1::2] = m, b[idx]
+        flags = kink[idx].astype(int)
+        new_kink[0::2], new_kink[1::2] = flags & 1, flags & 2
         new_k = np.repeat(k[idx], 2)
         for p in _row_chunks(np.full(len(new_a), n_mid)):
-            x_new, half = _panel_nodes(new_a[p], new_b[p])
+            x_new, half, jac = _panel_nodes(new_a[p], new_b[p],
+                                            new_kink[p].astype(int))
             pa = pair_avg(x_new.ravel(), np.repeat(new_k[p], n_mid))
             new_val[p], new_err[p], new_mass[p] = mid_sums(pa, x_new, half,
-                                                           new_k[p])
+                                                           jac, new_k[p])
         split_dirs = np.bincount(k[idx], minlength=n_dir)
         n_evals += 2 * n_mid * split_dirs
         bisections += split_dirs
@@ -412,8 +478,9 @@ def radial_integrals(pair_avg, u_x, s, rho, breakpoints, growth, tail_start,
         k = k.take(order)
         src = np.concatenate([keep, len(split) + np.arange(len(new_k))])
         panels = np.concatenate([panels, halves], axis=1)
-        del a, b, val, err, mass
-        a, b, val, err, mass = panels = panels.take(src.take(order), axis=1)
+        del a, b, val, err, mass, kink
+        a, b, val, err, mass, kink = panels = panels.take(src.take(order),
+                                                          axis=1)
 
     mid = np.bincount(k, val, n_dir)
     far_pow = r_far ** (-two_s)

@@ -47,7 +47,7 @@ from .barriers import (counterexample_min_rs_1, data_from_config,
                        verify_cone_barrier, verify_halfspace_supersolution,
                        verify_psi_barrier)
 from .errors import (FracLabError, ParameterError, ToleranceWarning,
-                     build_record)
+                     build_record, real_number, real_point)
 from .fields import ConeBarrier, HalfSpacePower, PsiPower
 from .geometry import (Ball, Polygon, StarShaped, domain_from_config,
                        unit_square)
@@ -306,15 +306,31 @@ def cmd_validate_kernel(args):
     return 0 if rep.ok else 2
 
 
-# each field's constructor and the keys of its record besides "name"
+def _halfspace_power(alpha, nu=(0.0, 1.0)):
+    name = "halfspace_power"
+    return HalfSpacePower(real_point(name, "nu", nu),
+                          real_number(name, "alpha", alpha))
+
+
+def _psi_power_ball(alpha, center=(0.0, 0.0), radius=1.0):
+    name = "psi_power_ball"
+    return PsiPower(Ball(real_point(name, "center", center),
+                         real_number(name, "radius", radius)),
+                    real_number(name, "alpha", alpha))
+
+
+def _cone_barrier(beta, e=(0.0, 1.0), eta=1.0):
+    name = "cone_barrier"
+    return ConeBarrier(real_point(name, "e", e), real_number(name, "eta", eta),
+                       real_number(name, "beta", beta))
+
+
+# each field's constructor and the keys of its record besides "name"; a
+# number of the record that is not one is refused by its key
 _FIELDS = {
-    "halfspace_power": (lambda alpha, nu=(0.0, 1.0): HalfSpacePower(nu, alpha),
-                        ("alpha", "nu")),
-    "psi_power_ball": (lambda alpha, center=(0.0, 0.0), radius=1.0:
-                       PsiPower(Ball(center, radius), alpha),
-                       ("alpha", "center", "radius")),
-    "cone_barrier": (lambda beta, e=(0.0, 1.0), eta=1.0:
-                     ConeBarrier(e, eta, beta), ("beta", "e", "eta")),
+    "halfspace_power": (_halfspace_power, ("alpha", "nu")),
+    "psi_power_ball": (_psi_power_ball, ("alpha", "center", "radius")),
+    "cone_barrier": (_cone_barrier, ("beta", "e", "eta")),
 }
 
 

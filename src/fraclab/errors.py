@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and the one builder of the
-domain, datum, field and kernel config records, which checks their keys."""
+"""Exception types shared across the package, the one builder of the
+domain, datum, field and kernel config records, which checks their keys,
+and the checks of the numbers those records hold."""
 
 import inspect
+import math
+
+import numpy as np
 
 
 class FracLabError(Exception):
@@ -64,3 +68,34 @@ def build_record(what, table, record, tag=None):
 class ToleranceWarning(UserWarning):
     """Quadrature failed to meet its target tolerance; the reported
     err_estimate reflects the achieved accuracy."""
+
+
+def is_real(v):
+    """Whether v is a finite real number (a bool, a string or an int beyond
+    the float range is not one, though numpy would cast each)."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(
+            v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def real_number(what, key, v):
+    """v as a float; a ParameterError naming the record's key unless it is
+    a finite real number."""
+    if not is_real(v):
+        raise ParameterError(
+            f"{what} {key} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def real_point(what, key, v):
+    """v as a 1-D float array; a ParameterError naming the record's key
+    unless v is a finite real number or a non-empty list of them."""
+    coords = np.atleast_1d(np.asarray(v, dtype=object))
+    if coords.ndim != 1 or len(coords) == 0 or not all(map(is_real, coords)):
+        raise ParameterError(
+            f"{what} {key} must be a point of finite numbers, got {v!r}")
+    return coords.astype(float)

@@ -43,7 +43,7 @@ barrier Phi_beta.
 import numpy as np
 
 from .errors import (DomainError, ParameterError, UnsupportedVariantError,
-                     build_record)
+                     build_record, is_real)
 
 
 def _as_points(x, dim):
@@ -63,14 +63,14 @@ def _maybe_scalar(v, single):
 
 def _finite(name, value):
     """A domain parameter as a float array; a ParameterError naming it
-    unless it is numeric and every entry is finite."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-    return arr
+    unless every entry is a finite real number.  A string or a bool is not
+    one, though ``np.asarray(value, dtype=float)`` parses "1" and casts
+    True."""
+    entries = np.asarray(value, dtype=object)
+    if not all(map(is_real, entries.flat)):
+        raise ParameterError(
+            f"{name} must hold finite numbers only, got {value!r}")
+    return entries.astype(float)
 
 
 def row_dot(pts, v):

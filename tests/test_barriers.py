@@ -232,7 +232,9 @@ def test_reports_reuse_operator_values(monkeypatch):
     calls.clear()
     out = bracket_cone_beta0(K, (0.0, 1.0), 1.0, points=cone_pts, iters=2,
                              q=q)
-    assert len(calls) == 4 * len(cone_pts)     # 4 verdicts, no diagnostics
+    # 4 verdicts, no diagnostics: beta 0.02 passes on both points, and
+    # 0.98, 0.5 and 0.26 each fail on the first point they evaluate
+    assert len(calls) == 2 + 1 + 1 + 1
     lo, hi = 0.02, 0.98
     assert verify_cone_barrier(K, (0.0, 1.0), 1.0, lo, cone_pts, q=q).passed
     assert not verify_cone_barrier(K, (0.0, 1.0), 1.0, hi, cone_pts,
@@ -244,6 +246,32 @@ def test_reports_reuse_operator_values(monkeypatch):
         else:
             hi = mid
     assert out == {"beta_lo": lo, "beta_hi": hi, "note": "bisection bracket"}
+
+
+@pytest.mark.parametrize("q, iters, bracket, n_points", [
+    (QuadratureSpec(target_rel_tol=1e-4, max_angular_panels=16), 5,
+     (0.11, 0.14), 22),
+    (None, 6, (0.125, 0.14), 28)], ids=["criterion-4", "default-spec"])
+def test_cone_bracket_verifies_its_least_margin_point_first(
+        monkeypatch, q, iters, bracket, n_points):
+    """Criterion 4's bracket, on its 6 cone points, evaluates a failing
+    beta's point of least margin alone and stops there: 22 points where
+    evaluating every point of its 7 verdicts took 42 (28 and 48 at the
+    default spec), with the same bracket."""
+    K = make_fractional_laplacian(0.5, 2)
+    counted = []
+
+    def counting(kernel, u, points, q=None):
+        counted.extend(points)
+        return apply_L_many(kernel, u, points, q=q)
+
+    monkeypatch.setattr(barriers_mod, "apply_L_many", counting)
+    out = bracket_cone_beta0(K, (0.0, 1.0), 1.0,
+                             points=cone_boundary_points((0.0, 1.0), 1.0, 6),
+                             iters=iters, q=q)
+    assert (out["beta_lo"], out["beta_hi"]) == pytest.approx(bracket,
+                                                             abs=1e-15)
+    assert len(counted) == n_points
 
 
 # ---------------------------------------------------------------------------

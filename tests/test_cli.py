@@ -456,6 +456,47 @@ def test_solve_refuses_a_datum_number_that_is_not_one_by_its_key(
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("domain, name", [
+    ('{"ball": {"center": [0, 0], "radius": "1"}}', "radius"),
+    ('{"ball": {"center": [0, 0], "radius": true}}', "radius"),
+    ('{"ball": {"center": [0, true], "radius": 1}}', "center"),
+    ('{"star": {"coeff_cos": [1, "0", 0.1]}}', "coeff_cos")],
+    ids=["string-radius", "bool-radius", "bool-center", "string-coeff"])
+def test_solve_refuses_a_domain_number_that_is_not_one_by_its_key(
+        tmp_path, capsys, domain, name):
+    # numpy parsed the string and cast the bool: each walked with exit 0
+    code = run(["solve", "--domain", domain, "--data", '{"name": "constant"}',
+                "--points", "0.5,0", "--paths", "100",
+                "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{name} must hold finite numbers only" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("field, name", [
+    ({"name": "halfspace_power", "alpha": "0.25"}, "alpha"),
+    ({"name": "halfspace_power", "alpha": True}, "alpha"),
+    ({"name": "halfspace_power", "alpha": 0.25, "nu": [0, "1"]}, "nu"),
+    ({"name": "psi_power_ball", "alpha": 0.25, "radius": "2"}, "radius"),
+    ({"name": "cone_barrier", "beta": 0.05, "e": [0, True]}, "e"),
+    ({"name": "cone_barrier", "beta": 0.05, "eta": "1"}, "eta")],
+    ids=["string-alpha", "bool-alpha", "string-nu", "string-radius",
+         "bool-e", "string-eta"])
+def test_apply_op_refuses_a_field_number_that_is_not_one_by_its_key(
+        tmp_path, capsys, field, name):
+    # the string alpha ran as 0.25 with exit 0, and alpha true died as
+    # "declared growth 1.0 is not below 2s"
+    code = run(["apply-op", "--s", "0.5", "--field", json.dumps(field),
+                "--points", "0,0.5", "--out", str(tmp_path / "a.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{field['name']} {name} must be " in err
+    assert "Traceback" not in err and "growth" not in err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -874,20 +915,20 @@ GOLDEN = {
         ["apply-op", "--s", "0.5",
          "--field", '{"name": "halfspace_power", "alpha": 0.25}',
          "--points", "0.0,1.0;0.3,2.0", "--rel-tol", "1e-5"],
-        "9e9b694a43f00406976716865062f64d6ee279ed31550f611779e9d11bdf5609"),
+        "55c57d8eee1b46640f1c7c73d702193cbe7ac0d406ed5f5ee5258c37bc835257"),
     "counterexample.csv": (
         ["counterexample", "--n", "3"],
         "31f9ef8fc6ba9ebf9c1cf62895cac38b271f25e7479bfa0fac88215c9a1bdd10"),
     "verify_halfspace.json": (
         ["verify-barrier", "--kind", "halfspace", "--s", "0.5",
          "--alpha", "0.25"],
-        "5deb84626e1a56eab61d5ce030507d4dc5151167bc9e364c9d4b36cdc188d759"),
+        "9aea76acac1f86767edf934b353fc68209e945c573d156940e06b8a2e89767be"),
     "verify_psi.json": (
         ["verify-barrier", "--kind", "psi", "--s", "0.5", "--alpha", "0.25"],
-        "75a3fb5270be60ae98cbc57a79fde5dfb0a7f9cd5bec7c3b8b19a43cf34b421d"),
+        "67fd8e6822bb78687ca89d898fa6cbc6e227bfc6e3e153ad09c557bb92f773d0"),
     "verify_cone.json": (
         ["verify-barrier", "--kind", "cone", "--s", "0.5", "--beta", "0.05"],
-        "899fce9e322634bfde656709220eea0b0fa4dcb80698e9e7f89606eb6bed3813"),
+        "992d5cf9664e447bb4e5dfe1cfe897bf52980f70c8e4eed1c6b21bda718d8c93"),
 }
 
 
@@ -1073,7 +1114,9 @@ def test_wos_outputs_agree_with_plain_walks(tmp_path, monkeypatch, name):
 
 # (value, err_estimate) of each point, and the n_evals of each operator value
 # in the sidecar, that the quadrature runs of GOLDEN wrote when their
-# Gauss-Jacobi rules came from scipy.special.roots_jacobi
+# Gauss-Jacobi rules came from scipy.special.roots_jacobi and their mid
+# panels were bisected into each kink; the rule of the parent of the graded
+# kink panels gave the same values within 5e-14 relative
 ROOTS_JACOBI = {
     "apply_op.csv": (
         [(1.57079585046, 4.12506888e-06),
@@ -1154,19 +1197,20 @@ def quadrature_rows(name):
 @pytest.mark.parametrize("name", sorted(ROOTS_JACOBI))
 def test_quadrature_outputs_agree_with_roots_jacobi_runs(tmp_path,
                                                          monkeypatch, name):
-    # the rules moved the values by at most 5e-14 relative and the
-    # two-level error estimates by at most 4e-8; no refinement changed
+    # the graded kink panels move each value by at most 0.11 of the two
+    # error estimates together, and take about half the nodes
     monkeypatch.chdir(tmp_path)
     assert run(["--threads", "1", *GOLDEN[name][0]]) == 0
     old_rows, old_evals = ROOTS_JACOBI[name]
     rows = quadrature_rows(name)
     assert len(rows) == len(old_rows)
     for (value, err), (old_value, old_err) in zip(rows, old_rows):
-        assert value == pytest.approx(old_value, rel=1e-12, abs=0.0)
-        assert err == pytest.approx(old_err, rel=1e-6, abs=0.0)
+        assert abs(value - old_value) <= err + old_err
     diag = json.loads(open(name + ".meta.json").read())["report"][
         "diagnostics"]
-    assert [p["n_evals"] for p in diag["points"]] == old_evals
+    n_evals = [p["n_evals"] for p in diag["points"]]
+    assert len(n_evals) == len(old_evals)
+    assert sum(n_evals) <= 0.6 * sum(old_evals)
 
 
 # (estimate, stderr) of each row the seeded walk-on-spheres runs of GOLDEN

@@ -19,7 +19,8 @@ from fraclab.nonlocal_op import (QuadratureSpec, apply_L, apply_L_1d,
 
 from fixture_fields import (AffineField, CallableField, ConstantField,
                             LinearCombinationField)
-from oracles import halfcircle_reduction_constant, op_1d_power_plus
+from oracles import (OPERATOR_REFS, halfcircle_reduction_constant,
+                     op_1d_power_plus, operator_case, tight_operator_values)
 
 # frozen from the independent adaptive-quadrature oracle (and equal to pi/4
 # to its accuracy); see oracles.op_1d_power_plus
@@ -233,17 +234,33 @@ def test_value_invariant_under_near_far_split(monkeypatch):
 
 
 # Values and n_evals of the batched radial quadrature with G7/K15 mid panels
-# (15 nodes per panel).  The extended datum's inside field is the closed-form
-# disk extension of the point-singularity datum.
+# (15 nodes per panel), graded toward each kink at a panel end.  The
+# extended datum's inside field is the closed-form disk extension of the
+# point-singularity datum.
 PINNED = {
-    "power_1d": (0.7853981424963499, 417),
-    "halfspace": (1.856958705531287, 11268),
-    "psi_ball": (56.102878042558594, 16098),
-    "psi_star": (21.02911418899201, 10578),
-    "cone_beta005": (2.3482899868555096, 34890),
-    "cone_beta05_coarse": (-0.3884911871191092, 21960),
-    "translated": (1.8569587055313854, 11268),
-    "extended_datum": (-61.90772686084167, 6822),
+    "power_1d": (0.7853981634457949, 147),
+    "halfspace": (1.856959145490379, 4998),
+    "psi_ball": (56.102890562833245, 7758),
+    "psi_star": (21.0291673704864, 6618),
+    "cone_beta005": (2.3482908062445964, 16275),
+    "cone_beta05_coarse": (-0.3884896770527192, 14445),
+    "translated": (1.8569591454904721, 4998),
+    "extended_datum": (-61.907725496881866, 6702),
+}
+
+# (value, err_estimate, n_evals) of the same cases with plain K15 mid panels
+# bisected into each kink and 8 initial mid panels, the rule the graded kink
+# panels replaced
+BISECTED_KINKS = {
+    "power_1d": (0.7853981424963492, 2.0787323380005475e-07, 417),
+    "halfspace": (1.8569587055312926, 5.334420312185388e-06, 11268),
+    "psi_ball": (56.102878042558594, 0.00048117151228834235, 16098),
+    "psi_star": (21.02911418899201, 0.0006793383936802755, 10578),
+    "cone_beta005": (2.3482899868555096, 5.863144702531397e-06, 34890),
+    "cone_beta05_coarse": (-0.3884911871191098, 3.287495653801067e-05,
+                           21960),
+    "translated": (1.8569587055313856, 5.3344202913260545e-06, 11268),
+    "extended_datum": (-61.90772686084167, 0.00023280893090953455, 6822),
 }
 
 # the extended datum's value with the disk Poisson quadrature as its inside
@@ -304,6 +321,17 @@ def test_pinned_operator_values(name):
     assert ov.n_evals == n_evals
 
 
+@pytest.mark.parametrize("name", sorted(BISECTED_KINKS))
+def test_pinned_values_agree_with_bisected_kink_panels(name):
+    """Grading the kink panels moves each value by no more than the two
+    error estimates together, on fewer nodes."""
+    old, err_old, evals_old = BISECTED_KINKS[name]
+    ov = _pinned_case(name)
+    assert ov.tol_ok
+    assert abs(ov.value - old) <= ov.err_estimate + err_old
+    assert ov.n_evals < evals_old
+
+
 @pytest.mark.parametrize("name", sorted(GL16_GL8))
 def test_pinned_values_agree_with_gl16_rule(name):
     """Both mid-panel rules estimate the same integral: the values differ by
@@ -346,11 +374,77 @@ def test_power_1d_error_covers_exact_value():
     assert abs(ov.value - np.pi / 4.0) <= ov.err_estimate
 
 
+# the QuadratureSpec of each OPERATOR_REFS case: criteria 2-4 at 1e-5, and
+# criterion 4's beta bracket at 1e-4 with 16 angular panels
+_CRITERION_SPECS = {
+    "halfspace": QuadratureSpec(target_rel_tol=1e-5),
+    "psi_ball": QuadratureSpec(target_rel_tol=1e-5),
+    "cone": QuadratureSpec(target_rel_tol=1e-5),
+    "cone_bracket": QuadratureSpec(target_rel_tol=1e-4,
+                                   max_angular_panels=16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_REFS), ids=str)
+def test_criterion_error_estimates_cover_tight_references(name):
+    """At the 90 points of criteria 2-4 and of criterion 4's beta bracket,
+    every value meets its target and its error estimate covers its
+    distance from the tight-tolerance reference; the references' own
+    errors are below 1e-6 of the targets."""
+    u, pts = operator_case(name)
+    ovs = apply_L_many(make_fractional_laplacian(0.5, 2), u, pts,
+                       q=_CRITERION_SPECS[name[0]])
+    for ov, ref in zip(ovs, OPERATOR_REFS[name], strict=True):
+        assert ov.tol_ok
+        assert abs(ov.value - ref) <= ov.err_estimate
+
+
+def test_tight_reference_is_reproduced():
+    # the sharpest case: the bracket's beta 0.14, the largest relative
+    # error estimate of the table
+    name = ("cone_bracket", 0.14)
+    values, rel_err = tight_operator_values(name)
+    for v, ref in zip(values, OPERATOR_REFS[name], strict=True):
+        assert v == pytest.approx(ref, rel=rel_err, abs=0.0)
+
+
+# the n_evals of criteria 2, 3 and 4 (their verify reports' evaluations,
+# diagnostic points included) with plain K15 mid panels bisected into each
+# kink and 8 initial mid panels
+_BISECTED_CRITERION_EVALS = {"c2": 409284, "c3": 515499, "c4": 476928}
+
+
+def test_graded_kink_panels_cut_the_criteria_nodes():
+    from fraclab.barriers import (verify_cone_barrier,
+                                  verify_halfspace_supersolution,
+                                  verify_psi_barrier)
+
+    K = make_fractional_laplacian(0.5, 2)
+    q = QuadratureSpec(target_rel_tol=1e-5)
+    pts = [np.array([0.2 * h, h]) for h in np.geomspace(0.3, 3.0, 10)]
+    reports = {
+        "c2": [verify_halfspace_supersolution(K, a, pts, q=q)
+               for a in (0.1, 0.25, 0.4)],
+        "c3": [verify_psi_barrier(K, Ball([0.0, 0.0], 1.0), 0.25,
+                                  band=(1e-3, 1e-1), n_points=20, q=q)],
+        "c4": [verify_cone_barrier(
+            K, (0.0, 1.0), 1.0, 0.05,
+            points=cone_boundary_points((0.0, 1.0), 1.0, 16), q=q)],
+    }
+    for name, reps in reports.items():
+        assert all(rep.passed for rep in reps)
+        n_evals = sum(ov.n_evals for rep in reps for _, ov in rep.evaluations)
+        assert n_evals <= 0.7 * _BISECTED_CRITERION_EVALS[name], name
+
+
 def test_refinements_count_bisections():
     # one direction: the nodes are 36 near + 36 tail + 15 (K15) per panel,
-    # and each bisection of a mid panel adds two
-    ov = apply_L_1d(0.5, PowerPlus1D(alpha=0.25), 1.0)
-    n_init = len(mid_panels(0.5, np.array([16.0]), np.array([[1.0]]), 8)[0])
+    # and each bisection of a mid panel adds two; the graded kink panels
+    # meet the default target unsplit, so this one asks for 1e-8
+    ov = apply_L_1d(0.5, PowerPlus1D(alpha=0.25), 1.0,
+                    q=QuadratureSpec(target_rel_tol=1e-8))
+    n_init = len(mid_panels(0.5, np.array([16.0]), np.array([[1.0]]),
+                            nonlocal_op._RADIAL_PANELS)[0])
     assert ov.refinements > 0
     assert ov.n_evals == 72 + 15 * (n_init + 2 * ov.refinements)
     K = make_fractional_laplacian(0.5, 2)

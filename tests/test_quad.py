@@ -183,8 +183,10 @@ def _reference_edges(lo, hi, kinks, n_min):
 def _reference_radial(f, u_x, s, rho, kinks, growth, tail_start, rel_tol,
                       n_jacobi, init_panels, max_panels):
     """One direction of the radial integral with a list of panels, split
-    in place; f(r) is the pair average.  Returns (near, far, err, mass,
-    n_evals, bisections)."""
+    in place; f(r) is the pair average.  A panel end within 1e-13
+    max(|r_k|, 1) of a kink radius r_k is graded, and each half of a split
+    keeps the grading of the end it shares.  Returns (near, far, err,
+    mass, n_evals, bisections)."""
     two_s = 2.0 * s
 
     def jacobi(g, upper, beta):
@@ -199,20 +201,39 @@ def _reference_radial(f, u_x, s, rho, kinks, growth, tail_start, rel_tol,
     def integrand(r):
         return (u_x - f(r)) * r ** (-1.0 - two_s)
 
-    def panel(a, b):
+    def is_kink(r):
+        return any(abs(r - c) <= 1e-13 * max(abs(c), 1.0) for c in kinks)
+
+    def panel(a, b, at_a, at_b):
+        """The K15 sums of [a, b], its nodes graded by t^3 toward each end
+        that is a kink (t = (X + 1)/2), each node measured from its nearer
+        graded end."""
         x15, w7, w15 = _GK15
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        v15 = integrand(mid + half * x15)
+        t, u = (1.0 + x15) / 2.0, (1.0 - x15) / 2.0
+        if at_a and at_b:
+            den = t ** 3 + u ** 3
+            r = np.where(t <= 0.5, a + (b - a) * (t ** 3 / den),
+                         b - (b - a) * (u ** 3 / den))
+            jac = 3.0 * (t * u) ** 2 / (den * den)
+        elif at_a:
+            r, jac = a + (b - a) * t ** 3, 3.0 * t ** 2
+        elif at_b:
+            r, jac = b - (b - a) * u ** 3, 3.0 * u ** 2
+        else:
+            r, jac = (a + b) / 2.0 + (b - a) / 2.0 * x15, 1.0
+        half = (b - a) / 2.0
+        v15 = integrand(r) * jac
         i15 = half * float(v15 @ w15)
         return [a, b, i15, abs(i15 - half * float(v15[1::2] @ w7)),
-                half * float(np.abs(v15) @ w15)]
+                half * float(np.abs(v15) @ w15), at_a, at_b]
 
     near, err_near, mass_near = jacobi(
         lambda r: (u_x - f(r)) / (r * r), rho, 1.0 - two_s)
     kinks = [b for b in kinks if b > 0.0]
     r_far = max(tail_start, 4.0 * rho, *(2.0 * b for b in kinks))
     edges = _reference_edges(rho, r_far, kinks, init_panels)
-    panels = [panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    panels = [panel(a, b, is_kink(a), is_kink(b))
+              for a, b in zip(edges[:-1], edges[1:])]
     n_evals, bisections = 72 + 15 * len(panels), 0
     tol = rel_tol * max(abs(near + sum(p[2] for p in panels)),
                         0.25 * (mass_near + sum(p[4] for p in panels)), 1e-300)
@@ -225,9 +246,9 @@ def _reference_radial(f, u_x, s, rho, kinks, growth, tail_start, rel_tol,
         if not idx:
             break
         for i in sorted(idx, reverse=True):
-            a, b = panels.pop(i)[:2]
-            panels.append(panel(a, (a + b) / 2.0))
-            panels.append(panel((a + b) / 2.0, b))
+            a, b, *_, at_a, at_b = panels.pop(i)
+            panels.append(panel(a, (a + b) / 2.0, at_a, False))
+            panels.append(panel((a + b) / 2.0, b, False, at_b))
         n_evals += 30 * len(idx)
         bisections += len(idx)
     tail_pair, err_tail, mass_tail = jacobi(
@@ -278,7 +299,9 @@ def test_radial_batch_matches_reference(u, x):
     rho = _near_radius(u, x)
     phis = np.linspace(0.0, np.pi, 17)
     thetas = np.column_stack([np.cos(phis), np.sin(phis)])
-    rad = _radial(K, u, u_x, x, thetas, rho, q, 1e-6)
+    # 1e-8 relative: the graded kink panels meet 1e-6 on the half-space
+    # power unsplit, and each case must bisect
+    rad = _radial(K, u, u_x, x, thetas, rho, q, 1e-8)
     kinks = u.radial_breakpoints(x, thetas, 1e12)
     n_evals = bisections = 0
     for i, th in enumerate(thetas):
@@ -288,7 +311,7 @@ def test_radial_batch_matches_reference(u, x):
 
         near, far, err, mass, ev, bis = _reference_radial(
             f, u_x, 0.5, rho, kinks[i][np.isfinite(kinks[i])], u.growth,
-            _FAR_CUTOFF, 1e-6, q.n_jacobi, _RADIAL_PANELS, q.max_radial_panels)
+            _FAR_CUTOFF, 1e-8, q.n_jacobi, _RADIAL_PANELS, q.max_radial_panels)
         # the pieces cancel in places; |f| mass is the scale of the sums
         assert abs(rad.near[i] - near) <= 1e-13 * mass
         assert abs(rad.far[i] - far) <= 1e-13 * mass
